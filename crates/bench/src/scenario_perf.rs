@@ -25,6 +25,7 @@
 use dls_core::adaptive::DriftConfig;
 use dls_core::ProblemInstance;
 use dls_experiments::Preset;
+use dls_lp::WarmStats;
 use dls_scenario::catalog::{paper_shape_instance, poisson_jobs};
 use dls_scenario::{
     run_scenario, PeriodicResolve, PlatformChange, PlatformEvent, Resolver, Scenario,
@@ -75,6 +76,10 @@ pub struct ScenarioPerfEntry {
     pub slow_ms: f64,
     /// `slow_ms / fast_ms`.
     pub speedup: f64,
+    /// The warm pipeline's cumulative LP counters over one replay (patch,
+    /// flush, repair and pivot counts — deterministic per seed). Terminal
+    /// summary only; the JSON schema is unchanged.
+    pub warm_stats: WarmStats,
 }
 
 /// One full harness run.
@@ -161,7 +166,7 @@ fn run_pipeline(
     inst: &ProblemInstance,
     scenario: &Scenario,
     warm: bool,
-) -> Result<(ScenarioReport, f64), dls_scenario::ScenarioError> {
+) -> Result<(ScenarioReport, f64, WarmStats), dls_scenario::ScenarioError> {
     let cfg = ScenarioConfig {
         engine: if warm {
             SimEngine::Incremental
@@ -179,6 +184,7 @@ fn run_pipeline(
     // formulation + factorisation build inside the measured window.
     let mut best = f64::INFINITY;
     let mut report = None;
+    let mut warm_stats = WarmStats::default();
     for _ in 0..2 {
         let t0 = Instant::now();
         let mut policy = if warm {
@@ -199,8 +205,11 @@ fn run_pipeline(
             best = ms;
         }
         report.get_or_insert(r);
+        if let Some(w) = policy.resolver_mut().warm_mut() {
+            warm_stats = w.stats();
+        }
     }
-    Ok((report.expect("two runs happened"), best))
+    Ok((report.expect("two runs happened"), best, warm_stats))
 }
 
 /// Runs the harness: for each scale, generate platform + traces, replay
@@ -210,8 +219,8 @@ pub fn run(preset: Preset, seed: u64) -> Result<ScenarioPerfRun, dls_scenario::S
     for &(k, horizon) in scales(preset) {
         let inst = paper_shape_instance(k, seed);
         for scenario in traces(&inst, k, horizon, seed) {
-            let (fast, fast_ms) = run_pipeline(&inst, &scenario, true)?;
-            let (slow, slow_ms) = run_pipeline(&inst, &scenario, false)?;
+            let (fast, fast_ms, warm_stats) = run_pipeline(&inst, &scenario, true)?;
+            let (slow, slow_ms, _) = run_pipeline(&inst, &scenario, false)?;
             let reports_agree = fast.agrees_with(&slow, 1e-6);
             let first_divergence = fast
                 .first_event_divergence(&slow, 1e-6)
@@ -234,6 +243,7 @@ pub fn run(preset: Preset, seed: u64) -> Result<ScenarioPerfRun, dls_scenario::S
                 } else {
                     f64::INFINITY
                 },
+                warm_stats,
             });
         }
     }
@@ -317,6 +327,26 @@ impl ScenarioPerfRun {
         }
         if let Some(s) = self.k50_steady_speedup() {
             let _ = writeln!(out, "K = 50 steady speedup: {s:.1}x");
+        }
+        let _ = writeln!(out, "warm LP counters per replay:");
+        for e in &self.entries {
+            let s = &e.warm_stats;
+            let _ = writeln!(
+                out,
+                "{:>8} K={}: solves {} (cold {}), b_patches {}, xb_flushes {}, rank1_repairs {}, \
+                 evictions {}, refactorisations {}, dual/primal pivots {}/{}",
+                e.trace,
+                e.k,
+                s.solves,
+                s.cold_solves,
+                s.b_patches,
+                s.xb_flushes,
+                s.rank1_repairs,
+                s.evictions,
+                s.refactorisations,
+                s.dual_pivots,
+                s.primal_pivots,
+            );
         }
         out
     }

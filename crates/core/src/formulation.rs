@@ -674,6 +674,35 @@ mod tests {
     }
 
     #[test]
+    fn paper_scale_warm_relaxation_runs_on_the_sparse_lu() {
+        // Which basis representation `BasisRepr::Auto` picks is decided by
+        // the *lowered* row count. On the paper's K=50 platform shape
+        // (Table 1 grid centre, as the scenario catalog draws it) the plain
+        // relaxation stays far below the switch, but the warm variant adds
+        // one bound row per pre-materialised α cap — ~K² of them — and
+        // crosses it: LPRR and the online `WarmLprg` resolver at the
+        // paper's scale run on the sparse LU, not on the dense inverse.
+        use dls_lp::standard::StandardForm;
+        use dls_lp::SPARSE_MIN_ROWS;
+        use dls_platform::{PlatformConfig, PlatformGenerator};
+        let cfg = PlatformConfig {
+            num_clusters: 50,
+            mean_backbone_bw: 30.0,
+            mean_max_connections: 15.0,
+            ..PlatformConfig::default()
+        };
+        for seed in [7, 42] {
+            let platform = PlatformGenerator::new(seed).generate(&cfg);
+            let inst = ProblemInstance::uniform(platform, Objective::MaxMin);
+            let rows = |f: LpFormulation| StandardForm::from_model(&f.model).unwrap().m;
+            let plain = rows(LpFormulation::relaxation(&inst).unwrap());
+            let warm = rows(LpFormulation::relaxation_warm(&inst).unwrap());
+            assert!(plain < SPARSE_MIN_ROWS, "seed {seed}: plain m = {plain}");
+            assert!(warm >= SPARSE_MIN_ROWS, "seed {seed}: warm m = {warm}");
+        }
+    }
+
+    #[test]
     fn pin_beta_delta_matches_rebuilt_formulation() {
         let inst = two_cluster_inst(Objective::MaxMin);
         let k = inst.num_apps();

@@ -116,10 +116,15 @@ pub fn sparse_iteration_cap(m: usize, n_cols: usize) -> usize {
 
 /// Row-count threshold at which [`BasisRepr::Auto`] switches the revised
 /// simplex from the dense basis inverse to the sparse LU factorisation.
-/// Chosen above every committed small-K bench/scenario shape (K=50 warm
-/// models have m ≈ 1 600) so existing baselines keep bit-identical dense
-/// arithmetic, while the large-K platform axis (K ≥ 200 island platforms,
-/// m ≳ 2 700) gets the sparse factor.
+/// What counts is the *lowered* row count, and the warm relaxation carries
+/// one bound row per pre-materialised α cap (~K² of them): measured on
+/// paper-shape platforms, warm models have m ≈ 1 530 at K=35 and ≈ 1 990
+/// at K=40 (dense inverse, so the committed K ≤ 35 baselines keep
+/// bit-identical dense arithmetic), but m ≈ 2 190 at K=42 and ≈ 3 080 at
+/// K=50 — LPRR's pin replay and the online `WarmLprg` resolver at the
+/// paper's own scale already run on the sparse factor, as does the large-K
+/// platform axis (K ≥ 200 island platforms, m ≳ 2 700). The *plain* K=50
+/// relaxation (m ≈ 630) stays dense; `dls_core` pins both facts in a test.
 pub const SPARSE_MIN_ROWS: usize = 2048;
 
 /// Solver engine selection for [`solve_with`] and the branch-and-bound layer.

@@ -69,8 +69,10 @@ pub enum BasisRepr {
     /// Sparse Markowitz LU with eta updates ([`crate::sparse_lu`]).
     SparseLu,
     /// [`BasisRepr::SparseLu`] at or above [`SPARSE_MIN_ROWS`]
-    /// standard-form rows, [`BasisRepr::DenseInverse`] below — small
-    /// (paper-shape) models keep the dense oracle bit-for-bit.
+    /// standard-form rows, [`BasisRepr::DenseInverse`] below. The row count
+    /// that matters is the *lowered* one: the paper-shape K=50 plain
+    /// relaxation (m ≈ 630) stays dense, but its warm variant carries one
+    /// bound row per pre-materialised α cap (m ≈ 3 080) and runs sparse.
     Auto,
 }
 
@@ -126,6 +128,24 @@ impl RevisedSimplex {
     }
 }
 
+/// Smallest Sherman–Morrison denominator [`Factor::repair_basic_column`]
+/// still repairs by a rank-1 update; below it the patched basis is treated
+/// as nearly singular and the column is pivoted out instead.
+const RANK1_MIN_DENOM: f64 = 0.1;
+
+/// What [`Factor::repair_basic_column`] did about a patched basic column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ColumnRepair {
+    /// The factorisation (and a current `x_B`) absorbed the patch by a
+    /// rank-1 update.
+    Rank1,
+    /// The column was pivoted out for a slack before the patch could make
+    /// the basis singular; the next solve's repair loop absorbs the pivot.
+    Evicted,
+    /// Neither was possible: refactorise before the next solve.
+    Refactor,
+}
+
 pub(crate) enum PhaseEnd {
     Optimal,
     Unbounded,
@@ -176,6 +196,10 @@ pub(crate) struct Factor {
     repr: Repr,
     /// Current basic variable values `x_B = B⁻¹ b`.
     pub(crate) xb: Vec<f64>,
+    /// Sparse representation only: right-hand-side patches arrived since
+    /// `xb` was last computed, so it must be flushed ([`Factor::flush_xb`])
+    /// before anything decides on it. Always `false` on the dense inverse.
+    xb_stale: bool,
     pub(crate) iterations: usize,
     /// Total refactorisations performed over this factor's lifetime.
     pub(crate) refactor_count: u64,
@@ -217,6 +241,7 @@ impl Factor {
             in_basis,
             repr,
             xb: sf.b.to_vec(),
+            xb_stale: false,
             iterations: 0,
             refactor_count: 0,
             pivots_since_refactor: 0,
@@ -261,6 +286,7 @@ impl Factor {
             in_basis,
             repr,
             xb: vec![0.0; sf.m],
+            xb_stale: false,
             iterations: 0,
             refactor_count: 0,
             pivots_since_refactor: 0,
@@ -274,11 +300,6 @@ impl Factor {
         // of failing outright; the warm repair loop re-optimises from it.
         f.refactor_repair(sf)?;
         Ok(f)
-    }
-
-    /// `true` when this factor uses the sparse LU representation.
-    pub(crate) fn is_sparse(&self) -> bool {
-        matches!(self.repr, Repr::Sparse(_))
     }
 
     /// Nonzeros held by the factorisation: `m²` for the dense inverse,
@@ -385,24 +406,47 @@ impl Factor {
             .sum()
     }
 
-    /// Folds a single right-hand-side delta into `x_B` incrementally:
-    /// `Δx_B = B⁻¹ Δb = δ ·` (column `row` of `B⁻¹`) — one column read
-    /// (dense) or one unit FTRAN (sparse) instead of the full `x_B`
-    /// recomputation.
+    /// Accounts for a single right-hand-side delta in `x_B`. The dense
+    /// inverse folds it in eagerly — `Δx_B = B⁻¹ Δb = δ ·` (column `row` of
+    /// `B⁻¹`), one O(m) strided column read. The sparse LU would need a
+    /// unit FTRAN per patch for the same column, so it only marks `x_B`
+    /// stale: one [`Factor::flush_xb`] before the next solve recomputes
+    /// `B⁻¹b` exactly, whatever the size of the patch batch.
     pub(crate) fn apply_b_delta(&mut self, row: usize, delta: f64) {
         let m = self.m;
-        if let Repr::Dense(d) = &self.repr {
-            for i in 0..m {
-                self.xb[i] += delta * d.binv[i * m + row];
+        match &self.repr {
+            Repr::Dense(d) => {
+                for i in 0..m {
+                    self.xb[i] += delta * d.binv[i * m + row];
+                }
             }
-            return;
+            Repr::Sparse(_) => self.xb_stale = true,
         }
-        let mut w = std::mem::take(&mut self.scratch_w);
-        self.ftran_unit(row, &mut w);
-        for i in 0..m {
-            self.xb[i] += delta * w[i];
+    }
+
+    /// `x_B = B⁻¹ b` with the small-negative clamp every `x_B` rebuild
+    /// applies (sparse representation).
+    fn recompute_xb(lu: &mut SparseLu, sf: &StandardForm, xb: &mut [f64]) {
+        lu.ftran_dense(&sf.b, xb);
+        for v in xb.iter_mut() {
+            if *v < 0.0 && *v > -FEAS_TOL {
+                *v = 0.0;
+            }
         }
-        self.scratch_w = w;
+    }
+
+    /// Recomputes a stale `x_B` (see [`Factor::apply_b_delta`]) from the
+    /// patched right-hand side. Returns whether a flush was needed.
+    pub(crate) fn flush_xb(&mut self, sf: &StandardForm) -> bool {
+        if !self.xb_stale {
+            return false;
+        }
+        let Repr::Sparse(lu) = &mut self.repr else {
+            unreachable!("only the sparse representation defers x_B");
+        };
+        Self::recompute_xb(lu, sf, &mut self.xb);
+        self.xb_stale = false;
+        true
     }
 
     /// Swaps the basic column at basis position `pos` for a nonbasic slack
@@ -497,14 +541,10 @@ impl Factor {
         let replaced = match &mut self.repr {
             Repr::Sparse(lu) => {
                 let replaced = lu.factorise(sf, &mut self.basis, &mut self.in_basis, repair)?;
-                // x_B = B⁻¹ b, with the same small-negative clamp as the
-                // dense rebuild below.
-                lu.ftran_dense(&sf.b, &mut self.xb);
-                for v in self.xb.iter_mut() {
-                    if *v < 0.0 && *v > -FEAS_TOL {
-                        *v = 0.0;
-                    }
-                }
+                // Same small-negative clamp as the dense rebuild below;
+                // whatever patches were pending are now folded in.
+                Self::recompute_xb(lu, sf, &mut self.xb);
+                self.xb_stale = false;
                 replaced
             }
             Repr::Dense(_) => self.refactor_dense(sf, repair)?,
@@ -635,113 +675,107 @@ impl Factor {
         Ok(replaced)
     }
 
-    /// The Sherman–Morrison denominator `1 + δ·B⁻¹[pos, row]` a
-    /// [`Factor::patch_basic_column`] call would divide by. The warm layer
-    /// probes it to choose between the rank-1 patch, an eviction, and a
-    /// full refactorisation *before* mutating anything.
-    pub(crate) fn patch_denominator(&mut self, pos: usize, row: usize, delta: f64) -> f64 {
-        if let Repr::Dense(d) = &self.repr {
-            return 1.0 + delta * d.binv[pos * self.m + row];
-        }
-        let mut w = std::mem::take(&mut self.scratch_w);
-        self.ftran_unit(row, &mut w);
-        let denom = 1.0 + delta * w[pos];
-        self.scratch_w = w;
-        denom
-    }
-
-    /// Rank-1 repair of the factorisation after the *basic* column at basis
-    /// position `pos` changed by `delta` in row `row`. The dense inverse
-    /// applies Sherman–Morrison:
-    /// `B′ = B + delta·e_row·e_posᵀ`, so
-    /// `B′⁻¹ = B⁻¹ − (delta · B⁻¹e_row · e_posᵀB⁻¹) / (1 + delta·B⁻¹[pos,row])`.
-    /// The sparse LU appends the product-form eta `E = I + u·e_posᵀ` with
-    /// `u = δ·B⁻¹e_row` (`B′ = B·E`) — same operator, O(nnz) instead of
-    /// O(m²). Both correct `x_B` with the identical rank-1 arithmetic.
+    /// Repairs the factorisation after the *basic* column at basis position
+    /// `pos` changed by `delta` in row `row` (`sf` already holds the patched
+    /// column). One `u = B⁻¹e_row` — a column read on the dense inverse, a
+    /// unit FTRAN on the sparse LU — yields the Sherman–Morrison
+    /// denominator `1 + δ·u[pos]`, which picks the branch *before* anything
+    /// is mutated, and then drives the rank-1 repair itself:
     ///
-    /// Fails (so the caller can fall back to a full refactorisation) when
-    /// the update denominator signals a near-singular patched basis.
-    pub(crate) fn patch_basic_column(
+    /// * `|denom| ≥` [`RANK1_MIN_DENOM`]: rank-1 repair. The dense inverse
+    ///   applies Sherman–Morrison — `B′ = B + δ·e_row·e_posᵀ`, so
+    ///   `B′⁻¹ = B⁻¹ − (δ · B⁻¹e_row · e_posᵀB⁻¹) / denom`; the sparse LU
+    ///   appends the product-form eta `E = I + δu·e_posᵀ` (`B′ = B·E`) —
+    ///   same operator, O(nnz) instead of O(m²). Both correct `x_B` with
+    ///   the identical rank-1 arithmetic (skipped while `x_B` is stale: the
+    ///   flush recomputes it from the repaired factorisation).
+    /// * a small denominator means the patched basis is nearly singular —
+    ///   the column was basic *because of* the entries the patch removes,
+    ///   and a rank-1 update would wreck the conditioning even where it
+    ///   technically succeeds. Pivoting the column out first
+    ///   ([`Factor::evict_position`]), while the factorisation is still
+    ///   valid, sidesteps the singularity.
+    /// * no usable replacement column: the caller must refactorise.
+    ///
+    /// Returns the branch taken and the denominator.
+    pub(crate) fn repair_basic_column(
         &mut self,
+        sf: &StandardForm,
+        slack_cols: &[Option<usize>],
         row: usize,
         pos: usize,
         delta: f64,
-    ) -> Result<(), LpError> {
+    ) -> (ColumnRepair, f64) {
         let m = self.m;
-        if self.is_sparse() {
-            let mut u = std::mem::take(&mut self.scratch_w);
-            self.ftran_unit(row, &mut u);
-            for v in u.iter_mut() {
-                *v *= delta;
-            }
-            let denom = 1.0 + u[pos];
-            if denom.abs() < 1e-9 {
-                self.scratch_w = u;
-                return Err(LpError::SingularBasis);
-            }
-            let Repr::Sparse(lu) = &mut self.repr else {
-                unreachable!()
+        let mut u = std::mem::take(&mut self.scratch_w);
+        self.ftran_unit(row, &mut u);
+        let denom = 1.0 + delta * u[pos];
+        // (A NaN denominator takes the eviction branch too.)
+        let rank1_safe = denom.abs() >= RANK1_MIN_DENOM;
+        if !rank1_safe {
+            self.scratch_w = u;
+            let repair = if self.evict_position(sf, pos, slack_cols) {
+                ColumnRepair::Evicted
+            } else {
+                ColumnRepair::Refactor
             };
+            return (repair, denom);
+        }
+        for v in u.iter_mut() {
+            *v *= delta;
+        }
+        let inv_denom = 1.0 / denom;
+        match &mut self.repr {
             // Column pos of E is e_pos + u: pivot `denom`, off entries u.
-            lu.append_eta(pos, denom, &u, 0.0);
-            // x_B correction, identical to the dense arithmetic below.
-            let inv_denom = 1.0 / denom;
+            Repr::Sparse(lu) => lu.append_eta(pos, denom, &u, 0.0),
+            Repr::Dense(dense) => {
+                // Rows i ≠ pos read the *old* row pos, so it must be
+                // corrected last: its own correction works out to a plain
+                // scaling by 1/denom (`new = old − (u_pos/denom)·old =
+                // old·(denom − u_pos)/denom`, and `denom − u_pos = 1` by
+                // the definition of the denominator).
+                for i in 0..m {
+                    if i == pos {
+                        continue;
+                    }
+                    let f = u[i] * inv_denom;
+                    if f != 0.0 {
+                        // binv[i, :] -= f · binv[pos, :] — raw index math
+                        // splits the borrow between the updated row and the
+                        // pivot row.
+                        for j in 0..m {
+                            let pv = dense.binv[pos * m + j];
+                            dense.binv[i * m + j] -= f * pv;
+                        }
+                    }
+                }
+                for j in 0..m {
+                    dense.binv[pos * m + j] *= inv_denom;
+                }
+            }
+        }
+        if !self.xb_stale {
+            // Same rank-1 correction keeps x_B = B⁻¹b current:
+            // `x_B ← x_B − u · x_B[pos]/denom` (the pos entry lands on
+            // `x_B[pos]/denom` by the identity above).
             let f = self.xb[pos] * inv_denom;
             for i in 0..m {
                 self.xb[i] -= u[i] * f;
             }
-            self.scratch_w = u;
-            return Ok(());
-        }
-        let denom = self.patch_denominator(pos, row, delta);
-        if denom.abs() < 1e-9 {
-            return Err(LpError::SingularBasis);
-        }
-        // u = delta · (column `row` of B⁻¹), reusing the FTRAN scratch.
-        let mut u = std::mem::take(&mut self.scratch_w);
-        let Repr::Dense(dense) = &mut self.repr else {
-            unreachable!()
-        };
-        for i in 0..m {
-            u[i] = delta * dense.binv[i * m + row];
-        }
-        let inv_denom = 1.0 / denom;
-        // Rows i ≠ pos read the *old* row pos, so it must be corrected last:
-        // its own correction works out to a plain scaling by 1/denom
-        // (`new = old − (u_pos/denom)·old = old·(denom − u_pos)/denom`, and
-        // `denom − u_pos = 1` by the definition of the denominator).
-        for i in 0..m {
-            if i == pos {
-                continue;
-            }
-            let f = u[i] * inv_denom;
-            if f != 0.0 {
-                // binv[i, :] -= f · binv[pos, :] — raw index math splits the
-                // borrow between the updated row and the pivot row.
-                for j in 0..m {
-                    let pv = dense.binv[pos * m + j];
-                    dense.binv[i * m + j] -= f * pv;
-                }
-            }
-        }
-        for j in 0..m {
-            dense.binv[pos * m + j] *= inv_denom;
-        }
-        // Same rank-1 correction keeps x_B = B⁻¹b current:
-        // `x_B ← x_B − u · x_B[pos]/denom` (the pos entry lands on
-        // `x_B[pos]/denom` by the identity above).
-        let f = self.xb[pos] * inv_denom;
-        for i in 0..m {
-            self.xb[i] -= u[i] * f;
         }
         self.scratch_w = u;
-        Ok(())
+        (ColumnRepair::Rank1, denom)
     }
 
     /// Applies the basis change for entering column `e` at row `r` with
     /// FTRAN result `w`: an elementary row transformation of the dense
     /// `B⁻¹`, or an appended eta for the sparse LU (identical `x_B`
     /// arithmetic on both paths, including the 1e-13 drop threshold).
+    ///
+    /// `x_B` is only *maintained* here (θ and the column step), never
+    /// decided on: an eviction pivot between patches may run this on a
+    /// stale sparse `x_B`, and whatever it writes is overwritten by the
+    /// pending [`Factor::flush_xb`].
     pub(crate) fn update(&mut self, r: usize, e: usize, w: &[f64]) {
         let m = self.m;
         let pivot = w[r];
@@ -1319,6 +1353,73 @@ mod tests {
                 .unwrap(),
             DualEnd::Infeasible
         ));
+    }
+
+    #[test]
+    fn fused_repair_denominator_matches_unit_ftran_bit_for_bit() {
+        // The denominator `repair_basic_column` derives from its single
+        // `u = B⁻¹e_row` must be, bit for bit, the value the former separate
+        // probe computed — `1 + δ·B⁻¹[pos, row]` read off the dense inverse,
+        // `1 + δ·(B⁻¹e_row)[pos]` by unit FTRAN on the sparse LU — and it
+        // alone must pick the branch.
+        let mut m = Model::new(Sense::Maximize);
+        let x = m.add_var("x", 0.0, f64::INFINITY);
+        let y = m.add_var("y", 0.0, f64::INFINITY);
+        m.set_objective_coef(x, 3.0);
+        m.set_objective_coef(y, 5.0);
+        m.add_constraint(vec![(x, 1.0)], ConstraintOp::Le, 4.0);
+        m.add_constraint(vec![(y, 2.0)], ConstraintOp::Le, 12.0);
+        m.add_constraint(vec![(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0);
+        let sf = StandardForm::from_model(&m).unwrap();
+        let slack_cols = crate::warm::slack_columns(&sf);
+        for basis_repr in [BasisRepr::DenseInverse, BasisRepr::SparseLu] {
+            let solver = RevisedSimplex {
+                basis_repr,
+                ..RevisedSimplex::default()
+            };
+            let (_, factor) = solver.solve_standard_keep(&m, &sf).unwrap();
+            let factor = factor.unwrap();
+            let mut seen = Vec::new();
+            for pos in 0..sf.m {
+                let j = factor.basis[pos];
+                for idx in 0..sf.cols[j].len() {
+                    let (row, a) = sf.cols[j][idx];
+                    // Re-weight, halve, and zero out the entry.
+                    for delta in [0.37, -0.5 * a, -a] {
+                        let mut f = factor.clone();
+                        let mut patched = sf.clone();
+                        patched.cols[j][idx].1 += delta;
+                        // The removed `patch_denominator`, verbatim.
+                        let probe = if let Repr::Dense(d) = &f.repr {
+                            1.0 + delta * d.binv[pos * sf.m + row]
+                        } else {
+                            let mut w = vec![0.0; sf.m];
+                            f.ftran_unit(row, &mut w);
+                            1.0 + delta * w[pos]
+                        };
+                        let (repair, denom) =
+                            f.repair_basic_column(&patched, &slack_cols, row, pos, delta);
+                        assert_eq!(denom.to_bits(), probe.to_bits(), "{basis_repr:?}");
+                        assert_eq!(
+                            repair == ColumnRepair::Rank1,
+                            probe.abs() >= RANK1_MIN_DENOM,
+                            "{basis_repr:?}: denom {denom} took {repair:?}"
+                        );
+                        if repair == ColumnRepair::Rank1 {
+                            // The repaired factor carries the patched x_B.
+                            let xb = f.xb.clone();
+                            f.refactor(&patched).unwrap();
+                            for (a, b) in xb.iter().zip(&f.xb) {
+                                assert!((a - b).abs() < 1e-9, "{basis_repr:?}: {a} vs {b}");
+                            }
+                        }
+                        seen.push(repair);
+                    }
+                }
+            }
+            assert!(seen.contains(&ColumnRepair::Rank1), "{seen:?}");
+            assert!(seen.contains(&ColumnRepair::Evicted), "{seen:?}");
+        }
     }
 }
 

@@ -46,7 +46,9 @@
 //! the property tests and the `dls-bench` LP perf suite.
 
 use crate::model::{ConstraintId, Model, Sense, VarId};
-use crate::revised_simplex::{extract_optimal, DualEnd, Factor, PhaseEnd, RevisedSimplex};
+use crate::revised_simplex::{
+    extract_optimal, ColumnRepair, DualEnd, Factor, PhaseEnd, RevisedSimplex,
+};
 use crate::solution::{Solution, Status};
 use crate::standard::StandardForm;
 use crate::{LpError, COST_TOL};
@@ -122,6 +124,17 @@ pub struct WarmStats {
     /// detector trips, deferred patches, singular-basis repairs, and
     /// explicit [`WarmSimplex::request_refactor`] calls).
     pub refactorisations: u64,
+    /// Right-hand-side entries patched under a live factorisation (bound,
+    /// rhs and lower-bound-shift deltas). The dense inverse folds each into
+    /// `x_B` on the spot; the sparse LU defers them all to one flush.
+    pub b_patches: u64,
+    /// Deferred `x_B` recomputations (`x_B = B⁻¹b`, sparse LU only): at
+    /// most one per solve, however many `b_patches` preceded it.
+    pub xb_flushes: u64,
+    /// Basic-column coefficient patches absorbed by a rank-1 update of the
+    /// factorisation (the alternatives are counted by `evictions` and
+    /// `refactorisations`).
+    pub rank1_repairs: u64,
 }
 
 /// Snapshot of the current factorisation's sparsity, for bench artifacts
@@ -300,7 +313,7 @@ impl RevisedSimplex {
 
 /// Row → slack/surplus column map (single-entry non-artificial columns
 /// beyond the structural block).
-fn slack_columns(sf: &StandardForm) -> Vec<Option<usize>> {
+pub(crate) fn slack_columns(sf: &StandardForm) -> Vec<Option<usize>> {
     let mut map = vec![None; sf.m];
     for j in sf.n_structural..sf.n_cols {
         if !sf.is_artificial[j] {
@@ -473,23 +486,36 @@ impl WarmSimplex {
             let r = self.bound_rows[j].expect("finite upper bound has a bound row");
             debug_assert_eq!(self.sf.row_scale_sign(r), (1.0, 1.0));
             let delta = (up - lo) - self.sf.b[r];
-            self.patch_b(r, delta);
+            if delta != 0.0 {
+                // Stored outright, not as `b += delta`: that lands within
+                // an ulp of `up − lo` and would make `b` depend on the
+                // patch history.
+                self.sf.b[r] = up - lo;
+                self.fold_b_delta(r, delta);
+            }
         }
         Ok(())
     }
 
-    /// Moves one standard-form rhs entry and folds the delta into the
-    /// factorisation's `x_B` incrementally (O(m); skipped while a deferred
-    /// refactorisation is pending, which recomputes `x_B` exactly anyway).
+    /// Moves one standard-form rhs entry by `delta`.
     fn patch_b(&mut self, row: usize, delta: f64) {
-        if delta == 0.0 {
+        if delta != 0.0 {
+            self.sf.b[row] += delta;
+            self.fold_b_delta(row, delta);
+        }
+    }
+
+    /// Tells the factorisation that `b[row]` moved by a nonzero `delta`:
+    /// folded into `x_B` in O(m) on the dense inverse, marked for one
+    /// deferred flush on the sparse LU (skipped while a deferred
+    /// refactorisation is pending, which recomputes `x_B` exactly anyway).
+    fn fold_b_delta(&mut self, row: usize, delta: f64) {
+        if self.needs_refactor {
             return;
         }
-        self.sf.b[row] += delta;
-        if !self.needs_refactor {
-            if let Some(factor) = &mut self.factor {
-                factor.apply_b_delta(row, delta);
-            }
+        if let Some(factor) = &mut self.factor {
+            factor.apply_b_delta(row, delta);
+            self.stats.b_patches += 1;
         }
     }
 
@@ -581,29 +607,13 @@ impl WarmSimplex {
                     .iter()
                     .position(|&b| b == j)
                     .expect("in_basis implies a basis slot");
-                let denom = factor.patch_denominator(pos, row, delta_scaled);
-                // A small denominator means the patched basis is nearly
-                // singular: the rank-1 update would blow up B⁻¹'s
-                // conditioning even when it technically succeeds, and that
-                // drift is what eventually strands the dual phase. Prefer
-                // the clean eviction pivot well before the breakdown point.
-                if denom.abs() >= 0.1 {
-                    // Repairs both B⁻¹ and x_B by the same rank-1 correction.
-                    if factor.patch_basic_column(row, pos, delta_scaled).is_err() {
-                        self.needs_refactor = true;
-                    }
-                } else if factor.evict_position(&self.sf, pos, &self.slack_cols) {
-                    // The patched column would make the basis singular (the
-                    // rank-1 denominator vanishes): the column was basic
-                    // *because of* the entries this patch removes. Pivoting
-                    // it out first — while B⁻¹ is still valid — sidesteps
-                    // the singularity; the dual/primal repair at the next
-                    // solve absorbs the (possibly infeasible) pivot.
-                    self.stats.evictions += 1;
-                } else {
-                    // No usable replacement column: refactorise lazily (and
-                    // cold-solve if even that fails).
-                    self.needs_refactor = true;
+                let (repair, _) =
+                    factor.repair_basic_column(&self.sf, &self.slack_cols, row, pos, delta_scaled);
+                match repair {
+                    ColumnRepair::Rank1 => self.stats.rank1_repairs += 1,
+                    ColumnRepair::Evicted => self.stats.evictions += 1,
+                    // Refactorise lazily (and cold-solve if even that fails).
+                    ColumnRepair::Refactor => self.needs_refactor = true,
                 }
             }
         }
@@ -653,7 +663,9 @@ impl WarmSimplex {
     }
 
     /// Attempts the warm repair loop; `None` when no basis exists yet.
-    /// `x_B` is already current: every patch folded its delta in eagerly.
+    /// `x_B` is made current first: the dense inverse folded every patch in
+    /// eagerly, the sparse LU flushes its deferred right-hand-side patches
+    /// with one `B⁻¹b` here.
     ///
     /// A singular basis — a deferred refactorisation, or a periodic one
     /// inside a phase exposing accumulated drift — is *repaired* (dependent
@@ -670,6 +682,9 @@ impl WarmSimplex {
             return Some(Err(e));
         }
         if !self.needs_refactor {
+            if factor.flush_xb(&self.sf) {
+                self.stats.xb_flushes += 1;
+            }
             // Drift detector: compare the maintained x_B against the true
             // patched columns. Compounding rank-1 updates eventually poison
             // B⁻¹; refactorising the moment the residual leaves the noise
@@ -888,6 +903,81 @@ mod tests {
         let stats = warm.stats();
         assert!(stats.refactorisations >= 1, "{stats:?}");
         assert_eq!(stats.warm_solves, 1, "{stats:?}");
+    }
+
+    #[test]
+    fn sparse_context_flushes_xb_once_per_patch_batch() {
+        use crate::BasisRepr;
+        let (m, x, y, c0, c1, _) = textbook();
+        let sparse = RevisedSimplex {
+            basis_repr: BasisRepr::SparseLu,
+            ..RevisedSimplex::default()
+        };
+        let mut warm = WarmSimplex::new(m.clone(), sparse).unwrap();
+        warm.check_against_cold = true;
+        warm.solve().unwrap();
+        assert_eq!(
+            warm.stats().b_patches,
+            0,
+            "no factor before the first solve"
+        );
+        // Four single-entry patches, then one solve: one flush.
+        warm.set_var_bounds(y, 0.0, 5.0).unwrap();
+        warm.set_var_bounds(x, 0.0, 6.0).unwrap();
+        warm.set_rhs(c1, 7.0).unwrap();
+        warm.set_rhs(c0, 3.0).unwrap();
+        assert_eq!(warm.stats().xb_flushes, 0, "patches alone never flush");
+        assert_matches_cold(&mut warm);
+        let stats = warm.stats();
+        assert_eq!((stats.b_patches, stats.xb_flushes), (4, 1), "{stats:?}");
+        // No intervening patch: nothing to flush.
+        assert_matches_cold(&mut warm);
+        let stats = warm.stats();
+        assert_eq!((stats.b_patches, stats.xb_flushes), (4, 1), "{stats:?}");
+        assert_eq!(stats.cold_solves, 1, "{stats:?}");
+
+        // The dense inverse folds every patch in eagerly and never flushes.
+        let mut dense = WarmSimplex::new(m, RevisedSimplex::default()).unwrap();
+        dense.solve().unwrap();
+        dense.set_var_bounds(y, 0.0, 5.0).unwrap();
+        dense.set_rhs(c1, 7.0).unwrap();
+        assert_matches_cold(&mut dense);
+        let stats = dense.stats();
+        assert_eq!((stats.b_patches, stats.xb_flushes), (2, 0), "{stats:?}");
+    }
+
+    #[test]
+    fn stale_xb_survives_rank1_repair_and_eviction() {
+        use crate::BasisRepr;
+        // At the optimum (x = 2, y = 6) both variables and both bound
+        // slacks are basic. One burst, no solve in between: a rhs patch
+        // leaves the sparse x_B stale, a re-weighting of basic column y is
+        // repaired rank-1 on top of it, and zeroing y's remaining entries
+        // collapses the column onto its bound row — parallel to the basic
+        // bound slack — which forces an eviction pivot on the stale x_B.
+        for basis_repr in [BasisRepr::SparseLu, BasisRepr::DenseInverse] {
+            let (m, _, y, c0, c1, c2) = textbook();
+            let params = RevisedSimplex {
+                basis_repr,
+                ..RevisedSimplex::default()
+            };
+            let mut warm = WarmSimplex::new(m, params).unwrap();
+            warm.check_against_cold = true;
+            warm.solve().unwrap();
+            warm.set_rhs(c0, 3.5).unwrap();
+            warm.set_coefficient(c2, y, 1.0).unwrap();
+            warm.set_rhs(c1, 10.0).unwrap();
+            warm.set_coefficient(c1, y, 0.0).unwrap();
+            warm.set_coefficient(c2, y, 0.0).unwrap();
+            warm.set_rhs(c2, 15.0).unwrap();
+            assert_matches_cold(&mut warm);
+            let stats = warm.stats();
+            assert!(stats.rank1_repairs >= 1, "{basis_repr:?}: {stats:?}");
+            assert_eq!(stats.evictions, 1, "{basis_repr:?}: {stats:?}");
+            assert_eq!(stats.cold_solves, 1, "{basis_repr:?}: {stats:?}");
+            let flushes = u64::from(basis_repr == BasisRepr::SparseLu);
+            assert_eq!(stats.xb_flushes, flushes, "{basis_repr:?}: {stats:?}");
+        }
     }
 
     #[test]

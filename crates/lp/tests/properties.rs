@@ -9,7 +9,7 @@
 //! relaxation bound.
 
 use dls_lp::{
-    BranchBound, BranchBoundConfig, ConstraintId, ConstraintOp, DenseSimplex, Model,
+    BasisRepr, BranchBound, BranchBoundConfig, ConstraintId, ConstraintOp, DenseSimplex, Model,
     RevisedSimplex, Sense, Status, VarId, WarmSimplex,
 };
 use proptest::prelude::*;
@@ -50,6 +50,52 @@ fn random_lp(max_vars: usize, max_cons: usize) -> impl Strategy<Value = RandomLp
             RandomLp { model, witness }
         })
     })
+}
+
+/// One random in-place delta: `(kind, variable, constraint, magnitude)`.
+type Patch = (usize, usize, usize, f64);
+
+fn random_patches(max_len: usize) -> impl Strategy<Value = Vec<Patch>> {
+    proptest::collection::vec((0usize..3, 0usize..6, 0usize..6, 0.1f64..3.0), 1..max_len)
+}
+
+/// Applies one [`Patch`] to the context: a bound tightening, a rhs nudge,
+/// or a coefficient change.
+fn apply_patch(warm: &mut WarmSimplex, (kind, vi, ci, mag): Patch) {
+    let var = VarId::from_index(vi % warm.model().num_vars());
+    let con = ConstraintId::from_index(ci % warm.model().num_constraints());
+    match kind {
+        0 => {
+            // Tighten the variable's upper bound (stays finite).
+            let (lo, up) = warm.model().bounds(var);
+            let new_up = lo + (up - lo) * (mag / 3.0).min(1.0);
+            warm.set_var_bounds(var, lo, new_up).unwrap();
+        }
+        1 => {
+            let rhs = warm.model().rhs(con);
+            // Both tightening and relaxing directions.
+            warm.set_rhs(con, rhs + (mag - 1.5)).unwrap();
+        }
+        _ => {
+            let old = warm.model().coefficient(con, var);
+            // Change, zero out, or introduce a coefficient.
+            let new = if mag < 0.8 { 0.0 } else { old + mag - 2.0 };
+            warm.set_coefficient(con, var, new).unwrap();
+        }
+    }
+}
+
+/// Solves with the cold cross-check oracle armed (the oracle itself returns
+/// an error on a warm/cold disagreement). Status may legitimately become
+/// Infeasible — a rhs pushed below what the bounds allow — and the oracle
+/// covers that too.
+fn solve_checked(warm: &mut WarmSimplex) -> Result<(), TestCaseError> {
+    let sol = warm.solve().unwrap();
+    if sol.status == Status::Optimal {
+        let feasible = warm.model().check_feasible(&sol.values, 1e-6);
+        prop_assert!(feasible.is_ok(), "{:?}", feasible);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -103,47 +149,69 @@ proptest! {
     #[test]
     fn warm_context_tracks_cold_under_random_patches(
         lp in random_lp(6, 6),
-        patches in proptest::collection::vec(
-            (0usize..3, 0usize..6, 0usize..6, 0.1f64..3.0), 1..12),
+        patches in random_patches(12),
     ) {
         // Replay a random sequence of in-place deltas (bound tightenings,
         // rhs nudges, coefficient changes) through a WarmSimplex with the
         // cold cross-check oracle armed: every warm solve must match a cold
         // solve of the same model, bit-for-bit in status and to tolerance
-        // in objective — the oracle itself returns an error otherwise.
+        // in objective.
         let mut warm = WarmSimplex::new(lp.model.clone(), RevisedSimplex::default()).unwrap();
         warm.check_against_cold = true;
         prop_assert_eq!(warm.solve().unwrap().status, Status::Optimal);
-        for (kind, vi, ci, mag) in patches {
-            let var = VarId::from_index(vi % warm.model().num_vars());
-            let con = ConstraintId::from_index(ci % warm.model().num_constraints());
-            match kind {
-                0 => {
-                    // Tighten the variable's upper bound (stays finite).
-                    let (lo, up) = warm.model().bounds(var);
-                    let new_up = lo + (up - lo) * (mag / 3.0).min(1.0);
-                    warm.set_var_bounds(var, lo, new_up).unwrap();
-                }
-                1 => {
-                    let rhs = warm.model().rhs(con);
-                    // Both tightening and relaxing directions.
-                    warm.set_rhs(con, rhs + (mag - 1.5)).unwrap();
-                }
-                _ => {
-                    let old = warm.model().coefficient(con, var);
-                    // Change, zero out, or introduce a coefficient.
-                    let new = if mag < 0.8 { 0.0 } else { old + mag - 2.0 };
-                    warm.set_coefficient(con, var, new).unwrap();
-                }
-            }
-            // Status may legitimately become Infeasible (rhs pushed below
-            // what the bounds allow); the oracle check covers that too.
-            let sol = warm.solve().unwrap();
-            if sol.status == Status::Optimal {
-                prop_assert!(warm.model().check_feasible(&sol.values, 1e-6).is_ok(),
-                    "{:?}", warm.model().check_feasible(&sol.values, 1e-6));
-            }
+        for patch in patches {
+            apply_patch(&mut warm, patch);
+            solve_checked(&mut warm)?;
         }
+    }
+
+    #[test]
+    fn sparse_warm_context_tracks_cold_under_patch_bursts(
+        lp in random_lp(6, 6),
+        bursts in proptest::collection::vec(random_patches(41), 1..5),
+    ) {
+        // The same oracle on the sparse LU, where right-hand-side patches
+        // only mark x_B stale and one flush per solve recomputes it: whole
+        // *bursts* of mixed patches land between two solves, so coefficient
+        // repairs and eviction pivots run on top of a stale x_B.
+        let sparse = RevisedSimplex {
+            basis_repr: BasisRepr::SparseLu,
+            ..RevisedSimplex::default()
+        };
+        let mut warm = WarmSimplex::new(lp.model.clone(), sparse).unwrap();
+        warm.check_against_cold = true;
+        let first = warm.solve().unwrap();
+        prop_assert_eq!(first.status, Status::Optimal);
+
+        // A designed burst first: pick a variable strictly inside its
+        // bounds (basic, and so is its bound slack) and, row by row, nudge
+        // the rhs (x_B goes stale) and zero the variable's coefficient (a
+        // basic-column repair). The last zeroing collapses the column onto
+        // its bound row, parallel to the basic slack, so the rank-1
+        // denominator vanishes and the column must be evicted.
+        let interior = warm.model().var_ids().find(|&v| {
+            let (lo, up) = warm.model().bounds(v);
+            first[v] > lo + 1e-6 && first[v] < up - 1e-6
+        });
+        if let Some(var) = interior {
+            for ci in 0..warm.model().num_constraints() {
+                let con = ConstraintId::from_index(ci);
+                let rhs = warm.model().rhs(con);
+                warm.set_rhs(con, rhs + 0.25).unwrap();
+                warm.set_coefficient(con, var, 0.0).unwrap();
+            }
+            solve_checked(&mut warm)?;
+        }
+
+        for burst in bursts {
+            for patch in burst {
+                apply_patch(&mut warm, patch);
+            }
+            solve_checked(&mut warm)?;
+        }
+        // However long the bursts, x_B was recomputed at most once a solve.
+        let stats = warm.stats();
+        prop_assert!(stats.xb_flushes <= stats.solves, "{:?}", stats);
     }
 
     #[test]
