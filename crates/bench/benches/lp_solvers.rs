@@ -1,33 +1,38 @@
 //! LP solver benches.
 //!
-//! * `lp_engines` — dense tableau vs revised simplex on the steady-state
-//!   relaxation, across problem sizes; locates the crossover that motivates
-//!   `Engine::Auto`'s size-based dispatch.
+//! * `lp_engines` — dense tableau vs dense-inverse revised vs sparse-LU
+//!   revised simplex on the paper-shape steady-state relaxation, across
+//!   problem sizes: the crossover measurement `dls_lp::AUTO_DENSE_LIMIT`
+//!   (and with it `Engine::Auto`'s dispatch) is derived from. Each id
+//!   carries the lowered size as `rows x cells`.
 //! * `lprr_pipeline` — warm-started vs cold replay of the LPRR pin
 //!   sequence (§5.2.3's ~K² solves): the cold side rebuilds and
 //!   two-phase-solves `relaxation_with_fixed` per pin, the warm side runs
 //!   `pin_beta` deltas through one persistent `WarmSimplex`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dls_bench::fixtures::instance;
 use dls_bench::lp_perf::{lp_instance, pin_sequence, replay_cold, replay_warm};
-use dls_core::{LpFormulation, Objective};
-use dls_lp::{solve_with, Engine};
+use dls_core::LpFormulation;
+use dls_lp::{solve_with, tableau_size, Engine};
 
 fn bench_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("lp_engines");
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(2));
-    for &k in &[10usize, 20, 40] {
-        let inst = instance(k, Objective::MaxMin);
-        let f = LpFormulation::relaxation(&inst).unwrap();
-        group.bench_with_input(BenchmarkId::new("dense", k), &f, |b, f| {
-            b.iter(|| solve_with(&f.model, Engine::Dense).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("revised", k), &f, |b, f| {
-            b.iter(|| solve_with(&f.model, Engine::Revised).unwrap())
-        });
+    for &k in &[5usize, 8, 10, 15, 20, 25, 35, 50] {
+        let f = LpFormulation::relaxation(&lp_instance(k, 42)).unwrap();
+        let (rows, cells) = tableau_size(&f.model);
+        for (name, engine) in [
+            ("dense", Engine::Dense),
+            ("revised", Engine::Revised),
+            ("sparse", Engine::Sparse),
+        ] {
+            let id = BenchmarkId::new(name, format!("K{k}/{rows}x{cells}"));
+            group.bench_with_input(id, &f, |b, f| {
+                b.iter(|| solve_with(&f.model, engine).unwrap())
+            });
+        }
     }
     group.finish();
 }

@@ -20,6 +20,10 @@ pub enum SolveError {
     /// An incremental β pin was rejected (unpinnable route, double pin, or a
     /// formulation built without warm-start support).
     BadPin(&'static str),
+    /// `Lprr::oracle_check` only: a re-solve LPRR would have deferred
+    /// (the pin fixed β at its LP value) was not a no-op — it spent `work`
+    /// pivots/refactorisations/fallbacks or moved some `β̃` by `drift`.
+    DeferredSolveMoved { work: u64, drift: f64 },
 }
 
 impl fmt::Display for SolveError {
@@ -37,6 +41,13 @@ impl fmt::Display for SolveError {
             }
             SolveError::BadPin(why) => {
                 write!(f, "cannot pin β on this formulation: {why}")
+            }
+            SolveError::DeferredSolveMoved { work, drift } => {
+                write!(
+                    f,
+                    "deferred LPRR re-solve was not a no-op: {work} pivots/refactorisations, \
+                     β̃ moved by {drift}"
+                )
             }
         }
     }

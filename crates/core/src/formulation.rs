@@ -673,32 +673,58 @@ mod tests {
         }
     }
 
-    #[test]
-    fn paper_scale_warm_relaxation_runs_on_the_sparse_lu() {
-        // Which basis representation `BasisRepr::Auto` picks is decided by
-        // the *lowered* row count. On the paper's K=50 platform shape
-        // (Table 1 grid centre, as the scenario catalog draws it) the plain
-        // relaxation stays far below the switch, but the warm variant adds
-        // one bound row per pre-materialised α cap — ~K² of them — and
-        // crosses it: LPRR and the online `WarmLprg` resolver at the
-        // paper's scale run on the sparse LU, not on the dense inverse.
-        use dls_lp::standard::StandardForm;
-        use dls_lp::SPARSE_MIN_ROWS;
+    /// The paper's platform shape (Table 1 grid centre, as the scenario
+    /// catalog draws it) at `k` clusters.
+    fn paper_shape(k: usize, seed: u64, objective: Objective) -> ProblemInstance {
         use dls_platform::{PlatformConfig, PlatformGenerator};
         let cfg = PlatformConfig {
-            num_clusters: 50,
+            num_clusters: k,
             mean_backbone_bw: 30.0,
             mean_max_connections: 15.0,
             ..PlatformConfig::default()
         };
+        ProblemInstance::uniform(PlatformGenerator::new(seed).generate(&cfg), objective)
+    }
+
+    #[test]
+    fn paper_scale_warm_relaxation_runs_on_the_sparse_lu() {
+        // Which basis representation `BasisRepr::Auto` picks is decided by
+        // the *lowered* row count. On the paper's K=50 platform shape the
+        // plain relaxation stays far below the switch, but the warm variant
+        // adds one bound row per pre-materialised α cap — ~K² of them — and
+        // crosses it: LPRR and the online `WarmLprg` resolver at the
+        // paper's scale run on the sparse LU, not on the dense inverse.
+        use dls_lp::standard::StandardForm;
+        use dls_lp::SPARSE_MIN_ROWS;
         for seed in [7, 42] {
-            let platform = PlatformGenerator::new(seed).generate(&cfg);
-            let inst = ProblemInstance::uniform(platform, Objective::MaxMin);
+            let inst = paper_shape(50, seed, Objective::MaxMin);
             let rows = |f: LpFormulation| StandardForm::from_model(&f.model).unwrap().m;
             let plain = rows(LpFormulation::relaxation(&inst).unwrap());
             let warm = rows(LpFormulation::relaxation_warm(&inst).unwrap());
             assert!(plain < SPARSE_MIN_ROWS, "seed {seed}: plain m = {plain}");
             assert!(warm >= SPARSE_MIN_ROWS, "seed {seed}: warm m = {warm}");
+        }
+    }
+
+    #[test]
+    fn auto_engine_crossover_sits_between_the_service_and_paper_scales() {
+        // `Engine::Auto` routes one-shot cold solves by the measured
+        // tableau crossover (`dls_lp::AUTO_DENSE_LIMIT`): the paper's own
+        // K=50 relaxation (~2.4 M cells, where the tableau loses 3.9×) goes
+        // to the sparse LU — never to the dense-inverse oracle — while the
+        // K = 5 / 8 tenants the service benchmarks create stay on the
+        // tableau, which is still the fastest engine there.
+        use dls_lp::{resolve_engine, Engine};
+        for objective in [Objective::Sum, Objective::MaxMin] {
+            for seed in [7, 42] {
+                let engine = |k| {
+                    let inst = paper_shape(k, seed, objective);
+                    resolve_engine(&LpFormulation::relaxation(&inst).unwrap().model)
+                };
+                assert_eq!(engine(50), Engine::Sparse, "seed {seed} {objective:?}");
+                assert_eq!(engine(8), Engine::Dense, "seed {seed} {objective:?}");
+                assert_eq!(engine(5), Engine::Dense, "seed {seed} {objective:?}");
+            }
         }
     }
 

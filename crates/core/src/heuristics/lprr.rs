@@ -12,15 +12,16 @@
 //!    the property that makes this variant always produce a solution);
 //! 5. repeat until every route is fixed, then read `α` off the final LP.
 //!
-//! One LP per route ⇒ ~`K²` solves: near-optimal results (§6.2) at a cost
-//! roughly `K²` times LPRG's. The equal-probability ablation
-//! ([`RoundingRule::EqualProbability`]) reproduces the paper's remark that
-//! rounding to the nearest integer *with probability proportional to the
-//! fractional part* matters: a fair coin performs much worse.
+//! One pin per route ⇒ ~`K²` pins, which §5.2.3 costs at one LP each:
+//! near-optimal results (§6.2) at roughly `K²` times LPRG's price. The
+//! equal-probability ablation ([`RoundingRule::EqualProbability`])
+//! reproduces the paper's remark that rounding to the nearest integer
+//! *with probability proportional to the fractional part* matters: a fair
+//! coin performs much worse.
 //!
 //! # Warm-started inner loop
 //!
-//! By default ([`Lprr::warm`]) the ~K² solves run through one persistent
+//! By default ([`Lprr::warm`]) the loop runs through one persistent
 //! [`dls_lp::WarmSimplex`]: the formulation is built once
 //! ([`LpFormulation::relaxation_warm`]), every pin is applied as an
 //! in-place [`crate::formulation::PinDelta`], and each re-solve starts from
@@ -28,18 +29,56 @@
 //! two-phase solve over a freshly rebuilt model. The cold path is retained
 //! as the oracle: [`Lprr::oracle_check`] cross-checks every warm solve
 //! against a cold solve of the same model, and with `warm: false` the
-//! heuristic rebuilds + cold-solves exactly as the paper costs it (with the
-//! LP engine selected once per instance, so one rounding sequence never
-//! straddles the dense/revised crossover as pins grow the model).
+//! heuristic rebuilds + cold-solves after every pin, exactly as the paper
+//! costs it (with the LP engine selected once per instance, so one rounding
+//! sequence never straddles the dense/sparse crossover as pins grow the
+//! model).
+//!
+//! # Lazy re-solves
+//!
+//! Most pins cannot change the LP's answer — chiefly the long tail of
+//! unused routes pinned to the `β̃ = 0` they already had — so the warm loop
+//! *applies* every pin (formulation and solver patches, as above) but
+//! re-solves only before a draw that follows a pin that could. The held
+//! optimum, with `β̃[pick]` set to the pinned value, serves the draws in
+//! between, and α is always read off a real solve at the end. A pin is
+//! deferred only when all three hold:
+//!
+//! * it fixes β where the LP already had it (`|v − β̃| ≤ 1e-9`, budget clamp
+//!   included), so the held point stays feasible for the tightened LP, hence
+//!   optimal;
+//! * every (7d) row that loses the `α/minbw` term has a zero dual, so no
+//!   reduced cost moves and the held basis stays dual feasible — a pin at an
+//!   integral `β̃` on a *priced* row keeps the optimum but not the basis,
+//!   and the solve-every-pin loop would pivot to another optimal vertex;
+//! * the patches left the basis alone (no eviction of the α column, no
+//!   refactorisation queued).
+//!
+//! The re-solve such a pin skips finds the inherited basis still optimal
+//! and leaves by the warm path's zero-pivot exit without touching the
+//! factorisation, so skipping it changes no later solve: same RNG draws,
+//! same bases, and the result is bit-identical to the solve-every-pin loop
+//! (`tests/properties.rs` replays that loop through the public pieces;
+//! [`Lprr::oracle_check`] runs every deferred solve anyway and fails with
+//! [`SolveError::DeferredSolveMoved`] unless it was a no-op). Measured on
+//! the paper-shape K = 50 platforms of the `plan_paper` benchmark workload
+//! (seed 42, 24 instances): 2450 pins, 289–722 `solve()` calls where the
+//! eager loop makes 2451, with identical pivot counts (438–2025 dual
+//! pivots).
 
 use super::Heuristic;
-use crate::allocation::Allocation;
+use crate::allocation::{Allocation, FractionalAllocation};
 use crate::error::SolveError;
 use crate::formulation::LpFormulation;
 use crate::problem::ProblemInstance;
-use dls_lp::{resolve_engine, solve_with, Engine, RevisedSimplex, Status, WarmSimplex};
+use dls_lp::{resolve_engine, solve_with, Engine, RevisedSimplex, Status, WarmSimplex, WarmStats};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+
+/// Noise floor of the lazy loop: a pin this close to the `β̃` the LP
+/// already had, shifting no reduced cost by more than this, does not move
+/// the LP — and the solve it defers must reproduce `β̃` this closely.
+const HELD_PIN_TOL: f64 = 1e-9;
 
 /// How step 3 draws the rounding direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +105,9 @@ pub struct Lprr {
     /// stays available as the reference implementation.
     pub warm: bool,
     /// Cross-check every warm solve against a cold solve of the same model
-    /// (surfaces [`dls_lp::LpError::WarmColdMismatch`] on disagreement).
+    /// (surfaces [`dls_lp::LpError::WarmColdMismatch`] on disagreement), and
+    /// run every re-solve the lazy loop defers, which must be a no-op
+    /// ([`SolveError::DeferredSolveMoved`] otherwise).
     pub oracle_check: bool,
     /// Worker count for [`Lprr::pin_sweep`]: `0` resolves to the machine's
     /// available parallelism, `1` is the sequential path. The sweep result
@@ -109,6 +150,33 @@ impl Lprr {
             Status::Optimal => Ok(sol),
             Status::Infeasible => Err(SolveError::UnexpectedStatus("infeasible")),
             Status::Unbounded => Err(SolveError::UnexpectedStatus("unbounded")),
+        }
+    }
+
+    /// Oracle for the lazy loop: runs the solve a held optimum stands in
+    /// for. It must be a no-op — no pivot, refactorisation or cold fallback
+    /// — and must return the held `β̃`; anything else means a pin was
+    /// deferred that moved the LP.
+    fn check_held(
+        f: &LpFormulation,
+        solver: &mut WarmSimplex,
+        held: &FractionalAllocation,
+    ) -> Result<(), SolveError> {
+        let spent =
+            |s: WarmStats| s.dual_pivots + s.primal_pivots + s.refactorisations + s.fallbacks;
+        let before = spent(solver.stats());
+        let sol = Self::check_optimal(solver.solve().map_err(SolveError::from)?)?;
+        let work = spent(solver.stats()) - before;
+        let drift = f
+            .extract_fractional(&sol)
+            .beta
+            .iter()
+            .zip(&held.beta)
+            .fold(0.0f64, |worst, (a, b)| worst.max((a - b).abs()));
+        if work == 0 && drift <= HELD_PIN_TOL {
+            Ok(())
+        } else {
+            Err(SolveError::DeferredSolveMoved { work, drift })
         }
     }
 }
@@ -172,16 +240,30 @@ impl Heuristic for Lprr {
             LpBackend::Cold { engine }
         };
 
+        // Warm backend: the optimum of the last solve (β̃ and row duals),
+        // held while no pin since could move it (module docs, "Lazy
+        // re-solves"). `None` means the LP must be solved.
+        let mut held: Option<(FractionalAllocation, Vec<f64>)> = None;
+
         loop {
-            let frac = match &mut backend {
-                LpBackend::Warm { f, solver } => {
-                    let sol = Self::check_optimal(solver.solve().map_err(SolveError::from)?)?;
-                    f.extract_fractional(&sol)
-                }
+            let (mut frac, duals) = match &mut backend {
+                LpBackend::Warm { f, solver } => match held.take() {
+                    // α is read off a real solve, never off a held optimum.
+                    Some(kept) if !unfixed.is_empty() => {
+                        if self.oracle_check {
+                            Self::check_held(f, solver, &kept.0)?;
+                        }
+                        kept
+                    }
+                    _ => {
+                        let sol = Self::check_optimal(solver.solve().map_err(SolveError::from)?)?;
+                        (f.extract_fractional(&sol), sol.duals)
+                    }
+                },
                 LpBackend::Cold { engine } => {
                     let f = LpFormulation::relaxation_with_fixed(inst, &fixed)?;
                     let sol = Self::check_optimal(solve_with(&f.model, *engine)?)?;
-                    f.extract_fractional(&sol)
+                    (f.extract_fractional(&sol), sol.duals)
                 }
             };
 
@@ -247,6 +329,7 @@ impl Heuristic for Lprr {
             // Warm path: mirror the pin onto the formulation *and* the
             // factorised solver state; the next solve is a dual repair.
             if let LpBackend::Warm { f, solver } = &mut backend {
+                let evictions = solver.stats().evictions;
                 let delta = f.pin_beta(inst, from, to, v as u32)?;
                 solver
                     .set_var_bounds(delta.var, delta.lo, delta.up)
@@ -258,6 +341,24 @@ impl Heuristic for Lprr {
                 }
                 for &(con, rhs) in &delta.rhs {
                     solver.set_rhs(con, rhs).map_err(SolveError::from)?;
+                }
+                // Hold the optimum when the pin cannot have moved it: β is
+                // fixed where the LP had it (clamp included), so the point
+                // stays feasible; the (7d) rows that lost the α/minbw term
+                // carry no price, so no reduced cost moves; and the patches
+                // left the basis alone.
+                let same_beta = (v as f64 - beta_tilde).abs() <= HELD_PIN_TOL;
+                let minbw = p.route_bottleneck_bw(from, to).unwrap_or(f64::INFINITY);
+                let price_shift: f64 = delta
+                    .coef_zeroed
+                    .iter()
+                    .map(|&(con, _)| duals[con.index()].abs() / minbw)
+                    .sum();
+                let basis_kept =
+                    solver.stats().evictions == evictions && !solver.refactor_pending();
+                if same_beta && price_shift <= HELD_PIN_TOL && basis_kept {
+                    frac.beta[pick] = v as f64;
+                    held = Some((frac, duals));
                 }
             }
         }
@@ -351,6 +452,69 @@ mod tests {
                 };
                 let a = lprr.solve(&inst).unwrap();
                 assert!(a.validate(&inst).is_ok(), "{:?}", a.violations(&inst));
+            }
+        }
+    }
+
+    #[test]
+    fn deferred_solves_are_no_ops_under_the_oracle() {
+        // With `oracle_check` every re-solve the lazy loop would skip is run
+        // anyway and must spend no pivot, refactorisation or fallback and
+        // reproduce the held β̃ (`check_held`) — on the paper's platform
+        // shape, on an equal-speed/equal-bandwidth platform where every optimum is
+        // degenerate, and under connection budgets of 1–3, where (7d) rows
+        // bind with integral β̃: there a pin at β̃ alone is not enough (the
+        // patch evicts the α column, or a priced row loses a term).
+        let paper = |k| PlatformConfig {
+            num_clusters: k,
+            mean_backbone_bw: 30.0,
+            mean_max_connections: 15.0,
+            ..PlatformConfig::default()
+        };
+        let flat = PlatformConfig {
+            heterogeneity: 0.0,
+            ..paper(10)
+        };
+        let tight = PlatformConfig {
+            mean_max_connections: 2.0,
+            ..paper(10)
+        };
+        let both = [
+            RoundingRule::NearestProbability,
+            RoundingRule::EqualProbability,
+        ];
+        // Every checked solve is also cold-solved, which at K = 20 costs
+        // ~20 s per run unoptimised: that scale gets one rule, and only in
+        // optimised builds (CI runs this test with `--release`).
+        let k20_rules = if cfg!(debug_assertions) { 0 } else { 1 };
+        for (cfg, seed, rules) in [
+            (paper(10), 42, &both[..]),
+            (paper(20), 42, &both[..k20_rules]),
+            (flat, 3, &both[..]),
+            (tight.clone(), 3, &both[..]),
+            (tight, 8, &both[..]),
+        ] {
+            let p = PlatformGenerator::new(seed).generate(&cfg);
+            for inst in [
+                ProblemInstance::with_spread_payoffs(p.clone(), Objective::MaxMin, 0.5, seed),
+                ProblemInstance::uniform(p, Objective::Sum),
+            ] {
+                for &rule in rules {
+                    let lprr = Lprr {
+                        rule,
+                        ..Lprr::new(seed)
+                    };
+                    let checked = Lprr {
+                        oracle_check: true,
+                        ..lprr.clone()
+                    };
+                    let a = checked.solve(&inst).unwrap_or_else(|e| {
+                        panic!("K={} seed {seed} {rule:?}: {e}", cfg.num_clusters)
+                    });
+                    assert!(a.validate(&inst).is_ok(), "{:?}", a.violations(&inst));
+                    // The checked solves are no-ops, so both runs agree.
+                    assert_eq!(a, lprr.solve(&inst).unwrap());
+                }
             }
         }
     }

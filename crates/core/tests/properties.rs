@@ -4,9 +4,9 @@
 
 use dls_core::heuristics::{ExactMilp, Greedy, Heuristic, Lpr, Lprg, Lprr, UpperBound};
 use dls_core::schedule::ScheduleBuilder;
-use dls_core::{adaptive, LpFormulation, Objective, ProblemInstance};
+use dls_core::{adaptive, Allocation, LpFormulation, Objective, ProblemInstance};
 use dls_lp::{solve_auto, RevisedSimplex, Status, WarmSimplex};
-use dls_platform::{ClusterId, PlatformConfig, PlatformGenerator};
+use dls_platform::{ClusterId, PlatformBuilder, PlatformConfig, PlatformGenerator};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -231,6 +231,124 @@ proptest! {
         let platform = PlatformGenerator::new(seed).generate(&cfg);
         let inst = ProblemInstance::uniform(platform, objective);
         replay_pins_warm_vs_cold(&inst, seed ^ 0xdead_beef, 10);
+    }
+}
+
+/// §5.2.3's rounding loop driven from outside through the public pieces —
+/// `relaxation_warm` + `pin_beta` + one `WarmSimplex::solve` after *every*
+/// pin, the same RNG draws in the same order. The oracle `Lprr::solve`'s
+/// lazy loop must reproduce bit for bit.
+fn replay_lprr_every_pin(inst: &ProblemInstance, seed: u64) -> Allocation {
+    let p = &inst.platform;
+    let k = p.num_clusters();
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut unfixed: Vec<usize> = p
+        .routed_pairs()
+        .into_iter()
+        .filter(|&(from, to)| {
+            p.route_bottleneck_bw(from, to)
+                .is_some_and(|bw| bw.is_finite())
+        })
+        .map(|(from, to)| from.index() * k + to.index())
+        .collect();
+    let mut fixed: Vec<Option<u32>> = vec![None; k * k];
+    let mut budgets: Vec<i64> = p.links.iter().map(|l| l.max_connections as i64).collect();
+    let mut f = LpFormulation::relaxation_warm(inst).unwrap();
+    let mut warm = WarmSimplex::new(f.model.clone(), RevisedSimplex::default()).unwrap();
+    loop {
+        let sol = warm.solve().unwrap();
+        assert_eq!(sol.status, Status::Optimal);
+        let frac = f.extract_fractional(&sol);
+        if unfixed.is_empty() {
+            let mut alloc = Allocation::zeros(k);
+            alloc.alpha.copy_from_slice(&frac.alpha);
+            for (b, f) in alloc.beta.iter_mut().zip(&fixed) {
+                *b = f.unwrap_or(0);
+            }
+            return alloc;
+        }
+        let nonzero: Vec<usize> = unfixed
+            .iter()
+            .copied()
+            .filter(|&i| frac.beta[i] > 1e-9)
+            .collect();
+        let candidates = if nonzero.is_empty() {
+            &unfixed
+        } else {
+            &nonzero
+        };
+        let pick = candidates[rng.gen_range(0..candidates.len())];
+        let floor = (frac.beta[pick] + 1e-9).floor();
+        let fraction = (frac.beta[pick] - floor).clamp(0.0, 1.0);
+        let up = fraction > 1e-9 && rng.gen_bool(fraction);
+        let (from, to) = (ClusterId((pick / k) as u32), ClusterId((pick % k) as u32));
+        let route = p.route(from, to).unwrap();
+        let budget = route.iter().map(|l| budgets[l.index()]).min().unwrap();
+        let v = (floor as i64 + i64::from(up)).min(budget).max(0);
+        fixed[pick] = Some(v as u32);
+        for l in route {
+            budgets[l.index()] -= v;
+        }
+        unfixed.retain(|&i| i != pick);
+        let delta = f.pin_beta(inst, from, to, v as u32).unwrap();
+        warm.set_var_bounds(delta.var, delta.lo, delta.up).unwrap();
+        for &(con, var) in &delta.coef_zeroed {
+            warm.set_coefficient(con, var, 0.0).unwrap();
+        }
+        for &(con, rhs) in &delta.rhs {
+            warm.set_rhs(con, rhs).unwrap();
+        }
+    }
+}
+
+/// Islands of four fully-meshed clusters, no inter-island links.
+fn island_instance(k: usize, seed: u64) -> ProblemInstance {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut b = PlatformBuilder::new();
+    let clusters: Vec<ClusterId> = (0..k)
+        .map(|_| b.add_cluster(100.0, rng.gen_range(150.0..350.0)))
+        .collect();
+    for island in clusters.chunks(4) {
+        for (i, &a) in island.iter().enumerate() {
+            for &c in &island[i + 1..] {
+                b.connect_clusters(a, c, rng.gen_range(10.0..50.0), rng.gen_range(5..25));
+            }
+        }
+    }
+    ProblemInstance::with_spread_payoffs(b.build().unwrap(), Objective::MaxMin, 0.5, seed)
+}
+
+/// `Lprr::solve` re-solves only after pins that can move the LP; the answer
+/// must be the solve-every-pin loop's, bit for bit — on the paper's platform
+/// shape (dense-inverse warm basis up to K = 20, sparse LU with its deferred
+/// `x_B` at K = 44), on a block-diagonal island platform, and with connection budgets of 1–2, where (7d) rows
+/// bind and carry a price. (The budget clamp itself cannot fire from here:
+/// each LP caps `β̃` at the integral remaining budget, so `⌈β̃⌉` fits.)
+#[test]
+fn lprr_lazy_resolves_match_the_solve_every_pin_replay() {
+    let paper = |k: usize, max_connections: f64| PlatformConfig {
+        num_clusters: k,
+        mean_backbone_bw: 30.0,
+        mean_max_connections: max_connections,
+        ..PlatformConfig::default()
+    };
+    let generated = |cfg: PlatformConfig, seed: u64, objective| {
+        let platform = PlatformGenerator::new(seed).generate(&cfg);
+        ProblemInstance::with_spread_payoffs(platform, objective, 0.5, seed)
+    };
+    for (inst, seed) in [
+        (generated(paper(12, 15.0), 42, Objective::MaxMin), 42),
+        (generated(paper(20, 15.0), 42, Objective::MaxMin), 7),
+        (generated(paper(20, 15.0), 7, Objective::Sum), 42),
+        (generated(paper(44, 15.0), 42, Objective::MaxMin), 42),
+        (island_instance(16, 5), 5),
+        (generated(paper(12, 1.0), 3, Objective::MaxMin), 3),
+        (generated(paper(12, 2.0), 8, Objective::Sum), 8),
+        (generated(paper(12, 2.0), 9, Objective::MaxMin), 9),
+    ] {
+        let replayed = replay_lprr_every_pin(&inst, seed);
+        let direct = Lprr::new(seed).solve(&inst).unwrap();
+        assert_eq!(direct, replayed, "seed {seed}, K = {}", inst.num_apps());
     }
 }
 

@@ -12,9 +12,10 @@
 //! * [`dense_simplex::DenseSimplex`] — a two-phase primal simplex on a dense
 //!   tableau, the robust reference implementation for small and medium
 //!   problems;
-//! * [`revised_simplex::RevisedSimplex`] — a revised primal simplex with a
-//!   dense basis inverse and sparse column storage, used for the large
-//!   platforms of the paper's sweep (thousands of rows);
+//! * [`revised_simplex::RevisedSimplex`] — a revised primal/dual simplex
+//!   over sparse column storage with a sparse LU (or, as the retained
+//!   oracle, dense-inverse) basis factorisation, used past the tableau's
+//!   measured crossover ([`AUTO_DENSE_LIMIT`]) and by every warm context;
 //! * [`branch_bound::BranchBound`] — best-first branch-and-bound over either
 //!   solver, giving exact optima of the *mixed* program on small instances
 //!   (the paper only bounds the optimum; the exact solver lets our tests
@@ -124,30 +125,62 @@ pub fn sparse_iteration_cap(m: usize, n_cols: usize) -> usize {
 /// K=50 — LPRR's pin replay and the online `WarmLprg` resolver at the
 /// paper's own scale already run on the sparse factor, as does the large-K
 /// platform axis (K ≥ 200 island platforms, m ≳ 2 700). The *plain* K=50
-/// relaxation (m ≈ 630) stays dense; `dls_core` pins both facts in a test.
+/// relaxation (m ≈ 630) sits below this switch, but its one-shot cold
+/// solves go through [`Engine::Auto`], which selects the sparse LU
+/// explicitly past [`AUTO_DENSE_LIMIT`]; `dls_core` pins all three facts in
+/// a test.
 pub const SPARSE_MIN_ROWS: usize = 2048;
 
 /// Solver engine selection for [`solve_with`] and the branch-and-bound layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// Dense tableau simplex (reference implementation).
+    /// Dense tableau simplex (reference implementation, and the fastest
+    /// engine on small models).
     Dense,
-    /// Revised simplex with dense basis inverse (large problems). Retained
-    /// as the cross-checked oracle for [`Engine::Sparse`], the same pattern
-    /// as the simulator's `FullRecompute` engine.
+    /// Revised simplex with dense basis inverse. Never chosen by
+    /// [`Engine::Auto`]; retained as the explicitly selectable,
+    /// cross-checked oracle for [`Engine::Sparse`], the same pattern as the
+    /// simulator's `FullRecompute` engine.
     Revised,
     /// Revised simplex with the sparse LU basis factorisation (Markowitz
-    /// pivoting + eta-file updates) — the large-platform engine.
+    /// pivoting + eta-file updates) — the engine for everything past the
+    /// tableau's crossover.
     Sparse,
-    /// Choose by problem size: dense below [`AUTO_DENSE_LIMIT`] tableau
-    /// cells; above that, sparse when the standard form has at least
-    /// [`SPARSE_MIN_ROWS`] rows, revised (dense inverse) otherwise.
+    /// Choose by problem size for a one-shot cold solve: [`Engine::Dense`]
+    /// up to [`AUTO_DENSE_LIMIT`] tableau cells, [`Engine::Sparse`] above
+    /// (see the constant for the measurement behind the switch).
     Auto,
 }
 
-/// Problems whose tableau would have more cells than this are routed to the
-/// revised simplex by [`Engine::Auto`].
-pub const AUTO_DENSE_LIMIT: usize = 4_000_000;
+/// Tableau size (standard-form rows × columns) above which [`Engine::Auto`]
+/// leaves the dense tableau for the sparse LU: the measured crossover of a
+/// one-shot cold solve of the paper-shape relaxation (seed 42, median of 10
+/// batches, ms, 2-core x86-64 sandbox):
+///
+/// ```text
+///   K   rows      cells    Dense   Revised   Sparse
+///   5     18        972   0.0079    0.0089   0.0105
+///   8     37      5 143   0.032     0.035    0.039
+///  10     47      9 165   0.059     0.059    0.064
+///  15     83     32 536   0.209     0.209    0.224
+///  20    140     95 340   0.557     0.501    0.607
+///  25    202    208 060   1.45      1.07     1.04
+///  35    338    642 876   6.09      3.41     2.79
+///  50    628  2 359 396  38.0      19.3      9.65
+/// ```
+///
+/// The tableau wins by 8–25 % up to ~10⁵ cells, loses from ~2·10⁵ and by
+/// 3.9× at the paper's own K = 50; the limit sits between the two
+/// measured sizes that bracket the crossover. The dense-inverse revised
+/// engine leads only at K = 20, by 10 % and inside that row's own spread,
+/// so `Auto` does not pick it. Re-measure with
+/// `cargo bench -p dls_bench --bench lp_solvers -- lp_engines` (ids carry
+/// `rows x cells`) and move the constant if the bracket moves.
+///
+/// This sizes *cold* solves only; which factorisation a warm context keeps
+/// is [`BasisRepr::Auto`]'s separate row-count switch
+/// ([`SPARSE_MIN_ROWS`]).
+pub const AUTO_DENSE_LIMIT: usize = 150_000;
 
 /// Solves a pure LP (integrality marks ignored) with the engine chosen by
 /// problem size.
@@ -156,22 +189,28 @@ pub fn solve_auto(model: &Model) -> Result<Solution, LpError> {
 }
 
 /// Resolves [`Engine::Auto`]'s size-based choice for a model: the concrete
-/// engine `solve_with` would use. Callers that solve a *sequence* of related
-/// models (LPRR's rounding loop, branch-and-bound trees) should resolve once
-/// up front and reuse the result, so one run never straddles both engines as
-/// in-place deltas change the model's size.
+/// engine `solve_with` would use — [`Engine::Dense`] up to
+/// [`AUTO_DENSE_LIMIT`] tableau cells (sized from the model, without
+/// lowering it), [`Engine::Sparse`] above. Callers that solve a *sequence*
+/// of related models (LPRR's cold rounding loop, branch-and-bound trees)
+/// should resolve once up front and reuse the result, so one run never
+/// straddles both engines as in-place deltas change the model's size.
 pub fn resolve_engine(model: &Model) -> Engine {
-    let sf_rows = model.num_constraints() + model.num_upper_bounded_vars();
-    let sf_cols = model.num_vars() + 2 * sf_rows;
-    if sf_rows.saturating_mul(sf_cols) > AUTO_DENSE_LIMIT {
-        if sf_rows >= SPARSE_MIN_ROWS {
-            Engine::Sparse
-        } else {
-            Engine::Revised
-        }
+    let (_, cells) = tableau_size(model);
+    if cells > AUTO_DENSE_LIMIT {
+        Engine::Sparse
     } else {
         Engine::Dense
     }
+}
+
+/// `(rows, cells)` of the dense tableau `model` lowers to — the size
+/// [`resolve_engine`] compares against [`AUTO_DENSE_LIMIT`], computed from
+/// the model without lowering it.
+pub fn tableau_size(model: &Model) -> (usize, usize) {
+    let sf_rows = model.num_constraints() + model.num_upper_bounded_vars();
+    let sf_cols = model.num_vars() + 2 * sf_rows;
+    (sf_rows, sf_rows.saturating_mul(sf_cols))
 }
 
 /// Solves a pure LP (integrality marks ignored) with an explicit engine.

@@ -71,8 +71,10 @@ pub enum BasisRepr {
     /// [`BasisRepr::SparseLu`] at or above [`SPARSE_MIN_ROWS`]
     /// standard-form rows, [`BasisRepr::DenseInverse`] below. The row count
     /// that matters is the *lowered* one: the paper-shape K=50 plain
-    /// relaxation (m ≈ 630) stays dense, but its warm variant carries one
-    /// bound row per pre-materialised α cap (m ≈ 3 080) and runs sparse.
+    /// relaxation (m ≈ 630) is on the dense side of this switch (its cold
+    /// solves pick the sparse LU explicitly, through `Engine::Auto`), but
+    /// its warm variant carries one bound row per pre-materialised α cap
+    /// (m ≈ 3 080) and runs sparse.
     Auto,
 }
 
@@ -205,8 +207,8 @@ pub(crate) struct Factor {
     pub(crate) refactor_count: u64,
     pivots_since_refactor: usize,
     refactor_every: usize,
-    /// BTRAN scratch (`y`), reused across pivots and phases.
-    scratch_y: Vec<f64>,
+    /// BTRAN scratch (`y`), reused across pivots, phases and warm solves.
+    pub(crate) scratch_y: Vec<f64>,
     /// FTRAN scratch (`w`), reused across pivots and phases.
     scratch_w: Vec<f64>,
     /// Dual pricing-row scratch (`ρ`), reused across dual pivots.

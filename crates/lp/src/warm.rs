@@ -186,7 +186,9 @@ fn warm_finish(
     let cap = params.iteration_cap(sf);
 
     // --- 1. cost shift: make the inherited basis dual feasible ---
-    let mut y = vec![0.0f64; sf.m];
+    // `y` borrows the factor's BTRAN scratch (as `run_phase` does) and is
+    // handed back before either phase below borrows it in turn.
+    let mut y = std::mem::take(&mut factor.scratch_y);
     factor.btran(&sf.c, &mut y);
     let mut shifted: Option<Vec<f64>> = None;
     for j in 0..sf.n_cols {
@@ -203,8 +205,11 @@ fn warm_finish(
     // artificial falls through to the dual phase, which evicts it) ---
     let b_scale = 1.0 + sf.b.iter().fold(0.0f64, |a, &x| a.max(x.abs()));
     let primal_feasible = factor.xb.iter().all(|&x| x >= -crate::FEAS_TOL * b_scale);
-    if shifted.is_none() && primal_feasible && !factor.artificial_above_zero(sf) {
-        return Ok((extract_optimal(model, sf, factor, Some(&y)), 0, 0));
+    let still_optimal = shifted.is_none() && primal_feasible && !factor.artificial_above_zero(sf);
+    let fast = still_optimal.then(|| extract_optimal(model, sf, factor, Some(&y)));
+    factor.scratch_y = y;
+    if let Some(solution) = fast {
+        return Ok((solution, 0, 0));
     }
 
     // --- 2. dual phase to primal feasibility ---
@@ -410,6 +415,14 @@ impl WarmSimplex {
     /// for a cold two-phase solve.
     pub fn request_refactor(&mut self) {
         self.needs_refactor = true;
+    }
+
+    /// `true` while a full refactorisation is queued for the next warm
+    /// attempt — by [`WarmSimplex::request_refactor`], or by a coefficient
+    /// patch on a basic column that neither a rank-1 update nor an eviction
+    /// could absorb.
+    pub fn refactor_pending(&self) -> bool {
+        self.needs_refactor
     }
 
     /// Seeds the context with a persisted basis snapshot (failover

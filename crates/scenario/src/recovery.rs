@@ -49,7 +49,8 @@ pub fn recoverable(err: &SolveError) -> bool {
         SolveError::UnexpectedStatus(_) => true,
         SolveError::PayoffMismatch { .. }
         | SolveError::InvalidAllocation(_)
-        | SolveError::BadPin(_) => false,
+        | SolveError::BadPin(_)
+        | SolveError::DeferredSolveMoved { .. } => false,
     }
 }
 
