@@ -152,3 +152,69 @@ fn checkpoint_barrier_changes_nothing_for_cold_policies() {
         "a cold checkpointing run must equal the never-checkpointed run"
     );
 }
+
+/// A checkpoint written by one commit must restore on the next.
+/// `tests/fixtures/snapshot_v1_k5_greedy.json` is a [`ScenarioSnapshot`]
+/// taken after 5 steps of the run below *by the commit that introduced
+/// it*; it embeds a `LiveSnapshot` v1 with squeezed flows in flight across
+/// the boundary, fresh ones, heap and queue entries, and a recorded event
+/// prefix. The allocation is LP-free Greedy, solved once (the threshold
+/// never triggers) and then squeezed by a capacity cut it is not re-solved
+/// for, so the fixture pins the simulator's and the scenario engine's wire
+/// format only, and the checkpointing run coincides with the uninterrupted
+/// one. Re-take it (`FIXTURE_BLESS=1`) only together with a snapshot
+/// version bump.
+#[test]
+fn committed_snapshot_restores_and_finishes_like_the_uninterrupted_run() {
+    use dls_core::heuristics::Greedy;
+    use dls_scenario::{PlatformChange, PlatformEvent, ScenarioSnapshot, ThresholdTriggered};
+
+    let inst = paper_shape_instance(5, 32461);
+    let cut = |cluster| PlatformEvent {
+        time: 20.0,
+        change: PlatformChange::SetLocalBw { cluster, bw: 3.0 },
+    };
+    let mut sc = Scenario {
+        name: "fixture".into(),
+        period: 10.0,
+        jobs: jobs()
+            .into_iter()
+            .map(|j| JobSpec {
+                size: 10.0 * j.size,
+                ..j
+            })
+            .collect(),
+        platform_events: vec![cut(1), cut(2)],
+    };
+    sc.normalise();
+    let cfg = ScenarioConfig {
+        record_events: true,
+        ..cfg()
+    };
+    let greedy = || ThresholdTriggered::new(1e-9, Resolver::Heuristic(Box::new(Greedy::default())));
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/snapshot_v1_k5_greedy.json");
+
+    if std::env::var_os("FIXTURE_BLESS").is_some() {
+        let mut policy = greedy();
+        let mut session = ScenarioSession::new(&inst, sc.clone(), cfg.clone());
+        for _ in 0..5 {
+            session.step(&mut policy).expect("step");
+        }
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, session.snapshot(&mut policy).to_json()).unwrap();
+    }
+
+    let json = std::fs::read_to_string(&path).expect("committed fixture");
+    let snap = ScenarioSnapshot::from_json(&json).expect("fixture parses");
+    let mut policy = greedy();
+    let mut resumed = ScenarioSession::restore(&inst, sc.clone(), cfg.clone(), &snap, &mut policy)
+        .expect("fixture restores");
+    resumed.run_to_end(&mut policy).expect("restored run ends");
+    let report = resumed.into_report(&mut policy);
+
+    let reference =
+        dls_scenario::run_scenario(&inst, &sc, &mut greedy(), &cfg).expect("reference runs");
+    assert!(reference.events.is_some(), "fixture run records events");
+    assert_eq!(canonical(report), canonical(reference));
+}

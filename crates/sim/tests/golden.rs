@@ -1,0 +1,218 @@
+//! Bit-level goldens for both simulators under both engine cores.
+//!
+//! `tests/golden/*.txt` pin whole [`SimReport`]s and one scripted
+//! [`LiveSim`] event log, floats as `to_bits()` hex, so a refactor of the
+//! fluid cores shows up as a diff of exactly the rows it moved. Regenerate
+//! with `GOLDEN_BLESS=1 cargo test -p dls_sim --test golden` and review the
+//! diff: a row may only change when the PR says why.
+
+use dls_core::heuristics::{Heuristic, Lprg};
+use dls_core::schedule::ScheduleBuilder;
+use dls_core::{Objective, ProblemInstance};
+use dls_platform::{ClusterId, PlatformConfig, PlatformGenerator};
+use dls_sim::{
+    BandwidthModel, ChunkPart, LiveConfig, LiveFlowSpec, LiveSim, SimConfig, SimEngine, SimReport,
+    Simulator,
+};
+use std::fmt::Write as _;
+use std::path::PathBuf;
+
+const MODELS: [BandwidthModel; 2] = [BandwidthModel::MaxMinFair, BandwidthModel::EqualSplit];
+const ENGINES: [SimEngine; 2] = [SimEngine::Incremental, SimEngine::FullRecompute];
+
+fn bits(xs: &[f64]) -> String {
+    let hex: Vec<String> = xs.iter().map(|x| format!("{:016x}", x.to_bits())).collect();
+    format!("[{}]", hex.join(" "))
+}
+
+fn check(name: &str, actual: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    if std::env::var_os("GOLDEN_BLESS").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("{}: {e} (run with GOLDEN_BLESS=1)", path.display()));
+    for (i, (want, got)) in expected.lines().zip(actual.lines()).enumerate() {
+        assert_eq!(want, got, "{name}: line {} moved", i + 1);
+    }
+    assert_eq!(
+        expected.lines().count(),
+        actual.lines().count(),
+        "{name}: line count moved"
+    );
+}
+
+/// The paper-shape platform (`dls_scenario::catalog::paper_shape_instance`,
+/// restated here because `dls_scenario` depends on this crate).
+fn paper_shape(k: usize, seed: u64) -> ProblemInstance {
+    let cfg = PlatformConfig {
+        num_clusters: k,
+        connectivity: 0.4,
+        heterogeneity: 0.4,
+        mean_local_bw: 250.0,
+        mean_backbone_bw: 30.0,
+        mean_max_connections: 15.0,
+        speed: 100.0,
+        relay_routers: 0,
+    };
+    ProblemInstance::with_spread_payoffs(
+        PlatformGenerator::new(seed).generate(&cfg),
+        Objective::MaxMin,
+        0.5,
+        seed ^ 0x9e37_79b9_7f4a_7c15,
+    )
+}
+
+fn report_row(r: &SimReport) -> String {
+    format!(
+        "events={} peak={:?} efficiency={:016x} lateness={:016x} backlog={:016x} \
+         measured={} utilization={}",
+        r.events,
+        r.peak_connections,
+        r.efficiency.to_bits(),
+        r.max_transfer_lateness.to_bits(),
+        r.max_compute_backlog.to_bits(),
+        bits(&r.measured),
+        bits(&r.local_link_utilization),
+    )
+}
+
+#[test]
+fn periodic_reports_are_pinned() {
+    let mut out = String::new();
+    for (k, seed) in [(8usize, 1u64), (10, 2), (12, 3)] {
+        let inst = paper_shape(k, seed);
+        let alloc = Lprg::default().solve(&inst).unwrap();
+        let schedule = ScheduleBuilder::default().build(&inst, &alloc).unwrap();
+        assert!(
+            !schedule.transfers.is_empty(),
+            "seed {seed}: no network use"
+        );
+        for model in MODELS {
+            for engine in ENGINES {
+                let report = Simulator::new(&inst).run(
+                    &schedule,
+                    &SimConfig {
+                        periods: 12,
+                        bandwidth_model: model,
+                        engine,
+                        ..SimConfig::default()
+                    },
+                );
+                writeln!(
+                    out,
+                    "k={k} seed={seed} {model:?} {engine:?} {}",
+                    report_row(&report)
+                )
+                .unwrap();
+            }
+        }
+    }
+    check("periodic.txt", &out);
+}
+
+fn flow(src: u32, dst: u32, cap: f64, demand: f64, parts: &[(u32, f64)]) -> LiveFlowSpec {
+    LiveFlowSpec {
+        src: ClusterId(src),
+        dst: ClusterId(dst),
+        cap,
+        demand,
+        parts: parts
+            .iter()
+            .map(|&(job, amount)| ChunkPart { job, amount })
+            .collect(),
+    }
+}
+
+/// One scripted timeline touching every mutation: batched adds with
+/// reservations and caps, a retire mid-transfer, capacity and speed drift
+/// down to an outage, a stall/heal through `set_flow_constraints`, a queue
+/// purge, slot reuse, and advances that stop between events.
+fn live_script(model: BandwidthModel, engine: SimEngine) -> String {
+    let mut out = String::new();
+    let mut sim = LiveSim::new(
+        &[20.0, 15.0, 30.0, 25.0],
+        &[4.0, 3.0, 5.0, 2.0],
+        LiveConfig {
+            bandwidth_model: model,
+            engine,
+            oracle_check: false,
+            record_events: true,
+        },
+    );
+    let a = sim.add_flows(vec![
+        flow(0, 1, 9.0, 2.0, &[(0, 7.5), (1, 3.25)]),
+        flow(0, 2, f64::INFINITY, 0.0, &[(2, 21.0)]),
+        flow(3, 1, 6.0, 1.5, &[(3, 11.0)]),
+        flow(2, 3, 12.0, 4.0, &[(4, 5.0), (5, 9.5)]),
+    ]);
+    sim.enqueue_compute(ClusterId(0), 90, 6.0);
+    sim.advance_to(0.4);
+    sim.update_link_capacity(ClusterId(0), 11.0);
+    sim.advance_to(0.9);
+    let b = sim.add_flows(vec![
+        flow(1, 0, 7.0, 0.5, &[(6, 4.0)]),
+        flow(1, 3, 3.0, 3.0, &[(7, 8.0)]),
+    ]);
+    sim.set_flow_constraints(a[2], 0.0, 0.0);
+    sim.advance_to(1.3);
+    for r in sim.retire_flows(&[a[1], b[1]]) {
+        writeln!(out, "retired shipped={:016x}", r.shipped.to_bits()).unwrap();
+    }
+    sim.update_speed(ClusterId(1), 0.75);
+    sim.advance_to(2.05);
+    sim.update_link_capacity(ClusterId(1), 0.0);
+    sim.advance_to(2.6);
+    sim.set_flow_constraints(a[2], 6.0, 1.5);
+    sim.update_link_capacity(ClusterId(1), 18.0);
+    sim.add_flows(vec![
+        flow(2, 0, f64::INFINITY, 0.0, &[(8, 13.0)]),
+        flow(3, 0, 5.0, 0.0, &[]),
+        flow(0, 3, 8.0, 2.0, &[(9, 2.0), (10, 2.0), (11, 2.0)]),
+    ]);
+    sim.advance_to(3.1);
+    for p in sim.purge_queue(ClusterId(3)) {
+        writeln!(
+            out,
+            "purged job={} remaining={:016x}",
+            p.job,
+            p.remaining.to_bits()
+        )
+        .unwrap();
+    }
+    sim.update_link_capacity(ClusterId(2), 7.5);
+    sim.advance_to(4.45);
+    sim.add_flows(vec![flow(1, 2, 10.0, 1.0, &[(12, 6.0)])]);
+    sim.advance_to(200.0);
+    assert!(sim.idle(), "{engine:?} left work behind");
+    writeln!(out, "processed={}", sim.events_processed()).unwrap();
+    for e in sim.event_log() {
+        writeln!(
+            out,
+            "{:?} t={:016x} cluster={} job={} amount={:016x}",
+            e.kind,
+            e.time.to_bits(),
+            e.cluster,
+            e.job,
+            e.amount.to_bits()
+        )
+        .unwrap();
+    }
+    out
+}
+
+#[test]
+fn live_event_logs_are_pinned() {
+    for model in MODELS {
+        for engine in ENGINES {
+            check(
+                &format!("live_{model:?}_{engine:?}.txt"),
+                &live_script(model, engine),
+            );
+        }
+    }
+}
