@@ -22,6 +22,22 @@ pub mod scenario_perf;
 pub mod service_perf;
 pub mod trend;
 
+/// The `preset` value every BENCH artifact records.
+pub(crate) fn preset_name(preset: Preset) -> &'static str {
+    match preset {
+        Preset::Quick => "quick",
+        Preset::PaperShape => "paper-shape",
+        Preset::Full => "full",
+    }
+}
+
+/// Runs `f` once; returns its result and the wall-clock in milliseconds.
+pub(crate) fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let t0 = std::time::Instant::now();
+    let r = f();
+    (r, t0.elapsed().as_secs_f64() * 1e3)
+}
+
 /// Parsed command-line options.
 #[derive(Debug, Clone)]
 pub struct Cli {

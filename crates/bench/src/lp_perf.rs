@@ -18,6 +18,7 @@
 //! result is rendered as `BENCH_lp.json`, the LP-side companion of
 //! `BENCH_sim.json`, so the repository keeps a perf trajectory across PRs.
 
+use crate::{preset_name, timed};
 use dls_core::heuristics::{Lprr, PinSweepReport};
 use dls_core::{LpFormulation, Objective, ProblemInstance};
 use dls_experiments::Preset;
@@ -461,20 +462,6 @@ pub struct LpPerfRun {
     pub sparse: Vec<SparsePerfEntry>,
     /// Branch-and-bound entries.
     pub bnb: Vec<BnbPerfEntry>,
-}
-
-fn preset_name(preset: Preset) -> &'static str {
-    match preset {
-        Preset::Quick => "quick",
-        Preset::PaperShape => "paper-shape",
-        Preset::Full => "full",
-    }
-}
-
-fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let t0 = Instant::now();
-    let r = f();
-    (r, t0.elapsed().as_secs_f64() * 1e3)
 }
 
 /// Best-of-`runs` timing for sub-millisecond work, where a one-shot

@@ -10,12 +10,13 @@
 //! for a fixed `--seed`: platform generation, the heuristic allocation, the
 //! schedule, and both engines' event counts and measured efficiencies.
 
+use crate::{preset_name, timed};
 use dls_core::heuristics::{Greedy, Heuristic};
 use dls_core::schedule::ScheduleBuilder;
 use dls_core::{Objective, ProblemInstance};
 use dls_experiments::Preset;
 use dls_platform::{PlatformConfig, PlatformGenerator};
-use dls_sim::{SimConfig, SimEngine, SimReport, Simulator};
+use dls_sim::{SimConfig, SimEngine, Simulator};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -71,14 +72,6 @@ pub struct PerfRun {
     pub seed: u64,
     /// One entry per platform scale.
     pub entries: Vec<PerfEntry>,
-}
-
-fn preset_name(preset: Preset) -> &'static str {
-    match preset {
-        Preset::Quick => "quick",
-        Preset::PaperShape => "paper-shape",
-        Preset::Full => "full",
-    }
 }
 
 pub(crate) fn paper_shape_config(k: usize) -> PlatformConfig {
@@ -172,12 +165,6 @@ pub fn run(preset: Preset, seed: u64) -> PerfRun {
         seed,
         entries,
     }
-}
-
-fn timed(f: impl FnOnce() -> SimReport) -> (SimReport, f64) {
-    let t0 = Instant::now();
-    let r = f();
-    (r, t0.elapsed().as_secs_f64() * 1e3)
 }
 
 impl PerfRun {

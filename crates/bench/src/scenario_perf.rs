@@ -22,6 +22,7 @@
 //! the perf trajectory is tracked across PRs, and `perf_scenario` exits
 //! non-zero when any trace disagrees.
 
+use crate::preset_name;
 use dls_core::adaptive::DriftConfig;
 use dls_core::ProblemInstance;
 use dls_experiments::Preset;
@@ -91,14 +92,6 @@ pub struct ScenarioPerfRun {
     pub seed: u64,
     /// One entry per trace × scale.
     pub entries: Vec<ScenarioPerfEntry>,
-}
-
-fn preset_name(preset: Preset) -> &'static str {
-    match preset {
-        Preset::Quick => "quick",
-        Preset::PaperShape => "paper-shape",
-        Preset::Full => "full",
-    }
 }
 
 /// The benchmark traces: the catalog's Poisson workload (≈ 330 jobs at the

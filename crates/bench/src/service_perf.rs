@@ -13,6 +13,7 @@
 //! drain-checkpoint-restart-replay path reproduces the uninterrupted
 //! run bit-for-bit.
 
+use crate::preset_name;
 use dls_experiments::{PolicyKind, Preset};
 use dls_scenario::catalog::paper_shape_instance;
 use dls_scenario::{
@@ -207,14 +208,6 @@ pub struct ServicePerfRun {
     pub entries: Vec<ServicePerfEntry>,
     /// The kill/restart replay check.
     pub recovery: RecoveryCheck,
-}
-
-fn preset_name(preset: Preset) -> &'static str {
-    match preset {
-        Preset::Quick => "quick",
-        Preset::PaperShape => "paper-shape",
-        Preset::Full => "full",
-    }
 }
 
 /// Boots an in-process daemon, returns `(addr, shutdown, join)`.

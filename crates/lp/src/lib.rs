@@ -129,6 +129,13 @@ pub fn sparse_iteration_cap(m: usize, n_cols: usize) -> usize {
 /// solves go through [`Engine::Auto`], which selects the sparse LU
 /// explicitly past [`AUTO_DENSE_LIMIT`]; `dls_core` pins all three facts in
 /// a test.
+///
+/// "Always sparse" (`SPARSE_MIN_ROWS = 0`) was measured and is a
+/// regression today: on the benchmark's `serve_small` workload (K=5
+/// tenants, trivial LPs, one warm context each) `peak_rss_mb` went
+/// 434.6 / 434.8 → 497.0 / 497.1 over two alternating runs (+14.4 %
+/// against a 10 % bound) with every check still passing — `SparseLu`'s
+/// per-context footprint at tiny `m` is what keeps the dense inverse.
 pub const SPARSE_MIN_ROWS: usize = 2048;
 
 /// Solver engine selection for [`solve_with`] and the branch-and-bound layer.

@@ -15,7 +15,7 @@
 //! The factorisation itself comes in two interchangeable representations
 //! ([`BasisRepr`]): the original dense row-major `B⁻¹` (Gauss–Jordan
 //! refactorisation, elementary-row-transform updates, Sherman–Morrison
-//! column patches) and the sparse Markowitz LU of [`crate::sparse_lu`]
+//! column patches) and the sparse Markowitz LU of `sparse_lu.rs`
 //! (eta-file updates, fill-bounded refactorisation). The dense inverse is
 //! the retained, cross-checked oracle — the same pattern as the simulator's
 //! `SimEngine::FullRecompute` — and every pivot rule below is shared
@@ -27,7 +27,7 @@
 //!
 //! # Dual simplex
 //!
-//! [`Factor::run_dual_phase`] implements the dual simplex: starting from a
+//! `Factor::run_dual_phase` implements the dual simplex: starting from a
 //! basis whose reduced costs are non-negative (dual feasible) but whose
 //! basic values `x_B = B⁻¹b` may be negative (primal infeasible), it
 //! repeatedly
@@ -66,7 +66,7 @@ use crate::{
 pub enum BasisRepr {
     /// Dense row-major `B⁻¹` — the retained, cross-checked oracle path.
     DenseInverse,
-    /// Sparse Markowitz LU with eta updates ([`crate::sparse_lu`]).
+    /// Sparse Markowitz LU with eta updates (`sparse_lu.rs`).
     SparseLu,
     /// [`BasisRepr::SparseLu`] at or above [`SPARSE_MIN_ROWS`]
     /// standard-form rows, [`BasisRepr::DenseInverse`] below. The row count

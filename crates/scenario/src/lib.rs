@@ -35,7 +35,7 @@
 //! [`run_scenario`] executes the timeline and produces a
 //! [`ScenarioReport`]: per-job response times, makespan, achieved vs.
 //! allocated steady-state throughput, and reschedule counts/costs. The
-//! [`catalog`] module names reproducible scenario families (`steady`,
+//! [`mod@catalog`] module names reproducible scenario families (`steady`,
 //! `bursty`, `drift`, `churn`, `flash`) shared by the experiment sweep
 //! (`dls-experiments`), the perf harness (`dls-bench`, emitting
 //! `BENCH_scenario.json`), the `dls-cli scenario` subcommand, and

@@ -97,8 +97,8 @@ pub trait ReschedulePolicy {
     /// Decides whether to install a new allocation.
     fn decide(&mut self, ctx: &PolicyCtx<'_>) -> Result<Option<Allocation>, SolveError>;
 
-    /// Repairs internal solver state after a failed [`decide`]
-    /// (`ReschedulePolicy::decide`), returning `true` when a repair was
+    /// Repairs internal solver state after a failed
+    /// [`ReschedulePolicy::decide`], returning `true` when a repair was
     /// actually applied — `false` tells the caller a retry at this level
     /// is pointless (stateless policies fail deterministically). The
     /// default is a no-op.
@@ -118,17 +118,17 @@ pub trait ReschedulePolicy {
         PolicyState::Stateless
     }
 
-    /// Restores state captured by [`export_state`]
-    /// (`ReschedulePolicy::export_state`). Mismatched state is ignored.
+    /// Restores state captured by [`ReschedulePolicy::export_state`].
+    /// Mismatched state is ignored.
     fn import_state(&mut self, _state: &PolicyState) {}
 
     /// Called on the **live** policy immediately after a failover snapshot
     /// is captured. Policies carrying incremental numerical state (the
     /// warm simplex's product-form factorisation) must realign it with
-    /// what a restore rebuilds from [`export_state`]
-    /// (`ReschedulePolicy::export_state`), so the continuing run and any
-    /// replica restored from that snapshot stay bit-identical. Stateless
-    /// policies have nothing to align; the default is a no-op.
+    /// what a restore rebuilds from [`ReschedulePolicy::export_state`], so
+    /// the continuing run and any replica restored from that snapshot stay
+    /// bit-identical. Stateless policies have nothing to align; the default
+    /// is a no-op.
     fn checkpoint_barrier(&mut self) {}
 }
 

@@ -5,29 +5,33 @@
 //! rates computed by the bandwidth allocator, clusters drain their work
 //! queues at their speed.
 //!
-//! Two engines share the same fluid semantics and reporting:
+//! [`Simulator::run`] is one loop over the flow core this crate also runs
+//! [`crate::LiveSim`] on (`flows.rs`); [`SimEngine`] picks the core's
+//! variant once, at construction:
 //!
 //! * [`SimEngine::Incremental`] (the default) keeps a stateful
-//!   [`BandwidthAllocator`] that re-solves only the dirty set of flows at
-//!   each event, schedules completions in an indexed binary heap with lazy
-//!   invalidation, and advances per-flow state lazily — event cost scales
-//!   with the number of *affected* flows, not with the total flow count;
+//!   [`crate::BandwidthAllocator`] that re-solves only the dirty set of
+//!   flows at each event, schedules completions in an indexed binary heap
+//!   with lazy invalidation, and advances per-flow state lazily — event
+//!   cost scales with the number of *affected* flows, not with the total
+//!   flow count;
 //! * [`SimEngine::FullRecompute`] is the reference slow path: a full
-//!   [`allocate_rates`] solve plus linear next-completion and completion
-//!   sweeps at every event. It is retained as the cross-check oracle and as
-//!   the baseline the `dls-bench` perf harness times the fast engine
-//!   against.
+//!   [`crate::allocate_rates`] solve plus linear next-completion and
+//!   completion sweeps at every event. It is retained as the cross-check
+//!   oracle and as the baseline the `dls-bench` perf harness times the fast
+//!   engine against.
 //!
 //! Routes and per-transfer flow specs are compiled once per `run` into a
 //! flat arena, so period boundaries re-use them instead of re-walking
 //! `Platform::route` and allocating a fresh `Vec` per transfer.
 
-use crate::bandwidth::{allocate_rates, BandwidthAllocator, BandwidthModel, FlowId, FlowSpec};
-use crate::report::SimReport;
+use crate::bandwidth::{BandwidthModel, FlowSpec};
+use crate::flows::FlowCore;
+use crate::report::{SimReport, TraceEvent};
 use dls_core::approx::close;
 use dls_core::schedule::PeriodicSchedule;
 use dls_core::ProblemInstance;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Simulation parameters.
 #[derive(Debug, Clone)]
@@ -38,15 +42,15 @@ pub struct SimConfig {
     pub warmup: usize,
     /// Local-link sharing discipline.
     pub bandwidth_model: BandwidthModel,
-    /// Record a [`crate::report::TraceEvent`] log (off by default — traces
+    /// Record a [`TraceEvent`] log (off by default — traces
     /// grow linearly with flows × periods).
     pub record_trace: bool,
     /// Which simulation core executes the schedule.
     pub engine: SimEngine,
-    /// Cross-check the incremental allocator against a full
-    /// [`allocate_rates`] solve after every event, panicking on divergence
-    /// beyond 1e-9 relative. Expensive (`O(F)` per event) — meant for tests;
-    /// ignored by [`SimEngine::FullRecompute`].
+    /// Cross-check the incremental core against a full
+    /// [`crate::allocate_rates`] solve after every event, panicking on
+    /// divergence beyond 1e-9 relative. Expensive (`O(F)` per event) — meant
+    /// for tests; ignored by [`SimEngine::FullRecompute`].
     pub oracle_check: bool,
 }
 
@@ -147,7 +151,7 @@ impl CompiledSchedule {
     }
 }
 
-/// Mutable observation state shared by both engine cores.
+/// Mutable observation state of one run.
 struct SimState {
     queues: Vec<VecDeque<(usize, f64)>>,
     completed: Vec<f64>,
@@ -157,8 +161,7 @@ struct SimState {
     max_backlog: f64,
     conn_now: Vec<i64>,
     conn_peak: Vec<i64>,
-    carried: Vec<f64>,
-    trace: Vec<crate::report::TraceEvent>,
+    trace: Vec<TraceEvent>,
     events: u64,
 }
 
@@ -173,7 +176,6 @@ impl SimState {
             max_backlog: 0.0,
             conn_now: vec![0; n_links],
             conn_peak: vec![0; n_links],
-            carried: vec![0.0; n],
             trace: Vec::new(),
             events: 0,
         }
@@ -213,52 +215,6 @@ impl SimState {
     }
 }
 
-/// Per-flow engine state for the incremental core (slot-aligned with the
-/// allocator; `None` marks a free slot).
-#[derive(Debug, Clone)]
-struct EngFlow {
-    id: FlowId,
-    transfer: u32,
-    chunk: f64,
-    remaining: f64,
-    /// Simulation time `remaining` was last materialised at.
-    last_t: f64,
-    rate: f64,
-    spawn_period: usize,
-}
-
-/// Min-heap entry keyed on projected completion time; entries are lazily
-/// invalidated by bumping the slot's version when the rate changes. Shared
-/// with the live-mutation engine ([`crate::live`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct HeapEntry {
-    pub(crate) time: f64,
-    pub(crate) slot: u32,
-    pub(crate) version: u64,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest time.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.slot.cmp(&self.slot))
-            .then_with(|| other.version.cmp(&self.version))
-    }
-}
-
 impl<'a> Simulator<'a> {
     /// Creates a simulator for `inst`'s platform.
     pub fn new(inst: &'a ProblemInstance) -> Self {
@@ -267,39 +223,24 @@ impl<'a> Simulator<'a> {
 
     /// Executes `schedule` for `config.periods` periods.
     pub fn run(&self, schedule: &PeriodicSchedule, config: &SimConfig) -> SimReport {
-        match config.engine {
-            SimEngine::Incremental => self.run_incremental(schedule, config),
-            SimEngine::FullRecompute => self.run_full(schedule, config),
-        }
-    }
-
-    fn run_incremental(&self, schedule: &PeriodicSchedule, config: &SimConfig) -> SimReport {
         let p = &self.inst.platform;
-        let n = p.num_clusters();
         let tp = schedule.period as f64;
         let local_bw: Vec<f64> = p.clusters.iter().map(|c| c.local_bw).collect();
         let speeds: Vec<f64> = p.clusters.iter().map(|c| c.speed).collect();
         let horizon = config.periods as f64 * tp;
         let warmup_t = (config.warmup.min(config.periods.saturating_sub(1))) as f64 * tp;
         let drain_horizon = horizon + 20.0 * tp;
-        // A rate below this is "stalled": scale-relative so huge-bandwidth
-        // platforms don't schedule completions astronomically far out while
-        // tiny platforms still make progress.
-        let bw_scale = local_bw.iter().fold(0.0f64, |a, &b| a.max(b));
-        let rate_eps = 1e-15 * (1.0 + bw_scale);
 
         let compiled = CompiledSchedule::compile(self.inst, schedule);
-        let mut state = SimState::new(n, p.links.len());
-        let mut alloc = BandwidthAllocator::new(&local_bw, config.bandwidth_model);
-        let mut flows: Vec<Option<EngFlow>> = Vec::new();
-        let mut versions: Vec<u64> = Vec::new();
-        let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
-        let mut live_count = 0usize;
-
-        let mut removals: Vec<FlowId> = Vec::new();
-        let mut additions: Vec<FlowSpec> = Vec::new();
-        let mut added_transfers: Vec<u32> = Vec::new();
-        let mut new_ids: Vec<FlowId> = Vec::new();
+        let mut state = SimState::new(p.num_clusters(), p.links.len());
+        // Payload: (transfer index, spawn period).
+        let mut core: FlowCore<(u32, usize)> = FlowCore::new(
+            &local_bw,
+            config.bandwidth_model,
+            config.engine,
+            config.oracle_check,
+        );
+        let mut due = Vec::new();
 
         let mut t = 0.0f64;
         let mut next_period = 0usize;
@@ -311,82 +252,53 @@ impl<'a> Simulator<'a> {
             } else {
                 f64::INFINITY
             };
-            let next_completion = loop {
-                match heap.peek() {
-                    None => break f64::INFINITY,
-                    Some(e) => {
-                        let s = e.slot as usize;
-                        if flows[s].is_some() && versions[s] == e.version {
-                            break e.time;
-                        }
-                        heap.pop(); // lazily dropped stale entry
-                    }
-                }
-            };
-            let t_next = boundary.min(next_completion);
+            let t_next = boundary.min(core.next_completion(t));
             if !t_next.is_finite() || t_next > drain_horizon {
                 break;
             }
 
-            // --- advance the fluid compute queues (flows advance lazily) ---
+            // --- advance the fluid state ---
             let dt = (t_next - t).max(0.0);
             if dt > 0.0 {
+                core.advance(t, dt);
                 state.drain_all(&speeds, dt);
             }
             t = t_next;
             state.events += 1;
             state.snapshot_warmup_if_due(t, warmup_t);
 
-            removals.clear();
-            additions.clear();
-            added_transfers.clear();
-
             // --- flow completions due now ---
-            while let Some(e) = heap.peek() {
-                let s = e.slot as usize;
-                if flows[s].is_none() || versions[s] != e.version {
-                    heap.pop();
-                    continue;
-                }
-                if e.time > t && !close(e.time, t, 1e-12) {
-                    break;
-                }
-                heap.pop();
-                let f = flows[s].take().expect("validated above");
-                live_count -= 1;
-                let seg = (t - f.last_t).max(0.0);
-                state.carried[f.id_src(&compiled)] += f.rate * seg;
-                state.carried[f.id_dst(&compiled)] += f.rate * seg;
-                let tr = &compiled.transfers[f.transfer as usize];
+            core.pop_due(t, &mut due);
+            for (_, f) in due.drain(..) {
+                let (transfer, spawn_period) = f.payload;
+                let tr = &compiled.transfers[transfer as usize];
                 // Deliver the full chunk (any leftover is size-relative dust).
-                state.queues[tr.spec.dst.index()].push_back((tr.spec.src.index(), f.chunk));
-                let deadline = (f.spawn_period + 1) as f64 * tp;
+                state.queues[tr.spec.dst.index()].push_back((tr.spec.src.index(), f.size));
+                let deadline = (spawn_period + 1) as f64 * tp;
                 state.max_lateness = state.max_lateness.max(t - deadline);
                 for &l in compiled.route(tr) {
                     state.conn_now[l as usize] -= tr.connections as i64;
                 }
                 if config.record_trace {
-                    state.trace.push(crate::report::TraceEvent::FlowEnd {
+                    state.trace.push(TraceEvent::FlowEnd {
                         time: t,
                         from: tr.spec.src.0,
                         to: tr.spec.dst.0,
                         lateness: t - deadline,
                     });
                 }
-                removals.push(f.id);
             }
 
             // --- period boundary ---
-            let spawn_period = next_period;
             if next_period <= config.periods && close(t, boundary, 1e-9) {
                 state.record_backlog(&speeds);
-                if config.record_trace && next_period < config.periods {
-                    state.trace.push(crate::report::TraceEvent::PeriodStart {
-                        time: t,
-                        period: next_period,
-                    });
-                }
                 if next_period < config.periods {
+                    if config.record_trace {
+                        state.trace.push(TraceEvent::PeriodStart {
+                            time: t,
+                            period: next_period,
+                        });
+                    }
                     for &(cluster, app, amount) in &compiled.local_tasks {
                         state.queues[cluster].push_back((app, amount));
                     }
@@ -397,234 +309,32 @@ impl<'a> Simulator<'a> {
                             state.conn_peak[l] = state.conn_peak[l].max(state.conn_now[l]);
                         }
                         if config.record_trace {
-                            state.trace.push(crate::report::TraceEvent::FlowStart {
+                            state.trace.push(TraceEvent::FlowStart {
                                 time: t,
                                 from: tr.spec.src.0,
                                 to: tr.spec.dst.0,
                                 amount: tr.amount,
                             });
                         }
-                        additions.push(tr.spec);
-                        added_transfers.push(ti as u32);
+                        core.stage(tr.spec, tr.amount, (ti as u32, next_period));
                     }
                 }
                 next_period += 1;
             }
 
-            // --- incremental rate re-allocation over the dirty set ---
-            if !removals.is_empty() || !additions.is_empty() {
-                alloc.update(&removals, &additions, &mut new_ids);
-                while flows.len() < alloc.slots() {
-                    flows.push(None);
-                    versions.push(0);
-                }
-                for (id, &ti) in new_ids.iter().zip(&added_transfers) {
-                    let s = id.index();
-                    let tr = &compiled.transfers[ti as usize];
-                    let rate = alloc.rate(*id);
-                    versions[s] += 1;
-                    flows[s] = Some(EngFlow {
-                        id: *id,
-                        transfer: ti,
-                        chunk: tr.amount,
-                        remaining: tr.amount,
-                        last_t: t,
-                        rate,
-                        spawn_period,
-                    });
-                    live_count += 1;
-                    if rate > rate_eps {
-                        heap.push(HeapEntry {
-                            time: t + tr.amount / rate,
-                            slot: s as u32,
-                            version: versions[s],
-                        });
-                    }
-                }
-                for &id in alloc.changed() {
-                    let s = id.index();
-                    let f = flows[s].as_mut().expect("changed flow is live");
-                    let seg = (t - f.last_t).max(0.0);
-                    if seg > 0.0 {
-                        let tr = &compiled.transfers[f.transfer as usize];
-                        state.carried[tr.spec.src.index()] += f.rate * seg;
-                        state.carried[tr.spec.dst.index()] += f.rate * seg;
-                        f.remaining -= f.rate * seg;
-                    }
-                    f.last_t = t;
-                    f.rate = alloc.rate(id);
-                    versions[s] += 1;
-                    if f.rate > rate_eps {
-                        heap.push(HeapEntry {
-                            time: t + f.remaining.max(0.0) / f.rate,
-                            slot: s as u32,
-                            version: versions[s],
-                        });
-                    }
-                }
-                if config.oracle_check {
-                    alloc.assert_matches_oracle(1e-9, &format!("oracle_check at t = {t}"));
-                }
-            }
+            // --- one rate re-allocation for this event's departures and arrivals ---
+            core.commit(t);
 
-            if live_count == 0 && next_period > config.periods {
+            if core.live() == 0 && next_period > config.periods {
                 state.drain_to_completion(&speeds);
                 break;
             }
         }
 
         // Attribute the carried traffic of flows still live at the horizon.
-        for f in flows.iter().flatten() {
-            let seg = (t - f.last_t).max(0.0);
-            let tr = &compiled.transfers[f.transfer as usize];
-            state.carried[tr.spec.src.index()] += f.rate * seg;
-            state.carried[tr.spec.dst.index()] += f.rate * seg;
-        }
+        core.settle(t);
 
-        self.finish_report(schedule, config, state, &local_bw, horizon, warmup_t)
-    }
-
-    /// The retained reference engine: full re-allocation and linear scans at
-    /// every event (the "slow algorithm" the incremental core is
-    /// cross-checked and benchmarked against).
-    fn run_full(&self, schedule: &PeriodicSchedule, config: &SimConfig) -> SimReport {
-        let p = &self.inst.platform;
-        let n = p.num_clusters();
-        let tp = schedule.period as f64;
-        let local_bw: Vec<f64> = p.clusters.iter().map(|c| c.local_bw).collect();
-        let speeds: Vec<f64> = p.clusters.iter().map(|c| c.speed).collect();
-        let horizon = config.periods as f64 * tp;
-        let warmup_t = (config.warmup.min(config.periods.saturating_sub(1))) as f64 * tp;
-        let drain_horizon = horizon + 20.0 * tp;
-        let bw_scale = local_bw.iter().fold(0.0f64, |a, &b| a.max(b));
-        let rate_eps = 1e-15 * (1.0 + bw_scale);
-
-        let compiled = CompiledSchedule::compile(self.inst, schedule);
-        let mut state = SimState::new(n, p.links.len());
-
-        struct ActiveFlow {
-            transfer: u32,
-            chunk: f64,
-            remaining: f64,
-            spawn_period: usize,
-        }
-        let mut flows: Vec<ActiveFlow> = Vec::new();
-        let mut rates: Vec<f64> = Vec::new();
-        let mut t = 0.0f64;
-        let mut next_period = 0usize;
-
-        loop {
-            let boundary = if next_period <= config.periods {
-                next_period as f64 * tp
-            } else {
-                f64::INFINITY
-            };
-            let mut next_completion = f64::INFINITY;
-            for (f, &r) in flows.iter().zip(&rates) {
-                if r > rate_eps {
-                    next_completion = next_completion.min(t + f.remaining / r);
-                }
-            }
-            let t_next = boundary.min(next_completion);
-            if !t_next.is_finite() || t_next > drain_horizon {
-                break;
-            }
-            let dt = (t_next - t).max(0.0);
-
-            if dt > 0.0 {
-                for (f, &r) in flows.iter_mut().zip(&rates) {
-                    f.remaining -= r * dt;
-                    let tr = &compiled.transfers[f.transfer as usize];
-                    state.carried[tr.spec.src.index()] += r * dt;
-                    state.carried[tr.spec.dst.index()] += r * dt;
-                }
-                state.drain_all(&speeds, dt);
-            }
-            t = t_next;
-            state.events += 1;
-            state.snapshot_warmup_if_due(t, warmup_t);
-
-            // --- flow completions (linear sweep) ---
-            let mut i = 0;
-            while i < flows.len() {
-                // Relative threshold: a reserved-rate flow finishes exactly
-                // at the period boundary, so the fluid arithmetic may leave
-                // size-proportional dust.
-                if flows[i].remaining <= 1e-9 * (1.0 + flows[i].chunk) {
-                    let f = flows.swap_remove(i);
-                    rates.swap_remove(i);
-                    let tr = &compiled.transfers[f.transfer as usize];
-                    state.queues[tr.spec.dst.index()].push_back((tr.spec.src.index(), f.chunk));
-                    let deadline = (f.spawn_period + 1) as f64 * tp;
-                    state.max_lateness = state.max_lateness.max(t - deadline);
-                    for &l in compiled.route(tr) {
-                        state.conn_now[l as usize] -= tr.connections as i64;
-                    }
-                    if config.record_trace {
-                        state.trace.push(crate::report::TraceEvent::FlowEnd {
-                            time: t,
-                            from: tr.spec.src.0,
-                            to: tr.spec.dst.0,
-                            lateness: t - deadline,
-                        });
-                    }
-                } else {
-                    i += 1;
-                }
-            }
-
-            // --- period boundary ---
-            if next_period <= config.periods && close(t, boundary, 1e-9) {
-                state.record_backlog(&speeds);
-                if config.record_trace && next_period < config.periods {
-                    state.trace.push(crate::report::TraceEvent::PeriodStart {
-                        time: t,
-                        period: next_period,
-                    });
-                }
-                if next_period < config.periods {
-                    for &(cluster, app, amount) in &compiled.local_tasks {
-                        state.queues[cluster].push_back((app, amount));
-                    }
-                    for (ti, tr) in compiled.transfers.iter().enumerate() {
-                        for &l in compiled.route(tr) {
-                            let l = l as usize;
-                            state.conn_now[l] += tr.connections as i64;
-                            state.conn_peak[l] = state.conn_peak[l].max(state.conn_now[l]);
-                        }
-                        if config.record_trace {
-                            state.trace.push(crate::report::TraceEvent::FlowStart {
-                                time: t,
-                                from: tr.spec.src.0,
-                                to: tr.spec.dst.0,
-                                amount: tr.amount,
-                            });
-                        }
-                        flows.push(ActiveFlow {
-                            transfer: ti as u32,
-                            chunk: tr.amount,
-                            remaining: tr.amount,
-                            spawn_period: next_period,
-                        });
-                    }
-                }
-                next_period += 1;
-            }
-
-            // --- full rate recompute ---
-            let specs: Vec<FlowSpec> = flows
-                .iter()
-                .map(|f| compiled.transfers[f.transfer as usize].spec)
-                .collect();
-            rates = allocate_rates(&local_bw, &specs, config.bandwidth_model);
-
-            if flows.is_empty() && next_period > config.periods {
-                state.drain_to_completion(&speeds);
-                break;
-            }
-        }
-
-        self.finish_report(schedule, config, state, &local_bw, horizon, warmup_t)
+        self.finish_report(schedule, config, state, &core, horizon, warmup_t)
     }
 
     fn finish_report(
@@ -632,7 +342,7 @@ impl<'a> Simulator<'a> {
         schedule: &PeriodicSchedule,
         config: &SimConfig,
         state: SimState,
-        local_bw: &[f64],
+        core: &FlowCore<(u32, usize)>,
         horizon: f64,
         warmup_t: f64,
     ) -> SimReport {
@@ -662,10 +372,10 @@ impl<'a> Simulator<'a> {
             .iter()
             .zip(&p.links)
             .all(|(&peak, link)| peak <= link.max_connections as i64);
-        let local_link_utilization: Vec<f64> = state
-            .carried
+        let local_link_utilization: Vec<f64> = core
+            .carried()
             .iter()
-            .zip(local_bw)
+            .zip(core.local_bw())
             .map(|(&bytes, &g)| {
                 if g > 0.0 && horizon > 0.0 {
                     (bytes / (g * horizon)).min(1.0)
@@ -689,15 +399,6 @@ impl<'a> Simulator<'a> {
             events: state.events,
             trace: state.trace,
         }
-    }
-}
-
-impl EngFlow {
-    fn id_src(&self, compiled: &CompiledSchedule) -> usize {
-        compiled.transfers[self.transfer as usize].spec.src.index()
-    }
-    fn id_dst(&self, compiled: &CompiledSchedule) -> usize {
-        compiled.transfers[self.transfer as usize].spec.dst.index()
     }
 }
 
@@ -834,6 +535,7 @@ mod tests {
                     slow.max_transfer_lateness
                 );
                 assert_eq!(fast.peak_connections, slow.peak_connections);
+                assert_eq!(fast.events, slow.events, "seed {seed} {model:?}: events");
                 for (a, b) in fast.measured.iter().zip(&slow.measured) {
                     assert!(close(*a, *b, 1e-6), "measured {a} vs {b}");
                 }

@@ -28,6 +28,7 @@
 
 pub mod bandwidth;
 pub mod engine;
+mod flows;
 pub mod live;
 pub mod report;
 pub mod trace;

@@ -11,7 +11,7 @@
 //!   per-job [`ChunkPart`]s delivered store-and-forward on completion;
 //! * [`LiveSim::update_link_capacity`] — local-link capacities drift (down
 //!   to a churn outage at `g = 0`), feeding the dirty-set
-//!   [`BandwidthAllocator::retune`] path so only the affected flows are
+//!   [`crate::BandwidthAllocator::retune`] path so only the affected flows are
 //!   re-solved;
 //! * [`LiveSim::update_speed`] — cluster compute speeds drift, re-timing
 //!   the FIFO work queues;
@@ -21,26 +21,29 @@
 //!   completions and queue-entry completions), returning the
 //!   [`LiveEvent`]s that fired.
 //!
-//! Exactly like the periodic engine, two cores share the same fluid
-//! semantics: [`SimEngine::Incremental`] (dirty-set re-allocation, a
+//! Exactly like the periodic engine, [`LiveSim`] runs on the crate's one
+//! flow core (`flows.rs`), whose variant [`LiveConfig::engine`] picks at
+//! construction: [`SimEngine::Incremental`] (dirty-set re-allocation, a
 //! completion heap with lazy invalidation, lazy per-flow materialisation)
-//! and the retained [`SimEngine::FullRecompute`] reference (full
-//! [`allocate_rates`] solve plus linear scans at every event) — the slow
-//! path doubles as the cross-check oracle and as the baseline the
+//! or the retained [`SimEngine::FullRecompute`] reference (full
+//! [`crate::allocate_rates`] solve plus linear scans at every event) — the
+//! slow path doubles as the cross-check oracle and as the baseline the
 //! `dls-bench` scenario harness times the fast path against. With
 //! [`LiveConfig::oracle_check`] set, every mutation and completion batch on
 //! the incremental core is verified against a fresh full solve.
+//!
+//! What stays particular to this engine is what it *observes*: compute
+//! queues complete entry by entry (each a [`LiveEvent::Computed`] with the
+//! entry's full original credit), where the periodic engine drains fluid
+//! partial credit and reports only at period granularity.
 
-use crate::bandwidth::{
-    allocate_rates, AllocatorState, BandwidthAllocator, BandwidthModel, FlowId, FlowSpec,
-};
-use crate::engine::HeapEntry;
+use crate::bandwidth::{AllocatorState, BandwidthModel, FlowId, FlowSpec};
+use crate::flows::{Flow, FlowCore, HeapEntry, SolverState};
 use crate::trace::{EventKind, EventRecord};
 use crate::SimEngine;
-use dls_core::approx::close;
 use dls_platform::ClusterId;
 use serde::{Deserialize, Serialize};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Configuration for [`LiveSim`].
 #[derive(Debug, Clone)]
@@ -52,7 +55,7 @@ pub struct LiveConfig {
     /// Cross-check the incremental core against the full oracle after
     /// every mutation and completion batch, panicking on divergence beyond
     /// 1e-9 relative. Two invariants are asserted: per-flow rates match a
-    /// fresh [`allocate_rates`] solve, and the completion heap's next due
+    /// fresh [`crate::allocate_rates`] solve, and the completion heap's next due
     /// time matches a full scan's projection (so lazy invalidation can
     /// never silently drop or misplace a completion). Expensive — meant
     /// for tests; ignored by [`SimEngine::FullRecompute`].
@@ -191,55 +194,30 @@ pub enum LiveEvent {
     },
 }
 
-/// Per-flow engine state (slot-aligned with the allocator in incremental
-/// mode).
-#[derive(Debug, Clone)]
-struct LiveFlow {
-    spec: FlowSpec,
-    parts: Vec<ChunkPart>,
-    payload: f64,
-    remaining: f64,
-    /// Simulation time `remaining` was last materialised at.
-    last_t: f64,
-    rate: f64,
-    /// Allocator handle (incremental core only).
-    alloc_id: Option<FlowId>,
-}
-
-/// A compute-queue entry: `(job, remaining, original)`.
-#[derive(Debug, Clone, Copy)]
+/// A compute-queue entry.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 struct QueueEntry {
     job: u32,
     remaining: f64,
     original: f64,
 }
 
+type LiveFlow = Flow<Vec<ChunkPart>>;
+
 /// The live-mutation engine. See the module docs.
 #[derive(Debug)]
 pub struct LiveSim {
     cfg: LiveConfig,
-    local_bw: Vec<f64>,
     speeds: Vec<f64>,
     t: f64,
-    // --- flow store, slot-indexed (allocator slots in incremental mode) ---
-    flows: Vec<Option<LiveFlow>>,
+    core: FlowCore<Vec<ChunkPart>>,
+    /// Per-slot generation behind [`LiveFlowId`].
     gen: Vec<u32>,
-    n_live: usize,
-    // --- incremental core ---
-    alloc: BandwidthAllocator,
-    versions: Vec<u64>,
-    heap: BinaryHeap<HeapEntry>,
-    // --- full-recompute core ---
-    free: Vec<u32>,
-    rates_stale: bool,
-    // --- compute queues ---
     queues: Vec<VecDeque<QueueEntry>>,
     // --- scratch / observation ---
     events: Vec<LiveEvent>,
     event_log: Vec<EventRecord>,
-    changed_scratch: Vec<FlowId>,
     processed: u64,
-    rate_eps: f64,
 }
 
 impl LiveSim {
@@ -251,30 +229,17 @@ impl LiveSim {
             speeds.len(),
             "one local link and one speed per cluster"
         );
-        let alloc = BandwidthAllocator::new(local_bw, cfg.bandwidth_model);
-        let n = local_bw.len();
-        let mut sim = LiveSim {
+        LiveSim {
+            core: FlowCore::new(local_bw, cfg.bandwidth_model, cfg.engine, cfg.oracle_check),
             cfg,
-            local_bw: local_bw.to_vec(),
             speeds: speeds.to_vec(),
             t: 0.0,
-            flows: Vec::new(),
             gen: Vec::new(),
-            n_live: 0,
-            alloc,
-            versions: Vec::new(),
-            heap: BinaryHeap::new(),
-            free: Vec::new(),
-            rates_stale: false,
-            queues: vec![VecDeque::new(); n],
+            queues: vec![VecDeque::new(); local_bw.len()],
             events: Vec::new(),
             event_log: Vec::new(),
-            changed_scratch: Vec::new(),
             processed: 0,
-            rate_eps: 0.0,
-        };
-        sim.refresh_rate_eps();
-        sim
+        }
     }
 
     /// Current simulation time.
@@ -284,13 +249,13 @@ impl LiveSim {
 
     /// Number of live flows.
     pub fn live_flows(&self) -> usize {
-        self.n_live
+        self.core.live()
     }
 
     /// `true` when nothing is in flight: no live flow and every compute
     /// queue empty.
     pub fn idle(&self) -> bool {
-        self.n_live == 0 && self.queues.iter().all(VecDeque::is_empty)
+        self.core.live() == 0 && self.queues.iter().all(VecDeque::is_empty)
     }
 
     /// Events processed so far (completions, deliveries, compute
@@ -308,7 +273,7 @@ impl LiveSim {
     /// `true` iff `id` refers to a currently live flow.
     pub fn is_current(&self, id: LiveFlowId) -> bool {
         let s = id.slot as usize;
-        s < self.flows.len() && self.flows[s].is_some() && self.gen[s] == id.gen
+        self.core.slots().get(s).is_some_and(Option::is_some) && self.gen[s] == id.gen
     }
 
     /// Pending (queued, not yet processed) compute work at a cluster.
@@ -319,107 +284,31 @@ impl LiveSim {
             .sum()
     }
 
-    fn refresh_rate_eps(&mut self) {
-        // A rate below this is "stalled": scale-relative so huge-bandwidth
-        // platforms don't schedule completions astronomically far out.
-        let bw_scale = self.local_bw.iter().fold(0.0f64, |a, &b| a.max(b));
-        self.rate_eps = 1e-15 * (1.0 + bw_scale);
-    }
-
-    fn ensure_slots(&mut self, n: usize) {
-        while self.flows.len() < n {
-            self.flows.push(None);
-            self.gen.push(0);
-            self.versions.push(0);
-        }
-    }
-
     /// Spawns a batch of flows at the current time; returns their handles
     /// (in `specs` order). Zero-payload flows complete at the next
     /// [`LiveSim::advance_to`] step.
     pub fn add_flows(&mut self, specs: Vec<LiveFlowSpec>) -> Vec<LiveFlowId> {
-        let mut out = Vec::with_capacity(specs.len());
-        match self.cfg.engine {
-            SimEngine::Incremental => {
-                let additions: Vec<FlowSpec> = specs
-                    .iter()
-                    .map(|s| FlowSpec {
-                        src: s.src,
-                        dst: s.dst,
-                        cap: s.cap,
-                        demand: s.demand,
-                    })
-                    .collect();
-                let mut new_ids = Vec::new();
-                self.alloc.update(&[], &additions, &mut new_ids);
-                self.ensure_slots(self.alloc.slots());
-                for (spec, id) in specs.into_iter().zip(&new_ids) {
-                    let s = id.index();
-                    let payload: f64 = spec.parts.iter().map(|p| p.amount).sum();
-                    let rate = self.alloc.rate(*id);
-                    let flow_spec = *self.alloc.spec(*id);
-                    self.gen[s] = self.gen[s].wrapping_add(1);
-                    self.versions[s] += 1;
-                    self.flows[s] = Some(LiveFlow {
-                        spec: flow_spec,
-                        parts: spec.parts,
-                        payload,
-                        remaining: payload,
-                        last_t: self.t,
-                        rate,
-                        alloc_id: Some(*id),
-                    });
-                    self.n_live += 1;
-                    if rate > self.rate_eps {
-                        self.heap.push(HeapEntry {
-                            time: self.t + payload / rate,
-                            slot: s as u32,
-                            version: self.versions[s],
-                        });
-                    }
-                    out.push(LiveFlowId {
-                        slot: s as u32,
-                        gen: self.gen[s],
-                    });
-                }
-                self.apply_changed_rates();
-                self.maybe_oracle_check("add_flows");
-            }
-            SimEngine::FullRecompute => {
-                for spec in specs {
-                    let s = match self.free.pop() {
-                        Some(s) => s as usize,
-                        None => {
-                            self.ensure_slots(self.flows.len() + 1);
-                            self.flows.len() - 1
-                        }
-                    };
-                    let payload: f64 = spec.parts.iter().map(|p| p.amount).sum();
-                    self.gen[s] = self.gen[s].wrapping_add(1);
-                    self.flows[s] = Some(LiveFlow {
-                        spec: FlowSpec {
-                            src: spec.src,
-                            dst: spec.dst,
-                            cap: spec.cap,
-                            demand: spec.demand,
-                        },
-                        parts: spec.parts,
-                        payload,
-                        remaining: payload,
-                        last_t: self.t,
-                        rate: 0.0,
-                        alloc_id: None,
-                    });
-                    self.n_live += 1;
-                    out.push(LiveFlowId {
-                        slot: s as u32,
-                        gen: self.gen[s],
-                    });
-                }
-                self.rates_stale = true;
-            }
+        for spec in specs {
+            let payload: f64 = spec.parts.iter().map(|p| p.amount).sum();
+            let flow_spec = FlowSpec {
+                src: spec.src,
+                dst: spec.dst,
+                cap: spec.cap,
+                demand: spec.demand,
+            };
+            self.core.stage(flow_spec, payload, spec.parts);
         }
-        out
+        self.core.commit(self.t);
+        self.gen.resize(self.core.slots().len(), 0);
+        self.core
+            .new_slots()
+            .iter()
+            .map(|&slot| {
+                let gen = &mut self.gen[slot as usize];
+                *gen = gen.wrapping_add(1);
+                LiveFlowId { slot, gen: *gen }
+            })
+            .collect()
     }
 
     /// Retires live flows mid-transfer (e.g. a churned destination),
@@ -427,63 +316,28 @@ impl LiveSim {
     /// Stale handles are ignored.
     pub fn retire_flows(&mut self, ids: &[LiveFlowId]) -> Vec<RetiredFlow> {
         let mut retired = Vec::new();
-        let mut removals: Vec<FlowId> = Vec::new();
         for &id in ids {
             if !self.is_current(id) {
                 continue;
             }
             let s = id.slot as usize;
-            let f = self.flows[s].take().expect("validated current");
-            self.n_live -= 1;
+            let f = self.core.retire(s, self.t);
             self.gen[s] = self.gen[s].wrapping_add(1);
-            match self.cfg.engine {
-                SimEngine::Incremental => {
-                    self.versions[s] += 1;
-                    removals.push(f.alloc_id.expect("incremental flows carry an id"));
-                }
-                SimEngine::FullRecompute => {
-                    self.free.push(s as u32);
-                    self.rates_stale = true;
-                }
-            }
-            let seg = (self.t - f.last_t).max(0.0);
-            let remaining_now = (f.remaining - f.rate * seg).clamp(0.0, f.payload);
             retired.push(RetiredFlow {
                 src: f.spec.src,
                 dst: f.spec.dst,
-                parts: f.parts,
-                shipped: f.payload - remaining_now,
+                parts: f.payload,
+                shipped: f.size - f.remaining.clamp(0.0, f.size),
             });
         }
-        if !removals.is_empty() {
-            let mut scratch = Vec::new();
-            self.alloc.update(&removals, &[], &mut scratch);
-            self.apply_changed_rates();
-            self.maybe_oracle_check("retire_flows");
-        }
+        self.core.commit(self.t);
         retired
     }
 
     /// Changes the local-link capacity `g` of one cluster at the current
     /// time. Rates of the affected flows adjust immediately.
     pub fn update_link_capacity(&mut self, cluster: ClusterId, g: f64) {
-        // Validate on both engines, so the reference core fails fast on the
-        // same inputs the incremental allocator would reject.
-        assert!(
-            g >= 0.0 && g.is_finite(),
-            "local-link capacity must be finite and non-negative, got {g}"
-        );
-        let l = cluster.index();
-        self.local_bw[l] = g;
-        self.refresh_rate_eps();
-        match self.cfg.engine {
-            SimEngine::Incremental => {
-                self.alloc.set_local_bw(l, g);
-                self.apply_changed_rates();
-                self.maybe_oracle_check("update_link_capacity");
-            }
-            SimEngine::FullRecompute => self.rates_stale = true,
-        }
+        self.core.retune(self.t, cluster.index(), g);
     }
 
     /// Changes a cluster's compute speed at the current time (queues are
@@ -534,28 +388,7 @@ impl LiveSim {
     /// it under store-and-forward semantics.
     pub fn set_flow_constraints(&mut self, id: LiveFlowId, cap: f64, demand: f64) {
         assert!(self.is_current(id), "set_flow_constraints on a stale id");
-        let s = id.slot as usize;
-        match self.cfg.engine {
-            SimEngine::Incremental => {
-                let aid = self.flows[s]
-                    .as_ref()
-                    .expect("validated current")
-                    .alloc_id
-                    .expect("incremental flows carry an id");
-                self.alloc.reshape(&[(aid, cap, demand)]);
-                let f = self.flows[s].as_mut().expect("validated current");
-                f.spec.cap = cap;
-                f.spec.demand = demand;
-                self.apply_changed_rates();
-                self.maybe_oracle_check("set_flow_constraints");
-            }
-            SimEngine::FullRecompute => {
-                let f = self.flows[s].as_mut().expect("validated current");
-                f.spec.cap = cap;
-                f.spec.demand = demand;
-                self.rates_stale = true;
-            }
-        }
+        self.core.reshape(self.t, id.slot as usize, cap, demand);
     }
 
     /// Advances simulation time to `t_end`, processing every flow
@@ -569,74 +402,22 @@ impl LiveSim {
         );
         self.events.clear();
         loop {
-            if self.cfg.engine == SimEngine::FullRecompute && self.rates_stale {
-                self.refresh_full_rates();
+            let te = self
+                .next_queue_completion()
+                .min(self.core.next_completion(self.t));
+            let stop = !te.is_finite() || te > t_end;
+            let t_next = if stop { t_end } else { te };
+            let dt = (t_next - self.t).max(0.0);
+            if dt > 0.0 {
+                self.drain_queues(dt, t_next);
+                self.core.advance(self.t, dt);
             }
-            let tq = self.next_queue_completion();
-            let tf = match self.cfg.engine {
-                SimEngine::Incremental => self.next_heap_completion(),
-                SimEngine::FullRecompute => self.next_scan_completion(),
-            };
-            let te = tq.min(tf);
-            if !te.is_finite() || te > t_end {
-                let dt = (t_end - self.t).max(0.0);
-                if dt > 0.0 {
-                    self.drain_queues(dt, t_end);
-                    if self.cfg.engine == SimEngine::FullRecompute {
-                        self.materialise_full(dt);
-                    }
-                }
-                self.t = t_end;
+            self.t = t_next;
+            if stop {
                 return &self.events;
             }
-            let dt = (te - self.t).max(0.0);
-            if dt > 0.0 {
-                self.drain_queues(dt, te);
-                if self.cfg.engine == SimEngine::FullRecompute {
-                    self.materialise_full(dt);
-                }
-            }
-            self.t = te;
-            match self.cfg.engine {
-                SimEngine::Incremental => self.complete_due_incremental(),
-                SimEngine::FullRecompute => self.complete_due_full(),
-            }
+            self.complete_due();
         }
-    }
-
-    // --- incremental core -------------------------------------------------
-
-    /// Folds the allocator's changed-rate report into the flow table and
-    /// reschedules their completions.
-    fn apply_changed_rates(&mut self) {
-        self.changed_scratch.clear();
-        self.changed_scratch.extend_from_slice(self.alloc.changed());
-        for i in 0..self.changed_scratch.len() {
-            let id = self.changed_scratch[i];
-            let s = id.index();
-            let f = self.flows[s].as_mut().expect("changed flow is live");
-            let seg = (self.t - f.last_t).max(0.0);
-            if seg > 0.0 {
-                f.remaining -= f.rate * seg;
-            }
-            f.last_t = self.t;
-            f.rate = self.alloc.rate(id);
-            self.versions[s] += 1;
-            if f.rate > self.rate_eps {
-                self.heap.push(HeapEntry {
-                    time: self.t + f.remaining.max(0.0) / f.rate,
-                    slot: s as u32,
-                    version: self.versions[s],
-                });
-            }
-        }
-    }
-
-    fn maybe_oracle_check(&mut self, context: &str) {
-        if !self.cfg.oracle_check {
-            return;
-        }
-        self.audit(context);
     }
 
     /// Forces the oracle cross-check once, regardless of
@@ -647,32 +428,7 @@ impl LiveSim {
     /// no-op on [`SimEngine::FullRecompute`] (it has no fast-path state to
     /// audit).
     pub fn audit(&mut self, context: &str) {
-        if self.cfg.engine != SimEngine::Incremental {
-            return;
-        }
-        self.alloc.assert_matches_oracle(
-            1e-9,
-            &format!("live oracle_check ({context}) at t = {}", self.t),
-        );
-        // Completion-schedule audit: the heap's next due time (after lazy
-        // invalidation) must equal a full scan's projection from each
-        // flow's materialised state. A stale-but-undetected or dropped
-        // heap entry would silently reorder the event stream; catch it at
-        // the mutation that caused it, not at the divergent completion.
-        let heap_next = self.next_heap_completion();
-        let mut scan_next = f64::INFINITY;
-        for f in self.flows.iter().flatten() {
-            if f.rate > self.rate_eps {
-                scan_next = scan_next.min(f.last_t + f.remaining.max(0.0) / f.rate);
-            }
-        }
-        assert!(
-            (heap_next.is_infinite() && scan_next.is_infinite())
-                || close(heap_next, scan_next, 1e-9),
-            "live oracle_check ({context}) at t = {}: heap next completion \
-             {heap_next} != scan projection {scan_next}",
-            self.t
-        );
+        self.core.audit(self.t, &format!("live, {context}"));
     }
 
     /// Corrupts the completion heap with a phantom *valid-version* entry at
@@ -680,15 +436,7 @@ impl LiveSim {
     /// catch it. Test-only; incremental core with a live flow required.
     #[doc(hidden)]
     pub fn debug_corrupt_heap_phantom(&mut self) {
-        assert_eq!(self.cfg.engine, SimEngine::Incremental);
-        let s = (0..self.flows.len())
-            .find(|&s| self.flows[s].is_some())
-            .expect("a live flow to corrupt");
-        self.heap.push(HeapEntry {
-            time: self.t - 1.0,
-            slot: s as u32,
-            version: self.versions[s],
-        });
+        self.core.debug_corrupt_heap(self.t, true);
     }
 
     /// Corrupts the completion heap by bumping a live flow's version
@@ -696,134 +444,25 @@ impl LiveSim {
     /// dropped. [`LiveSim::audit`] must catch it. Test-only.
     #[doc(hidden)]
     pub fn debug_corrupt_heap_dropped(&mut self) {
-        assert_eq!(self.cfg.engine, SimEngine::Incremental);
-        let s = (0..self.flows.len())
-            .find(|&s| {
-                self.flows[s]
-                    .as_ref()
-                    .is_some_and(|f| f.rate > self.rate_eps)
-            })
-            .expect("a progressing flow to corrupt");
-        self.versions[s] += 1;
+        self.core.debug_corrupt_heap(self.t, false);
     }
 
-    /// Earliest valid heap completion (stale entries lazily dropped).
-    fn next_heap_completion(&mut self) -> f64 {
-        loop {
-            match self.heap.peek() {
-                None => return f64::INFINITY,
-                Some(e) => {
-                    let s = e.slot as usize;
-                    if self.flows[s].is_some() && self.versions[s] == e.version {
-                        return e.time;
-                    }
-                    self.heap.pop();
-                }
-            }
-        }
-    }
-
-    fn complete_due_incremental(&mut self) {
-        let mut removals: Vec<FlowId> = Vec::new();
-        while let Some(e) = self.heap.peek() {
-            let s = e.slot as usize;
-            if self.flows[s].is_none() || self.versions[s] != e.version {
-                self.heap.pop();
-                continue;
-            }
-            if e.time > self.t && !close(e.time, self.t, 1e-12) {
-                break;
-            }
-            self.heap.pop();
-            let f = self.flows[s].take().expect("validated above");
-            self.n_live -= 1;
+    /// Delivers every flow due now, then re-allocates the survivors.
+    fn complete_due(&mut self) {
+        let mut due = Vec::new();
+        self.core.pop_due(self.t, &mut due);
+        for (slot, f) in due {
             self.processed += 1;
+            let gen = &mut self.gen[slot as usize];
             self.events.push(LiveEvent::FlowDone {
                 time: self.t,
-                id: LiveFlowId {
-                    slot: s as u32,
-                    gen: self.gen[s],
-                },
+                id: LiveFlowId { slot, gen: *gen },
             });
-            self.gen[s] = self.gen[s].wrapping_add(1);
-            self.deliver(f.spec.dst, &f.parts);
-            removals.push(f.alloc_id.expect("incremental flows carry an id"));
+            *gen = gen.wrapping_add(1);
+            self.deliver(f.spec.dst, &f.payload);
         }
-        if !removals.is_empty() {
-            let mut scratch = Vec::new();
-            self.alloc.update(&removals, &[], &mut scratch);
-            self.apply_changed_rates();
-            self.maybe_oracle_check("completions");
-        }
+        self.core.commit(self.t);
     }
-
-    // --- full-recompute core ----------------------------------------------
-
-    fn refresh_full_rates(&mut self) {
-        // The honest slow path: one full oracle solve over every live flow.
-        let live: Vec<usize> = (0..self.flows.len())
-            .filter(|&s| self.flows[s].is_some())
-            .collect();
-        let specs: Vec<FlowSpec> = live
-            .iter()
-            .map(|&s| self.flows[s].as_ref().unwrap().spec)
-            .collect();
-        let rates = allocate_rates(&self.local_bw, &specs, self.cfg.bandwidth_model);
-        for (&s, &r) in live.iter().zip(&rates) {
-            self.flows[s].as_mut().unwrap().rate = r;
-        }
-        self.rates_stale = false;
-    }
-
-    fn next_scan_completion(&self) -> f64 {
-        let mut next = f64::INFINITY;
-        for f in self.flows.iter().flatten() {
-            if f.rate > self.rate_eps {
-                next = next.min(self.t + f.remaining.max(0.0) / f.rate);
-            }
-        }
-        next
-    }
-
-    fn materialise_full(&mut self, dt: f64) {
-        for f in self.flows.iter_mut().flatten() {
-            f.remaining -= f.rate * dt;
-            f.last_t = self.t + dt;
-        }
-    }
-
-    fn complete_due_full(&mut self) {
-        let mut any = false;
-        for s in 0..self.flows.len() {
-            let done = match &self.flows[s] {
-                // Relative threshold: fluid arithmetic leaves
-                // size-proportional dust at the projected completion time.
-                Some(f) => f.remaining <= 1e-9 * (1.0 + f.payload),
-                None => false,
-            };
-            if done {
-                let f = self.flows[s].take().expect("checked above");
-                self.n_live -= 1;
-                self.processed += 1;
-                self.events.push(LiveEvent::FlowDone {
-                    time: self.t,
-                    id: LiveFlowId {
-                        slot: s as u32,
-                        gen: self.gen[s],
-                    },
-                });
-                self.gen[s] = self.gen[s].wrapping_add(1);
-                self.free.push(s as u32);
-                self.deliver(f.spec.dst, &f.parts);
-                any = true;
-            }
-        }
-        if any {
-            self.rates_stale = true;
-        }
-    }
-
-    // --- shared fluid machinery -------------------------------------------
 
     fn deliver(&mut self, dst: ClusterId, parts: &[ChunkPart]) {
         for p in parts {
@@ -904,6 +543,7 @@ impl LiveSim {
             }
         }
     }
+
     // --- snapshot / restore -----------------------------------------------
 
     /// Captures the full engine state for failover. Must be taken *between*
@@ -915,53 +555,37 @@ impl LiveSim {
     /// completion heap's entry multiset (its strict total order makes the
     /// rebuilt pop sequence identical regardless of internal layout).
     pub fn snapshot(&self) -> LiveSnapshot {
-        let mut heap: Vec<HeapEntryState> = self
-            .heap
-            .iter()
-            .map(|e| HeapEntryState {
-                time: e.time,
-                slot: e.slot,
-                version: e.version,
-            })
-            .collect();
-        // Deterministic serialisation order (BinaryHeap iteration is not).
-        heap.sort_by(|a, b| {
-            a.time
-                .total_cmp(&b.time)
-                .then(a.slot.cmp(&b.slot))
-                .then(a.version.cmp(&b.version))
-        });
+        let SolverState {
+            versions,
+            heap,
+            free,
+            rates_stale,
+            alloc,
+        } = self.core.export();
         LiveSnapshot {
             version: LIVE_SNAPSHOT_VERSION,
             t: self.t,
-            local_bw: self.local_bw.clone(),
+            local_bw: self.core.local_bw().to_vec(),
             speeds: self.speeds.clone(),
             flows: self
-                .flows
+                .core
+                .slots()
                 .iter()
                 .map(|slot| slot.as_ref().map(FlowState::of))
                 .collect(),
             gen: self.gen.clone(),
-            versions: self.versions.clone(),
+            versions,
             heap,
-            free: self.free.clone(),
-            rates_stale: self.rates_stale,
+            free,
+            rates_stale,
             queues: self
                 .queues
                 .iter()
-                .map(|q| {
-                    q.iter()
-                        .map(|e| QueueEntryState {
-                            job: e.job,
-                            remaining: e.remaining,
-                            original: e.original,
-                        })
-                        .collect()
-                })
+                .map(|q| q.iter().copied().collect())
                 .collect(),
             processed: self.processed,
             event_log: self.event_log.clone(),
-            alloc: self.alloc.snapshot(),
+            alloc,
         }
     }
 
@@ -975,53 +599,29 @@ impl LiveSim {
             "unsupported LiveSnapshot version {}",
             snap.version
         );
-        let flows: Vec<Option<LiveFlow>> = snap
-            .flows
+        let mut sim = LiveSim::new(&snap.local_bw, &snap.speeds, cfg);
+        sim.core.import(
+            snap.flows
+                .iter()
+                .map(|slot| slot.as_ref().map(FlowState::to_flow))
+                .collect(),
+            SolverState {
+                versions: snap.versions.clone(),
+                heap: snap.heap.clone(),
+                free: snap.free.clone(),
+                rates_stale: snap.rates_stale,
+                alloc: snap.alloc.clone(),
+            },
+        );
+        sim.t = snap.t;
+        sim.gen.clone_from(&snap.gen);
+        sim.queues = snap
+            .queues
             .iter()
-            .map(|slot| slot.as_ref().map(FlowState::to_flow))
+            .map(|q| q.iter().copied().collect())
             .collect();
-        let n_live = flows.iter().filter(|f| f.is_some()).count();
-        let mut sim = LiveSim {
-            cfg: cfg.clone(),
-            local_bw: snap.local_bw.clone(),
-            speeds: snap.speeds.clone(),
-            t: snap.t,
-            flows,
-            gen: snap.gen.clone(),
-            n_live,
-            alloc: BandwidthAllocator::from_state(&snap.alloc, cfg.bandwidth_model),
-            versions: snap.versions.clone(),
-            heap: snap
-                .heap
-                .iter()
-                .map(|e| HeapEntry {
-                    time: e.time,
-                    slot: e.slot,
-                    version: e.version,
-                })
-                .collect(),
-            free: snap.free.clone(),
-            rates_stale: snap.rates_stale,
-            queues: snap
-                .queues
-                .iter()
-                .map(|q| {
-                    q.iter()
-                        .map(|e| QueueEntry {
-                            job: e.job,
-                            remaining: e.remaining,
-                            original: e.original,
-                        })
-                        .collect()
-                })
-                .collect(),
-            events: Vec::new(),
-            event_log: snap.event_log.clone(),
-            changed_scratch: Vec::new(),
-            processed: snap.processed,
-            rate_eps: 0.0,
-        };
-        sim.refresh_rate_eps();
+        sim.processed = snap.processed;
+        sim.event_log.clone_from(&snap.event_log);
         sim
     }
 }
@@ -1066,8 +666,8 @@ impl FlowState {
                 None
             },
             demand: f.spec.demand,
-            parts: f.parts.clone(),
-            payload: f.payload,
+            parts: f.payload.clone(),
+            payload: f.size,
             remaining: f.remaining,
             last_t: f.last_t,
             rate: f.rate,
@@ -1084,8 +684,8 @@ impl FlowState {
                 cap: self.cap.unwrap_or(f64::INFINITY),
                 demand: self.demand,
             },
-            parts: self.parts.clone(),
-            payload: self.payload,
+            payload: self.parts.clone(),
+            size: self.payload,
             remaining: self.remaining,
             last_t: self.last_t,
             rate: self.rate,
@@ -1095,22 +695,6 @@ impl FlowState {
             },
         }
     }
-}
-
-/// One completion-heap entry in a [`LiveSnapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-struct HeapEntryState {
-    time: f64,
-    slot: u32,
-    version: u64,
-}
-
-/// One compute-queue entry in a [`LiveSnapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-struct QueueEntryState {
-    job: u32,
-    remaining: f64,
-    original: f64,
 }
 
 /// Serialisable full state of a [`LiveSim`], captured by
@@ -1126,10 +710,10 @@ pub struct LiveSnapshot {
     flows: Vec<Option<FlowState>>,
     gen: Vec<u32>,
     versions: Vec<u64>,
-    heap: Vec<HeapEntryState>,
+    heap: Vec<HeapEntry>,
     free: Vec<u32>,
     rates_stale: bool,
-    queues: Vec<Vec<QueueEntryState>>,
+    queues: Vec<Vec<QueueEntry>>,
     processed: u64,
     event_log: Vec<EventRecord>,
     alloc: AllocatorState,
@@ -1138,6 +722,7 @@ pub struct LiveSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dls_core::approx::close;
 
     fn c(i: u32) -> ClusterId {
         ClusterId(i)
