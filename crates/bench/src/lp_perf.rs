@@ -23,8 +23,8 @@ use dls_core::heuristics::{Lprr, PinSweepReport};
 use dls_core::{LpFormulation, Objective, ProblemInstance};
 use dls_experiments::Preset;
 use dls_lp::{
-    resolve_engine, solve_with, BasisRepr, BranchBound, BranchBoundConfig, Engine, RevisedSimplex,
-    Status, WarmSimplex, WarmStats,
+    resolve_engine, solve_with, BasisRepr, BranchBound, BranchBoundConfig, Engine, FactorStats,
+    RevisedSimplex, Status, WarmSimplex, WarmStats,
 };
 use dls_platform::{ClusterId, PlatformBuilder, PlatformGenerator};
 use rand::{Rng, SeedableRng};
@@ -235,14 +235,10 @@ pub struct SparsePerfEntry {
     /// `true` when the dense cold reference was not run (dense cold is
     /// intractable past K ≈ 200 and skipped in the quick preset).
     pub dense_skipped: bool,
-    /// Non-zeros in the sparse factorisation (LU + eta file) after the
-    /// cold solve.
-    pub factor_nnz: usize,
-    /// `factor_nnz / basis_nnz`: fill-in of the factorisation relative to
-    /// the basis matrix itself.
-    pub fill_ratio: f64,
-    /// Refactorisations performed during the cold solve.
-    pub refactor_count: u64,
+    /// The sparse factorisation after the cold solve: non-zeros (LU + eta
+    /// file), fill-in relative to the basis matrix, refactorisations, and
+    /// how many rows the solve's FTRANs/BTRANs actually walked.
+    pub factor: FactorStats,
     /// Sparse cold solve wall-clock, milliseconds.
     pub sparse_cold_ms: f64,
     /// Dense cold solve wall-clock, milliseconds (`None` when skipped).
@@ -396,9 +392,7 @@ fn sparse_entry(k: usize, seed: u64, sharded_threads: usize, run_dense: bool) ->
         objectives_agree: dense_agrees && replay_agrees,
         sweep_agree: sweeps_bit_identical(&seq, &shd),
         dense_skipped: !run_dense,
-        factor_nnz: stats.factor_nnz,
-        fill_ratio: stats.fill_ratio,
-        refactor_count: stats.refactorisations,
+        factor: stats,
         sparse_cold_ms,
         dense_cold_ms,
         sweep_sequential_ms,
@@ -637,8 +631,17 @@ impl LpPerfRun {
             );
             let _ = writeln!(
                 out,
-                "{:>5} {:>7} {:>11} {:>11} {:>9} {:>6} {:>11} {:>11}  agree",
-                "K", "rows", "sparse ms", "dense ms", "dns/sprs", "fill", "seq swp ms", "shard ms"
+                "{:>5} {:>7} {:>11} {:>11} {:>9} {:>6} {:>9} {:>9} {:>11} {:>11}  agree",
+                "K",
+                "rows",
+                "sparse ms",
+                "dense ms",
+                "dns/sprs",
+                "fill",
+                "rows/ftr",
+                "nz/btr",
+                "seq swp ms",
+                "shard ms"
             );
             for e in &self.sparse {
                 let dense = match e.dense_cold_ms {
@@ -649,15 +652,21 @@ impl LpPerfRun {
                     Some(s) => format!("{s:.1}x"),
                     None => "-".to_string(),
                 };
+                // Cold-solve averages: Ũ rows back-substituted per sparse
+                // FTRAN and non-zero inputs per BTRAN (a sweep of the
+                // factor would read `rows` + bound rows for both).
+                let per = |total: u64, calls: u64| total as f64 / calls.max(1) as f64;
                 let _ = writeln!(
                     out,
-                    "{:>5} {:>7} {:>11.1} {:>11} {:>9} {:>6.2} {:>11.1} {:>11.1}  {}",
+                    "{:>5} {:>7} {:>11.1} {:>11} {:>9} {:>6.2} {:>9.1} {:>9.1} {:>11.1} {:>11.1}  {}",
                     e.k,
                     e.model_rows,
                     e.sparse_cold_ms,
                     dense,
                     speedup,
-                    e.fill_ratio,
+                    e.factor.fill_ratio,
+                    per(e.factor.ftran_u_rows, e.factor.sparse_ftrans),
+                    per(e.factor.btran_nz_rows, e.factor.btrans),
                     e.sweep_sequential_ms,
                     e.sweep_sharded_ms,
                     if e.objectives_agree && e.sweep_agree {
@@ -735,9 +744,13 @@ impl LpPerfRun {
             let _ = writeln!(out, "      \"objectives_agree\": {},", e.objectives_agree);
             let _ = writeln!(out, "      \"sweep_agree\": {},", e.sweep_agree);
             let _ = writeln!(out, "      \"dense_skipped\": {},", e.dense_skipped);
-            let _ = writeln!(out, "      \"factor_nnz\": {},", e.factor_nnz);
-            let _ = writeln!(out, "      \"fill_ratio\": {:.3},", e.fill_ratio);
-            let _ = writeln!(out, "      \"refactor_count\": {},", e.refactor_count);
+            let _ = writeln!(out, "      \"factor_nnz\": {},", e.factor.factor_nnz);
+            let _ = writeln!(out, "      \"fill_ratio\": {:.3},", e.factor.fill_ratio);
+            let _ = writeln!(
+                out,
+                "      \"refactor_count\": {},",
+                e.factor.refactorisations
+            );
             let _ = writeln!(out, "      \"timing_ms\": {{");
             let _ = writeln!(out, "        \"sparse_cold\": {:.3},", e.sparse_cold_ms);
             match e.dense_cold_ms {
@@ -837,7 +850,7 @@ mod tests {
         assert!(e.sweep_agree, "{e:?}");
         assert!(!e.dense_skipped);
         assert!(e.dense_vs_sparse_speedup().is_some());
-        assert!(e.factor_nnz > 0 && e.fill_ratio > 0.0);
+        assert!(e.factor.factor_nnz > 0 && e.factor.fill_ratio > 0.0);
         assert_eq!(e.islands, 2);
         assert_eq!(e.threads, 2);
     }

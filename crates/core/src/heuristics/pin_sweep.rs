@@ -131,7 +131,7 @@ impl Lprr {
 
         // Candidate pins in row-major (from, to) order: round β̃ and clamp
         // to the route's remaining budget, mirroring the rounding loop.
-        let mut tasks: Vec<(ClusterId, ClusterId, u32, PinDelta)> = Vec::new();
+        let mut candidates: Vec<(ClusterId, ClusterId, u32)> = Vec::new();
         for from in p.cluster_ids() {
             for to in p.cluster_ids() {
                 if from == to {
@@ -150,20 +150,20 @@ impl Lprr {
                     .min()
                     .unwrap_or(i64::MAX);
                 let want = (frac.beta[from.index() * k + to.index()] + 0.5).floor() as i64;
-                let v = want.clamp(0, budget) as u32;
-                let delta = f.pin_delta(inst, from, to, v)?;
-                tasks.push((from, to, v, delta));
+                candidates.push((from, to, want.clamp(0, budget) as u32));
             }
         }
-        if max_probes > 0 && tasks.len() > max_probes {
-            let step = tasks.len().div_ceil(max_probes);
-            let mut idx = 0usize;
-            tasks.retain(|_| {
-                let keep = idx.is_multiple_of(step);
-                idx += 1;
-                keep
-            });
-        }
+        // Subsample first, so a delta is only built for a pin that is probed.
+        let step = if max_probes > 0 && candidates.len() > max_probes {
+            candidates.len().div_ceil(max_probes)
+        } else {
+            1
+        };
+        let tasks: Vec<(ClusterId, ClusterId, u32, PinDelta)> = candidates
+            .into_iter()
+            .step_by(step)
+            .map(|(from, to, v)| Ok((from, to, v, f.pin_delta(inst, from, to, v)?)))
+            .collect::<Result<_, SolveError>>()?;
 
         // Shard contiguous chunks over scoped workers. Each slot is written
         // by exactly one worker; errors are merged in probe-index order.

@@ -292,7 +292,11 @@ pub fn fig6(preset: Preset, seed: u64, threads: usize, ablation: bool) -> Figure
 
 fn fig7_configs(preset: Preset) -> Vec<PlatformConfig> {
     match preset {
-        Preset::Quick => cross(&[5, 10], &[0.3], &[0.4], &[250.0], &[30.0], &[15.0], 1),
+        // One topology per K, timed once: K starts where the gaps between
+        // the heuristics (LPRG − G ≳ 10 ms, LPRR − LPRG ≳ 150 ms in a debug
+        // build) exceed a scheduler stall (≈ 4 ms on a shared box), so the
+        // cost ordering shows in a single sample.
+        Preset::Quick => cross(&[20, 24], &[0.3], &[0.4], &[250.0], &[30.0], &[15.0], 1),
         Preset::PaperShape => cross(
             &[10, 20, 30, 40],
             &[0.3],

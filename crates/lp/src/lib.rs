@@ -242,6 +242,13 @@ pub fn solve_with(model: &Model, engine: Engine) -> Result<Solution, LpError> {
     }
 }
 
+/// Bit equality up to the sign of zero — what the kernel oracles hold a
+/// non-zero-following kernel to against the dense sweep it replaced.
+#[cfg(test)]
+pub(crate) fn same_bits(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a == 0.0 && b == 0.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

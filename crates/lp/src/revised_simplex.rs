@@ -54,7 +54,7 @@
 use crate::dense_simplex::solve_unconstrained;
 use crate::model::Model;
 use crate::solution::{Solution, Status};
-use crate::sparse_lu::SparseLu;
+use crate::sparse_lu::{SolveCounts, SparseLu};
 use crate::standard::StandardForm;
 use crate::{
     scaled_iteration_cap, sparse_iteration_cap, LpError, COST_TOL, FEAS_TOL, PIVOT_TOL,
@@ -183,6 +183,44 @@ enum Repr {
     Sparse(SparseLu),
 }
 
+/// An FTRAN result `w = B⁻¹a` in basis-position space, with the positions
+/// worth looking at. The sparse LU hands back, ascending, the positions that
+/// may hold a non-zero (`val` is zero everywhere else), and everything
+/// downstream of a solve — ratio test, eta append, `x_B` step — walks
+/// [`Column::rows`] instead of `0..m`. Ascending order is part of the
+/// contract: the ratio test's tie window and the eta file's entry order both
+/// depend on it. The dense inverse fills `val` outright, so its pattern is
+/// every position, written once in [`Column::new`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Column {
+    pub(crate) val: Vec<f64>,
+    /// See [`SparseLu::ftran`] for the `val`/`pat` contract on the sparse LU.
+    pat: Vec<u32>,
+}
+
+impl Column {
+    fn new(m: usize, sparse: bool) -> Self {
+        Column {
+            val: vec![0.0; m],
+            pat: if sparse {
+                Vec::new()
+            } else {
+                (0..m as u32).collect()
+            },
+        }
+    }
+
+    pub(crate) fn rows(&self) -> impl Iterator<Item = usize> + '_ {
+        self.pat.iter().map(|&i| i as usize)
+    }
+
+    fn scale(&mut self, by: f64) {
+        for &i in &self.pat {
+            self.val[i as usize] *= by;
+        }
+    }
+}
+
 /// The persistent simplex state: basis, a factorisation of it (dense `B⁻¹`
 /// or sparse LU + etas), and basic values.
 ///
@@ -210,7 +248,7 @@ pub(crate) struct Factor {
     /// BTRAN scratch (`y`), reused across pivots, phases and warm solves.
     pub(crate) scratch_y: Vec<f64>,
     /// FTRAN scratch (`w`), reused across pivots and phases.
-    scratch_w: Vec<f64>,
+    scratch_w: Column,
     /// Dual pricing-row scratch (`ρ`), reused across dual pivots.
     scratch_rho: Vec<f64>,
 }
@@ -249,7 +287,7 @@ impl Factor {
             pivots_since_refactor: 0,
             refactor_every,
             scratch_y: vec![0.0; m],
-            scratch_w: vec![0.0; m],
+            scratch_w: Column::new(m, sparse),
             scratch_rho: vec![0.0; m],
         }
     }
@@ -294,7 +332,7 @@ impl Factor {
             pivots_since_refactor: 0,
             refactor_every,
             scratch_y: vec![0.0; sf.m],
-            scratch_w: vec![0.0; sf.m],
+            scratch_w: Column::new(sf.m, sparse),
             scratch_rho: vec![0.0; sf.m],
         };
         // Repairing factorisation: a snapshot that went (near-)singular
@@ -320,6 +358,15 @@ impl Factor {
         match &self.repr {
             Repr::Dense(_) => sf.basis_nnz(&self.basis),
             Repr::Sparse(lu) => lu.basis_nnz,
+        }
+    }
+
+    /// How much of the sparse LU the solves walked so far (all zero on the
+    /// dense inverse).
+    pub(crate) fn solve_counts(&self) -> SolveCounts {
+        match &self.repr {
+            Repr::Dense(_) => SolveCounts::default(),
+            Repr::Sparse(lu) => lu.counts,
         }
     }
 
@@ -355,9 +402,10 @@ impl Factor {
     }
 
     /// `w = B⁻¹ a_j` from the sparse column.
-    pub(crate) fn ftran(&mut self, sf: &StandardForm, j: usize, w: &mut [f64]) {
+    pub(crate) fn ftran(&mut self, sf: &StandardForm, j: usize, w: &mut Column) {
         match &mut self.repr {
             Repr::Dense(d) => {
+                let w = &mut w.val;
                 w.iter_mut().for_each(|v| *v = 0.0);
                 for &(r, a) in &sf.cols[j] {
                     let col = &d.binv[..];
@@ -369,19 +417,19 @@ impl Factor {
                     }
                 }
             }
-            Repr::Sparse(lu) => lu.ftran(&sf.cols[j], w),
+            Repr::Sparse(lu) => lu.ftran(&sf.cols[j], &mut w.val, &mut w.pat),
         }
     }
 
     /// `w = B⁻¹ e_row` — column `row` of the inverse.
-    pub(crate) fn ftran_unit(&mut self, row: usize, w: &mut [f64]) {
+    pub(crate) fn ftran_unit(&mut self, row: usize, w: &mut Column) {
         match &mut self.repr {
             Repr::Dense(d) => {
                 for i in 0..self.m {
-                    w[i] = d.binv[i * self.m + row];
+                    w.val[i] = d.binv[i * self.m + row];
                 }
             }
-            Repr::Sparse(lu) => lu.ftran(&[(row, 1.0)], w),
+            Repr::Sparse(lu) => lu.ftran(&[(row, 1.0)], &mut w.val, &mut w.pat),
         }
     }
 
@@ -491,7 +539,7 @@ impl Factor {
         }
         let mut w = std::mem::take(&mut self.scratch_w);
         self.ftran(sf, e, &mut w);
-        let ok = w[pos].abs() > PIVOT_TOL;
+        let ok = w.val[pos].abs() > PIVOT_TOL;
         if ok {
             self.update(pos, e, &w);
         }
@@ -506,7 +554,9 @@ impl Factor {
     /// another solve (a drifted `B⁻¹` sends the dual phase on a degenerate
     /// random walk of pivots).
     pub(crate) fn xb_residual_inf(&mut self, sf: &StandardForm) -> f64 {
-        let mut res = std::mem::take(&mut self.scratch_w);
+        // (`scratch_w` is off limits for dense writes: it is zero outside
+        // its pattern.)
+        let mut res = std::mem::take(&mut self.scratch_rho);
         res.copy_from_slice(&sf.b);
         for (pos, &j) in self.basis.iter().enumerate() {
             let x = self.xb[pos];
@@ -517,7 +567,7 @@ impl Factor {
             }
         }
         let worst = res.iter().fold(0.0f64, |acc, &v| acc.max(v.abs()));
-        self.scratch_w = res;
+        self.scratch_rho = res;
         worst
     }
 
@@ -711,7 +761,7 @@ impl Factor {
         let m = self.m;
         let mut u = std::mem::take(&mut self.scratch_w);
         self.ftran_unit(row, &mut u);
-        let denom = 1.0 + delta * u[pos];
+        let denom = 1.0 + delta * u.val[pos];
         // (A NaN denominator takes the eviction branch too.)
         let rank1_safe = denom.abs() >= RANK1_MIN_DENOM;
         if !rank1_safe {
@@ -723,14 +773,13 @@ impl Factor {
             };
             return (repair, denom);
         }
-        for v in u.iter_mut() {
-            *v *= delta;
-        }
+        u.scale(delta);
         let inv_denom = 1.0 / denom;
         match &mut self.repr {
             // Column pos of E is e_pos + u: pivot `denom`, off entries u.
-            Repr::Sparse(lu) => lu.append_eta(pos, denom, &u, 0.0),
+            Repr::Sparse(lu) => lu.append_eta(pos, denom, &u.val, &u.pat, 0.0),
             Repr::Dense(dense) => {
+                let u = &u.val;
                 // Rows i ≠ pos read the *old* row pos, so it must be
                 // corrected last: its own correction works out to a plain
                 // scaling by 1/denom (`new = old − (u_pos/denom)·old =
@@ -761,8 +810,8 @@ impl Factor {
             // `x_B ← x_B − u · x_B[pos]/denom` (the pos entry lands on
             // `x_B[pos]/denom` by the identity above).
             let f = self.xb[pos] * inv_denom;
-            for i in 0..m {
-                self.xb[i] -= u[i] * f;
+            for i in u.rows() {
+                self.xb[i] -= u.val[i] * f;
             }
         }
         self.scratch_w = u;
@@ -778,12 +827,13 @@ impl Factor {
     /// decided on: an eviction pivot between patches may run this on a
     /// stale sparse `x_B`, and whatever it writes is overwritten by the
     /// pending [`Factor::flush_xb`].
-    pub(crate) fn update(&mut self, r: usize, e: usize, w: &[f64]) {
+    pub(crate) fn update(&mut self, r: usize, e: usize, w: &Column) {
         let m = self.m;
-        let pivot = w[r];
+        let pivot = w.val[r];
         let theta = self.xb[r] / pivot;
         match &mut self.repr {
             Repr::Dense(dense) => {
+                let w = &w.val;
                 let inv_p = 1.0 / pivot;
                 for j in 0..m {
                     dense.binv[r * m + j] *= inv_p;
@@ -808,10 +858,10 @@ impl Factor {
                 }
             }
             Repr::Sparse(lu) => {
-                lu.append_eta(r, pivot, w, 1e-13);
-                for i in 0..m {
+                lu.append_eta(r, pivot, &w.val, &w.pat, 1e-13);
+                for i in w.rows() {
                     if i != r {
-                        let f = w[i];
+                        let f = w.val[i];
                         if f.abs() > 1e-13 {
                             self.xb[i] -= theta * f;
                             if self.xb[i] < 0.0 && self.xb[i] > -FEAS_TOL {
@@ -877,9 +927,8 @@ impl Factor {
         max_iter: usize,
         stall_limit: usize,
         y: &mut [f64],
-        w: &mut [f64],
+        w: &mut Column,
     ) -> Result<PhaseEnd, LpError> {
-        let m = self.m;
         let mut bland = false;
         let mut stall = 0usize;
         let mut last_obj = self.objective(costs);
@@ -923,9 +972,9 @@ impl Factor {
             let mut leaving = None;
             if evict_artificials {
                 let mut best_abs = PIVOT_TOL;
-                for i in 0..m {
+                for i in w.rows() {
                     if sf.is_artificial[self.basis[i]] {
-                        let v = w[i].abs();
+                        let v = w.val[i].abs();
                         if v > best_abs {
                             best_abs = v;
                             leaving = Some(i);
@@ -936,9 +985,9 @@ impl Factor {
             if leaving.is_none() {
                 let mut best_ratio = f64::INFINITY;
                 let mut best_basis = usize::MAX;
-                for i in 0..m {
-                    if w[i] > PIVOT_TOL {
-                        let ratio = self.xb[i] / w[i];
+                for i in w.rows() {
+                    if w.val[i] > PIVOT_TOL {
+                        let ratio = self.xb[i] / w.val[i];
                         if ratio < best_ratio - 1e-12
                             || (ratio < best_ratio + 1e-12 && self.basis[i] < best_basis)
                         {
@@ -1058,7 +1107,8 @@ impl Factor {
             self.ftran(sf, e, &mut w);
             // The FTRAN pivot element must agree with the pricing row; a
             // disagreement means B⁻¹ drifted — refactorise once and retry.
-            if w[r] * want_sign <= PIVOT_TOL || (w[r] - a_re).abs() > 1e-6 * (1.0 + a_re.abs()) {
+            let w_r = w.val[r];
+            if w_r * want_sign <= PIVOT_TOL || (w_r - a_re).abs() > 1e-6 * (1.0 + a_re.abs()) {
                 if retried_after_refactor {
                     break Err(LpError::NumericalBreakdown("dual pivot row"));
                 }
@@ -1395,9 +1445,9 @@ mod tests {
                         let probe = if let Repr::Dense(d) = &f.repr {
                             1.0 + delta * d.binv[pos * sf.m + row]
                         } else {
-                            let mut w = vec![0.0; sf.m];
+                            let mut w = Column::new(sf.m, true);
                             f.ftran_unit(row, &mut w);
-                            1.0 + delta * w[pos]
+                            1.0 + delta * w.val[pos]
                         };
                         let (repair, denom) =
                             f.repair_basic_column(&patched, &slack_cols, row, pos, delta);
@@ -1429,6 +1479,7 @@ mod tests {
 mod sparse_dense_props {
     use super::*;
     use crate::model::{ConstraintOp, Model, Sense};
+    use crate::same_bits;
     use proptest::prelude::*;
 
     /// Random block-structured LP in the shape of the paper's formulation:
@@ -1479,6 +1530,74 @@ mod sparse_dense_props {
         })
     }
 
+    /// Holds every pattern-carrying solve of a sparse factor against the
+    /// retained sweep: FTRAN of every column and every unit column (through
+    /// the factor's own scratch column, so each call inherits the previous
+    /// call's pattern), BTRAN of the cost row and of every unit row.
+    fn check_kernels(f: &mut Factor, sf: &StandardForm, at: &str) -> Result<(), TestCaseError> {
+        let m = sf.m;
+        let mut want = vec![0.0; m];
+
+        let units: Vec<[(usize, f64); 1]> = (0..m).map(|row| [(row, 1.0)]).collect();
+        let columns = sf.cols.iter().map(Vec::as_slice);
+        let mut w = std::mem::take(&mut f.scratch_w);
+        for (j, rhs) in columns.chain(units.iter().map(|u| &u[..])).enumerate() {
+            let Repr::Sparse(lu) = &mut f.repr else {
+                unreachable!("kernel oracles run on the sparse LU");
+            };
+            lu.ftran(rhs, &mut w.val, &mut w.pat);
+            lu.ftran_sweep(rhs, &mut want);
+            prop_assert!(
+                w.pat.windows(2).all(|p| p[0] < p[1]),
+                "{at}: ftran {j}: pattern {:?} not ascending",
+                w.pat
+            );
+            for i in 0..m {
+                prop_assert!(
+                    same_bits(w.val[i], want[i]),
+                    "{at}: ftran {j} pos {i}: {:e} vs sweep {:e}",
+                    w.val[i],
+                    want[i]
+                );
+                prop_assert!(
+                    w.val[i] == 0.0 || w.pat.binary_search(&(i as u32)).is_ok(),
+                    "{at}: ftran {j}: non-zero at {i} outside pattern {:?}",
+                    w.pat
+                );
+            }
+        }
+        f.scratch_w = w;
+
+        // `None`: the cost row; `Some(pos)`: the unit row of a position.
+        let mut y = vec![0.0; m];
+        let basis = f.basis.clone();
+        for unit in std::iter::once(None).chain((0..m).map(Some)) {
+            match unit {
+                None => f.btran(&sf.c, &mut y),
+                Some(pos) => f.btran_unit(pos, &mut y),
+            }
+            let Repr::Sparse(lu) = &mut f.repr else {
+                unreachable!("kernel oracles run on the sparse LU");
+            };
+            lu.btran_sweep(
+                |p| match unit {
+                    None => sf.c[basis[p]],
+                    Some(pos) => f64::from(u8::from(p == pos)),
+                },
+                &mut want,
+            );
+            for i in 0..m {
+                prop_assert!(
+                    same_bits(y[i], want[i]),
+                    "{at}: btran {unit:?} row {i}: {:e} vs sweep {:e}",
+                    y[i],
+                    want[i]
+                );
+            }
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -1515,18 +1634,19 @@ mod sparse_dense_props {
             let mut factor_s =
                 Factor::from_basis(&sf, &factor_d.basis, 128, true).unwrap();
             let m_rows = sf.m;
-            let mut wd = vec![0.0; m_rows];
-            let mut ws = vec![0.0; m_rows];
+            let mut wd = Column::new(m_rows, false);
+            let mut ws = Column::new(m_rows, true);
             for j in 0..sf.n_cols {
                 factor_d.ftran(&sf, j, &mut wd);
                 factor_s.ftran(&sf, j, &mut ws);
                 for i in 0..m_rows {
                     prop_assert!(
-                        (wd[i] - ws[i]).abs() <= 1e-7 * (1.0 + wd[i].abs()),
-                        "ftran col {} row {}: dense {} sparse {}", j, i, wd[i], ws[i]
+                        (wd.val[i] - ws.val[i]).abs() <= 1e-7 * (1.0 + wd.val[i].abs()),
+                        "ftran col {} row {}: dense {} sparse {}", j, i, wd.val[i], ws.val[i]
                     );
                 }
             }
+            let (mut wd, mut ws) = (wd.val, vec![0.0; m_rows]);
             factor_d.btran(&sf.c, &mut wd);
             factor_s.btran(&sf.c, &mut ws);
             for i in 0..m_rows {
@@ -1534,6 +1654,74 @@ mod sparse_dense_props {
                     (wd[i] - ws[i]).abs() <= 1e-7 * (1.0 + wd[i].abs()),
                     "btran row {}: dense {} sparse {}", i, wd[i], ws[i]
                 );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Kernel oracle: on a forced sparse LU the reach-ordered FTRAN and
+        /// the zero-skipping BTRAN equal the dense sweeps bit for bit (up
+        /// to the sign of zero), with an ascending pattern covering every
+        /// non-zero — after every pivot of a solve that refactorises every
+        /// 3 pivots (to the optimum, then back out under the negated
+        /// objective, so pivots land on real `L̃Ũ` factors plus etas), after
+        /// a rank-1 column repair, after an eviction, and after a
+        /// refactorisation that substitutes a dependent column.
+        #[test]
+        fn pattern_kernels_match_the_dense_sweeps(model in random_block_lp()) {
+            let sf = StandardForm::from_model(&model).unwrap();
+            let slack_cols = crate::warm::slack_columns(&sf);
+            let mut f = Factor::new(&sf, 3, true);
+            check_kernels(&mut f, &sf, "identity")?;
+            let negated: Vec<f64> = sf.c.iter().map(|c| -c).collect();
+            let mut pivots = 0;
+            for costs in [&sf.c, &negated] {
+                // One pivot per call: the phase reports its cap as an error.
+                loop {
+                    match f.run_phase(&sf, costs, &sf.is_artificial, true, 1, 256) {
+                        Err(LpError::IterationLimit { .. }) => {}
+                        Ok(_) => break,
+                        Err(e) => panic!("phase 2: {e:?}"),
+                    }
+                    pivots += 1;
+                    check_kernels(&mut f, &sf, &format!("pivot {pivots}"))?;
+                    prop_assert!(pivots < 500, "phase 2 did not terminate");
+                }
+            }
+
+            // A basic structural column to patch, evict and duplicate.
+            let Some(pos) = (0..sf.m).find(|&p| f.basis[p] < sf.n_structural) else {
+                return Ok(());
+            };
+            let j = f.basis[pos];
+
+            // Rank-1 repair: re-weight one entry of the basic column.
+            let (row, a) = sf.cols[j][0];
+            let mut patched = sf.clone();
+            patched.cols[j][0].1 = a + 0.37;
+            let mut g = f.clone();
+            let (repair, _) = g.repair_basic_column(&patched, &slack_cols, row, pos, 0.37);
+            if repair != ColumnRepair::Refactor {
+                check_kernels(&mut g, &patched, &format!("{repair:?}"))?;
+            }
+
+            // Eviction: pivot the column out for a slack.
+            let mut g = f.clone();
+            if g.evict_position(&sf, pos, &slack_cols) {
+                check_kernels(&mut g, &sf, "eviction")?;
+            }
+
+            // Dependent column: a second basic column becomes a copy of
+            // the first, and the repairing refactorisation swaps one out.
+            if let Some(other) = (0..sf.m).find(|&p| p != pos && f.basis[p] < sf.n_structural) {
+                let mut patched = sf.clone();
+                patched.cols[f.basis[other]] = patched.cols[j].clone();
+                let mut g = f.clone();
+                let replaced = g.refactor_repair(&patched).unwrap();
+                prop_assert!(replaced >= 1, "a duplicated column must be replaced");
+                check_kernels(&mut g, &patched, "dependent column")?;
             }
         }
     }

@@ -12,6 +12,13 @@
 //!
 //! Both the dense tableau simplex and the revised simplex consume this
 //! representation; columns are stored sparsely as `(row, coefficient)` lists.
+//!
+//! Lowering costs O(nnz + rows + vars): a solve at K = 400 lowers its model
+//! three times (LPRG, the warm context, the cold path's re-lowering), so a
+//! per-constraint pass over all variables — 2600 × 3201 there — used to
+//! cost more than a hundred pivots. The order of the entries inside each
+//! column is part of the output: it fixes the summation order of every
+//! reduced cost, so it must not depend on how the terms were merged.
 
 use crate::model::{ConstraintOp, Model, Sense};
 use crate::LpError;
@@ -83,35 +90,67 @@ struct Row {
     origin: Result<usize, usize>,
 }
 
+/// Steps 1–2 for the user constraints: merges duplicate terms and applies
+/// the lower-bound shift, one [`Row`] per constraint, in O(nnz).
+///
+/// One accumulator (`acc`, zero outside `touched`) is reused across
+/// constraints. The float contract is that of a dense per-constraint
+/// accumulator scanned left to right, which the test-only
+/// `dense_constraint_rows` still is: duplicates are summed in term order,
+/// terms come out in ascending variable index (that order is the entry order
+/// of every standard-form column, hence the summation order of every reduced
+/// cost), the shift is summed over the same ascending indices (the entries a
+/// dense scan would add in between are zeros), and a coefficient that
+/// cancels exactly is dropped.
+fn constraint_rows(model: &Model, lo_shift: &[f64]) -> Vec<Row> {
+    let n = model.num_vars();
+    let mut acc = vec![0.0f64; n];
+    let mut seen = vec![false; n];
+    let mut touched: Vec<usize> = Vec::new();
+    let mut rows = Vec::with_capacity(model.num_constraints() + n);
+    for (ci, con) in model.cons.iter().enumerate() {
+        for &(v, a) in &con.terms {
+            let j = v.index();
+            if !seen[j] {
+                seen[j] = true;
+                touched.push(j);
+            }
+            acc[j] += a;
+        }
+        touched.sort_unstable();
+        let shift: f64 = touched.iter().map(|&j| acc[j] * lo_shift[j]).sum();
+        let terms: Vec<(usize, f64)> = touched
+            .iter()
+            .filter(|&&j| acc[j] != 0.0)
+            .map(|&j| (j, acc[j]))
+            .collect();
+        for &j in &touched {
+            acc[j] = 0.0;
+            seen[j] = false;
+        }
+        touched.clear();
+        rows.push(Row {
+            terms,
+            op: con.op,
+            rhs: con.rhs - shift,
+            origin: Ok(ci),
+        });
+    }
+    rows
+}
+
 impl StandardForm {
     /// Lowers `model`, validating it first.
     pub fn from_model(model: &Model) -> Result<Self, LpError> {
         model.validate()?;
-        let n = model.num_vars();
         let lo_shift: Vec<f64> = model.vars.iter().map(|v| v.lo).collect();
+        let rows = constraint_rows(model, &lo_shift);
+        Ok(Self::assemble(model, lo_shift, rows))
+    }
 
-        // 1–2: build shifted rows, including upper-bound rows.
-        let mut rows: Vec<Row> = Vec::with_capacity(model.num_constraints() + n);
-        for (ci, con) in model.cons.iter().enumerate() {
-            // Merge duplicate variables and apply the lower-bound shift.
-            let mut dense: Vec<f64> = vec![0.0; n];
-            for &(v, a) in &con.terms {
-                dense[v.index()] += a;
-            }
-            let shift: f64 = dense.iter().zip(&lo_shift).map(|(a, lo)| a * lo).sum();
-            let terms: Vec<(usize, f64)> = dense
-                .iter()
-                .enumerate()
-                .filter(|(_, &a)| a != 0.0)
-                .map(|(j, &a)| (j, a))
-                .collect();
-            rows.push(Row {
-                terms,
-                op: con.op,
-                rhs: con.rhs - shift,
-                origin: Ok(ci),
-            });
-        }
+    /// Steps 2–6 from the merged, shifted constraint rows.
+    fn assemble(model: &Model, lo_shift: Vec<f64>, mut rows: Vec<Row>) -> Self {
+        let n = model.num_vars();
         for (j, v) in model.vars.iter().enumerate() {
             if v.up.is_finite() {
                 rows.push(Row {
@@ -215,7 +254,7 @@ impl StandardForm {
             c[j] = flip * v.obj;
         }
 
-        Ok(StandardForm {
+        StandardForm {
             n_structural: n,
             n_cols: cols.len(),
             m,
@@ -228,7 +267,7 @@ impl StandardForm {
             n_artificial,
             row_origin,
             maximise: model.sense() == Sense::Maximize,
-        })
+        }
     }
 
     /// Maps standard-space duals (one per standard row, minimisation sense)
@@ -380,11 +419,156 @@ mod tests {
     }
 
     #[test]
+    fn duplicates_that_cancel_are_dropped() {
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.add_var("x", 0.0, f64::INFINITY);
+        let y = m.add_var("y", 2.0, f64::INFINITY);
+        m.add_constraint(vec![(y, 0.3), (x, 4.0), (y, -0.3)], ConstraintOp::Le, 6.0);
+        let sf = StandardForm::from_model(&m).unwrap();
+        assert_eq!(sf.cols[0].len(), 1);
+        assert!(sf.cols[1].is_empty(), "0.3 + (−0.3) must leave no entry");
+        assert_eq!(sf.b[0], 1.5); // no shift from the cancelled y
+    }
+
+    #[test]
     fn maximisation_negates_costs() {
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_var("x", 0.0, 1.0);
         m.set_objective_coef(x, 3.0);
         let sf = StandardForm::from_model(&m).unwrap();
         assert_eq!(sf.c[0], -3.0);
+    }
+
+    /// The lowering `constraint_rows` replaced, kept as its oracle: one
+    /// dense accumulator per constraint, scanned left to right for the
+    /// shift and again for the terms — O(rows × vars).
+    fn dense_constraint_rows(model: &Model, lo_shift: &[f64]) -> Vec<Row> {
+        let n = model.num_vars();
+        let mut rows = Vec::new();
+        for (ci, con) in model.cons.iter().enumerate() {
+            let mut dense: Vec<f64> = vec![0.0; n];
+            for &(v, a) in &con.terms {
+                dense[v.index()] += a;
+            }
+            let shift: f64 = dense.iter().zip(lo_shift).map(|(a, lo)| a * lo).sum();
+            let terms: Vec<(usize, f64)> = dense
+                .iter()
+                .enumerate()
+                .filter(|(_, &a)| a != 0.0)
+                .map(|(j, &a)| (j, a))
+                .collect();
+            rows.push(Row {
+                terms,
+                op: con.op,
+                rhs: con.rhs - shift,
+                origin: Ok(ci),
+            });
+        }
+        rows
+    }
+
+    fn same_all(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| crate::same_bits(x, y))
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+
+        /// A random model built to hit every branch of the merge: repeated
+        /// variables, pairs that cancel exactly, unsorted terms, non-zero
+        /// (also negative) lower bounds, all three row senses, negative
+        /// right-hand sides and empty rows.
+        fn random_model(seed: u64, n: usize, rows: usize) -> Model {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let sense = if rng.gen_bool(0.5) {
+                Sense::Maximize
+            } else {
+                Sense::Minimize
+            };
+            let mut m = Model::new(sense);
+            let vars: Vec<_> = (0..n)
+                .map(|j| {
+                    let lo = match rng.gen_range(0..3) {
+                        0 => 0.0,
+                        1 => rng.gen_range(0.5..3.0),
+                        _ => rng.gen_range(-3.0..-0.5),
+                    };
+                    let up = if rng.gen_bool(0.5) {
+                        lo + rng.gen_range(0.0..4.0)
+                    } else {
+                        f64::INFINITY
+                    };
+                    let v = m.add_var(format!("x{j}"), lo, up);
+                    m.set_objective_coef(v, rng.gen_range(-2.0..2.0));
+                    v
+                })
+                .collect();
+            for _ in 0..rows {
+                let mut terms = Vec::new();
+                for _ in 0..rng.gen_range(0..2 * n) {
+                    let v = vars[rng.gen_range(0..n)];
+                    let a = rng.gen_range(-4.0..4.0);
+                    terms.push((v, a));
+                    match rng.gen_range(0..4) {
+                        0 => terms.push((v, -a)),
+                        1 => terms.push((v, rng.gen_range(-1.0..1.0))),
+                        _ => {}
+                    }
+                }
+                // Shuffle so a cancelling pair is not always adjacent.
+                for i in (1..terms.len()).rev() {
+                    terms.swap(i, rng.gen_range(0..i + 1));
+                }
+                let op = match rng.gen_range(0..3) {
+                    0 => ConstraintOp::Le,
+                    1 => ConstraintOp::Ge,
+                    _ => ConstraintOp::Eq,
+                };
+                m.add_constraint(terms, op, rng.gen_range(-5.0..5.0));
+            }
+            m
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// The O(nnz) lowering equals the dense-accumulator reference
+            /// field for field — entry order inside every column included.
+            #[test]
+            fn lowering_matches_dense_accumulator_reference(
+                seed in 0u64..u64::MAX,
+                n in 1usize..9,
+                rows in 0usize..8,
+            ) {
+                let model = random_model(seed, n, rows);
+                let got = StandardForm::from_model(&model).unwrap();
+                let lo_shift: Vec<f64> = model.vars.iter().map(|v| v.lo).collect();
+                let dense = dense_constraint_rows(&model, &lo_shift);
+                let want = StandardForm::assemble(&model, lo_shift, dense);
+
+                prop_assert_eq!(
+                    (got.n_structural, got.n_cols, got.m, got.n_artificial, got.maximise),
+                    (want.n_structural, want.n_cols, want.m, want.n_artificial, want.maximise)
+                );
+                prop_assert_eq!(&got.initial_basis, &want.initial_basis);
+                prop_assert_eq!(&got.is_artificial, &want.is_artificial);
+                prop_assert_eq!(&got.row_origin, &want.row_origin);
+                prop_assert!(same_all(&got.c, &want.c));
+                prop_assert!(same_all(&got.b, &want.b), "b: {:?} vs {:?}", got.b, want.b);
+                prop_assert!(same_all(&got.lo_shift, &want.lo_shift));
+                for (j, (g, w)) in got.cols.iter().zip(&want.cols).enumerate() {
+                    prop_assert_eq!(g.len(), w.len(), "column {}", j);
+                    for (&(gr, gv), &(wr, wv)) in g.iter().zip(w) {
+                        prop_assert!(
+                            gr == wr && gv.to_bits() == wv.to_bits(),
+                            "column {}: ({}, {}) vs ({}, {})", j, gr, gv, wr, wv
+                        );
+                    }
+                }
+            }
+        }
     }
 }

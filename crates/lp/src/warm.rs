@@ -151,6 +151,19 @@ pub struct FactorStats {
     pub fill_ratio: f64,
     /// Full refactorisations performed over the factor's lifetime.
     pub refactorisations: u64,
+    /// Sparse-input FTRANs run on the sparse LU over the factor's lifetime
+    /// (entering columns, unit columns of the repair paths). This and the
+    /// three counts below stay 0 on the dense inverse.
+    pub sparse_ftrans: u64,
+    /// `Ũ` rows those FTRANs back-substituted through. Divided by
+    /// `sparse_ftrans` it reads "rows visited per FTRAN": a sweep of the
+    /// factor would visit every one of the `m` rows each time.
+    pub ftran_u_rows: u64,
+    /// BTRANs run on the sparse LU (pricing vectors and unit rows).
+    pub btrans: u64,
+    /// Non-zero entries of the BTRAN inputs that reached the `Ũᵀ`
+    /// substitution (each costs one division and one scatter).
+    pub btran_nz_rows: u64,
 }
 
 /// A failure queued by [`WarmSimplex::debug_inject_fault`]: deterministic
@@ -399,11 +412,16 @@ impl WarmSimplex {
         self.factor.as_ref().map(|f| {
             let factor_nnz = f.factor_nnz();
             let basis_nnz = f.basis_nnz(&self.sf).max(1);
+            let counts = f.solve_counts();
             FactorStats {
                 factor_nnz,
                 basis_nnz,
                 fill_ratio: factor_nnz as f64 / basis_nnz as f64,
                 refactorisations: f.refactor_count,
+                sparse_ftrans: counts.ftrans,
+                ftran_u_rows: counts.ftran_u_rows,
+                btrans: counts.btrans,
+                btran_nz_rows: counts.btran_nz_rows,
             }
         })
     }
