@@ -207,6 +207,11 @@ fn committed_snapshot_restores_and_finishes_like_the_uninterrupted_run() {
 
     let json = std::fs::read_to_string(&path).expect("committed fixture");
     let snap = ScenarioSnapshot::from_json(&json).expect("fixture parses");
+    assert_eq!(
+        snap.to_json(),
+        json,
+        "parse then print must reproduce the committed snapshot byte for byte"
+    );
     let mut policy = greedy();
     let mut resumed = ScenarioSession::restore(&inst, sc.clone(), cfg.clone(), &snap, &mut policy)
         .expect("fixture restores");
