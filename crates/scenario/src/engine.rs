@@ -306,7 +306,8 @@ impl ScenarioSnapshot {
                 ));
             }
         }
-        serde_json::from_str(json).map_err(|e| ScenarioError::Snapshot(e.to_string()))
+        // The tree the probe read is the one parse of `json`.
+        ScenarioSnapshot::from_value(&value).map_err(|e| ScenarioError::Snapshot(e.to_string()))
     }
 }
 

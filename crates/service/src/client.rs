@@ -3,7 +3,10 @@
 //! response are buffered and drained with [`Client::drain_pushes`] /
 //! [`Client::wait_push`].
 
-use crate::proto::{frame, Op, PushFrame, Request, RespBody, Response};
+use crate::proto::{
+    frame_into, Op, PushFrame, Request, RespBody, Response, ServerFrame, FRAME_BUF,
+};
+use serde::Deserialize;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -44,6 +47,11 @@ pub struct Client {
     writer: TcpStream,
     next_id: u64,
     pushes: VecDeque<PushFrame>,
+    /// The request being sent (reused).
+    out: String,
+    /// The frame being read (reused). Between calls it holds the prefix of
+    /// a frame a timed-out read left unfinished, or nothing.
+    line: Vec<u8>,
 }
 
 impl Client {
@@ -53,10 +61,12 @@ impl Client {
         stream.set_nodelay(true).ok();
         let writer = stream.try_clone()?;
         Ok(Client {
-            reader: BufReader::new(stream),
+            reader: BufReader::with_capacity(FRAME_BUF, stream),
             writer,
             next_id: 1,
             pushes: VecDeque::new(),
+            out: String::new(),
+            line: Vec::with_capacity(FRAME_BUF),
         })
     }
 
@@ -65,20 +75,17 @@ impl Client {
     pub fn request(&mut self, op: Op) -> Result<Response, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        self.writer
-            .write_all(frame(&Request { id, op }).as_bytes())?;
+        self.out.clear();
+        frame_into(&Request { id, op }, &mut self.out);
+        self.writer.write_all(self.out.as_bytes())?;
         loop {
-            let line = self.read_frame()?;
-            let value = serde_json::from_str_value(&line)
-                .map_err(|e| ClientError::Protocol(format!("bad frame from daemon: {e}")))?;
-            if value.get("push").is_some() {
-                let push: PushFrame = serde_json::from_str(&line)
-                    .map_err(|e| ClientError::Protocol(format!("bad push frame: {e}")))?;
-                self.pushes.push_back(push);
-                continue;
-            }
-            let resp: Response = serde_json::from_str(&line)
-                .map_err(|e| ClientError::Protocol(format!("bad response frame: {e}")))?;
+            let resp = match self.read_frame()? {
+                ServerFrame::Push(push) => {
+                    self.pushes.push_back(push);
+                    continue;
+                }
+                ServerFrame::Response(resp) => resp,
+            };
             if resp.id != id {
                 return Err(ClientError::Protocol(format!(
                     "response id {} does not match request id {id}",
@@ -116,39 +123,38 @@ impl Client {
         self.reader.get_ref().set_read_timeout(Some(timeout))?;
         let result = self.read_frame();
         self.reader.get_ref().set_read_timeout(None)?;
-        let line = match result {
-            Ok(line) => line,
+        match result {
+            Ok(push) => Ok(Some(push)),
+            // A frame the timeout cut short stays in `line`; the next read
+            // resumes it.
             Err(ClientError::Io(e))
                 if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
             {
-                return Ok(None);
+                Ok(None)
             }
-            Err(e) => return Err(e),
-        };
-        let push: PushFrame = serde_json::from_str(&line)
-            .map_err(|e| ClientError::Protocol(format!("bad push frame: {e}")))?;
-        Ok(Some(push))
+            Err(e) => Err(e),
+        }
     }
 
-    fn read_frame(&mut self) -> Result<String, ClientError> {
-        let mut line = String::new();
+    /// Reads the next non-blank line and decodes it, once, as a `T`.
+    fn read_frame<T: Deserialize>(&mut self) -> Result<T, ClientError> {
         loop {
-            line.clear();
-            match self.reader.read_line(&mut line) {
-                Ok(0) => {
-                    return Err(ClientError::Io(std::io::Error::new(
-                        ErrorKind::UnexpectedEof,
-                        "daemon closed the connection",
-                    )))
-                }
-                Ok(_) => {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    return Ok(line.trim().to_string());
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(ClientError::Io(e)),
+            let read = self.reader.read_until(b'\n', &mut self.line)?;
+            if read == 0 && self.line.is_empty() {
+                return Err(ClientError::Io(std::io::Error::new(
+                    ErrorKind::UnexpectedEof,
+                    "daemon closed the connection",
+                )));
+            }
+            let decoded = match std::str::from_utf8(&self.line).map(str::trim) {
+                Ok("") => None,
+                Ok(text) => Some(serde_json::from_str(text).map_err(|e| e.to_string())),
+                Err(e) => Some(Err(e.to_string())),
+            };
+            self.line.clear();
+            if let Some(frame) = decoded {
+                return frame
+                    .map_err(|e| ClientError::Protocol(format!("bad frame from daemon: {e}")));
             }
         }
     }

@@ -21,7 +21,8 @@ pub mod tenant;
 
 pub use client::{Client, ClientError};
 pub use proto::{
-    frame, Op, Push, PushFrame, Request, RespBody, Response, TenantSpec, PROTOCOL_VERSION,
+    frame, Op, Push, PushFrame, Request, RespBody, Response, ServerFrame, TenantSpec,
+    PROTOCOL_VERSION,
 };
 pub use server::{install_signal_handlers, Server, ServiceConfig};
 pub use tenant::{CheckpointFile, Tenant, CHECKPOINT_VERSION};

@@ -3,12 +3,16 @@
 //! Every client→server frame is a [`Request`] (`{"id": N, "op": ...}`);
 //! every server→client frame is either a [`Response`] carrying the
 //! matching `id`, or — on connections that issued [`Op::Subscribe`] — an
-//! unsolicited [`Push`] frame (distinguished by its `push` key). Enums
+//! unsolicited [`Push`] frame (distinguished by `push` being its first
+//! key; [`ServerFrame`] decodes either in one pass). Enums
 //! are externally tagged (`{"Submit": {...}}`), unit variants are bare
 //! strings (`"ListTenants"`), matching the repo-wide serde conventions.
+//!
+//! The bytes of every frame shape are pinned by `tests/wire_golden.rs`.
 
 use dls_scenario::{JobSpec, PlatformEvent, ScenarioReport};
-use serde::{Deserialize, Serialize};
+use serde::de::Parser;
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Wire version of the request/response schema, echoed by
 /// [`RespBody::Hello`] so clients can detect skew.
@@ -171,8 +175,8 @@ pub enum RespBody {
     ShuttingDown,
 }
 
-/// An unsolicited server→subscriber frame. The `push` key (never present
-/// in a [`Response`]) is what clients dispatch on.
+/// An unsolicited server→subscriber frame. The `push` key (its first and
+/// only one, never present in a [`Response`]) is what clients dispatch on.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PushFrame {
     /// What happened.
@@ -207,12 +211,49 @@ pub enum Push {
     },
 }
 
+/// Any server→client frame, told apart by its first key.
+#[derive(Debug, Clone)]
+pub enum ServerFrame {
+    /// An unsolicited subscription frame.
+    Push(PushFrame),
+    /// The answer to a request.
+    Response(Response),
+}
+
+impl Deserialize for ServerFrame {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        match v.as_object().and_then(<[_]>::first) {
+            Some((key, _)) if key == "push" => PushFrame::from_value(v).map(ServerFrame::Push),
+            _ => Response::from_value(v).map(ServerFrame::Response),
+        }
+    }
+
+    fn from_json(p: &mut Parser<'_>) -> Result<Self, DeError> {
+        if p.first_key_is("push") {
+            PushFrame::from_json(p).map(ServerFrame::Push)
+        } else {
+            Response::from_json(p).map(ServerFrame::Response)
+        }
+    }
+}
+
+/// Bytes a reader's frame buffer starts with: room for a report frame of a
+/// recorded-events tenant (≈ 33 KB at K = 8), so reading one is a single
+/// fill and no regrowth.
+pub(crate) const FRAME_BUF: usize = 64 * 1024;
+
 /// Serialises one frame (request, response, or push) to its wire form:
 /// compact JSON plus the terminating newline.
 pub fn frame<T: Serialize>(value: &T) -> String {
-    let mut s = serde_json::to_string(value).expect("frame serialisation cannot fail");
-    s.push('\n');
+    let mut s = String::new();
+    frame_into(value, &mut s);
     s
+}
+
+/// [`frame`], appended to a buffer the caller reuses.
+pub(crate) fn frame_into<T: Serialize>(value: &T, out: &mut String) {
+    value.write_json(out);
+    out.push('\n');
 }
 
 #[cfg(test)]
@@ -281,5 +322,18 @@ mod tests {
         let v = serde_json::from_str_value(push.trim()).unwrap();
         assert!(v.get("push").is_some());
         assert!(v.get("id").is_none());
+        // One pass tells them apart, streamed or through the tree.
+        let streamed: ServerFrame = serde_json::from_str(push.trim()).unwrap();
+        assert!(matches!(streamed, ServerFrame::Push(_)));
+        assert!(matches!(
+            ServerFrame::from_value(&v).unwrap(),
+            ServerFrame::Push(_)
+        ));
+        let resp = frame(&Response::err(3, "no"));
+        let streamed: ServerFrame = serde_json::from_str(resp.trim()).unwrap();
+        assert!(matches!(
+            streamed,
+            ServerFrame::Response(Response { id: 3, .. })
+        ));
     }
 }

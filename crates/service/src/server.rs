@@ -16,7 +16,7 @@
 //! then checkpoints every tenant it owns and acknowledges, and `run`
 //! returns `Ok(())`.
 
-use crate::proto::{frame, Op, Request, RespBody, Response, PROTOCOL_VERSION};
+use crate::proto::{frame_into, Op, Request, RespBody, Response, FRAME_BUF, PROTOCOL_VERSION};
 use crate::tenant::{restore_all, valid_tenant_name, ConnHandle, Tenant};
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
@@ -94,9 +94,13 @@ fn pin(tenant: &str, workers: usize) -> usize {
     (h.finish() % workers as u64) as usize
 }
 
-fn send_frame<T: Serialize>(conn: &ConnHandle, value: &T) {
+/// Serialises `value` into `buf` (the calling thread's, reused), then takes
+/// the connection lock only to write the bytes.
+fn send_frame<T: Serialize>(conn: &ConnHandle, buf: &mut String, value: &T) {
+    buf.clear();
+    frame_into(value, buf);
     if let Ok(mut stream) = conn.lock() {
-        let _ = stream.write_all(frame(value).as_bytes());
+        let _ = stream.write_all(buf.as_bytes());
     }
 }
 
@@ -112,11 +116,12 @@ struct Worker {
 
 impl Worker {
     fn run(mut self, rx: mpsc::Receiver<WorkerMsg>) {
+        let mut out = String::new();
         while let Ok(msg) = rx.recv() {
             match msg {
                 WorkerMsg::Op { id, op, conn } => {
                     let resp = self.handle(id, op, &conn);
-                    send_frame(&conn, &resp);
+                    send_frame(&conn, &mut out, &resp);
                 }
                 WorkerMsg::Drain { ack } => {
                     self.drain();
@@ -338,6 +343,10 @@ impl Server {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     stream.set_nonblocking(false)?;
+                    // A subscribed connection gets a push frame and then
+                    // the response: without this the second small write
+                    // waits out the peer's delayed ACK (≈ 40 ms).
+                    stream.set_nodelay(true).ok();
                     let shared = self.shared.clone();
                     let senders = senders.clone();
                     thread::Builder::new()
@@ -380,8 +389,10 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>, senders: Vec<Sender<
         return;
     };
     let conn: ConnHandle = Arc::new(Mutex::new(write_half));
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut reader = BufReader::with_capacity(FRAME_BUF, stream);
+    let mut line = String::with_capacity(FRAME_BUF);
+    let mut out = String::new();
+    let mut reply = |resp: Response| send_frame(&conn, &mut out, &resp);
     loop {
         line.clear();
         match reader.read_line(&mut line) {
@@ -390,27 +401,25 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>, senders: Vec<Sender<
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => return,
         }
-        if line.trim().is_empty() {
+        let text = line.trim();
+        if text.is_empty() {
             continue;
         }
-        let req: Request = match serde_json::from_str(line.trim()) {
+        let req: Request = match serde_json::from_str(text) {
             Ok(r) => r,
             Err(e) => {
-                send_frame(&conn, &Response::err(0, format!("unparseable frame: {e}")));
+                reply(Response::err(0, format!("unparseable frame: {e}")));
                 continue;
             }
         };
         let Request { id, op } = req;
         match &op {
-            Op::Hello => send_frame(
-                &conn,
-                &Response::ok(
-                    id,
-                    RespBody::Hello {
-                        protocol: PROTOCOL_VERSION,
-                    },
-                ),
-            ),
+            Op::Hello => reply(Response::ok(
+                id,
+                RespBody::Hello {
+                    protocol: PROTOCOL_VERSION,
+                },
+            )),
             Op::ListTenants => {
                 let tenants: Vec<String> = shared
                     .registry
@@ -419,48 +428,42 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>, senders: Vec<Sender<
                     .keys()
                     .cloned()
                     .collect();
-                send_frame(&conn, &Response::ok(id, RespBody::Tenants { tenants }));
+                reply(Response::ok(id, RespBody::Tenants { tenants }));
             }
             Op::Shutdown => {
                 shared.shutdown.store(true, Ordering::SeqCst);
-                send_frame(&conn, &Response::ok(id, RespBody::ShuttingDown));
+                reply(Response::ok(id, RespBody::ShuttingDown));
             }
             _ => {
-                let tenant = op.tenant().expect("tenant-scoped op").to_string();
+                let tenant = op.tenant().expect("tenant-scoped op");
                 let worker = if matches!(op, Op::CreateTenant { .. }) {
-                    if !valid_tenant_name(&tenant) {
-                        send_frame(
-                            &conn,
-                            &Response::err(
-                                id,
-                                format!(
-                                    "invalid tenant name `{tenant}` \
-                                     (want [A-Za-z0-9_-], 1..=64 chars)"
-                                ),
+                    if !valid_tenant_name(tenant) {
+                        reply(Response::err(
+                            id,
+                            format!(
+                                "invalid tenant name `{tenant}` \
+                                 (want [A-Za-z0-9_-], 1..=64 chars)"
                             ),
-                        );
+                        ));
                         continue;
                     }
                     let mut registry = shared.registry.lock().expect("registry lock");
-                    if registry.contains_key(&tenant) {
+                    if registry.contains_key(tenant) {
                         drop(registry);
-                        send_frame(
-                            &conn,
-                            &Response::err(id, format!("tenant `{tenant}` already exists")),
-                        );
+                        reply(Response::err(
+                            id,
+                            format!("tenant `{tenant}` already exists"),
+                        ));
                         continue;
                     }
-                    let w = pin(&tenant, shared.workers);
-                    registry.insert(tenant.clone(), w);
+                    let w = pin(tenant, shared.workers);
+                    registry.insert(tenant.to_string(), w);
                     w
                 } else {
-                    match shared.registry.lock().expect("registry lock").get(&tenant) {
+                    match shared.registry.lock().expect("registry lock").get(tenant) {
                         Some(&w) => w,
                         None => {
-                            send_frame(
-                                &conn,
-                                &Response::err(id, format!("unknown tenant `{tenant}`")),
-                            );
+                            reply(Response::err(id, format!("unknown tenant `{tenant}`")));
                             continue;
                         }
                     }
@@ -473,7 +476,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>, senders: Vec<Sender<
                     })
                     .is_err()
                 {
-                    send_frame(&conn, &Response::err(id, "daemon is shutting down"));
+                    reply(Response::err(id, "daemon is shutting down"));
                 }
             }
         }

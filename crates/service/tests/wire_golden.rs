@@ -6,7 +6,9 @@
 //! [`ScenarioReport::to_json`] — the bytes every peer, checkpoint directory
 //! and committed artifact already holds. A codec change must leave every
 //! line as it is; `PROTOCOL_VERSION` / `CHECKPOINT_VERSION` move first
-//! otherwise. Regenerate with
+//! otherwise. The last test holds the streamed reader to the tree reader on
+//! every truncation and on 10 000 one-byte mutations of the report frame.
+//! Regenerate with
 //! `GOLDEN_BLESS=1 cargo test -p dls_service --test wire_golden` and review
 //! the diff: a line may only change when the PR says why.
 
@@ -14,8 +16,11 @@ use dls_scenario::{
     JobSpec, PlatformChange, PlatformEvent, RecoveryRecord, RecoveryRung, ScenarioReport,
 };
 use dls_service::{
-    frame, Op, Push, PushFrame, Request, RespBody, Response, Tenant, TenantSpec, PROTOCOL_VERSION,
+    frame, Op, Push, PushFrame, Request, RespBody, Response, ServerFrame, Tenant, TenantSpec,
+    PROTOCOL_VERSION,
 };
+use serde::Deserialize;
+use std::fmt::Debug;
 use std::path::PathBuf;
 
 fn check(name: &str, actual: &str) {
@@ -243,4 +248,72 @@ fn checkpoint_file_is_pinned() {
     // snapshot (compact) ride as escaped text.
     assert!(checkpoint.contains("\\n") && checkpoint.contains("\\\""));
     check("checkpoint.txt", &checkpoint);
+}
+
+/// Reads `text` streamed and through the tree: `None` when both refuse it,
+/// the value (as `Debug` text, so that `NaN` equals itself) when both read
+/// the same, a panic otherwise.
+fn read_both_ways<T: Deserialize + Debug>(text: &str) -> Option<String> {
+    let streamed = serde_json::from_str::<T>(text);
+    let through_tree = serde_json::from_str_value(text).and_then(|tree| T::from_value(&tree));
+    match (streamed, through_tree) {
+        (Ok(a), Ok(b)) => {
+            let value = format!("{a:?}");
+            assert_eq!(value, format!("{b:?}"), "on {text}");
+            Some(value)
+        }
+        (Err(_), Err(_)) => None,
+        (a, b) => panic!("verdicts differ on {text}: streamed {a:?}, through the tree {b:?}"),
+    }
+}
+
+#[test]
+fn damaged_report_frames_get_one_verdict() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/wire/report_frame.txt");
+    let golden = std::fs::read_to_string(path).expect("committed golden");
+    let frame = golden.trim();
+    let intact = read_both_ways::<ServerFrame>(frame).expect("the golden frame reads");
+    let response: Response = serde_json::from_str(frame).unwrap();
+    assert_eq!(serde_json::to_string(&response).unwrap(), frame);
+
+    // Truncation: every prefix (on a char boundary: the frame is a `str`).
+    let mut read = 0;
+    for end in (0..frame.len()).filter(|&end| frame.is_char_boundary(end)) {
+        read += read_both_ways::<Response>(&frame[..end]).is_some() as usize;
+    }
+    assert_eq!(read, 0, "no proper prefix of a frame is a frame");
+
+    // Mutation: one byte replaced by one from the frame's own alphabet plus
+    // the bytes that change structure.
+    let mut alphabet: Vec<u8> = frame.bytes().filter(u8::is_ascii).collect();
+    alphabet.extend_from_slice(b"{}[]\":,\\ \t\n\r\x00\x7fnulltruefalse-+.eE0123456789uU/");
+    let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move |bound: usize| {
+        // splitmix64
+        rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = rng;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % bound as u64) as usize
+    };
+    let (mut read, mut changed) = (0, 0);
+    for _ in 0..10_000 {
+        let mut bytes = frame.as_bytes().to_vec();
+        let at = next(bytes.len());
+        bytes[at] = alphabet[next(alphabet.len())];
+        // A replaced byte inside a multi-byte character is not a `str`; no
+        // frame reaches either reader that way.
+        let Ok(text) = std::str::from_utf8(&bytes) else {
+            continue;
+        };
+        if let Some(value) = read_both_ways::<ServerFrame>(text) {
+            read += 1;
+            changed += (value != intact) as usize;
+        }
+    }
+    assert!(
+        read > 1000 && changed > 500,
+        "{read} mutants read, {changed} of them to another value: the \
+         comparison has to see accepted frames too"
+    );
 }

@@ -264,3 +264,173 @@ fn subscribe_streams_deltas() {
 
     harness.stop().expect("daemon drains cleanly");
 }
+
+/// A connection subscribed to its own tenant is sent a push frame and then
+/// the response for every `Advance`. On an accepted socket without
+/// `TCP_NODELAY` the second write waited out the client's delayed ACK
+/// (≈ 44 ms a round trip against ≈ 0.3 ms unsubscribed).
+#[test]
+fn subscribed_advances_do_not_wait_for_a_delayed_ack() {
+    let harness = ServiceHarness::start(1);
+    let mut c = harness.client();
+    c.expect_ok(Op::CreateTenant {
+        tenant: "own".into(),
+        spec: TenantSpec::default(),
+    })
+    .expect("create");
+    c.expect_ok(Op::Subscribe {
+        tenant: "own".into(),
+    })
+    .expect("subscribe");
+    c.expect_ok(Op::Submit {
+        tenant: "own".into(),
+        jobs: (0..30)
+            .map(|j| JobSpec {
+                arrival: 10.0 * j as f64 + 1.0,
+                origin: j % 5,
+                size: 80.0,
+                weight: 1.0,
+            })
+            .collect(),
+    })
+    .expect("submit");
+
+    let mut round_trips: Vec<std::time::Duration> = (0..20)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            c.expect_ok(Op::Advance {
+                tenant: "own".into(),
+                epochs: 1,
+            })
+            .expect("advance");
+            t0.elapsed()
+        })
+        .collect();
+    assert_eq!(c.drain_pushes().len(), 20, "one delta per advance");
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < std::time::Duration::from_millis(20),
+        "median subscribed Advance round trip {median:?}"
+    );
+
+    harness.stop().expect("daemon drains cleanly");
+}
+
+/// `wait_push` timing out in the middle of a frame must keep the half it
+/// read: the next read resumes that frame. (It used to drop it, and the
+/// next `request` started mid-frame: "bad frame from daemon".)
+#[test]
+fn a_frame_cut_by_the_push_timeout_is_resumed() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::sync::mpsc;
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("stub binds");
+    let addr = listener.local_addr().expect("stub address");
+    let (timed_out, resume) = mpsc::channel::<()>();
+    let stub = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("client connects");
+        let push = dls_service::frame(&dls_service::PushFrame {
+            push: dls_service::Push::Fault {
+                tenant: "stub".into(),
+                record: "x".repeat(500),
+            },
+        });
+        let (head, tail) = push.split_at(push.len() / 2);
+        stream.write_all(head.as_bytes()).expect("first half");
+        resume.recv().expect("the client's wait timed out");
+        stream.write_all(tail.as_bytes()).expect("second half");
+        let mut request = String::new();
+        BufReader::new(stream.try_clone().expect("clone"))
+            .read_line(&mut request)
+            .expect("a request arrives");
+        let request: dls_service::Request = serde_json::from_str(&request).expect("it parses");
+        let response = dls_service::Response::ok(request.id, RespBody::Hello { protocol: 1 });
+        stream
+            .write_all(dls_service::frame(&response).as_bytes())
+            .expect("response");
+    });
+
+    let mut c = dls_service::Client::connect(addr).expect("client connects");
+    let cut = c
+        .wait_push(std::time::Duration::from_millis(100))
+        .expect("a timeout is not an error");
+    assert!(cut.is_none(), "half a frame is no frame");
+    timed_out.send(()).expect("stub is waiting");
+    let body = c.expect_ok(Op::Hello).expect("the response is found");
+    assert!(matches!(body, RespBody::Hello { protocol: 1 }));
+    match c.drain_pushes().as_slice() {
+        [dls_service::PushFrame {
+            push: dls_service::Push::Fault { tenant, record },
+        }] => assert_eq!((tenant.as_str(), record.len()), ("stub", 500)),
+        other => panic!("expected the resumed push, got {other:?}"),
+    }
+    stub.join().expect("stub thread");
+}
+
+/// Frames no client of ours would send, straight onto the socket: each is
+/// answered `ok: false` / `unparseable frame`, none takes the connection
+/// (or its thread's stack) down, and the same connection then serves a
+/// whole tenant script.
+#[test]
+fn hostile_frames_are_refused_and_the_connection_lives() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let harness = ServiceHarness::start(1);
+    let mut stream = std::net::TcpStream::connect(harness.addr()).expect("raw socket connects");
+    let mut replies = BufReader::new(stream.try_clone().expect("clone"));
+    let mut exchange = |frame: &str| -> dls_service::Response {
+        stream.write_all(frame.as_bytes()).expect("frame sent");
+        stream.write_all(b"\n").expect("newline sent");
+        let mut line = String::new();
+        replies.read_line(&mut line).expect("a reply arrives");
+        serde_json::from_str(&line).expect("the reply is a response frame")
+    };
+
+    let deep = "[".repeat(100_000);
+    let hostile = [
+        "garbage".to_string(),
+        r#"{"id":1,"op":{"Query":{"tenant":"cut mid-stri"#.to_string(),
+        deep.clone(),
+        // The nesting an unknown key's value hides is skipped, not built:
+        // that path needs the depth limit too.
+        format!(r#"{{"id":1,"zzz":{deep},"op":"Hello"}}"#),
+        format!(r#"{{"id":1,"op":{{"Query":{{"tenant":"t","zzz":{deep}}}}}}}"#),
+        r#"{"id":1,"op":"Dance"}"#.to_string(),
+        r#"{"id":1,"op":{"Dance":{"tenant":"t"}}}"#.to_string(),
+        r#"{"id":"one","op":"Hello"}"#.to_string(),
+        r#"{"id":-1,"op":"Hello"}"#.to_string(),
+        r#"{"id":1,"op":"Hello"} trailing"#.to_string(),
+        r#"{"id":1,"op":{"Query":{"tenant":"a"},"Run":{"tenant":"a"}}}"#.to_string(),
+    ];
+    for frame in &hostile {
+        let shown = &frame[..frame.len().min(60)];
+        let resp = exchange(frame);
+        assert!(!resp.ok && resp.id == 0 && resp.body.is_none(), "{shown}");
+        let error = resp.error.expect("a refusal says why");
+        assert!(error.starts_with("unparseable frame: "), "{shown}: {error}");
+    }
+
+    // Still a working connection: unknown keys and foreign spacing included.
+    let hello = exchange(r#" { "extra" : [1, {"x": null}], "id" : 7, "op" : "Hello" } "#);
+    assert!(hello.ok && hello.id == 7);
+    let spec = serde_json::to_string(&TenantSpec::default()).unwrap();
+    let script = [
+        format!(r#"{{"id":8,"op":{{"CreateTenant":{{"tenant":"raw","spec":{spec}}}}}}}"#),
+        r#"{"id":9,"op":{"Submit":{"tenant":"raw","jobs":[{"arrival":0,"origin":0,"size":1e2,"weight":1}]}}}"#.to_string(),
+        r#"{"id":10,"op":{"Run":{"tenant":"raw"}}}"#.to_string(),
+        r#"{"id":11,"op":{"Query":{"tenant":"raw"}}}"#.to_string(),
+    ];
+    let mut last = None;
+    for (frame, id) in script.iter().zip(8..) {
+        let resp = exchange(frame);
+        assert!(resp.ok && resp.id == id, "{frame}: {:?}", resp.error);
+        last = resp.body;
+    }
+    match last {
+        Some(RespBody::Report { report, .. }) => assert_eq!(report.completed_jobs, 1),
+        other => panic!("the script ends in a report, got {other:?}"),
+    }
+
+    harness.stop().expect("daemon drains cleanly");
+}
