@@ -19,6 +19,8 @@ use dls_service::{
     frame, Op, Push, PushFrame, Request, RespBody, Response, ServerFrame, Tenant, TenantSpec,
     PROTOCOL_VERSION,
 };
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use serde::Deserialize;
 use std::fmt::Debug;
 use std::path::PathBuf;
@@ -287,20 +289,12 @@ fn damaged_report_frames_get_one_verdict() {
     // the bytes that change structure.
     let mut alphabet: Vec<u8> = frame.bytes().filter(u8::is_ascii).collect();
     alphabet.extend_from_slice(b"{}[]\":,\\ \t\n\r\x00\x7fnulltruefalse-+.eE0123456789uU/");
-    let mut rng = 0x9e37_79b9_7f4a_7c15u64;
-    let mut next = move |bound: usize| {
-        // splitmix64
-        rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        ((z ^ (z >> 31)) % bound as u64) as usize
-    };
+    let mut rng = ChaCha8Rng::seed_from_u64(19);
     let (mut read, mut changed) = (0, 0);
     for _ in 0..10_000 {
         let mut bytes = frame.as_bytes().to_vec();
-        let at = next(bytes.len());
-        bytes[at] = alphabet[next(alphabet.len())];
+        let at = rng.gen_range(0..bytes.len());
+        bytes[at] = alphabet[rng.gen_range(0..alphabet.len())];
         // A replaced byte inside a multi-byte character is not a `str`; no
         // frame reaches either reader that way.
         let Ok(text) = std::str::from_utf8(&bytes) else {
