@@ -6,7 +6,7 @@
 //! with `GOLDEN_BLESS=1 cargo test -p dls_sim --test golden` and review the
 //! diff: a row may only change when the PR says why.
 
-use dls_core::heuristics::{Heuristic, Lprg};
+use dls_core::heuristics::{Greedy, Heuristic, Lprg};
 use dls_core::schedule::ScheduleBuilder;
 use dls_core::{Objective, ProblemInstance};
 use dls_platform::{ClusterId, PlatformConfig, PlatformGenerator};
@@ -113,6 +113,66 @@ fn periodic_reports_are_pinned() {
         }
     }
     check("periodic.txt", &out);
+}
+
+/// Long periodic runs: hundreds of boundaries that re-pose the same
+/// batch-spawn bandwidth subproblem, plus one deliberately late run whose
+/// stragglers cross boundaries, so the boundary solve sees repeats,
+/// variants and one-off states in a single file.
+#[test]
+fn long_periodic_reports_are_pinned() {
+    const PERIODS: usize = 300;
+    let run = |inst: &ProblemInstance, on: &ProblemInstance, engine| {
+        let alloc = Greedy::default().solve(inst).unwrap();
+        let schedule = ScheduleBuilder::default().build(inst, &alloc).unwrap();
+        assert!(!schedule.transfers.is_empty(), "no network use");
+        Simulator::new(on).run(
+            &schedule,
+            &SimConfig {
+                periods: PERIODS,
+                engine,
+                ..SimConfig::default()
+            },
+        )
+    };
+    let mut out = String::new();
+    for (k, seed, engines) in [(20usize, 4u64, &ENGINES[..]), (40, 5, &ENGINES[..1])] {
+        let inst = paper_shape(k, seed);
+        for &engine in engines {
+            let report = run(&inst, &inst, engine);
+            writeln!(
+                out,
+                "k={k} seed={seed} MaxMinFair {engine:?} {}",
+                report_row(&report)
+            )
+            .unwrap();
+        }
+    }
+    // The K = 20 schedule on a platform whose local links lost half, then
+    // 60 %, of their capacity (the busiest link is reserved to 50 %, so a
+    // milder cut still runs on time): the reservations no longer fit,
+    // transfers finish late and are still live when the next boundary
+    // spawns its batch — a bounded straggler set at × 0.5, a growing one at
+    // × 0.4.
+    let inst = paper_shape(20, 4);
+    for factor in [0.5, 0.4] {
+        let mut slow = inst.clone();
+        for c in &mut slow.platform.clusters {
+            c.local_bw *= factor;
+        }
+        let report = run(&inst, &slow, SimEngine::Incremental);
+        assert!(
+            report.max_transfer_lateness > 0.0,
+            "the throttled run was meant to be late"
+        );
+        writeln!(
+            out,
+            "k=20 seed=4 local_bw*{factor} MaxMinFair Incremental {}",
+            report_row(&report)
+        )
+        .unwrap();
+    }
+    check("periodic_long.txt", &out);
 }
 
 fn flow(src: u32, dst: u32, cap: f64, demand: f64, parts: &[(u32, f64)]) -> LiveFlowSpec {
