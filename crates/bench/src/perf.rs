@@ -16,7 +16,7 @@ use dls_core::schedule::ScheduleBuilder;
 use dls_core::{Objective, ProblemInstance};
 use dls_experiments::Preset;
 use dls_platform::{PlatformConfig, PlatformGenerator};
-use dls_sim::{SimConfig, SimEngine, Simulator};
+use dls_sim::{AllocStats, SimConfig, SimEngine, Simulator};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -61,6 +61,9 @@ pub struct PerfEntry {
     pub full_ms: f64,
     /// `full_ms / incremental_ms`.
     pub speedup: f64,
+    /// The incremental run's bandwidth-allocator stage counters (printed by
+    /// [`PerfRun::text_summary`]; not part of the JSON schema).
+    pub alloc: AllocStats,
 }
 
 /// One full harness run.
@@ -127,8 +130,8 @@ pub fn run(preset: Preset, seed: u64) -> PerfRun {
         // Symmetric methodology: best-of-two runs for *both* engines, so a
         // one-off scheduler hiccup or cold cache cannot bias the speedup in
         // either direction.
-        let (fast_report, incremental_ms) = {
-            let (r1, m1) = timed(|| sim.run(&schedule, &incremental_cfg));
+        let ((fast_report, alloc), incremental_ms) = {
+            let (r1, m1) = timed(|| sim.run_counted(&schedule, &incremental_cfg));
             let (_r2, m2) = timed(|| sim.run(&schedule, &incremental_cfg));
             (r1, m1.min(m2))
         };
@@ -158,6 +161,7 @@ pub fn run(preset: Preset, seed: u64) -> PerfRun {
             } else {
                 f64::INFINITY
             },
+            alloc,
         });
     }
     PerfRun {
@@ -205,6 +209,24 @@ impl PerfRun {
         }
         if let Some(s) = self.k95_speedup() {
             let _ = writeln!(out, "K = 95 speedup: {s:.1}x");
+        }
+        let _ = writeln!(
+            out,
+            "bandwidth allocator stages, incremental run \
+             (boundary solves = memo hits + misses):"
+        );
+        let _ = writeln!(
+            out,
+            "{:>5} {:>9} {:>12} {:>15} {:>10} {:>12}",
+            "K", "updates", "subproblems", "filling rounds", "memo hits", "memo misses"
+        );
+        for e in &self.entries {
+            let a = &e.alloc;
+            let _ = writeln!(
+                out,
+                "{:>5} {:>9} {:>12} {:>15} {:>10} {:>12}",
+                e.k, a.updates, a.subproblems, a.filling_rounds, a.memo_hits, a.memo_misses
+            );
         }
         out
     }
@@ -285,6 +307,8 @@ mod tests {
         assert_eq!(ea.events_full, eb.events_full);
         assert_eq!(ea.efficiency_incremental, eb.efficiency_incremental);
         assert_eq!(ea.efficiency_full, eb.efficiency_full);
+        assert_eq!(ea.alloc, eb.alloc);
+        assert!(ea.alloc.memo_hits > 0, "{:?}", ea.alloc);
         // And the JSON only differs in the timing blocks.
         let strip = |s: &str| {
             s.lines()

@@ -12,9 +12,17 @@
 //! * [`SimEngine::Incremental`] (the default) keeps a stateful
 //!   [`crate::BandwidthAllocator`] that re-solves only the dirty set of
 //!   flows at each event, schedules completions in an indexed binary heap
-//!   with lazy invalidation, and advances per-flow state lazily — event
-//!   cost scales with the number of *affected* flows, not with the total
-//!   flow count;
+//!   with lazy invalidation, and advances per-flow state lazily — a
+//!   completion costs the flows it *affects*, not the total flow count. A
+//!   period boundary is the exception: it stages the whole schedule, every
+//!   staged flow is dirty and cap-limited flows freeze one per filling
+//!   round, so solving it costs F flows × ≈ F rounds. [`Simulator::run`]
+//!   therefore arms the allocator's batch memo (see
+//!   [`crate::BandwidthAllocator`]): a boundary that re-poses a subproblem
+//!   already solved — the same flows over the same residual link state, bit
+//!   for bit — copies the remembered rates instead. `run` is the only
+//!   caller that arms it; [`Simulator::run_counted`] returns the counters
+//!   that show how often it answered;
 //! * [`SimEngine::FullRecompute`] is the reference slow path: a full
 //!   [`crate::allocate_rates`] solve plus linear next-completion and
 //!   completion sweeps at every event. It is retained as the cross-check
@@ -25,7 +33,7 @@
 //! flat arena, so period boundaries re-use them instead of re-walking
 //! `Platform::route` and allocating a fresh `Vec` per transfer.
 
-use crate::bandwidth::{BandwidthModel, FlowSpec};
+use crate::bandwidth::{AllocStats, BandwidthModel, FlowSpec};
 use crate::flows::FlowCore;
 use crate::report::{SimReport, TraceEvent};
 use dls_core::approx::close;
@@ -223,6 +231,16 @@ impl<'a> Simulator<'a> {
 
     /// Executes `schedule` for `config.periods` periods.
     pub fn run(&self, schedule: &PeriodicSchedule, config: &SimConfig) -> SimReport {
+        self.run_counted(schedule, config).0
+    }
+
+    /// [`Simulator::run`], also returning the bandwidth allocator's work
+    /// counters for the run (all zero under [`SimEngine::FullRecompute`]).
+    pub fn run_counted(
+        &self,
+        schedule: &PeriodicSchedule,
+        config: &SimConfig,
+    ) -> (SimReport, AllocStats) {
         let p = &self.inst.platform;
         let tp = schedule.period as f64;
         let local_bw: Vec<f64> = p.clusters.iter().map(|c| c.local_bw).collect();
@@ -240,6 +258,9 @@ impl<'a> Simulator<'a> {
             config.engine,
             config.oracle_check,
         );
+        // Every boundary stages the same transfers: the one caller whose
+        // batches repeat.
+        core.arm_batch_memo();
         let mut due = Vec::new();
 
         let mut t = 0.0f64;
@@ -334,7 +355,9 @@ impl<'a> Simulator<'a> {
         // Attribute the carried traffic of flows still live at the horizon.
         core.settle(t);
 
-        self.finish_report(schedule, config, state, &core, horizon, warmup_t)
+        let stats = core.alloc_stats();
+        let report = self.finish_report(schedule, config, state, &core, horizon, warmup_t);
+        (report, stats)
     }
 
     fn finish_report(

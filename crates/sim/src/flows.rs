@@ -12,7 +12,14 @@
 //!   that re-solves only the dirty set, schedules completions in a binary
 //!   heap with lazy invalidation (a per-slot version bumped at every rate
 //!   change), and advances a flow's `remaining` only when its rate changes
-//!   — event cost scales with the flows *affected*;
+//!   — a commit costs the flows it *affects*, times the filling rounds
+//!   their subproblem takes. The one quadratic commit is a driver
+//!   re-adding a whole batch (F dirty flows × ≈ F rounds); a driver whose
+//!   batches repeat calls [`FlowCore::arm_batch_memo`] so the allocator
+//!   answers a re-posed batch from its memo. `Simulator::run` does;
+//!   `LiveSim` (job-dependent amounts, never the same batch twice, one
+//!   allocator per resident tenant) and [`FlowCore::import`] leave it
+//!   unarmed;
 //! * [`SimEngine::FullRecompute`] is the retained reference: one full
 //!   [`allocate_rates`] solve whenever anything changed, eager
 //!   materialisation of every flow at every step, and linear
@@ -26,7 +33,8 @@
 //! [`FlowCore::commit`] hands both to the allocator in a single update.
 
 use crate::bandwidth::{
-    allocate_rates, AllocatorState, BandwidthAllocator, BandwidthModel, FlowId, FlowSpec,
+    allocate_rates, AllocStats, AllocatorState, BandwidthAllocator, BandwidthModel, FlowId,
+    FlowSpec,
 };
 use crate::SimEngine;
 use dls_core::approx::close;
@@ -223,6 +231,24 @@ impl<P> FlowCore<P> {
                     rates_stale: false,
                 },
             },
+        }
+    }
+
+    /// Arms the allocator's batch memo (see [`BandwidthAllocator`]): for a
+    /// driver that commits the same batch of flows again and again. A no-op
+    /// on the reference variant.
+    pub(crate) fn arm_batch_memo(&mut self) {
+        if let Solver::Incremental(inc) = &mut self.solver {
+            inc.alloc.arm_batch_memo();
+        }
+    }
+
+    /// The allocator's work counters (all zero on the reference variant,
+    /// which has no allocator).
+    pub(crate) fn alloc_stats(&self) -> AllocStats {
+        match &self.solver {
+            Solver::Incremental(inc) => inc.alloc.stats(),
+            Solver::Full { .. } => AllocStats::default(),
         }
     }
 

@@ -34,7 +34,8 @@ pub mod report;
 pub mod trace;
 
 pub use bandwidth::{
-    allocate_rates, AllocatorState, BandwidthAllocator, BandwidthModel, FlowId, FlowSpec,
+    allocate_rates, AllocStats, AllocatorState, BandwidthAllocator, BandwidthModel, FlowId,
+    FlowSpec,
 };
 pub use engine::{SimConfig, SimEngine, Simulator};
 pub use live::{

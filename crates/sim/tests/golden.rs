@@ -11,8 +11,8 @@ use dls_core::schedule::ScheduleBuilder;
 use dls_core::{Objective, ProblemInstance};
 use dls_platform::{ClusterId, PlatformConfig, PlatformGenerator};
 use dls_sim::{
-    BandwidthModel, ChunkPart, LiveConfig, LiveFlowSpec, LiveSim, SimConfig, SimEngine, SimReport,
-    Simulator,
+    AllocStats, BandwidthModel, ChunkPart, LiveConfig, LiveFlowSpec, LiveSim, SimConfig, SimEngine,
+    SimReport, Simulator,
 };
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -173,6 +173,41 @@ fn long_periodic_reports_are_pinned() {
         .unwrap();
     }
     check("periodic_long.txt", &out);
+}
+
+/// The counters behind the K = 40 row above: its boundaries re-pose one
+/// subproblem, so all but the first are answered from the allocator's memo.
+#[test]
+fn long_periodic_boundaries_are_answered_from_the_memo() {
+    let inst = paper_shape(40, 5);
+    let alloc = Greedy::default().solve(&inst).unwrap();
+    let schedule = ScheduleBuilder::default().build(&inst, &alloc).unwrap();
+    let periods = 300;
+    let cfg = SimConfig {
+        periods,
+        ..SimConfig::default()
+    };
+    let (report, stats) = Simulator::new(&inst).run_counted(&schedule, &cfg);
+    assert_eq!(report.events, 14701);
+    let boundary_solves = stats.memo_hits + stats.memo_misses;
+    assert!(boundary_solves >= periods as u64, "{stats:?}");
+    assert!(stats.memo_hits * 10 >= boundary_solves * 9, "{stats:?}");
+    // Unmemoised, every boundary runs about one filling round per transfer.
+    let unmemoised = (periods * schedule.transfers.len()) as u64;
+    assert!(stats.filling_rounds * 100 < unmemoised * 15, "{stats:?}");
+    // On this on-time schedule no completion dirties a flow: the boundaries
+    // are the only subproblems.
+    assert_eq!(stats.subproblems, boundary_solves, "{stats:?}");
+    assert!(stats.updates > stats.subproblems, "{stats:?}");
+
+    // The reference core has no allocator to count.
+    let slow = SimConfig {
+        periods: 3,
+        engine: SimEngine::FullRecompute,
+        ..SimConfig::default()
+    };
+    let (_, none) = Simulator::new(&inst).run_counted(&schedule, &slow);
+    assert_eq!(none, AllocStats::default());
 }
 
 fn flow(src: u32, dst: u32, cap: f64, demand: f64, parts: &[(u32, f64)]) -> LiveFlowSpec {
