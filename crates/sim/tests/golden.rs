@@ -2,9 +2,13 @@
 //!
 //! `tests/golden/*.txt` pin whole [`SimReport`]s and one scripted
 //! [`LiveSim`] event log, floats as `to_bits()` hex, so a refactor of the
-//! fluid cores shows up as a diff of exactly the rows it moved. Regenerate
-//! with `GOLDEN_BLESS=1 cargo test -p dls_sim --test golden` and review the
-//! diff: a row may only change when the PR says why.
+//! fluid cores shows up as a diff of exactly the rows it moved. A mismatch
+//! fails with a table of the moved fields: per hex-float field the rows it
+//! moved in and its worst relative move, and any other field (`events`,
+//! `peak`, the row labels) named with its lines. Regenerate with
+//! `GOLDEN_BLESS=1 cargo test -p dls_sim --test golden -- --nocapture`,
+//! which prints the same table, and review the diff: a row may only change
+//! when the PR says why.
 
 use dls_core::heuristics::{Greedy, Heuristic, Lprg};
 use dls_core::schedule::ScheduleBuilder;
@@ -25,25 +29,218 @@ fn bits(xs: &[f64]) -> String {
     format!("[{}]", hex.join(" "))
 }
 
+/// Compares `actual` with `tests/golden/{name}`. A mismatch fails with the
+/// table of moved fields (see [`moved_fields`]); under `GOLDEN_BLESS=1` the
+/// same table is printed and the file rewritten.
 fn check(name: &str, actual: &str) {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(name);
+    let expected = std::fs::read_to_string(&path);
     if std::env::var_os("GOLDEN_BLESS").is_some() {
+        if let Some(table) = expected.ok().and_then(|e| moved_fields(&e, actual)) {
+            eprintln!("{name}: re-blessed\n{table}");
+        }
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, actual).unwrap();
         return;
     }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{}: {e} (run with GOLDEN_BLESS=1)", path.display()));
-    for (i, (want, got)) in expected.lines().zip(actual.lines()).enumerate() {
-        assert_eq!(want, got, "{name}: line {} moved", i + 1);
+    let expected =
+        expected.unwrap_or_else(|e| panic!("{}: {e} (run with GOLDEN_BLESS=1)", path.display()));
+    if let Some(table) = moved_fields(&expected, actual) {
+        panic!("{name} moved\n{table}");
     }
-    assert_eq!(
-        expected.lines().count(),
-        actual.lines().count(),
-        "{name}: line count moved"
+}
+
+/// Splits a golden row into `(field, value)` pairs: a `field=value` token
+/// is one pair, the bare tokens (the row's labels) together form the
+/// `label` pair, and a bracketed list (`[a b]`, `[1, 2]`) stays whole.
+fn fields(line: &str) -> Vec<(&str, String)> {
+    let (mut tokens, mut depth, mut start) = (Vec::new(), 0i32, 0);
+    for (i, ch) in line.char_indices() {
+        match ch {
+            '[' => depth += 1,
+            ']' => depth -= 1,
+            ' ' if depth == 0 => {
+                tokens.push(&line[start..i]);
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    tokens.push(&line[start..]);
+    let mut labels = Vec::new();
+    let mut out = Vec::new();
+    for tok in tokens.into_iter().filter(|t| !t.is_empty()) {
+        match tok.split_once('=') {
+            Some((field, value)) => out.push((field, value.to_string())),
+            None => labels.push(tok),
+        }
+    }
+    out.insert(0, ("label", labels.join(" ")));
+    out
+}
+
+/// Decodes a value written by `{:016x}` of `to_bits()` or by [`bits`].
+fn hex_floats(value: &str) -> Option<Vec<f64>> {
+    let one = |h: &str| {
+        (h.len() == 16)
+            .then(|| u64::from_str_radix(h, 16).ok())
+            .flatten()
+            .map(f64::from_bits)
+    };
+    match value.strip_prefix('[').and_then(|v| v.strip_suffix(']')) {
+        Some(list) => list.split_whitespace().map(one).collect(),
+        None => one(value).map(|x| vec![x]),
+    }
+}
+
+/// Largest relative move between two equally long float lists.
+fn worst_relative_move(want: &[f64], got: &[f64]) -> f64 {
+    want.iter()
+        .zip(got)
+        .filter(|(a, b)| a.to_bits() != b.to_bits())
+        .map(|(a, b)| {
+            let scale = a.abs().max(b.abs());
+            if scale > 0.0 && scale.is_finite() {
+                (a - b).abs() / scale
+            } else {
+                f64::INFINITY
+            }
+        })
+        .fold(0.0, f64::max)
+}
+
+/// The per-field table of how `actual` differs from `expected`, or `None`
+/// when they are identical. A hex-float field (scalar or list) that moved
+/// reports how many rows it moved in and its worst relative move; any
+/// other moved field (`events`, `peak`, the labels, a float list whose
+/// length changed) is named outright with its line numbers, and so is a
+/// change in the number of rows.
+fn moved_fields(expected: &str, actual: &str) -> Option<String> {
+    // (field, rows moved, worst relative move, lines of non-float moves)
+    let mut moves: Vec<(String, usize, f64, Vec<usize>)> = Vec::new();
+    let mut note = |field: &str, line: usize, rel: Option<f64>| {
+        let i = moves.iter().position(|m| m.0 == field).unwrap_or_else(|| {
+            moves.push((field.to_string(), 0, 0.0, Vec::new()));
+            moves.len() - 1
+        });
+        let m = &mut moves[i];
+        m.1 += 1;
+        match rel {
+            Some(r) => m.2 = m.2.max(r),
+            None => m.3.push(line),
+        }
+    };
+    for (i, (want, got)) in expected.lines().zip(actual.lines()).enumerate() {
+        if want == got {
+            continue;
+        }
+        let (want, got) = (fields(want), fields(got));
+        let value = |row: &[(&str, String)], field: &str| {
+            row.iter()
+                .find(|(f, _)| *f == field)
+                .map(|(_, v)| v.clone())
+        };
+        let mut names: Vec<&str> = Vec::new();
+        for &(field, _) in want.iter().chain(&got) {
+            if !names.contains(&field) {
+                names.push(field);
+            }
+        }
+        for field in names {
+            let (a, b) = (value(&want, field), value(&got, field));
+            if a == b {
+                continue;
+            }
+            let rel = a
+                .as_deref()
+                .and_then(hex_floats)
+                .zip(b.as_deref().and_then(hex_floats))
+                .filter(|(x, y)| x.len() == y.len())
+                .map(|(x, y)| worst_relative_move(&x, &y));
+            note(field, i + 1, rel);
+        }
+    }
+    let (n_want, n_got) = (expected.lines().count(), actual.lines().count());
+    if n_want != n_got {
+        note(
+            &format!("rows {n_want} -> {n_got}"),
+            n_want.min(n_got) + 1,
+            None,
+        );
+    }
+    if moves.is_empty() {
+        return None;
+    }
+    let mut table = String::from("  field        rows moved  worst relative move\n");
+    for (field, rows, rel, lines) in &moves {
+        if lines.is_empty() {
+            writeln!(table, "  {field:<12} {rows:>10}  {rel:.1e}").unwrap();
+        } else {
+            writeln!(
+                table,
+                "  {field:<12} {rows:>10}  not a float: lines {lines:?}"
+            )
+            .unwrap();
+        }
+    }
+    Some(table)
+}
+
+#[test]
+fn moved_fields_names_each_field_and_its_worst_move() {
+    let row = |events: u32, eff: f64, measured: [f64; 2]| {
+        format!(
+            "k=8 seed=1 MaxMinFair Incremental events={events} peak=[1, 2] \
+             efficiency={:016x} measured={}",
+            eff.to_bits(),
+            bits(&measured)
+        )
+    };
+    let entry = |table: &str, field: &str| {
+        table
+            .lines()
+            .find(|l| l.trim_start().starts_with(field))
+            .map(str::to_string)
+    };
+    let before = [row(10, 0.5, [1.0, 2.0]), row(12, 0.75, [3.0, 4.0])].join("\n");
+    assert_eq!(moved_fields(&before, &before), None);
+
+    let nudged = [
+        row(10, 0.5 + f64::EPSILON, [1.0, 2.0]),
+        row(12, 0.75, [3.0, 4.0 + 4e-12]),
+    ]
+    .join("\n");
+    let table = moved_fields(&before, &nudged).unwrap();
+    assert!(
+        entry(&table, "efficiency")
+            .unwrap()
+            .ends_with(" 1  4.4e-16"),
+        "{table}"
     );
+    assert!(
+        entry(&table, "measured").unwrap().ends_with(" 1  1.0e-12"),
+        "{table}"
+    );
+    assert_eq!(entry(&table, "events"), None, "{table}");
+
+    let recounted = [row(10, 0.5, [1.0, 2.0]), row(13, 0.75, [3.0, 4.0])].join("\n");
+    let table = moved_fields(&before, &recounted).unwrap();
+    assert!(
+        entry(&table, "events")
+            .unwrap()
+            .ends_with("not a float: lines [2]"),
+        "{table}"
+    );
+    let relabelled = before.replace("Incremental", "FullRecompute");
+    let table = moved_fields(&before, &relabelled).unwrap();
+    assert!(
+        entry(&table, "label").unwrap().ends_with("lines [1, 2]"),
+        "{table}"
+    );
+    let table = moved_fields(&before, &row(10, 0.5, [1.0, 2.0])).unwrap();
+    assert!(entry(&table, "rows 2 -> 1").is_some(), "{table}");
 }
 
 /// The paper-shape platform (`dls_scenario::catalog::paper_shape_instance`,
