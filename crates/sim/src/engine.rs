@@ -5,6 +5,27 @@
 //! rates computed by the bandwidth allocator, clusters drain their work
 //! queues at their speed.
 //!
+//! Neither is applied at every event. A flow's `remaining` is materialised
+//! when its rate changes (`flows.rs`), and a cluster's FIFO queue when
+//! something observes it: a queue drained at constant speed `s` from `t₀`
+//! to `t` is one `s·(t − t₀)` drain, so an event costs the queues it
+//! touches, not all K. A queue is brought up to the current time at exactly
+//! four points:
+//!
+//! 1. before a delivery is appended to it — otherwise capacity the cluster
+//!    had before the arrival (idle, if the queue ran dry) would be credited
+//!    to the new chunk;
+//! 2. at each period boundary, all K, to record the backlog (before the
+//!    boundary's local tasks are appended);
+//! 3. before the one-time warm-up snapshot of `completed`, all K;
+//! 4. at the end of the run — before the final analytic drain, or when the
+//!    drain horizon stops it — all K.
+//!
+//! Completed work therefore adds one `s·(t − t₀)` per observation instead
+//! of one `s·dt` per event: reports match the per-event sweep to rounding
+//! (the `engine.rs` tests hold the two to 1e-12 on random queues and event
+//! times).
+//!
 //! [`Simulator::run`] is one loop over the flow core this crate also runs
 //! [`crate::LiveSim`] on (`flows.rs`); [`SimEngine`] picks the core's
 //! variant once, at construction:
@@ -160,8 +181,18 @@ impl CompiledSchedule {
 }
 
 /// Mutable observation state of one run.
+///
+/// Cluster `c` works through `queues[c]` in FIFO order at `speeds[c]`, but
+/// the queue is only drained when something observes it: `queues[c]` and
+/// its share of `completed` are exact as of `drained_to[c]`, and
+/// [`SimState::materialise`] brings them up to a later time in one
+/// [`drain_queue`] call — the rule [`FlowCore`] follows for a flow's
+/// `remaining`. Four places observe a queue (see the module docs).
 struct SimState {
     queues: Vec<VecDeque<(usize, f64)>>,
+    speeds: Vec<f64>,
+    /// Time up to which `queues[c]` has been drained.
+    drained_to: Vec<f64>,
     completed: Vec<f64>,
     completed_at_warmup: Vec<f64>,
     warmup_snapshotted: bool,
@@ -174,9 +205,12 @@ struct SimState {
 }
 
 impl SimState {
-    fn new(n: usize, n_links: usize) -> Self {
+    fn new(speeds: Vec<f64>, n_links: usize) -> Self {
+        let n = speeds.len();
         SimState {
             queues: vec![VecDeque::new(); n],
+            speeds,
+            drained_to: vec![0.0; n],
             completed: vec![0.0; n],
             completed_at_warmup: vec![0.0; n],
             warmup_snapshotted: false,
@@ -189,15 +223,45 @@ impl SimState {
         }
     }
 
+    /// Drains `queues[c]` at its cluster's speed from `drained_to[c]` up to
+    /// `t`.
+    fn materialise(&mut self, c: usize, t: f64) {
+        let dt = t - self.drained_to[c];
+        if dt > 0.0 {
+            drain_queue(
+                &mut self.queues[c],
+                self.speeds[c] * dt,
+                &mut self.completed,
+            );
+            self.drained_to[c] = t;
+        }
+    }
+
+    fn materialise_all(&mut self, t: f64) {
+        for c in 0..self.queues.len() {
+            self.materialise(c, t);
+        }
+    }
+
+    /// Appends `entry` to `queues[c]` at `t`. The queue is drained up to `t`
+    /// first, so capacity the cluster had before the arrival (idle, if the
+    /// queue ran dry) is never credited to the new entry.
+    fn enqueue(&mut self, c: usize, t: f64, entry: (usize, f64)) {
+        self.materialise(c, t);
+        self.queues[c].push_back(entry);
+    }
+
     fn snapshot_warmup_if_due(&mut self, t: f64, warmup_t: f64) {
         if !self.warmup_snapshotted && t >= warmup_t {
+            self.materialise_all(t);
             self.completed_at_warmup.copy_from_slice(&self.completed);
             self.warmup_snapshotted = true;
         }
     }
 
-    fn record_backlog(&mut self, speeds: &[f64]) {
-        for (queue, &s) in self.queues.iter().zip(speeds) {
+    fn record_backlog(&mut self, t: f64) {
+        self.materialise_all(t);
+        for (queue, &s) in self.queues.iter().zip(&self.speeds) {
             let pending: f64 = queue.iter().map(|(_, w)| w).sum();
             if s > 0.0 {
                 self.max_backlog = self.max_backlog.max(pending / s);
@@ -205,15 +269,10 @@ impl SimState {
         }
     }
 
-    fn drain_all(&mut self, speeds: &[f64], dt: f64) {
-        for (queue, &s) in self.queues.iter_mut().zip(speeds) {
-            drain_queue(queue, s * dt, &mut self.completed);
-        }
-    }
-
     /// Final analytic drain once no flow remains and no period will spawn.
-    fn drain_to_completion(&mut self, speeds: &[f64]) {
-        for (queue, &s) in self.queues.iter_mut().zip(speeds) {
+    fn drain_to_completion(&mut self, t: f64) {
+        self.materialise_all(t);
+        for (queue, &s) in self.queues.iter_mut().zip(&self.speeds) {
             let pending: f64 = queue.iter().map(|(_, w)| w).sum();
             if s > 0.0 && pending > 0.0 {
                 self.max_backlog = self.max_backlog.max(pending / s);
@@ -250,7 +309,7 @@ impl<'a> Simulator<'a> {
         let drain_horizon = horizon + 20.0 * tp;
 
         let compiled = CompiledSchedule::compile(self.inst, schedule);
-        let mut state = SimState::new(p.num_clusters(), p.links.len());
+        let mut state = SimState::new(speeds, p.links.len());
         // Payload: (transfer index, spawn period).
         let mut core: FlowCore<(u32, usize)> = FlowCore::new(
             &local_bw,
@@ -275,14 +334,14 @@ impl<'a> Simulator<'a> {
             };
             let t_next = boundary.min(core.next_completion(t));
             if !t_next.is_finite() || t_next > drain_horizon {
+                state.materialise_all(t);
                 break;
             }
 
-            // --- advance the fluid state ---
+            // --- advance the flows (queues drain when observed) ---
             let dt = (t_next - t).max(0.0);
             if dt > 0.0 {
                 core.advance(t, dt);
-                state.drain_all(&speeds, dt);
             }
             t = t_next;
             state.events += 1;
@@ -294,7 +353,7 @@ impl<'a> Simulator<'a> {
                 let (transfer, spawn_period) = f.payload;
                 let tr = &compiled.transfers[transfer as usize];
                 // Deliver the full chunk (any leftover is size-relative dust).
-                state.queues[tr.spec.dst.index()].push_back((tr.spec.src.index(), f.size));
+                state.enqueue(tr.spec.dst.index(), t, (tr.spec.src.index(), f.size));
                 let deadline = (spawn_period + 1) as f64 * tp;
                 state.max_lateness = state.max_lateness.max(t - deadline);
                 for &l in compiled.route(tr) {
@@ -312,7 +371,7 @@ impl<'a> Simulator<'a> {
 
             // --- period boundary ---
             if next_period <= config.periods && close(t, boundary, 1e-9) {
-                state.record_backlog(&speeds);
+                state.record_backlog(t);
                 if next_period < config.periods {
                     if config.record_trace {
                         state.trace.push(TraceEvent::PeriodStart {
@@ -320,6 +379,7 @@ impl<'a> Simulator<'a> {
                             period: next_period,
                         });
                     }
+                    // `record_backlog` just drained every queue up to `t`.
                     for &(cluster, app, amount) in &compiled.local_tasks {
                         state.queues[cluster].push_back((app, amount));
                     }
@@ -347,7 +407,7 @@ impl<'a> Simulator<'a> {
             core.commit(t);
 
             if core.live() == 0 && next_period > config.periods {
-                state.drain_to_completion(&speeds);
+                state.drain_to_completion(t);
                 break;
             }
         }
@@ -659,5 +719,201 @@ mod tests {
         let b = Simulator::new(&inst).run(&schedule, &SimConfig::default());
         assert!(a.events > 0);
         assert_eq!(a.events, b.events);
+    }
+
+    impl SimState {
+        /// The reference: the per-event sweep `Simulator::run` made before
+        /// queues drained on observation — every queue by `s · dt` at every
+        /// event. It moves `drained_to` along, so an eager state driven
+        /// through the same observation calls finds nothing left to
+        /// materialise and replays the old path.
+        fn drain_all(&mut self, dt: f64, t: f64) {
+            for (queue, &s) in self.queues.iter_mut().zip(&self.speeds) {
+                drain_queue(queue, s * dt, &mut self.completed);
+            }
+            self.drained_to.fill(t);
+        }
+
+        fn pending(&self, c: usize) -> f64 {
+            self.queues[c].iter().map(|(_, w)| w).sum()
+        }
+    }
+
+    /// One lazy and one eager [`SimState`] driven through the call order of
+    /// `Simulator::run`: at each event the eager one sweeps every queue,
+    /// then both see the warm-up snapshot, the deliveries and the boundary.
+    struct Twin {
+        lazy: SimState,
+        eager: SimState,
+        t: f64,
+    }
+
+    impl Twin {
+        fn new(speeds: &[f64]) -> Self {
+            Twin {
+                lazy: SimState::new(speeds.to_vec(), 0),
+                eager: SimState::new(speeds.to_vec(), 0),
+                t: 0.0,
+            }
+        }
+
+        fn both(&mut self, op: impl Fn(&mut SimState, f64)) {
+            op(&mut self.lazy, self.t);
+            op(&mut self.eager, self.t);
+        }
+
+        fn event(&mut self, t: f64) {
+            let dt = (t - self.t).max(0.0);
+            if dt > 0.0 {
+                self.eager.drain_all(dt, t);
+            }
+            self.t = t;
+        }
+
+        fn deliver(&mut self, c: usize, app: usize, amount: f64) {
+            self.both(|s, t| s.enqueue(c, t, (app, amount)));
+            assert!(
+                close(self.lazy.pending(c), self.eager.pending(c), 1e-12),
+                "t {}: queue {c} pending {} vs {}",
+                self.t,
+                self.lazy.pending(c),
+                self.eager.pending(c)
+            );
+        }
+
+        fn boundary(&mut self, local: &[(usize, usize, f64)]) {
+            self.both(|s, t| s.record_backlog(t));
+            self.assert_agree();
+            for &(c, app, amount) in local {
+                self.both(|s, _| s.queues[c].push_back((app, amount)));
+            }
+        }
+
+        fn warmup(&mut self) {
+            let due = !self.lazy.warmup_snapshotted;
+            self.both(|s, t| s.snapshot_warmup_if_due(t, t));
+            if due {
+                self.assert_agree();
+            }
+        }
+
+        /// `completed` per app, `completed_at_warmup`, pending per queue
+        /// and the backlog agree to 1e-12 (the workspace's `close`); only
+        /// meaningful right after an observation of every queue.
+        fn assert_agree(&self) {
+            let (l, e) = (&self.lazy, &self.eager);
+            let pairs = l
+                .completed
+                .iter()
+                .zip(&e.completed)
+                .chain(l.completed_at_warmup.iter().zip(&e.completed_at_warmup))
+                .chain([(&l.max_backlog, &e.max_backlog)]);
+            for (a, b) in pairs {
+                assert!(close(*a, *b, 1e-12), "t {}: {a} vs {b}", self.t);
+            }
+            for c in 0..l.queues.len() {
+                assert!(close(l.pending(c), e.pending(c), 1e-12), "t {}", self.t);
+            }
+        }
+    }
+
+    #[test]
+    fn delivery_to_a_dry_queue_gets_no_idle_capacity() {
+        // Speed 10: the 5 units present at t = 0 are done by t = 0.5; the
+        // cluster then idles until 10 more units arrive at t = 2.
+        let mut twin = Twin::new(&[10.0, 1.0]);
+        twin.deliver(0, 0, 5.0);
+        twin.event(2.0);
+        twin.deliver(0, 1, 10.0);
+        for s in [&twin.lazy, &twin.eager] {
+            assert_eq!(s.completed, [5.0, 0.0]);
+            assert_eq!(s.pending(0), 10.0);
+        }
+        twin.event(2.5);
+        twin.boundary(&[]);
+        assert_eq!(twin.lazy.completed, [5.0, 5.0]);
+        assert_eq!(twin.lazy.max_backlog, 0.5);
+    }
+
+    #[test]
+    fn warmup_snapshot_between_deliveries_sees_the_drain_up_to_it() {
+        let mut twin = Twin::new(&[4.0, 1.0]);
+        twin.deliver(0, 0, 10.0);
+        twin.event(1.5);
+        twin.warmup();
+        twin.event(2.0);
+        twin.deliver(0, 1, 3.0);
+        twin.event(5.0);
+        twin.both(|s, t| s.materialise_all(t));
+        twin.assert_agree();
+        assert_eq!(twin.lazy.completed_at_warmup, [6.0, 0.0]);
+        assert_eq!(twin.lazy.completed, [10.0, 3.0]);
+        // The snapshot is taken once.
+        twin.warmup();
+        assert_eq!(twin.lazy.completed_at_warmup, [6.0, 0.0]);
+    }
+
+    #[test]
+    fn zero_speed_cluster_holds_its_queue_until_the_final_drain() {
+        let mut twin = Twin::new(&[0.0, 2.0]);
+        twin.deliver(0, 1, 7.0);
+        twin.deliver(1, 0, 3.0);
+        twin.event(10.0);
+        twin.boundary(&[(0, 0, 1.0)]);
+        assert_eq!(twin.lazy.completed, [3.0, 0.0]);
+        assert_eq!(twin.lazy.pending(0), 8.0);
+        // A stalled cluster has no finite backlog; only the busy one counts.
+        assert_eq!(twin.lazy.max_backlog, 0.0);
+        twin.both(|s, t| s.drain_to_completion(t));
+        twin.assert_agree();
+        assert_eq!(twin.lazy.completed, [4.0, 7.0]);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Lazy ≡ eager: random FIFO contents and speeds (zero among
+            /// them), random increasing event times (repeats among them),
+            /// deliveries to random clusters, boundaries and the warm-up
+            /// snapshot interleaved; the two states agree at every
+            /// observation and after the final drain.
+            #[test]
+            fn lazy_queues_match_the_per_event_sweep(
+                speeds in collection::vec(prop_oneof![Just(0.0), 0.25f64..20.0], 1..6),
+                initial in collection::vec((0usize..6, 0usize..6, 0.01f64..40.0), 0..12),
+                events in collection::vec(
+                    (prop_oneof![Just(0.0), 0.0f64..3.0], 0u8..6, 0usize..6, 0usize..6, 0.01f64..40.0),
+                    1..80,
+                ),
+                drain_at_end in proptest::bool::ANY,
+            ) {
+                let n = speeds.len();
+                let mut twin = Twin::new(&speeds);
+                for (c, app, amount) in initial {
+                    twin.deliver(c % n, app % n, amount);
+                }
+                let mut t = 0.0;
+                for (gap, kind, c, app, amount) in events {
+                    t += gap;
+                    twin.event(t);
+                    match kind {
+                        0..=2 => twin.deliver(c % n, app % n, amount),
+                        3 => twin.boundary(&[(c % n, app % n, amount), (app % n, c % n, 1.0)]),
+                        4 => twin.warmup(),
+                        _ => {}
+                    }
+                }
+                if drain_at_end {
+                    twin.both(|s, t| s.drain_to_completion(t));
+                } else {
+                    twin.both(|s, t| s.materialise_all(t));
+                }
+                twin.assert_agree();
+            }
+        }
     }
 }
