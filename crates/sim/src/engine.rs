@@ -23,8 +23,8 @@
 //!
 //! Completed work therefore adds one `s·(t − t₀)` per observation instead
 //! of one `s·dt` per event: reports match the per-event sweep to rounding
-//! (the `engine.rs` tests hold the two to 1e-12 on random queues and event
-//! times).
+//! (this module's tests keep that sweep as a reference and hold the two to
+//! 1e-12 on random queues and event times).
 //!
 //! [`Simulator::run`] is one loop over the flow core this crate also runs
 //! [`crate::LiveSim`] on (`flows.rs`); [`SimEngine`] picks the core's
@@ -727,7 +727,7 @@ mod tests {
         /// event. It moves `drained_to` along, so an eager state driven
         /// through the same observation calls finds nothing left to
         /// materialise and replays the old path.
-        fn drain_all(&mut self, dt: f64, t: f64) {
+        fn per_event_sweep(&mut self, dt: f64, t: f64) {
             for (queue, &s) in self.queues.iter_mut().zip(&self.speeds) {
                 drain_queue(queue, s * dt, &mut self.completed);
             }
@@ -765,7 +765,7 @@ mod tests {
         fn event(&mut self, t: f64) {
             let dt = (t - self.t).max(0.0);
             if dt > 0.0 {
-                self.eager.drain_all(dt, t);
+                self.eager.per_event_sweep(dt, t);
             }
             self.t = t;
         }
