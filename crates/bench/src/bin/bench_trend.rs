@@ -1,6 +1,10 @@
 //! Gate over `BENCH_*.json` perf artifacts: fails (exit 1) when any
-//! `*_agree` flag is false or any entry's speedup sits below its schema's
-//! floor. See `dls_bench::trend`.
+//! `*_agree` flag is false or a row of `dls_bench::trend::FLOORS` is not
+//! met. Each row is `(schema, section, key, floor)`: every entry of that
+//! schema's `section` array must carry `timing_ms.<key> ≥ floor`, unless
+//! it has a `*_skipped: true` key. A missing section fails at every
+//! preset; the floor values are not applied to `quick` artifacts. The
+//! `perf` binary runs the same check on each artifact it writes.
 //!
 //! ```text
 //! bench_trend [FILE ...]

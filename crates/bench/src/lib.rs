@@ -1,18 +1,25 @@
 #![warn(missing_docs)]
 
-//! Shared CLI plumbing for the figure/table regeneration binaries.
+//! The fast-path agreement harnesses behind `perf`, and the CLI plumbing
+//! shared with the figure/table regeneration binaries.
 //!
 //! Every binary accepts:
 //!
 //! ```text
 //! --preset quick|paper-shape|full   (default: paper-shape)
 //! --seed <u64>                      (default: 42)
-//! --threads <n>                     (default: 0 = all cores)
+//! --threads <n>                     (default: 0 = all cores; perf's lp sweep)
 //! --out <dir>                       (default: results/)
 //! --ablation                        (fig6 only: add LPRR-EQ)
 //! ```
+//!
+//! Each harness run is a `#[derive(Serialize)]` struct whose fields open
+//! with one envelope — `schema`, `preset`, `seed`, `entries` — followed by
+//! the harness's own sections. [`Cli::publish`] renders it, writes it and
+//! gates it with [`trend::check_artifact`].
 
 use dls_experiments::Preset;
+use serde::Serialize;
 use std::io;
 use std::path::PathBuf;
 
@@ -28,6 +35,15 @@ pub(crate) fn preset_name(preset: Preset) -> &'static str {
         Preset::Quick => "quick",
         Preset::PaperShape => "paper-shape",
         Preset::Full => "full",
+    }
+}
+
+/// `num / den`, infinite when `den` timed at zero.
+pub(crate) fn ratio(num: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        num / den
+    } else {
+        f64::INFINITY
     }
 }
 
@@ -66,9 +82,21 @@ impl Default for Cli {
 }
 
 impl Cli {
-    /// Parses `std::env::args`, exiting with a usage message on errors.
+    /// Parses `std::env::args`, exiting with a usage message on errors
+    /// (positional arguments included).
     pub fn parse() -> Cli {
+        let (cli, positional) = Cli::parse_with_positionals();
+        if let Some(arg) = positional.first() {
+            usage(&format!("unknown argument {arg}"));
+        }
+        cli
+    }
+
+    /// Parses `std::env::args` like [`Cli::parse`], returning the
+    /// positional (non-flag) arguments alongside.
+    pub fn parse_with_positionals() -> (Cli, Vec<String>) {
         let mut cli = Cli::default();
+        let mut positional = Vec::new();
         let args: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
         while i < args.len() {
@@ -103,11 +131,12 @@ impl Cli {
                 }
                 "--ablation" => cli.ablation = true,
                 "--help" | "-h" => usage(""),
-                other => usage(&format!("unknown argument {other}")),
+                flag if flag.starts_with('-') => usage(&format!("unknown argument {flag}")),
+                name => positional.push(name.to_string()),
             }
             i += 1;
         }
-        cli
+        (cli, positional)
     }
 
     /// Writes a CSV artifact under the output directory. Failures are
@@ -117,9 +146,27 @@ impl Cli {
         self.write_artifact(name, csv)
     }
 
-    /// Writes a JSON artifact under the output directory.
-    pub fn write_json(&self, name: &str, json: &str) -> io::Result<()> {
-        self.write_artifact(name, json)
+    /// Renders `artifact` as pretty JSON, writes it as `name` under the
+    /// output directory, then gates the written text with
+    /// [`trend::check_artifact`]: the artifact is on disk even when it
+    /// fails, so the failing numbers can be inspected. Returns the
+    /// violations (empty = passed); an unwritable file is one too.
+    pub fn publish(&self, name: &str, artifact: &impl Serialize) -> Vec<String> {
+        let json = serde_json::to_string_pretty(artifact).expect("artifacts serialize") + "\n";
+        if let Err(e) = self.write_artifact(name, &json) {
+            return vec![format!(
+                "{name}: cannot write under {}: {e}",
+                self.out.display()
+            )];
+        }
+        let violations = trend::check_artifact(name, &json).unwrap_or_else(|e| vec![e]);
+        if violations.is_empty() {
+            eprintln!("{name}: ok");
+        }
+        for v in &violations {
+            eprintln!("error: {v}");
+        }
+        violations
     }
 
     fn write_artifact(&self, name: &str, contents: &str) -> io::Result<()> {
@@ -150,28 +197,71 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: <bin> [--preset quick|paper-shape|full] [--seed N] \
-         [--threads N] [--out DIR] [--ablation]"
+         [--threads N] [--out DIR] [--ablation]\n       \
+         perf [sim] [lp] [scenario] [service] [options]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
-/// Fixed platform fixtures shared by the criterion benches.
-pub mod fixtures {
-    use dls_core::{Objective, ProblemInstance};
-    use dls_platform::{PlatformConfig, PlatformGenerator};
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use serde_json::Value;
 
-    /// A deterministic instance with `k` clusters, moderate connectivity.
-    pub fn instance(k: usize, objective: Objective) -> ProblemInstance {
-        let cfg = PlatformConfig {
-            num_clusters: k,
-            connectivity: 0.4,
-            heterogeneity: 0.4,
-            mean_local_bw: 250.0,
-            mean_backbone_bw: 30.0,
-            mean_max_connections: 15.0,
-            speed: 100.0,
-            relay_routers: 0,
+    /// The envelope every artifact opens with, in order.
+    pub(crate) const ENVELOPE: [&str; 4] = ["schema", "preset", "seed", "entries"];
+
+    /// Asserts that `json` parses and its first four keys are [`ENVELOPE`].
+    pub(crate) fn assert_envelope(name: &str, json: &str) {
+        let v = serde_json::from_str_value(json).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let Value::Object(fields) = v else {
+            panic!("{name}: not an object");
         };
-        ProblemInstance::uniform(PlatformGenerator::new(7).generate(&cfg), objective)
+        let keys: Vec<&str> = fields.iter().take(4).map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ENVELOPE, "{name}");
+    }
+
+    /// Two same-seed quick runs: both render under the envelope and differ
+    /// in timings only.
+    pub(crate) fn assert_same_artifact(a: &impl Serialize, b: &impl Serialize) {
+        let (a, b) = (
+            serde_json::to_string_pretty(a).unwrap(),
+            serde_json::to_string_pretty(b).unwrap(),
+        );
+        assert_envelope("a", &a);
+        assert_envelope("b", &b);
+        let drift = trend::diff_artifacts("run", &a, &b, 0.0).unwrap();
+        assert!(drift.is_empty(), "{drift:?}");
+    }
+
+    #[test]
+    fn publish_writes_the_artifact_before_gating_it() {
+        let out = std::env::temp_dir().join(format!("dls-bench-publish-{}", std::process::id()));
+        let cli = Cli {
+            out: out.clone(),
+            preset: Preset::Quick,
+            ..Cli::default()
+        };
+        let mut doctored = perf::run(Preset::Quick, 3);
+        assert!(cli.publish("BENCH_sim.json", &doctored).is_empty());
+        doctored.entries[0].engines_agree = false;
+        let violations = cli.publish("BENCH_sim.json", &doctored);
+        let written = std::fs::read_to_string(out.join("BENCH_sim.json")).unwrap();
+        let _ = std::fs::remove_dir_all(&out);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(
+            violations[0].contains("entries[0]/engines_agree"),
+            "{violations:?}"
+        );
+        assert!(written.contains("\"engines_agree\": false"), "{written}");
+        assert_envelope("BENCH_sim.json", &written);
+
+        // An output path that cannot be a directory is a violation too.
+        let blocked = Cli {
+            out: PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml"),
+            ..cli
+        };
+        let v = blocked.publish("BENCH_sim.json", &doctored);
+        assert!(v[0].contains("cannot write"), "{v:?}");
     }
 }

@@ -14,11 +14,11 @@
 //!
 //! Every step's LP objective is cross-checked between the two pipelines
 //! (`objectives_agree`), and a branch-and-bound section times warm (parent
-//! basis inheritance) vs cold node solves on the exact mixed program. The
-//! result is rendered as `BENCH_lp.json`, the LP-side companion of
-//! `BENCH_sim.json`, so the repository keeps a perf trajectory across PRs.
+//! basis inheritance) vs cold node solves on the exact mixed program.
+//! [`LpPerfRun`] is `BENCH_lp.json`, the LP-side companion of
+//! `BENCH_sim.json`.
 
-use crate::{preset_name, timed};
+use crate::{preset_name, ratio, timed};
 use dls_core::heuristics::{Lprr, PinSweepReport};
 use dls_core::{LpFormulation, Objective, ProblemInstance};
 use dls_experiments::Preset;
@@ -29,7 +29,7 @@ use dls_lp::{
 use dls_platform::{ClusterId, PlatformBuilder, PlatformGenerator};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::fmt::Write as _;
+use serde::Serialize;
 use std::time::Instant;
 
 /// Deterministic MAXMIN instance with *spread* payoffs, like the simulation
@@ -208,7 +208,7 @@ pub fn replay_warm(
 }
 
 /// Measurements for one sparse-scaling scale (island topology).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SparsePerfEntry {
     /// Number of clusters.
     pub k: usize,
@@ -235,31 +235,33 @@ pub struct SparsePerfEntry {
     /// `true` when the dense cold reference was not run (dense cold is
     /// intractable past K ≈ 200 and skipped in the quick preset).
     pub dense_skipped: bool,
+    /// `factor.factor_nnz`.
+    pub factor_nnz: usize,
+    /// `factor.fill_ratio`.
+    pub fill_ratio: f64,
+    /// `factor.refactorisations`.
+    pub refactor_count: u64,
     /// The sparse factorisation after the cold solve: non-zeros (LU + eta
     /// file), fill-in relative to the basis matrix, refactorisations, and
     /// how many rows the solve's FTRANs/BTRANs actually walked.
     pub factor: FactorStats,
-    /// Sparse cold solve wall-clock, milliseconds.
-    pub sparse_cold_ms: f64,
-    /// Dense cold solve wall-clock, milliseconds (`None` when skipped).
-    pub dense_cold_ms: Option<f64>,
-    /// Sequential (`threads = 1`) pin sweep wall-clock, milliseconds.
-    pub sweep_sequential_ms: f64,
-    /// Sharded pin sweep wall-clock, milliseconds.
-    pub sweep_sharded_ms: f64,
+    /// Wall-clocks, milliseconds.
+    pub timing_ms: SparseTiming,
 }
 
-impl SparsePerfEntry {
-    /// `dense_cold_ms / sparse_cold_ms` (`None` when dense was skipped).
-    pub fn dense_vs_sparse_speedup(&self) -> Option<f64> {
-        self.dense_cold_ms.map(|d| {
-            if self.sparse_cold_ms > 0.0 {
-                d / self.sparse_cold_ms
-            } else {
-                f64::INFINITY
-            }
-        })
-    }
+/// Wall-clocks of one [`SparsePerfEntry`], milliseconds.
+#[derive(Debug, Clone, Serialize)]
+pub struct SparseTiming {
+    /// Sparse cold solve.
+    pub sparse_cold: f64,
+    /// Dense cold solve (`None` when skipped).
+    pub dense_cold: Option<f64>,
+    /// Sequential (`threads = 1`) pin sweep.
+    pub sweep_sequential: f64,
+    /// Sharded pin sweep.
+    pub sweep_sharded: f64,
+    /// `dense_cold / sparse_cold` (`None` when dense was skipped).
+    pub dense_vs_sparse_speedup: Option<f64>,
 }
 
 /// NaN-safe bit-for-bit equality of two sweep reports, ignoring the
@@ -392,16 +394,22 @@ fn sparse_entry(k: usize, seed: u64, sharded_threads: usize, run_dense: bool) ->
         objectives_agree: dense_agrees && replay_agrees,
         sweep_agree: sweeps_bit_identical(&seq, &shd),
         dense_skipped: !run_dense,
+        factor_nnz: stats.factor_nnz,
+        fill_ratio: stats.fill_ratio,
+        refactor_count: stats.refactorisations,
         factor: stats,
-        sparse_cold_ms,
-        dense_cold_ms,
-        sweep_sequential_ms,
-        sweep_sharded_ms,
+        timing_ms: SparseTiming {
+            sparse_cold: sparse_cold_ms,
+            dense_cold: dense_cold_ms,
+            sweep_sequential: sweep_sequential_ms,
+            sweep_sharded: sweep_sharded_ms,
+            dense_vs_sparse_speedup: dense_cold_ms.map(|d| ratio(d, sparse_cold_ms)),
+        },
     }
 }
 
 /// Measurements for one LPRR replay scale.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LpPerfEntry {
     /// Number of clusters.
     pub k: usize,
@@ -419,35 +427,50 @@ pub struct LpPerfEntry {
     /// Largest relative objective gap observed across the sequence.
     pub max_rel_gap: f64,
     /// Warm-context counters for the whole replay.
-    pub warm_stats: WarmStats,
-    /// Cold replay wall-clock, milliseconds.
-    pub cold_ms: f64,
-    /// Warm replay wall-clock, milliseconds.
-    pub warm_ms: f64,
-    /// `cold_ms / warm_ms`.
+    pub warm: WarmStats,
+    /// Wall-clocks, milliseconds.
+    pub timing_ms: ColdWarmTiming,
+}
+
+/// Cold vs warm wall-clocks, milliseconds.
+#[derive(Debug, Clone, Serialize)]
+pub struct ColdWarmTiming {
+    /// Cold pipeline.
+    pub cold: f64,
+    /// Warm pipeline.
+    pub warm: f64,
+    /// `cold / warm`.
     pub speedup: f64,
 }
 
+impl ColdWarmTiming {
+    fn new(cold: f64, warm: f64) -> Self {
+        ColdWarmTiming {
+            cold,
+            warm,
+            speedup: ratio(cold, warm),
+        }
+    }
+}
+
 /// Measurements for one branch-and-bound scale.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct BnbPerfEntry {
     /// Number of clusters of the exact mixed program.
     pub k: usize,
     /// Warm (basis-inheriting) and cold optima agree to 1e-6 relative.
     pub objectives_agree: bool,
-    /// Cold-node-solve wall-clock, milliseconds.
-    pub cold_ms: f64,
-    /// Warm-node-solve wall-clock, milliseconds.
-    pub warm_ms: f64,
-    /// `cold_ms / warm_ms`.
-    pub speedup: f64,
+    /// Cold vs warm node-solve wall-clocks, milliseconds.
+    pub timing_ms: ColdWarmTiming,
 }
 
-/// One full LP perf run.
-#[derive(Debug, Clone)]
+/// One full LP perf run: `BENCH_lp.json`.
+#[derive(Debug, Clone, Serialize)]
 pub struct LpPerfRun {
+    /// Artifact schema tag.
+    pub schema: &'static str,
     /// Preset the run was generated with.
-    pub preset: Preset,
+    pub preset: &'static str,
     /// Base seed (pin sequences derive from it).
     pub seed: u64,
     /// LPRR replay entries, one per scale.
@@ -455,7 +478,9 @@ pub struct LpPerfRun {
     /// Sparse-scaling entries (island topology), one per scale.
     pub sparse: Vec<SparsePerfEntry>,
     /// Branch-and-bound entries.
-    pub bnb: Vec<BnbPerfEntry>,
+    pub branch_bound: Vec<BnbPerfEntry>,
+    /// Speedup at the largest LPRR scale of the run.
+    pub largest_k_speedup: Option<f64>,
 }
 
 /// Best-of-`runs` timing for sub-millisecond work, where a one-shot
@@ -511,14 +536,8 @@ pub fn run(preset: Preset, seed: u64, threads: usize) -> LpPerfRun {
             cold_engine,
             objectives_agree: max_rel_gap <= 1e-5,
             max_rel_gap,
-            warm_stats,
-            cold_ms,
-            warm_ms,
-            speedup: if warm_ms > 0.0 {
-                cold_ms / warm_ms
-            } else {
-                f64::INFINITY
-            },
+            warm: warm_stats,
+            timing_ms: ColdWarmTiming::new(cold_ms, warm_ms),
         });
     }
 
@@ -539,7 +558,7 @@ pub fn run(preset: Preset, seed: u64, threads: usize) -> LpPerfRun {
         sparse.push(sparse_entry(k, seed, sharded_threads, run_dense));
     }
 
-    let mut bnb = Vec::new();
+    let mut branch_bound = Vec::new();
     for &k in bnb_cluster_counts(preset) {
         let inst = lp_instance(k, seed);
         let f = LpFormulation::mixed(&inst).expect("mixed formulation");
@@ -557,253 +576,25 @@ pub fn run(preset: Preset, seed: u64, threads: usize) -> LpPerfRun {
         let objectives_agree = warm_sol.status == cold_sol.status
             && (warm_sol.objective - cold_sol.objective).abs()
                 <= 1e-6 * (1.0 + cold_sol.objective.abs());
-        bnb.push(BnbPerfEntry {
+        branch_bound.push(BnbPerfEntry {
             k,
             objectives_agree,
-            cold_ms,
-            warm_ms,
-            speedup: if warm_ms > 0.0 {
-                cold_ms / warm_ms
-            } else {
-                f64::INFINITY
-            },
+            timing_ms: ColdWarmTiming::new(cold_ms, warm_ms),
         });
     }
 
+    let largest_k_speedup = entries
+        .iter()
+        .max_by_key(|e| e.k)
+        .map(|e| e.timing_ms.speedup);
     LpPerfRun {
-        preset,
+        schema: "dls-bench/lp-perf/v2",
+        preset: preset_name(preset),
         seed,
         entries,
         sparse,
-        bnb,
-    }
-}
-
-impl LpPerfRun {
-    /// Speedup at the largest LPRR scale of the run.
-    pub fn largest_k_speedup(&self) -> Option<f64> {
-        self.entries.iter().max_by_key(|e| e.k).map(|e| e.speedup)
-    }
-
-    /// `true` iff every LPRR step, every sparse-section check, and every
-    /// B&B pair agreed.
-    pub fn all_agree(&self) -> bool {
-        self.entries.iter().all(|e| e.objectives_agree)
-            && self
-                .sparse
-                .iter()
-                .all(|e| e.objectives_agree && e.sweep_agree)
-            && self.bnb.iter().all(|e| e.objectives_agree)
-    }
-
-    /// Human-readable table for the terminal.
-    pub fn text_summary(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "LP pipeline trajectory (preset {}, seed {}; warm-started vs cold LPRR replay)",
-            preset_name(self.preset),
-            self.seed
-        );
-        let _ = writeln!(
-            out,
-            "{:>5} {:>6} {:>7} {:>11} {:>11} {:>9} {:>11}  agree",
-            "K", "pins", "engine", "cold ms", "warm ms", "speedup", "dual piv"
-        );
-        for e in &self.entries {
-            let _ = writeln!(
-                out,
-                "{:>5} {:>6} {:>7} {:>11.1} {:>11.1} {:>8.1}x {:>11}  {}",
-                e.k,
-                e.pins,
-                e.cold_engine,
-                e.cold_ms,
-                e.warm_ms,
-                e.speedup,
-                e.warm_stats.dual_pivots,
-                if e.objectives_agree { "yes" } else { "NO" }
-            );
-        }
-        if !self.sparse.is_empty() {
-            let _ = writeln!(
-                out,
-                "sparse LP core (islands of {ISLAND}, sparse-LU engine, sharded pin sweep)"
-            );
-            let _ = writeln!(
-                out,
-                "{:>5} {:>7} {:>11} {:>11} {:>9} {:>6} {:>9} {:>9} {:>11} {:>11}  agree",
-                "K",
-                "rows",
-                "sparse ms",
-                "dense ms",
-                "dns/sprs",
-                "fill",
-                "rows/ftr",
-                "nz/btr",
-                "seq swp ms",
-                "shard ms"
-            );
-            for e in &self.sparse {
-                let dense = match e.dense_cold_ms {
-                    Some(ms) => format!("{ms:.1}"),
-                    None => "skipped".to_string(),
-                };
-                let speedup = match e.dense_vs_sparse_speedup() {
-                    Some(s) => format!("{s:.1}x"),
-                    None => "-".to_string(),
-                };
-                // Cold-solve averages: Ũ rows back-substituted per sparse
-                // FTRAN and non-zero inputs per BTRAN (a sweep of the
-                // factor would read `rows` + bound rows for both).
-                let per = |total: u64, calls: u64| total as f64 / calls.max(1) as f64;
-                let _ = writeln!(
-                    out,
-                    "{:>5} {:>7} {:>11.1} {:>11} {:>9} {:>6.2} {:>9.1} {:>9.1} {:>11.1} {:>11.1}  {}",
-                    e.k,
-                    e.model_rows,
-                    e.sparse_cold_ms,
-                    dense,
-                    speedup,
-                    e.factor.fill_ratio,
-                    per(e.factor.ftran_u_rows, e.factor.sparse_ftrans),
-                    per(e.factor.btran_nz_rows, e.factor.btrans),
-                    e.sweep_sequential_ms,
-                    e.sweep_sharded_ms,
-                    if e.objectives_agree && e.sweep_agree {
-                        "yes"
-                    } else {
-                        "NO"
-                    }
-                );
-            }
-        }
-        for e in &self.bnb {
-            let _ = writeln!(
-                out,
-                "B&B K={}: cold {:.1} ms, warm {:.1} ms ({:.1}x)  agree: {}",
-                e.k,
-                e.cold_ms,
-                e.warm_ms,
-                e.speedup,
-                if e.objectives_agree { "yes" } else { "NO" }
-            );
-        }
-        if let Some(s) = self.largest_k_speedup() {
-            let _ = writeln!(out, "largest-K LPRR speedup: {s:.1}x");
-        }
-        out
-    }
-
-    /// Renders `BENCH_lp.json` (stable key order; only `timing_ms` blocks
-    /// vary between runs with the same seed).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"dls-bench/lp-perf/v2\",");
-        let _ = writeln!(out, "  \"preset\": \"{}\",", preset_name(self.preset));
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        out.push_str("  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            out.push_str("    {\n");
-            let _ = writeln!(out, "      \"k\": {},", e.k);
-            let _ = writeln!(out, "      \"pins\": {},", e.pins);
-            let _ = writeln!(out, "      \"model_rows\": {},", e.model_rows);
-            let _ = writeln!(out, "      \"model_cols\": {},", e.model_cols);
-            let _ = writeln!(out, "      \"cold_engine\": \"{}\",", e.cold_engine);
-            let _ = writeln!(out, "      \"objectives_agree\": {},", e.objectives_agree);
-            let _ = writeln!(out, "      \"max_rel_gap\": {:.3e},", e.max_rel_gap);
-            let s = &e.warm_stats;
-            let _ = writeln!(
-                out,
-                "      \"warm\": {{\"solves\": {}, \"warm_solves\": {}, \"cold_solves\": {}, \
-                 \"fallbacks\": {}, \"dual_pivots\": {}, \"primal_pivots\": {}}},",
-                s.solves, s.warm_solves, s.cold_solves, s.fallbacks, s.dual_pivots, s.primal_pivots
-            );
-            let _ = writeln!(out, "      \"timing_ms\": {{");
-            let _ = writeln!(out, "        \"cold\": {:.3},", e.cold_ms);
-            let _ = writeln!(out, "        \"warm\": {:.3},", e.warm_ms);
-            let _ = writeln!(out, "        \"speedup\": {:.3}", e.speedup);
-            out.push_str("      }\n");
-            out.push_str(if i + 1 == self.entries.len() {
-                "    }\n"
-            } else {
-                "    },\n"
-            });
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"sparse\": [\n");
-        for (i, e) in self.sparse.iter().enumerate() {
-            out.push_str("    {\n");
-            let _ = writeln!(out, "      \"k\": {},", e.k);
-            let _ = writeln!(out, "      \"islands\": {},", e.islands);
-            let _ = writeln!(out, "      \"model_rows\": {},", e.model_rows);
-            let _ = writeln!(out, "      \"model_cols\": {},", e.model_cols);
-            let _ = writeln!(out, "      \"replay_pins\": {},", e.replay_pins);
-            let _ = writeln!(out, "      \"sweep_probes\": {},", e.sweep_probes);
-            let _ = writeln!(out, "      \"threads\": {},", e.threads);
-            let _ = writeln!(out, "      \"objectives_agree\": {},", e.objectives_agree);
-            let _ = writeln!(out, "      \"sweep_agree\": {},", e.sweep_agree);
-            let _ = writeln!(out, "      \"dense_skipped\": {},", e.dense_skipped);
-            let _ = writeln!(out, "      \"factor_nnz\": {},", e.factor.factor_nnz);
-            let _ = writeln!(out, "      \"fill_ratio\": {:.3},", e.factor.fill_ratio);
-            let _ = writeln!(
-                out,
-                "      \"refactor_count\": {},",
-                e.factor.refactorisations
-            );
-            let _ = writeln!(out, "      \"timing_ms\": {{");
-            let _ = writeln!(out, "        \"sparse_cold\": {:.3},", e.sparse_cold_ms);
-            match e.dense_cold_ms {
-                Some(ms) => {
-                    let _ = writeln!(out, "        \"dense_cold\": {ms:.3},");
-                }
-                None => {
-                    let _ = writeln!(out, "        \"dense_cold\": null,");
-                }
-            }
-            let _ = writeln!(
-                out,
-                "        \"sweep_sequential\": {:.3},",
-                e.sweep_sequential_ms
-            );
-            let _ = writeln!(out, "        \"sweep_sharded\": {:.3},", e.sweep_sharded_ms);
-            match e.dense_vs_sparse_speedup() {
-                Some(s) => {
-                    let _ = writeln!(out, "        \"dense_vs_sparse_speedup\": {s:.3}");
-                }
-                None => {
-                    let _ = writeln!(out, "        \"dense_vs_sparse_speedup\": null");
-                }
-            }
-            out.push_str("      }\n");
-            out.push_str(if i + 1 == self.sparse.len() {
-                "    }\n"
-            } else {
-                "    },\n"
-            });
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"branch_bound\": [\n");
-        for (i, e) in self.bnb.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"k\": {}, \"objectives_agree\": {}, \"timing_ms\": \
-                 {{\"cold\": {:.3}, \"warm\": {:.3}, \"speedup\": {:.3}}}}}",
-                e.k, e.objectives_agree, e.cold_ms, e.warm_ms, e.speedup
-            );
-            out.push_str(if i + 1 == self.bnb.len() { "\n" } else { ",\n" });
-        }
-        out.push_str("  ],\n");
-        match self.largest_k_speedup() {
-            Some(s) => {
-                let _ = writeln!(out, "  \"largest_k_speedup\": {s:.3}");
-            }
-            None => {
-                let _ = writeln!(out, "  \"largest_k_speedup\": null");
-            }
-        }
-        out.push_str("}\n");
-        out
+        branch_bound,
+        largest_k_speedup,
     }
 }
 
@@ -849,10 +640,17 @@ mod tests {
         assert!(e.objectives_agree, "{e:?}");
         assert!(e.sweep_agree, "{e:?}");
         assert!(!e.dense_skipped);
-        assert!(e.dense_vs_sparse_speedup().is_some());
+        assert!(e.timing_ms.dense_vs_sparse_speedup.is_some());
         assert!(e.factor.factor_nnz > 0 && e.factor.fill_ratio > 0.0);
         assert_eq!(e.islands, 2);
         assert_eq!(e.threads, 2);
+    }
+
+    #[test]
+    fn quick_preset_is_deterministic() {
+        let a = run(Preset::Quick, 7, 2);
+        assert!(a.entries[0].objectives_agree, "{:?}", a.entries[0]);
+        crate::tests::assert_same_artifact(&a, &run(Preset::Quick, 7, 2));
     }
 
     #[test]

@@ -18,11 +18,10 @@
 //! harness asserts the comparison at two levels: aggregate metrics
 //! (`reports_agree`) and the full delivery/compute event stream
 //! (`events_agree`, with the first divergent event named when they split).
-//! Both land in `BENCH_scenario.json` next to the wall-clock speedup so
-//! the perf trajectory is tracked across PRs, and `perf_scenario` exits
-//! non-zero when any trace disagrees.
+//! Both land in `BENCH_scenario.json` ([`ScenarioPerfRun`]) next to the
+//! wall-clock speedup, and the `perf` binary's gate fails on either.
 
-use crate::preset_name;
+use crate::{preset_name, ratio};
 use dls_core::adaptive::DriftConfig;
 use dls_core::ProblemInstance;
 use dls_experiments::Preset;
@@ -33,7 +32,7 @@ use dls_scenario::{
     ScenarioConfig, ScenarioReport,
 };
 use dls_sim::SimEngine;
-use std::fmt::Write as _;
+use serde::Serialize;
 use std::time::Instant;
 
 /// `(clusters, horizon periods)` exercised per preset: the flagship scale
@@ -46,8 +45,9 @@ pub fn scales(preset: Preset) -> &'static [(usize, f64)] {
     }
 }
 
-/// Measurements for one trace × pipeline pair.
-#[derive(Debug, Clone)]
+/// Measurements for one trace × pipeline pair. The report fields are
+/// the incremental + warm pipeline's unless suffixed `_slow`.
+#[derive(Debug, Clone, Serialize)]
 pub struct ScenarioPerfEntry {
     /// Trace name (`steady`, `drift` or `faulty`).
     pub trace: String,
@@ -57,10 +57,28 @@ pub struct ScenarioPerfEntry {
     pub jobs: usize,
     /// Platform events in the trace.
     pub platform_events: usize,
-    /// Report of the incremental + warm pipeline.
-    pub fast: ScenarioReport,
-    /// Report of the full-recompute + cold pipeline.
-    pub slow: ScenarioReport,
+    /// Periods simulated.
+    pub periods: usize,
+    /// Jobs completed.
+    pub completed_jobs: usize,
+    /// Completion time of the last job.
+    pub makespan: f64,
+    /// Mean job response time.
+    pub mean_response: f64,
+    /// Load completed per unit time.
+    pub achieved_throughput: f64,
+    /// Load the policy allocated per unit time.
+    pub allocated_throughput: f64,
+    /// Re-solves the policy performed.
+    pub reschedules: usize,
+    /// Simulator events, incremental + warm.
+    pub sim_events_fast: u64,
+    /// Simulator events, full + cold.
+    pub sim_events_slow: u64,
+    /// Makespan under full + cold.
+    pub makespan_slow: f64,
+    /// Mean response under full + cold.
+    pub mean_response_slow: f64,
     /// `true` iff both pipelines produced identical deterministic metrics
     /// (1e-6 relative).
     pub reports_agree: bool,
@@ -71,27 +89,37 @@ pub struct ScenarioPerfEntry {
     /// When the event streams split: a one-line description of the first
     /// divergent event (index + both records).
     pub first_divergence: Option<String>,
-    /// Incremental + warm wall-clock, milliseconds (best of two).
-    pub fast_ms: f64,
-    /// Full + cold wall-clock, milliseconds (best of two).
-    pub slow_ms: f64,
-    /// `slow_ms / fast_ms`.
-    pub speedup: f64,
     /// The warm pipeline's cumulative LP counters over one replay (patch,
-    /// flush, repair and pivot counts — deterministic per seed). Terminal
-    /// summary only; the JSON schema is unchanged.
-    pub warm_stats: WarmStats,
+    /// flush, repair and pivot counts — deterministic per seed).
+    pub warm: WarmStats,
+    /// Wall-clocks, milliseconds (best of two).
+    pub timing_ms: ScenarioTiming,
 }
 
-/// One full harness run.
-#[derive(Debug, Clone)]
+/// Wall-clocks of one [`ScenarioPerfEntry`], milliseconds.
+#[derive(Debug, Clone, Serialize)]
+pub struct ScenarioTiming {
+    /// Incremental engine + warm LP.
+    pub incremental_warm: f64,
+    /// Full-recompute engine + cold LP.
+    pub full_cold: f64,
+    /// `full_cold / incremental_warm`.
+    pub speedup: f64,
+}
+
+/// One full harness run: `BENCH_scenario.json`.
+#[derive(Debug, Clone, Serialize)]
 pub struct ScenarioPerfRun {
+    /// Artifact schema tag.
+    pub schema: &'static str,
     /// Preset the run was generated with.
-    pub preset: Preset,
+    pub preset: &'static str,
     /// Base seed.
     pub seed: u64,
     /// One entry per trace × scale.
     pub entries: Vec<ScenarioPerfEntry>,
+    /// Speedup of the flagship `steady` trace at K = 50, if it was run.
+    pub k50_steady_speedup: Option<f64>,
 }
 
 /// The benchmark traces: the catalog's Poisson workload (≈ 330 jobs at the
@@ -218,207 +246,45 @@ pub fn run(preset: Preset, seed: u64) -> Result<ScenarioPerfRun, dls_scenario::S
             let first_divergence = fast
                 .first_event_divergence(&slow, 1e-6)
                 .map(|d| d.describe());
-            let events_agree = first_divergence.is_none();
             entries.push(ScenarioPerfEntry {
                 trace: scenario.name.clone(),
                 k,
                 jobs: scenario.jobs.len(),
                 platform_events: scenario.platform_events.len(),
-                fast,
-                slow,
+                periods: fast.periods,
+                completed_jobs: fast.completed_jobs,
+                makespan: fast.makespan,
+                mean_response: fast.mean_response,
+                achieved_throughput: fast.achieved_throughput,
+                allocated_throughput: fast.allocated_throughput,
+                reschedules: fast.reschedules,
+                sim_events_fast: fast.sim_events,
+                sim_events_slow: slow.sim_events,
+                makespan_slow: slow.makespan,
+                mean_response_slow: slow.mean_response,
                 reports_agree,
-                events_agree,
+                events_agree: first_divergence.is_none(),
                 first_divergence,
-                fast_ms,
-                slow_ms,
-                speedup: if fast_ms > 0.0 {
-                    slow_ms / fast_ms
-                } else {
-                    f64::INFINITY
+                warm: warm_stats,
+                timing_ms: ScenarioTiming {
+                    incremental_warm: fast_ms,
+                    full_cold: slow_ms,
+                    speedup: ratio(slow_ms, fast_ms),
                 },
-                warm_stats,
             });
         }
     }
+    let k50_steady_speedup = entries
+        .iter()
+        .find(|e| e.k == 50 && e.trace == "steady")
+        .map(|e| e.timing_ms.speedup);
     Ok(ScenarioPerfRun {
-        preset,
+        schema: "dls-bench/scenario/v1",
+        preset: preset_name(preset),
         seed,
         entries,
+        k50_steady_speedup,
     })
-}
-
-impl ScenarioPerfRun {
-    /// `true` iff every trace's pipelines agreed on both the aggregate
-    /// report and the event stream. The perf bin refuses to publish an
-    /// artifact where this is false.
-    pub fn all_agree(&self) -> bool {
-        self.entries
-            .iter()
-            .all(|e| e.reports_agree && e.events_agree)
-    }
-
-    /// One line per disagreeing trace, for error output.
-    pub fn disagreements(&self) -> Vec<String> {
-        self.entries
-            .iter()
-            .filter(|e| !(e.reports_agree && e.events_agree))
-            .map(|e| {
-                format!(
-                    "{} (K = {}): reports_agree = {}, events_agree = {}{}",
-                    e.trace,
-                    e.k,
-                    e.reports_agree,
-                    e.events_agree,
-                    e.first_divergence
-                        .as_deref()
-                        .map(|d| format!("; first divergence at {d}"))
-                        .unwrap_or_default()
-                )
-            })
-            .collect()
-    }
-
-    /// Speedup of the flagship `steady` trace at K = 50, if present.
-    pub fn k50_steady_speedup(&self) -> Option<f64> {
-        self.entries
-            .iter()
-            .find(|e| e.k == 50 && e.trace == "steady")
-            .map(|e| e.speedup)
-    }
-
-    /// Human-readable table for the terminal.
-    pub fn text_summary(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "scenario perf (preset {}, seed {}; incremental+warm vs full+cold)",
-            preset_name(self.preset),
-            self.seed,
-        );
-        let _ = writeln!(
-            out,
-            "{:>8} {:>4} {:>6} {:>8} {:>10} {:>10} {:>9}  agree",
-            "trace", "K", "jobs", "events", "fast ms", "slow ms", "speedup"
-        );
-        for e in &self.entries {
-            let _ = writeln!(
-                out,
-                "{:>8} {:>4} {:>6} {:>8} {:>10.1} {:>10.1} {:>8.1}x  {}",
-                e.trace,
-                e.k,
-                e.jobs,
-                e.fast.sim_events,
-                e.fast_ms,
-                e.slow_ms,
-                e.speedup,
-                match (e.reports_agree, e.events_agree) {
-                    (true, true) => "yes",
-                    (false, _) => "NO (reports)",
-                    (true, false) => "NO (events)",
-                }
-            );
-        }
-        if let Some(s) = self.k50_steady_speedup() {
-            let _ = writeln!(out, "K = 50 steady speedup: {s:.1}x");
-        }
-        let _ = writeln!(out, "warm LP counters per replay:");
-        for e in &self.entries {
-            let s = &e.warm_stats;
-            let _ = writeln!(
-                out,
-                "{:>8} K={}: solves {} (cold {}), b_patches {}, xb_flushes {}, rank1_repairs {}, \
-                 evictions {}, refactorisations {}, dual/primal pivots {}/{}",
-                e.trace,
-                e.k,
-                s.solves,
-                s.cold_solves,
-                s.b_patches,
-                s.xb_flushes,
-                s.rank1_repairs,
-                s.evictions,
-                s.refactorisations,
-                s.dual_pivots,
-                s.primal_pivots,
-            );
-        }
-        out
-    }
-
-    /// Renders `BENCH_scenario.json` (stable key order; only the timing
-    /// fields vary between runs with the same seed).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"dls-bench/scenario/v1\",");
-        let _ = writeln!(out, "  \"preset\": \"{}\",", preset_name(self.preset));
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        out.push_str("  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            out.push_str("    {\n");
-            let _ = writeln!(out, "      \"trace\": \"{}\",", e.trace);
-            let _ = writeln!(out, "      \"k\": {},", e.k);
-            let _ = writeln!(out, "      \"jobs\": {},", e.jobs);
-            let _ = writeln!(out, "      \"platform_events\": {},", e.platform_events);
-            let _ = writeln!(out, "      \"periods\": {},", e.fast.periods);
-            let _ = writeln!(out, "      \"completed_jobs\": {},", e.fast.completed_jobs);
-            let _ = writeln!(out, "      \"makespan\": {:.9},", e.fast.makespan);
-            let _ = writeln!(out, "      \"mean_response\": {:.9},", e.fast.mean_response);
-            let _ = writeln!(
-                out,
-                "      \"achieved_throughput\": {:.9},",
-                e.fast.achieved_throughput
-            );
-            let _ = writeln!(
-                out,
-                "      \"allocated_throughput\": {:.9},",
-                e.fast.allocated_throughput
-            );
-            let _ = writeln!(out, "      \"reschedules\": {},", e.fast.reschedules);
-            let _ = writeln!(out, "      \"sim_events_fast\": {},", e.fast.sim_events);
-            let _ = writeln!(out, "      \"sim_events_slow\": {},", e.slow.sim_events);
-            let _ = writeln!(out, "      \"makespan_slow\": {:.9},", e.slow.makespan);
-            let _ = writeln!(
-                out,
-                "      \"mean_response_slow\": {:.9},",
-                e.slow.mean_response
-            );
-            let _ = writeln!(out, "      \"reports_agree\": {},", e.reports_agree);
-            let _ = writeln!(out, "      \"events_agree\": {},", e.events_agree);
-            match &e.first_divergence {
-                Some(d) => {
-                    let _ = writeln!(
-                        out,
-                        "      \"first_divergence\": \"{}\",",
-                        d.replace('\\', "\\\\").replace('"', "\\\"")
-                    );
-                }
-                None => {
-                    let _ = writeln!(out, "      \"first_divergence\": null,");
-                }
-            }
-            let _ = writeln!(out, "      \"timing_ms\": {{");
-            let _ = writeln!(out, "        \"incremental_warm\": {:.3},", e.fast_ms);
-            let _ = writeln!(out, "        \"full_cold\": {:.3},", e.slow_ms);
-            let _ = writeln!(out, "        \"speedup\": {:.3}", e.speedup);
-            out.push_str("      }\n");
-            out.push_str(if i + 1 == self.entries.len() {
-                "    }\n"
-            } else {
-                "    },\n"
-            });
-        }
-        out.push_str("  ],\n");
-        match self.k50_steady_speedup() {
-            Some(s) => {
-                let _ = writeln!(out, "  \"k50_steady_speedup\": {s:.3}");
-            }
-            None => {
-                let _ = writeln!(out, "  \"k50_steady_speedup\": null");
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -435,36 +301,27 @@ mod tests {
         // divergence must be caught.
         for e in &run.entries {
             assert!(e.jobs > 0);
-            assert!(
-                e.reports_agree,
-                "{} pipelines diverged:\n{}\n{}",
-                e.trace,
-                e.fast.summary(),
-                e.slow.summary()
-            );
+            assert!(e.reports_agree, "{} pipelines diverged: {e:?}", e.trace);
             assert!(
                 e.events_agree,
                 "{} event streams diverged at {}",
                 e.trace,
                 e.first_divergence.as_deref().unwrap_or("?")
             );
-            assert_eq!(e.fast.completed_jobs, e.fast.jobs, "{}", e.trace);
+            assert_eq!(e.completed_jobs, e.jobs, "{}", e.trace);
         }
         assert_eq!(run.entries[0].trace, "steady");
         assert_eq!(run.entries[1].trace, "drift");
         assert_eq!(run.entries[2].trace, "faulty");
         // The fault trace really crashed clusters (and both pipelines
         // recorded the identical fault log).
-        let faulty = &run.entries[2];
-        assert!(!faulty.fast.fault_records().is_empty());
-        assert_eq!(faulty.fast.fault_records(), faulty.slow.fault_records());
-        assert!(run.all_agree());
-        assert!(run.disagreements().is_empty());
-        // The JSON is well-formed enough to embed in the artifact.
-        let json = run.to_json();
-        assert!(json.contains("\"schema\": \"dls-bench/scenario/v1\""));
-        assert!(json.contains("\"reports_agree\""));
-        assert!(json.contains("\"events_agree\": true"));
-        assert!(json.contains("\"first_divergence\": null"));
+        let (k, horizon) = scales(Preset::Quick)[0];
+        let inst = paper_shape_instance(k, 7);
+        let faulty = &traces(&inst, k, horizon, 7)[2];
+        let (fast, _, _) = run_pipeline(&inst, faulty, true).unwrap();
+        let (slow, _, _) = run_pipeline(&inst, faulty, false).unwrap();
+        assert!(!fast.fault_records().is_empty());
+        assert_eq!(fast.fault_records(), slow.fault_records());
+        crate::tests::assert_same_artifact(&run, &super::run(Preset::Quick, 7).unwrap());
     }
 }

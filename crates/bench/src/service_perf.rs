@@ -11,7 +11,7 @@
 //! `reports_agree` (a tenant subset checked bit-for-bit against the same
 //! timeline run alone, in-process) and a `recovery` section proving the
 //! drain-checkpoint-restart-replay path reproduces the uninterrupted
-//! run bit-for-bit.
+//! run bit-for-bit. [`ServicePerfRun`] is `BENCH_service.json`.
 
 use crate::preset_name;
 use dls_experiments::{PolicyKind, Preset};
@@ -21,7 +21,7 @@ use dls_scenario::{
 };
 use dls_service::{Client, Op, RespBody, Server, ServiceConfig, TenantSpec};
 use dls_sim::SimEngine;
-use std::fmt::Write as _;
+use serde::Serialize;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -151,7 +151,7 @@ fn canonical(report: &ScenarioReport) -> String {
 }
 
 /// Measurements for one core at one tenant count.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CoreStats {
     /// Total requests issued across all client threads.
     pub requests: usize,
@@ -166,25 +166,38 @@ pub struct CoreStats {
 }
 
 /// One tenant-count entry.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ServicePerfEntry {
     /// Concurrent tenants (= client threads).
     pub tenants: usize,
     /// Jobs each tenant submits.
     pub jobs_per_tenant: usize,
+    /// How many tenants were cross-checked per core.
+    pub checked_tenants: usize,
+    /// Checked-tenant daemon reports matched their single-tenant
+    /// in-process runs bit-for-bit (both cores).
+    pub reports_agree: bool,
     /// Incremental-core stats.
     pub incremental: CoreStats,
     /// Full-recompute-core stats.
     pub full: CoreStats,
-    /// Checked-tenant daemon reports matched their single-tenant
-    /// in-process runs bit-for-bit (both cores).
-    pub reports_agree: bool,
-    /// How many tenants were cross-checked per core.
-    pub checked_tenants: usize,
+    /// Session wall-clocks, milliseconds.
+    pub timing_ms: ServiceTiming,
+}
+
+/// Session wall-clocks of one [`ServicePerfEntry`], milliseconds.
+#[derive(Debug, Clone, Serialize)]
+pub struct ServiceTiming {
+    /// Incremental core.
+    pub incremental_wall: f64,
+    /// Full-recompute core.
+    pub full_wall: f64,
+    /// Incremental over full sustained submissions/sec.
+    pub speedup: f64,
 }
 
 /// The drain → restart → replay proof.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RecoveryCheck {
     /// Tenants in the recovery fleet.
     pub tenants: usize,
@@ -197,15 +210,23 @@ pub struct RecoveryCheck {
     pub recovery_agree: bool,
 }
 
-/// One full harness run.
-#[derive(Debug, Clone)]
+/// One full harness run: `BENCH_service.json`.
+#[derive(Debug, Clone, Serialize)]
 pub struct ServicePerfRun {
+    /// Artifact schema tag.
+    pub schema: &'static str,
     /// Preset the run was generated with.
-    pub preset: Preset,
+    pub preset: &'static str,
     /// Base seed.
     pub seed: u64,
     /// One entry per tenant count.
     pub entries: Vec<ServicePerfEntry>,
+    /// Daemon worker threads.
+    pub workers: usize,
+    /// Submit/advance rounds per tenant session.
+    pub batches_per_tenant: usize,
+    /// Jobs per submitted batch.
+    pub jobs_per_batch: usize,
     /// The kill/restart replay check.
     pub recovery: RecoveryCheck,
 }
@@ -439,140 +460,34 @@ pub fn run(preset: Preset, seed: u64) -> ServicePerfRun {
                 agree &= canonical(daemon) == canonical(&reference);
             }
         }
+        let timing_ms = ServiceTiming {
+            incremental_wall: incremental.wall_ms,
+            full_wall: full.wall_ms,
+            speedup: if incremental.subs_per_sec > 0.0 {
+                incremental.subs_per_sec / full.subs_per_sec.max(f64::MIN_POSITIVE)
+            } else {
+                0.0
+            },
+        };
         entries.push(ServicePerfEntry {
             tenants: n,
             jobs_per_tenant: BATCHES * JOBS_PER_BATCH,
+            checked_tenants: check,
+            reports_agree: agree,
             incremental,
             full,
-            reports_agree: agree,
-            checked_tenants: check,
+            timing_ms,
         });
     }
     ServicePerfRun {
-        preset,
+        schema: "dls-bench/service/v1",
+        preset: preset_name(preset),
         seed,
         entries,
+        workers: WORKERS,
+        batches_per_tenant: BATCHES,
+        jobs_per_batch: JOBS_PER_BATCH,
         recovery: run_recovery(seed),
-    }
-}
-
-impl ServicePerfRun {
-    /// `true` iff every entry's cross-check and the recovery replay
-    /// held. The perf bin refuses to publish an artifact where this is
-    /// false.
-    pub fn all_agree(&self) -> bool {
-        self.entries.iter().all(|e| e.reports_agree) && self.recovery.recovery_agree
-    }
-
-    /// Human-readable table for the terminal.
-    pub fn text_summary(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "service perf (preset {}, seed {}; {WORKERS} workers, {BATCHES}x{JOBS_PER_BATCH} jobs/tenant)",
-            preset_name(self.preset),
-            self.seed,
-        );
-        let _ = writeln!(
-            out,
-            "{:>8} {:>6}  {:>14} {:>9}  {:>14} {:>9}  agree",
-            "tenants", "reqs", "inc subs/s", "inc p99", "full subs/s", "full p99"
-        );
-        for e in &self.entries {
-            let _ = writeln!(
-                out,
-                "{:>8} {:>6}  {:>14.0} {:>7.2}ms  {:>14.0} {:>7.2}ms  {}",
-                e.tenants,
-                e.incremental.requests + e.full.requests,
-                e.incremental.subs_per_sec,
-                e.incremental.p99_ms,
-                e.full.subs_per_sec,
-                e.full.p99_ms,
-                if e.reports_agree { "yes" } else { "NO" }
-            );
-        }
-        let _ = writeln!(
-            out,
-            "recovery: {} tenants interrupted after {} epochs, {} restored, replay {}",
-            self.recovery.tenants,
-            self.recovery.interrupted_after_epochs,
-            self.recovery.restored,
-            if self.recovery.recovery_agree {
-                "bit-identical"
-            } else {
-                "DIVERGED"
-            }
-        );
-        out
-    }
-
-    /// Renders `BENCH_service.json` (stable key order; only timing and
-    /// throughput fields vary between runs with the same seed).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"dls-bench/service/v1\",");
-        let _ = writeln!(out, "  \"preset\": \"{}\",", preset_name(self.preset));
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"workers\": {WORKERS},");
-        let _ = writeln!(out, "  \"batches_per_tenant\": {BATCHES},");
-        let _ = writeln!(out, "  \"jobs_per_batch\": {JOBS_PER_BATCH},");
-        out.push_str("  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            out.push_str("    {\n");
-            let _ = writeln!(out, "      \"tenants\": {},", e.tenants);
-            let _ = writeln!(out, "      \"jobs_per_tenant\": {},", e.jobs_per_tenant);
-            let _ = writeln!(out, "      \"checked_tenants\": {},", e.checked_tenants);
-            let _ = writeln!(out, "      \"reports_agree\": {},", e.reports_agree);
-            for (name, s) in [("incremental", &e.incremental), ("full", &e.full)] {
-                let _ = writeln!(out, "      \"{name}\": {{");
-                let _ = writeln!(out, "        \"requests\": {},", s.requests);
-                let _ = writeln!(out, "        \"subs_per_sec\": {:.3},", s.subs_per_sec);
-                let _ = writeln!(out, "        \"p99_ms\": {:.3},", s.p99_ms);
-                let _ = writeln!(out, "        \"mean_ms\": {:.3},", s.mean_ms);
-                let _ = writeln!(out, "        \"wall_ms\": {:.3}", s.wall_ms);
-                out.push_str("      },\n");
-            }
-            let _ = writeln!(out, "      \"timing_ms\": {{");
-            let _ = writeln!(
-                out,
-                "        \"incremental_wall\": {:.3},",
-                e.incremental.wall_ms
-            );
-            let _ = writeln!(out, "        \"full_wall\": {:.3},", e.full.wall_ms);
-            let _ = writeln!(
-                out,
-                "        \"speedup\": {:.3}",
-                if e.incremental.subs_per_sec > 0.0 {
-                    e.incremental.subs_per_sec / e.full.subs_per_sec.max(f64::MIN_POSITIVE)
-                } else {
-                    0.0
-                }
-            );
-            out.push_str("      }\n");
-            out.push_str(if i + 1 == self.entries.len() {
-                "    }\n"
-            } else {
-                "    },\n"
-            });
-        }
-        out.push_str("  ],\n");
-        let _ = writeln!(out, "  \"recovery\": {{");
-        let _ = writeln!(out, "    \"tenants\": {},", self.recovery.tenants);
-        let _ = writeln!(
-            out,
-            "    \"interrupted_after_epochs\": {},",
-            self.recovery.interrupted_after_epochs
-        );
-        let _ = writeln!(out, "    \"restored\": {},", self.recovery.restored);
-        let _ = writeln!(
-            out,
-            "    \"recovery_agree\": {}",
-            self.recovery.recovery_agree
-        );
-        out.push_str("  }\n");
-        out.push_str("}\n");
-        out
     }
 }
 
@@ -600,12 +515,6 @@ mod tests {
         }
         assert!(run.recovery.recovery_agree, "kill/restart replay diverged");
         assert_eq!(run.recovery.restored, run.recovery.tenants);
-        assert!(run.all_agree());
-        let json = run.to_json();
-        assert!(json.contains("\"schema\": \"dls-bench/service/v1\""));
-        assert!(json.contains("\"reports_agree\": true"));
-        assert!(json.contains("\"recovery_agree\": true"));
-        let parsed = serde_json::from_str_value(&json).expect("artifact is valid JSON");
-        assert!(parsed.get("entries").is_some());
+        crate::tests::assert_same_artifact(&run, &super::run(Preset::Quick, 11));
     }
 }

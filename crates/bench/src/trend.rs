@@ -1,74 +1,54 @@
-//! Trend gate over the `BENCH_*.json` artifacts.
+//! The one gate over the `BENCH_*.json` artifacts.
 //!
-//! The perf harnesses record two kinds of promises next to their timings:
+//! The harnesses record two kinds of promises next to their timings:
 //! cross-pipeline **agreement** flags (`engines_agree`, `objectives_agree`,
-//! `reports_agree`, `events_agree`, …) and **speedup** ratios. This module
-//! turns those from passive observations into a gate: [`check_artifact`]
-//! parses an artifact, walks the whole tree for any `*_agree` key that is
-//! not `true`, and enforces per-schema speedup floors — so a regression
-//! (correctness or performance) fails CI instead of quietly landing in the
-//! committed JSON. The `bench_trend` binary applies it to fresh and
-//! committed artifacts alike.
+//! `reports_agree`, `events_agree`, …) and **speedup** ratios.
+//! [`check_artifact`] turns both into a gate: it walks the whole tree for
+//! any `*_agree` key that is not `true`, and applies the [`FLOORS`] table —
+//! the only place a floor is written. The `perf` binary calls it on each
+//! artifact it writes, and `bench_trend` on committed ones.
 
 use serde_json::{Number, Value};
 
-/// Per-section speedup floors for a schema, applied to every entry's
-/// `timing_ms.speedup`. Floors reflect the acceptance criteria the
-/// artifacts were introduced with (scenario: incremental+warm must beat
-/// full+cold ≥ 5× at the flagship scale; the LP's warm B&B merely must
-/// not *lose* to cold now that tiny models fall back — its programs time
-/// in ~0.1 ms, so the floor leaves ±20% for timer jitter while still
-/// catching the ~2.5× warm-overhead regression it was introduced for).
-fn floors(schema: &str) -> &'static [(&'static str, f64)] {
-    match schema {
-        "dls-bench/scenario/v1" => &[("entries", 5.0)],
-        "dls-bench/perf/v1" => &[("entries", 3.0)],
-        "dls-bench/lp-perf/v1" => &[("entries", 5.0), ("branch_bound", 0.8)],
-        "dls-bench/lp-perf/v2" => &[("entries", 5.0), ("branch_bound", 0.8)],
-        _ => &[],
-    }
-}
-
-/// Floor on `timing_ms.dense_vs_sparse_speedup` for sparse-section entries
-/// that did run the dense oracle (ISSUE 9 acceptance: the sparse LU cold
-/// solve must beat the dense inverse ≥ 10× at K = 200; larger K skip dense
-/// entirely and must say so via `dense_skipped`).
-const SPARSE_SPEEDUP_FLOOR: f64 = 10.0;
-
-/// Gates the `sparse` section of `dls-bench/lp-perf/v2` artifacts: every
-/// entry either skipped the dense oracle (`dense_skipped: true`) or must
-/// carry a `dense_vs_sparse_speedup` at or above the floor.
-fn check_sparse_section(name: &str, v: &Value, violations: &mut Vec<String>) {
-    let Some(entries) = v.get("sparse").and_then(Value::as_array) else {
-        violations.push(format!("{name}: v2 artifact has no sparse section"));
-        return;
-    };
-    for (i, e) in entries.iter().enumerate() {
-        if e.get("dense_skipped") == Some(&Value::Bool(true)) {
-            continue;
-        }
-        let speedup = e
-            .get("timing_ms")
-            .and_then(|t| t.get("dense_vs_sparse_speedup"));
-        match speedup.and_then(as_f64) {
-            Some(s) if s >= SPARSE_SPEEDUP_FLOOR => {}
-            Some(s) => violations.push(format!(
-                "{name}/sparse[{i}]: dense_vs_sparse_speedup {s:.3} below the \
-                 {SPARSE_SPEEDUP_FLOOR:.1}x floor"
-            )),
-            None => violations.push(format!(
-                "{name}/sparse[{i}]: dense not skipped but no \
-                 timing_ms.dense_vs_sparse_speedup"
-            )),
-        }
-    }
-}
+/// Every speedup floor: `(schema, section, key, floor)`. Each entry of the
+/// artifact's `section` array must carry `timing_ms.<key> ≥ floor`. The
+/// floors are the acceptance criteria the artifacts were introduced with:
+/// the simulator's incremental engine ≥ 3× the full recompute; the
+/// scenario's incremental + warm pipeline and the warm LPRR replay ≥ 5×
+/// their cold references; the sparse LU cold solve ≥ 10× the dense inverse
+/// at K = 200 (larger K skip dense and say so with `dense_skipped`); and the
+/// LP's warm B&B merely must not *lose* to cold now that tiny models fall
+/// back — its programs time in ~0.1 ms, so 0.8 leaves ±20 % for timer
+/// jitter while still catching the ~2.5× warm-overhead regression.
+pub const FLOORS: &[(&str, &str, &str, f64)] = &[
+    ("dls-bench/perf/v1", "entries", "speedup", 3.0),
+    ("dls-bench/scenario/v1", "entries", "speedup", 5.0),
+    ("dls-bench/lp-perf/v2", "entries", "speedup", 5.0),
+    (
+        "dls-bench/lp-perf/v2",
+        "sparse",
+        "dense_vs_sparse_speedup",
+        10.0,
+    ),
+    ("dls-bench/lp-perf/v2", "branch_bound", "speedup", 0.8),
+];
 
 fn as_f64(v: &Value) -> Option<f64> {
     match v {
         Value::Number(Number::Int(i)) => Some(*i as f64),
         Value::Number(Number::Float(f)) => Some(*f),
         _ => None,
+    }
+}
+
+/// An entry with a `*_skipped: true` key did not run the side its floors
+/// compare against, so it is exempt from them.
+fn skips_floors(entry: &Value) -> bool {
+    match entry {
+        Value::Object(fields) => fields
+            .iter()
+            .any(|(k, v)| k.ends_with("_skipped") && v == &Value::Bool(true)),
+        _ => false,
     }
 }
 
@@ -96,37 +76,36 @@ fn walk_agreement(v: &Value, path: &str, out: &mut Vec<String>) {
 /// Checks one artifact. Returns the list of violations (empty = clean);
 /// `Err` when the file is not parseable JSON at all.
 ///
-/// Speedup floors are skipped for the `quick` preset — its programs are
-/// too small for wall-clock ratios to be stable — but agreement is
-/// enforced at every preset: correctness does not get a small-scale pass.
+/// A [`FLOORS`] row whose section is missing is a violation at every
+/// preset. The floor values are skipped for the `quick` preset — its
+/// programs are too small for wall-clock ratios to be stable — but
+/// agreement is enforced at every preset: correctness does not get a
+/// small-scale pass.
 pub fn check_artifact(name: &str, json: &str) -> Result<Vec<String>, String> {
     let v = serde_json::from_str_value(json).map_err(|e| format!("{name}: unparseable: {e}"))?;
     let schema = v.get("schema").and_then(Value::as_str).unwrap_or("");
-    let preset = v.get("preset").and_then(Value::as_str).unwrap_or("");
+    let quick = v.get("preset").and_then(Value::as_str) == Some("quick");
     let mut violations = Vec::new();
     walk_agreement(&v, name, &mut violations);
-    if schema == "dls-bench/lp-perf/v2" {
-        check_sparse_section(name, &v, &mut violations);
-    }
-    if preset != "quick" {
-        for &(section, floor) in floors(schema) {
-            let Some(entries) = v.get(section).and_then(Value::as_array) else {
-                continue;
-            };
-            for (i, e) in entries.iter().enumerate() {
-                let Some(speedup) = e.get("timing_ms").and_then(|t| t.get("speedup")) else {
-                    violations.push(format!("{name}/{section}[{i}]: no timing_ms.speedup"));
-                    continue;
-                };
-                match as_f64(speedup) {
+    for &(_, section, key, floor) in FLOORS.iter().filter(|row| row.0 == schema) {
+        let Some(entries) = v.get(section).and_then(Value::as_array) else {
+            violations.push(format!("{name}: no {section} section"));
+            continue;
+        };
+        if quick {
+            continue;
+        }
+        for (i, e) in entries.iter().enumerate().filter(|(_, e)| !skips_floors(e)) {
+            let at = format!("{name}/{section}[{i}]");
+            match e.get("timing_ms").and_then(|t| t.get(key)) {
+                None | Some(Value::Null) => violations.push(format!("{at}: no timing_ms.{key}")),
+                Some(x) => match as_f64(x) {
                     Some(s) if s >= floor => {}
-                    Some(s) => violations.push(format!(
-                        "{name}/{section}[{i}]: speedup {s:.3} below the {floor:.1}x floor"
-                    )),
-                    None => violations.push(format!(
-                        "{name}/{section}[{i}]: speedup is not a number: {speedup:?}"
-                    )),
-                }
+                    Some(s) => {
+                        violations.push(format!("{at}: {key} {s:.3} below the {floor:.1}x floor"))
+                    }
+                    None => violations.push(format!("{at}: {key} is not a number: {x:?}")),
+                },
             }
         }
     }
@@ -252,9 +231,10 @@ mod tests {
     #[test]
     fn false_agreement_is_flagged_anywhere_in_the_tree() {
         let json = r#"{
-            "schema": "dls-bench/lp-perf/v1",
+            "schema": "dls-bench/lp-perf/v2",
             "preset": "quick",
             "entries": [{"objectives_agree": true, "timing_ms": {"speedup": 9.0}}],
+            "sparse": [],
             "branch_bound": [{"objectives_agree": false, "timing_ms": {"speedup": 1.0}}]
         }"#;
         let v = check_artifact("BENCH_lp.json", json).unwrap();
@@ -313,7 +293,8 @@ mod tests {
         );
 
         // A v2 artifact without the section at all is itself a violation.
-        let missing = r#"{"schema": "dls-bench/lp-perf/v2", "preset": "quick", "entries": []}"#;
+        let missing = r#"{"schema": "dls-bench/lp-perf/v2", "preset": "quick",
+                          "entries": [], "branch_bound": []}"#;
         let v = check_artifact("BENCH_lp.json", missing).unwrap();
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("no sparse section"), "{v:?}");
@@ -346,6 +327,105 @@ mod tests {
         let v = check_artifact("BENCH_sim.json", json).unwrap();
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("no timing_ms.speedup"));
+    }
+
+    #[test]
+    fn every_floor_and_flag_fires_through_the_table() {
+        // A clean paper-shape artifact of each gated schema, doctored one
+        // field at a time: each doctoring is exactly one violation.
+        let entry = |agree: &str, speedup: f64| {
+            format!(r#"{{"{agree}": true, "timing_ms": {{"speedup": {speedup}}}}}"#)
+        };
+        let sparse = r#"{"objectives_agree": true, "sweep_agree": true, "dense_skipped": false,
+                         "timing_ms": {"dense_vs_sparse_speedup": 25.0}}"#;
+        let sim = format!(
+            r#"{{"schema": "dls-bench/perf/v1", "preset": "paper-shape", "seed": 1,
+                "entries": [{}]}}"#,
+            entry("engines_agree", 4.0)
+        );
+        let scenario = format!(
+            r#"{{"schema": "dls-bench/scenario/v1", "preset": "paper-shape", "seed": 1,
+                "entries": [{}]}}"#,
+            entry("reports_agree", 6.0)
+        );
+        let lp = format!(
+            r#"{{"schema": "dls-bench/lp-perf/v2", "preset": "paper-shape", "seed": 1,
+                "entries": [{}], "sparse": [{sparse}], "branch_bound": [{}]}}"#,
+            entry("objectives_agree", 6.0),
+            entry("objectives_agree", 0.9)
+        );
+        for clean in [&sim, &scenario, &lp] {
+            assert_eq!(
+                check_artifact("a.json", clean).unwrap(),
+                Vec::<String>::new()
+            );
+        }
+        let cases: [(&str, &str, &str, &str); 8] = [
+            (
+                &sim,
+                "\"engines_agree\": true",
+                "\"engines_agree\": false",
+                "engines_agree",
+            ),
+            (&sim, "4", "2.9", "speedup 2.900 below the 3.0x floor"),
+            (&scenario, "6", "4.9", "speedup 4.900 below the 5.0x floor"),
+            (
+                &lp,
+                "6",
+                "4.9",
+                "entries[0]: speedup 4.900 below the 5.0x floor",
+            ),
+            (
+                &lp,
+                "0.9",
+                "0.7",
+                "branch_bound[0]: speedup 0.700 below the 0.8x floor",
+            ),
+            (
+                &lp,
+                "25.0",
+                "9.0",
+                "dense_vs_sparse_speedup 9.000 below the 10.0x floor",
+            ),
+            (&lp, "\"sparse\"", "\"gone\"", "no sparse section"),
+            (&sim, "\"speedup\"", "\"other\"", "no timing_ms.speedup"),
+        ];
+        for (clean, from, to, expect) in cases {
+            let doctored = clean.replacen(from, to, 1);
+            let v = check_artifact("a.json", &doctored).unwrap();
+            assert_eq!(v.len(), 1, "{from} -> {to}: {v:?}");
+            assert!(v[0].contains(expect), "{from} -> {to}: {v:?}");
+        }
+        // `*_skipped: true` exempts an entry from its floors.
+        let skipped = lp
+            .replacen("25.0", "9.0", 1)
+            .replace("\"dense_skipped\": false", "\"dense_skipped\": true");
+        assert_eq!(
+            check_artifact("a.json", &skipped).unwrap(),
+            Vec::<String>::new()
+        );
+    }
+
+    /// `BENCH_*.json` at the repository root, then `baselines/quick/`.
+    fn committed_artifacts() -> Vec<(String, String)> {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut out = Vec::new();
+        for dir in [root.clone(), root.join("baselines/quick")] {
+            for name in ["BENCH_sim", "BENCH_lp", "BENCH_scenario", "BENCH_service"] {
+                let path = dir.join(format!("{name}.json"));
+                let json = std::fs::read_to_string(&path)
+                    .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                out.push((path.display().to_string(), json));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn committed_artifacts_pass_the_gate() {
+        for (name, json) in committed_artifacts() {
+            assert_eq!(check_artifact(&name, &json).unwrap(), Vec::<String>::new());
+        }
     }
 
     #[test]

@@ -102,7 +102,7 @@ impl Basis {
 }
 
 /// Counters describing how a [`WarmSimplex`] spent its solves.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct WarmStats {
     /// Total `solve()` calls.
     pub solves: u64,
@@ -140,7 +140,7 @@ pub struct WarmStats {
 /// Snapshot of the current factorisation's sparsity, for bench artifacts
 /// and diagnostics. All counts refer to the factor held after the last
 /// solve; [`WarmSimplex::factor_stats`] returns `None` before any solve.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct FactorStats {
     /// Non-zeros held by the basis representation (dense: m², sparse:
     /// LU factors plus the eta file).

@@ -288,7 +288,7 @@ pub struct AllocatorState {
 /// Plain stage counters of one [`BandwidthAllocator`], read through
 /// [`BandwidthAllocator::stats`]. They count work, not time, repeat exactly
 /// for a fixed op sequence, and are not part of any snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct AllocStats {
     /// Non-empty `update` / `retune` / `reshape` calls.
     pub updates: u64,
