@@ -429,6 +429,15 @@ mod tests {
     }
 
     #[test]
+    fn quick_baselines_open_with_the_envelope() {
+        for (name, json) in committed_artifacts() {
+            if name.contains("baselines") {
+                crate::tests::assert_envelope(&name, &json);
+            }
+        }
+    }
+
+    #[test]
     fn unparseable_json_is_an_error() {
         assert!(check_artifact("x.json", "{nope").is_err());
     }
