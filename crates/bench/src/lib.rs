@@ -153,13 +153,13 @@ impl Cli {
     /// violations (empty = passed); an unwritable file is one too.
     pub fn publish(&self, name: &str, artifact: &impl Serialize) -> Vec<String> {
         let json = serde_json::to_string_pretty(artifact).expect("artifacts serialize") + "\n";
-        if let Err(e) = self.write_artifact(name, &json) {
-            return vec![format!(
+        let violations = match self.write_artifact(name, &json) {
+            Ok(()) => trend::check_artifact(name, &json).unwrap_or_else(|e| vec![e]),
+            Err(e) => vec![format!(
                 "{name}: cannot write under {}: {e}",
                 self.out.display()
-            )];
-        }
-        let violations = trend::check_artifact(name, &json).unwrap_or_else(|e| vec![e]);
+            )],
+        };
         if violations.is_empty() {
             eprintln!("{name}: ok");
         }
