@@ -52,10 +52,26 @@ use dls_platform::{ClusterId, LinkId};
 
 /// A lowered steady-state problem with the bookkeeping needed to map LP
 /// solutions back to `(α, β)` matrices.
+///
+/// The two halves are separable: a caller that hands the model to a solver
+/// context it keeps (a [`dls_lp::WarmSimplex`] owns and patches its model)
+/// destructures the formulation and keeps only the [`LpIndex`], so no
+/// second copy of the model is held. `LpFormulation` derefs to its index, so
+/// the row/variable maps read the same on either.
 #[derive(Debug, Clone)]
 pub struct LpFormulation {
     /// The LP/MILP model (maximisation).
     pub model: Model,
+    /// Where every `α`, `β` and capacity constraint of the model lives.
+    pub index: LpIndex,
+}
+
+/// The index half of an [`LpFormulation`]: which model variable and row
+/// carries each `α`, `β` and capacity constraint, plus the pins applied so
+/// far. Holds no model data, so it stays valid for any copy of the model the
+/// formulation was built with, patched or not.
+#[derive(Debug, Clone)]
+pub struct LpIndex {
     k: usize,
     /// `alpha_vars[k·K + l]`: the `α_{k,l}` variable, present for the
     /// diagonal and every routed pair.
@@ -81,9 +97,17 @@ pub struct LpFormulation {
     objective_var: Option<VarId>,
 }
 
+impl std::ops::Deref for LpFormulation {
+    type Target = LpIndex;
+
+    fn deref(&self) -> &LpIndex {
+        &self.index
+    }
+}
+
 /// Deterministic tie-break weight for structural variable `index` in the
 /// canonical lexicographic second stage (see
-/// [`LpFormulation::tiebreak_terms`]). A full-width bit mixer (the
+/// [`LpIndex::tiebreak_terms`]). A full-width bit mixer (the
 /// splitmix64 finaliser) maps each index to `[1, 1.5)`; a *linear* map of
 /// the index must not be used here — affine weight structure makes swap
 /// patterns like `w(a)−w(a+2) = w(b)−w(b+2)` cancel exactly, leaving the
@@ -371,16 +395,18 @@ impl LpFormulation {
 
         Ok(LpFormulation {
             model,
-            k,
-            alpha_vars,
-            beta_vars,
-            fixed_beta,
-            minbw,
-            compute_rows,
-            local_rows,
-            link_rows,
-            premat_caps,
-            objective_var,
+            index: LpIndex {
+                k,
+                alpha_vars,
+                beta_vars,
+                fixed_beta,
+                minbw,
+                compute_rows,
+                local_rows,
+                link_rows,
+                premat_caps,
+                objective_var,
+            },
         })
     }
 
@@ -400,7 +426,7 @@ impl LpFormulation {
     ) -> Result<PinDelta, SolveError> {
         let delta = self.pin_delta(inst, from, to, v)?;
         let i = from.index() * self.k + to.index();
-        self.fixed_beta[i] = Some(v);
+        self.index.fixed_beta[i] = Some(v);
         self.model.set_bounds(delta.var, delta.lo, delta.up);
         for &(con, var) in &delta.coef_zeroed {
             self.model.set_coefficient(con, var, 0.0);
@@ -468,7 +494,9 @@ impl LpFormulation {
             rhs,
         })
     }
+}
 
+impl LpIndex {
     /// The pinned β value of a pair, if any.
     pub fn pinned_beta(&self, from: ClusterId, to: ClusterId) -> Option<u32> {
         self.fixed_beta[from.index() * self.k + to.index()]
@@ -503,12 +531,11 @@ impl LpFormulation {
     /// unique optimum, so *any* correct LP solver — warm-started or cold —
     /// extracts the same vertex. This is what makes warm and cold resolver
     /// pipelines agree event-for-event under platform drift.
-    pub fn tiebreak_terms(&self) -> Vec<(VarId, f64)> {
+    pub fn tiebreak_terms(&self) -> impl Iterator<Item = (VarId, f64)> + '_ {
         self.alpha_vars
             .iter()
             .filter_map(|v| *v)
             .map(|v| (v, tiebreak_weight(v.index())))
-            .collect()
     }
 
     /// The (7b) compute-capacity row of a cluster.

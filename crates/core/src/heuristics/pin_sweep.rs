@@ -57,7 +57,8 @@ pub struct PinSweepReport {
     pub best_objective: f64,
     /// Canonical stage-2 vertex at the winning pin: the unique optimum of
     /// the tie-break objective over the stage-1 optimal face (see
-    /// [`LpFormulation::tiebreak_terms`]), as model-space variable values.
+    /// [`LpIndex::tiebreak_terms`](crate::LpIndex::tiebreak_terms)), as
+    /// model-space variable values.
     pub stage2_values: Vec<f64>,
     /// Worker count the sweep ran with (1 = sequential).
     pub threads: usize,

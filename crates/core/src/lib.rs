@@ -56,6 +56,6 @@ pub mod schedule;
 pub use allocation::{Allocation, ConstraintViolation, FractionalAllocation};
 pub use bottleneck::BottleneckReport;
 pub use error::SolveError;
-pub use formulation::{LpFormulation, PinDelta};
+pub use formulation::{LpFormulation, LpIndex, PinDelta};
 pub use problem::{Objective, ProblemInstance};
 pub use residual::ResidualPlatform;

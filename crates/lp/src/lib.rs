@@ -133,9 +133,12 @@ pub fn sparse_iteration_cap(m: usize, n_cols: usize) -> usize {
 /// "Always sparse" (`SPARSE_MIN_ROWS = 0`) was measured and is a
 /// regression today: on the benchmark's `serve_small` workload (K=5
 /// tenants, trivial LPs, one warm context each) `peak_rss_mb` went
-/// 434.6 / 434.8 → 497.0 / 497.1 over two alternating runs (+14.4 %
-/// against a 10 % bound) with every check still passing — `SparseLu`'s
-/// per-context footprint at tiny `m` is what keeps the dense inverse.
+/// 360.8 / 360.6 / 360.9 → 429.5 / 429.7 / 434.2 MiB over three
+/// alternating pairs (+19 % against a 10 % bound; `op_p50_ms` +17 %) with
+/// every check still passing — `SparseLu`'s per-context footprint at tiny
+/// `m` is what keeps the dense inverse. Measured with a finished tenant at
+/// ≈ 31 KB of live heap (`tests/tenant_footprint.rs`); the sparse factor's
+/// cost is a larger share the smaller the rest of the tenant gets.
 pub const SPARSE_MIN_ROWS: usize = 2048;
 
 /// Solver engine selection for [`solve_with`] and the branch-and-bound layer.

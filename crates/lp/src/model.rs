@@ -206,6 +206,20 @@ impl Model {
         self.vars[var.index()].integer
     }
 
+    /// Releases the spare capacity that building the model left in its
+    /// buffers (growth slack of the variable and constraint lists, of
+    /// pushed-to term lists and of formatted names). Contents are unchanged.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        for v in &mut self.vars {
+            v.name.shrink_to_fit();
+        }
+        self.vars.shrink_to_fit();
+        for c in &mut self.cons {
+            c.terms.shrink_to_fit();
+        }
+        self.cons.shrink_to_fit();
+    }
+
     /// Name given to a variable at creation.
     pub fn var_name(&self, var: VarId) -> &str {
         &self.vars[var.index()].name

@@ -162,15 +162,14 @@ pub(crate) enum DualEnd {
     Infeasible,
 }
 
-/// Dense row-major `B⁻¹` with its Gauss–Jordan refactorisation scratch —
-/// the retained oracle representation.
+/// Dense row-major `B⁻¹` — the retained oracle representation. Its
+/// Gauss–Jordan refactorisation builds `B` and the new inverse in two
+/// transient `m × m` buffers and keeps only the inverse, so a context that
+/// refactorised once (every checkpoint barrier schedules one) holds no
+/// more than one that never did.
 #[derive(Debug, Clone)]
 struct DenseInv {
     binv: Vec<f64>,
-    /// Dense `B` scratch for refactorisation (`m × m`, allocated once).
-    scratch_a: Vec<f64>,
-    /// Gauss–Jordan inverse scratch for refactorisation (`m × m`).
-    scratch_inv: Vec<f64>,
 }
 
 /// The interchangeable basis-factorisation representations. Exactly one
@@ -269,11 +268,7 @@ impl Factor {
             for i in 0..m {
                 binv[i * m + i] = 1.0;
             }
-            Repr::Dense(DenseInv {
-                binv,
-                scratch_a: Vec::new(),
-                scratch_inv: Vec::new(),
-            })
+            Repr::Dense(DenseInv { binv })
         };
         Factor {
             m,
@@ -316,8 +311,6 @@ impl Factor {
         } else {
             Repr::Dense(DenseInv {
                 binv: vec![0.0; sf.m * sf.m],
-                scratch_a: Vec::new(),
-                scratch_inv: Vec::new(),
             })
         };
         let mut f = Factor {
@@ -613,14 +606,9 @@ impl Factor {
         let Repr::Dense(dense) = &mut self.repr else {
             unreachable!("dense refactor on a sparse factor");
         };
-        // Dense B from the sparse basis columns, into the reusable scratch
-        // (zeroed in place — no per-refactor `m²` allocations).
-        let mut a = std::mem::take(&mut dense.scratch_a);
-        let mut inv = std::mem::take(&mut dense.scratch_inv);
-        a.clear();
-        a.resize(m * m, 0.0);
-        inv.clear();
-        inv.resize(m * m, 0.0);
+        // Dense B from the sparse basis columns; `inv` becomes `binv`.
+        let mut a = vec![0.0f64; m * m];
+        let mut inv = vec![0.0f64; m * m];
         for (c, &j) in self.basis.iter().enumerate() {
             for &(r, v) in &sf.cols[j] {
                 a[r * m + c] = v;
@@ -646,8 +634,6 @@ impl Factor {
             }
             if piv_val < 1e-12 {
                 if !repair {
-                    dense.scratch_a = a;
-                    dense.scratch_inv = inv;
                     return Err(LpError::SingularBasis);
                 }
                 // Basis column `col` is dependent on the already-pivoted
@@ -681,11 +667,7 @@ impl Factor {
                         piv_row = r;
                         piv_val = mag;
                     }
-                    _ => {
-                        dense.scratch_a = a;
-                        dense.scratch_inv = inv;
-                        return Err(LpError::SingularBasis);
-                    }
+                    _ => return Err(LpError::SingularBasis),
                 }
                 debug_assert!(piv_val >= 1e-12);
             }
@@ -713,9 +695,7 @@ impl Factor {
                 }
             }
         }
-        dense.binv.copy_from_slice(&inv);
-        dense.scratch_a = a;
-        dense.scratch_inv = inv;
+        dense.binv = inv;
         // x_B = B⁻¹ b.
         for i in 0..m {
             let row = &dense.binv[i * m..(i + 1) * m];

@@ -163,7 +163,17 @@ impl StandardForm {
         }
 
         let m = rows.len();
-        let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
+        // Every structural column gets exactly the capacity of its entries,
+        // so a context that keeps the form for its whole life holds no
+        // growth slack.
+        let mut counts = vec![0usize; n];
+        for row in &rows {
+            for &(j, _) in &row.terms {
+                counts[j] += 1;
+            }
+        }
+        let mut cols: Vec<Vec<(usize, f64)>> =
+            counts.iter().map(|&c| Vec::with_capacity(c)).collect();
         let mut b = vec![0.0f64; m];
         let mut initial_basis = vec![usize::MAX; m];
 
@@ -243,6 +253,9 @@ impl StandardForm {
                 n_artificial += 1;
             }
         }
+
+        cols.shrink_to_fit();
+        is_artificial.shrink_to_fit();
 
         // Cost vector (minimisation internally).
         let flip = match model.sense() {

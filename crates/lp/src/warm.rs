@@ -371,7 +371,12 @@ pub struct WarmSimplex {
 impl WarmSimplex {
     /// Builds a context around `model` with the given solver parameters.
     /// Nothing is solved yet; the first [`WarmSimplex::solve`] is cold.
-    pub fn new(model: Model, params: RevisedSimplex) -> Result<Self, LpError> {
+    ///
+    /// The context keeps `model` for its whole life, so it first drops the
+    /// spare capacity construction left in it: a model moved in costs no
+    /// more than a clone would.
+    pub fn new(mut model: Model, params: RevisedSimplex) -> Result<Self, LpError> {
+        model.shrink_to_fit();
         let sf = StandardForm::from_model(&model)?;
         let con_rows = sf.constraint_rows(model.num_constraints());
         let bound_rows = sf.bound_rows(model.num_vars());

@@ -22,12 +22,13 @@
 use crate::report::RecoveryRecord;
 use dls_core::adaptive::scale_to_fit;
 use dls_core::allocation::FractionalAllocation;
-use dls_core::formulation::LpFormulation;
+use dls_core::formulation::{LpFormulation, LpIndex};
 use dls_core::heuristics::{Heuristic, Lprg};
 use dls_core::{Allocation, ProblemInstance, SolveError};
 use dls_lp::{solve_with, Basis, ConstraintId, Engine, RevisedSimplex, Status, VarId, WarmSimplex};
 use dls_platform::ClusterId;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// What the engine knows at a period boundary.
 #[derive(Debug, Clone, Copy)]
@@ -138,22 +139,24 @@ struct PairDelta {
     from: ClusterId,
     to: ClusterId,
     var: VarId,
-    /// (7d) rows along the pair's route.
-    rows: Vec<ConstraintId>,
+    /// (7d) rows along the pair's route: a range of `WarmLprg::pair_rows`.
+    rows: Range<usize>,
     minbw: f64,
     cap: f64,
 }
 
 /// The warm-started LPRG resolver: `relaxation_warm` built once, then
 /// platform drift applied as in-place deltas to a persistent
-/// [`WarmSimplex`] (see the module docs).
+/// [`WarmSimplex`] (see the module docs). The context owns the only copy
+/// of the model; the resolver keeps the formulation's [`LpIndex`] to find
+/// rows and variables in it.
 #[derive(Debug)]
 pub struct WarmLprg {
-    formulation: LpFormulation,
+    index: LpIndex,
     warm: WarmSimplex,
     pairs: Vec<PairDelta>,
-    /// Canonical stage-2 objective (see [`LpFormulation::tiebreak_terms`]).
-    tiebreak: Vec<(VarId, f64)>,
+    /// Every pair's (7d) rows, back to back in `pairs` order.
+    pair_rows: Vec<ConstraintId>,
     /// Times [`WarmLprg::recover`] was invoked (recovery-retry telemetry,
     /// alongside the fallback/refactorisation counters in
     /// [`dls_lp::WarmStats`]). Survives rebuilds.
@@ -172,23 +175,22 @@ fn stage2_floor(z_star: f64) -> f64 {
 impl WarmLprg {
     /// Builds the persistent context from the scenario's initial instance.
     pub fn new(inst: &ProblemInstance) -> Result<Self, SolveError> {
-        let formulation = LpFormulation::relaxation_warm(inst)?;
-        let warm = WarmSimplex::new(formulation.model.clone(), RevisedSimplex::default())
-            .map_err(SolveError::Lp)?;
-        let pairs = Self::collect_pairs(inst, &formulation);
-        let tiebreak = formulation.tiebreak_terms();
+        let LpFormulation { model, index } = LpFormulation::relaxation_warm(inst)?;
+        let warm = WarmSimplex::new(model, RevisedSimplex::default()).map_err(SolveError::Lp)?;
+        let (pairs, pair_rows) = Self::collect_pairs(inst, &index);
         Ok(WarmLprg {
-            formulation,
+            index,
             warm,
             pairs,
-            tiebreak,
+            pair_rows,
             recover_calls: 0,
         })
     }
 
-    fn collect_pairs(inst: &ProblemInstance, f: &LpFormulation) -> Vec<PairDelta> {
+    fn collect_pairs(inst: &ProblemInstance, f: &LpIndex) -> (Vec<PairDelta>, Vec<ConstraintId>) {
         let p = &inst.platform;
         let mut pairs = Vec::new();
+        let mut pair_rows = Vec::new();
         for from in p.cluster_ids() {
             for to in p.cluster_ids() {
                 if from == to {
@@ -204,15 +206,10 @@ impl WarmLprg {
                     // Same-router pair: no (7d) rows, uncapped α.
                     continue;
                 }
-                let rows = p
-                    .route(from, to)
-                    .map(|route| {
-                        route
-                            .iter()
-                            .filter_map(|l| f.link_row(*l))
-                            .collect::<Vec<_>>()
-                    })
-                    .unwrap_or_default();
+                let start = pair_rows.len();
+                if let Some(route) = p.route(from, to) {
+                    pair_rows.extend(route.iter().filter_map(|l| f.link_row(*l)));
+                }
                 let cap = p
                     .route_max_connections(from, to)
                     .map(|b| b as f64 * minbw)
@@ -221,13 +218,13 @@ impl WarmLprg {
                     from,
                     to,
                     var,
-                    rows,
+                    rows: start..pair_rows.len(),
                     minbw,
                     cap,
                 });
             }
         }
-        pairs
+        (pairs, pair_rows)
     }
 
     /// Mirrors the current platform capacities onto the warm context:
@@ -236,19 +233,19 @@ impl WarmLprg {
     fn push_platform(&mut self, inst: &ProblemInstance) -> Result<(), SolveError> {
         let p = &inst.platform;
         for c in p.cluster_ids() {
-            if let Some(row) = self.formulation.compute_row(c) {
+            if let Some(row) = self.index.compute_row(c) {
                 self.warm
                     .set_rhs(row, p.cluster(c).speed)
                     .map_err(SolveError::Lp)?;
             }
-            if let Some(row) = self.formulation.local_link_row(c) {
+            if let Some(row) = self.index.local_link_row(c) {
                 self.warm
                     .set_rhs(row, p.cluster(c).local_bw)
                     .map_err(SolveError::Lp)?;
             }
         }
         for l in p.link_ids() {
-            if let Some(row) = self.formulation.link_row(l) {
+            if let Some(row) = self.index.link_row(l) {
                 self.warm
                     .set_rhs(row, p.link(l).max_connections as f64)
                     .map_err(SolveError::Lp)?;
@@ -265,9 +262,9 @@ impl WarmLprg {
                 .unwrap_or(f64::INFINITY);
             let pair = &mut self.pairs[i];
             if minbw != pair.minbw && minbw > 0.0 {
-                for r in 0..pair.rows.len() {
+                for &row in &self.pair_rows[pair.rows.clone()] {
                     self.warm
-                        .set_coefficient(pair.rows[r], pair.var, 1.0 / minbw)
+                        .set_coefficient(row, pair.var, 1.0 / minbw)
                         .map_err(SolveError::Lp)?;
                 }
             }
@@ -299,7 +296,7 @@ impl WarmLprg {
         for from in p.cluster_ids() {
             for to in p.cluster_ids() {
                 let i = from.index() * k + to.index();
-                if let Some(v) = self.formulation.alpha_var(from, to) {
+                if let Some(v) = self.index.alpha_var(from, to) {
                     alpha[i] = values[v.index()].max(0.0);
                 }
                 if from == to {
@@ -355,7 +352,7 @@ impl WarmLprg {
         if sol.status != Status::Optimal {
             return Err(SolveError::UnexpectedStatus("non-optimal warm relaxation"));
         }
-        let frac = match self.formulation.objective_var() {
+        let frac = match self.index.objective_var() {
             Some(z) => {
                 let canon = self.canonical_values(z, sol.values[z.index()])?;
                 self.extract(inst, canon.as_deref().unwrap_or(&sol.values), sol.objective)
@@ -381,8 +378,7 @@ impl WarmLprg {
         self.warm
             .set_objective_coef(z, 0.0)
             .map_err(SolveError::Lp)?;
-        for i in 0..self.tiebreak.len() {
-            let (v, w) = self.tiebreak[i];
+        for (v, w) in self.index.tiebreak_terms() {
             self.warm.set_objective_coef(v, w).map_err(SolveError::Lp)?;
         }
         let outcome = self.warm.solve();
@@ -391,8 +387,7 @@ impl WarmLprg {
         self.warm
             .set_objective_coef(z, 1.0)
             .map_err(SolveError::Lp)?;
-        for i in 0..self.tiebreak.len() {
-            let v = self.tiebreak[i].0;
+        for (v, _) in self.index.tiebreak_terms() {
             self.warm
                 .set_objective_coef(v, 0.0)
                 .map_err(SolveError::Lp)?;
@@ -530,7 +525,7 @@ impl Resolver {
                 let mut frac = f.extract_fractional(&sol);
                 // Mirror the warm resolver's canonical second stage so both
                 // pipelines extract the *same* optimal vertex (see
-                // [`LpFormulation::tiebreak_terms`]): pin the certified
+                // [`LpIndex::tiebreak_terms`]): pin the certified
                 // objective, maximise the tie-break objective warm from the
                 // stage-1 basis.
                 if let Some(z) = f.objective_var() {

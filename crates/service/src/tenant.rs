@@ -5,7 +5,6 @@
 //! asks for.
 
 use crate::proto::{frame, Push, PushFrame, TenantSpec};
-use dls_core::ProblemInstance;
 use dls_experiments::PolicyKind;
 use dls_scenario::catalog::paper_shape_instance;
 use dls_scenario::{
@@ -82,7 +81,6 @@ pub fn valid_tenant_name(name: &str) -> bool {
 pub struct Tenant {
     pub name: String,
     pub spec: TenantSpec,
-    inst: ProblemInstance,
     session: ScenarioSession,
     policy: Box<dyn ReschedulePolicy + Send>,
     subscribers: Vec<ConnHandle>,
@@ -111,7 +109,6 @@ impl Tenant {
         Ok(Tenant {
             name: name.to_string(),
             spec,
-            inst,
             session,
             policy,
             subscribers: Vec::new(),
@@ -148,7 +145,6 @@ impl Tenant {
         Ok(Tenant {
             name: file.tenant.clone(),
             spec: file.spec.clone(),
-            inst,
             session,
             policy,
             subscribers: Vec::new(),
@@ -290,12 +286,6 @@ impl Tenant {
         std::fs::rename(&tmp, &path).map_err(|e| e.to_string())?;
         self.epochs_since_checkpoint = 0;
         Ok(path)
-    }
-
-    /// The deterministic platform the tenant runs on (tests compare
-    /// against in-process runs built from the same spec).
-    pub fn instance(&self) -> &ProblemInstance {
-        &self.inst
     }
 }
 
