@@ -14,17 +14,19 @@
 //!
 //! Every step's LP objective is cross-checked between the two pipelines
 //! (`objectives_agree`), and a branch-and-bound section times warm (parent
-//! basis inheritance) vs cold node solves on the exact mixed program.
-//! [`LpPerfRun`] is `BENCH_lp.json`, the LP-side companion of
-//! `BENCH_sim.json`.
+//! basis inheritance) vs cold node solves on the exact mixed program. An
+//! ungated `crossover` section times one cold solve per engine (dense
+//! tableau, dense-inverse revised, sparse-LU revised) across K: the table
+//! `dls_lp::AUTO_DENSE_LIMIT` is read from. [`LpPerfRun`] is
+//! `BENCH_lp.json`, the LP-side companion of `BENCH_sim.json`.
 
 use crate::{preset_name, ratio, timed};
 use dls_core::heuristics::{Lprr, PinSweepReport};
 use dls_core::{LpFormulation, Objective, ProblemInstance};
 use dls_experiments::Preset;
 use dls_lp::{
-    resolve_engine, solve_with, BasisRepr, BranchBound, BranchBoundConfig, Engine, FactorStats,
-    RevisedSimplex, Status, WarmSimplex, WarmStats,
+    resolve_engine, solve_with, tableau_size, BasisRepr, BranchBound, BranchBoundConfig, Engine,
+    FactorStats, RevisedSimplex, Status, WarmSimplex, WarmStats,
 };
 use dls_platform::{ClusterId, PlatformBuilder, PlatformGenerator};
 use rand::{Rng, SeedableRng};
@@ -60,6 +62,16 @@ pub fn bnb_cluster_counts(preset: Preset) -> &'static [usize] {
     match preset {
         Preset::Quick => &[3],
         Preset::PaperShape | Preset::Full => &[3, 4],
+    }
+}
+
+/// Cluster counts for the engine crossover table: the paper-shape rows
+/// bracket `dls_lp::AUTO_DENSE_LIMIT`, quick keeps the sub-millisecond
+/// prefix.
+pub fn crossover_cluster_counts(preset: Preset) -> &'static [usize] {
+    match preset {
+        Preset::Quick => &[5, 8, 10],
+        Preset::PaperShape | Preset::Full => &[5, 8, 10, 15, 20, 25, 35, 50],
     }
 }
 
@@ -464,6 +476,59 @@ pub struct BnbPerfEntry {
     pub timing_ms: ColdWarmTiming,
 }
 
+/// One row of the cold-engine crossover table.
+#[derive(Debug, Clone, Serialize)]
+pub struct CrossoverEntry {
+    /// Number of clusters of the paper-shape relaxation.
+    pub k: usize,
+    /// Rows of the dense tableau ([`tableau_size`]).
+    pub rows: usize,
+    /// Cells of the dense tableau — the size `AUTO_DENSE_LIMIT` bounds.
+    pub cells: usize,
+    /// Median cold-solve wall-clock per engine, milliseconds.
+    pub timing_ms: EngineTiming,
+}
+
+/// One cold solve's median wall-clock per engine, milliseconds.
+#[derive(Debug, Clone, Serialize)]
+pub struct EngineTiming {
+    /// Dense tableau.
+    pub dense: f64,
+    /// Revised simplex over a dense `B⁻¹`.
+    pub revised: f64,
+    /// Revised simplex over the sparse LU.
+    pub sparse: f64,
+}
+
+/// Each engine's cold solve is timed at least 9 times and until the
+/// samples add up to 100 ms (at most 999 times), so sub-millisecond rows
+/// take their median over hundreds of solves.
+const CROSSOVER_SAMPLES: (usize, usize, f64) = (9, 999, 100.0);
+
+fn crossover_entry(k: usize, seed: u64) -> CrossoverEntry {
+    let f = LpFormulation::relaxation(&lp_instance(k, seed)).expect("relaxation");
+    let (rows, cells) = tableau_size(&f.model);
+    let (min, max, budget_ms) = CROSSOVER_SAMPLES;
+    let median_ms = |engine| {
+        let mut ms = Vec::new();
+        while ms.len() < min || (ms.len() < max && ms.iter().sum::<f64>() < budget_ms) {
+            ms.push(timed(|| solve_with(&f.model, engine).expect("cold solve")).1);
+        }
+        ms.sort_by(f64::total_cmp);
+        ms[ms.len() / 2]
+    };
+    CrossoverEntry {
+        k,
+        rows,
+        cells,
+        timing_ms: EngineTiming {
+            dense: median_ms(Engine::Dense),
+            revised: median_ms(Engine::Revised),
+            sparse: median_ms(Engine::Sparse),
+        },
+    }
+}
+
 /// One full LP perf run: `BENCH_lp.json`.
 #[derive(Debug, Clone, Serialize)]
 pub struct LpPerfRun {
@@ -479,6 +544,8 @@ pub struct LpPerfRun {
     pub sparse: Vec<SparsePerfEntry>,
     /// Branch-and-bound entries.
     pub branch_bound: Vec<BnbPerfEntry>,
+    /// Cold-engine crossover rows, one per K (ungated).
+    pub crossover: Vec<CrossoverEntry>,
     /// Speedup at the largest LPRR scale of the run.
     pub largest_k_speedup: Option<f64>,
 }
@@ -501,8 +568,9 @@ fn timed_best<T>(runs: usize, mut f: impl FnMut() -> T) -> (T, f64) {
 /// Runs the suite: for each scale, generate the pin sequence, replay it
 /// cold and warm, and cross-check every step's objective; run the
 /// sparse-scaling section (island topology, sparse-LU engine, sharded pin
-/// sweep); then time the exact branch-and-bound with and without basis
-/// inheritance. `threads` sizes the sharded sweep (0 = all cores, floored
+/// sweep); time the exact branch-and-bound with and without basis
+/// inheritance; and time each engine's cold solve for the crossover table.
+/// `threads` sizes the sharded sweep (0 = all cores, floored
 /// at 2 so sharding is always exercised).
 pub fn run(preset: Preset, seed: u64, threads: usize) -> LpPerfRun {
     let mut entries = Vec::new();
@@ -583,6 +651,11 @@ pub fn run(preset: Preset, seed: u64, threads: usize) -> LpPerfRun {
         });
     }
 
+    let crossover = crossover_cluster_counts(preset)
+        .iter()
+        .map(|&k| crossover_entry(k, seed))
+        .collect();
+
     let largest_k_speedup = entries
         .iter()
         .max_by_key(|e| e.k)
@@ -594,6 +667,7 @@ pub fn run(preset: Preset, seed: u64, threads: usize) -> LpPerfRun {
         entries,
         sparse,
         branch_bound,
+        crossover,
         largest_k_speedup,
     }
 }
@@ -650,7 +724,22 @@ mod tests {
     fn quick_preset_is_deterministic() {
         let a = run(Preset::Quick, 7, 2);
         assert!(a.entries[0].objectives_agree, "{:?}", a.entries[0]);
+        let ks: Vec<usize> = a.crossover.iter().map(|c| c.k).collect();
+        assert_eq!(ks, crossover_cluster_counts(Preset::Quick));
         crate::tests::assert_same_artifact(&a, &run(Preset::Quick, 7, 2));
+    }
+
+    #[test]
+    fn crossover_rows_match_the_auto_dense_limit_table() {
+        // `dls_lp::AUTO_DENSE_LIMIT`'s table was measured at seed 42.
+        let sizes: Vec<(usize, usize)> = [5, 8, 10]
+            .iter()
+            .map(|&k| {
+                let e = crossover_entry(k, 42);
+                (e.rows, e.cells)
+            })
+            .collect();
+        assert_eq!(sizes, [(18, 972), (37, 5143), (47, 9165)]);
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //! run bit-for-bit. [`ServicePerfRun`] is `BENCH_service.json`.
 
 use crate::preset_name;
-use dls_experiments::{PolicyKind, Preset};
+use dls_experiments::Preset;
 use dls_scenario::catalog::paper_shape_instance;
 use dls_scenario::{
-    run_scenario, JobSpec, Scenario, ScenarioConfig, ScenarioReport, ScenarioSession,
+    run_scenario, JobSpec, PolicyKind, Scenario, ScenarioConfig, ScenarioReport, ScenarioSession,
 };
 use dls_service::{Client, Op, RespBody, Server, ServiceConfig, TenantSpec};
 use dls_sim::SimEngine;

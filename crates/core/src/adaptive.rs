@@ -1,25 +1,16 @@
-//! Adaptive re-scheduling across epochs of resource drift.
+//! Drift configuration and the stale baseline's shrink-to-fit.
 //!
 //! The paper motivates steady-state scheduling with *adaptability* (§1,
 //! point (iii)): because the schedule is periodic and cheap to recompute,
 //! observed resource variations can be folded into the next period's
-//! optimisation. This module simulates exactly that scenario: platform
-//! capacities drift epoch by epoch (multiplicative random walk on speeds,
-//! local links and backbone bandwidths), and we compare
-//!
-//! * **adaptive** — re-solving the heuristic on the drifted platform each
-//!   epoch, against
-//! * **stale** — keeping the epoch-0 allocation and shrinking it uniformly
-//!   until it becomes feasible again ([`scale_to_fit`]).
-//!
-//! The ratio of the two quantifies how much periodic re-optimisation buys.
+//! optimisation. [`DriftConfig`] describes a multiplicative random walk of
+//! every capacity (cluster speeds, local links, backbone bandwidths), which
+//! `dls_scenario::drift_events` lowers to replayable platform events; and
+//! [`scale_to_fit`] is the *stale* alternative to re-solving — keep an old
+//! allocation and shrink it uniformly until it is feasible again.
 
 use crate::allocation::Allocation;
-use crate::error::SolveError;
-use crate::heuristics::Heuristic;
 use crate::problem::ProblemInstance;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 /// Multiplicative random-walk drift configuration.
@@ -35,7 +26,7 @@ pub struct DriftConfig {
     pub floor_fraction: f64,
     /// Capacities never exceed this multiple of their original value.
     pub ceil_fraction: f64,
-    /// Number of epochs to simulate.
+    /// Number of epochs; epoch 0 is the undrifted platform.
     pub epochs: usize,
     /// RNG seed.
     pub seed: u64,
@@ -53,19 +44,6 @@ impl Default for DriftConfig {
             seed: 0,
         }
     }
-}
-
-/// Outcome of one drift epoch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct EpochResult {
-    /// Epoch index (0 = initial platform).
-    pub epoch: usize,
-    /// Objective achieved by re-solving on the drifted platform.
-    pub adaptive_objective: f64,
-    /// Objective achieved by uniformly shrinking the epoch-0 allocation.
-    pub stale_objective: f64,
-    /// The shrink factor γ applied to the stale allocation.
-    pub stale_gamma: f64,
 }
 
 /// Largest `γ ∈ [0, 1]` such that `γ·alloc` (α scaled, β unchanged) is valid
@@ -158,69 +136,12 @@ pub fn scale_to_fit(alloc: &Allocation, inst: &ProblemInstance) -> (Allocation, 
     (scaled, gamma)
 }
 
-/// Runs the drift experiment: returns one [`EpochResult`] per epoch.
-pub fn run_adaptive(
-    base: &ProblemInstance,
-    heuristic: &dyn Heuristic,
-    cfg: &DriftConfig,
-) -> Result<Vec<EpochResult>, SolveError> {
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    let mut platform = base.platform.clone();
-    let original = base.platform.clone();
-    let initial_alloc = heuristic.solve(base)?;
-    let mut results = Vec::with_capacity(cfg.epochs);
-
-    for epoch in 0..cfg.epochs {
-        if epoch > 0 {
-            // Drift every capacity multiplicatively, clamped to the band.
-            for (c, o) in platform.clusters.iter_mut().zip(&original.clusters) {
-                c.speed = drift(&mut rng, c.speed, cfg.speed_drift)
-                    .clamp(o.speed * cfg.floor_fraction, o.speed * cfg.ceil_fraction);
-                c.local_bw = drift(&mut rng, c.local_bw, cfg.local_bw_drift).clamp(
-                    o.local_bw * cfg.floor_fraction,
-                    o.local_bw * cfg.ceil_fraction,
-                );
-            }
-            for (l, o) in platform.links.iter_mut().zip(&original.links) {
-                l.bw_per_connection = drift(&mut rng, l.bw_per_connection, cfg.backbone_bw_drift)
-                    .clamp(
-                        o.bw_per_connection * cfg.floor_fraction,
-                        o.bw_per_connection * cfg.ceil_fraction,
-                    );
-            }
-        }
-        let inst = ProblemInstance {
-            platform: platform.clone(),
-            payoffs: base.payoffs.clone(),
-            objective: base.objective,
-        };
-        let adaptive_alloc = heuristic.solve(&inst)?;
-        debug_assert!(adaptive_alloc.validate(&inst).is_ok());
-        let (stale_alloc, gamma) = scale_to_fit(&initial_alloc, &inst);
-        debug_assert!(stale_alloc.validate(&inst).is_ok());
-        results.push(EpochResult {
-            epoch,
-            adaptive_objective: adaptive_alloc.objective_value(&inst),
-            stale_objective: stale_alloc.objective_value(&inst),
-            stale_gamma: gamma,
-        });
-    }
-    Ok(results)
-}
-
-fn drift(rng: &mut ChaCha8Rng, value: f64, spread: f64) -> f64 {
-    if spread <= 0.0 {
-        return value;
-    }
-    value * rng.gen_range(1.0 - spread..1.0 + spread)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::heuristics::{Greedy, Lprg};
+    use crate::heuristics::{Greedy, Heuristic, Lprg};
     use crate::problem::Objective;
-    use dls_platform::{ClusterId, PlatformConfig, PlatformGenerator};
+    use dls_platform::{PlatformConfig, PlatformGenerator};
 
     fn instance(seed: u64) -> ProblemInstance {
         let cfg = PlatformConfig {
@@ -335,49 +256,5 @@ mod tests {
         assert_eq!(gamma, 0.0);
         assert_eq!(scaled, Allocation::zeros(inst.num_apps()));
         assert!(scaled.validate(&cut).is_ok());
-    }
-
-    #[test]
-    fn adaptive_beats_stale_on_average() {
-        let inst = instance(4);
-        let results = run_adaptive(
-            &inst,
-            &Lprg::default(),
-            &DriftConfig {
-                epochs: 8,
-                seed: 9,
-                ..DriftConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(results.len(), 8);
-        // Epoch 0: no drift yet → stale == adaptive (same platform).
-        assert!((results[0].adaptive_objective - results[0].stale_objective).abs() < 1e-6);
-        let adaptive: f64 = results.iter().map(|r| r.adaptive_objective).sum();
-        let stale: f64 = results.iter().map(|r| r.stale_objective).sum();
-        assert!(
-            adaptive >= stale - 1e-9,
-            "adaptive {adaptive} < stale {stale}"
-        );
-        // γ stays in [0, 1].
-        assert!(results.iter().all(|r| (0.0..=1.0).contains(&r.stale_gamma)));
-    }
-
-    #[test]
-    fn drift_respects_floor_and_ceiling() {
-        let inst = instance(5);
-        let cfg = DriftConfig {
-            epochs: 30,
-            speed_drift: 0.5,
-            floor_fraction: 0.5,
-            ceil_fraction: 1.5,
-            seed: 11,
-            ..DriftConfig::default()
-        };
-        // Run and make sure nothing panics; inspect one epoch's platform via
-        // the stale gamma staying positive (speeds never hit zero).
-        let results = run_adaptive(&inst, &Greedy::default(), &cfg).unwrap();
-        assert!(results.iter().all(|r| r.stale_gamma > 0.0));
-        let _ = ClusterId(0);
     }
 }

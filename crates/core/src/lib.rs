@@ -38,8 +38,8 @@
 //!
 //! A feasible `(α, β)` pair is an [`Allocation`]; [`Allocation::validate`]
 //! checks Eq. 7 exactly, and [`schedule`] turns any valid allocation into
-//! the explicit periodic schedule of §3.2. [`adaptive`] re-solves across
-//! epochs of platform drift (§1's motivation (iii)).
+//! the explicit periodic schedule of §3.2. [`adaptive`] holds the drift
+//! model and the stale baseline's shrink-to-fit (§1's motivation (iii)).
 
 pub mod adaptive;
 pub mod allocation;

@@ -29,13 +29,9 @@ pub mod figures;
 pub mod record;
 pub mod report;
 pub mod runner;
-pub mod scenario_sweep;
 pub mod stats;
 
 pub use figures::{fig5, fig6, fig7, table1, Preset};
 pub use record::RunRecord;
 pub use runner::{run_sweep, HeuristicSet, RunnerConfig};
-pub use scenario_sweep::{
-    run_scenario_sweep, scenario_csv, PolicyKind, ScenarioRecord, ScenarioSweepConfig,
-};
 pub use stats::{overall_ratio, ratios_by_k, timings_by_k, KAggregate};

@@ -164,28 +164,31 @@ pub enum Engine {
 
 /// Tableau size (standard-form rows × columns) above which [`Engine::Auto`]
 /// leaves the dense tableau for the sparse LU: the measured crossover of a
-/// one-shot cold solve of the paper-shape relaxation (seed 42, median of 10
-/// batches, ms, 2-core x86-64 sandbox):
+/// one-shot cold solve of the paper-shape relaxation, as `perf lp` records
+/// it in `BENCH_lp.json`'s `crossover` section (seed 42, median cold
+/// solve per engine over ≥ 9 solves and ≥ 100 ms, ms, 2-core x86-64
+/// sandbox):
 ///
 /// ```text
 ///   K   rows      cells    Dense   Revised   Sparse
-///   5     18        972   0.0079    0.0089   0.0105
-///   8     37      5 143   0.032     0.035    0.039
-///  10     47      9 165   0.059     0.059    0.064
-///  15     83     32 536   0.209     0.209    0.224
-///  20    140     95 340   0.557     0.501    0.607
-///  25    202    208 060   1.45      1.07     1.04
-///  35    338    642 876   6.09      3.41     2.79
-///  50    628  2 359 396  38.0      19.3      9.65
+///   5     18        972   0.0134    0.0168   0.0213
+///   8     37      5 143   0.055     0.063    0.079
+///  10     47      9 165   0.097     0.109    0.133
+///  15     83     32 536   0.336     0.367    0.397
+///  20    140     95 340   0.865     0.797    0.981
+///  25    202    208 060   2.33      1.63     1.55
+///  35    338    642 876   7.29      3.82     2.54
+///  50    628  2 359 396  42.8      21.8      7.83
 /// ```
 ///
-/// The tableau wins by 8–25 % up to ~10⁵ cells, loses from ~2·10⁵ and by
-/// 3.9× at the paper's own K = 50; the limit sits between the two
+/// The tableau wins by 9–25 % up to ~3·10⁴ cells, loses from ~2·10⁵ and by
+/// 5.5× at the paper's own K = 50; the limit sits between the two
 /// measured sizes that bracket the crossover. The dense-inverse revised
-/// engine leads only at K = 20, by 10 % and inside that row's own spread,
+/// engine leads only at K = 20, by 8 %,
 /// so `Auto` does not pick it. Re-measure with
-/// `cargo bench -p dls_bench --bench lp_solvers -- lp_engines` (ids carry
-/// `rows x cells`) and move the constant if the bracket moves.
+/// `cargo run --release -p dls_bench --bin perf -- lp` (the `crossover`
+/// rows carry `k`, `rows`, `cells` and `timing_ms` per engine) and move the
+/// constant if the bracket moves.
 ///
 /// This sizes *cold* solves only; which factorisation a warm context keeps
 /// is [`BasisRepr::Auto`]'s separate row-count switch

@@ -32,10 +32,10 @@
 //!
 //! The run ends when every job has been computed or proven unschedulable
 //! (or at a drain-cap after the last arrival, reporting unfinished jobs as
-//! such). [`run_scenario_resumable`] additionally supports interrupting
-//! the loop at a chosen epoch, serialising the complete engine state as a
-//! [`ScenarioSnapshot`], and replaying the remainder with
-//! [`resume_scenario`] — bit-identically to the uninterrupted run.
+//! such). [`run_scenario`] is a [`ScenarioSession`] stepped to the end; a
+//! session can also be checkpointed at any boundary as a
+//! [`ScenarioSnapshot`] and restored — even in a fresh process — to replay
+//! the remainder bit-identically ([`ScenarioSession::snapshot`]).
 
 use crate::events::{JobSpec, PlatformChange, PlatformEvent, Scenario};
 use crate::policy::{PolicyCtx, PolicyState, ReschedulePolicy};
@@ -229,9 +229,9 @@ struct FlowMeta {
 /// Wire version of [`ScenarioSnapshot`].
 pub const SCENARIO_SNAPSHOT_VERSION: u32 = 1;
 
-/// The complete serialisable state of an interrupted scenario run:
-/// restore with [`resume_scenario`] and the remainder replays
-/// bit-identically to the uninterrupted run (report and event stream;
+/// The complete serialisable state of a scenario session at a boundary:
+/// restore with [`ScenarioSession::restore`] and the remainder replays
+/// bit-identically to the session that took it (report and event stream;
 /// the wall-clock `reschedule_ms` field is the only exception).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScenarioSnapshot {
@@ -309,16 +309,6 @@ impl ScenarioSnapshot {
         // The tree the probe read is the one parse of `json`.
         ScenarioSnapshot::from_value(&value).map_err(|e| ScenarioError::Snapshot(e.to_string()))
     }
-}
-
-/// How a resumable run ended.
-#[derive(Debug)]
-pub enum ResumableRun {
-    /// The scenario ran to completion.
-    Finished(Box<ScenarioReport>),
-    /// The run was interrupted at the requested epoch; resume with
-    /// [`resume_scenario`].
-    Interrupted(Box<ScenarioSnapshot>),
 }
 
 /// All mutable state of one scenario run, so the control loop can be
@@ -1084,83 +1074,21 @@ impl Runner {
             redispatched_load: Some(self.redispatched),
         }
     }
-
-    /// Final-report convenience: consumes the runner.
-    fn into_report(mut self, policy: &mut dyn ReschedulePolicy) -> ScenarioReport {
-        self.report(policy)
-    }
 }
 
-fn drive(
-    mut runner: Runner,
-    policy: &mut dyn ReschedulePolicy,
-    interrupt_at_epoch: Option<usize>,
-) -> Result<ResumableRun, ScenarioError> {
-    loop {
-        if Some(runner.epoch) == interrupt_at_epoch {
-            return Ok(ResumableRun::Interrupted(Box::new(runner.snapshot(policy))));
-        }
-        if runner.step(policy)? {
-            return Ok(ResumableRun::Finished(Box::new(runner.into_report(policy))));
-        }
-    }
-}
-
-/// Runs `scenario` on `base`'s platform under `policy`. The returned report
-/// is deterministic except for its `reschedule_ms` wall-clock field.
+/// Runs `scenario` on `base`'s platform under `policy`: a
+/// [`ScenarioSession`] over the whole timeline, stepped to the end. The
+/// returned report is deterministic except for its `reschedule_ms`
+/// wall-clock field.
 pub fn run_scenario(
     base: &ProblemInstance,
     scenario: &Scenario,
     policy: &mut dyn ReschedulePolicy,
     cfg: &ScenarioConfig,
 ) -> Result<ScenarioReport, ScenarioError> {
-    match drive(
-        Runner::new(base, scenario.clone(), cfg.clone()),
-        policy,
-        None,
-    )? {
-        ResumableRun::Finished(report) => Ok(*report),
-        ResumableRun::Interrupted(_) => unreachable!("no interrupt requested"),
-    }
-}
-
-/// Like [`run_scenario`], but pauses *before* executing epoch
-/// `interrupt_at_epoch` (if the run gets that far) and returns the
-/// complete engine state as a [`ScenarioSnapshot`]. Replaying the snapshot
-/// with [`resume_scenario`] — even in a fresh process — produces a report
-/// and event stream bit-identical to the uninterrupted run (modulo the
-/// wall-clock `reschedule_ms`).
-pub fn run_scenario_resumable(
-    base: &ProblemInstance,
-    scenario: &Scenario,
-    policy: &mut dyn ReschedulePolicy,
-    cfg: &ScenarioConfig,
-    interrupt_at_epoch: Option<usize>,
-) -> Result<ResumableRun, ScenarioError> {
-    drive(
-        Runner::new(base, scenario.clone(), cfg.clone()),
-        policy,
-        interrupt_at_epoch,
-    )
-}
-
-/// Continues an interrupted run from `snapshot` to completion. The policy
-/// should be freshly constructed (or otherwise reset); its serialisable
-/// state is re-seeded from the snapshot via
-/// [`ReschedulePolicy::import_state`].
-pub fn resume_scenario(
-    base: &ProblemInstance,
-    scenario: &Scenario,
-    policy: &mut dyn ReschedulePolicy,
-    cfg: &ScenarioConfig,
-    snapshot: &ScenarioSnapshot,
-) -> Result<ScenarioReport, ScenarioError> {
-    let runner = Runner::from_snapshot(base, scenario.clone(), cfg.clone(), snapshot)?;
-    policy.import_state(&snapshot.policy_state);
-    match drive(runner, policy, None)? {
-        ResumableRun::Finished(report) => Ok(*report),
-        ResumableRun::Interrupted(_) => unreachable!("no interrupt requested"),
-    }
+    let mut session = ScenarioSession::new(base, scenario.clone(), cfg.clone());
+    session.run_to_end(policy)?;
+    Ok(session.into_report(policy))
 }
 
 /// A long-lived, externally driven scenario run: the engine state of

@@ -343,11 +343,11 @@ impl ArrivalProcess {
 
 /// Lowers the multiplicative random-walk drift of
 /// [`dls_core::adaptive::DriftConfig`] into an explicit platform-event
-/// timeline: one epoch per control period, each epoch drifting every
-/// cluster speed, local link, and backbone bandwidth exactly like
-/// [`dls_core::adaptive::run_adaptive`] does (same clamping band, same
-/// per-capacity walk), but emitted as replayable [`PlatformEvent`]s so the
-/// *online* engine — not an offline epoch comparison — absorbs them.
+/// timeline: one epoch per control period, each epoch multiplying every
+/// cluster speed, local link, and backbone bandwidth by an independent
+/// uniform draw in `1 ± spread`, clamped to `[floor, ceil]` times the
+/// capacity's original value, and emitted as replayable [`PlatformEvent`]s
+/// for the online engine to absorb.
 pub fn drift_events(platform: &Platform, cfg: &DriftConfig, period: f64) -> Vec<PlatformEvent> {
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
     let mut events = Vec::new();

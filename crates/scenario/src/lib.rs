@@ -34,12 +34,13 @@
 //!
 //! [`run_scenario`] executes the timeline and produces a
 //! [`ScenarioReport`]: per-job response times, makespan, achieved vs.
-//! allocated steady-state throughput, and reschedule counts/costs. The
+//! allocated steady-state throughput, and reschedule counts/costs. A
+//! [`ScenarioSession`] is the same run held open — stepped, extended,
+//! snapshotted and restored — for the `dls-service` daemon. The
 //! [`mod@catalog`] module names reproducible scenario families (`steady`,
-//! `bursty`, `drift`, `churn`, `flash`) shared by the experiment sweep
-//! (`dls-experiments`), the perf harness (`dls-bench`, emitting
-//! `BENCH_scenario.json`), the `dls-cli scenario` subcommand, and
-//! `examples/online_arrivals.rs`.
+//! `bursty`, `drift`, `churn`, `flash`, …) shared by the perf harness
+//! (`dls-bench`, emitting `BENCH_scenario.json`), the `dls-cli scenario`
+//! subcommand, and the examples; [`PolicyKind`] names the policies.
 
 pub mod catalog;
 pub mod engine;
@@ -50,13 +51,13 @@ pub mod report;
 
 pub use catalog::{build as build_catalog_entry, catalog, CatalogEntry};
 pub use engine::{
-    resume_scenario, run_scenario, run_scenario_resumable, ResumableRun, ScenarioConfig,
-    ScenarioError, ScenarioSession, ScenarioSnapshot, SCENARIO_SNAPSHOT_VERSION,
+    run_scenario, ScenarioConfig, ScenarioError, ScenarioSession, ScenarioSnapshot,
+    SCENARIO_SNAPSHOT_VERSION,
 };
 pub use events::{drift_events, ArrivalProcess, JobSpec, PlatformChange, PlatformEvent, Scenario};
 pub use policy::{
-    PeriodicResolve, PolicyCtx, PolicyState, RecoveryLevel, ReschedulePolicy, Resolver, StaleScale,
-    ThresholdTriggered, WarmLprg,
+    PeriodicResolve, PolicyCtx, PolicyKind, PolicyState, RecoveryLevel, ReschedulePolicy, Resolver,
+    StaleScale, ThresholdTriggered, WarmLprg,
 };
 pub use recovery::{recoverable, RecoveryLadder};
 pub use report::{
@@ -71,7 +72,40 @@ pub use dls_core::adaptive::{scale_to_fit, DriftConfig};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dls_core::ProblemInstance;
     use dls_sim::SimEngine;
+
+    /// Steps a fresh session `epochs` boundaries and checkpoints it.
+    fn snapshot_at(
+        inst: &ProblemInstance,
+        scenario: &Scenario,
+        policy: &mut dyn ReschedulePolicy,
+        cfg: &ScenarioConfig,
+        epochs: usize,
+    ) -> ScenarioSnapshot {
+        let mut session = ScenarioSession::new(inst, scenario.clone(), cfg.clone());
+        for _ in 0..epochs {
+            assert!(
+                !session.step(policy).unwrap(),
+                "run finished before epoch {epochs}"
+            );
+        }
+        session.snapshot(policy)
+    }
+
+    /// Restores `snap` into a fresh session and runs it to the end.
+    fn resume(
+        inst: &ProblemInstance,
+        scenario: &Scenario,
+        policy: &mut dyn ReschedulePolicy,
+        cfg: &ScenarioConfig,
+        snap: &ScenarioSnapshot,
+    ) -> Result<ScenarioReport, ScenarioError> {
+        let mut session =
+            ScenarioSession::restore(inst, scenario.clone(), cfg.clone(), snap, policy)?;
+        session.run_to_end(policy)?;
+        Ok(session.into_report(policy))
+    }
 
     #[test]
     fn steady_scenario_completes_all_jobs_under_periodic_warm() {
@@ -532,16 +566,11 @@ mod tests {
             let mut uninterrupted = PeriodicResolve::new(Resolver::Cold);
             let mut full = run_scenario(&inst, &scenario, &mut uninterrupted, &cfg).unwrap();
             let mut first = PeriodicResolve::new(Resolver::Cold);
-            let snap = match run_scenario_resumable(&inst, &scenario, &mut first, &cfg, Some(7))
-                .unwrap()
-            {
-                ResumableRun::Interrupted(snap) => snap,
-                ResumableRun::Finished(_) => panic!("run finished before epoch 7"),
-            };
+            let snap = snapshot_at(&inst, &scenario, &mut first, &cfg, 7);
             // The snapshot survives a JSON round trip bit-exactly.
             let snap = ScenarioSnapshot::from_json(&snap.to_json()).unwrap();
             let mut second = PeriodicResolve::new(Resolver::Cold);
-            let mut resumed = resume_scenario(&inst, &scenario, &mut second, &cfg, &snap).unwrap();
+            let mut resumed = resume(&inst, &scenario, &mut second, &cfg, &snap).unwrap();
             // Bit-identical up to the wall-clock-only reschedule_ms field.
             full.reschedule_ms = 0.0;
             resumed.reschedule_ms = 0.0;
@@ -558,20 +587,17 @@ mod tests {
         let (inst, scenario) = build_catalog_entry("steady", 4, 79).unwrap();
         let cfg = ScenarioConfig::default();
         let mut p = PeriodicResolve::new(Resolver::Cold);
-        let snap = match run_scenario_resumable(&inst, &scenario, &mut p, &cfg, Some(3)).unwrap() {
-            ResumableRun::Interrupted(snap) => *snap,
-            ResumableRun::Finished(_) => panic!("run finished before epoch 3"),
-        };
+        let snap = snapshot_at(&inst, &scenario, &mut p, &cfg, 3);
         let mut wrong_version = snap.clone();
         wrong_version.version += 1;
         let mut q = PeriodicResolve::new(Resolver::Cold);
         assert!(matches!(
-            resume_scenario(&inst, &scenario, &mut q, &cfg, &wrong_version),
+            resume(&inst, &scenario, &mut q, &cfg, &wrong_version),
             Err(ScenarioError::Snapshot(_))
         ));
         let (inst2, scenario2) = build_catalog_entry("drift", 4, 79).unwrap();
         assert!(matches!(
-            resume_scenario(&inst2, &scenario2, &mut q, &cfg, &snap),
+            resume(&inst2, &scenario2, &mut q, &cfg, &snap),
             Err(ScenarioError::Snapshot(_))
         ));
     }
@@ -581,10 +607,7 @@ mod tests {
         let (inst, scenario) = build_catalog_entry("steady", 4, 101).unwrap();
         let cfg = ScenarioConfig::default();
         let mut p = PeriodicResolve::new(Resolver::Cold);
-        let snap = match run_scenario_resumable(&inst, &scenario, &mut p, &cfg, Some(3)).unwrap() {
-            ResumableRun::Interrupted(snap) => snap,
-            ResumableRun::Finished(_) => panic!("run finished before epoch 3"),
-        };
+        let snap = snapshot_at(&inst, &scenario, &mut p, &cfg, 3);
         let bumped = snap
             .to_json()
             .replacen("\"version\":1", "\"version\":99", 1);
@@ -730,13 +753,9 @@ mod tests {
         let (inst, scenario) = build_catalog_entry("steady", 4, 83).unwrap();
         let cfg = ScenarioConfig::default();
         let mut first = PeriodicResolve::new(Resolver::warm(&inst).unwrap());
-        let snap =
-            match run_scenario_resumable(&inst, &scenario, &mut first, &cfg, Some(5)).unwrap() {
-                ResumableRun::Interrupted(snap) => snap,
-                ResumableRun::Finished(_) => panic!("run finished before epoch 5"),
-            };
+        let snap = snapshot_at(&inst, &scenario, &mut first, &cfg, 5);
         let mut second = PeriodicResolve::new(Resolver::warm(&inst).unwrap());
-        let resumed = resume_scenario(&inst, &scenario, &mut second, &cfg, &snap).unwrap();
+        let resumed = resume(&inst, &scenario, &mut second, &cfg, &snap).unwrap();
         assert_eq!(
             resumed.completed_jobs,
             resumed.jobs,

@@ -766,6 +766,49 @@ impl ReschedulePolicy for StaleScale {
     }
 }
 
+/// The policies a caller can name: the `dls-cli scenario --policy` flag
+/// and the daemon's tenant spec parse their `policy` string into one and
+/// [`PolicyKind::build`] it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PolicyKind {
+    /// Warm-started LPRG re-solved every period.
+    PeriodicWarm,
+    /// Cold LPRG re-solved every period.
+    PeriodicCold,
+    /// Re-solve only on observed throughput degradation (bound 0.5).
+    Threshold,
+    /// The paper's stale baseline (`scale_to_fit` on drift).
+    Stale,
+}
+
+impl PolicyKind {
+    /// Parses a CLI-style name (`periodic|periodic-cold|threshold|stale`).
+    pub fn parse(s: &str) -> Option<PolicyKind> {
+        match s {
+            "periodic" | "periodic-warm" => Some(PolicyKind::PeriodicWarm),
+            "periodic-cold" => Some(PolicyKind::PeriodicCold),
+            "threshold" => Some(PolicyKind::Threshold),
+            "stale" => Some(PolicyKind::Stale),
+            _ => None,
+        }
+    }
+
+    /// Instantiates the policy for one run. The box is `Send` so tenants
+    /// in the `dls-service` daemon can carry their policy across worker
+    /// threads.
+    pub fn build(
+        &self,
+        inst: &ProblemInstance,
+    ) -> Result<Box<dyn ReschedulePolicy + Send>, SolveError> {
+        Ok(match self {
+            PolicyKind::PeriodicWarm => Box::new(PeriodicResolve::new(Resolver::warm(inst)?)),
+            PolicyKind::PeriodicCold => Box::new(PeriodicResolve::new(Resolver::Cold)),
+            PolicyKind::Threshold => Box::new(ThresholdTriggered::new(0.5, Resolver::Cold)),
+            PolicyKind::Stale => Box::new(StaleScale::new(Resolver::Cold)),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -975,5 +1018,15 @@ mod tests {
             ..healthy
         };
         assert!(policy.decide(&idle).unwrap().is_none());
+    }
+
+    #[test]
+    fn policy_kind_parsing() {
+        assert_eq!(
+            PolicyKind::parse("periodic"),
+            Some(PolicyKind::PeriodicWarm)
+        );
+        assert_eq!(PolicyKind::parse("stale"), Some(PolicyKind::Stale));
+        assert_eq!(PolicyKind::parse("nope"), None);
     }
 }

@@ -1,11 +1,11 @@
 //! Property tests for the failure-domain story: random fault storms keep
 //! the two simulation cores in event-stream agreement, and crash-at-any-
-//! epoch snapshot/restore replays bit-identically on both cores.
+//! epoch snapshot/restore replays bit-identically on both cores. Also: the
+//! capacity-drift walk stays inside its clamping band.
 
 use dls_scenario::{
-    build_catalog_entry, resume_scenario, run_scenario, run_scenario_resumable, PeriodicResolve,
-    PlatformChange, PlatformEvent, Resolver, ResumableRun, Scenario, ScenarioConfig,
-    ScenarioSnapshot,
+    build_catalog_entry, drift_events, run_scenario, DriftConfig, PeriodicResolve, PlatformChange,
+    PlatformEvent, Resolver, Scenario, ScenarioConfig, ScenarioSession, ScenarioSnapshot,
 };
 use dls_sim::SimEngine;
 use proptest::prelude::*;
@@ -186,6 +186,55 @@ proptest! {
         prop_assert_eq!(fast.fault_records(), slow.fault_records());
     }
 
+    /// The drift walk never leaves its clamping band: every capacity an
+    /// epoch sets lies within `[floor, ceil]` times that capacity's
+    /// original value, however wide the per-epoch spread and however long
+    /// the walk.
+    #[test]
+    fn drift_respects_floor_and_ceiling(
+        seed in 0u64..1000,
+        spread in 0.0f64..0.9,
+        floor in 0.1f64..1.0,
+        ceil in 1.0f64..4.0,
+        epochs in 2usize..40,
+    ) {
+        let (inst, _) = build_catalog_entry("steady", K, seed).unwrap();
+        let p = &inst.platform;
+        let cfg = DriftConfig {
+            speed_drift: spread,
+            local_bw_drift: spread,
+            backbone_bw_drift: spread,
+            floor_fraction: floor,
+            ceil_fraction: ceil,
+            epochs,
+            seed,
+        };
+        let events = drift_events(p, &cfg, 1.0);
+        prop_assert_eq!(events.len(), (epochs - 1) * (2 * K + p.links.len()));
+        for e in &events {
+            let (value, orig) = match e.change {
+                PlatformChange::SetSpeed { cluster, speed } => {
+                    (speed, p.clusters[cluster as usize].speed)
+                }
+                PlatformChange::SetLocalBw { cluster, bw } => {
+                    (bw, p.clusters[cluster as usize].local_bw)
+                }
+                PlatformChange::SetBackboneBw { link, bw } => {
+                    (bw, p.links[link as usize].bw_per_connection)
+                }
+                ref other => return Err(TestCaseError::fail(format!("{other:?}"))),
+            };
+            prop_assert!(
+                value >= orig * floor && value <= orig * ceil,
+                "{:?} left the band [{}, {}] x {}",
+                e,
+                floor,
+                ceil,
+                orig
+            );
+        }
+    }
+
     /// Crash-at-any-epoch resilience: interrupting a faulty run at a random
     /// epoch, serialising the snapshot through JSON, and resuming replays
     /// the remainder bit-identically to the uninterrupted run — on both
@@ -205,25 +254,26 @@ proptest! {
             };
             let mut uninterrupted = PeriodicResolve::new(Resolver::Cold);
             let mut full = run_scenario(&inst, &scenario, &mut uninterrupted, &cfg).unwrap();
-            let mut first = PeriodicResolve::new(Resolver::Cold);
-            let snap =
-                match run_scenario_resumable(&inst, &scenario, &mut first, &cfg, Some(interrupt))
-                    .unwrap()
-                {
-                    ResumableRun::Interrupted(snap) => snap,
-                    // The run finished before the interrupt epoch: the
-                    // resumable path IS the full path, nothing to compare.
-                    ResumableRun::Finished(report) => {
-                        prop_assert_eq!(full.to_json(), report.to_json());
-                        continue;
-                    }
-                };
-            let snap = ScenarioSnapshot::from_json(&snap.to_json()).unwrap();
-            let mut second = PeriodicResolve::new(Resolver::Cold);
-            let mut resumed = resume_scenario(&inst, &scenario, &mut second, &cfg, &snap).unwrap();
             // Wall-clock solve time is the one legitimately non-replayable
             // field.
             full.reschedule_ms = 0.0;
+            let mut first = PeriodicResolve::new(Resolver::Cold);
+            let mut session = ScenarioSession::new(&inst, scenario.clone(), cfg.clone());
+            if (0..interrupt).any(|_| session.step(&mut first).unwrap()) {
+                // The run finished before the interrupt epoch: the
+                // checkpointing run IS the full run, nothing to restore.
+                let mut report = session.into_report(&mut first);
+                report.reschedule_ms = 0.0;
+                prop_assert_eq!(full.to_json(), report.to_json());
+                continue;
+            }
+            let snap = ScenarioSnapshot::from_json(&session.snapshot(&mut first).to_json()).unwrap();
+            let mut second = PeriodicResolve::new(Resolver::Cold);
+            let mut resumed =
+                ScenarioSession::restore(&inst, scenario.clone(), cfg.clone(), &snap, &mut second)
+                    .unwrap();
+            resumed.run_to_end(&mut second).unwrap();
+            let mut resumed = resumed.into_report(&mut second);
             resumed.reschedule_ms = 0.0;
             prop_assert_eq!(full.to_json(), resumed.to_json(), "engine {:?}", engine);
         }

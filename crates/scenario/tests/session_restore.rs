@@ -15,8 +15,8 @@
 
 use dls_scenario::catalog::paper_shape_instance;
 use dls_scenario::{
-    resume_scenario, run_scenario_resumable, JobSpec, PeriodicResolve, ReschedulePolicy, Resolver,
-    ResumableRun, Scenario, ScenarioConfig, ScenarioReport, ScenarioSession,
+    JobSpec, PeriodicResolve, ReschedulePolicy, Resolver, Scenario, ScenarioConfig, ScenarioReport,
+    ScenarioSession,
 };
 use dls_sim::SimEngine;
 
@@ -96,32 +96,6 @@ fn session_restore_bit_agrees_with_the_checkpointing_run() {
         canonical(reference),
         "restored session must replay bit-identically to the run that \
          took the checkpoint"
-    );
-}
-
-#[test]
-fn resumable_run_bit_agrees_with_the_checkpointing_run() {
-    // The `run_scenario_resumable` interrupt discards the live run, so its
-    // snapshot never needed a barrier — but the resumed replica still must
-    // match a session that checkpointed at the same epoch, because both
-    // start epoch 2 from a fresh factorisation of the same basis.
-    let inst = paper_shape_instance(5, 32461);
-    let (reference, _) = checkpointing_reference(&inst, 2);
-
-    let sc = scenario();
-    let mut first = warm_policy(&inst);
-    let snap = match run_scenario_resumable(&inst, &sc, &mut first, &cfg(), Some(2)).unwrap() {
-        ResumableRun::Interrupted(snap) => snap,
-        ResumableRun::Finished(_) => panic!("finished before epoch 2"),
-    };
-    let mut second = warm_policy(&inst);
-    let resumed = resume_scenario(&inst, &sc, &mut second, &cfg(), &snap).unwrap();
-
-    assert_eq!(
-        canonical(resumed),
-        canonical(reference),
-        "resume_scenario must replay bit-identically to the run that \
-         checkpointed at the interrupt epoch"
     );
 }
 

@@ -5,10 +5,9 @@
 //! asks for.
 
 use crate::proto::{frame, Push, PushFrame, TenantSpec};
-use dls_experiments::PolicyKind;
 use dls_scenario::catalog::paper_shape_instance;
 use dls_scenario::{
-    JobSpec, PlatformEvent, ReschedulePolicy, Scenario, ScenarioConfig, ScenarioReport,
+    JobSpec, PlatformEvent, PolicyKind, ReschedulePolicy, Scenario, ScenarioConfig, ScenarioReport,
     ScenarioSession, ScenarioSnapshot,
 };
 use dls_sim::SimEngine;
@@ -289,9 +288,11 @@ impl Tenant {
     }
 }
 
-/// Loads every `*.ckpt.json` in `dir` (ignoring files that fail to
-/// parse, with a note on stderr — a torn tmp file must not brick the
-/// daemon). Returns restored tenants sorted by name.
+/// Loads every `*.ckpt.json` in `dir`, skipping with a note on stderr
+/// any file that fails to parse or restore (a torn tmp file must not
+/// brick the daemon) and any whose `tenant` is not a valid tenant name or
+/// not its own file stem: the name decides where the tenant's next
+/// checkpoint is written. Returns restored tenants sorted by name.
 pub fn restore_all(dir: &Path) -> Vec<Tenant> {
     let mut tenants: Vec<Tenant> = Vec::new();
     let Ok(entries) = std::fs::read_dir(dir) else {
@@ -310,11 +311,86 @@ pub fn restore_all(dir: &Path) -> Vec<Tenant> {
         let parsed = std::fs::read_to_string(&path)
             .map_err(|e| e.to_string())
             .and_then(|s| serde_json::from_str::<CheckpointFile>(&s).map_err(|e| e.to_string()))
-            .and_then(|f| Tenant::restore(&f));
+            .and_then(|f| {
+                let own = path.file_name().and_then(|n| n.to_str())
+                    == Some(format!("{}.ckpt.json", f.tenant).as_str());
+                if !valid_tenant_name(&f.tenant) || !own {
+                    return Err(format!(
+                        "names tenant {:?}, not its own file stem",
+                        f.tenant
+                    ));
+                }
+                Tenant::restore(&f)
+            });
         match parsed {
             Ok(t) => tenants.push(t),
             Err(e) => eprintln!("dls-service: skipping checkpoint {}: {e}", path.display()),
         }
     }
     tenants
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn canonical(mut r: ScenarioReport) -> String {
+        r.reschedule_ms = 0.0;
+        r.to_json()
+    }
+
+    /// A checkpoint directory holding one good checkpoint among a torn
+    /// file, non-JSON bytes, an old schema version, a file naming another
+    /// tenant and one naming an unsafe tenant: only the good tenant loads,
+    /// and it finishes bit-identically to the tenant that wrote it.
+    #[test]
+    fn restore_all_loads_only_well_formed_checkpoints_under_their_own_name() {
+        let dir = std::env::temp_dir().join(format!("dls-restore-all-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = TenantSpec {
+            policy: "periodic".into(),
+            record_events: true,
+            ..TenantSpec::default()
+        };
+        let mut original = Tenant::new("good", spec).unwrap();
+        let jobs: Vec<JobSpec> = (0..4)
+            .map(|i| JobSpec {
+                arrival: 1.0 + 4.0 * i as f64,
+                origin: i % 5,
+                size: 80.0 + 10.0 * i as f64,
+                weight: 1.0,
+            })
+            .collect();
+        original.submit(&jobs).unwrap();
+        original.advance(2).unwrap();
+        let good = std::fs::read_to_string(original.checkpoint(&dir).unwrap()).unwrap();
+        original.run_to_end().unwrap();
+        let expected = canonical(original.query());
+
+        let file: CheckpointFile = serde_json::from_str(&good).unwrap();
+        let write = |stem: &str, bytes: &[u8]| {
+            std::fs::write(dir.join(format!("{stem}.ckpt.json")), bytes).unwrap();
+        };
+        let renamed = |stem: &str, tenant: &str, schema_version: u32| {
+            let f = CheckpointFile {
+                schema_version,
+                tenant: tenant.into(),
+                ..file.clone()
+            };
+            write(stem, serde_json::to_string(&f).unwrap().as_bytes());
+        };
+        write("torn", &good.as_bytes()[..good.len() / 2]);
+        write("junk", b"\x00\xffnot json at all");
+        renamed("old", "old", CHECKPOINT_VERSION - 1);
+        renamed("alias", "good", CHECKPOINT_VERSION);
+        renamed("evil", "../x", CHECKPOINT_VERSION);
+
+        let mut restored = restore_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        let names: Vec<&str> = restored.iter().map(|t| t.name.as_str()).collect();
+        assert_eq!(names, ["good"]);
+        let t = &mut restored[0];
+        t.run_to_end().unwrap();
+        assert_eq!(canonical(t.query()), expected);
+    }
 }

@@ -56,7 +56,7 @@
 
 use crate::bandwidth::{AllocStats, BandwidthModel, FlowSpec};
 use crate::flows::FlowCore;
-use crate::report::{SimReport, TraceEvent};
+use crate::report::SimReport;
 use dls_core::approx::close;
 use dls_core::schedule::PeriodicSchedule;
 use dls_core::ProblemInstance;
@@ -71,9 +71,6 @@ pub struct SimConfig {
     pub warmup: usize,
     /// Local-link sharing discipline.
     pub bandwidth_model: BandwidthModel,
-    /// Record a [`TraceEvent`] log (off by default — traces
-    /// grow linearly with flows × periods).
-    pub record_trace: bool,
     /// Which simulation core executes the schedule.
     pub engine: SimEngine,
     /// Cross-check the incremental core against a full
@@ -89,7 +86,6 @@ impl Default for SimConfig {
             periods: 10,
             warmup: 2,
             bandwidth_model: BandwidthModel::MaxMinFair,
-            record_trace: false,
             engine: SimEngine::Incremental,
             oracle_check: false,
         }
@@ -200,7 +196,6 @@ struct SimState {
     max_backlog: f64,
     conn_now: Vec<i64>,
     conn_peak: Vec<i64>,
-    trace: Vec<TraceEvent>,
     events: u64,
 }
 
@@ -218,7 +213,6 @@ impl SimState {
             max_backlog: 0.0,
             conn_now: vec![0; n_links],
             conn_peak: vec![0; n_links],
-            trace: Vec::new(),
             events: 0,
         }
     }
@@ -359,26 +353,12 @@ impl<'a> Simulator<'a> {
                 for &l in compiled.route(tr) {
                     state.conn_now[l as usize] -= tr.connections as i64;
                 }
-                if config.record_trace {
-                    state.trace.push(TraceEvent::FlowEnd {
-                        time: t,
-                        from: tr.spec.src.0,
-                        to: tr.spec.dst.0,
-                        lateness: t - deadline,
-                    });
-                }
             }
 
             // --- period boundary ---
             if next_period <= config.periods && close(t, boundary, 1e-9) {
                 state.record_backlog(t);
                 if next_period < config.periods {
-                    if config.record_trace {
-                        state.trace.push(TraceEvent::PeriodStart {
-                            time: t,
-                            period: next_period,
-                        });
-                    }
                     // `record_backlog` just drained every queue up to `t`.
                     for &(cluster, app, amount) in &compiled.local_tasks {
                         state.queues[cluster].push_back((app, amount));
@@ -388,14 +368,6 @@ impl<'a> Simulator<'a> {
                             let l = l as usize;
                             state.conn_now[l] += tr.connections as i64;
                             state.conn_peak[l] = state.conn_peak[l].max(state.conn_now[l]);
-                        }
-                        if config.record_trace {
-                            state.trace.push(TraceEvent::FlowStart {
-                                time: t,
-                                from: tr.spec.src.0,
-                                to: tr.spec.dst.0,
-                                amount: tr.amount,
-                            });
                         }
                         core.stage(tr.spec, tr.amount, (ti as u32, next_period));
                     }
@@ -480,7 +452,6 @@ impl<'a> Simulator<'a> {
             connection_caps_respected: caps_ok,
             local_link_utilization,
             events: state.events,
-            trace: state.trace,
         }
     }
 }
@@ -647,42 +618,6 @@ mod tests {
             },
         );
         assert!(fair.efficiency >= naive.efficiency - 1e-9);
-    }
-
-    #[test]
-    fn trace_records_period_and_flow_events() {
-        let inst = two_cluster();
-        let alloc = Lprg::default().solve(&inst).unwrap();
-        let schedule = ScheduleBuilder::default().build(&inst, &alloc).unwrap();
-        let cfg = SimConfig {
-            periods: 3,
-            warmup: 1,
-            record_trace: true,
-            ..SimConfig::default()
-        };
-        let report = Simulator::new(&inst).run(&schedule, &cfg);
-        use crate::report::TraceEvent;
-        let periods = report
-            .trace
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::PeriodStart { .. }))
-            .count();
-        assert_eq!(periods, 3);
-        let starts = report
-            .trace
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::FlowStart { .. }))
-            .count();
-        let ends = report
-            .trace
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::FlowEnd { .. }))
-            .count();
-        assert_eq!(starts, schedule.transfers.len() * 3);
-        assert_eq!(ends, starts, "every flow completes");
-        // Trace off by default.
-        let silent = Simulator::new(&inst).run(&schedule, &SimConfig::default());
-        assert!(silent.trace.is_empty());
     }
 
     #[test]

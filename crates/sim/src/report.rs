@@ -2,41 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// One recorded simulation event (collected when
-/// [`crate::SimConfig::record_trace`] is set).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum TraceEvent {
-    /// A new period began at `time`.
-    PeriodStart {
-        /// Simulation time.
-        time: f64,
-        /// Period index.
-        period: usize,
-    },
-    /// A transfer began (all flows of a period start at its boundary).
-    FlowStart {
-        /// Simulation time.
-        time: f64,
-        /// Source cluster index.
-        from: u32,
-        /// Destination cluster index.
-        to: u32,
-        /// Transfer size (load units).
-        amount: f64,
-    },
-    /// A transfer completed.
-    FlowEnd {
-        /// Simulation time.
-        time: f64,
-        /// Source cluster index.
-        from: u32,
-        /// Destination cluster index.
-        to: u32,
-        /// Completion time minus the period deadline (≤ 0 means on time).
-        lateness: f64,
-    },
-}
-
 /// Outcome of executing a periodic schedule on the simulated platform.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimReport {
@@ -67,8 +32,6 @@ pub struct SimReport {
     /// Deterministic for a fixed schedule and configuration — the perf
     /// harness uses it to confirm both engines simulated the same workload.
     pub events: u64,
-    /// Event trace (empty unless `SimConfig::record_trace`).
-    pub trace: Vec<TraceEvent>,
 }
 
 impl SimReport {

@@ -8,10 +8,10 @@
 //! tests can assert a tenant's daemon-side report is bit-identical to
 //! what it would have produced alone in-process.
 
-use dls_experiments::PolicyKind;
 use dls_scenario::catalog::paper_shape_instance;
 use dls_scenario::{
-    run_scenario, JobSpec, PlatformEvent, Scenario, ScenarioConfig, ScenarioReport, ScenarioSession,
+    run_scenario, JobSpec, PlatformEvent, PolicyKind, Scenario, ScenarioConfig, ScenarioReport,
+    ScenarioSession,
 };
 use dls_service::{Client, Server, ServiceConfig, TenantSpec};
 use dls_sim::SimEngine;

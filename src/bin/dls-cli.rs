@@ -18,9 +18,10 @@
 use dls::core::heuristics::{Greedy, Heuristic, Lpr, Lprg, Lprr, UpperBound};
 use dls::core::schedule::ScheduleBuilder;
 use dls::core::{bottleneck, Objective, ProblemInstance};
-use dls::experiments::PolicyKind;
 use dls::platform::{to_dot, Platform, PlatformConfig, PlatformGenerator};
-use dls::scenario::{build_catalog_entry, run_scenario, JobSpec, Scenario, ScenarioConfig};
+use dls::scenario::{
+    build_catalog_entry, run_scenario, JobSpec, PolicyKind, Scenario, ScenarioConfig,
+};
 use dls::service::{
     install_signal_handlers, Client, Op, RespBody, Server, ServiceConfig, TenantSpec,
 };

@@ -30,7 +30,7 @@
 //!   (§1 (iii)): job arrivals, churn, capacity drift, and live
 //!   rescheduling policies over the warm-started LP pipeline.
 //! * [`experiments`] — the §6 evaluation harness (parallel sweeps,
-//!   statistics, CSV/ASCII figures) plus the online scenario sweep.
+//!   statistics, CSV/ASCII figures).
 //! * [`service`] — the long-running multi-tenant scheduler daemon:
 //!   concurrent tenant sessions over a newline-delimited JSON wire
 //!   protocol, sharded across a worker pool, with snapshot-based
