@@ -238,7 +238,8 @@ proptest! {
     /// Crash-at-any-epoch resilience: interrupting a faulty run at a random
     /// epoch, serialising the snapshot through JSON, and resuming replays
     /// the remainder bit-identically to the uninterrupted run — on both
-    /// simulation cores.
+    /// simulation cores. The restored session's own first snapshot is the
+    /// JSON it was restored from, byte for byte.
     #[test]
     fn snapshot_restore_is_bit_identical_at_any_epoch(
         seed in 0u64..1000,
@@ -267,11 +268,14 @@ proptest! {
                 prop_assert_eq!(full.to_json(), report.to_json());
                 continue;
             }
-            let snap = ScenarioSnapshot::from_json(&session.snapshot(&mut first).to_json()).unwrap();
+            let json = session.snapshot(&mut first).to_json();
+            let snap = ScenarioSnapshot::from_json(&json).unwrap();
             let mut second = PeriodicResolve::new(Resolver::Cold);
             let mut resumed =
                 ScenarioSession::restore(&inst, scenario.clone(), cfg.clone(), &snap, &mut second)
                     .unwrap();
+            // A restored session carries exactly the state it was given.
+            prop_assert_eq!(&resumed.snapshot(&mut second).to_json(), &json);
             resumed.run_to_end(&mut second).unwrap();
             let mut resumed = resumed.into_report(&mut second);
             resumed.reschedule_ms = 0.0;

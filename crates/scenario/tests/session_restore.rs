@@ -127,6 +127,48 @@ fn checkpoint_barrier_changes_nothing_for_cold_policies() {
     );
 }
 
+/// A restored session carries exactly the state it was given: under a warm
+/// policy, on a drifting and on a faulty platform, on both engine cores,
+/// the first snapshot of a session restored at any epoch is the JSON it
+/// was restored from, byte for byte.
+#[test]
+fn warm_restore_then_snapshot_is_byte_exact_at_every_epoch() {
+    for entry in ["drift", "faulty"] {
+        let (inst, sc) = dls_scenario::build_catalog_entry(entry, 5, 7).expect("catalog entry");
+        for engine in [SimEngine::Incremental, SimEngine::FullRecompute] {
+            let cfg = ScenarioConfig {
+                engine,
+                record_events: true,
+                ..ScenarioConfig::default()
+            };
+            let mut policy = warm_policy(&inst);
+            let mut session = ScenarioSession::new(&inst, sc.clone(), cfg.clone());
+            loop {
+                let json = session.snapshot(&mut policy).to_json();
+                let snap = dls_scenario::ScenarioSnapshot::from_json(&json).expect("parses");
+                let mut replica_policy = warm_policy(&inst);
+                let replica = ScenarioSession::restore(
+                    &inst,
+                    sc.clone(),
+                    cfg.clone(),
+                    &snap,
+                    &mut replica_policy,
+                )
+                .expect("restores");
+                assert_eq!(
+                    replica.snapshot(&mut replica_policy).to_json(),
+                    json,
+                    "{entry}, {engine:?}, epoch {}",
+                    session.epoch()
+                );
+                if session.step(&mut policy).expect("steps") {
+                    break;
+                }
+            }
+        }
+    }
+}
+
 /// A checkpoint written by one commit must restore on the next.
 /// `tests/fixtures/snapshot_v1_k5_greedy.json` is a [`ScenarioSnapshot`]
 /// taken after 5 steps of the run below *by the commit that introduced
@@ -189,6 +231,11 @@ fn committed_snapshot_restores_and_finishes_like_the_uninterrupted_run() {
     let mut policy = greedy();
     let mut resumed = ScenarioSession::restore(&inst, sc.clone(), cfg.clone(), &snap, &mut policy)
         .expect("fixture restores");
+    assert_eq!(
+        resumed.snapshot(&mut policy).to_json(),
+        json,
+        "restore then snapshot must reproduce the committed snapshot byte for byte"
+    );
     resumed.run_to_end(&mut policy).expect("restored run ends");
     let report = resumed.into_report(&mut policy);
 
