@@ -127,7 +127,7 @@ fn is_timing_key(k: &str) -> bool {
 /// Compares a freshly regenerated artifact against its committed
 /// baseline, field by field. Numeric leaves warn when the relative drift
 /// exceeds `tol`; structural changes (missing/new keys, array length or
-/// type changes) always warn. Timing fields ([`is_timing_key`]) are
+/// type changes) always warn. Timing fields (`is_timing_key`) are
 /// skipped. Returns the warning lines (empty = no drift); `Err` when
 /// either side is not parseable JSON.
 ///

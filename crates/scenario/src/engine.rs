@@ -36,6 +36,13 @@
 //! session can also be checkpointed at any boundary as a
 //! [`ScenarioSnapshot`] and restored — even in a fresh process — to replay
 //! the remainder bit-identically ([`ScenarioSession::snapshot`]).
+//!
+//! Every field a session persists is declared once, in one derived
+//! `SessionState` struct that the session holds. A snapshot is that state,
+//! plus the epoch, the live core's own snapshot, the platform's current
+//! capacities and the policy state; a restore checks the shapes and clones
+//! the state back. What the session derives from its scenario and config
+//! (period, drain cap, join bookkeeping) is rebuilt, not persisted.
 
 use crate::events::{JobSpec, PlatformChange, PlatformEvent, Scenario};
 use crate::policy::{PolicyCtx, PolicyState, ReschedulePolicy};
@@ -48,7 +55,7 @@ use dls_sim::{
     BandwidthModel, ChunkPart, LiveConfig, LiveEvent, LiveFlowId, LiveFlowSpec, LiveSim,
     LiveSnapshot, SimEngine,
 };
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::time::Instant;
@@ -158,6 +165,20 @@ struct JobState {
 }
 
 impl JobState {
+    /// A job of the timeline, not yet arrived.
+    fn admitted(j: &JobSpec) -> JobState {
+        JobState {
+            origin: j.origin as usize,
+            arrival: j.arrival,
+            size: j.size,
+            unassigned: 0.0,
+            pending_parts: 0,
+            in_backlog: false,
+            completed_at: None,
+            stranded: false,
+        }
+    }
+
     fn done(&self) -> bool {
         self.completed_at.is_some()
     }
@@ -226,33 +247,66 @@ struct FlowMeta {
     stalled: bool,
 }
 
-/// Wire version of [`ScenarioSnapshot`].
-pub const SCENARIO_SNAPSHOT_VERSION: u32 = 1;
+/// Connection bookkeeping of the in-flight transfers, by flow. A snapshot
+/// writes it as `[raw id, meta]` pairs sorted by raw id, since `HashMap`
+/// iteration order is not deterministic.
+#[derive(Debug, Clone, Default)]
+struct FlowTable(HashMap<LiveFlowId, FlowMeta>);
 
-/// The complete serialisable state of a scenario session at a boundary:
-/// restore with [`ScenarioSession::restore`] and the remainder replays
-/// bit-identically to the session that took it (report and event stream;
-/// the wall-clock `reschedule_ms` field is the only exception).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ScenarioSnapshot {
-    /// Wire version ([`SCENARIO_SNAPSHOT_VERSION`]).
-    pub version: u32,
-    /// Name of the scenario the snapshot was taken from (checked on
-    /// restore).
-    pub scenario: String,
-    /// The next epoch to execute.
-    pub epoch: usize,
-    live: LiveSnapshot,
-    cluster_speed: Vec<f64>,
-    cluster_local: Vec<f64>,
-    link_bw: Vec<f64>,
-    link_max_conn: Vec<u32>,
+impl std::ops::Deref for FlowTable {
+    type Target = HashMap<LiveFlowId, FlowMeta>;
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for FlowTable {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
+}
+
+impl FlowTable {
+    fn sorted(&self) -> Vec<(u64, &FlowMeta)> {
+        let mut pairs: Vec<(u64, &FlowMeta)> =
+            self.iter().map(|(id, m)| (id.to_raw(), m)).collect();
+        pairs.sort_by_key(|(raw, _)| *raw);
+        pairs
+    }
+}
+
+impl Serialize for FlowTable {
+    fn to_value(&self) -> Value {
+        self.sorted().to_value()
+    }
+    fn write_json(&self, out: &mut String) {
+        self.sorted().write_json(out);
+    }
+}
+
+impl Deserialize for FlowTable {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let pairs = Vec::<(u64, FlowMeta)>::from_value(v)?;
+        Ok(FlowTable(
+            pairs
+                .into_iter()
+                .map(|(raw, m)| (LiveFlowId::from_raw(raw), m))
+                .collect(),
+        ))
+    }
+}
+
+/// Everything a session persists besides its epoch, the live core and the
+/// platform's capacities, declared in wire order: a [`ScenarioSnapshot`]
+/// writes these entries between `link_max_conn` and `policy_state`.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+struct SessionState {
     caps: Vec<ClusterCaps>,
     partitions: Vec<PartitionState>,
     straggler_ends: Vec<(f64, u32)>,
     jobs: Vec<JobState>,
-    backlog: Vec<Vec<u32>>,
-    flows: Vec<(u64, FlowMeta)>,
+    backlog: Vec<VecDeque<u32>>,
+    flows: FlowTable,
     conn_now: Vec<i64>,
     caps_ok: bool,
     alloc: Option<Allocation>,
@@ -266,16 +320,104 @@ pub struct ScenarioSnapshot {
     allocated_sum: f64,
     allocated_periods: usize,
     faults: Vec<FaultRecord>,
+    /// Indices into `faults` awaiting their first post-fault allocation
+    /// install (which stamps `recovery_latency`).
     pending_recovery: Vec<usize>,
     recoveries: Vec<RecoveryRecord>,
     unschedulable: Vec<UnschedulableEntry>,
     lost_transfer: f64,
     lost_compute: f64,
     redispatched: f64,
+}
+
+impl SessionState {
+    /// The state before the first epoch: nothing arrived, shipped or
+    /// faulted yet.
+    fn new(inst: &ProblemInstance, scenario: &Scenario) -> SessionState {
+        SessionState {
+            caps: inst
+                .platform
+                .clusters
+                .iter()
+                .map(|c| ClusterCaps {
+                    base_speed: c.speed,
+                    base_local: c.local_bw,
+                    present: true,
+                    straggler: 1.0,
+                })
+                .collect(),
+            jobs: scenario.jobs.iter().map(JobState::admitted).collect(),
+            backlog: vec![VecDeque::new(); inst.num_apps()],
+            conn_now: vec![0; inst.platform.links.len()],
+            caps_ok: true,
+            ..SessionState::default()
+        }
+    }
+
+    /// `true` iff the per-cluster, per-link and per-job vectors have the
+    /// lengths `fresh` (a new state for the same platform and timeline) has.
+    fn same_shape(&self, fresh: &SessionState) -> bool {
+        self.caps.len() == fresh.caps.len()
+            && self.jobs.len() == fresh.jobs.len()
+            && self.backlog.len() == fresh.backlog.len()
+            && self.conn_now.len() == fresh.conn_now.len()
+    }
+
+    /// Records a fault and queues it for recovery-latency stamping.
+    fn push_fault(&mut self, rec: FaultRecord) {
+        self.lost_transfer += rec.lost_transfer;
+        self.lost_compute += rec.lost_compute;
+        self.redispatched += rec.redispatched;
+        self.pending_recovery.push(self.faults.len());
+        self.faults.push(rec);
+    }
+}
+
+/// Wire version of [`ScenarioSnapshot`].
+pub const SCENARIO_SNAPSHOT_VERSION: u32 = 1;
+
+/// The complete serialisable state of a scenario session at a boundary:
+/// restore with [`ScenarioSession::restore`] and the remainder replays
+/// bit-identically to the session that took it (report and event stream;
+/// the wall-clock `reschedule_ms` field is the only exception).
+///
+/// It is the session's epoch, its live core, the platform's current
+/// capacities, the session state and the policy state. On the wire the
+/// session state's entries sit inline, between `link_max_conn` and
+/// `policy_state`.
+#[derive(Debug, Clone)]
+pub struct ScenarioSnapshot {
+    /// Wire version ([`SCENARIO_SNAPSHOT_VERSION`]).
+    pub version: u32,
+    /// Name of the scenario the snapshot was taken from (checked on
+    /// restore).
+    pub scenario: String,
+    /// The next epoch to execute.
+    pub epoch: usize,
+    live: LiveSnapshot,
+    cluster_speed: Vec<f64>,
+    cluster_local: Vec<f64>,
+    link_bw: Vec<f64>,
+    link_max_conn: Vec<u32>,
+    state: SessionState,
     policy_state: PolicyState,
 }
 
 impl ScenarioSnapshot {
+    /// The entries written before the session state, in wire order.
+    fn head(&self) -> [(&'static str, &dyn Serialize); 8] {
+        [
+            ("version", &self.version),
+            ("scenario", &self.scenario),
+            ("epoch", &self.epoch),
+            ("live", &self.live),
+            ("cluster_speed", &self.cluster_speed),
+            ("cluster_local", &self.cluster_local),
+            ("link_bw", &self.link_bw),
+            ("link_max_conn", &self.link_max_conn),
+        ]
+    }
+
     /// Serialises to JSON (all floats survive bit-exactly).
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("snapshot serialisation cannot fail")
@@ -311,52 +453,59 @@ impl ScenarioSnapshot {
     }
 }
 
-/// All mutable state of one scenario run, so the control loop can be
-/// paused, serialised, and resumed. Owns its scenario and configuration so
-/// long-lived sessions ([`ScenarioSession`]) can extend the timeline while
-/// the run is in flight.
-struct Runner {
-    scenario: Scenario,
-    cfg: ScenarioConfig,
-    tp: f64,
-    max_periods: usize,
-    time_eps: f64,
-    /// Index of the *last* `ClusterJoin` event per cluster (derived from
-    /// the scenario, not snapshotted): a cluster that is absent with no
-    /// join at or past `next_event` is gone for good.
-    last_join: Vec<Option<usize>>,
-    inst: ProblemInstance,
-    live: LiveSim,
-    jobs: Vec<JobState>,
-    backlog: Vec<VecDeque<u32>>,
-    flows: HashMap<LiveFlowId, FlowMeta>,
-    conn_now: Vec<i64>,
-    caps_ok: bool,
-    caps: Vec<ClusterCaps>,
-    partitions: Vec<PartitionState>,
-    straggler_ends: Vec<(f64, u32)>,
-    alloc: Option<Allocation>,
-    epoch: usize,
-    next_arrival: usize,
-    next_event: usize,
-    platform_changed: bool,
-    achieved_window: f64,
-    completed_work: f64,
-    last_completion: f64,
-    reschedules: usize,
-    reschedule_ms: f64,
-    allocated_sum: f64,
-    allocated_periods: usize,
-    periods: usize,
-    faults: Vec<FaultRecord>,
-    /// Indices into `faults` awaiting their first post-fault allocation
-    /// install (which stamps `recovery_latency`).
-    pending_recovery: Vec<usize>,
-    recoveries: Vec<RecoveryRecord>,
-    unschedulable: Vec<UnschedulableEntry>,
-    lost_transfer: f64,
-    lost_compute: f64,
-    redispatched: f64,
+impl Serialize for ScenarioSnapshot {
+    fn to_value(&self) -> Value {
+        let Value::Object(state) = self.state.to_value() else {
+            unreachable!("a struct serialises to an object")
+        };
+        let head = self.head().map(|(key, v)| (key.to_string(), v.to_value()));
+        let tail = ("policy_state".to_string(), self.policy_state.to_value());
+        Value::Object(head.into_iter().chain(state).chain([tail]).collect())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        for (i, (key, v)) in self.head().into_iter().enumerate() {
+            out.push(if i == 0 { '{' } else { ',' });
+            serde::ser::write_str(key, out);
+            out.push(':');
+            v.write_json(out);
+        }
+        // The state's entries inline: its `{` becomes the separator, its
+        // `}` goes.
+        let start = out.len();
+        self.state.write_json(out);
+        out.replace_range(start..=start, ",");
+        out.pop();
+        out.push_str(",\"policy_state\":");
+        self.policy_state.write_json(out);
+        out.push('}');
+    }
+}
+
+impl Deserialize for ScenarioSnapshot {
+    /// Head fields and `policy_state` by key; the session state reads its
+    /// own keys out of the same object and ignores the rest.
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        if !matches!(v, Value::Object(_)) {
+            return Err(DeError::expected("object for ScenarioSnapshot", v));
+        }
+        fn field<T: Deserialize>(v: &Value, key: &str) -> Result<T, DeError> {
+            T::from_value(v.get(key).unwrap_or(&Value::Null))
+                .map_err(|e| e.in_field(&format!("ScenarioSnapshot.{key}")))
+        }
+        Ok(ScenarioSnapshot {
+            version: field(v, "version")?,
+            scenario: field(v, "scenario")?,
+            epoch: field(v, "epoch")?,
+            live: field(v, "live")?,
+            cluster_speed: field(v, "cluster_speed")?,
+            cluster_local: field(v, "cluster_local")?,
+            link_bw: field(v, "link_bw")?,
+            link_max_conn: field(v, "link_max_conn")?,
+            state: SessionState::from_value(v)?,
+            policy_state: field(v, "policy_state")?,
+        })
+    }
 }
 
 fn live_config(cfg: &ScenarioConfig) -> LiveConfig {
@@ -378,702 +527,10 @@ fn last_join_index(scenario: &Scenario, clusters: usize) -> Vec<Option<usize>> {
     last
 }
 
-impl Runner {
-    fn new(base: &ProblemInstance, scenario: Scenario, cfg: ScenarioConfig) -> Runner {
-        let tp = scenario.period;
-        let inst = base.clone();
-        let live = LiveSim::new(
-            &inst
-                .platform
-                .clusters
-                .iter()
-                .map(|c| c.local_bw)
-                .collect::<Vec<_>>(),
-            &inst
-                .platform
-                .clusters
-                .iter()
-                .map(|c| c.speed)
-                .collect::<Vec<_>>(),
-            live_config(&cfg),
-        );
-        let jobs: Vec<JobState> = scenario
-            .jobs
-            .iter()
-            .map(|j| JobState {
-                origin: j.origin as usize,
-                arrival: j.arrival,
-                size: j.size,
-                unassigned: 0.0,
-                pending_parts: 0,
-                in_backlog: false,
-                completed_at: None,
-                stranded: false,
-            })
-            .collect();
-        let caps: Vec<ClusterCaps> = inst
-            .platform
-            .clusters
-            .iter()
-            .map(|c| ClusterCaps {
-                base_speed: c.speed,
-                base_local: c.local_bw,
-                present: true,
-                straggler: 1.0,
-            })
-            .collect();
-        let last_arrival_period = (scenario.last_arrival() / tp).ceil() as usize;
-        let max_periods = last_arrival_period + cfg.drain_periods.max(1);
-        let last_join = last_join_index(&scenario, inst.platform.clusters.len());
-        Runner {
-            scenario,
-            cfg,
-            tp,
-            max_periods,
-            time_eps: 1e-9 * tp,
-            last_join,
-            backlog: vec![VecDeque::new(); base.num_apps()],
-            flows: HashMap::new(),
-            conn_now: vec![0; inst.platform.links.len()],
-            caps_ok: true,
-            caps,
-            partitions: Vec::new(),
-            straggler_ends: Vec::new(),
-            alloc: None,
-            epoch: 0,
-            next_arrival: 0,
-            next_event: 0,
-            platform_changed: false,
-            achieved_window: 0.0,
-            completed_work: 0.0,
-            last_completion: 0.0,
-            reschedules: 0,
-            reschedule_ms: 0.0,
-            allocated_sum: 0.0,
-            allocated_periods: 0,
-            periods: 0,
-            faults: Vec::new(),
-            pending_recovery: Vec::new(),
-            recoveries: Vec::new(),
-            unschedulable: Vec::new(),
-            lost_transfer: 0.0,
-            lost_compute: 0.0,
-            redispatched: 0.0,
-            inst,
-            live,
-            jobs,
-        }
-    }
-
-    fn snapshot(&self, policy: &dyn ReschedulePolicy) -> ScenarioSnapshot {
-        let mut flows: Vec<(u64, FlowMeta)> = self
-            .flows
-            .iter()
-            .map(|(id, m)| (id.to_raw(), m.clone()))
-            .collect();
-        flows.sort_by_key(|(raw, _)| *raw);
-        ScenarioSnapshot {
-            version: SCENARIO_SNAPSHOT_VERSION,
-            scenario: self.scenario.name.clone(),
-            epoch: self.epoch,
-            live: self.live.snapshot(),
-            cluster_speed: self
-                .inst
-                .platform
-                .clusters
-                .iter()
-                .map(|c| c.speed)
-                .collect(),
-            cluster_local: self
-                .inst
-                .platform
-                .clusters
-                .iter()
-                .map(|c| c.local_bw)
-                .collect(),
-            link_bw: self
-                .inst
-                .platform
-                .links
-                .iter()
-                .map(|l| l.bw_per_connection)
-                .collect(),
-            link_max_conn: self
-                .inst
-                .platform
-                .links
-                .iter()
-                .map(|l| l.max_connections)
-                .collect(),
-            caps: self.caps.clone(),
-            partitions: self.partitions.clone(),
-            straggler_ends: self.straggler_ends.clone(),
-            jobs: self.jobs.clone(),
-            backlog: self
-                .backlog
-                .iter()
-                .map(|q| q.iter().copied().collect())
-                .collect(),
-            flows,
-            conn_now: self.conn_now.clone(),
-            caps_ok: self.caps_ok,
-            alloc: self.alloc.clone(),
-            next_arrival: self.next_arrival,
-            next_event: self.next_event,
-            platform_changed: self.platform_changed,
-            achieved_window: self.achieved_window,
-            completed_work: self.completed_work,
-            last_completion: self.last_completion,
-            reschedules: self.reschedules,
-            allocated_sum: self.allocated_sum,
-            allocated_periods: self.allocated_periods,
-            faults: self.faults.clone(),
-            pending_recovery: self.pending_recovery.clone(),
-            recoveries: self.recoveries.clone(),
-            unschedulable: self.unschedulable.clone(),
-            lost_transfer: self.lost_transfer,
-            lost_compute: self.lost_compute,
-            redispatched: self.redispatched,
-            policy_state: policy.export_state(),
-        }
-    }
-
-    fn from_snapshot(
-        base: &ProblemInstance,
-        scenario: Scenario,
-        cfg: ScenarioConfig,
-        snap: &ScenarioSnapshot,
-    ) -> Result<Runner, ScenarioError> {
-        if snap.version != SCENARIO_SNAPSHOT_VERSION {
-            return Err(ScenarioError::Snapshot(format!(
-                "unsupported snapshot version {} (expected {SCENARIO_SNAPSHOT_VERSION})",
-                snap.version
-            )));
-        }
-        if snap.scenario != scenario.name {
-            return Err(ScenarioError::Snapshot(format!(
-                "snapshot was taken from scenario `{}`, not `{}`",
-                snap.scenario, scenario.name
-            )));
-        }
-        let clusters = base.platform.clusters.len();
-        let links = base.platform.links.len();
-        if snap.cluster_speed.len() != clusters
-            || snap.cluster_local.len() != clusters
-            || snap.caps.len() != clusters
-            || snap.link_bw.len() != links
-            || snap.link_max_conn.len() != links
-            || snap.jobs.len() != scenario.jobs.len()
-            || snap.backlog.len() != base.num_apps()
-        {
-            return Err(ScenarioError::Snapshot(
-                "snapshot shape does not match the platform/scenario".into(),
-            ));
-        }
-        let live_cfg = live_config(&cfg);
-        let mut runner = Runner::new(base, scenario, cfg);
-        for (i, c) in runner.inst.platform.clusters.iter_mut().enumerate() {
-            c.speed = snap.cluster_speed[i];
-            c.local_bw = snap.cluster_local[i];
-        }
-        for (i, l) in runner.inst.platform.links.iter_mut().enumerate() {
-            l.bw_per_connection = snap.link_bw[i];
-            l.max_connections = snap.link_max_conn[i];
-        }
-        runner.live = LiveSim::restore(live_cfg, &snap.live);
-        runner.jobs = snap.jobs.clone();
-        runner.backlog = snap
-            .backlog
-            .iter()
-            .map(|q| q.iter().copied().collect())
-            .collect();
-        runner.flows = snap
-            .flows
-            .iter()
-            .map(|(raw, m)| (LiveFlowId::from_raw(*raw), m.clone()))
-            .collect();
-        runner.conn_now = snap.conn_now.clone();
-        runner.caps_ok = snap.caps_ok;
-        runner.caps = snap.caps.clone();
-        runner.partitions = snap.partitions.clone();
-        runner.straggler_ends = snap.straggler_ends.clone();
-        runner.alloc = snap.alloc.clone();
-        runner.epoch = snap.epoch;
-        runner.next_arrival = snap.next_arrival;
-        runner.next_event = snap.next_event;
-        runner.platform_changed = snap.platform_changed;
-        runner.achieved_window = snap.achieved_window;
-        runner.completed_work = snap.completed_work;
-        runner.last_completion = snap.last_completion;
-        runner.reschedules = snap.reschedules;
-        runner.allocated_sum = snap.allocated_sum;
-        runner.allocated_periods = snap.allocated_periods;
-        runner.periods = snap.epoch.saturating_sub(1);
-        runner.faults = snap.faults.clone();
-        runner.pending_recovery = snap.pending_recovery.clone();
-        runner.recoveries = snap.recoveries.clone();
-        runner.unschedulable = snap.unschedulable.clone();
-        runner.lost_transfer = snap.lost_transfer;
-        runner.lost_compute = snap.lost_compute;
-        runner.redispatched = snap.redispatched;
-        Ok(runner)
-    }
-
-    /// Pushes a cluster's effective capacities into the platform and the
-    /// live core (no-op for components that did not change).
-    fn apply_cluster(&mut self, c: usize) {
-        let (speed, local_bw) = self.caps[c].effective();
-        if self.inst.platform.clusters[c].speed != speed {
-            self.inst.platform.clusters[c].speed = speed;
-            self.live.update_speed(ClusterId(c as u32), speed);
-        }
-        if self.inst.platform.clusters[c].local_bw != local_bw {
-            self.inst.platform.clusters[c].local_bw = local_bw;
-            self.live
-                .update_link_capacity(ClusterId(c as u32), local_bw);
-        }
-    }
-
-    /// Records a fault and queues it for recovery-latency stamping.
-    fn push_fault(&mut self, rec: FaultRecord) {
-        self.lost_transfer += rec.lost_transfer;
-        self.lost_compute += rec.lost_compute;
-        self.redispatched += rec.redispatched;
-        self.pending_recovery.push(self.faults.len());
-        self.faults.push(rec);
-    }
-
-    /// Retires every in-flight flow touching `cluster`, requeueing its
-    /// payload at the source backlog. Returns `(shipped, redispatched)`:
-    /// transfer progress forfeited and load returned to the pending pool.
-    fn retire_cluster_flows(&mut self, cluster: u32) -> (f64, f64) {
-        let mut victims: Vec<LiveFlowId> = self
-            .flows
-            .iter()
-            .filter(|(_, m)| m.from.index() == cluster as usize || m.to.index() == cluster as usize)
-            .map(|(id, _)| *id)
-            .collect();
-        // HashMap iteration order is not deterministic; the requeue order
-        // below feeds FIFO backlogs, so fix it.
-        victims.sort_by_key(|id| id.to_raw());
-        let mut shipped = 0.0;
-        let mut redispatched = 0.0;
-        for retired in self.live.retire_flows(&victims) {
-            shipped += retired.shipped;
-            for part in &retired.parts {
-                redispatched += part.amount;
-                let j = &mut self.jobs[part.job as usize];
-                j.pending_parts = j.pending_parts.saturating_sub(1);
-                j.unassigned += part.amount;
-                if !j.in_backlog {
-                    j.in_backlog = true;
-                    self.backlog[j.origin].push_back(part.job);
-                }
-            }
-        }
-        for id in victims {
-            release_connections(&self.inst, &mut self.flows, &mut self.conn_now, id);
-        }
-        (shipped, redispatched)
-    }
-
-    /// Heals partitions past their `until` and ends expired straggler
-    /// windows. Runs before the boundary's platform events so a heal and a
-    /// fresh fault due at the same boundary compose in fault order.
-    fn process_expiries(&mut self, t: f64) {
-        let mut healed = false;
-        self.partitions.retain(|p| {
-            if p.until <= t + self.time_eps {
-                healed = true;
-                false
-            } else {
-                true
-            }
-        });
-        if healed {
-            self.platform_changed = true;
-            let mut stalled: Vec<LiveFlowId> = self
-                .flows
-                .iter()
-                .filter(|(_, m)| m.stalled)
-                .map(|(id, _)| *id)
-                .collect();
-            stalled.sort_by_key(|id| id.to_raw());
-            for id in stalled {
-                let m = &self.flows[&id];
-                if !separated(&self.partitions, m.from.index(), m.to.index()) {
-                    let (cap, demand) = (m.cap.unwrap_or(f64::INFINITY), m.demand);
-                    self.live.set_flow_constraints(id, cap, demand);
-                    self.flows.get_mut(&id).expect("just looked up").stalled = false;
-                }
-            }
-        }
-        let mut ended: Vec<u32> = Vec::new();
-        self.straggler_ends.retain(|&(until, c)| {
-            if until <= t + self.time_eps {
-                ended.push(c);
-                false
-            } else {
-                true
-            }
-        });
-        for c in ended {
-            self.caps[c as usize].straggler = 1.0;
-            self.apply_cluster(c as usize);
-            self.platform_changed = true;
-        }
-    }
-
-    /// Applies one due platform event.
-    fn apply_event(&mut self, time: f64, change: &PlatformChange) {
-        self.platform_changed = true;
-        match change {
-            PlatformChange::SetSpeed { cluster, speed } => {
-                // Drift on an absent cluster must not revive it: the base
-                // value updates, the effective capacity stays zero until
-                // the rejoin.
-                self.caps[*cluster as usize].base_speed = *speed;
-                self.apply_cluster(*cluster as usize);
-            }
-            PlatformChange::SetLocalBw { cluster, bw } => {
-                self.caps[*cluster as usize].base_local = *bw;
-                self.apply_cluster(*cluster as usize);
-            }
-            PlatformChange::SetBackboneBw { link, bw } => {
-                // Connection-oriented semantics (§2): a connection is
-                // granted bw(l) when it opens, so transfers already in
-                // flight keep their negotiated cap for the remainder of
-                // their chunk; the new bandwidth applies to every flow
-                // spawned from the next period on.
-                self.inst.platform.links[*link as usize].bw_per_connection = *bw;
-            }
-            PlatformChange::SetMaxConnections { link, max } => {
-                self.inst.platform.links[*link as usize].max_connections = *max;
-                // A cap dropping below the already-open connection count is
-                // a violation even if no new flow ever ships over the link.
-                if self.conn_now[*link as usize] > *max as i64 {
-                    self.caps_ok = false;
-                }
-            }
-            PlatformChange::ClusterLeave { cluster } => {
-                // Graceful departure: in-flight payload returns to the
-                // source backlog in full (store-and-forward progress is
-                // forfeited but not accounted as a fault), queued compute
-                // stays put and resumes at the rejoin.
-                self.caps[*cluster as usize].present = false;
-                self.apply_cluster(*cluster as usize);
-                self.retire_cluster_flows(*cluster);
-            }
-            PlatformChange::ClusterJoin { cluster } => {
-                // Rejoin with the capacities the cluster would have had if
-                // it never left: its base values track any drift recorded
-                // during the outage.
-                self.caps[*cluster as usize].present = true;
-                self.apply_cluster(*cluster as usize);
-            }
-            PlatformChange::ClusterCrash { cluster } => {
-                self.caps[*cluster as usize].present = false;
-                self.apply_cluster(*cluster as usize);
-                let (lost_transfer, mut redispatched) = self.retire_cluster_flows(*cluster);
-                // Unlike a graceful leave, queued (and partially computed)
-                // work on the crashed cluster is lost; the load returns to
-                // the pending pool for re-dispatch.
-                let mut lost_compute = 0.0;
-                for e in self.live.purge_queue(ClusterId(*cluster)) {
-                    lost_compute += e.original - e.remaining;
-                    redispatched += e.original;
-                    let j = &mut self.jobs[e.job as usize];
-                    j.pending_parts = j.pending_parts.saturating_sub(1);
-                    j.unassigned += e.original;
-                    if !j.in_backlog {
-                        j.in_backlog = true;
-                        self.backlog[j.origin].push_back(e.job);
-                    }
-                }
-                self.push_fault(FaultRecord {
-                    kind: FaultKind::Crash,
-                    time,
-                    cluster: Some(*cluster),
-                    lost_transfer,
-                    lost_compute,
-                    redispatched,
-                    recovery_latency: None,
-                });
-            }
-            PlatformChange::BackbonePartition { groups, until } => {
-                self.partitions.push(PartitionState {
-                    groups: groups.clone(),
-                    until: *until,
-                });
-                // Stall in-flight flows crossing the cut at zero rate;
-                // their progress keeps at heal time (nothing is lost).
-                let mut ids: Vec<LiveFlowId> = self
-                    .flows
-                    .iter()
-                    .filter(|(_, m)| !m.stalled)
-                    .map(|(id, _)| *id)
-                    .collect();
-                ids.sort_by_key(|id| id.to_raw());
-                for id in ids {
-                    let m = &self.flows[&id];
-                    if separated(&self.partitions, m.from.index(), m.to.index()) {
-                        self.live.set_flow_constraints(id, 0.0, 0.0);
-                        self.flows.get_mut(&id).expect("just looked up").stalled = true;
-                    }
-                }
-                self.push_fault(FaultRecord {
-                    kind: FaultKind::Partition,
-                    time,
-                    cluster: None,
-                    lost_transfer: 0.0,
-                    lost_compute: 0.0,
-                    redispatched: 0.0,
-                    recovery_latency: None,
-                });
-            }
-            PlatformChange::Straggler {
-                cluster,
-                factor,
-                until,
-            } => {
-                self.caps[*cluster as usize].straggler = *factor;
-                self.apply_cluster(*cluster as usize);
-                self.straggler_ends.push((*until, *cluster));
-                self.push_fault(FaultRecord {
-                    kind: FaultKind::Straggler,
-                    time,
-                    cluster: Some(*cluster),
-                    lost_transfer: 0.0,
-                    lost_compute: 0.0,
-                    redispatched: 0.0,
-                    recovery_latency: None,
-                });
-            }
-        }
-    }
-
-    /// Marks backlogged jobs whose origin cluster is gone for good (absent
-    /// with no rejoin anywhere in the remaining event stream) as
-    /// unschedulable, so the drain loop stops waiting on them.
-    fn detect_stranded(&mut self, t: f64) {
-        for c in 0..self.caps.len() {
-            if self.caps[c].present || self.backlog[c].is_empty() {
-                continue;
-            }
-            if self.last_join[c].is_some_and(|idx| idx >= self.next_event) {
-                continue; // a rejoin is still coming
-            }
-            for id in std::mem::take(&mut self.backlog[c]) {
-                let j = &mut self.jobs[id as usize];
-                j.in_backlog = false;
-                j.stranded = true;
-                self.unschedulable.push(UnschedulableEntry {
-                    job: id,
-                    detected_at: t,
-                    reason: format!(
-                        "origin cluster {c} is gone for good with {:.3} load units unplaced",
-                        j.unassigned
-                    ),
-                });
-            }
-        }
-    }
-
-    /// Executes one control period. Returns `true` when the run is over
-    /// (every job terminal, or the drain cap hit).
-    fn step(&mut self, policy: &mut dyn ReschedulePolicy) -> Result<bool, ScenarioError> {
-        let epoch = self.epoch;
-        let t = epoch as f64 * self.tp;
-        self.periods = epoch;
-
-        // --- 1. advance the live core to the boundary ---
-        let mut finished_flows: Vec<LiveFlowId> = Vec::new();
-        for e in self.live.advance_to(t) {
-            match *e {
-                LiveEvent::FlowDone { id, .. } => finished_flows.push(id),
-                LiveEvent::Delivered { .. } => {}
-                LiveEvent::Computed {
-                    time, job, amount, ..
-                } => {
-                    let j = &mut self.jobs[job as usize];
-                    j.pending_parts = j.pending_parts.saturating_sub(1);
-                    self.achieved_window += amount;
-                    self.completed_work += amount;
-                    if j.pending_parts == 0 && j.unassigned <= 0.0 && !j.in_backlog && !j.done() {
-                        j.completed_at = Some(time);
-                        self.last_completion = self.last_completion.max(time);
-                    }
-                }
-            }
-        }
-        for id in finished_flows {
-            release_connections(&self.inst, &mut self.flows, &mut self.conn_now, id);
-        }
-
-        // --- 2. fault expiries, then platform events due at this boundary ---
-        self.process_expiries(t);
-        while self.next_event < self.scenario.platform_events.len()
-            && self.scenario.platform_events[self.next_event].time <= t + self.time_eps
-        {
-            let ev = self.scenario.platform_events[self.next_event].clone();
-            self.next_event += 1;
-            self.apply_event(ev.time, &ev.change);
-        }
-
-        // --- 3. job arrivals due at (or before) this boundary ---
-        while self.next_arrival < self.scenario.jobs.len()
-            && self.scenario.jobs[self.next_arrival].arrival <= t + self.time_eps
-        {
-            let j = &mut self.jobs[self.next_arrival];
-            j.unassigned = j.size;
-            j.in_backlog = true;
-            self.backlog[j.origin].push_back(self.next_arrival as u32);
-            self.next_arrival += 1;
-        }
-        self.detect_stranded(t);
-
-        // --- termination ---
-        let arrivals_left = self.next_arrival < self.scenario.jobs.len();
-        let all_done = self.jobs.iter().all(JobState::terminal);
-        if !arrivals_left && (all_done || epoch == self.max_periods) {
-            return Ok(true);
-        }
-
-        // --- 4. policy ---
-        let backlogged = self.backlog.iter().any(|q| !q.is_empty());
-        if backlogged {
-            let allocated = self.alloc.as_ref().map_or(0.0, Allocation::total_load);
-            let ctx = PolicyCtx {
-                inst: &self.inst,
-                epoch,
-                platform_changed: self.platform_changed,
-                achieved: self.achieved_window / self.tp,
-                allocated,
-                backlogged,
-                current: self.alloc.as_ref(),
-            };
-            let t0 = Instant::now();
-            let decision = policy
-                .decide(&ctx)
-                .map_err(|source| ScenarioError::Policy {
-                    epoch,
-                    time: t,
-                    policy: policy.name(),
-                    source,
-                })?;
-            self.reschedule_ms += t0.elapsed().as_secs_f64() * 1e3;
-            self.recoveries.extend(policy.drain_recovery());
-            if let Some(new_alloc) = decision {
-                debug_assert!(
-                    new_alloc.validate(&self.inst).is_ok(),
-                    "policy produced an invalid allocation: {:?}",
-                    new_alloc.violations(&self.inst)
-                );
-                self.alloc = Some(new_alloc);
-                self.reschedules += 1;
-                self.platform_changed = false;
-                // The first allocation installed at/after a fault closes
-                // its recovery window.
-                for &fi in &self.pending_recovery {
-                    self.faults[fi].recovery_latency = Some(t - self.faults[fi].time);
-                }
-                self.pending_recovery.clear();
-            }
-        }
-        self.achieved_window = 0.0;
-
-        // --- 5. ship one period of backlog under the current allocation ---
-        if let Some(a) = &self.alloc {
-            if backlogged {
-                self.allocated_sum += a.total_load();
-                self.allocated_periods += 1;
-                spawn_period(
-                    &mut self.live,
-                    &self.inst,
-                    a,
-                    self.tp,
-                    &mut self.jobs,
-                    &mut self.backlog,
-                    &mut self.flows,
-                    &mut self.conn_now,
-                    &mut self.caps_ok,
-                    &self.partitions,
-                );
-            }
-        }
-        self.epoch += 1;
-        Ok(false)
-    }
-
-    /// Assembles a report of the run's *current* state. Non-consuming so a
-    /// long-lived [`ScenarioSession`] can publish interim reports while the
-    /// timeline is still open; the recorded vectors are cloned out.
-    fn report(&mut self, policy: &mut dyn ReschedulePolicy) -> ScenarioReport {
-        self.recoveries.extend(policy.drain_recovery());
-        let completed_jobs = self.jobs.iter().filter(|j| j.done()).count();
-        let responses: Vec<f64> = self
-            .jobs
-            .iter()
-            .filter_map(|j| j.completed_at.map(|c| c - j.arrival))
-            .collect();
-        let mean_response = if responses.is_empty() {
-            0.0
-        } else {
-            responses.iter().sum::<f64>() / responses.len() as f64
-        };
-        let max_response = responses.iter().fold(0.0f64, |a, &r| a.max(r));
-        let per_job: Vec<JobOutcome> = self
-            .scenario
-            .jobs
-            .iter()
-            .zip(&self.jobs)
-            .enumerate()
-            .map(|(i, (spec, state))| JobOutcome {
-                job: i as u32,
-                origin: spec.origin,
-                arrival: spec.arrival,
-                size: spec.size,
-                completed: state.completed_at,
-            })
-            .collect();
-
-        ScenarioReport {
-            scenario: self.scenario.name.clone(),
-            policy: policy.name(),
-            periods: self.periods,
-            period_length: self.tp,
-            jobs: self.jobs.len(),
-            completed_jobs,
-            offered_work: self.scenario.offered_work(),
-            completed_work: self.completed_work,
-            makespan: self.last_completion,
-            mean_response,
-            max_response,
-            achieved_throughput: if self.last_completion > 0.0 {
-                self.completed_work / self.last_completion
-            } else {
-                0.0
-            },
-            allocated_throughput: if self.allocated_periods > 0 {
-                self.allocated_sum / self.allocated_periods as f64
-            } else {
-                0.0
-            },
-            reschedules: self.reschedules,
-            reschedule_ms: self.reschedule_ms,
-            sim_events: self.live.events_processed(),
-            connection_caps_respected: self.caps_ok,
-            per_job,
-            events: (self.cfg.record_events || self.cfg.oracle_check)
-                .then(|| self.live.event_log().to_vec()),
-            faults: Some(self.faults.clone()),
-            recoveries: Some(self.recoveries.clone()),
-            unschedulable: Some(self.unschedulable.clone()),
-            lost_transfer: Some(self.lost_transfer),
-            lost_compute: Some(self.lost_compute),
-            redispatched_load: Some(self.redispatched),
-        }
-    }
+/// The drain cap: the epoch at which a run stops waiting on unfinished
+/// jobs.
+fn max_periods(scenario: &Scenario, cfg: &ScenarioConfig) -> usize {
+    (scenario.last_arrival() / scenario.period).ceil() as usize + cfg.drain_periods.max(1)
 }
 
 /// Runs `scenario` on `base`'s platform under `policy`: a
@@ -1115,7 +572,21 @@ pub fn run_scenario(
 /// state-identical to the merged full-trace run reaching it for the first
 /// time.
 pub struct ScenarioSession {
-    runner: Runner,
+    scenario: Scenario,
+    cfg: ScenarioConfig,
+    tp: f64,
+    max_periods: usize,
+    time_eps: f64,
+    /// Index of the *last* `ClusterJoin` event per cluster (derived from
+    /// the scenario, not snapshotted): a cluster that is absent with no
+    /// join at or past `next_event` is gone for good.
+    last_join: Vec<Option<usize>>,
+    inst: ProblemInstance,
+    live: LiveSim,
+    epoch: usize,
+    periods: usize,
+    reschedule_ms: f64,
+    st: SessionState,
     done: bool,
 }
 
@@ -1123,8 +594,26 @@ impl ScenarioSession {
     /// Opens a session over `scenario` (which may be empty: jobs and
     /// events can all arrive later through the push API).
     pub fn new(base: &ProblemInstance, scenario: Scenario, cfg: ScenarioConfig) -> ScenarioSession {
+        let p = &base.platform;
+        let live = LiveSim::new(
+            &p.clusters.iter().map(|c| c.local_bw).collect::<Vec<_>>(),
+            &p.clusters.iter().map(|c| c.speed).collect::<Vec<_>>(),
+            live_config(&cfg),
+        );
+        let tp = scenario.period;
         ScenarioSession {
-            runner: Runner::new(base, scenario, cfg),
+            st: SessionState::new(base, &scenario),
+            last_join: last_join_index(&scenario, p.clusters.len()),
+            max_periods: max_periods(&scenario, &cfg),
+            scenario,
+            cfg,
+            tp,
+            time_eps: 1e-9 * tp,
+            inst: base.clone(),
+            live,
+            epoch: 0,
+            periods: 0,
+            reschedule_ms: 0.0,
             done: false,
         }
     }
@@ -1138,21 +627,56 @@ impl ScenarioSession {
         base: &ProblemInstance,
         scenario: Scenario,
         cfg: ScenarioConfig,
-        snapshot: &ScenarioSnapshot,
+        snap: &ScenarioSnapshot,
         policy: &mut dyn ReschedulePolicy,
     ) -> Result<ScenarioSession, ScenarioError> {
-        let runner = Runner::from_snapshot(base, scenario, cfg, snapshot)?;
-        policy.import_state(&snapshot.policy_state);
-        Ok(ScenarioSession {
-            runner,
-            done: false,
-        })
+        if snap.version != SCENARIO_SNAPSHOT_VERSION {
+            return Err(ScenarioError::Snapshot(format!(
+                "unsupported snapshot version {} (expected {SCENARIO_SNAPSHOT_VERSION})",
+                snap.version
+            )));
+        }
+        if snap.scenario != scenario.name {
+            return Err(ScenarioError::Snapshot(format!(
+                "snapshot was taken from scenario `{}`, not `{}`",
+                snap.scenario, scenario.name
+            )));
+        }
+        let live =
+            LiveSim::restore(live_config(&cfg), &snap.live).map_err(ScenarioError::Snapshot)?;
+        let mut session = ScenarioSession::new(base, scenario, cfg);
+        let p = &mut session.inst.platform;
+        if snap.cluster_speed.len() != p.clusters.len()
+            || snap.cluster_local.len() != p.clusters.len()
+            || snap.link_bw.len() != p.links.len()
+            || snap.link_max_conn.len() != p.links.len()
+            || live.clusters() != p.clusters.len()
+            || !snap.state.same_shape(&session.st)
+        {
+            return Err(ScenarioError::Snapshot(
+                "snapshot shape does not match the platform/scenario".into(),
+            ));
+        }
+        for (i, c) in p.clusters.iter_mut().enumerate() {
+            c.speed = snap.cluster_speed[i];
+            c.local_bw = snap.cluster_local[i];
+        }
+        for (i, l) in p.links.iter_mut().enumerate() {
+            l.bw_per_connection = snap.link_bw[i];
+            l.max_connections = snap.link_max_conn[i];
+        }
+        session.live = live;
+        session.st = snap.state.clone();
+        session.epoch = snap.epoch;
+        session.periods = snap.epoch.saturating_sub(1);
+        policy.import_state(&snap.policy_state);
+        Ok(session)
     }
 
     /// The next control period to execute (re-execute, if the run is
     /// currently finished — that re-execution is state-idempotent).
     pub fn epoch(&self) -> usize {
-        self.runner.epoch
+        self.epoch
     }
 
     /// `true` once every admitted job is terminal and no arrivals remain.
@@ -1165,7 +689,7 @@ impl ScenarioSession {
     /// The session's timeline so far (base scenario plus everything
     /// pushed). Persist this next to a snapshot to make it restorable.
     pub fn scenario(&self) -> &Scenario {
-        &self.runner.scenario
+        &self.scenario
     }
 
     /// Executes one control period; returns `true` when the run is (now)
@@ -1174,7 +698,7 @@ impl ScenarioSession {
         if self.done {
             return Ok(true);
         }
-        self.done = self.runner.step(policy)?;
+        self.done = self.execute_epoch(policy)?;
         Ok(self.done)
     }
 
@@ -1190,17 +714,17 @@ impl ScenarioSession {
         if self.done {
             // The terminating step scanned boundary `epoch` before
             // returning early (without incrementing the epoch).
-            Some(self.runner.epoch as f64 * self.runner.tp)
-        } else if self.runner.epoch == 0 {
+            Some(self.epoch as f64 * self.tp)
+        } else if self.epoch == 0 {
             None
         } else {
-            Some((self.runner.epoch - 1) as f64 * self.runner.tp)
+            Some((self.epoch - 1) as f64 * self.tp)
         }
     }
 
     fn check_time_admissible(&self, what: &str, t: f64) -> Result<(), ScenarioError> {
         if let Some(boundary) = self.scanned_boundary() {
-            if t <= boundary + self.runner.time_eps {
+            if t <= boundary + self.time_eps {
                 return Err(ScenarioError::Admission(format!(
                     "{what} at t={t} is in the executed past: the admission \
                      scan for boundary t={boundary} has already run"
@@ -1214,7 +738,7 @@ impl ScenarioSession {
     /// validated against the platform and must arrive strictly after the
     /// last executed boundary, else nothing is admitted.
     pub fn push_jobs(&mut self, jobs: &[JobSpec]) -> Result<(), ScenarioError> {
-        let k = self.runner.caps.len() as u32;
+        let k = self.st.caps.len() as u32;
         for (i, j) in jobs.iter().enumerate() {
             if j.origin >= k {
                 return Err(ScenarioError::Admission(format!(
@@ -1242,30 +766,15 @@ impl ScenarioSession {
             // admissibility check guarantees idx >= next_arrival, so
             // already-admitted job ids stay valid.
             let idx = self
-                .runner
                 .scenario
                 .jobs
                 .partition_point(|x| x.arrival <= j.arrival);
-            debug_assert!(idx >= self.runner.next_arrival);
-            self.runner.scenario.jobs.insert(idx, j);
-            self.runner.jobs.insert(
-                idx,
-                JobState {
-                    origin: j.origin as usize,
-                    arrival: j.arrival,
-                    size: j.size,
-                    unassigned: 0.0,
-                    pending_parts: 0,
-                    in_backlog: false,
-                    completed_at: None,
-                    stranded: false,
-                },
-            );
+            debug_assert!(idx >= self.st.next_arrival);
+            self.scenario.jobs.insert(idx, j);
+            self.st.jobs.insert(idx, JobState::admitted(&j));
         }
         if !jobs.is_empty() {
-            let last_arrival_period =
-                (self.runner.scenario.last_arrival() / self.runner.tp).ceil() as usize;
-            self.runner.max_periods = last_arrival_period + self.runner.cfg.drain_periods.max(1);
+            self.max_periods = max_periods(&self.scenario, &self.cfg);
             self.done = false;
         }
         Ok(())
@@ -1278,27 +787,23 @@ impl ScenarioSession {
     /// never apply the event either.
     pub fn push_platform_event(&mut self, event: PlatformEvent) -> Result<(), ScenarioError> {
         let probe = Scenario {
-            name: self.runner.scenario.name.clone(),
-            period: self.runner.scenario.period,
+            name: self.scenario.name.clone(),
+            period: self.scenario.period,
             jobs: Vec::new(),
             platform_events: vec![event.clone()],
         };
         probe
-            .validate(&self.runner.inst.platform)
+            .validate(&self.inst.platform)
             .map_err(ScenarioError::Admission)?;
         self.check_time_admissible("platform event", event.time)?;
         let idx = self
-            .runner
             .scenario
             .platform_events
             .partition_point(|e| e.time <= event.time);
-        debug_assert!(idx >= self.runner.next_event);
-        self.runner.scenario.platform_events.insert(idx, event);
+        debug_assert!(idx >= self.st.next_event);
+        self.scenario.platform_events.insert(idx, event);
         // Re-derive join bookkeeping: the insert shifted later indices.
-        self.runner.last_join = last_join_index(
-            &self.runner.scenario,
-            self.runner.inst.platform.clusters.len(),
-        );
+        self.last_join = last_join_index(&self.scenario, self.inst.platform.clusters.len());
         Ok(())
     }
 
@@ -1318,34 +823,475 @@ impl ScenarioSession {
     /// heuristic policies are stateless across solves; for them the
     /// barrier is a no-op and snapshots are observationally free.
     pub fn snapshot(&self, policy: &mut dyn ReschedulePolicy) -> ScenarioSnapshot {
-        let snap = self.runner.snapshot(&*policy);
+        let p = &self.inst.platform;
+        let snap = ScenarioSnapshot {
+            version: SCENARIO_SNAPSHOT_VERSION,
+            scenario: self.scenario.name.clone(),
+            epoch: self.epoch,
+            live: self.live.snapshot(),
+            cluster_speed: p.clusters.iter().map(|c| c.speed).collect(),
+            cluster_local: p.clusters.iter().map(|c| c.local_bw).collect(),
+            link_bw: p.links.iter().map(|l| l.bw_per_connection).collect(),
+            link_max_conn: p.links.iter().map(|l| l.max_connections).collect(),
+            state: self.st.clone(),
+            policy_state: policy.export_state(),
+        };
         policy.checkpoint_barrier();
         snap
     }
 
     /// A report of the run's current state (interim if the run is still
-    /// open). Deterministic except for the wall-clock `reschedule_ms`.
+    /// open; the recorded vectors are cloned out). Deterministic except for
+    /// the wall-clock `reschedule_ms`.
     pub fn report(&mut self, policy: &mut dyn ReschedulePolicy) -> ScenarioReport {
-        self.runner.report(policy)
+        self.st.recoveries.extend(policy.drain_recovery());
+        let completed_jobs = self.st.jobs.iter().filter(|j| j.done()).count();
+        let responses: Vec<f64> = self
+            .st
+            .jobs
+            .iter()
+            .filter_map(|j| j.completed_at.map(|c| c - j.arrival))
+            .collect();
+        let mean_response = if responses.is_empty() {
+            0.0
+        } else {
+            responses.iter().sum::<f64>() / responses.len() as f64
+        };
+        let max_response = responses.iter().fold(0.0f64, |a, &r| a.max(r));
+        let per_job: Vec<JobOutcome> = self
+            .scenario
+            .jobs
+            .iter()
+            .zip(&self.st.jobs)
+            .enumerate()
+            .map(|(i, (spec, state))| JobOutcome {
+                job: i as u32,
+                origin: spec.origin,
+                arrival: spec.arrival,
+                size: spec.size,
+                completed: state.completed_at,
+            })
+            .collect();
+
+        ScenarioReport {
+            scenario: self.scenario.name.clone(),
+            policy: policy.name(),
+            periods: self.periods,
+            period_length: self.tp,
+            jobs: self.st.jobs.len(),
+            completed_jobs,
+            offered_work: self.scenario.offered_work(),
+            completed_work: self.st.completed_work,
+            makespan: self.st.last_completion,
+            mean_response,
+            max_response,
+            achieved_throughput: if self.st.last_completion > 0.0 {
+                self.st.completed_work / self.st.last_completion
+            } else {
+                0.0
+            },
+            allocated_throughput: if self.st.allocated_periods > 0 {
+                self.st.allocated_sum / self.st.allocated_periods as f64
+            } else {
+                0.0
+            },
+            reschedules: self.st.reschedules,
+            reschedule_ms: self.reschedule_ms,
+            sim_events: self.live.events_processed(),
+            connection_caps_respected: self.st.caps_ok,
+            per_job,
+            events: (self.cfg.record_events || self.cfg.oracle_check)
+                .then(|| self.live.event_log().to_vec()),
+            faults: Some(self.st.faults.clone()),
+            recoveries: Some(self.st.recoveries.clone()),
+            unschedulable: Some(self.st.unschedulable.clone()),
+            lost_transfer: Some(self.st.lost_transfer),
+            lost_compute: Some(self.st.lost_compute),
+            redispatched_load: Some(self.st.redispatched),
+        }
     }
 
     /// Consumes the session into a final report.
     pub fn into_report(mut self, policy: &mut dyn ReschedulePolicy) -> ScenarioReport {
-        self.runner.report(policy)
+        self.report(policy)
+    }
+
+    /// Pushes a cluster's effective capacities into the platform and the
+    /// live core (no-op for components that did not change).
+    fn apply_cluster(&mut self, c: usize) {
+        let (speed, local_bw) = self.st.caps[c].effective();
+        if self.inst.platform.clusters[c].speed != speed {
+            self.inst.platform.clusters[c].speed = speed;
+            self.live.update_speed(ClusterId(c as u32), speed);
+        }
+        if self.inst.platform.clusters[c].local_bw != local_bw {
+            self.inst.platform.clusters[c].local_bw = local_bw;
+            self.live
+                .update_link_capacity(ClusterId(c as u32), local_bw);
+        }
+    }
+
+    /// Retires every in-flight flow touching `cluster`, requeueing its
+    /// payload at the source backlog. Returns `(shipped, redispatched)`:
+    /// transfer progress forfeited and load returned to the pending pool.
+    fn retire_cluster_flows(&mut self, cluster: u32) -> (f64, f64) {
+        let mut victims: Vec<LiveFlowId> = self
+            .st
+            .flows
+            .iter()
+            .filter(|(_, m)| m.from.index() == cluster as usize || m.to.index() == cluster as usize)
+            .map(|(id, _)| *id)
+            .collect();
+        // HashMap iteration order is not deterministic; the requeue order
+        // below feeds FIFO backlogs, so fix it.
+        victims.sort_by_key(|id| id.to_raw());
+        let mut shipped = 0.0;
+        let mut redispatched = 0.0;
+        for retired in self.live.retire_flows(&victims) {
+            shipped += retired.shipped;
+            for part in &retired.parts {
+                redispatched += part.amount;
+                let j = &mut self.st.jobs[part.job as usize];
+                j.pending_parts = j.pending_parts.saturating_sub(1);
+                j.unassigned += part.amount;
+                if !j.in_backlog {
+                    j.in_backlog = true;
+                    self.st.backlog[j.origin].push_back(part.job);
+                }
+            }
+        }
+        for id in victims {
+            release_connections(&self.inst, &mut self.st, id);
+        }
+        (shipped, redispatched)
+    }
+
+    /// Heals partitions past their `until` and ends expired straggler
+    /// windows. Runs before the boundary's platform events so a heal and a
+    /// fresh fault due at the same boundary compose in fault order.
+    fn process_expiries(&mut self, t: f64) {
+        let mut healed = false;
+        self.st.partitions.retain(|p| {
+            if p.until <= t + self.time_eps {
+                healed = true;
+                false
+            } else {
+                true
+            }
+        });
+        if healed {
+            self.st.platform_changed = true;
+            let mut stalled: Vec<LiveFlowId> = self
+                .st
+                .flows
+                .iter()
+                .filter(|(_, m)| m.stalled)
+                .map(|(id, _)| *id)
+                .collect();
+            stalled.sort_by_key(|id| id.to_raw());
+            for id in stalled {
+                let m = &self.st.flows[&id];
+                if !separated(&self.st.partitions, m.from.index(), m.to.index()) {
+                    let (cap, demand) = (m.cap.unwrap_or(f64::INFINITY), m.demand);
+                    self.live.set_flow_constraints(id, cap, demand);
+                    self.st.flows.get_mut(&id).expect("just looked up").stalled = false;
+                }
+            }
+        }
+        let mut ended: Vec<u32> = Vec::new();
+        self.st.straggler_ends.retain(|&(until, c)| {
+            if until <= t + self.time_eps {
+                ended.push(c);
+                false
+            } else {
+                true
+            }
+        });
+        for c in ended {
+            self.st.caps[c as usize].straggler = 1.0;
+            self.apply_cluster(c as usize);
+            self.st.platform_changed = true;
+        }
+    }
+
+    /// Applies one due platform event.
+    fn apply_event(&mut self, time: f64, change: &PlatformChange) {
+        self.st.platform_changed = true;
+        match change {
+            PlatformChange::SetSpeed { cluster, speed } => {
+                // Drift on an absent cluster must not revive it: the base
+                // value updates, the effective capacity stays zero until
+                // the rejoin.
+                self.st.caps[*cluster as usize].base_speed = *speed;
+                self.apply_cluster(*cluster as usize);
+            }
+            PlatformChange::SetLocalBw { cluster, bw } => {
+                self.st.caps[*cluster as usize].base_local = *bw;
+                self.apply_cluster(*cluster as usize);
+            }
+            PlatformChange::SetBackboneBw { link, bw } => {
+                // Connection-oriented semantics (§2): a connection is
+                // granted bw(l) when it opens, so transfers already in
+                // flight keep their negotiated cap for the remainder of
+                // their chunk; the new bandwidth applies to every flow
+                // spawned from the next period on.
+                self.inst.platform.links[*link as usize].bw_per_connection = *bw;
+            }
+            PlatformChange::SetMaxConnections { link, max } => {
+                self.inst.platform.links[*link as usize].max_connections = *max;
+                // A cap dropping below the already-open connection count is
+                // a violation even if no new flow ever ships over the link.
+                if self.st.conn_now[*link as usize] > *max as i64 {
+                    self.st.caps_ok = false;
+                }
+            }
+            PlatformChange::ClusterLeave { cluster } => {
+                // Graceful departure: in-flight payload returns to the
+                // source backlog in full (store-and-forward progress is
+                // forfeited but not accounted as a fault), queued compute
+                // stays put and resumes at the rejoin.
+                self.st.caps[*cluster as usize].present = false;
+                self.apply_cluster(*cluster as usize);
+                self.retire_cluster_flows(*cluster);
+            }
+            PlatformChange::ClusterJoin { cluster } => {
+                // Rejoin with the capacities the cluster would have had if
+                // it never left: its base values track any drift recorded
+                // during the outage.
+                self.st.caps[*cluster as usize].present = true;
+                self.apply_cluster(*cluster as usize);
+            }
+            PlatformChange::ClusterCrash { cluster } => {
+                self.st.caps[*cluster as usize].present = false;
+                self.apply_cluster(*cluster as usize);
+                let (lost_transfer, mut redispatched) = self.retire_cluster_flows(*cluster);
+                // Unlike a graceful leave, queued (and partially computed)
+                // work on the crashed cluster is lost; the load returns to
+                // the pending pool for re-dispatch.
+                let mut lost_compute = 0.0;
+                for e in self.live.purge_queue(ClusterId(*cluster)) {
+                    lost_compute += e.original - e.remaining;
+                    redispatched += e.original;
+                    let j = &mut self.st.jobs[e.job as usize];
+                    j.pending_parts = j.pending_parts.saturating_sub(1);
+                    j.unassigned += e.original;
+                    if !j.in_backlog {
+                        j.in_backlog = true;
+                        self.st.backlog[j.origin].push_back(e.job);
+                    }
+                }
+                self.st.push_fault(FaultRecord {
+                    kind: FaultKind::Crash,
+                    time,
+                    cluster: Some(*cluster),
+                    lost_transfer,
+                    lost_compute,
+                    redispatched,
+                    recovery_latency: None,
+                });
+            }
+            PlatformChange::BackbonePartition { groups, until } => {
+                self.st.partitions.push(PartitionState {
+                    groups: groups.clone(),
+                    until: *until,
+                });
+                // Stall in-flight flows crossing the cut at zero rate;
+                // their progress keeps at heal time (nothing is lost).
+                let mut ids: Vec<LiveFlowId> = self
+                    .st
+                    .flows
+                    .iter()
+                    .filter(|(_, m)| !m.stalled)
+                    .map(|(id, _)| *id)
+                    .collect();
+                ids.sort_by_key(|id| id.to_raw());
+                for id in ids {
+                    let m = &self.st.flows[&id];
+                    if separated(&self.st.partitions, m.from.index(), m.to.index()) {
+                        self.live.set_flow_constraints(id, 0.0, 0.0);
+                        self.st.flows.get_mut(&id).expect("just looked up").stalled = true;
+                    }
+                }
+                self.st.push_fault(FaultRecord {
+                    kind: FaultKind::Partition,
+                    time,
+                    cluster: None,
+                    lost_transfer: 0.0,
+                    lost_compute: 0.0,
+                    redispatched: 0.0,
+                    recovery_latency: None,
+                });
+            }
+            PlatformChange::Straggler {
+                cluster,
+                factor,
+                until,
+            } => {
+                self.st.caps[*cluster as usize].straggler = *factor;
+                self.apply_cluster(*cluster as usize);
+                self.st.straggler_ends.push((*until, *cluster));
+                self.st.push_fault(FaultRecord {
+                    kind: FaultKind::Straggler,
+                    time,
+                    cluster: Some(*cluster),
+                    lost_transfer: 0.0,
+                    lost_compute: 0.0,
+                    redispatched: 0.0,
+                    recovery_latency: None,
+                });
+            }
+        }
+    }
+
+    /// Marks backlogged jobs whose origin cluster is gone for good (absent
+    /// with no rejoin anywhere in the remaining event stream) as
+    /// unschedulable, so the drain loop stops waiting on them.
+    fn detect_stranded(&mut self, t: f64) {
+        for c in 0..self.st.caps.len() {
+            if self.st.caps[c].present || self.st.backlog[c].is_empty() {
+                continue;
+            }
+            if self.last_join[c].is_some_and(|idx| idx >= self.st.next_event) {
+                continue; // a rejoin is still coming
+            }
+            for id in std::mem::take(&mut self.st.backlog[c]) {
+                let j = &mut self.st.jobs[id as usize];
+                j.in_backlog = false;
+                j.stranded = true;
+                self.st.unschedulable.push(UnschedulableEntry {
+                    job: id,
+                    detected_at: t,
+                    reason: format!(
+                        "origin cluster {c} is gone for good with {:.3} load units unplaced",
+                        j.unassigned
+                    ),
+                });
+            }
+        }
+    }
+
+    /// Executes one control period. Returns `true` when the run is over
+    /// (every job terminal, or the drain cap hit).
+    fn execute_epoch(&mut self, policy: &mut dyn ReschedulePolicy) -> Result<bool, ScenarioError> {
+        let epoch = self.epoch;
+        let t = epoch as f64 * self.tp;
+        self.periods = epoch;
+
+        // --- 1. advance the live core to the boundary ---
+        let mut finished_flows: Vec<LiveFlowId> = Vec::new();
+        for e in self.live.advance_to(t) {
+            match *e {
+                LiveEvent::FlowDone { id, .. } => finished_flows.push(id),
+                LiveEvent::Delivered { .. } => {}
+                LiveEvent::Computed {
+                    time, job, amount, ..
+                } => {
+                    let j = &mut self.st.jobs[job as usize];
+                    j.pending_parts = j.pending_parts.saturating_sub(1);
+                    self.st.achieved_window += amount;
+                    self.st.completed_work += amount;
+                    if j.pending_parts == 0 && j.unassigned <= 0.0 && !j.in_backlog && !j.done() {
+                        j.completed_at = Some(time);
+                        self.st.last_completion = self.st.last_completion.max(time);
+                    }
+                }
+            }
+        }
+        for id in finished_flows {
+            release_connections(&self.inst, &mut self.st, id);
+        }
+
+        // --- 2. fault expiries, then platform events due at this boundary ---
+        self.process_expiries(t);
+        while self.st.next_event < self.scenario.platform_events.len()
+            && self.scenario.platform_events[self.st.next_event].time <= t + self.time_eps
+        {
+            let ev = self.scenario.platform_events[self.st.next_event].clone();
+            self.st.next_event += 1;
+            self.apply_event(ev.time, &ev.change);
+        }
+
+        // --- 3. job arrivals due at (or before) this boundary ---
+        while self.st.next_arrival < self.scenario.jobs.len()
+            && self.scenario.jobs[self.st.next_arrival].arrival <= t + self.time_eps
+        {
+            let j = &mut self.st.jobs[self.st.next_arrival];
+            j.unassigned = j.size;
+            j.in_backlog = true;
+            self.st.backlog[j.origin].push_back(self.st.next_arrival as u32);
+            self.st.next_arrival += 1;
+        }
+        self.detect_stranded(t);
+
+        // --- termination ---
+        let arrivals_left = self.st.next_arrival < self.scenario.jobs.len();
+        let all_done = self.st.jobs.iter().all(JobState::terminal);
+        if !arrivals_left && (all_done || epoch == self.max_periods) {
+            return Ok(true);
+        }
+
+        // --- 4. policy ---
+        let backlogged = self.st.backlog.iter().any(|q| !q.is_empty());
+        if backlogged {
+            let allocated = self.st.alloc.as_ref().map_or(0.0, Allocation::total_load);
+            let ctx = PolicyCtx {
+                inst: &self.inst,
+                epoch,
+                platform_changed: self.st.platform_changed,
+                achieved: self.st.achieved_window / self.tp,
+                allocated,
+                backlogged,
+                current: self.st.alloc.as_ref(),
+            };
+            let t0 = Instant::now();
+            let decision = policy
+                .decide(&ctx)
+                .map_err(|source| ScenarioError::Policy {
+                    epoch,
+                    time: t,
+                    policy: policy.name(),
+                    source,
+                })?;
+            self.reschedule_ms += t0.elapsed().as_secs_f64() * 1e3;
+            self.st.recoveries.extend(policy.drain_recovery());
+            if let Some(new_alloc) = decision {
+                debug_assert!(
+                    new_alloc.validate(&self.inst).is_ok(),
+                    "policy produced an invalid allocation: {:?}",
+                    new_alloc.violations(&self.inst)
+                );
+                self.st.alloc = Some(new_alloc);
+                self.st.reschedules += 1;
+                self.st.platform_changed = false;
+                // The first allocation installed at/after a fault closes
+                // its recovery window.
+                for &fi in &self.st.pending_recovery {
+                    self.st.faults[fi].recovery_latency = Some(t - self.st.faults[fi].time);
+                }
+                self.st.pending_recovery.clear();
+            }
+        }
+        self.st.achieved_window = 0.0;
+
+        // --- 5. ship one period of backlog under the current allocation ---
+        if let Some(a) = &self.st.alloc {
+            if backlogged {
+                self.st.allocated_sum += a.total_load();
+                self.st.allocated_periods += 1;
+                spawn_period(&mut self.live, &self.inst, self.tp, &mut self.st);
+            }
+        }
+        self.epoch += 1;
+        Ok(false)
     }
 }
 
 /// Drops the connection charge of a finished/retired flow (routes are
 /// topology and never change, so the release mirrors the charge exactly).
-fn release_connections(
-    inst: &ProblemInstance,
-    flows: &mut HashMap<LiveFlowId, FlowMeta>,
-    conn_now: &mut [i64],
-    id: LiveFlowId,
-) {
-    if let Some(meta) = flows.remove(&id) {
+fn release_connections(inst: &ProblemInstance, st: &mut SessionState, id: LiveFlowId) {
+    if let Some(meta) = st.flows.remove(&id) {
         let mut ignore = true;
-        charge_route(inst, &meta, conn_now, &mut ignore, -1);
+        charge_route(inst, &meta, &mut st.conn_now, &mut ignore, -1);
     }
 }
 
@@ -1354,19 +1300,20 @@ fn release_connections(
 /// local shares enqueue directly, remote shares spawn reserved flows.
 /// Destinations cut off from the origin by an active partition are skipped
 /// (their load stays backlogged).
-#[allow(clippy::too_many_arguments)]
-fn spawn_period(
-    live: &mut LiveSim,
-    inst: &ProblemInstance,
-    alloc: &Allocation,
-    tp: f64,
-    jobs: &mut [JobState],
-    backlog: &mut [VecDeque<u32>],
-    flows: &mut HashMap<LiveFlowId, FlowMeta>,
-    conn_now: &mut [i64],
-    caps_ok: &mut bool,
-    partitions: &[PartitionState],
-) {
+fn spawn_period(live: &mut LiveSim, inst: &ProblemInstance, tp: f64, st: &mut SessionState) {
+    let SessionState {
+        alloc: Some(alloc),
+        jobs,
+        backlog,
+        flows,
+        conn_now,
+        caps_ok,
+        partitions,
+        ..
+    } = st
+    else {
+        return;
+    };
     let p = &inst.platform;
     let k = inst.num_apps();
     for (origin, queue) in backlog.iter_mut().enumerate() {

@@ -606,18 +606,16 @@ impl Resolver {
     }
 }
 
-/// Re-solve every `every` periods (and always after a platform event).
+/// Re-solve every period.
 #[derive(Debug)]
 pub struct PeriodicResolve {
-    /// Re-solve cadence in periods (1 = every period).
-    pub every: usize,
     resolver: Resolver,
 }
 
 impl PeriodicResolve {
     /// Re-solves every period with the given resolver.
     pub fn new(resolver: Resolver) -> Self {
-        PeriodicResolve { every: 1, resolver }
+        PeriodicResolve { resolver }
     }
 
     /// The underlying resolver (e.g. to inject test faults).
@@ -632,11 +630,7 @@ impl ReschedulePolicy for PeriodicResolve {
     }
 
     fn decide(&mut self, ctx: &PolicyCtx<'_>) -> Result<Option<Allocation>, SolveError> {
-        let due = ctx.epoch.is_multiple_of(self.every.max(1));
-        if ctx.current.is_none() || ctx.platform_changed || due {
-            return Ok(Some(self.resolver.resolve(ctx.inst)?));
-        }
-        Ok(None)
+        Ok(Some(self.resolver.resolve(ctx.inst)?))
     }
 
     fn recover(&mut self, level: RecoveryLevel, inst: &ProblemInstance) -> bool {

@@ -339,9 +339,17 @@ mod tests {
         r.to_json()
     }
 
+    /// The byte range inside the brackets of the first `"key":[…]` array.
+    fn array_at(json: &str, key: &str) -> std::ops::Range<usize> {
+        let open = json.find(&format!("\"{key}\":[")).unwrap() + key.len() + 4;
+        open..open + json[open..].find(']').unwrap()
+    }
+
     /// A checkpoint directory holding one good checkpoint among a torn
     /// file, non-JSON bytes, an old schema version, a file naming another
-    /// tenant and one naming an unsafe tenant: only the good tenant loads,
+    /// tenant, one naming an unsafe tenant, and three whose snapshot parses
+    /// but has the wrong shape (a live core of another version, a live core
+    /// one speed short, no connection counts): only the good tenant loads,
     /// and it finishes bit-identically to the tenant that wrote it.
     #[test]
     fn restore_all_loads_only_well_formed_checkpoints_under_their_own_name() {
@@ -384,6 +392,34 @@ mod tests {
         renamed("old", "old", CHECKPOINT_VERSION - 1);
         renamed("alias", "good", CHECKPOINT_VERSION);
         renamed("evil", "../x", CHECKPOINT_VERSION);
+        let reshaped = |stem: &str, snapshot_json: String| {
+            assert_ne!(
+                snapshot_json, file.snapshot_json,
+                "{stem} edits the snapshot"
+            );
+            let f = CheckpointFile {
+                tenant: stem.into(),
+                snapshot_json,
+                ..file.clone()
+            };
+            write(stem, serde_json::to_string(&f).unwrap().as_bytes());
+        };
+        let snap = &file.snapshot_json;
+        reshaped(
+            "live_v2",
+            snap.replacen("\"live\":{\"version\":1,", "\"live\":{\"version\":2,", 1),
+        );
+        let speeds = array_at(snap, "speeds");
+        let last = speeds.start + snap[speeds.clone()].rfind(',').unwrap();
+        reshaped(
+            "short_speeds",
+            [&snap[..last], &snap[speeds.end..]].concat(),
+        );
+        let conn_now = array_at(snap, "conn_now");
+        reshaped(
+            "no_conn_now",
+            [&snap[..conn_now.start], &snap[conn_now.end..]].concat(),
+        );
 
         let mut restored = restore_all(&dir);
         let _ = std::fs::remove_dir_all(&dir);

@@ -247,6 +247,11 @@ impl LiveSim {
         self.t
     }
 
+    /// Number of clusters.
+    pub fn clusters(&self) -> usize {
+        self.speeds.len()
+    }
+
     /// Number of live flows.
     pub fn live_flows(&self) -> usize {
         self.core.live()
@@ -592,13 +597,20 @@ impl LiveSim {
     /// Rebuilds an engine from a [`LiveSim::snapshot`]. `cfg` must use the
     /// same engine core and bandwidth model the snapshot was taken under
     /// (they are config, not state — a snapshot does not pin the observer
-    /// knobs `oracle_check`/`record_events`).
-    pub fn restore(cfg: LiveConfig, snap: &LiveSnapshot) -> LiveSim {
-        assert_eq!(
-            snap.version, LIVE_SNAPSHOT_VERSION,
-            "unsupported LiveSnapshot version {}",
-            snap.version
-        );
+    /// knobs `oracle_check`/`record_events`). A snapshot of another wire
+    /// version, or whose per-cluster vectors differ in length, is an error.
+    pub fn restore(cfg: LiveConfig, snap: &LiveSnapshot) -> Result<LiveSim, String> {
+        if snap.version != LIVE_SNAPSHOT_VERSION {
+            return Err(format!("unsupported LiveSnapshot version {}", snap.version));
+        }
+        let k = snap.speeds.len();
+        if snap.local_bw.len() != k || snap.queues.len() != k {
+            return Err(format!(
+                "LiveSnapshot has {} local links and {} queues for {k} speeds",
+                snap.local_bw.len(),
+                snap.queues.len()
+            ));
+        }
         let mut sim = LiveSim::new(&snap.local_bw, &snap.speeds, cfg);
         sim.core.import(
             snap.flows
@@ -622,7 +634,7 @@ impl LiveSim {
             .collect();
         sim.processed = snap.processed;
         sim.event_log.clone_from(&snap.event_log);
-        sim
+        Ok(sim)
     }
 }
 
@@ -1017,7 +1029,7 @@ mod tests {
             drive(&mut sim, &mut rng, 0);
             let json = serde_json::to_string(&sim.snapshot()).unwrap();
             let snap: LiveSnapshot = serde_json::from_str(&json).unwrap();
-            let mut restored = LiveSim::restore(cfg, &snap);
+            let mut restored = LiveSim::restore(cfg, &snap).unwrap();
             let mut rng2 = rng.clone();
             drive(&mut sim, &mut rng, 100);
             drive(&mut restored, &mut rng2, 100);

@@ -3,7 +3,7 @@
 //! The binary path comes from Cargo's `CARGO_BIN_EXE_<name>` environment
 //! variable, which is only set while compiling the test targets of the
 //! package that *owns* the binary — so the path cannot be resolved inside
-//! this library crate. The [`dls_cli!`] macro expands `env!(...)` at the
+//! this library crate. The [`dls_cli!`](crate::dls_cli!) macro expands `env!(...)` at the
 //! caller's compile site instead; the run helpers then take any prepared
 //! `Command`.
 
