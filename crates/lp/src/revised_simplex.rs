@@ -7,7 +7,9 @@
 //! The revised method keeps only a factorisation of the `m × m` basis and
 //! works from the sparse constraint columns:
 //!
-//! * pricing: one BTRAN (`y = c_Bᵀ B⁻¹`) + a sparse dot per column;
+//! * pricing: one BTRAN (`y = c_Bᵀ B⁻¹`), then `d = c − Aᵀy` — a sparse
+//!   dot per column on the dense inverse, a scatter over a row-wise copy of
+//!   `A` restricted to the rows where `y ≠ 0` on the sparse LU (same bits);
 //! * column generation: one FTRAN (`w = B⁻¹ a_e`);
 //! * basis update: rank-1 repair of the factorisation;
 //! * periodic refactorisation bounds error accumulation.
@@ -33,8 +35,9 @@
 //! repeatedly
 //!
 //! 1. picks the leaving row `r` with the most negative `x_B[r]`,
-//! 2. reads row `r` of `B⁻¹` (free — the inverse is stored row-major) and
-//!    forms the pivot row `α_r = ρᵀA` by one sparse dot per column,
+//! 2. reads row `r` of `B⁻¹` (free on the dense inverse, which is stored
+//!    row-major; a unit BTRAN on the sparse LU) and forms the pivot row
+//!    `α_r = ρᵀA`, as pricing forms `d`,
 //! 3. picks the entering column minimising the dual ratio `d_j / (−α_rj)`
 //!    over `α_rj < 0` (ties broken on the smallest column index, which
 //!    guards against cycling the same way Bland's rule does),
@@ -220,6 +223,125 @@ impl Column {
     }
 }
 
+/// Row-wise (CSR) copy of the standard-form matrix, kept next to the sparse
+/// LU so pricing scatters over the rows where the pricing vector is non-zero
+/// instead of taking one dot per column.
+///
+/// Bit-identical to the column-wise dots: every column lists its entries in
+/// ascending row order (`standard.rs`), and the scatter walks rows in
+/// ascending order, so each `d_j` / `α_rj` sums the same products in the
+/// same order. A skipped row has a zero multiplier, so a skipped term could
+/// only change the sign of a zero, which no pricing comparison reads.
+///
+/// A coefficient patch writes an existing entry in place; a removed entry
+/// stays behind as an explicit `0.0` (pins zero entries, and must not
+/// rebuild the copy), and only a newly inserted entry rebuilds it.
+#[derive(Debug, Clone)]
+struct RowWise {
+    /// Row `r`'s entries are `col/val[ptr[r]..ptr[r + 1]]`, ascending column.
+    ptr: Vec<u32>,
+    col: Vec<u32>,
+    val: Vec<f64>,
+    /// Output of the last pass (`d` or `α_r`), one entry per column.
+    out: Vec<f64>,
+    /// Pricing passes run, and the matrix entries they scattered.
+    passes: u64,
+    scattered: u64,
+}
+
+impl RowWise {
+    fn new(sf: &StandardForm) -> Self {
+        let mut rw = RowWise {
+            ptr: Vec::new(),
+            col: Vec::new(),
+            val: Vec::new(),
+            out: vec![0.0; sf.n_cols],
+            passes: 0,
+            scattered: 0,
+        };
+        rw.build(sf);
+        rw
+    }
+
+    fn build(&mut self, sf: &StandardForm) {
+        let mut ptr = vec![0u32; sf.m + 1];
+        for col in &sf.cols {
+            for &(r, _) in col {
+                ptr[r + 1] += 1;
+            }
+        }
+        for r in 0..sf.m {
+            ptr[r + 1] += ptr[r];
+        }
+        let nnz = ptr[sf.m] as usize;
+        let mut next = ptr.clone();
+        self.col.clear();
+        self.col.resize(nnz, 0);
+        self.val.clear();
+        self.val.resize(nnz, 0.0);
+        // Ascending `j` fills every row in ascending column order.
+        for (j, col) in sf.cols.iter().enumerate() {
+            for &(r, a) in col {
+                let at = next[r] as usize;
+                self.col[at] = j as u32;
+                self.val[at] = a;
+                next[r] += 1;
+            }
+        }
+        self.ptr = ptr;
+    }
+
+    /// Mirrors `A[row, j] = a` once `sf` holds it.
+    fn set(&mut self, sf: &StandardForm, row: usize, j: usize, a: f64) {
+        let (s, e) = (self.ptr[row] as usize, self.ptr[row + 1] as usize);
+        match self.col[s..e].binary_search(&(j as u32)) {
+            Ok(at) => self.val[s + at] = a,
+            Err(_) if a == 0.0 => {}
+            Err(_) => self.build(sf),
+        }
+    }
+
+    /// Adds `sign·v_r·A[r, j]` to `out[j]` over the rows with `v_r ≠ 0`, in
+    /// ascending row order, and returns `out`. (`x + (−v)·a` is `x − v·a`
+    /// bit for bit: IEEE negation is exact and `x − p` is `x + (−p)`.)
+    fn scatter(&mut self, v: &[f64], sign: f64) -> &[f64] {
+        self.passes += 1;
+        for (r, &vr) in v.iter().enumerate() {
+            if vr == 0.0 {
+                continue;
+            }
+            let vr = sign * vr;
+            let (s, e) = (self.ptr[r] as usize, self.ptr[r + 1] as usize);
+            self.scattered += (e - s) as u64;
+            for (&j, &a) in self.col[s..e].iter().zip(&self.val[s..e]) {
+                self.out[j as usize] += vr * a;
+            }
+        }
+        &self.out
+    }
+
+    /// `d = c − Aᵀy` over every column.
+    fn reduced_costs(&mut self, costs: &[f64], y: &[f64]) -> &[f64] {
+        self.out.copy_from_slice(costs);
+        self.scatter(y, -1.0)
+    }
+
+    /// The dual pivot row `α_r = ρᵀA` over every column.
+    fn pivot_row(&mut self, rho: &[f64]) -> &[f64] {
+        self.out.iter_mut().for_each(|x| *x = 0.0);
+        self.scatter(rho, 1.0)
+    }
+}
+
+/// Reduced cost `d_j = c_j − y·a_j` of column `j`, by one sparse dot.
+fn reduced_cost(sf: &StandardForm, costs: &[f64], y: &[f64], j: usize) -> f64 {
+    let mut d = costs[j];
+    for &(r, a) in &sf.cols[j] {
+        d -= y[r] * a;
+    }
+    d
+}
+
 /// The persistent simplex state: basis, a factorisation of it (dense `B⁻¹`
 /// or sparse LU + etas), and basic values.
 ///
@@ -250,6 +372,9 @@ pub(crate) struct Factor {
     scratch_w: Column,
     /// Dual pricing-row scratch (`ρ`), reused across dual pivots.
     scratch_rho: Vec<f64>,
+    /// Sparse representation only: the row-wise matrix copy pricing runs
+    /// on. Boxed, so a dense-inverse factor carries one pointer for it.
+    row_wise: Option<Box<RowWise>>,
 }
 
 impl Factor {
@@ -284,6 +409,7 @@ impl Factor {
             scratch_y: vec![0.0; m],
             scratch_w: Column::new(m, sparse),
             scratch_rho: vec![0.0; m],
+            row_wise: sparse.then(|| Box::new(RowWise::new(sf))),
         }
     }
 
@@ -327,6 +453,7 @@ impl Factor {
             scratch_y: vec![0.0; sf.m],
             scratch_w: Column::new(sf.m, sparse),
             scratch_rho: vec![0.0; sf.m],
+            row_wise: sparse.then(|| Box::new(RowWise::new(sf))),
         };
         // Repairing factorisation: a snapshot that went (near-)singular
         // after model edits degrades to a partially-restored basis instead
@@ -426,19 +553,84 @@ impl Factor {
         }
     }
 
-    /// Reduced cost of column `j` given `y`.
-    pub(crate) fn reduced_cost(
-        &self,
+    /// Prices every non-banned non-basic column given `y`: hands `(j, d_j)`
+    /// to `visit` in ascending `j` until it returns `false`. The sparse LU
+    /// prices row-wise ([`RowWise`]), the dense inverse by one dot per
+    /// column; both hand out the same bits up to the sign of zero.
+    pub(crate) fn price(
+        &mut self,
         sf: &StandardForm,
         costs: &[f64],
         y: &[f64],
-        j: usize,
-    ) -> f64 {
-        let mut d = costs[j];
-        for &(r, a) in &sf.cols[j] {
-            d -= y[r] * a;
+        banned: &[bool],
+        mut visit: impl FnMut(usize, f64) -> bool,
+    ) {
+        let in_basis = &self.in_basis;
+        let open = |j: usize| !banned[j] && !in_basis[j];
+        match self.row_wise.as_deref_mut() {
+            Some(rw) => {
+                let d = rw.reduced_costs(costs, y);
+                for j in (0..sf.n_cols).filter(|&j| open(j)) {
+                    if !visit(j, d[j]) {
+                        return;
+                    }
+                }
+            }
+            None => {
+                for j in (0..sf.n_cols).filter(|&j| open(j)) {
+                    if !visit(j, reduced_cost(sf, costs, y, j)) {
+                        return;
+                    }
+                }
+            }
         }
-        d
+    }
+
+    /// Hands `(j, α_rj)` of the dual pivot row `α_r = ρᵀA` to `visit` for
+    /// every non-banned non-basic column, in ascending `j` (row-wise on the
+    /// sparse LU, as [`Factor::price`]).
+    fn price_row(
+        &mut self,
+        sf: &StandardForm,
+        rho: &[f64],
+        banned: &[bool],
+        mut visit: impl FnMut(usize, f64),
+    ) {
+        let in_basis = &self.in_basis;
+        let open = |j: usize| !banned[j] && !in_basis[j];
+        match self.row_wise.as_deref_mut() {
+            Some(rw) => {
+                let alpha = rw.pivot_row(rho);
+                for j in (0..sf.n_cols).filter(|&j| open(j)) {
+                    visit(j, alpha[j]);
+                }
+            }
+            None => {
+                for j in (0..sf.n_cols).filter(|&j| open(j)) {
+                    let mut a_rj = 0.0;
+                    for &(i, a) in &sf.cols[j] {
+                        a_rj += rho[i] * a;
+                    }
+                    visit(j, a_rj);
+                }
+            }
+        }
+    }
+
+    /// Mirrors a coefficient patch `A[row, j] = a` (already applied to
+    /// `sf`) into the row-wise copy.
+    pub(crate) fn patch_coefficient(&mut self, sf: &StandardForm, row: usize, j: usize, a: f64) {
+        if let Some(rw) = &mut self.row_wise {
+            rw.set(sf, row, j, a);
+        }
+    }
+
+    /// Row-wise pricing passes run so far and the matrix entries they
+    /// scattered (both zero on the dense inverse).
+    pub(crate) fn pricing_counts(&self) -> (u64, u64) {
+        self.row_wise
+            .as_ref()
+            .map_or((0, 0), |rw| (rw.passes, rw.scattered))
     }
 
     pub(crate) fn objective(&self, costs: &[f64]) -> f64 {
@@ -917,30 +1109,22 @@ impl Factor {
         loop {
             self.btran(costs, y);
 
-            // --- entering column ---
+            // --- entering column: Bland's first negative reduced cost, or
+            // Dantzig's most negative one ---
             let mut entering = None;
-            if bland {
-                for j in 0..sf.n_cols {
-                    if !banned[j] && !self.in_basis[j] {
-                        let d = self.reduced_cost(sf, costs, y, j);
-                        if d < -COST_TOL {
-                            entering = Some(j);
-                            break;
-                        }
+            let mut best = -COST_TOL;
+            self.price(sf, costs, y, banned, |j, d| {
+                if d < best {
+                    entering = Some(j);
+                    if bland {
+                        return false;
                     }
+                    best = d;
                 }
-            } else {
-                let mut best = -COST_TOL;
-                for j in 0..sf.n_cols {
-                    if !banned[j] && !self.in_basis[j] {
-                        let d = self.reduced_cost(sf, costs, y, j);
-                        if d < best {
-                            best = d;
-                            entering = Some(j);
-                        }
-                    }
-                }
-            }
+                true
+            });
+            // `y` is now `c_Bᵀ B⁻¹` of the final basis, which extraction
+            // reads when `costs` are the true ones.
             let Some(e) = entering else {
                 return Ok(PhaseEnd::Optimal);
             };
@@ -1010,19 +1194,26 @@ impl Factor {
     /// Dual simplex: from a dual-feasible basis (`d_j ≥ 0` for every
     /// non-banned column under `costs`), pivots until primal feasibility or
     /// an infeasibility certificate. See the module docs for the method.
+    ///
+    /// `b_scale` is `sf.b_scale()`. `scratch_y` must hold `c_Bᵀ B⁻¹` of the
+    /// current factorisation under `costs` — in a warm solve, the cost-shift
+    /// scan's `y` — and prices the first iteration.
     pub(crate) fn run_dual_phase(
         &mut self,
         sf: &StandardForm,
         costs: &[f64],
         banned: &[bool],
         max_iter: usize,
+        b_scale: f64,
     ) -> Result<DualEnd, LpError> {
         let m = self.m;
         let mut y = std::mem::take(&mut self.scratch_y);
         let mut w = std::mem::take(&mut self.scratch_w);
         let mut rho = std::mem::take(&mut self.scratch_rho);
-        let b_scale = 1.0 + sf.b.iter().fold(0.0f64, |a, &x| a.max(x.abs()));
         let tol = FEAS_TOL * b_scale;
+        // `y` is current on entry; every later iteration follows a pivot or
+        // a refactorisation.
+        let mut y_current = true;
         let mut iters_this_phase = 0usize;
         let mut retried_after_refactor = false;
 
@@ -1055,21 +1246,18 @@ impl Factor {
             let want_sign = if above { 1.0 } else { -1.0 };
 
             // --- entering column: dual ratio test over sign·α_rj > 0 ---
-            self.btran(costs, &mut y);
+            if !y_current {
+                self.btran(costs, &mut y);
+            }
+            y_current = false;
             self.btran_unit(r, &mut rho);
             let mut entering: Option<(usize, f64)> = None;
             let mut best_ratio = f64::INFINITY;
-            for j in 0..sf.n_cols {
-                if banned[j] || self.in_basis[j] {
-                    continue;
-                }
-                let mut a_rj = 0.0;
-                for &(i, a) in &sf.cols[j] {
-                    a_rj += rho[i] * a;
-                }
+            self.price_row(sf, &rho, banned, |j, a_rj| {
                 if a_rj * want_sign > PIVOT_TOL {
-                    // Clamp drift: dual feasibility guarantees d ≥ −ε.
-                    let d = self.reduced_cost(sf, costs, &y, j).max(0.0);
+                    // Clamp drift: dual feasibility guarantees d ≥ −ε. Only
+                    // the candidates are priced, column-wise.
+                    let d = reduced_cost(sf, costs, &y, j).max(0.0);
                     let ratio = d / (a_rj * want_sign);
                     // Strict improvement with ascending j means ties keep
                     // the smallest column index (Bland flavour), which
@@ -1079,7 +1267,7 @@ impl Factor {
                         entering = Some((j, a_rj));
                     }
                 }
-            }
+            });
             let Some((e, a_re)) = entering else {
                 break Ok(DualEnd::Infeasible);
             };
@@ -1121,9 +1309,9 @@ impl Factor {
 
     /// `true` iff some artificial column is basic at a non-negligible level
     /// — the "solution" then violates an original row and must be rejected
-    /// (warm starts fall back to a cold solve when this happens).
-    pub(crate) fn artificial_above_zero(&self, sf: &StandardForm) -> bool {
-        let b_scale = 1.0 + sf.b.iter().fold(0.0f64, |a, &x| a.max(x.abs()));
+    /// (warm starts fall back to a cold solve when this happens). `b_scale`
+    /// is `sf.b_scale()`.
+    pub(crate) fn artificial_above_zero(&self, sf: &StandardForm, b_scale: f64) -> bool {
         self.basis
             .iter()
             .zip(&self.xb)
@@ -1131,15 +1319,44 @@ impl Factor {
     }
 }
 
+#[cfg(test)]
+impl Factor {
+    /// Whether the sparse factor's row-wise copy holds `sf`'s matrix — every
+    /// row in strictly ascending column order and, explicit zeros left by
+    /// removals aside, entry for entry what a fresh build holds.
+    pub(crate) fn row_copy_matches(&self, sf: &StandardForm) -> bool {
+        let rw = self
+            .row_wise
+            .as_ref()
+            .expect("a sparse factor keeps a row copy");
+        let fresh = RowWise::new(sf);
+        (0..sf.m).all(|r| {
+            let row = |rw: &RowWise| {
+                let (s, e) = (rw.ptr[r] as usize, rw.ptr[r + 1] as usize);
+                rw.col[s..e]
+                    .iter()
+                    .zip(&rw.val[s..e])
+                    .map(|(&j, &a)| (j, a.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            let kept = row(rw);
+            kept.windows(2).all(|p| p[0].0 < p[1].0)
+                && kept
+                    .into_iter()
+                    .filter(|&(_, a)| f64::from_bits(a) != 0.0)
+                    .eq(row(&fresh))
+        })
+    }
+}
+
 /// Builds the user-facing optimal solution (values, objective, duals) from a
-/// factorised optimal basis. `y` may supply an already-computed pricing
-/// vector `c_Bᵀ B⁻¹` (valid for the *current* basis and the true costs) to
-/// skip the O(m²) BTRAN.
+/// factorised optimal basis and its pricing vector `y = c_Bᵀ B⁻¹` under the
+/// true costs — the one the final pricing pass already computed.
 pub(crate) fn extract_optimal(
     model: &Model,
     sf: &StandardForm,
-    factor: &mut Factor,
-    y: Option<&[f64]>,
+    factor: &Factor,
+    y: &[f64],
 ) -> Solution {
     let mut std_values = vec![0.0f64; sf.n_structural];
     for (i, &j) in factor.basis.iter().enumerate() {
@@ -1149,22 +1366,12 @@ pub(crate) fn extract_optimal(
     }
     let values = sf.recover(&std_values);
     let objective = model.objective_value(&values);
-    // Standard-space duals at optimality: y = c_Bᵀ B⁻¹.
-    let duals = match y {
-        Some(y) => sf.recover_duals(y, model.num_constraints()),
-        None => {
-            let mut y_std = std::mem::take(&mut factor.scratch_y);
-            factor.btran(&sf.c, &mut y_std);
-            let duals = sf.recover_duals(&y_std, model.num_constraints());
-            factor.scratch_y = y_std;
-            duals
-        }
-    };
     Solution {
         status: Status::Optimal,
         objective,
         values,
-        duals,
+        // Standard-space duals at optimality: y = c_Bᵀ B⁻¹.
+        duals: sf.recover_duals(y, model.num_constraints()),
         iterations: factor.iterations,
     }
 }
@@ -1207,8 +1414,7 @@ impl RevisedSimplex {
                 // means the factorisation broke down.
                 PhaseEnd::Unbounded => return Err(LpError::NumericalBreakdown("phase 1")),
             }
-            let b_norm = 1.0 + sf.b.iter().fold(0.0f64, |a, &x| a.max(x.abs()));
-            if factor.objective(&costs) > FEAS_TOL * b_norm {
+            if factor.objective(&costs) > FEAS_TOL * sf.b_scale() {
                 return Ok((Solution::infeasible(factor.iterations), Some(factor)));
             }
         }
@@ -1226,7 +1432,7 @@ impl RevisedSimplex {
             return Ok((Solution::unbounded(factor.iterations), Some(factor)));
         }
 
-        let solution = extract_optimal(model, sf, &mut factor, None);
+        let solution = extract_optimal(model, sf, &factor, &factor.scratch_y);
         Ok((solution, Some(factor)))
     }
 }
@@ -1238,6 +1444,14 @@ mod tests {
 
     fn solve(m: &Model) -> Solution {
         RevisedSimplex::default().solve(m).unwrap()
+    }
+
+    /// Leaves `c_Bᵀ B⁻¹` of the current basis in `scratch_y`, as the dual
+    /// phase expects on entry.
+    fn price_basis(factor: &mut Factor, sf: &StandardForm) {
+        let mut y = std::mem::take(&mut factor.scratch_y);
+        factor.btran(&sf.c, &mut y);
+        factor.scratch_y = y;
     }
 
     #[test]
@@ -1343,17 +1557,19 @@ mod tests {
         // x ≤ 4 slack was basic) turns primal infeasible.
         sf.b[1] = 1.0;
         factor.refactor(&sf).unwrap();
+        price_basis(&mut factor, &sf);
         assert!(factor.xb.iter().any(|&v| v < -1e-9), "tightening must bite");
         let cap = solver.iteration_cap(&sf);
         match factor
-            .run_dual_phase(&sf, &sf.c, &sf.is_artificial, cap)
+            .run_dual_phase(&sf, &sf.c, &sf.is_artificial, cap, sf.b_scale())
             .unwrap()
         {
             DualEnd::PrimalFeasible => {}
             DualEnd::Infeasible => panic!("tightened LP is feasible"),
         }
         // Optimal after y ≤ 1: x=4, y=1 → 12 + 5 = 17.
-        let repaired = extract_optimal(&m, &sf, &mut factor, None);
+        price_basis(&mut factor, &sf);
+        let repaired = extract_optimal(&m, &sf, &factor, &factor.scratch_y);
         m.set_rhs(crate::ConstraintId::from_index(1), 2.0);
         m.check_feasible(&repaired.values, 1e-6).unwrap();
         assert!(
@@ -1378,10 +1594,11 @@ mod tests {
         let mut factor = factor.unwrap();
         sf.b[0] = 1.0;
         factor.refactor(&sf).unwrap();
+        price_basis(&mut factor, &sf);
         let cap = solver.iteration_cap(&sf);
         assert!(matches!(
             factor
-                .run_dual_phase(&sf, &sf.c, &sf.is_artificial, cap)
+                .run_dual_phase(&sf, &sf.c, &sf.is_artificial, cap, sf.b_scale())
                 .unwrap(),
             DualEnd::Infeasible
         ));
@@ -1702,6 +1919,146 @@ mod sparse_dense_props {
                 let replaced = g.refactor_repair(&patched).unwrap();
                 prop_assert!(replaced >= 1, "a duplicated column must be replaced");
                 check_kernels(&mut g, &patched, "dependent column")?;
+            }
+        }
+    }
+
+    /// A pricing vector over `m` rows from `(kind, value)` draws: exact
+    /// `+0.0`, `-0.0`, or the value.
+    fn pricing_vector(draws: &[(u8, f64)], m: usize) -> Vec<f64> {
+        (0..m)
+            .map(|r| match draws[r % draws.len()] {
+                (0, _) => 0.0,
+                (1, _) => -0.0,
+                (_, v) => v,
+            })
+            .collect()
+    }
+
+    /// Holds the row-wise pricing of a sparse factor against the
+    /// column-wise dots it replaced, for every column.
+    fn check_pricing(
+        f: &Factor,
+        sf: &StandardForm,
+        y: &[f64],
+        rho: &[f64],
+        at: &str,
+    ) -> Result<(), TestCaseError> {
+        prop_assert!(f.row_copy_matches(sf), "{at}: row copy out of sync");
+        let mut rw = f
+            .row_wise
+            .clone()
+            .expect("a sparse factor keeps a row copy");
+        let d = rw.reduced_costs(&sf.c, y).to_vec();
+        let alpha = rw.pivot_row(rho);
+        for j in 0..sf.n_cols {
+            let want_d = reduced_cost(sf, &sf.c, y, j);
+            let mut want_a = 0.0;
+            for &(i, a) in &sf.cols[j] {
+                want_a += rho[i] * a;
+            }
+            prop_assert!(
+                same_bits(d[j], want_d),
+                "{at}: d[{j}] {:e} vs column-wise {:e}",
+                d[j],
+                want_d
+            );
+            prop_assert!(
+                same_bits(alpha[j], want_a),
+                "{at}: alpha[{j}] {:e} vs column-wise {:e}",
+                alpha[j],
+                want_a
+            );
+        }
+        Ok(())
+    }
+
+    /// After an optimal solve the factor's BTRAN scratch holds the pricing
+    /// vector extraction reused; it must be a fresh BTRAN of the true costs
+    /// on the final factor, bit for bit. So must the BTRAN of costs moved
+    /// on non-basic columns only, which the dual phase's first iteration
+    /// reuses in its place.
+    fn check_reused_y(f: &Factor, sf: &StandardForm, at: &str) -> Result<(), TestCaseError> {
+        let mut g = f.clone();
+        let mut fresh = vec![0.0; sf.m];
+        g.btran(&sf.c, &mut fresh);
+        for (r, (&kept, &want)) in f.scratch_y.iter().zip(&fresh).enumerate() {
+            prop_assert!(
+                kept.to_bits() == want.to_bits(),
+                "{at}: reused y[{r}] {kept:e} vs fresh {want:e}"
+            );
+        }
+        let moved: Vec<f64> = (0..sf.n_cols)
+            .map(|j| {
+                if f.in_basis[j] {
+                    sf.c[j]
+                } else {
+                    sf.c[j] + 0.5 + j as f64
+                }
+            })
+            .collect();
+        let mut shifted = vec![0.0; sf.m];
+        g.btran(&moved, &mut shifted);
+        prop_assert!(
+            shifted
+                .iter()
+                .zip(&fresh)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "{at}: c_B alone must fix y"
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Pricing oracle: on a warm sparse context, the row-wise `d` and
+        /// `α_r` equal the column-wise reduced costs and dots bit for bit
+        /// (up to the sign of zero) for pricing vectors with exact `±0.0`
+        /// entries, after every coefficient patch of random bursts that zero
+        /// entries, re-set them and insert new ones; and every reused `y` is
+        /// a fresh BTRAN.
+        #[test]
+        fn row_wise_pricing_matches_the_column_dots(
+            model in random_block_lp(),
+            y_draws in proptest::collection::vec((0u8..4, -3.0f64..3.0), 1..40),
+            rho_draws in proptest::collection::vec((0u8..4, -3.0f64..3.0), 1..40),
+            bursts in proptest::collection::vec(
+                proptest::collection::vec((0usize..64, 0usize..64, 0u8..3, 0.2f64..3.0), 1..8),
+                1..4,
+            ),
+        ) {
+            let sparse = RevisedSimplex {
+                basis_repr: BasisRepr::SparseLu,
+                ..RevisedSimplex::default()
+            };
+            let (n_cons, n_vars) = (model.num_constraints(), model.num_vars());
+            let mut warm = crate::warm::WarmSimplex::new(model, sparse).unwrap();
+            let sol = warm.solve().unwrap();
+            let mut steps = 0;
+            for (b, burst) in bursts.iter().enumerate() {
+                let (sf, f) = warm.parts();
+                let f = f.expect("a solve leaves a factor");
+                if sol.status == Status::Optimal {
+                    check_reused_y(f, sf, &format!("before burst {b}"))?;
+                }
+                for &(ci, vi, kind, v) in burst {
+                    let con = crate::ConstraintId::from_index(ci % n_cons);
+                    let var = crate::VarId::from_index(vi % n_vars);
+                    // Zero an entry, or re-weight / re-set / insert one.
+                    let coef = if kind == 0 { 0.0 } else { v };
+                    warm.set_coefficient(con, var, coef).unwrap();
+                    steps += 1;
+                    let (sf, f) = warm.parts();
+                    let f = f.expect("patches keep the factor");
+                    let y = pricing_vector(&y_draws, sf.m);
+                    let rho = pricing_vector(&rho_draws, sf.m);
+                    check_pricing(f, sf, &y, &rho, &format!("patch {steps}"))?;
+                }
+                let sol = warm.solve().unwrap();
+                prop_assert_eq!(sol.status, Status::Optimal, "x = 0 stays feasible");
+                let (sf, f) = warm.parts();
+                check_reused_y(f.unwrap(), sf, &format!("after burst {b}"))?;
             }
         }
     }

@@ -345,6 +345,12 @@ impl StandardForm {
         basis.iter().map(|&j| self.cols[j].len()).sum()
     }
 
+    /// `1 + max|b|`, the scale of every feasibility tolerance. A solve does
+    /// not change `b`, so it folds this once and passes it down.
+    pub(crate) fn b_scale(&self) -> f64 {
+        1.0 + self.b.iter().fold(0.0f64, |a, &x| a.max(x.abs()))
+    }
+
     /// Phase-1 cost vector: minimise the sum of artificial variables.
     pub fn phase1_costs(&self) -> Vec<f64> {
         self.is_artificial

@@ -164,6 +164,13 @@ pub struct FactorStats {
     /// Non-zero entries of the BTRAN inputs that reached the `Ũᵀ`
     /// substitution (each costs one division and one scatter).
     pub btran_nz_rows: u64,
+    /// Row-wise pricing passes on the sparse LU (reduced costs `c − Aᵀy`
+    /// and dual pivot rows `ρᵀA`); 0 on the dense inverse.
+    pub pricing_passes: u64,
+    /// Matrix entries those passes scattered: the rows where `y` or `ρ` is
+    /// non-zero. Divided by `pricing_passes` and compared with nnz(A), it
+    /// reads the share of the matrix one pass touches.
+    pub pricing_nz: u64,
 }
 
 /// A failure queued by [`WarmSimplex::debug_inject_fault`]: deterministic
@@ -183,18 +190,20 @@ pub enum InjectedFault {
 
 /// Runs the shared warm repair loop (cost shift → dual phase → primal
 /// cleanup → extraction) from an already-factorised basis whose `x_B` is
-/// current.
+/// current. `b_scale` is `sf.b_scale()`.
 ///
 /// The common LPRR/B&B case — the inherited basis is still optimal, or a
 /// few dual pivots away — is served by a fast path: one BTRAN prices every
 /// column, and if the basis is both dual and primal feasible the solution
 /// is extracted directly (reusing that BTRAN for the duals), skipping both
-/// phases entirely.
+/// phases entirely. Otherwise the same BTRAN seeds the dual phase's first
+/// pricing.
 fn warm_finish(
     params: &RevisedSimplex,
     model: &Model,
     sf: &StandardForm,
     factor: &mut Factor,
+    b_scale: f64,
 ) -> Result<(Solution, u64, u64), LpError> {
     let cap = params.iteration_cap(sf);
 
@@ -204,22 +213,19 @@ fn warm_finish(
     let mut y = std::mem::take(&mut factor.scratch_y);
     factor.btran(&sf.c, &mut y);
     let mut shifted: Option<Vec<f64>> = None;
-    for j in 0..sf.n_cols {
-        if factor.in_basis[j] || sf.is_artificial[j] {
-            continue;
-        }
-        let d = factor.reduced_cost(sf, &sf.c, &y, j);
+    factor.price(sf, &sf.c, &y, &sf.is_artificial, |j, d| {
         if d < -COST_TOL {
             shifted.get_or_insert_with(|| sf.c.to_vec())[j] -= d;
         }
-    }
+        true
+    });
 
     // --- fast path: still optimal after the patches (a positive basic
     // artificial falls through to the dual phase, which evicts it) ---
-    let b_scale = 1.0 + sf.b.iter().fold(0.0f64, |a, &x| a.max(x.abs()));
     let primal_feasible = factor.xb.iter().all(|&x| x >= -crate::FEAS_TOL * b_scale);
-    let still_optimal = shifted.is_none() && primal_feasible && !factor.artificial_above_zero(sf);
-    let fast = still_optimal.then(|| extract_optimal(model, sf, factor, Some(&y)));
+    let still_optimal =
+        shifted.is_none() && primal_feasible && !factor.artificial_above_zero(sf, b_scale);
+    let fast = still_optimal.then(|| extract_optimal(model, sf, factor, &y));
     factor.scratch_y = y;
     if let Some(solution) = fast {
         return Ok((solution, 0, 0));
@@ -242,13 +248,15 @@ fn warm_finish(
             *c += eps * (1.0 + jitter as f64 / 1024.0);
         }
     }
+    // The shift and the jitter move non-basic costs only: `c_B`, hence the
+    // `y` priced above, is the dual phase's own first pricing vector.
     let before = factor.iterations;
-    let end = factor.run_dual_phase(sf, &costs, &sf.is_artificial, cap)?;
+    let end = factor.run_dual_phase(sf, &costs, &sf.is_artificial, cap, b_scale)?;
     let dual_pivots = (factor.iterations - before) as u64;
     if matches!(end, DualEnd::Infeasible) {
         return Ok((Solution::infeasible(factor.iterations), dual_pivots, 0));
     }
-    if factor.artificial_above_zero(sf) {
+    if factor.artificial_above_zero(sf, b_scale) {
         // An artificial basic at a nonzero level (the dual phase drives
         // those out; a leftover means it could not) violates an original
         // row; the primal phase would "evict" it with a large non-zero step
@@ -269,7 +277,7 @@ fn warm_finish(
             primal_pivots,
         ));
     }
-    if factor.artificial_above_zero(sf) {
+    if factor.artificial_above_zero(sf, b_scale) {
         // An artificial stuck at a nonzero level means an original row is
         // violated; the inherited basis cannot represent a real solution.
         return Err(LpError::NumericalBreakdown(
@@ -277,7 +285,7 @@ fn warm_finish(
         ));
     }
     Ok((
-        extract_optimal(model, sf, factor, None),
+        extract_optimal(model, sf, factor, &factor.scratch_y),
         dual_pivots,
         primal_pivots,
     ))
@@ -315,7 +323,8 @@ impl RevisedSimplex {
         let warm_result =
             Factor::from_basis(&sf, &warm.cols, self.refactor_every, self.sparse_for(sf.m))
                 .and_then(|mut factor| {
-                    warm_finish(self, model, &sf, &mut factor).map(|(sol, _, _)| (sol, factor))
+                    warm_finish(self, model, &sf, &mut factor, sf.b_scale())
+                        .map(|(sol, _, _)| (sol, factor))
                 });
         match warm_result {
             Ok((solution, factor)) => Ok((solution, Some(Basis::of(&factor, &sf)))),
@@ -418,6 +427,7 @@ impl WarmSimplex {
             let factor_nnz = f.factor_nnz();
             let basis_nnz = f.basis_nnz(&self.sf).max(1);
             let counts = f.solve_counts();
+            let (pricing_passes, pricing_nz) = f.pricing_counts();
             FactorStats {
                 factor_nnz,
                 basis_nnz,
@@ -427,6 +437,8 @@ impl WarmSimplex {
                 ftran_u_rows: counts.ftran_u_rows,
                 btrans: counts.btrans,
                 btran_nz_rows: counts.btran_nz_rows,
+                pricing_passes,
+                pricing_nz,
             }
         })
     }
@@ -616,16 +628,21 @@ impl WarmSimplex {
         let row = self.con_rows[con.index()];
         let (scale, sign) = self.sf.row_scale_sign(row);
         let scaled_new = coef * scale * sign;
+        // Entries stay in ascending row order: it is the summation order of
+        // every reduced cost.
         let col = &mut self.sf.cols[j];
-        let entry = col.iter().position(|&(r, _)| r == row);
+        let entry = col.binary_search_by_key(&row, |&(r, _)| r);
         let scaled_old = entry.map_or(0.0, |idx| col[idx].1);
         match (entry, scaled_new == 0.0) {
-            (Some(idx), true) => {
+            (Ok(idx), true) => {
                 col.remove(idx);
             }
-            (Some(idx), false) => col[idx].1 = scaled_new,
-            (None, false) => col.push((row, scaled_new)),
-            (None, true) => {}
+            (Ok(idx), false) => col[idx].1 = scaled_new,
+            (Err(idx), false) => col.insert(idx, (row, scaled_new)),
+            (Err(_), true) => {}
+        }
+        if let Some(factor) = &mut self.factor {
+            factor.patch_coefficient(&self.sf, row, j, scaled_new);
         }
         let delta_scaled = scaled_new - scaled_old;
         // The lower-bound shift folded −a·lo into the rhs; keep it current.
@@ -709,6 +726,7 @@ impl WarmSimplex {
     /// expensive cold fallback is reserved for genuine breakdowns.
     fn try_warm(&mut self) -> Option<Result<Solution, LpError>> {
         let mut factor = self.factor.take()?;
+        let b_scale = self.sf.b_scale();
         if matches!(self.injected.first(), Some(InjectedFault::WarmAttempt(_))) {
             let InjectedFault::WarmAttempt(e) = self.injected.remove(0) else {
                 unreachable!()
@@ -725,7 +743,6 @@ impl WarmSimplex {
             // patched columns. Compounding rank-1 updates eventually poison
             // B⁻¹; refactorising the moment the residual leaves the noise
             // floor is far cheaper than letting a solve run on bad numbers.
-            let b_scale = 1.0 + self.sf.b.iter().fold(0.0f64, |a, &x| a.max(x.abs()));
             if factor.xb_residual_inf(&self.sf) > 1e-6 * b_scale {
                 self.needs_refactor = true;
             }
@@ -737,12 +754,12 @@ impl WarmSimplex {
             }
             self.needs_refactor = false;
         }
-        let mut outcome = warm_finish(&self.params, &self.model, &self.sf, &mut factor);
+        let mut outcome = warm_finish(&self.params, &self.model, &self.sf, &mut factor, b_scale);
         if matches!(outcome, Err(LpError::SingularBasis)) {
             self.stats.refactorisations += 1;
-            outcome = factor
-                .refactor_repair(&self.sf)
-                .and_then(|_| warm_finish(&self.params, &self.model, &self.sf, &mut factor));
+            outcome = factor.refactor_repair(&self.sf).and_then(|_| {
+                warm_finish(&self.params, &self.model, &self.sf, &mut factor, b_scale)
+            });
         }
         match outcome {
             Ok((solution, dual, primal)) => {
@@ -768,6 +785,13 @@ impl WarmSimplex {
         self.factor = factor;
         self.stats.cold_solves += 1;
         Ok(solution)
+    }
+
+    /// The standard form and the factor of the last solve, for the kernel
+    /// oracles.
+    #[cfg(test)]
+    pub(crate) fn parts(&self) -> (&StandardForm, Option<&Factor>) {
+        (&self.sf, self.factor.as_ref())
     }
 }
 
@@ -1014,6 +1038,33 @@ mod tests {
             let flushes = u64::from(basis_repr == BasisRepr::SparseLu);
             assert_eq!(stats.xb_flushes, flushes, "{basis_repr:?}: {stats:?}");
         }
+    }
+
+    #[test]
+    fn inserted_coefficient_keeps_rows_ascending_and_the_row_copy_fresh() {
+        use crate::BasisRepr;
+        // Column x holds rows 0 (c0), 2 (c2) and 3 (its bound row); c1 is
+        // row 1, so the new entry lands in the middle of the column.
+        let (m, x, _, _, c1, _) = textbook();
+        let sparse = RevisedSimplex {
+            basis_repr: BasisRepr::SparseLu,
+            ..RevisedSimplex::default()
+        };
+        let mut warm = WarmSimplex::new(m, sparse).unwrap();
+        warm.check_against_cold = true;
+        warm.solve().unwrap();
+        warm.set_coefficient(c1, x, 0.5).unwrap();
+        let (sf, factor) = warm.parts();
+        let rows: Vec<usize> = sf.cols[x.index()].iter().map(|&(r, _)| r).collect();
+        assert_eq!(rows, [0, 1, 2, 3]);
+        assert!(factor.unwrap().row_copy_matches(sf));
+        assert_matches_cold(&mut warm);
+        // Removing it again leaves an explicit zero behind, not a rebuild.
+        warm.set_coefficient(c1, x, 0.0).unwrap();
+        let (sf, factor) = warm.parts();
+        assert_eq!(sf.cols[x.index()].len(), 3);
+        assert!(factor.unwrap().row_copy_matches(sf));
+        assert_matches_cold(&mut warm);
     }
 
     #[test]

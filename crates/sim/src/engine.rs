@@ -314,7 +314,6 @@ impl<'a> Simulator<'a> {
         // Every boundary stages the same transfers: the one caller whose
         // batches repeat.
         core.arm_batch_memo();
-        let mut due = Vec::new();
 
         let mut t = 0.0f64;
         let mut next_period = 0usize;
@@ -342,8 +341,7 @@ impl<'a> Simulator<'a> {
             state.snapshot_warmup_if_due(t, warmup_t);
 
             // --- flow completions due now ---
-            core.pop_due(t, &mut due);
-            for (_, f) in due.drain(..) {
+            core.pop_due(t, |_, f| {
                 let (transfer, spawn_period) = f.payload;
                 let tr = &compiled.transfers[transfer as usize];
                 // Deliver the full chunk (any leftover is size-relative dust).
@@ -353,7 +351,7 @@ impl<'a> Simulator<'a> {
                 for &l in compiled.route(tr) {
                     state.conn_now[l as usize] -= tr.connections as i64;
                 }
-            }
+            });
 
             // --- period boundary ---
             if next_period <= config.periods && close(t, boundary, 1e-9) {

@@ -451,10 +451,10 @@ impl<P> FlowCore<P> {
         }
     }
 
-    /// Removes every flow that completes at `t` into `out` as
-    /// `(slot, flow)`. The rates of the survivors change at the next
-    /// [`FlowCore::commit`].
-    pub(crate) fn pop_due(&mut self, t: f64, out: &mut Vec<(u32, Flow<P>)>) {
+    /// Removes every flow that completes at `t` and hands it to `sink` as
+    /// `(slot, flow)`, so a caller keeps no buffer between calls. The rates
+    /// of the survivors change at the next [`FlowCore::commit`].
+    pub(crate) fn pop_due(&mut self, t: f64, mut sink: impl FnMut(u32, Flow<P>)) {
         match &mut self.solver {
             Solver::Incremental(inc) => {
                 while let Some(e) = inc.due.peek(&self.flows) {
@@ -470,7 +470,7 @@ impl<P> FlowCore<P> {
                     f.ship_to(t, &mut self.carried);
                     inc.removals
                         .push(f.alloc_id.expect("incremental flows carry an id"));
-                    out.push((e.slot, f));
+                    sink(e.slot, f);
                 }
             }
             Solver::Full { free, rates_stale } => {
@@ -484,7 +484,7 @@ impl<P> FlowCore<P> {
                         self.n_live -= 1;
                         free.push(s as u32);
                         *rates_stale = true;
-                        out.push((s as u32, f));
+                        sink(s as u32, f);
                     }
                 }
             }

@@ -452,49 +452,46 @@ impl LiveSim {
         self.core.debug_corrupt_heap(self.t, false);
     }
 
-    /// Delivers every flow due now, then re-allocates the survivors.
+    /// Delivers every flow due now, then re-allocates the survivors. Each
+    /// completion is handled as the core pops it, so no batch is buffered.
     fn complete_due(&mut self) {
-        let mut due = Vec::new();
-        self.core.pop_due(self.t, &mut due);
-        for (slot, f) in due {
+        let t = self.t;
+        self.core.pop_due(t, |slot, f| {
             self.processed += 1;
             let gen = &mut self.gen[slot as usize];
             self.events.push(LiveEvent::FlowDone {
-                time: self.t,
+                time: t,
                 id: LiveFlowId { slot, gen: *gen },
             });
             *gen = gen.wrapping_add(1);
-            self.deliver(f.spec.dst, &f.payload);
-        }
-        self.core.commit(self.t);
-    }
-
-    fn deliver(&mut self, dst: ClusterId, parts: &[ChunkPart]) {
-        for p in parts {
-            if p.amount <= 0.0 {
-                continue;
-            }
-            self.events.push(LiveEvent::Delivered {
-                time: self.t,
-                dst,
-                job: p.job,
-                amount: p.amount,
-            });
-            if self.cfg.record_events {
-                self.event_log.push(EventRecord {
-                    kind: EventKind::Delivered,
-                    time: self.t,
-                    cluster: dst.0,
+            let dst = f.spec.dst;
+            for p in &f.payload {
+                if p.amount <= 0.0 {
+                    continue;
+                }
+                self.events.push(LiveEvent::Delivered {
+                    time: t,
+                    dst,
                     job: p.job,
                     amount: p.amount,
                 });
+                if self.cfg.record_events {
+                    self.event_log.push(EventRecord {
+                        kind: EventKind::Delivered,
+                        time: t,
+                        cluster: dst.0,
+                        job: p.job,
+                        amount: p.amount,
+                    });
+                }
+                self.queues[dst.index()].push_back(QueueEntry {
+                    job: p.job,
+                    remaining: p.amount,
+                    original: p.amount,
+                });
             }
-            self.queues[dst.index()].push_back(QueueEntry {
-                job: p.job,
-                remaining: p.amount,
-                original: p.amount,
-            });
-        }
+        });
+        self.core.commit(t);
     }
 
     /// Earliest completion of any queue's *head* entry.

@@ -1,45 +1,67 @@
-//! `Simulator::run` allocates nothing per period.
+//! The simulators allocate nothing per period.
 //!
 //! A periodic schedule repeats the same transfers every period, so once the
 //! first periods have sized the event heap, the flow slots, the compute
 //! queues and the allocator's batch memo, a further period reuses them.
-//! This binary installs a counting global allocator and runs one K = 20
-//! Greedy schedule for two horizons: the heap calls made by `run` must not
+//! This binary installs a counting global allocator and runs each simulator
+//! for two horizons: the heap calls made inside the simulator must not
 //! grow with the period count.
+//!
+//! - `Simulator::run` of one K = 20 Greedy schedule.
+//! - `LiveSim::advance_to`, driven period by period through a K = 5 Greedy
+//!   schedule with `record_events` off. The driver's own `add_flows` /
+//!   `enqueue_compute` calls allocate (one payload per flow) and are not
+//!   counted.
 //!
 //! Measured on x86-64 Linux (heap calls = `alloc` + `alloc_zeroed` +
 //! `realloc`, debug and release alike):
 //!
 //! ```text
-//!   periods   heap calls
-//!        50          148
-//!       400          148
+//!                                      50 periods   400 periods
+//!   Simulator::run (K = 20)                   147           147
+//!   LiveSim::advance_to (K = 5), before       257          2007
+//!   LiveSim::advance_to (K = 5), after          7             7
 //! ```
 //!
-//! One `#[test]` only: the counter is process-wide, so a second test
-//! running on another thread would pollute it.
+//! "Before" collected each completion batch into a fresh `Vec`; the flow
+//! core now hands each completion to a closure instead (which also dropped
+//! `Simulator::run`'s own batch buffer, 148 → 147).
+//!
+//! The counter is per thread, so the tests can run side by side.
 
 use dls::prelude::*;
 use dls::scenario::catalog::paper_shape_instance;
+use dls::sim::{ChunkPart, LiveFlowSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
-/// [`System`], counting every call that allocates or grows a block.
+/// [`System`], counting every call that allocates or grows a block on the
+/// calling thread.
 struct Counting;
 
-static CALLS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static CALLS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count() {
+    CALLS.with(|c| c.set(c.get() + 1));
+}
+
+fn calls() -> usize {
+    CALLS.with(Cell::get)
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter only observes calls.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller's guarantees for `layout` are passed on as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -51,7 +73,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: as for `dealloc`, and the caller guarantees `new_size`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -66,9 +88,9 @@ fn heap_calls(sim: &Simulator, schedule: &PeriodicSchedule, periods: usize) -> u
         periods,
         ..SimConfig::default()
     };
-    let before = CALLS.load(Ordering::Relaxed);
+    let before = calls();
     let report = sim.run(schedule, &cfg);
-    let calls = CALLS.load(Ordering::Relaxed) - before;
+    let calls = calls() - before;
     assert!(report.efficiency > 0.0, "{}", report.summary());
     drop(report);
     calls
@@ -94,5 +116,71 @@ fn simulator_run_allocates_nothing_per_period() {
     assert!(
         long <= short,
         "400 periods made {long} heap calls, 50 periods {short}: `run` allocates per period"
+    );
+}
+
+/// Heap calls made inside `advance_to` over `periods` periods of a
+/// `LiveSim` that replays `schedule`: every period stages its transfers as
+/// flows and its local work as compute, then advances to the boundary.
+fn live_heap_calls(inst: &ProblemInstance, schedule: &PeriodicSchedule, periods: usize) -> usize {
+    let p = &inst.platform;
+    let local_bw: Vec<f64> = p.clusters.iter().map(|c| c.local_bw).collect();
+    let speeds: Vec<f64> = p.clusters.iter().map(|c| c.speed).collect();
+    let mut sim = LiveSim::new(&local_bw, &speeds, LiveConfig::default());
+    let tp = schedule.period as f64;
+    let mut inside = 0;
+    for period in 0..periods {
+        let specs = schedule
+            .transfers
+            .iter()
+            .map(|tr| {
+                let bw = p
+                    .route_bottleneck_bw(tr.from, tr.to)
+                    .unwrap_or(f64::INFINITY);
+                let amount = tr.amount as f64;
+                LiveFlowSpec {
+                    src: tr.from,
+                    dst: tr.to,
+                    cap: f64::from(tr.connections) * bw,
+                    demand: amount / tp,
+                    parts: vec![ChunkPart {
+                        job: period as u32,
+                        amount,
+                    }],
+                }
+            })
+            .collect();
+        sim.add_flows(specs);
+        // Remote work arrives by flow; only local work is queued directly.
+        for task in schedule.compute_tasks.iter().filter(|t| t.app == t.cluster) {
+            sim.enqueue_compute(task.cluster, period as u32, task.amount as f64);
+        }
+        let before = calls();
+        sim.advance_to((period + 1) as f64 * tp);
+        inside += calls() - before;
+    }
+    assert!(sim.events_processed() > 0, "the replay moves load");
+    inside
+}
+
+#[test]
+fn live_sim_advance_to_allocates_nothing_per_completion_batch() {
+    let inst = paper_shape_instance(5, 42);
+    let alloc = Greedy::default()
+        .solve(&inst)
+        .expect("Greedy always solves");
+    let schedule = ScheduleBuilder::default()
+        .build(&inst, &alloc)
+        .expect("valid allocations reconstruct");
+    assert!(!schedule.transfers.is_empty(), "the schedule ships work");
+    live_heap_calls(&inst, &schedule, 2);
+
+    let short = live_heap_calls(&inst, &schedule, 50);
+    let long = live_heap_calls(&inst, &schedule, 400);
+    println!("advance_to heap calls: 50 periods {short}, 400 periods {long}");
+    assert!(
+        long <= short,
+        "400 periods made {long} heap calls in advance_to, 50 periods {short}: \
+         `advance_to` allocates per completion batch"
     );
 }
