@@ -5,11 +5,12 @@
 //! lives. This crate is that long-lived layer over the in-process
 //! engine: a TCP daemon speaking newline-delimited JSON frames
 //! ([`proto`]), sharding tenant sessions across a fixed worker pool
-//! ([`server`]), each tenant driving a [`dls_scenario::ScenarioSession`]
-//! with its own reschedule policy. Sessions persist through
-//! [`dls_scenario::ScenarioSnapshot`]-based checkpoints: kill the daemon
-//! and restart it on the same checkpoint directory and every tenant's
-//! remaining timeline replays bit-identically.
+//! ([`server`], the sockets and threads), whose tenant logic is one
+//! socket-free [`Core`] per worker ([`tenant`]), each tenant driving a
+//! [`dls_scenario::ScenarioSession`] with its own reschedule policy.
+//! Sessions persist through [`dls_scenario::ScenarioSnapshot`]-based
+//! checkpoints: kill the daemon and restart it on the same checkpoint
+//! directory and every tenant's remaining timeline replays bit-identically.
 //!
 //! No external dependencies: std networking plus the workspace's
 //! vendored serde/serde_json.
@@ -24,5 +25,5 @@ pub use proto::{
     frame, Op, Push, PushFrame, Request, RespBody, Response, ServerFrame, TenantSpec,
     PROTOCOL_VERSION,
 };
-pub use server::{install_signal_handlers, Server, ServiceConfig};
-pub use tenant::{CheckpointFile, Tenant, CHECKPOINT_VERSION};
+pub use server::{install_signal_handlers, pin, Server, ServiceConfig, MAX_FRAME};
+pub use tenant::{CheckpointFile, ConnHandle, Core, Tenant, CHECKPOINT_VERSION};

@@ -1,10 +1,16 @@
-//! Per-tenant state: a [`ScenarioSession`] plus its policy, subscribers,
-//! and checkpoint bookkeeping. A tenant lives on exactly one worker
-//! thread for its whole life (pinned by name hash), so nothing in here
-//! needs interior synchronisation — the `Send` bound is all the daemon
-//! asks for.
+//! The daemon's tenant logic, with no sockets and no threads.
+//!
+//! A [`Tenant`] is a [`ScenarioSession`] plus its policy, subscribers and
+//! checkpoint bookkeeping. A [`Core`] owns one worker's tenants and
+//! executes every tenant-scoped op against them: name and duplicate
+//! checks, the unknown-tenant answer, the op itself and the periodic
+//! checkpoint. A tenant lives in exactly one core for its whole life
+//! (the shell in [`crate::server`] routes by [`crate::server::pin`]), so
+//! nothing in here needs interior synchronisation — the `Send` bound is
+//! all the daemon asks for. Subscribers are plain writers, so tests drive
+//! cores in process with in-memory sinks.
 
-use crate::proto::{frame, Push, PushFrame, TenantSpec};
+use crate::proto::{frame, Op, Push, PushFrame, Request, RespBody, Response, TenantSpec};
 use dls_scenario::catalog::paper_shape_instance;
 use dls_scenario::{
     JobSpec, PlatformEvent, PolicyKind, ReschedulePolicy, Scenario, ScenarioConfig, ScenarioReport,
@@ -12,14 +18,14 @@ use dls_scenario::{
 };
 use dls_sim::SimEngine;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::io::Write;
-use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-/// Shared write-half of a client connection: responses and push frames
-/// from any worker serialise through the mutex.
-pub type ConnHandle = Arc<Mutex<TcpStream>>;
+/// Where a connection's frames go (the daemon's is a socket's write half):
+/// responses and push frames from any worker serialise through the mutex.
+pub type ConnHandle = Arc<Mutex<dyn Write + Send>>;
 
 /// Wire version of the tenant checkpoint file.
 pub const CHECKPOINT_VERSION: u32 = 1;
@@ -213,7 +219,7 @@ impl Tenant {
     }
 
     /// Streams the report delta plus any new fault/recovery records to
-    /// every subscriber; dead connections are dropped.
+    /// every subscriber; a subscriber whose write fails is dropped.
     fn publish(&mut self) {
         if self.subscribers.is_empty() {
             return;
@@ -254,12 +260,10 @@ impl Tenant {
             },
         }));
         self.subscribers.retain(|conn| {
-            let Ok(mut stream) = conn.lock() else {
+            let Ok(mut sink) = conn.lock() else {
                 return false;
             };
-            frames
-                .iter()
-                .all(|f| stream.write_all(f.as_bytes()).is_ok())
+            frames.iter().all(|f| sink.write_all(f.as_bytes()).is_ok())
         });
     }
 
@@ -285,6 +289,136 @@ impl Tenant {
         std::fs::rename(&tmp, &path).map_err(|e| e.to_string())?;
         self.epochs_since_checkpoint = 0;
         Ok(path)
+    }
+}
+
+/// One worker's tenants, and everything the daemon does with a
+/// tenant-scoped op. Performs no socket I/O of its own: the only bytes it
+/// writes are push frames, into the subscribers' [`ConnHandle`]s, before
+/// [`Core::apply`] returns the response.
+pub struct Core {
+    tenants: HashMap<String, Tenant>,
+    checkpoint_dir: Option<PathBuf>,
+    checkpoint_every: usize,
+}
+
+impl Core {
+    /// An empty core. With `checkpoint_dir` set, `Checkpoint` ops write
+    /// there and, when `checkpoint_every > 0`, so does every `Advance` /
+    /// `Run` that brings a tenant to that many epochs since its last one.
+    pub fn new(checkpoint_dir: Option<PathBuf>, checkpoint_every: usize) -> Core {
+        Core {
+            tenants: HashMap::new(),
+            checkpoint_dir,
+            checkpoint_every,
+        }
+    }
+
+    /// Takes ownership of a tenant restored from a checkpoint.
+    pub fn adopt(&mut self, tenant: Tenant) {
+        self.tenants.insert(tenant.name.clone(), tenant);
+    }
+
+    /// The names of the tenants this core owns, in no particular order.
+    pub fn names(&self) -> Vec<String> {
+        self.tenants.keys().cloned().collect()
+    }
+
+    /// Executes one request for the connection `conn` (a `Subscribe`
+    /// registers it for push frames) and returns the response to send.
+    pub fn apply(&mut self, conn: &ConnHandle, req: Request) -> Response {
+        match self.execute(conn, req.op) {
+            Ok(body) => Response::ok(req.id, body),
+            Err(e) => Response::err(req.id, e),
+        }
+    }
+
+    fn execute(&mut self, conn: &ConnHandle, op: Op) -> Result<RespBody, String> {
+        if let Op::CreateTenant { tenant, spec } = op {
+            if !valid_tenant_name(&tenant) {
+                return Err(format!(
+                    "invalid tenant name `{tenant}` (want [A-Za-z0-9_-], 1..=64 chars)"
+                ));
+            }
+            if self.tenants.contains_key(&tenant) {
+                return Err(format!("tenant `{tenant}` already exists"));
+            }
+            let t = Tenant::new(&tenant, spec)?;
+            self.tenants.insert(tenant.clone(), t);
+            return Ok(RespBody::Created { tenant });
+        }
+        let tenant = op.tenant().ok_or("op is not tenant-scoped")?.to_string();
+        let t = self
+            .tenants
+            .get_mut(&tenant)
+            .ok_or_else(|| format!("unknown tenant `{tenant}`"))?;
+        Ok(match op {
+            Op::Submit { jobs, .. } => RespBody::Accepted {
+                admitted: t.submit(&jobs)?,
+                tenant,
+            },
+            Op::Fault { event, .. } => {
+                t.fault(event)?;
+                RespBody::Accepted {
+                    tenant,
+                    admitted: 1,
+                }
+            }
+            Op::Advance { .. } | Op::Run { .. } => {
+                let (epoch, done) = match op {
+                    Op::Advance { epochs, .. } => t.advance(epochs)?,
+                    _ => t.run_to_end()?,
+                };
+                if let Some(dir) = &self.checkpoint_dir {
+                    let every = self.checkpoint_every;
+                    if every > 0 && t.epochs_since_checkpoint >= every {
+                        if let Err(e) = t.checkpoint(dir) {
+                            eprintln!("dls-service: periodic checkpoint of `{tenant}` failed: {e}");
+                        }
+                    }
+                }
+                RespBody::Advanced {
+                    tenant,
+                    epoch,
+                    done,
+                }
+            }
+            Op::Query { .. } => RespBody::Report {
+                report: Box::new(t.query()),
+                tenant,
+            },
+            Op::Subscribe { .. } => {
+                t.subscribe(conn.clone());
+                RespBody::Subscribed { tenant }
+            }
+            Op::Checkpoint { .. } => {
+                let dir = self
+                    .checkpoint_dir
+                    .as_deref()
+                    .ok_or("no checkpoint directory configured")?;
+                let path = t.checkpoint(dir)?.display().to_string();
+                RespBody::Checkpointed { tenant, path }
+            }
+            Op::CreateTenant { .. } | Op::Hello | Op::ListTenants | Op::Shutdown => {
+                unreachable!("handled above")
+            }
+        })
+    }
+
+    /// Checkpoints every tenant (the daemon's drain); a failure is noted
+    /// on stderr and does not stop the others.
+    pub fn drain(&mut self) {
+        let Some(dir) = &self.checkpoint_dir else {
+            return;
+        };
+        for t in self.tenants.values_mut() {
+            if let Err(e) = t.checkpoint(dir) {
+                eprintln!(
+                    "dls-service: shutdown checkpoint of `{}` failed: {e}",
+                    t.name
+                );
+            }
+        }
     }
 }
 

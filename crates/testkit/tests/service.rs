@@ -152,7 +152,7 @@ fn daemon_rejects_cross_tenant_and_malformed_ops() {
         })
         .expect("request completes");
     assert!(!resp.ok);
-    assert!(resp.error.unwrap().contains("ghost"));
+    assert_eq!(resp.error.as_deref(), Some("unknown tenant `ghost`"));
 
     // Invalid tenant name.
     let resp = c
@@ -162,6 +162,10 @@ fn daemon_rejects_cross_tenant_and_malformed_ops() {
         })
         .expect("request completes");
     assert!(!resp.ok);
+    assert_eq!(
+        resp.error.as_deref(),
+        Some("invalid tenant name `../etc/passwd` (want [A-Za-z0-9_-], 1..=64 chars)")
+    );
 
     // Duplicate create.
     c.expect_ok(Op::CreateTenant {
@@ -176,7 +180,7 @@ fn daemon_rejects_cross_tenant_and_malformed_ops() {
         })
         .expect("request completes");
     assert!(!resp.ok);
-    assert!(resp.error.unwrap().contains("exists"));
+    assert_eq!(resp.error.as_deref(), Some("tenant `solo` already exists"));
 
     // Inadmissible submission: arrival in already-executed past.
     c.expect_ok(Op::Submit {
@@ -433,4 +437,460 @@ fn hostile_frames_are_refused_and_the_connection_lives() {
     }
 
     harness.stop().expect("daemon drains cleanly");
+}
+
+/// A line of `MAX_FRAME + 1` bytes with no newline, straight onto the
+/// socket: one refusal, then the daemon closes the connection (the line
+/// used to grow without bound), and a new connection is served.
+#[test]
+fn an_over_long_frame_is_refused_and_its_connection_closed() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let harness = ServiceHarness::start(1);
+    let mut stream = std::net::TcpStream::connect(harness.addr()).expect("raw socket connects");
+    let mut replies = BufReader::new(stream.try_clone().expect("clone"));
+    let long = vec![b'x'; dls_service::MAX_FRAME as usize + 1];
+    stream.write_all(&long).expect("the long line is sent");
+    let mut line = String::new();
+    replies.read_line(&mut line).expect("a reply arrives");
+    let resp: dls_service::Response = serde_json::from_str(&line).expect("a response frame");
+    assert!(!resp.ok && resp.id == 0 && resp.body.is_none());
+    let error = resp.error.expect("a refusal says why");
+    assert!(error.starts_with("unparseable frame: "), "{error}");
+    line.clear();
+    let eof = replies.read_line(&mut line).expect("a clean close");
+    assert_eq!((eof, line.as_str()), (0, ""), "the connection is closed");
+
+    let mut c = harness.client();
+    assert!(matches!(
+        c.expect_ok(Op::Hello).expect("a new connection is served"),
+        RespBody::Hello { .. }
+    ));
+    harness.stop().expect("daemon drains cleanly");
+}
+
+/// A subscriber whose write fails is dropped at that `publish`: later
+/// advances never write to it again, and a healthy subscriber of the same
+/// tenant still gets a `Delta` for every one of them.
+#[test]
+fn a_subscriber_whose_write_fails_is_dropped() {
+    use dls_service::{ConnHandle, Core, Push, PushFrame, Request};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Arc, Mutex};
+
+    struct Broken(Arc<AtomicUsize>);
+    impl std::io::Write for Broken {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    let writes = Arc::new(AtomicUsize::new(0));
+    let broken: ConnHandle = Arc::new(Mutex::new(Broken(writes.clone())));
+    let healthy = Arc::new(Mutex::new(Vec::<u8>::new()));
+    let driver: ConnHandle = healthy.clone();
+
+    let mut core = Core::new(None, 0);
+    let mut apply = |conn: &ConnHandle, op: Op| {
+        let resp = core.apply(conn, Request { id: 1, op });
+        assert!(resp.ok, "{:?}", resp.error);
+    };
+    let tenant = || "watched".to_string();
+    apply(
+        &driver,
+        Op::CreateTenant {
+            tenant: tenant(),
+            spec: TenantSpec::default(),
+        },
+    );
+    apply(&broken, Op::Subscribe { tenant: tenant() });
+    apply(&driver, Op::Subscribe { tenant: tenant() });
+    apply(
+        &driver,
+        Op::Submit {
+            tenant: tenant(),
+            jobs: (0..10)
+                .map(|j| JobSpec {
+                    arrival: 10.0 * j as f64 + 1.0,
+                    origin: j % 5,
+                    size: 80.0,
+                    weight: 1.0,
+                })
+                .collect(),
+        },
+    );
+    for _ in 0..5 {
+        apply(
+            &driver,
+            Op::Advance {
+                tenant: tenant(),
+                epochs: 1,
+            },
+        );
+    }
+
+    assert_eq!(
+        writes.load(Ordering::SeqCst),
+        1,
+        "one failed write, then dropped"
+    );
+    let bytes = healthy.lock().unwrap().clone();
+    let epochs: Vec<usize> = String::from_utf8(bytes)
+        .unwrap()
+        .lines()
+        .map(
+            |line| match serde_json::from_str::<PushFrame>(line).unwrap().push {
+                Push::Delta { epoch, .. } => epoch,
+                other => panic!("expected a delta, got {other:?}"),
+            },
+        )
+        .collect();
+    assert_eq!(epochs, [1, 2, 3, 4, 5]);
+}
+
+/// A scripted request and the reply it must get: `Ok` or the exact error.
+type Step = (Op, Result<(), String>);
+
+/// One in-process connection: the sink its frames go to, and its script.
+struct VirtualConn {
+    sink: std::sync::Arc<std::sync::Mutex<Vec<u8>>>,
+    conn: dls_service::ConnHandle,
+    script: std::collections::VecDeque<Step>,
+}
+
+/// What a connection's script does to its own tenant `t{i}`, for the
+/// single-tenant reference run.
+struct Timeline {
+    spec: TenantSpec,
+    jobs: Vec<JobSpec>,
+    events: Vec<PlatformEvent>,
+}
+
+/// Connection `i`'s script: create `t{i}` → (submit, advance) × k →
+/// maybe a fault → run → query, with a duplicate create, an invalid name,
+/// an op on an unknown tenant and maybe one subscription (to any tenant,
+/// its own included) at random places.
+fn virtual_script(
+    rng: &mut rand_chacha::ChaCha8Rng,
+    i: usize,
+    conns: usize,
+) -> (Vec<Step>, Timeline) {
+    use rand::Rng;
+    let name = format!("t{i}");
+    let clusters = rng.gen_range(3usize..6);
+    let spec = TenantSpec {
+        clusters,
+        seed: rng.gen_range(0u64..1000),
+        policy: if rng.gen_bool(0.5) {
+            "periodic".into()
+        } else {
+            "periodic-cold".into()
+        },
+        period: 10.0,
+        engine: if rng.gen_bool(0.5) {
+            "full".into()
+        } else {
+            "incremental".into()
+        },
+        record_events: rng.gen_bool(0.5),
+    };
+    let mut tl = Timeline {
+        spec: spec.clone(),
+        jobs: Vec::new(),
+        events: Vec::new(),
+    };
+    let mut script = vec![(
+        Op::CreateTenant {
+            tenant: name.clone(),
+            spec,
+        },
+        Ok(()),
+    )];
+    // Every arrival lands strictly after the boundaries already scanned.
+    let mut epochs = 0usize;
+    for _ in 0..rng.gen_range(1usize..4) {
+        let jobs: Vec<JobSpec> = (0..rng.gen_range(1usize..4))
+            .map(|_| JobSpec {
+                arrival: 10.0 * epochs as f64 + rng.gen_range(1.0..9.0),
+                origin: rng.gen_range(0..clusters as u32),
+                size: rng.gen_range(40.0..160.0),
+                weight: 1.0,
+            })
+            .collect();
+        tl.jobs.extend(jobs.iter().cloned());
+        script.push((
+            Op::Submit {
+                tenant: name.clone(),
+                jobs,
+            },
+            Ok(()),
+        ));
+        let advance = rng.gen_range(1usize..3);
+        epochs += advance;
+        script.push((
+            Op::Advance {
+                tenant: name.clone(),
+                epochs: advance,
+            },
+            Ok(()),
+        ));
+    }
+    if rng.gen_bool(0.5) {
+        let event = PlatformEvent {
+            time: 10.0 * epochs as f64 + rng.gen_range(1.0..9.0),
+            change: PlatformChange::SetSpeed {
+                cluster: rng.gen_range(0..clusters as u32),
+                speed: rng.gen_range(30.0..60.0),
+            },
+        };
+        tl.events.push(event.clone());
+        script.push((
+            Op::Fault {
+                tenant: name.clone(),
+                event,
+            },
+            Ok(()),
+        ));
+    }
+    script.push((
+        Op::Run {
+            tenant: name.clone(),
+        },
+        Ok(()),
+    ));
+    script.push((
+        Op::Query {
+            tenant: name.clone(),
+        },
+        Ok(()),
+    ));
+
+    let mut insert = |rng: &mut rand_chacha::ChaCha8Rng, op: Op, reply: Result<(), String>| {
+        let at = rng.gen_range(1..script.len() + 1);
+        script.insert(at, (op, reply));
+    };
+    insert(
+        rng,
+        Op::CreateTenant {
+            tenant: name.clone(),
+            spec: TenantSpec::default(),
+        },
+        Err(format!("tenant `{name}` already exists")),
+    );
+    insert(
+        rng,
+        Op::CreateTenant {
+            tenant: format!("bad name {i}"),
+            spec: TenantSpec::default(),
+        },
+        Err(format!(
+            "invalid tenant name `bad name {i}` (want [A-Za-z0-9_-], 1..=64 chars)"
+        )),
+    );
+    let ghost = format!("ghost-{i}");
+    insert(
+        rng,
+        Op::Advance {
+            tenant: ghost.clone(),
+            epochs: 1,
+        },
+        Err(format!("unknown tenant `{ghost}`")),
+    );
+    // Before this script's own `Run`: a `Run` waits for every subscription
+    // to its tenant, so a later one could wait on a cycle.
+    if rng.gen_bool(0.6) {
+        let tenant = format!("t{}", rng.gen_range(0..conns));
+        let run = script
+            .iter()
+            .position(|(op, _)| matches!(op, Op::Run { .. }))
+            .unwrap();
+        script.insert(
+            rng.gen_range(1..run + 1),
+            (Op::Subscribe { tenant }, Ok(())),
+        );
+    }
+    (script, tl)
+}
+
+/// The daemon's multi-tenant contracts, with no socket and no thread:
+/// 2–4 [`dls_service::Core`]s routed by [`dls_service::pin`], driven by
+/// 3–5 virtual connections whose scripts a seeded RNG interleaves (a
+/// `Subscribe` waits for its tenant's create, a `Run` for every
+/// subscription to its tenant). The worker's part is played here: each
+/// response is written to the connection's sink after `apply` returns.
+/// For 64 seeds:
+/// - every tenant's final report equals its single-tenant `run_scenario`
+///   bit for bit (`reschedule_ms` aside);
+/// - each subscriber gets one `Delta` per `Advance` / `Run` of its tenant
+///   after it subscribed, in epoch order, the last one `done`; a
+///   connection subscribed to the tenant it drives gets the push right
+///   before the `Advanced` response it belongs to;
+/// - duplicate creates, invalid names and ops on unknown tenants are
+///   refused with the error texts the TCP daemon sends.
+#[test]
+fn interleaved_virtual_connections_keep_every_contract_in_process() {
+    use dls_service::{frame, pin, Core, Push, Request, Response, ServerFrame};
+    use rand::{Rng, SeedableRng};
+    use std::collections::{HashMap, HashSet};
+
+    for seed in 0..64u64 {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let workers = rng.gen_range(2usize..5);
+        let n = rng.gen_range(3usize..6);
+        let mut cores: Vec<Core> = (0..workers).map(|_| Core::new(None, 0)).collect();
+        let mut timelines = Vec::new();
+        let mut conns: Vec<VirtualConn> = (0..n)
+            .map(|i| {
+                let (script, tl) = virtual_script(&mut rng, i, n);
+                timelines.push(tl);
+                let sink = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+                VirtualConn {
+                    conn: sink.clone(),
+                    sink,
+                    script: script.into(),
+                }
+            })
+            .collect();
+        let mut replies: Vec<Vec<Result<(), String>>> = vec![Vec::new(); n];
+        let mut pending_subs: HashMap<String, usize> = HashMap::new();
+        for c in &conns {
+            for (op, _) in &c.script {
+                if let Op::Subscribe { tenant } = op {
+                    *pending_subs.entry(tenant.clone()).or_default() += 1;
+                }
+            }
+        }
+        let mut created: HashSet<String> = HashSet::new();
+        let mut subscribers: HashMap<String, Vec<usize>> = HashMap::new();
+        // (connection, tenant) → deltas it must receive.
+        let mut deltas_due: HashMap<(usize, String), usize> = HashMap::new();
+
+        loop {
+            let ready: Vec<usize> = (0..n)
+                .filter(|&c| match conns[c].script.front() {
+                    None => false,
+                    Some((Op::Subscribe { tenant }, _)) => created.contains(tenant),
+                    Some((Op::Run { tenant }, _)) => {
+                        pending_subs.get(tenant).is_none_or(|&p| p == 0)
+                    }
+                    Some(_) => true,
+                })
+                .collect();
+            let Some(&c) = ready.get(rng.gen_range(0..ready.len().max(1))) else {
+                break;
+            };
+            let (op, reply) = conns[c].script.pop_front().unwrap();
+            let tenant = op.tenant().unwrap().to_string();
+            let ok = reply.is_ok();
+            match &op {
+                Op::CreateTenant { .. } if ok => {
+                    created.insert(tenant.clone());
+                }
+                Op::Subscribe { .. } => {
+                    *pending_subs.get_mut(&tenant).unwrap() -= 1;
+                    subscribers.entry(tenant.clone()).or_default().push(c);
+                }
+                Op::Advance { .. } | Op::Run { .. } if ok => {
+                    for &s in subscribers.get(&tenant).into_iter().flatten() {
+                        *deltas_due.entry((s, tenant.clone())).or_default() += 1;
+                    }
+                }
+                _ => {}
+            }
+            replies[c].push(reply);
+            let req = Request {
+                id: replies[c].len() as u64,
+                op,
+            };
+            let resp = cores[pin(&tenant, workers)].apply(&conns[c].conn, req);
+            let mut sink = conns[c].conn.lock().unwrap();
+            sink.write_all(frame(&resp).as_bytes()).unwrap();
+        }
+        assert!(
+            conns.iter().all(|c| c.script.is_empty()),
+            "seed {seed}: every script ran to its end"
+        );
+
+        for (c, conn) in conns.iter().enumerate() {
+            let own = format!("t{c}");
+            let bytes = std::mem::take(&mut *conn.sink.lock().unwrap());
+            let mut expected = replies[c].iter();
+            let mut deltas: HashMap<String, Vec<(usize, bool)>> = HashMap::new();
+            let (mut self_subscribed, mut last_push) = (false, None);
+            let mut report = None;
+            for line in String::from_utf8(bytes).unwrap().lines() {
+                let resp: Response = match serde_json::from_str(line).unwrap() {
+                    ServerFrame::Push(p) => {
+                        if let Push::Delta {
+                            tenant,
+                            epoch,
+                            done,
+                            ..
+                        } = p.push
+                        {
+                            deltas
+                                .entry(tenant.clone())
+                                .or_default()
+                                .push((epoch, done));
+                            last_push = Some((tenant, epoch, done));
+                        }
+                        continue;
+                    }
+                    ServerFrame::Response(r) => r,
+                };
+                let pushed = last_push.take();
+                match expected.next().expect("no response without a request") {
+                    Ok(()) => assert!(resp.ok, "seed {seed} conn {c}: {:?}", resp.error),
+                    Err(text) => assert_eq!(resp.error.as_ref(), Some(text), "seed {seed}"),
+                }
+                match resp.body {
+                    Some(RespBody::Subscribed { tenant }) => self_subscribed |= tenant == own,
+                    Some(RespBody::Advanced {
+                        tenant,
+                        epoch,
+                        done,
+                    }) if self_subscribed => {
+                        assert_eq!(pushed, Some((tenant, epoch, done)), "seed {seed} conn {c}");
+                    }
+                    Some(RespBody::Report { report: r, .. }) => report = Some(r),
+                    _ => {}
+                }
+            }
+            assert!(
+                expected.next().is_none(),
+                "seed {seed} conn {c}: a reply per op"
+            );
+
+            for ((s, tenant), &due) in &deltas_due {
+                if *s != c {
+                    continue;
+                }
+                let seen = deltas.remove(tenant).unwrap_or_default();
+                assert_eq!(seen.len(), due, "seed {seed} conn {c} on {tenant}");
+                for w in seen.windows(2) {
+                    let ((e0, _), (e1, d1)) = (w[0], w[1]);
+                    assert!(e1 > e0 || (e1 == e0 && d1), "seed {seed}: {seen:?}");
+                }
+                assert!(
+                    seen.last().unwrap().1,
+                    "seed {seed}: the last delta is done"
+                );
+            }
+            assert!(
+                deltas.is_empty(),
+                "seed {seed} conn {c}: no push it did not ask for"
+            );
+
+            let tl = &timelines[c];
+            let reference = expected_report(&own, &tl.spec, &tl.jobs, &tl.events);
+            assert_eq!(
+                canonical_report_json(&report.expect("the script ends in a query")),
+                canonical_report_json(&reference),
+                "seed {seed}: {own} diverged from its single-tenant run"
+            );
+        }
+    }
 }
