@@ -203,14 +203,7 @@ pub fn replay_warm(
         if step > 0 {
             let (from, to, v) = pins[step - 1];
             let delta = f.pin_beta(inst, from, to, v).expect("pin delta");
-            warm.set_var_bounds(delta.var, delta.lo, delta.up)
-                .expect("bound patch");
-            for &(con, var) in &delta.coef_zeroed {
-                warm.set_coefficient(con, var, 0.0).expect("coef patch");
-            }
-            for &(con, rhs) in &delta.rhs {
-                warm.set_rhs(con, rhs).expect("rhs patch");
-            }
+            delta.apply_to(&mut warm).expect("pin patch");
         }
         let sol = warm.solve().expect("warm solve");
         assert_eq!(sol.status, Status::Optimal, "warm solve must be optimal");
@@ -355,14 +348,7 @@ fn sparse_entry(k: usize, seed: u64, sharded_threads: usize, run_dense: bool) ->
     let mut warm_final = sparse_sol.objective;
     for &(from, to, v) in &replay_pins {
         let delta = f.pin_beta(&inst, from, to, v).expect("pin delta");
-        w.set_var_bounds(delta.var, delta.lo, delta.up)
-            .expect("bound patch");
-        for &(con, var) in &delta.coef_zeroed {
-            w.set_coefficient(con, var, 0.0).expect("coef patch");
-        }
-        for &(con, rhs) in &delta.rhs {
-            w.set_rhs(con, rhs).expect("rhs patch");
-        }
+        delta.apply_to(&mut w).expect("pin patch");
         let sol = w.solve().expect("warm sparse solve");
         assert_eq!(sol.status, Status::Optimal, "warm sparse solve");
         warm_final = sol.objective;

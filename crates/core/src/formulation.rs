@@ -41,13 +41,20 @@
 //!   along the route, and (3) lowers those rows' right-hand sides by `v`.
 //!
 //! The returned [`PinDelta`] lists the primitive mutations so a
-//! [`dls_lp::WarmSimplex`] can mirror them onto its factorised state and
-//! re-solve warm (a handful of dual pivots) instead of cold.
+//! [`WarmSimplex`] can mirror them onto its factorised state and re-solve
+//! warm (a handful of dual pivots) instead of cold.
+//!
+//! Every warm consumer (LPRR, the pin sweep, the scenario resolver) moves
+//! the model into its [`WarmSimplex`] and keeps the [`LpIndex`], which
+//! carries the steps they share: `LpIndex::pin`,
+//! [`LpIndex::canonical_stage2`] and [`LpIndex::extract_fractional`].
 
 use crate::allocation::FractionalAllocation;
 use crate::error::SolveError;
 use crate::problem::{Objective, ProblemInstance};
-use dls_lp::{ConstraintId, ConstraintOp, Model, Sense, Solution, VarId};
+use dls_lp::{
+    ConstraintId, ConstraintOp, LpError, Model, Sense, Solution, Status, VarId, WarmSimplex,
+};
 use dls_platform::{ClusterId, LinkId};
 
 /// A lowered steady-state problem with the bookkeeping needed to map LP
@@ -121,6 +128,15 @@ pub fn tiebreak_weight(index: usize) -> f64 {
     1.0 + ((h >> 44) as f64 / (1u64 << 20) as f64) * 0.5
 }
 
+/// Margin by which the canonical second stage's lower bound on the
+/// objective variable is relaxed below the certified stage-1 optimum: wide
+/// enough to absorb the solver's termination noise (≪ 1e-9 relative),
+/// narrow enough that the canonical vertex is optimal to far better than
+/// the heuristics' rounding tolerances. Warm and cold stage 2 share it.
+pub fn stage2_floor(z_star: f64) -> f64 {
+    (z_star - 1e-9 * (1.0 + z_star.abs())).max(0.0)
+}
+
 /// The primitive model mutations one [`LpFormulation::pin_beta`] performed,
 /// so a warm solver context can mirror them onto its factorised state.
 #[derive(Debug, Clone, PartialEq)]
@@ -135,6 +151,22 @@ pub struct PinDelta {
     pub coef_zeroed: Vec<(ConstraintId, VarId)>,
     /// (7d) rows whose right-hand side dropped by `v`, with the new value.
     pub rhs: Vec<(ConstraintId, f64)>,
+}
+
+impl PinDelta {
+    /// Mirrors the pin onto a warm context: the α bound, then the zeroed
+    /// coefficients, then the right-hand sides — the order
+    /// [`LpFormulation::pin_beta`] patches its model in.
+    pub fn apply_to(&self, warm: &mut WarmSimplex) -> Result<(), SolveError> {
+        warm.set_var_bounds(self.var, self.lo, self.up)?;
+        for &(con, var) in &self.coef_zeroed {
+            warm.set_coefficient(con, var, 0.0)?;
+        }
+        for &(con, rhs) in &self.rhs {
+            warm.set_rhs(con, rhs)?;
+        }
+        Ok(())
+    }
 }
 
 impl LpFormulation {
@@ -424,9 +456,8 @@ impl LpFormulation {
         to: ClusterId,
         v: u32,
     ) -> Result<PinDelta, SolveError> {
-        let delta = self.pin_delta(inst, from, to, v)?;
-        let i = from.index() * self.k + to.index();
-        self.index.fixed_beta[i] = Some(v);
+        let delta = self.index.pin_delta_in(&self.model, inst, from, to, v)?;
+        self.index.fixed_beta[from.index() * self.index.k + to.index()] = Some(v);
         self.model.set_bounds(delta.var, delta.lo, delta.up);
         for &(con, var) in &delta.coef_zeroed {
             self.model.set_coefficient(con, var, 0.0);
@@ -447,6 +478,21 @@ impl LpFormulation {
     /// sweep result is independent of worker count and chunking.
     pub fn pin_delta(
         &self,
+        inst: &ProblemInstance,
+        from: ClusterId,
+        to: ClusterId,
+        v: u32,
+    ) -> Result<PinDelta, SolveError> {
+        self.index.pin_delta_in(&self.model, inst, from, to, v)
+    }
+}
+
+impl LpIndex {
+    /// [`LpFormulation::pin_delta`] against `model`, whichever copy of the
+    /// formulation's model (patched by the same pins) the caller holds.
+    pub(crate) fn pin_delta_in(
+        &self,
+        model: &Model,
         inst: &ProblemInstance,
         from: ClusterId,
         to: ClusterId,
@@ -483,7 +529,7 @@ impl LpFormulation {
             }
             // Clamp like `relaxation_with_fixed` does; the LPRR budget
             // discipline keeps this non-negative up to float noise.
-            let new_rhs = (self.model.rhs(con) - v as f64).max(0.0);
+            let new_rhs = (model.rhs(con) - v as f64).max(0.0);
             rhs.push((con, new_rhs));
         }
         Ok(PinDelta {
@@ -494,9 +540,74 @@ impl LpFormulation {
             rhs,
         })
     }
-}
 
-impl LpIndex {
+    /// [`LpFormulation::pin_beta`] on a warm context that owns the model:
+    /// the delta is computed against [`WarmSimplex::model`], recorded here
+    /// and mirrored onto `warm`.
+    pub(crate) fn pin(
+        &mut self,
+        warm: &mut WarmSimplex,
+        inst: &ProblemInstance,
+        from: ClusterId,
+        to: ClusterId,
+        v: u32,
+    ) -> Result<PinDelta, SolveError> {
+        let delta = self.pin_delta_in(warm.model(), inst, from, to, v)?;
+        self.fixed_beta[from.index() * self.k + to.index()] = Some(v);
+        delta.apply_to(warm)?;
+        Ok(delta)
+    }
+
+    /// The canonical lexicographic second stage on a warm context that has
+    /// just certified `stage1`: floor `z` at [`stage2_floor`], maximise
+    /// [`LpIndex::tiebreak_terms`] warm from the stage-1 basis, and revert
+    /// both patches before reading the outcome. Returns `stage1` with its
+    /// `values` moved to the canonical vertex (objective and duals stay
+    /// stage 1's). A stage 2 that does not re-certify optimality falls back
+    /// to the stage-1 vertex, but a [`LpError::WarmColdMismatch`] surfaces.
+    /// Without an objective variable (SUM) `stage1` is returned untouched.
+    pub fn canonical_stage2(
+        &self,
+        warm: &mut WarmSimplex,
+        mut stage1: Solution,
+    ) -> Result<Solution, SolveError> {
+        let Some(z) = self.objective_var else {
+            return Ok(stage1);
+        };
+        warm.set_var_bounds(z, stage2_floor(stage1.values[z.index()]), f64::INFINITY)?;
+        warm.set_objective_coef(z, 0.0)?;
+        for (v, w) in self.tiebreak_terms() {
+            warm.set_objective_coef(v, w)?;
+        }
+        let outcome = warm.solve();
+        // `build` gives z the objective coefficient 1 and the bounds
+        // [0, ∞), and the α variables no cost, under MAXMIN.
+        warm.set_objective_coef(z, 1.0)?;
+        for (v, _) in self.tiebreak_terms() {
+            warm.set_objective_coef(v, 0.0)?;
+        }
+        warm.set_var_bounds(z, 0.0, f64::INFINITY)?;
+        match outcome {
+            Ok(sol) if sol.status == Status::Optimal => stage1.values = sol.values,
+            Err(e @ LpError::WarmColdMismatch { .. }) => return Err(e.into()),
+            Ok(_) | Err(_) => {}
+        }
+        Ok(stage1)
+    }
+
+    /// The bottleneck bandwidth `minbw` the model's `(from, to)` terms were
+    /// last written with (∞ for same-router pairs, NaN when unrouted).
+    pub fn route_bw(&self, from: ClusterId, to: ClusterId) -> f64 {
+        self.minbw[from.index() * self.k + to.index()]
+    }
+
+    /// Records a drifted `minbw` of `(from, to)` once the caller has patched
+    /// its `1/minbw` terms, so [`LpIndex::extract_fractional`] reads
+    /// `β̃ = α/minbw` on the current platform.
+    pub fn set_route_bw(&mut self, from: ClusterId, to: ClusterId, minbw: f64) {
+        self.minbw[from.index() * self.k + to.index()] = minbw;
+    }
+
     /// The pinned β value of a pair, if any.
     pub fn pinned_beta(&self, from: ClusterId, to: ClusterId) -> Option<u32> {
         self.fixed_beta[from.index() * self.k + to.index()]
@@ -756,6 +867,86 @@ mod tests {
     }
 
     #[test]
+    fn canonical_stage2_leaves_the_context_as_it_found_it() {
+        // The shared second stage patches `z`'s bounds and the objective.
+        // After every outcome — optimal, non-optimal, a solver fault, an
+        // oracle mismatch — the model must read exactly as before: a cold
+        // re-solve reproduces the stage-1 bits, and a warm one certifies the
+        // stage-1 optimum. Only the mismatch may surface as an error.
+        use dls_lp::{InjectedFault, RevisedSimplex};
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let inst = paper_shape(8, 42, Objective::MaxMin);
+        let LpFormulation { model, index } = LpFormulation::relaxation_warm(&inst).unwrap();
+        let z = index.objective_var().expect("MAXMIN carries z");
+        let mut base = WarmSimplex::new(model, RevisedSimplex::default()).unwrap();
+        // The context's first solve is cold.
+        let stage1 = base.solve().unwrap();
+        assert_eq!(stage1.status, Status::Optimal);
+        let pristine = format!("{:?}", base.model());
+        // Each outcome runs on its own copy of the stage-1 context.
+        let check_reverted = |mut warm: WarmSimplex, what: &str| {
+            assert_eq!(format!("{:?}", warm.model()), pristine, "{what}: model");
+            let cold = RevisedSimplex::default().solve(warm.model()).unwrap();
+            assert_eq!(
+                cold.objective.to_bits(),
+                stage1.objective.to_bits(),
+                "{what}"
+            );
+            assert_eq!(bits(&cold.values), bits(&stage1.values), "{what}");
+            let again = warm.solve().unwrap();
+            assert_eq!(again.status, Status::Optimal, "{what}");
+            let gap = (again.objective - stage1.objective).abs();
+            assert!(
+                gap <= 1e-9 * (1.0 + stage1.objective),
+                "{what}: moved {gap}"
+            );
+        };
+
+        // Optimal: the values move to the canonical vertex, on the face.
+        let mut warm = base.clone();
+        let canon = index.canonical_stage2(&mut warm, stage1.clone()).unwrap();
+        assert_eq!(canon.objective.to_bits(), stage1.objective.to_bits());
+        assert!(canon.values[z.index()] >= stage2_floor(stage1.objective));
+        let tiebreak =
+            |v: &[f64]| -> f64 { index.tiebreak_terms().map(|(x, w)| w * v[x.index()]).sum() };
+        assert!(tiebreak(&canon.values) >= tiebreak(&stage1.values) - 1e-9);
+        check_reverted(warm, "optimal");
+
+        // Non-optimal: a floor above the optimum leaves stage 2 infeasible.
+        let mut above = stage1.clone();
+        above.values[z.index()] = 2.0 * stage1.objective + 1.0;
+        let mut floored = base.clone();
+        floored
+            .set_var_bounds(z, stage2_floor(above.values[z.index()]), f64::INFINITY)
+            .unwrap();
+        assert_eq!(floored.solve().unwrap().status, Status::Infeasible);
+        let mut warm = base.clone();
+        let kept = index.canonical_stage2(&mut warm, above.clone()).unwrap();
+        assert_eq!(bits(&kept.values), bits(&above.values));
+        check_reverted(warm, "non-optimal");
+
+        // A failed solve falls back to the stage-1 vertex.
+        let mut warm = base.clone();
+        warm.debug_inject_fault(InjectedFault::Solve(LpError::SingularBasis));
+        let kept = index.canonical_stage2(&mut warm, stage1.clone()).unwrap();
+        assert_eq!(bits(&kept.values), bits(&stage1.values));
+        check_reverted(warm, "solve fault");
+
+        // An oracle mismatch is never masked.
+        let mismatch = LpError::WarmColdMismatch {
+            warm: 1.0,
+            cold: 2.0,
+        };
+        let mut warm = base.clone();
+        warm.debug_inject_fault(InjectedFault::Solve(mismatch.clone()));
+        let err = index
+            .canonical_stage2(&mut warm, stage1.clone())
+            .unwrap_err();
+        assert_eq!(err, SolveError::Lp(mismatch));
+        check_reverted(warm, "mismatch");
+    }
+
+    #[test]
     fn pin_beta_delta_matches_rebuilt_formulation() {
         let inst = two_cluster_inst(Objective::MaxMin);
         let k = inst.num_apps();
@@ -781,6 +972,32 @@ mod tests {
         let frac = warm.extract_fractional(&a);
         assert_eq!(frac.beta(ClusterId(1), ClusterId(0)), 1.0);
         assert!(frac.alpha(ClusterId(1), ClusterId(0)) <= 10.0 + 1e-9);
+    }
+
+    #[test]
+    fn index_pin_mirrors_pin_beta_onto_a_warm_context() {
+        // `LpIndex::pin` on a warm context that owns the model must compute,
+        // record and apply what `pin_beta` does to the formulation's model.
+        use dls_lp::RevisedSimplex;
+        let inst = paper_shape(8, 42, Objective::MaxMin);
+        let mut f = LpFormulation::relaxation_warm(&inst).unwrap();
+        let LpFormulation { model, mut index } = LpFormulation::relaxation_warm(&inst).unwrap();
+        let mut warm = WarmSimplex::new(model, RevisedSimplex::default()).unwrap();
+        warm.solve().unwrap();
+        let p = &inst.platform;
+        let pinnable: Vec<(ClusterId, ClusterId)> = p
+            .cluster_ids()
+            .flat_map(|from| p.cluster_ids().map(move |to| (from, to)))
+            .filter(|&(from, to)| p.route_bottleneck_bw(from, to).is_some_and(f64::is_finite))
+            .take(4)
+            .collect();
+        assert_eq!(pinnable.len(), 4);
+        for (from, to) in pinnable {
+            let expected = f.pin_beta(&inst, from, to, 1).unwrap();
+            assert_eq!(index.pin(&mut warm, &inst, from, to, 1).unwrap(), expected);
+            assert_eq!(index.pinned_beta(from, to), Some(1));
+        }
+        assert_eq!(format!("{:?}", warm.model()), format!("{:?}", f.model));
     }
 
     #[test]

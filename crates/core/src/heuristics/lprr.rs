@@ -22,17 +22,17 @@
 //! # Warm-started inner loop
 //!
 //! By default ([`Lprr::warm`]) the loop runs through one persistent
-//! [`dls_lp::WarmSimplex`]: the formulation is built once
-//! ([`LpFormulation::relaxation_warm`]), every pin is applied as an
-//! in-place [`crate::formulation::PinDelta`], and each re-solve starts from
-//! the previous optimal basis (a handful of dual pivots) instead of a cold
-//! two-phase solve over a freshly rebuilt model. The cold path is retained
-//! as the oracle: [`Lprr::oracle_check`] cross-checks every warm solve
-//! against a cold solve of the same model, and with `warm: false` the
-//! heuristic rebuilds + cold-solves after every pin, exactly as the paper
-//! costs it (with the LP engine selected once per instance, so one rounding
-//! sequence never straddles the dense/sparse crossover as pins grow the
-//! model).
+//! [`dls_lp::WarmSimplex`], which owns the model: the formulation is built
+//! once ([`LpFormulation::relaxation_warm`]), every pin is applied as an
+//! in-place [`crate::formulation::PinDelta`] (`LpIndex::pin`), and each
+//! re-solve starts from the previous optimal basis (a handful of dual
+//! pivots) instead of a cold two-phase solve over a freshly rebuilt model.
+//! The cold path is retained as the oracle: [`Lprr::oracle_check`]
+//! cross-checks every warm solve against a cold solve of the same model,
+//! and with `warm: false` the heuristic rebuilds + cold-solves after every
+//! pin, exactly as the paper costs it (with the LP engine selected once per
+//! instance, so one rounding sequence never straddles the dense/sparse
+//! crossover as pins grow the model).
 //!
 //! # Lazy re-solves
 //!
@@ -69,7 +69,7 @@
 use super::Heuristic;
 use crate::allocation::{Allocation, FractionalAllocation};
 use crate::error::SolveError;
-use crate::formulation::LpFormulation;
+use crate::formulation::{LpFormulation, LpIndex};
 use crate::problem::ProblemInstance;
 use dls_lp::{resolve_engine, solve_with, Engine, RevisedSimplex, Status, WarmSimplex, WarmStats};
 use rand::{Rng, SeedableRng};
@@ -158,16 +158,16 @@ impl Lprr {
     /// — and must return the held `β̃`; anything else means a pin was
     /// deferred that moved the LP.
     fn check_held(
-        f: &LpFormulation,
+        index: &LpIndex,
         solver: &mut WarmSimplex,
         held: &FractionalAllocation,
     ) -> Result<(), SolveError> {
         let spent =
             |s: WarmStats| s.dual_pivots + s.primal_pivots + s.refactorisations + s.fallbacks;
         let before = spent(solver.stats());
-        let sol = Self::check_optimal(solver.solve().map_err(SolveError::from)?)?;
+        let sol = Self::check_optimal(solver.solve()?)?;
         let work = spent(solver.stats()) - before;
-        let drift = f
+        let drift = index
             .extract_fractional(&sol)
             .beta
             .iter()
@@ -181,11 +181,12 @@ impl Lprr {
     }
 }
 
-/// Per-instance LP backend: one warm context reused across every pin, or
-/// the cold rebuild-per-solve reference with a fixed engine.
+/// Per-instance LP backend: one warm context (the only copy of the model)
+/// reused across every pin, or the cold rebuild-per-solve reference with a
+/// fixed engine.
 enum LpBackend {
     Warm {
-        f: Box<LpFormulation>,
+        index: LpIndex,
         solver: Box<WarmSimplex>,
     },
     Cold {
@@ -223,12 +224,11 @@ impl Heuristic for Lprr {
         let mut link_budget: Vec<i64> = p.links.iter().map(|l| l.max_connections as i64).collect();
 
         let mut backend = if self.warm {
-            let f = LpFormulation::relaxation_warm(inst)?;
-            let mut solver = WarmSimplex::new(f.model.clone(), RevisedSimplex::default())
-                .map_err(SolveError::from)?;
+            let LpFormulation { model, index } = LpFormulation::relaxation_warm(inst)?;
+            let mut solver = WarmSimplex::new(model, RevisedSimplex::default())?;
             solver.check_against_cold = self.oracle_check;
             LpBackend::Warm {
-                f: Box::new(f),
+                index,
                 solver: Box::new(solver),
             }
         } else {
@@ -247,17 +247,17 @@ impl Heuristic for Lprr {
 
         loop {
             let (mut frac, duals) = match &mut backend {
-                LpBackend::Warm { f, solver } => match held.take() {
+                LpBackend::Warm { index, solver } => match held.take() {
                     // α is read off a real solve, never off a held optimum.
                     Some(kept) if !unfixed.is_empty() => {
                         if self.oracle_check {
-                            Self::check_held(f, solver, &kept.0)?;
+                            Self::check_held(index, solver, &kept.0)?;
                         }
                         kept
                     }
                     _ => {
-                        let sol = Self::check_optimal(solver.solve().map_err(SolveError::from)?)?;
-                        (f.extract_fractional(&sol), sol.duals)
+                        let sol = Self::check_optimal(solver.solve()?)?;
+                        (index.extract_fractional(&sol), sol.duals)
                     }
                 },
                 LpBackend::Cold { engine } => {
@@ -326,22 +326,11 @@ impl Heuristic for Lprr {
             }
             unfixed.retain(|&i| i != pick);
 
-            // Warm path: mirror the pin onto the formulation *and* the
+            // Warm path: mirror the pin onto the index *and* the
             // factorised solver state; the next solve is a dual repair.
-            if let LpBackend::Warm { f, solver } = &mut backend {
+            if let LpBackend::Warm { index, solver } = &mut backend {
                 let evictions = solver.stats().evictions;
-                let delta = f.pin_beta(inst, from, to, v as u32)?;
-                solver
-                    .set_var_bounds(delta.var, delta.lo, delta.up)
-                    .map_err(SolveError::from)?;
-                for &(con, var) in &delta.coef_zeroed {
-                    solver
-                        .set_coefficient(con, var, 0.0)
-                        .map_err(SolveError::from)?;
-                }
-                for &(con, rhs) in &delta.rhs {
-                    solver.set_rhs(con, rhs).map_err(SolveError::from)?;
-                }
+                let delta = index.pin(solver, inst, from, to, v as u32)?;
                 // Hold the optimum when the pin cannot have moved it: β is
                 // fixed where the LP had it (clamp included), so the point
                 // stays feasible; the (7d) rows that lost the α/minbw term

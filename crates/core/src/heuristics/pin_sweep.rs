@@ -1,11 +1,12 @@
 //! Parallel pin sweep: probe every candidate β pin of the grid in one pass.
 //!
-//! The LPRR rounding loop pins routes one at a time, but several consumers
-//! (branch ordering, scenario what-if analysis, the bench harness) want the
-//! *whole* K² pin grid evaluated against one relaxation: for every routed
-//! pair `(k, l)`, the objective of pinning `β_{k,l}` to its rounded
+//! The LPRR rounding loop pins routes one at a time; the sweep instead
+//! evaluates the *whole* K² pin grid against one relaxation: for every
+//! routed pair `(k, l)`, the objective of pinning `β_{k,l}` to its rounded
 //! fractional value. That is ~K² independent warm solves — embarrassingly
-//! parallel, and the dominant cost at large K.
+//! parallel, and the dominant cost at large K. Its callers are the
+//! benchmarks (`perf lp`'s sparse scaling entries and the `plan_island`
+//! workload) and the tests that pin its bit identity.
 //!
 //! # Determinism under sharding
 //!
@@ -15,10 +16,11 @@
 //! solves. No per-worker state survives between probes, so the objective
 //! vector is bit-identical for any worker count or chunking — including
 //! when a probe degrades to a cold fallback inside its private clone. The
-//! merge (best-pin argmax, canonical stage-2 vertex) runs sequentially
-//! after the barrier, in probe-index order with strict-improvement ties to
-//! the lowest index, so the full [`PinSweepReport`] is bit-identical to the
-//! `threads = 1` sweep.
+//! merge (best-pin argmax, then
+//! [`LpIndex::canonical_stage2`](crate::LpIndex::canonical_stage2) at the
+//! winner) runs sequentially after the barrier, in probe-index order with
+//! strict-improvement ties to the lowest index, so the full
+//! [`PinSweepReport`] is bit-identical to the `threads = 1` sweep.
 
 use super::Lprr;
 use crate::error::SolveError;
@@ -58,32 +60,19 @@ pub struct PinSweepReport {
     /// Canonical stage-2 vertex at the winning pin: the unique optimum of
     /// the tie-break objective over the stage-1 optimal face (see
     /// [`LpIndex::tiebreak_terms`](crate::LpIndex::tiebreak_terms)), as
-    /// model-space variable values.
+    /// model-space variable values; the stage-1 vertex when stage 2 does
+    /// not re-certify optimality.
     pub stage2_values: Vec<f64>,
     /// Worker count the sweep ran with (1 = sequential).
     pub threads: usize,
-}
-
-/// Margin by which the stage-2 lower bound on the objective variable is
-/// relaxed below the certified stage-1 optimum — same constant as the
-/// scenario resolvers, so every pipeline extracts the same vertex.
-fn stage2_floor(z_star: f64) -> f64 {
-    (z_star - 1e-9 * (1.0 + z_star.abs())).max(0.0)
 }
 
 /// Clones the base context, applies one pin delta, and solves. Pure in the
 /// base state — see the module docs.
 fn probe(base: &WarmSimplex, delta: &PinDelta) -> Result<f64, SolveError> {
     let mut w = base.clone();
-    w.set_var_bounds(delta.var, delta.lo, delta.up)
-        .map_err(SolveError::from)?;
-    for &(con, var) in &delta.coef_zeroed {
-        w.set_coefficient(con, var, 0.0).map_err(SolveError::from)?;
-    }
-    for &(con, rhs) in &delta.rhs {
-        w.set_rhs(con, rhs).map_err(SolveError::from)?;
-    }
-    let sol = w.solve().map_err(SolveError::from)?;
+    delta.apply_to(&mut w)?;
+    let sol = w.solve()?;
     match sol.status {
         Status::Optimal => Ok(sol.objective),
         Status::Infeasible => Err(SolveError::UnexpectedStatus("infeasible probe")),
@@ -120,15 +109,14 @@ impl Lprr {
         let p = &inst.platform;
         let k = p.num_clusters();
 
-        // Shared base: formulation + one warm-started solve whose
-        // factorised basis every probe clone starts from.
-        let f = LpFormulation::relaxation_warm(inst)?;
-        let mut base = WarmSimplex::new(f.model.clone(), RevisedSimplex::default())
-            .map_err(SolveError::from)?;
+        // Shared base: the formulation's index + one warm-started solve
+        // whose factorised basis (and model) every probe clone starts from.
+        let LpFormulation { model, index } = LpFormulation::relaxation_warm(inst)?;
+        let mut base = WarmSimplex::new(model, RevisedSimplex::default())?;
         base.check_against_cold = self.oracle_check;
-        let base_sol = Self::check_optimal(base.solve().map_err(SolveError::from)?)?;
-        let frac = f.extract_fractional(&base_sol);
-        let maximize = f.model.sense() == Sense::Maximize;
+        let base_sol = Self::check_optimal(base.solve()?)?;
+        let frac = index.extract_fractional(&base_sol);
+        let maximize = base.model().sense() == Sense::Maximize;
 
         // Candidate pins in row-major (from, to) order: round β̃ and clamp
         // to the route's remaining budget, mirroring the rounding loop.
@@ -163,7 +151,10 @@ impl Lprr {
         let tasks: Vec<(ClusterId, ClusterId, u32, PinDelta)> = candidates
             .into_iter()
             .step_by(step)
-            .map(|(from, to, v)| Ok((from, to, v, f.pin_delta(inst, from, to, v)?)))
+            .map(|(from, to, v)| {
+                let delta = index.pin_delta_in(base.model(), inst, from, to, v)?;
+                Ok((from, to, v, delta))
+            })
             .collect::<Result<_, SolveError>>()?;
 
         // Shard contiguous chunks over scoped workers. Each slot is written
@@ -211,47 +202,18 @@ impl Lprr {
 
         // Canonical stage-2 vertex at the winner, computed once after the
         // merge (sequentially — identical regardless of sharding): re-apply
-        // the winning delta to a fresh clone, certify stage 1, then pin the
-        // objective and maximise the tie-break weights warm from that basis.
+        // the winning delta to a fresh clone, certify stage 1, then run the
+        // shared second stage warm from that basis.
         let mut wbest = base.clone();
         let best_objective = match best {
             Some(b) => {
-                let delta = &tasks[b].3;
-                wbest
-                    .set_var_bounds(delta.var, delta.lo, delta.up)
-                    .map_err(SolveError::from)?;
-                for &(con, var) in &delta.coef_zeroed {
-                    wbest
-                        .set_coefficient(con, var, 0.0)
-                        .map_err(SolveError::from)?;
-                }
-                for &(con, rhs) in &delta.rhs {
-                    wbest.set_rhs(con, rhs).map_err(SolveError::from)?;
-                }
+                tasks[b].3.apply_to(&mut wbest)?;
                 probes[b].objective
             }
             None => base_sol.objective,
         };
-        let stage1 = Self::check_optimal(wbest.solve().map_err(SolveError::from)?)?;
-        let stage2_values = if let Some(z) = f.objective_var() {
-            wbest
-                .set_var_bounds(z, stage2_floor(stage1.values[z.index()]), f64::INFINITY)
-                .map_err(SolveError::from)?;
-            wbest.set_objective_coef(z, 0.0).map_err(SolveError::from)?;
-            for (var, weight) in f.tiebreak_terms() {
-                wbest
-                    .set_objective_coef(var, weight)
-                    .map_err(SolveError::from)?;
-            }
-            let canon = wbest.solve().map_err(SolveError::from)?;
-            if canon.status == Status::Optimal {
-                canon.values
-            } else {
-                stage1.values
-            }
-        } else {
-            stage1.values
-        };
+        let stage1 = Self::check_optimal(wbest.solve()?)?;
+        let stage2_values = index.canonical_stage2(&mut wbest, stage1)?.values;
 
         Ok(PinSweepReport {
             probes,

@@ -21,8 +21,7 @@
 
 use crate::report::RecoveryRecord;
 use dls_core::adaptive::scale_to_fit;
-use dls_core::allocation::FractionalAllocation;
-use dls_core::formulation::{LpFormulation, LpIndex};
+use dls_core::formulation::{stage2_floor, LpFormulation, LpIndex};
 use dls_core::heuristics::{Heuristic, Lprg};
 use dls_core::{Allocation, ProblemInstance, SolveError};
 use dls_lp::{solve_with, Basis, ConstraintId, Engine, RevisedSimplex, Status, VarId, WarmSimplex};
@@ -141,7 +140,6 @@ struct PairDelta {
     var: VarId,
     /// (7d) rows along the pair's route: a range of `WarmLprg::pair_rows`.
     rows: Range<usize>,
-    minbw: f64,
     cap: f64,
 }
 
@@ -149,7 +147,8 @@ struct PairDelta {
 /// platform drift applied as in-place deltas to a persistent
 /// [`WarmSimplex`] (see the module docs). The context owns the only copy
 /// of the model; the resolver keeps the formulation's [`LpIndex`] to find
-/// rows and variables in it.
+/// rows and variables in it, and runs the index's canonical second stage
+/// and extraction on it.
 #[derive(Debug)]
 pub struct WarmLprg {
     index: LpIndex,
@@ -161,15 +160,6 @@ pub struct WarmLprg {
     /// alongside the fallback/refactorisation counters in
     /// [`dls_lp::WarmStats`]). Survives rebuilds.
     recover_calls: u64,
-}
-
-/// Margin by which the stage-2 lower bound on the objective variable is
-/// relaxed below the certified stage-1 optimum: wide enough to absorb the
-/// solver's own termination noise (≪ 1e-9 relative), narrow enough that the
-/// canonical vertex is optimal to far better than the heuristics' rounding
-/// tolerances.
-fn stage2_floor(z_star: f64) -> f64 {
-    (z_star - 1e-9 * (1.0 + z_star.abs())).max(0.0)
 }
 
 impl WarmLprg {
@@ -219,7 +209,6 @@ impl WarmLprg {
                     to,
                     var,
                     rows: start..pair_rows.len(),
-                    minbw,
                     cap,
                 });
             }
@@ -228,8 +217,8 @@ impl WarmLprg {
     }
 
     /// Mirrors the current platform capacities onto the warm context:
-    /// (7b)/(7c)/(7d) right-hand sides, `1/minbw` coefficients, and the
-    /// pre-materialised α caps.
+    /// (7b)/(7c)/(7d) right-hand sides, `1/minbw` coefficients (recorded in
+    /// the index, which extraction reads), and the pre-materialised α caps.
     fn push_platform(&mut self, inst: &ProblemInstance) -> Result<(), SolveError> {
         let p = &inst.platform;
         for c in p.cluster_ids() {
@@ -261,60 +250,25 @@ impl WarmLprg {
                 .map(|b| b as f64 * minbw)
                 .unwrap_or(f64::INFINITY);
             let pair = &mut self.pairs[i];
-            if minbw != pair.minbw && minbw > 0.0 {
+            let old_minbw = self.index.route_bw(from, to);
+            if minbw != old_minbw && minbw > 0.0 {
                 for &row in &self.pair_rows[pair.rows.clone()] {
                     self.warm
                         .set_coefficient(row, pair.var, 1.0 / minbw)
                         .map_err(SolveError::Lp)?;
                 }
             }
-            if cap != pair.cap || (minbw <= 0.0) != (pair.minbw <= 0.0) {
+            if cap != pair.cap || (minbw <= 0.0) != (old_minbw <= 0.0) {
                 // A dead route (`minbw = 0`) pins α to 0 through its bound.
                 let up = if minbw > 0.0 { cap } else { 0.0 };
                 self.warm
                     .set_var_bounds(pair.var, 0.0, up)
                     .map_err(SolveError::Lp)?;
             }
-            pair.minbw = minbw;
+            self.index.set_route_bw(from, to, minbw);
             pair.cap = cap;
         }
         Ok(())
-    }
-
-    /// Maps the warm solution back to `(α, β̃)` using the *current*
-    /// platform's bottleneck bandwidths.
-    fn extract(
-        &self,
-        inst: &ProblemInstance,
-        values: &[f64],
-        objective: f64,
-    ) -> FractionalAllocation {
-        let p = &inst.platform;
-        let k = inst.num_apps();
-        let mut alpha = vec![0.0f64; k * k];
-        let mut beta = vec![0.0f64; k * k];
-        for from in p.cluster_ids() {
-            for to in p.cluster_ids() {
-                let i = from.index() * k + to.index();
-                if let Some(v) = self.index.alpha_var(from, to) {
-                    alpha[i] = values[v.index()].max(0.0);
-                }
-                if from == to {
-                    continue;
-                }
-                if let Some(bw) = p.route_bottleneck_bw(from, to) {
-                    if bw.is_finite() && bw > 0.0 && alpha[i] > 0.0 {
-                        beta[i] = alpha[i] / bw;
-                    }
-                }
-            }
-        }
-        FractionalAllocation {
-            k,
-            alpha,
-            beta,
-            objective,
-        }
     }
 
     /// Re-solves on the (possibly drifted) platform: platform deltas, a
@@ -352,58 +306,9 @@ impl WarmLprg {
         if sol.status != Status::Optimal {
             return Err(SolveError::UnexpectedStatus("non-optimal warm relaxation"));
         }
-        let frac = match self.index.objective_var() {
-            Some(z) => {
-                let canon = self.canonical_values(z, sol.values[z.index()])?;
-                self.extract(inst, canon.as_deref().unwrap_or(&sol.values), sol.objective)
-            }
-            None => self.extract(inst, &sol.values, sol.objective),
-        };
+        let canon = self.index.canonical_stage2(&mut self.warm, sol)?;
+        let frac = self.index.extract_fractional(&canon);
         Ok(Lprg::default().from_relaxation(inst, &frac))
-    }
-
-    /// Canonical lexicographic second stage on the persistent warm context:
-    /// pin the certified MAXMIN objective (margin-relaxed), maximise the
-    /// deterministic tie-break objective warm from the stage-1 basis, then
-    /// revert both patches. The stage-1 optimal face is massively
-    /// degenerate (only `z` carries a cost), so without this stage a warm
-    /// and a cold solver certify *different* optimal vertices and the
-    /// downstream pipelines diverge event-for-event. Returns `None` when
-    /// the second stage could not re-certify optimality — the caller then
-    /// falls back to the (correct, but non-canonical) stage-1 vertex.
-    fn canonical_values(&mut self, z: VarId, z_star: f64) -> Result<Option<Vec<f64>>, SolveError> {
-        self.warm
-            .set_var_bounds(z, stage2_floor(z_star), f64::INFINITY)
-            .map_err(SolveError::Lp)?;
-        self.warm
-            .set_objective_coef(z, 0.0)
-            .map_err(SolveError::Lp)?;
-        for (v, w) in self.index.tiebreak_terms() {
-            self.warm.set_objective_coef(v, w).map_err(SolveError::Lp)?;
-        }
-        let outcome = self.warm.solve();
-        // Revert before interpreting the outcome: the persistent context
-        // must leave stage 2 carrying the stage-1 objective and a free z.
-        self.warm
-            .set_objective_coef(z, 1.0)
-            .map_err(SolveError::Lp)?;
-        for (v, _) in self.index.tiebreak_terms() {
-            self.warm
-                .set_objective_coef(v, 0.0)
-                .map_err(SolveError::Lp)?;
-        }
-        self.warm
-            .set_var_bounds(z, 0.0, f64::INFINITY)
-            .map_err(SolveError::Lp)?;
-        match outcome {
-            // A failed stage 2 is not fatal: fall back to the (already
-            // certified-optimal) stage-1 vertex rather than erroring out of
-            // the whole resolve. Oracle mismatches still surface.
-            Ok(sol) if sol.status == Status::Optimal => Ok(Some(sol.values)),
-            Ok(_) => Ok(None),
-            Err(e @ dls_lp::LpError::WarmColdMismatch { .. }) => Err(SolveError::Lp(e)),
-            Err(_) => Ok(None),
-        }
     }
 
     /// Cumulative warm-solve statistics (solves, pivots, fallbacks,

@@ -16,6 +16,7 @@
 //! assert_valid_allocation(&inst, &alloc, "greedy on the line platform");
 //! ```
 
+pub mod alloc;
 pub mod approx;
 pub mod assertions;
 pub mod cli;
@@ -23,6 +24,7 @@ pub mod faults;
 pub mod fixtures;
 pub mod service;
 
+pub use alloc::CountingAlloc;
 pub use approx::{assert_close, assert_le_slack, close, rel_err};
 pub use assertions::{
     assert_schedule_executes, assert_valid_allocation, assert_within_bound, assert_within_bound_of,

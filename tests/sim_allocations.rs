@@ -3,7 +3,7 @@
 //! A periodic schedule repeats the same transfers every period, so once the
 //! first periods have sized the event heap, the flow slots, the compute
 //! queues and the allocator's batch memo, a further period reuses them.
-//! This binary installs a counting global allocator and runs each simulator
+//! This binary installs `dls_testkit::CountingAlloc` and runs each simulator
 //! for two horizons: the heap calls made inside the simulator must not
 //! grow with the period count.
 //!
@@ -32,55 +32,10 @@
 use dls::prelude::*;
 use dls::scenario::catalog::paper_shape_instance;
 use dls::sim::{ChunkPart, LiveFlowSpec};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-/// [`System`], counting every call that allocates or grows a block on the
-/// calling thread.
-struct Counting;
-
-thread_local! {
-    static CALLS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn count() {
-    CALLS.with(|c| c.set(c.get() + 1));
-}
-
-fn calls() -> usize {
-    CALLS.with(Cell::get)
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter only observes calls.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller's guarantees for `layout` are passed on as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was returned by this allocator (hence by `System`)
-        // for `layout`, as the caller guarantees.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: as for `dealloc`, and the caller guarantees `new_size`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use dls_testkit::CountingAlloc;
 
 #[global_allocator]
-static ALLOC: Counting = Counting;
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Heap calls made by one `run` of `periods` periods.
 fn heap_calls(sim: &Simulator, schedule: &PeriodicSchedule, periods: usize) -> usize {
@@ -88,9 +43,9 @@ fn heap_calls(sim: &Simulator, schedule: &PeriodicSchedule, periods: usize) -> u
         periods,
         ..SimConfig::default()
     };
-    let before = calls();
+    let before = CountingAlloc::thread_calls();
     let report = sim.run(schedule, &cfg);
-    let calls = calls() - before;
+    let calls = CountingAlloc::thread_calls() - before;
     assert!(report.efficiency > 0.0, "{}", report.summary());
     drop(report);
     calls
@@ -155,9 +110,9 @@ fn live_heap_calls(inst: &ProblemInstance, schedule: &PeriodicSchedule, periods:
         for task in schedule.compute_tasks.iter().filter(|t| t.app == t.cluster) {
             sim.enqueue_compute(task.cluster, period as u32, task.amount as f64);
         }
-        let before = calls();
+        let before = CountingAlloc::thread_calls();
         sim.advance_to((period + 1) as f64 * tp);
-        inside += calls() - before;
+        inside += CountingAlloc::thread_calls() - before;
     }
     assert!(sim.events_processed() > 0, "the replay moves load");
     inside

@@ -2,7 +2,7 @@
 //!
 //! A daemon keeps every tenant it has served, so a small tenant's live heap
 //! is what the process's resident set grows by per tenant. This binary
-//! installs a counting global allocator and drives the `serve_small` tenant
+//! installs `dls_testkit::CountingAlloc` and drives the `serve_small` tenant
 //! script — create, six rounds of (submit two jobs, advance one epoch), run
 //! to the end, query — on in-process K = 5 [`Tenant`]s, then divides the
 //! live bytes and live blocks the finished tenants still hold by their
@@ -16,6 +16,10 @@
 //!           the tenant kept a base instance         39 446    285.1
 //!   after:  one model, no base instance             33 892    210.1
 //!   after, checkpointed every epoch                 33 890        –
+//!   later builds of the same tenant                 31 397    210.1
+//!   the resolver's pair table drops its minbw copy
+//!   (the LP index keeps the only one)               31 217    210.1
+//!   that, checkpointed every epoch                  31 215        –
 //! ```
 //!
 //! The budgets are the first `after` row plus ≈ 10 %. Before, a tenant
@@ -32,69 +36,11 @@ use dls::lp::standard::StandardForm;
 use dls::scenario::catalog::paper_shape_instance;
 use dls::scenario::JobSpec;
 use dls::service::{Tenant, TenantSpec};
-use std::alloc::{GlobalAlloc, Layout, System};
+use dls_testkit::CountingAlloc;
 use std::path::Path;
-use std::sync::atomic::{AtomicIsize, Ordering};
-
-/// [`System`], counting the bytes and blocks currently allocated.
-struct Counting;
-
-static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
-static LIVE_BLOCKS: AtomicIsize = AtomicIsize::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters only observe sizes.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's guarantees for `layout` are passed on as is.
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
-            LIVE_BLOCKS.fetch_add(1, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: as for `alloc`.
-        let p = unsafe { System.alloc_zeroed(layout) };
-        if !p.is_null() {
-            LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
-            LIVE_BLOCKS.fetch_add(1, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was returned by this allocator (hence by `System`)
-        // for `layout`, as the caller guarantees.
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE_BYTES.fetch_sub(layout.size() as isize, Ordering::Relaxed);
-        LIVE_BLOCKS.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: as for `dealloc`, and the caller guarantees `new_size`.
-        let p = unsafe { System.realloc(ptr, layout, new_size) };
-        if !p.is_null() {
-            LIVE_BYTES.fetch_add(
-                new_size as isize - layout.size() as isize,
-                Ordering::Relaxed,
-            );
-        }
-        p
-    }
-}
 
 #[global_allocator]
-static ALLOC: Counting = Counting;
-
-fn live() -> (isize, isize) {
-    (
-        LIVE_BYTES.load(Ordering::Relaxed),
-        LIVE_BLOCKS.load(Ordering::Relaxed),
-    )
-}
+static ALLOC: CountingAlloc = CountingAlloc;
 
 const TENANTS: u64 = 50;
 const CLUSTERS: usize = 5;
@@ -167,11 +113,11 @@ fn finished_tenant(seed: u64, checkpoints: Option<&Path>) -> Tenant {
 /// Mean live (bytes, blocks) per finished tenant over every seed.
 fn per_tenant(checkpoints: Option<&Path>) -> (f64, f64) {
     let mut tenants = Vec::with_capacity(TENANTS as usize);
-    let before = live();
+    let before = CountingAlloc::live();
     for seed in 1..=TENANTS {
         tenants.push(finished_tenant(seed, checkpoints));
     }
-    let after = live();
+    let after = CountingAlloc::live();
     drop(tenants);
     let n = TENANTS as f64;
     (
