@@ -119,7 +119,16 @@ impl std::ops::Deref for LpFormulation {
 /// the index must not be used here — affine weight structure makes swap
 /// patterns like `w(a)−w(a+2) = w(b)−w(b+2)` cancel exactly, leaving the
 /// stage-2 LP degenerate along precisely the directions it is meant to
-/// resolve. Generic (mixed) weights force a unique stage-2 optimum.
+/// resolve.
+///
+/// Mixed weights make a tie between two stage-2 optima unlikely, not
+/// impossible: the weight is `1 + q·2⁻²¹` with a 20-bit `q`. Already K = 50's
+/// 2 501 variables hold 4 pairs of equal weights, and on `online_drift`
+/// (seed 42, unit 16, epoch 9) two optima that differ by ±9.810036 on 22 α
+/// variables have exactly equal weight sums (`Σq` = 11 103 900 on either
+/// side). Which of them a solve returns then depends on its pivot path.
+/// Changing the weights moves pinned scenario outputs, so it needs a
+/// deliberate re-bless of them.
 pub fn tiebreak_weight(index: usize) -> f64 {
     let mut h = (index as u64) ^ 0x9e37_79b9_7f4a_7c15;
     h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -638,10 +647,13 @@ impl LpIndex {
 
     /// Canonical lexicographic stage-2 objective: every α variable paired
     /// with its deterministic [`tiebreak_weight`]. Solving
-    /// `max Σ w_j·α_j` over the (margin-relaxed) stage-1 optimal face has a
-    /// unique optimum, so *any* correct LP solver — warm-started or cold —
-    /// extracts the same vertex. This is what makes warm and cold resolver
-    /// pipelines agree event-for-event under platform drift.
+    /// `max Σ w_j·α_j` over the (margin-relaxed) stage-1 optimal face
+    /// almost always has a unique optimum, so any correct LP solver —
+    /// warm-started or cold — extracts the same vertex. This is what makes
+    /// warm and cold resolver pipelines agree event-for-event under
+    /// platform drift. The weights can tie exactly (see
+    /// [`tiebreak_weight`]); the optimum a solve picks is then its pivot
+    /// path's.
     pub fn tiebreak_terms(&self) -> impl Iterator<Item = (VarId, f64)> + '_ {
         self.alpha_vars
             .iter()

@@ -44,6 +44,52 @@
 //! assert!((sol[x] - 4.0).abs() < 1e-7);
 //! ```
 
+/// Implements `Clone` for a struct field by field, with a `clone_from` that
+/// forwards to each field's own `clone_from`. `Vec`, `String`, `Box`,
+/// `Option` and `BinaryHeap` keep their heap blocks there, so refreshing a
+/// warm context from another (the pin sweep does it before every probe)
+/// copies values instead of re-allocating thousands of small blocks. Both
+/// methods destructure the struct exhaustively: a field added later is a
+/// compile error here, not a stale copy.
+///
+/// The `enum` arm covers enums whose variants each hold one value: equal
+/// variants refresh in place, different ones fall back to `clone`.
+macro_rules! clone_in_place {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl Clone for $ty {
+            #[inline]
+            fn clone(&self) -> Self {
+                let $ty { $($field),+ } = self;
+                $ty { $($field: Clone::clone($field)),+ }
+            }
+
+            #[inline]
+            fn clone_from(&mut self, source: &Self) {
+                let $ty { $($field),+ } = self;
+                $(Clone::clone_from($field, &source.$field);)+
+            }
+        }
+    };
+    (enum $ty:ident { $($variant:ident),+ $(,)? }) => {
+        impl Clone for $ty {
+            #[inline]
+            fn clone(&self) -> Self {
+                match self {
+                    $($ty::$variant(x) => $ty::$variant(Clone::clone(x)),)+
+                }
+            }
+
+            #[inline]
+            fn clone_from(&mut self, source: &Self) {
+                match (self, source) {
+                    $(($ty::$variant(to), $ty::$variant(from)) => Clone::clone_from(to, from),)+
+                    (to, from) => *to = Clone::clone(from),
+                }
+            }
+        }
+    };
+}
+
 pub mod branch_bound;
 pub mod dense_simplex;
 pub mod error;

@@ -61,7 +61,7 @@ pub enum Sense {
 /// Repeated variables are allowed; they are summed during lowering.
 pub type LinExpr = Vec<(VarId, f64)>;
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub(crate) struct Variable {
     pub name: String,
     pub lo: f64,
@@ -70,12 +70,22 @@ pub(crate) struct Variable {
     pub integer: bool,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+clone_in_place!(Variable {
+    name,
+    lo,
+    up,
+    obj,
+    integer
+});
+
+#[derive(Debug, Serialize, Deserialize)]
 pub(crate) struct Constraint {
     pub terms: LinExpr,
     pub op: ConstraintOp,
     pub rhs: f64,
 }
+
+clone_in_place!(Constraint { terms, op, rhs });
 
 /// A linear (or mixed-integer, when variables are marked integral) program.
 ///
@@ -83,12 +93,14 @@ pub(crate) struct Constraint {
 /// variable of the divisible-load formulation is non-negative; free
 /// variables can be modelled as a difference of two). Constraints are
 /// `Σ aᵢxᵢ {≤,≥,=} b` with finite coefficients and right-hand side.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct Model {
     sense: Sense,
     pub(crate) vars: Vec<Variable>,
     pub(crate) cons: Vec<Constraint>,
 }
+
+clone_in_place!(Model { sense, vars, cons });
 
 impl Model {
     /// Creates an empty model with the given optimisation sense.

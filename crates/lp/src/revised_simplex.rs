@@ -170,20 +170,29 @@ pub(crate) enum DualEnd {
 /// transient `m × m` buffers and keeps only the inverse, so a context that
 /// refactorised once (every checkpoint barrier schedules one) holds no
 /// more than one that never did.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct DenseInv {
     binv: Vec<f64>,
 }
 
+clone_in_place!(DenseInv { binv });
+
 /// The interchangeable basis-factorisation representations. Exactly one
 /// `Repr` lives in each solver context (never in bulk collections), so the
 /// size gap between the variants costs nothing.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 #[allow(clippy::large_enum_variant)]
 enum Repr {
     Dense(DenseInv),
     Sparse(SparseLu),
 }
+
+clone_in_place!(
+    enum Repr {
+        Dense,
+        Sparse,
+    }
+);
 
 /// An FTRAN result `w = B⁻¹a` in basis-position space, with the positions
 /// worth looking at. The sparse LU hands back, ascending, the positions that
@@ -193,12 +202,14 @@ enum Repr {
 /// contract: the ratio test's tie window and the eta file's entry order both
 /// depend on it. The dense inverse fills `val` outright, so its pattern is
 /// every position, written once in [`Column::new`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct Column {
     pub(crate) val: Vec<f64>,
     /// See [`SparseLu::ftran`] for the `val`/`pat` contract on the sparse LU.
     pat: Vec<u32>,
 }
+
+clone_in_place!(Column { val, pat });
 
 impl Column {
     fn new(m: usize, sparse: bool) -> Self {
@@ -236,7 +247,7 @@ impl Column {
 /// A coefficient patch writes an existing entry in place; a removed entry
 /// stays behind as an explicit `0.0` (pins zero entries, and must not
 /// rebuild the copy), and only a newly inserted entry rebuilds it.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct RowWise {
     /// Row `r`'s entries are `col/val[ptr[r]..ptr[r + 1]]`, ascending column.
     ptr: Vec<u32>,
@@ -248,6 +259,15 @@ struct RowWise {
     passes: u64,
     scattered: u64,
 }
+
+clone_in_place!(RowWise {
+    ptr,
+    col,
+    val,
+    out,
+    passes,
+    scattered,
+});
 
 impl RowWise {
     fn new(sf: &StandardForm) -> Self {
@@ -348,7 +368,7 @@ fn reduced_cost(sf: &StandardForm, costs: &[f64], y: &[f64], j: usize) -> f64 {
 /// Unlike a per-solve tableau this owns no reference to the standard form,
 /// so it can outlive a solve and be re-used by the warm-start layer: every
 /// method takes the (possibly patched-in-place) `StandardForm` explicitly.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Factor {
     pub(crate) m: usize,
     pub(crate) basis: Vec<usize>,
@@ -376,6 +396,23 @@ pub(crate) struct Factor {
     /// on. Boxed, so a dense-inverse factor carries one pointer for it.
     row_wise: Option<Box<RowWise>>,
 }
+
+clone_in_place!(Factor {
+    m,
+    basis,
+    in_basis,
+    repr,
+    xb,
+    xb_stale,
+    iterations,
+    refactor_count,
+    pivots_since_refactor,
+    refactor_every,
+    scratch_y,
+    scratch_w,
+    scratch_rho,
+    row_wise,
+});
 
 impl Factor {
     pub(crate) fn new(sf: &StandardForm, refactor_every: usize, sparse: bool) -> Self {

@@ -73,7 +73,7 @@ pub(crate) struct SolveCounts {
 }
 
 /// Sparse LU factors + eta file for one basis, with reusable work storage.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct SparseLu {
     m: usize,
     /// Pivot sequence: original row / basis position per elimination step.
@@ -127,6 +127,37 @@ pub(crate) struct SparseLu {
     /// Reusable column row-lists (pattern only, lazily invalidated).
     work_cols: Vec<Vec<u32>>,
 }
+
+clone_in_place!(SparseLu {
+    m,
+    piv_row,
+    piv_pos,
+    u_piv,
+    u_ptr,
+    u_pos,
+    u_val,
+    l_ptr,
+    l_row,
+    l_val,
+    eta_r,
+    eta_piv,
+    eta_ptr,
+    eta_idx,
+    eta_val,
+    row_step,
+    ut_ptr,
+    ut_step,
+    l_steps,
+    basis_nnz,
+    counts,
+    scr_row,
+    scr_pos,
+    touched,
+    reach,
+    queued,
+    work_rows,
+    work_cols,
+});
 
 impl SparseLu {
     /// The identity factorisation of the all-{slack, artificial} basis

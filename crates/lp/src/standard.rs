@@ -51,7 +51,7 @@ pub enum RowOrigin {
 }
 
 /// A model lowered to `min c·x, A x = b, x ≥ 0, b ≥ 0`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct StandardForm {
     /// Number of structural columns (one per model variable, in order).
     pub n_structural: usize,
@@ -80,6 +80,21 @@ pub struct StandardForm {
     /// `true` when the model maximises (duals are sign-flipped on recovery).
     pub maximise: bool,
 }
+
+clone_in_place!(StandardForm {
+    n_structural,
+    n_cols,
+    m,
+    cols,
+    c,
+    b,
+    initial_basis,
+    is_artificial,
+    lo_shift,
+    n_artificial,
+    row_origin,
+    maximise,
+});
 
 /// One row in the intermediate (pre-slack) form.
 struct Row {

@@ -355,7 +355,11 @@ pub(crate) fn slack_columns(sf: &StandardForm) -> Vec<Option<usize>> {
 /// A persistent warm-start context: owns the model, its lowered standard
 /// form, and the factorised basis of the last solve, and keeps all three in
 /// sync under in-place mutations. See the module docs for the method.
-#[derive(Debug, Clone)]
+///
+/// `clone_from` refreshes a context in place: every buffer it already holds
+/// is reused, so copying one context over another of the same shape makes
+/// next to no heap calls (the pin sweep's per-probe refresh).
+#[derive(Debug)]
 pub struct WarmSimplex {
     params: RevisedSimplex,
     model: Model,
@@ -376,6 +380,20 @@ pub struct WarmSimplex {
     /// FIFO of injected faults (tests only; always empty in production).
     injected: Vec<InjectedFault>,
 }
+
+clone_in_place!(WarmSimplex {
+    params,
+    model,
+    sf,
+    factor,
+    con_rows,
+    bound_rows,
+    slack_cols,
+    needs_refactor,
+    check_against_cold,
+    stats,
+    injected,
+});
 
 impl WarmSimplex {
     /// Builds a context around `model` with the given solver parameters.
@@ -1088,6 +1106,97 @@ mod tests {
         let mut other = WarmSimplex::new(m2, RevisedSimplex::default()).unwrap();
         assert!(!other.seed_basis(&Basis::from_parts(vec![0], 1)));
         other.solve().unwrap();
+    }
+
+    /// Contexts in every state a pin sweep can leave one in: unsolved,
+    /// pinned, pivoted, refactorised, fallen back to cold (its form
+    /// re-lowered), with patches pending, on another model, and on both
+    /// basis representations.
+    fn dirty_contexts() -> Vec<WarmSimplex> {
+        use crate::BasisRepr;
+        let params = |basis_repr| RevisedSimplex {
+            basis_repr,
+            ..RevisedSimplex::default()
+        };
+        let mut out = Vec::new();
+        for repr in [BasisRepr::DenseInverse, BasisRepr::SparseLu] {
+            let (m, x, y, c0, c1, c2) = textbook();
+            let fresh = WarmSimplex::new(m, params(repr)).unwrap();
+            out.push(fresh.clone());
+
+            let mut pinned = fresh.clone();
+            pinned.solve().unwrap();
+            pinned.set_var_bounds(y, 0.0, 2.0).unwrap();
+            pinned.solve().unwrap();
+            pinned.set_coefficient(c2, y, 1.0).unwrap();
+            pinned.set_rhs(c0, 3.0).unwrap();
+            out.push(pinned.clone());
+            // Patches pending: a stale sparse x_B, an unsolved basis.
+            pinned.set_coefficient(c1, x, 0.5).unwrap();
+            pinned.set_var_bounds(x, 0.5, 3.0).unwrap();
+            out.push(pinned);
+
+            let mut refactored = fresh.clone();
+            refactored.solve().unwrap();
+            refactored.request_refactor();
+            refactored.set_var_bounds(x, 0.0, 1.0).unwrap();
+            refactored.solve().unwrap();
+            out.push(refactored);
+
+            let mut fallen = fresh.clone();
+            fallen.solve().unwrap();
+            fallen.debug_inject_fault(InjectedFault::WarmAttempt(LpError::NumericalBreakdown(
+                "injected",
+            )));
+            fallen.set_var_bounds(y, 0.0, 4.0).unwrap();
+            fallen.solve().unwrap();
+            assert_eq!(fallen.stats().fallbacks, 1);
+            out.push(fallen);
+
+            // Another model: more columns and rows, so every buffer has a
+            // different length, and a fault still queued.
+            let mut other = Model::new(Sense::Minimize);
+            let v: Vec<VarId> = (0..5)
+                .map(|i| other.add_var(format!("v{i}"), 0.0, 3.0 + i as f64))
+                .collect();
+            for (i, &vi) in v.iter().enumerate() {
+                other.set_objective_coef(vi, 1.0 + i as f64);
+                other.add_constraint(
+                    vec![(vi, 1.0), (v[(i + 1) % 5], 2.0)],
+                    ConstraintOp::Ge,
+                    2.0,
+                );
+            }
+            let mut other = WarmSimplex::new(other, params(repr)).unwrap();
+            other.solve().unwrap();
+            other.set_var_bounds(v[2], 0.0, 0.5).unwrap();
+            other.solve().unwrap();
+            other.debug_inject_fault(InjectedFault::WarmAttempt(LpError::NumericalBreakdown(
+                "queued",
+            )));
+            out.push(other);
+        }
+        out
+    }
+
+    /// `clone_from` into a context in any other state leaves exactly what
+    /// `clone` would (by `Debug`, which prints every field and every float
+    /// in round-trip form), and the next solve has the same bits.
+    #[test]
+    fn clone_from_a_dirty_context_equals_a_clone() {
+        let contexts = dirty_contexts();
+        for (i, src) in contexts.iter().enumerate() {
+            for (j, dirty) in contexts.iter().enumerate() {
+                let mut refreshed = dirty.clone();
+                refreshed.clone_from(src);
+                let mut cloned = src.clone();
+                assert_eq!(format!("{refreshed:?}"), format!("{cloned:?}"), "{j} ← {i}");
+                let a = refreshed.solve();
+                let b = cloned.solve();
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "{j} ← {i}");
+                assert_eq!(format!("{refreshed:?}"), format!("{cloned:?}"), "{j} ← {i}");
+            }
+        }
     }
 
     #[test]
