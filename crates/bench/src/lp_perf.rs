@@ -28,7 +28,8 @@ use dls_lp::{
     resolve_engine, solve_with, tableau_size, BasisRepr, BranchBound, BranchBoundConfig, Engine,
     FactorStats, RevisedSimplex, Status, WarmSimplex, WarmStats,
 };
-use dls_platform::{ClusterId, PlatformBuilder, PlatformGenerator};
+use dls_platform::{ClusterId, PlatformGenerator};
+use dls_scenario::catalog::{island_instance, ISLAND};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
@@ -73,43 +74,6 @@ pub fn crossover_cluster_counts(preset: Preset) -> &'static [usize] {
         Preset::Quick => &[5, 8, 10],
         Preset::PaperShape | Preset::Full => &[5, 8, 10, 15, 20, 25, 35, 50],
     }
-}
-
-/// Clusters per island in [`island_instance`]. Eight fully-meshed clusters
-/// give each island 28 backbone links and 56 routed pairs — enough coupling
-/// for non-trivial LPs while the global constraint matrix stays
-/// block-diagonal, which is the structure the sparse LU engine exploits.
-pub const ISLAND: usize = 8;
-
-/// Deterministic large-K instance for the sparse-scaling section: islands
-/// of [`ISLAND`] fully-meshed clusters with no inter-island links. The
-/// paper-shape generator's `connectivity · K²` backbone is intractable (and
-/// unrealistically dense) beyond a few hundred clusters; real large
-/// platforms are federations of well-connected sites, and the resulting
-/// block structure keeps basis fill-in — and therefore sparse solve time —
-/// near-linear in K.
-pub fn island_instance(k: usize, seed: u64) -> ProblemInstance {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x51a9_d05e_c0de_0001);
-    let mut b = PlatformBuilder::new();
-    let clusters: Vec<ClusterId> = (0..k)
-        .map(|_| b.add_cluster(100.0, rng.gen_range(150.0..350.0)))
-        .collect();
-    for island in clusters.chunks(ISLAND) {
-        for (i, &a) in island.iter().enumerate() {
-            for &c in &island[i + 1..] {
-                let bw = rng.gen_range(10.0..50.0);
-                let conn: u32 = rng.gen_range(5..25);
-                b.connect_clusters(a, c, bw, conn);
-            }
-        }
-    }
-    let platform = b.build().expect("island platform is valid");
-    ProblemInstance::with_spread_payoffs(
-        platform,
-        Objective::MaxMin,
-        0.5,
-        seed ^ 0x9e37_79b9_7f4a_7c15,
-    )
 }
 
 /// Cluster counts for the sparse-scaling section. The tentpole target:
@@ -677,20 +641,6 @@ mod tests {
         }
         for (u, l) in used.iter().zip(&inst.platform.links) {
             assert!(*u <= l.max_connections as i64);
-        }
-    }
-
-    #[test]
-    fn island_instance_is_block_structured() {
-        let inst = island_instance(20, 5);
-        let p = &inst.platform;
-        assert_eq!(p.num_clusters(), 20);
-        // Routed pairs stay within their island: 8 + 8 + 4 clusters give
-        // 8·7 + 8·7 + 4·3 directed pairs and nothing across islands.
-        let pairs = p.routed_pairs();
-        assert_eq!(pairs.len(), 56 + 56 + 12);
-        for (a, b) in pairs {
-            assert_eq!(a.index() / ISLAND, b.index() / ISLAND);
         }
     }
 

@@ -12,27 +12,25 @@
 //!
 //! Each probe is a *pure function of the shared base state*. A worker
 //! clones the warm-started base [`WarmSimplex`] (factorisation included)
-//! once, and before every probe refreshes that context in place with
+//! once, and before every later probe refreshes that context in place with
 //! `clone_from(&base)`, which reuses its buffers but leaves a value equal
 //! to the base. It then applies the probe's
 //! [`PinDelta`](crate::formulation::PinDelta) and solves. Nothing a probe
 //! did survives the refresh, so the objective vector is bit-identical for
 //! any worker count or chunking — including when a probe degrades to a
-//! cold fallback and re-lowers its context. A worker keeps its best probe
-//! so far (context and solution) by moving it aside, not by copying it.
-//! The merge (best-pin argmax in probe-index order, strict improvement, so
-//! ties go to the lowest index) runs sequentially after the barrier; the
-//! winner is its worker's best probe, so
-//! [`LpIndex::canonical_stage2`](crate::LpIndex::canonical_stage2) runs on
-//! the winner's own solved context. The full [`PinSweepReport`] is
-//! bit-identical to the `threads = 1` sweep, which runs on the calling
-//! thread.
+//! cold fallback and re-lowers its context. The merge (best-pin argmax in
+//! probe-index order, strict improvement, so ties go to the lowest index)
+//! runs sequentially after the barrier. The winner is then re-applied to
+//! the base itself, which no probe touched, and
+//! [`LpIndex::canonical_stage2`](crate::LpIndex::canonical_stage2) runs
+//! warm from that solve. The full [`PinSweepReport`] is bit-identical to
+//! the `threads = 1` sweep, which runs on the calling thread.
 
 use super::Lprr;
 use crate::error::SolveError;
 use crate::formulation::{LpFormulation, PinDelta};
 use crate::problem::ProblemInstance;
-use dls_lp::{RevisedSimplex, Sense, Solution, Status, WarmSimplex};
+use dls_lp::{RevisedSimplex, Sense, Status, WarmSimplex};
 use dls_platform::ClusterId;
 
 /// One evaluated candidate pin.
@@ -76,71 +74,29 @@ pub struct PinSweepReport {
 /// One candidate pin: `(from, to, v)` and the delta that applies it.
 type Task = (ClusterId, ClusterId, u32, PinDelta);
 
-/// A worker's best probe so far: its task index, its solved context and its
-/// solution.
-type Kept = (usize, WarmSimplex, Solution);
-
 /// Applies one pin delta to `w`, a context equal to the base, and solves.
 /// Pure in the base state — see the module docs.
-fn probe(w: &mut WarmSimplex, delta: &PinDelta) -> Result<Solution, SolveError> {
+fn probe(w: &mut WarmSimplex, delta: &PinDelta) -> Result<f64, SolveError> {
     delta.apply_to(w)?;
     let sol = w.solve()?;
     match sol.status {
-        Status::Optimal => Ok(sol),
+        Status::Optimal => Ok(sol.objective),
         Status::Infeasible => Err(SolveError::UnexpectedStatus("infeasible probe")),
         Status::Unbounded => Err(SolveError::UnexpectedStatus("unbounded probe")),
     }
 }
 
-/// The merge's rule: `objective` replaces the incumbent when there is none
-/// or it is strictly better, so ties keep the earlier probe.
-fn improves(maximize: bool, objective: f64, incumbent: Option<f64>) -> bool {
-    match incumbent {
-        None => true,
-        Some(b) if maximize => objective > b,
-        Some(b) => objective < b,
-    }
-}
-
-/// Runs one worker's contiguous chunk, whose first task has index `first`,
-/// writing each probe's objective to its slot. One context is cloned from
-/// the base and refreshed before every later probe; a probe that improves
-/// on the worker's best trades places with it, so the chunk copies the base
-/// at most twice. Returns the worker's best probe.
-fn sweep_chunk(
-    base: &WarmSimplex,
-    first: usize,
-    tasks: &[Task],
-    slots: &mut [Option<Result<f64, SolveError>>],
-    maximize: bool,
-) -> Option<Kept> {
-    let mut spare: Option<WarmSimplex> = None;
-    let mut kept: Option<Kept> = None;
+/// Runs one worker's chunk of probes, writing each objective to its slot.
+/// The worker clones the base once and refreshes that context in place
+/// before every later probe.
+fn sweep_chunk(base: &WarmSimplex, tasks: &[Task], slots: &mut [Option<Result<f64, SolveError>>]) {
+    let mut w = base.clone();
     for (i, (slot, (_, _, _, delta))) in slots.iter_mut().zip(tasks).enumerate() {
-        let mut w = match spare.take() {
-            Some(mut w) => {
-                w.clone_from(base);
-                w
-            }
-            None => base.clone(),
-        };
-        match probe(&mut w, delta) {
-            Ok(sol) => {
-                *slot = Some(Ok(sol.objective));
-                let incumbent = kept.as_ref().map(|(_, _, s)| s.objective);
-                if improves(maximize, sol.objective, incumbent) {
-                    spare = kept.replace((first + i, w, sol)).map(|(_, w, _)| w);
-                } else {
-                    spare = Some(w);
-                }
-            }
-            Err(e) => {
-                *slot = Some(Err(e));
-                spare = Some(w);
-            }
+        if i > 0 {
+            w.clone_from(base);
         }
+        *slot = Some(probe(&mut w, delta));
     }
-    kept
 }
 
 impl Lprr {
@@ -228,63 +184,58 @@ impl Lprr {
         let mut slots: Vec<Option<Result<f64, SolveError>>> =
             (0..tasks.len()).map(|_| None).collect();
         let chunk = tasks.len().div_ceil(threads).max(1);
-        let kept: Vec<Kept> = std::thread::scope(|scope| {
-            let mut shards = slots.chunks_mut(chunk).zip(tasks.chunks(chunk)).enumerate();
+        std::thread::scope(|scope| {
+            let mut shards = slots.chunks_mut(chunk).zip(tasks.chunks(chunk));
             let own = shards.next();
             let base = &base;
-            let spawned: Vec<_> = shards
-                .map(|(c, (slots, tasks))| {
-                    scope.spawn(move || sweep_chunk(base, c * chunk, tasks, slots, maximize))
-                })
-                .collect();
-            let own =
-                own.and_then(|(_, (slots, tasks))| sweep_chunk(base, 0, tasks, slots, maximize));
-            own.into_iter()
-                .chain(spawned.into_iter().filter_map(|h| {
-                    h.join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                }))
-                .collect()
+            for (slots, tasks) in shards {
+                scope.spawn(move || sweep_chunk(base, tasks, slots));
+            }
+            if let Some((slots, tasks)) = own {
+                sweep_chunk(base, tasks, slots);
+            }
         });
 
         let mut probes: Vec<PinProbe> = Vec::with_capacity(tasks.len());
         let mut best: Option<usize> = None;
         for (i, ((from, to, v, _), slot)) in tasks.iter().zip(slots).enumerate() {
             let objective = slot.expect("every slot is written by its worker")?;
-            if improves(maximize, objective, best.map(|b| probes[b].objective)) {
-                best = Some(i);
-            }
+            let improves = match best {
+                None => true,
+                Some(b) => {
+                    let b_obj = probes[b].objective;
+                    if maximize {
+                        objective > b_obj
+                    } else {
+                        objective < b_obj
+                    }
+                }
+            };
             probes.push(PinProbe {
                 from: *from,
                 to: *to,
                 v: *v,
                 objective,
             });
+            if improves {
+                best = Some(i);
+            }
         }
 
         // Canonical stage-2 vertex at the winner, computed once after the
-        // merge (sequentially — identical regardless of sharding), warm
-        // from the winner's own solved context. The winner is the best
-        // probe of its chunk, so its worker kept it; only a NaN objective
-        // ahead of it in the chunk could hide it, and then the probe is
-        // re-run on a fresh clone. With no probes, stage 1 is the base's.
-        let (best_objective, mut wbest, stage1) = match best {
+        // merge (sequentially — identical regardless of sharding): apply
+        // the winning delta to the base itself, which every probe copied
+        // but none changed, certify stage 1, then run the shared second
+        // stage warm from that basis.
+        let mut wbest = base;
+        let best_objective = match best {
             Some(b) => {
-                let (w, sol) = match kept.into_iter().find(|(i, ..)| *i == b) {
-                    Some((_, w, sol)) => (w, sol),
-                    None => {
-                        let mut w = base.clone();
-                        let sol = probe(&mut w, &tasks[b].3)?;
-                        (w, sol)
-                    }
-                };
-                (probes[b].objective, w, sol)
+                tasks[b].3.apply_to(&mut wbest)?;
+                probes[b].objective
             }
-            None => {
-                let stage1 = Self::check_optimal(base.solve()?)?;
-                (base_sol.objective, base, stage1)
-            }
+            None => base_sol.objective,
         };
+        let stage1 = Self::check_optimal(wbest.solve()?)?;
         let stage2_values = index.canonical_stage2(&mut wbest, stage1)?.values;
 
         Ok(PinSweepReport {

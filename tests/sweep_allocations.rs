@@ -9,8 +9,8 @@
 //! sweep (on the calling thread, so the per-thread counter sees all of it)
 //! at two probe caps: the heap calls per extra probe are budgeted.
 //!
-//! - A K = 48 island instance (`perf lp`'s generator, the `plan_island`
-//!   shape; m = 648 lowered rows, dense inverse).
+//! - A K = 48 island instance (`dls_scenario::catalog::island_instance`,
+//!   the `plan_island` shape; m = 648 lowered rows, dense inverse).
 //! - A K = 30 paper-shape instance (m = 1 134, dense inverse).
 //! - A K = 44 paper-shape instance (past `SPARSE_MIN_ROWS`: sparse LU).
 //!
@@ -35,8 +35,7 @@ use dls::core::heuristics::Lprr;
 use dls::lp::standard::StandardForm;
 use dls::lp::SPARSE_MIN_ROWS;
 use dls::prelude::*;
-use dls::scenario::catalog::paper_shape_instance;
-use dls_bench::lp_perf::island_instance;
+use dls::scenario::catalog::{island_instance, paper_shape_instance};
 use dls_testkit::CountingAlloc;
 
 #[global_allocator]
