@@ -64,6 +64,33 @@ fn jobs() -> Vec<JobSpec> {
         .collect()
 }
 
+/// Jobs whose floats sit where a float printer goes wrong: the smallest
+/// subnormal and normal, a value printed with leading zeros, a sum that
+/// needs 17 digits, the integral values either side of 1e16 (where `.0`
+/// stops), a large integral value, the largest finite value and -0.0.
+fn edge_float_jobs() -> Vec<JobSpec> {
+    let edges = [
+        5e-324,
+        2.2250738585072014e-308,
+        1e-7,
+        0.1 + 0.2,
+        9999999999999998.0,
+        1e16,
+        123456789012345680000.0,
+        1.7976931348623157e308,
+        -0.0,
+    ];
+    edges
+        .chunks(3)
+        .map(|f| JobSpec {
+            arrival: f[0],
+            origin: 0,
+            size: f[1],
+            weight: f[2],
+        })
+        .collect()
+}
+
 fn crash() -> PlatformEvent {
     PlatformEvent {
         time: 25.0,
@@ -134,6 +161,10 @@ fn request_frames_are_pinned() {
         Op::Checkpoint { tenant: tenant() },
         Op::ListTenants,
         Op::Shutdown,
+        Op::Submit {
+            tenant: tenant(),
+            jobs: edge_float_jobs(),
+        },
     ];
     let frames: Vec<String> = ops
         .into_iter()
