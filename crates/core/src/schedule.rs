@@ -104,32 +104,24 @@ pub struct ScheduleBuilder {
     /// Common denominator `D` (and period) for [`ScheduleBuilder::build`];
     /// maximum per-rate denominator for [`ScheduleBuilder::build_exact`].
     pub denominator: i128,
-    /// Skip allocation validation (for callers that already validated).
-    pub skip_validation: bool,
 }
 
 impl Default for ScheduleBuilder {
     fn default() -> Self {
-        ScheduleBuilder {
-            denominator: 1000,
-            skip_validation: false,
-        }
+        ScheduleBuilder { denominator: 1000 }
     }
 }
 
 impl ScheduleBuilder {
-    fn check(&self, inst: &ProblemInstance, alloc: &Allocation) -> Result<(), ScheduleError> {
-        if !self.skip_validation {
-            if let Err(v) = alloc.validate(inst) {
-                let text = v
-                    .iter()
-                    .map(|x| x.to_string())
-                    .collect::<Vec<_>>()
-                    .join("; ");
-                return Err(ScheduleError::InvalidAllocation(text));
-            }
-        }
-        Ok(())
+    fn check(inst: &ProblemInstance, alloc: &Allocation) -> Result<(), ScheduleError> {
+        alloc.validate(inst).map_err(|v| {
+            let text = v
+                .iter()
+                .map(|x| x.to_string())
+                .collect::<Vec<_>>()
+                .join("; ");
+            ScheduleError::InvalidAllocation(text)
+        })
     }
 
     /// Common-denominator reconstruction: period is exactly `denominator`.
@@ -138,7 +130,7 @@ impl ScheduleBuilder {
         inst: &ProblemInstance,
         alloc: &Allocation,
     ) -> Result<PeriodicSchedule, ScheduleError> {
-        self.check(inst, alloc)?;
+        Self::check(inst, alloc)?;
         let k = alloc.k;
         let d = self.denominator;
         let mut loads = vec![0i128; k * k];
@@ -162,7 +154,7 @@ impl ScheduleBuilder {
         inst: &ProblemInstance,
         alloc: &Allocation,
     ) -> Result<PeriodicSchedule, ScheduleError> {
-        self.check(inst, alloc)?;
+        Self::check(inst, alloc)?;
         let k = alloc.k;
         let cfg = ApproxConfig {
             max_denominator: self.denominator,
@@ -391,11 +383,7 @@ mod tests {
             let alloc = Lprg::default().solve(&inst).unwrap();
             let s = ScheduleBuilder::default().build(&inst, &alloc).unwrap();
             s.validate(&inst).unwrap();
-            let exact = ScheduleBuilder {
-                denominator: 64,
-                skip_validation: false,
-            }
-            .build_exact(&inst, &alloc);
+            let exact = ScheduleBuilder { denominator: 64 }.build_exact(&inst, &alloc);
             // Exact mode may overflow for adversarial denominators but must
             // not here (denominators ≤ 64 ⇒ lcm ≤ lcm(1..64), still large —
             // accept either success or a clean overflow error).

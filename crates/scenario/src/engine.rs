@@ -52,8 +52,7 @@ use crate::report::{
 use dls_core::{Allocation, ProblemInstance, SolveError};
 use dls_platform::ClusterId;
 use dls_sim::{
-    BandwidthModel, ChunkPart, LiveConfig, LiveEvent, LiveFlowId, LiveFlowSpec, LiveSim,
-    LiveSnapshot, SimEngine,
+    ChunkPart, LiveConfig, LiveEvent, LiveFlowId, LiveFlowSpec, LiveSim, LiveSnapshot, SimEngine,
 };
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::{HashMap, VecDeque};
@@ -63,8 +62,6 @@ use std::time::Instant;
 /// Scenario-engine settings.
 #[derive(Debug, Clone)]
 pub struct ScenarioConfig {
-    /// Local-link sharing discipline.
-    pub bandwidth_model: BandwidthModel,
     /// Which live-simulation core executes the timeline.
     pub engine: SimEngine,
     /// Cross-check every incremental mutation against a full solve
@@ -85,7 +82,6 @@ pub struct ScenarioConfig {
 impl Default for ScenarioConfig {
     fn default() -> Self {
         ScenarioConfig {
-            bandwidth_model: BandwidthModel::MaxMinFair,
             engine: SimEngine::Incremental,
             oracle_check: false,
             record_events: false,
@@ -510,7 +506,6 @@ impl Deserialize for ScenarioSnapshot {
 
 fn live_config(cfg: &ScenarioConfig) -> LiveConfig {
     LiveConfig {
-        bandwidth_model: cfg.bandwidth_model,
         engine: cfg.engine,
         oracle_check: cfg.oracle_check,
         record_events: cfg.record_events || cfg.oracle_check,

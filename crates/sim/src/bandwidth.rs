@@ -45,28 +45,6 @@ pub struct FlowSpec {
     pub demand: f64,
 }
 
-/// Sharing discipline for the local links.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BandwidthModel {
-    /// Max-min fair progressive filling (the realistic model).
-    MaxMinFair,
-    /// Static equal split per link with no redistribution (ablation: wastes
-    /// whatever capped flows leave on the table).
-    EqualSplit,
-}
-
-/// Computes a rate per flow.
-///
-/// `local_bw[c]` is the capacity `g_c` of cluster `c`'s local link; each
-/// flow consumes capacity on `src` and on `dst` (the paper's Eq. 7c counts
-/// outgoing plus incoming traffic against the same link).
-pub fn allocate_rates(local_bw: &[f64], flows: &[FlowSpec], model: BandwidthModel) -> Vec<f64> {
-    match model {
-        BandwidthModel::MaxMinFair => max_min_fair(local_bw, flows),
-        BandwidthModel::EqualSplit => equal_split(local_bw, flows),
-    }
-}
-
 /// Freeze tolerance shared by the oracle and the incremental allocator: a
 /// link counts as saturated (and a flow as capped) when the slack drops
 /// below `SAT_TOL · (1 + scale)`.
@@ -76,7 +54,12 @@ const SAT_TOL: f64 = 1e-12;
 /// stuck-flow freeze path (shared by both allocators).
 const DELTA_FLOOR: f64 = 1e-15;
 
-fn max_min_fair(local_bw: &[f64], flows: &[FlowSpec]) -> Vec<f64> {
+/// Computes a rate per flow by reservation-aware max-min fairness.
+///
+/// `local_bw[c]` is the capacity `g_c` of cluster `c`'s local link; each
+/// flow consumes capacity on `src` and on `dst` (the paper's Eq. 7c counts
+/// outgoing plus incoming traffic against the same link).
+pub fn allocate_rates(local_bw: &[f64], flows: &[FlowSpec]) -> Vec<f64> {
     let n = flows.len();
     let mut rates = vec![0.0f64; n];
     if n == 0 {
@@ -183,24 +166,6 @@ fn max_min_fair(local_bw: &[f64], flows: &[FlowSpec]) -> Vec<f64> {
     rates
 }
 
-/// Naive ablation: a static equal share per link, no reservations, no
-/// redistribution of whatever capped flows leave unused.
-fn equal_split(local_bw: &[f64], flows: &[FlowSpec]) -> Vec<f64> {
-    let mut count = vec![0usize; local_bw.len()];
-    for f in flows {
-        count[f.src.index()] += 1;
-        count[f.dst.index()] += 1;
-    }
-    flows
-        .iter()
-        .map(|f| {
-            let src_share = local_bw[f.src.index()] / count[f.src.index()].max(1) as f64;
-            let dst_share = local_bw[f.dst.index()] / count[f.dst.index()].max(1) as f64;
-            f.cap.min(src_share).min(dst_share)
-        })
-        .collect()
-}
-
 /// Stable handle to a flow tracked by a [`BandwidthAllocator`].
 ///
 /// Slots are reused after removal; the generation counter makes stale
@@ -272,8 +237,7 @@ impl SpecState {
 /// Only the path-dependent persistent state is stored — slot assignments,
 /// generations, the free list, per-link membership *order* (summation
 /// order matters bit-for-bit), and the current rates. Scratch buffers are
-/// rebuilt empty; the sharing model is supplied at restore time by the
-/// caller's config.
+/// rebuilt empty.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AllocatorState {
     local_bw: Vec<f64>,
@@ -375,12 +339,11 @@ struct BatchMemo {
 /// are skipped, otherwise the solve runs and replaces the oldest entry.
 /// Everything downstream (saturation expansion, the changed-rate report,
 /// the oracle audit) sees the same bits either way. Only `update`s that
-/// carry additions consult it; `retune`, `reshape`, removal-only updates
-/// and `EqualSplit` never do, and [`BandwidthAllocator::from_state`]
-/// rebuilds an unarmed allocator.
+/// carry additions consult it; `retune`, `reshape` and removal-only updates
+/// never do, and [`BandwidthAllocator::from_state`] rebuilds an unarmed
+/// allocator.
 #[derive(Debug, Clone)]
 pub struct BandwidthAllocator {
-    model: BandwidthModel,
     local_bw: Vec<f64>,
     // Slot-indexed flow state.
     specs: Vec<FlowSpec>,
@@ -424,10 +387,9 @@ pub struct BandwidthAllocator {
 
 impl BandwidthAllocator {
     /// Creates an empty allocator over the given local-link capacities.
-    pub fn new(local_bw: &[f64], model: BandwidthModel) -> Self {
+    pub fn new(local_bw: &[f64]) -> Self {
         let nl = local_bw.len();
         BandwidthAllocator {
-            model,
             local_bw: local_bw.to_vec(),
             specs: Vec::new(),
             rates: Vec::new(),
@@ -487,11 +449,6 @@ impl BandwidthAllocator {
         self.specs.len()
     }
 
-    /// The sharing discipline this allocator implements.
-    pub fn model(&self) -> BandwidthModel {
-        self.model
-    }
-
     /// Current rate of a live flow.
     pub fn rate(&self, id: FlowId) -> f64 {
         debug_assert!(self.is_current(id), "stale FlowId");
@@ -543,7 +500,7 @@ impl BandwidthAllocator {
     pub fn assert_matches_oracle(&self, tol: f64, context: &str) {
         let live = self.live_flows();
         let specs: Vec<FlowSpec> = live.iter().map(|(_, s, _)| *s).collect();
-        let oracle = allocate_rates(&self.local_bw, &specs, self.model);
+        let oracle = allocate_rates(&self.local_bw, &specs);
         for (i, ((id, spec, rate), want)) in live.iter().zip(&oracle).enumerate() {
             assert!(
                 dls_core::approx::close(*rate, *want, tol),
@@ -655,10 +612,7 @@ impl BandwidthAllocator {
         }
 
         if self.n_live > 0 {
-            match self.model {
-                BandwidthModel::MaxMinFair => self.reallocate_maxmin(!additions.is_empty()),
-                BandwidthModel::EqualSplit => self.reallocate_equal_split(),
-            }
+            self.reallocate_maxmin(!additions.is_empty());
         }
 
         self.finish_update();
@@ -672,9 +626,9 @@ impl BandwidthAllocator {
 
     /// Applies a batch of local-link capacity changes `(link, new_g)` and
     /// re-allocates the dirty set in one pass: every flow crossing a
-    /// re-tuned link is re-solved (for max-min, together with everything
-    /// transitively coupled through links that were saturated under the old
-    /// allocation, exactly like [`BandwidthAllocator::update`]), while
+    /// re-tuned link is re-solved (together with everything transitively
+    /// coupled through links that were saturated under the old allocation,
+    /// exactly like [`BandwidthAllocator::update`]), while
     /// provably-unaffected rates stay untouched. Flows whose rate changed
     /// are afterwards available from [`BandwidthAllocator::changed`].
     ///
@@ -699,16 +653,8 @@ impl BandwidthAllocator {
             self.local_bw[l] = g;
         }
         if self.n_live > 0 {
-            match self.model {
-                BandwidthModel::MaxMinFair => {
-                    self.grow_from_work();
-                    self.solve_to_fixpoint(false);
-                }
-                BandwidthModel::EqualSplit => {
-                    self.work.clear();
-                    self.recompute_equal_split_dirty();
-                }
-            }
+            self.grow_from_work();
+            self.solve_to_fixpoint(false);
         }
         self.finish_update();
     }
@@ -750,16 +696,8 @@ impl BandwidthAllocator {
             self.specs[s].demand = demand;
         }
         if self.n_live > 0 {
-            match self.model {
-                BandwidthModel::MaxMinFair => {
-                    self.grow_from_work();
-                    self.solve_to_fixpoint(false);
-                }
-                BandwidthModel::EqualSplit => {
-                    self.work.clear();
-                    self.recompute_equal_split_dirty();
-                }
-            }
+            self.grow_from_work();
+            self.solve_to_fixpoint(false);
         }
         self.finish_update();
     }
@@ -780,10 +718,9 @@ impl BandwidthAllocator {
         }
     }
 
-    /// Rebuilds an allocator from a [`BandwidthAllocator::snapshot`] under
-    /// the given sharing model (the model is config, not state).
-    pub fn from_state(state: &AllocatorState, model: BandwidthModel) -> Self {
-        let mut alloc = BandwidthAllocator::new(&state.local_bw, model);
+    /// Rebuilds an allocator from a [`BandwidthAllocator::snapshot`].
+    pub fn from_state(state: &AllocatorState) -> Self {
+        let mut alloc = BandwidthAllocator::new(&state.local_bw);
         alloc.specs = state.specs.iter().map(|s| s.to_spec()).collect();
         alloc.rates = state.rates.clone();
         alloc.live = state.live.clone();
@@ -1166,30 +1103,6 @@ impl BandwidthAllocator {
         }
         expanded
     }
-
-    /// Equal-split rates depend only on per-link populations, so exactly
-    /// the flows on membership-changed links are dirty.
-    fn reallocate_equal_split(&mut self) {
-        for i in 0..self.mchanged.len() {
-            let l = self.mchanged[i] as usize;
-            self.affect(l);
-        }
-        self.work.clear();
-        self.recompute_equal_split_dirty();
-    }
-
-    /// Recomputes equal-split rates for the current dirty set.
-    fn recompute_equal_split_dirty(&mut self) {
-        for i in 0..self.dirty.len() {
-            let s = self.dirty[i] as usize;
-            let spec = self.specs[s];
-            let src = spec.src.index();
-            let dst = spec.dst.index();
-            let src_share = self.local_bw[src] / self.link_flows[src].len().max(1) as f64;
-            let dst_share = self.local_bw[dst] / self.link_flows[dst].len().max(1) as f64;
-            self.rates[s] = spec.cap.min(src_share).min(dst_share);
-        }
-    }
 }
 
 /// Reservation floor before per-link scaling, matching the oracle.
@@ -1235,7 +1148,7 @@ mod tests {
             reserved(5, 0, 15.0, 1.02),
         ];
         let g = [60.0, 100.0, 100.0, 100.0, 100.0, 100.0];
-        let rates = allocate_rates(&g, &flows, BandwidthModel::MaxMinFair);
+        let rates = allocate_rates(&g, &flows);
         for (r, f) in rates.iter().zip(&flows) {
             assert!(
                 *r >= f.demand - 1e-9,
@@ -1257,7 +1170,7 @@ mod tests {
         // to the (scaled) feasible point.
         let flows = [reserved(0, 1, 20.0, 12.0), reserved(0, 2, 20.0, 8.0)];
         let g = [10.0, 100.0, 100.0];
-        let rates = allocate_rates(&g, &flows, BandwidthModel::MaxMinFair);
+        let rates = allocate_rates(&g, &flows);
         let used: f64 = rates.iter().sum();
         assert!(used <= 10.0 + 1e-9, "link overdriven: {used}");
         for r in &rates {
@@ -1271,7 +1184,6 @@ mod tests {
         let rates = allocate_rates(
             &[10.0, 100.0, 100.0],
             &[flow(0, 1, 2.0), flow(0, 2, f64::INFINITY)],
-            BandwidthModel::MaxMinFair,
         );
         assert!((rates[0] - 2.0).abs() < 1e-9);
         assert!((rates[1] - 8.0).abs() < 1e-9);
@@ -1279,13 +1191,9 @@ mod tests {
 
     #[test]
     fn single_flow_takes_minimum() {
-        let rates = allocate_rates(
-            &[10.0, 4.0],
-            &[flow(0, 1, 100.0)],
-            BandwidthModel::MaxMinFair,
-        );
+        let rates = allocate_rates(&[10.0, 4.0], &[flow(0, 1, 100.0)]);
         assert_eq!(rates, vec![4.0]);
-        let rates = allocate_rates(&[10.0, 4.0], &[flow(0, 1, 2.5)], BandwidthModel::MaxMinFair);
+        let rates = allocate_rates(&[10.0, 4.0], &[flow(0, 1, 2.5)]);
         assert_eq!(rates, vec![2.5]);
     }
 
@@ -1295,7 +1203,6 @@ mod tests {
         let rates = allocate_rates(
             &[10.0, 100.0, 100.0],
             &[flow(0, 1, f64::INFINITY), flow(0, 2, f64::INFINITY)],
-            BandwidthModel::MaxMinFair,
         );
         assert!((rates[0] - 5.0).abs() < 1e-9);
         assert!((rates[1] - 5.0).abs() < 1e-9);
@@ -1307,17 +1214,9 @@ mod tests {
         let rates = allocate_rates(
             &[10.0, 100.0, 100.0],
             &[flow(0, 1, 2.0), flow(0, 2, f64::INFINITY)],
-            BandwidthModel::MaxMinFair,
         );
         assert!((rates[0] - 2.0).abs() < 1e-9);
         assert!((rates[1] - 8.0).abs() < 1e-9, "rates {rates:?}");
-        // The equal-split ablation wastes the released share.
-        let naive = allocate_rates(
-            &[10.0, 100.0, 100.0],
-            &[flow(0, 1, 2.0), flow(0, 2, f64::INFINITY)],
-            BandwidthModel::EqualSplit,
-        );
-        assert!((naive[1] - 5.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1326,7 +1225,6 @@ mod tests {
         let rates = allocate_rates(
             &[6.0, 100.0, 100.0],
             &[flow(0, 1, f64::INFINITY), flow(2, 0, f64::INFINITY)],
-            BandwidthModel::MaxMinFair,
         );
         assert!((rates[0] - 3.0).abs() < 1e-9);
         assert!((rates[1] - 3.0).abs() < 1e-9);
@@ -1351,83 +1249,56 @@ mod tests {
                     flow(src as u32, dst as u32, rng.gen_range(0.5..30.0))
                 })
                 .collect();
-            for model in [BandwidthModel::MaxMinFair, BandwidthModel::EqualSplit] {
-                let rates = allocate_rates(&g, &flows, model);
-                let mut used = vec![0.0f64; n_clusters];
-                for (r, f) in rates.iter().zip(&flows) {
-                    assert!(*r >= 0.0);
-                    assert!(*r <= f.cap + 1e-9);
-                    used[f.src.index()] += r;
-                    used[f.dst.index()] += r;
-                }
-                for (u, cap) in used.iter().zip(&g) {
-                    assert!(u <= &(cap + 1e-6), "link overdriven: {u} > {cap}");
-                }
+            let rates = allocate_rates(&g, &flows);
+            let mut used = vec![0.0f64; n_clusters];
+            for (r, f) in rates.iter().zip(&flows) {
+                assert!(*r >= 0.0);
+                assert!(*r <= f.cap + 1e-9);
+                used[f.src.index()] += r;
+                used[f.dst.index()] += r;
             }
-        }
-    }
-
-    #[test]
-    fn maxmin_dominates_equal_split_in_total() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
-        for _ in 0..100 {
-            let g: Vec<f64> = (0..4).map(|_| rng.gen_range(5.0..40.0)).collect();
-            let flows: Vec<FlowSpec> = (0..5)
-                .map(|_| {
-                    let src = rng.gen_range(0..4usize);
-                    let dst = (src + rng.gen_range(1..4)) % 4;
-                    flow(src as u32, dst as u32, rng.gen_range(1.0..20.0))
-                })
-                .collect();
-            let fair: f64 = allocate_rates(&g, &flows, BandwidthModel::MaxMinFair)
-                .iter()
-                .sum();
-            let naive: f64 = allocate_rates(&g, &flows, BandwidthModel::EqualSplit)
-                .iter()
-                .sum();
-            assert!(fair >= naive - 1e-6, "fair {fair} < naive {naive}");
+            for (u, cap) in used.iter().zip(&g) {
+                assert!(u <= &(cap + 1e-6), "link overdriven: {u} > {cap}");
+            }
         }
     }
 
     #[test]
     fn empty_flow_list() {
-        assert!(allocate_rates(&[5.0], &[], BandwidthModel::MaxMinFair).is_empty());
+        assert!(allocate_rates(&[5.0], &[]).is_empty());
     }
 
     #[test]
     fn incremental_tracks_oracle_through_insert_remove_sequence() {
         let g = [60.0, 25.0, 100.0, 40.0, 10.0, 100.0];
-        for model in [BandwidthModel::MaxMinFair, BandwidthModel::EqualSplit] {
-            let mut alloc = BandwidthAllocator::new(&g, model);
-            let mut ids = Vec::new();
-            let specs = [
-                reserved(0, 1, 15.0, 15.0),
-                reserved(0, 2, 15.0, 12.9),
-                flow(0, 3, f64::INFINITY),
-                reserved(5, 0, 15.0, 1.02),
-                flow(1, 4, 8.0),
-                reserved(2, 3, 30.0, 0.0),
-                flow(4, 5, 2.0),
-                reserved(3, 0, 6.0, 3.0),
-            ];
-            for s in specs {
-                ids.push(alloc.insert(s));
-                alloc.assert_matches_oracle(1e-9, "after insert");
-            }
-            // Remove in an interleaved order, checking after every event.
-            for &i in &[3usize, 0, 5, 1, 7, 2, 6, 4] {
-                alloc.remove(ids[i]);
-                alloc.assert_matches_oracle(1e-9, "after remove");
-            }
-            assert!(alloc.is_empty());
+        let mut alloc = BandwidthAllocator::new(&g);
+        let mut ids = Vec::new();
+        let specs = [
+            reserved(0, 1, 15.0, 15.0),
+            reserved(0, 2, 15.0, 12.9),
+            flow(0, 3, f64::INFINITY),
+            reserved(5, 0, 15.0, 1.02),
+            flow(1, 4, 8.0),
+            reserved(2, 3, 30.0, 0.0),
+            flow(4, 5, 2.0),
+            reserved(3, 0, 6.0, 3.0),
+        ];
+        for s in specs {
+            ids.push(alloc.insert(s));
+            alloc.assert_matches_oracle(1e-9, "after insert");
         }
+        // Remove in an interleaved order, checking after every event.
+        for &i in &[3usize, 0, 5, 1, 7, 2, 6, 4] {
+            alloc.remove(ids[i]);
+            alloc.assert_matches_oracle(1e-9, "after remove");
+        }
+        assert!(alloc.is_empty());
     }
 
     #[test]
     fn batched_update_matches_oracle() {
         let g = [30.0, 30.0, 30.0, 30.0];
-        let mut alloc = BandwidthAllocator::new(&g, BandwidthModel::MaxMinFair);
+        let mut alloc = BandwidthAllocator::new(&g);
         let mut ids = Vec::new();
         alloc.update(
             &[],
@@ -1456,7 +1327,7 @@ mod tests {
         // Flows on clusters {0,1} and {2,3} share nothing: an arrival in one
         // component must not even be reported as changed in the other.
         let g = [10.0, 10.0, 10.0, 10.0];
-        let mut alloc = BandwidthAllocator::new(&g, BandwidthModel::MaxMinFair);
+        let mut alloc = BandwidthAllocator::new(&g);
         let a = alloc.insert(flow(0, 1, f64::INFINITY));
         let before = alloc.rate(a);
         let _b = alloc.insert(flow(2, 3, f64::INFINITY));
@@ -1471,7 +1342,7 @@ mod tests {
         // Flow B (0→2, reservation 5) arrives: the true allocation saturates
         // g_0 and A must drop to 5 — the post-solve expansion path.
         let g = [10.0, 100.0, 100.0];
-        let mut alloc = BandwidthAllocator::new(&g, BandwidthModel::MaxMinFair);
+        let mut alloc = BandwidthAllocator::new(&g);
         let a = alloc.insert(flow(0, 1, 8.0));
         assert!((alloc.rate(a) - 8.0).abs() < 1e-9);
         let b = alloc.insert(reserved(0, 2, 5.0, 5.0));
@@ -1494,7 +1365,7 @@ mod tests {
         // Two uncapped flows share g_0 = 10 → 5 each; raising g_0 to 30
         // must lift both, shrinking it to 4 must squeeze both to 2.
         let g = [10.0, 100.0, 100.0];
-        let mut alloc = BandwidthAllocator::new(&g, BandwidthModel::MaxMinFair);
+        let mut alloc = BandwidthAllocator::new(&g);
         let a = alloc.insert(flow(0, 1, f64::INFINITY));
         let b = alloc.insert(flow(0, 2, f64::INFINITY));
         alloc.set_local_bw(0, 30.0);
@@ -1511,24 +1382,22 @@ mod tests {
     #[test]
     fn retune_to_zero_models_a_churn_outage() {
         let g = [10.0, 100.0, 100.0];
-        for model in [BandwidthModel::MaxMinFair, BandwidthModel::EqualSplit] {
-            let mut alloc = BandwidthAllocator::new(&g, model);
-            let a = alloc.insert(reserved(0, 1, 8.0, 3.0));
-            let b = alloc.insert(flow(2, 1, 5.0));
-            alloc.set_local_bw(0, 0.0);
-            alloc.assert_matches_oracle(1e-9, "outage");
-            assert_eq!(alloc.rate(a), 0.0);
-            assert!(alloc.rate(b) > 0.0, "unaffected flow survived the outage");
-            alloc.set_local_bw(0, 10.0);
-            alloc.assert_matches_oracle(1e-9, "restore");
-            assert!(alloc.rate(a) > 0.0);
-        }
+        let mut alloc = BandwidthAllocator::new(&g);
+        let a = alloc.insert(reserved(0, 1, 8.0, 3.0));
+        let b = alloc.insert(flow(2, 1, 5.0));
+        alloc.set_local_bw(0, 0.0);
+        alloc.assert_matches_oracle(1e-9, "outage");
+        assert_eq!(alloc.rate(a), 0.0);
+        assert!(alloc.rate(b) > 0.0, "unaffected flow survived the outage");
+        alloc.set_local_bw(0, 10.0);
+        alloc.assert_matches_oracle(1e-9, "restore");
+        assert!(alloc.rate(a) > 0.0);
     }
 
     #[test]
     fn retune_leaves_disjoint_components_untouched() {
         let g = [10.0, 10.0, 10.0, 10.0];
-        let mut alloc = BandwidthAllocator::new(&g, BandwidthModel::MaxMinFair);
+        let mut alloc = BandwidthAllocator::new(&g);
         let _a = alloc.insert(flow(0, 1, f64::INFINITY));
         let b = alloc.insert(flow(2, 3, f64::INFINITY));
         alloc.retune(&[(0, 7.5)]);
@@ -1543,7 +1412,7 @@ mod tests {
         // each gets 5. Raising g_0 alone cannot help A (g_1 binds), but
         // shrinking g_0 to 3 frees g_1 capacity that must flow to B.
         let g = [10.0, 10.0, 100.0];
-        let mut alloc = BandwidthAllocator::new(&g, BandwidthModel::MaxMinFair);
+        let mut alloc = BandwidthAllocator::new(&g);
         let a = alloc.insert(flow(0, 1, f64::INFINITY));
         let b = alloc.insert(flow(1, 2, f64::INFINITY));
         assert!((alloc.rate(a) - 5.0).abs() < 1e-9);
@@ -1561,46 +1430,41 @@ mod tests {
     fn randomized_retune_sequences_match_oracle() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(23);
-        for model in [BandwidthModel::MaxMinFair, BandwidthModel::EqualSplit] {
-            for trial in 0..25 {
-                let n_clusters = rng.gen_range(2..6);
-                let g: Vec<f64> = (0..n_clusters).map(|_| rng.gen_range(1.0..60.0)).collect();
-                let mut alloc = BandwidthAllocator::new(&g, model);
-                let mut live: Vec<FlowId> = Vec::new();
-                for step in 0..50 {
-                    match rng.gen_range(0..10) {
-                        0..=4 => {
-                            let src = rng.gen_range(0..n_clusters);
-                            let mut dst = rng.gen_range(0..n_clusters);
-                            if dst == src {
-                                dst = (dst + 1) % n_clusters;
-                            }
-                            live.push(alloc.insert(FlowSpec {
-                                src: c(src as u32),
-                                dst: c(dst as u32),
-                                cap: rng.gen_range(0.5..30.0),
-                                demand: rng.gen_range(0.0..8.0),
-                            }));
+        for trial in 0..25 {
+            let n_clusters = rng.gen_range(2..6);
+            let g: Vec<f64> = (0..n_clusters).map(|_| rng.gen_range(1.0..60.0)).collect();
+            let mut alloc = BandwidthAllocator::new(&g);
+            let mut live: Vec<FlowId> = Vec::new();
+            for step in 0..50 {
+                match rng.gen_range(0..10) {
+                    0..=4 => {
+                        let src = rng.gen_range(0..n_clusters);
+                        let mut dst = rng.gen_range(0..n_clusters);
+                        if dst == src {
+                            dst = (dst + 1) % n_clusters;
                         }
-                        5..=6 if !live.is_empty() => {
-                            let i = rng.gen_range(0..live.len());
-                            alloc.remove(live.swap_remove(i));
-                        }
-                        _ => {
-                            let l = rng.gen_range(0..n_clusters);
-                            let g_new = if rng.gen_bool(0.1) {
-                                0.0
-                            } else {
-                                rng.gen_range(0.5..80.0)
-                            };
-                            alloc.set_local_bw(l, g_new);
-                        }
+                        live.push(alloc.insert(FlowSpec {
+                            src: c(src as u32),
+                            dst: c(dst as u32),
+                            cap: rng.gen_range(0.5..30.0),
+                            demand: rng.gen_range(0.0..8.0),
+                        }));
                     }
-                    alloc.assert_matches_oracle(
-                        1e-9,
-                        &format!("{model:?} retune trial {trial} step {step}"),
-                    );
+                    5..=6 if !live.is_empty() => {
+                        let i = rng.gen_range(0..live.len());
+                        alloc.remove(live.swap_remove(i));
+                    }
+                    _ => {
+                        let l = rng.gen_range(0..n_clusters);
+                        let g_new = if rng.gen_bool(0.1) {
+                            0.0
+                        } else {
+                            rng.gen_range(0.5..80.0)
+                        };
+                        alloc.set_local_bw(l, g_new);
+                    }
                 }
+                alloc.assert_matches_oracle(1e-9, &format!("retune trial {trial} step {step}"));
             }
         }
     }
@@ -1610,72 +1474,63 @@ mod tests {
         // A partition-shaped sequence: cap drops to zero (stall), the freed
         // capacity flows to the other flow, and the heal restores it.
         let g = [10.0, 100.0, 100.0];
-        for model in [BandwidthModel::MaxMinFair, BandwidthModel::EqualSplit] {
-            let mut alloc = BandwidthAllocator::new(&g, model);
-            let a = alloc.insert(reserved(0, 1, 8.0, 3.0));
-            let b = alloc.insert(flow(0, 2, f64::INFINITY));
-            alloc.reshape(&[(a, 0.0, 0.0)]);
-            alloc.assert_matches_oracle(1e-9, "stall");
-            assert_eq!(alloc.rate(a), 0.0);
-            if model == BandwidthModel::MaxMinFair {
-                assert!(
-                    (alloc.rate(b) - 10.0).abs() < 1e-9,
-                    "b got {}",
-                    alloc.rate(b)
-                );
-            }
-            alloc.reshape(&[(a, 8.0, 3.0)]);
-            alloc.assert_matches_oracle(1e-9, "heal");
-            assert!(alloc.rate(a) >= 3.0 - 1e-9);
-        }
+        let mut alloc = BandwidthAllocator::new(&g);
+        let a = alloc.insert(reserved(0, 1, 8.0, 3.0));
+        let b = alloc.insert(flow(0, 2, f64::INFINITY));
+        alloc.reshape(&[(a, 0.0, 0.0)]);
+        alloc.assert_matches_oracle(1e-9, "stall");
+        assert_eq!(alloc.rate(a), 0.0);
+        assert!(
+            (alloc.rate(b) - 10.0).abs() < 1e-9,
+            "b got {}",
+            alloc.rate(b)
+        );
+        alloc.reshape(&[(a, 8.0, 3.0)]);
+        alloc.assert_matches_oracle(1e-9, "heal");
+        assert!(alloc.rate(a) >= 3.0 - 1e-9);
     }
 
     #[test]
     fn randomized_reshape_sequences_match_oracle() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(31);
-        for model in [BandwidthModel::MaxMinFair, BandwidthModel::EqualSplit] {
-            for trial in 0..25 {
-                let n_clusters = rng.gen_range(2..6);
-                let g: Vec<f64> = (0..n_clusters).map(|_| rng.gen_range(1.0..60.0)).collect();
-                let mut alloc = BandwidthAllocator::new(&g, model);
-                let mut live: Vec<FlowId> = Vec::new();
-                for step in 0..50 {
-                    match rng.gen_range(0..10) {
-                        0..=3 => {
-                            let src = rng.gen_range(0..n_clusters);
-                            let mut dst = rng.gen_range(0..n_clusters);
-                            if dst == src {
-                                dst = (dst + 1) % n_clusters;
-                            }
-                            live.push(alloc.insert(FlowSpec {
-                                src: c(src as u32),
-                                dst: c(dst as u32),
-                                cap: rng.gen_range(0.5..30.0),
-                                demand: rng.gen_range(0.0..8.0),
-                            }));
+        for trial in 0..25 {
+            let n_clusters = rng.gen_range(2..6);
+            let g: Vec<f64> = (0..n_clusters).map(|_| rng.gen_range(1.0..60.0)).collect();
+            let mut alloc = BandwidthAllocator::new(&g);
+            let mut live: Vec<FlowId> = Vec::new();
+            for step in 0..50 {
+                match rng.gen_range(0..10) {
+                    0..=3 => {
+                        let src = rng.gen_range(0..n_clusters);
+                        let mut dst = rng.gen_range(0..n_clusters);
+                        if dst == src {
+                            dst = (dst + 1) % n_clusters;
                         }
-                        4..=5 if !live.is_empty() => {
-                            let i = rng.gen_range(0..live.len());
-                            alloc.remove(live.swap_remove(i));
-                        }
-                        _ if !live.is_empty() => {
-                            let i = rng.gen_range(0..live.len());
-                            let cap = if rng.gen_bool(0.25) {
-                                0.0
-                            } else {
-                                rng.gen_range(0.5..30.0)
-                            };
-                            let demand = rng.gen_range(0.0..8.0f64).min(cap);
-                            alloc.reshape(&[(live[i], cap, demand)]);
-                        }
-                        _ => {}
+                        live.push(alloc.insert(FlowSpec {
+                            src: c(src as u32),
+                            dst: c(dst as u32),
+                            cap: rng.gen_range(0.5..30.0),
+                            demand: rng.gen_range(0.0..8.0),
+                        }));
                     }
-                    alloc.assert_matches_oracle(
-                        1e-9,
-                        &format!("{model:?} reshape trial {trial} step {step}"),
-                    );
+                    4..=5 if !live.is_empty() => {
+                        let i = rng.gen_range(0..live.len());
+                        alloc.remove(live.swap_remove(i));
+                    }
+                    _ if !live.is_empty() => {
+                        let i = rng.gen_range(0..live.len());
+                        let cap = if rng.gen_bool(0.25) {
+                            0.0
+                        } else {
+                            rng.gen_range(0.5..30.0)
+                        };
+                        let demand = rng.gen_range(0.0..8.0f64).min(cap);
+                        alloc.reshape(&[(live[i], cap, demand)]);
+                    }
+                    _ => {}
                 }
+                alloc.assert_matches_oracle(1e-9, &format!("reshape trial {trial} step {step}"));
             }
         }
     }
@@ -1689,7 +1544,7 @@ mod tests {
         // layout, free list, and per-link membership order exactly).
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(57);
         let g = [25.0, 40.0, 10.0, 60.0];
-        let mut alloc = BandwidthAllocator::new(&g, BandwidthModel::MaxMinFair);
+        let mut alloc = BandwidthAllocator::new(&g);
         let mut live: Vec<FlowId> = Vec::new();
         let step = |alloc: &mut BandwidthAllocator,
                     live: &mut Vec<FlowId>,
@@ -1719,7 +1574,7 @@ mod tests {
             step(&mut alloc, &mut live, &mut rng);
         }
         let state = alloc.snapshot();
-        let mut restored = BandwidthAllocator::from_state(&state, BandwidthModel::MaxMinFair);
+        let mut restored = BandwidthAllocator::from_state(&state);
         let mut live2 = live.clone();
         let mut rng2 = rng.clone();
         for i in 0..40 {
@@ -1746,7 +1601,7 @@ mod tests {
 
     impl Twin {
         fn new(g: &[f64]) -> Twin {
-            let plain = BandwidthAllocator::new(g, BandwidthModel::MaxMinFair);
+            let plain = BandwidthAllocator::new(g);
             let mut armed = plain.clone();
             armed.arm_batch_memo();
             Twin { armed, plain }
@@ -1916,8 +1771,7 @@ mod tests {
     #[test]
     fn restored_armed_allocator_continues_bit_identically_unarmed() {
         let (Twin { armed, .. }, live) = primed();
-        let restored =
-            BandwidthAllocator::from_state(&armed.snapshot(), BandwidthModel::MaxMinFair);
+        let restored = BandwidthAllocator::from_state(&armed.snapshot());
         assert!(restored.memo.is_none(), "arming is not state");
         // The original keeps hitting, the restored copy solves: same bits.
         let mut twin = Twin {
@@ -2038,45 +1892,40 @@ mod tests {
     fn randomized_event_sequences_match_oracle() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
-        for model in [BandwidthModel::MaxMinFair, BandwidthModel::EqualSplit] {
-            for trial in 0..40 {
-                let n_clusters = rng.gen_range(2..7);
-                let g: Vec<f64> = (0..n_clusters).map(|_| rng.gen_range(1.0..60.0)).collect();
-                let mut alloc = BandwidthAllocator::new(&g, model);
-                let mut live: Vec<FlowId> = Vec::new();
-                for step in 0..60 {
-                    let add = live.is_empty() || rng.gen_bool(0.55);
-                    if add {
-                        let src = rng.gen_range(0..n_clusters);
-                        let mut dst = rng.gen_range(0..n_clusters);
-                        if dst == src {
-                            dst = (dst + 1) % n_clusters;
-                        }
-                        let cap = if rng.gen_bool(0.2) {
-                            f64::INFINITY
-                        } else {
-                            rng.gen_range(0.5..30.0)
-                        };
-                        let demand = if rng.gen_bool(0.4) {
-                            0.0
-                        } else {
-                            rng.gen_range(0.0..10.0)
-                        };
-                        live.push(alloc.insert(FlowSpec {
-                            src: c(src as u32),
-                            dst: c(dst as u32),
-                            cap,
-                            demand,
-                        }));
-                    } else {
-                        let i = rng.gen_range(0..live.len());
-                        alloc.remove(live.swap_remove(i));
+        for trial in 0..40 {
+            let n_clusters = rng.gen_range(2..7);
+            let g: Vec<f64> = (0..n_clusters).map(|_| rng.gen_range(1.0..60.0)).collect();
+            let mut alloc = BandwidthAllocator::new(&g);
+            let mut live: Vec<FlowId> = Vec::new();
+            for step in 0..60 {
+                let add = live.is_empty() || rng.gen_bool(0.55);
+                if add {
+                    let src = rng.gen_range(0..n_clusters);
+                    let mut dst = rng.gen_range(0..n_clusters);
+                    if dst == src {
+                        dst = (dst + 1) % n_clusters;
                     }
-                    alloc.assert_matches_oracle(
-                        1e-9,
-                        &format!("{model:?} trial {trial} step {step}"),
-                    );
+                    let cap = if rng.gen_bool(0.2) {
+                        f64::INFINITY
+                    } else {
+                        rng.gen_range(0.5..30.0)
+                    };
+                    let demand = if rng.gen_bool(0.4) {
+                        0.0
+                    } else {
+                        rng.gen_range(0.0..10.0)
+                    };
+                    live.push(alloc.insert(FlowSpec {
+                        src: c(src as u32),
+                        dst: c(dst as u32),
+                        cap,
+                        demand,
+                    }));
+                } else {
+                    let i = rng.gen_range(0..live.len());
+                    alloc.remove(live.swap_remove(i));
                 }
+                alloc.assert_matches_oracle(1e-9, &format!("trial {trial} step {step}"));
             }
         }
     }

@@ -54,7 +54,7 @@
 //! flat arena, so period boundaries re-use them instead of re-walking
 //! `Platform::route` and allocating a fresh `Vec` per transfer.
 
-use crate::bandwidth::{AllocStats, BandwidthModel, FlowSpec};
+use crate::bandwidth::{AllocStats, FlowSpec};
 use crate::flows::FlowCore;
 use crate::report::SimReport;
 use dls_core::approx::close;
@@ -69,8 +69,6 @@ pub struct SimConfig {
     pub periods: usize,
     /// Periods excluded from throughput measurement (pipeline fill).
     pub warmup: usize,
-    /// Local-link sharing discipline.
-    pub bandwidth_model: BandwidthModel,
     /// Which simulation core executes the schedule.
     pub engine: SimEngine,
     /// Cross-check the incremental core against a full
@@ -85,7 +83,6 @@ impl Default for SimConfig {
         SimConfig {
             periods: 10,
             warmup: 2,
-            bandwidth_model: BandwidthModel::MaxMinFair,
             engine: SimEngine::Incremental,
             oracle_check: false,
         }
@@ -305,12 +302,8 @@ impl<'a> Simulator<'a> {
         let compiled = CompiledSchedule::compile(self.inst, schedule);
         let mut state = SimState::new(speeds, p.links.len());
         // Payload: (transfer index, spawn period).
-        let mut core: FlowCore<(u32, usize)> = FlowCore::new(
-            &local_bw,
-            config.bandwidth_model,
-            config.engine,
-            config.oracle_check,
-        );
+        let mut core: FlowCore<(u32, usize)> =
+            FlowCore::new(&local_bw, config.engine, config.oracle_check);
         // Every boundary stages the same transfers: the one caller whose
         // batches repeat.
         core.arm_batch_memo();
@@ -557,65 +550,45 @@ mod tests {
             let inst = ProblemInstance::uniform(p, Objective::MaxMin);
             let alloc = Lprg::default().solve(&inst).unwrap();
             let schedule = ScheduleBuilder::default().build(&inst, &alloc).unwrap();
-            for model in [BandwidthModel::MaxMinFair, BandwidthModel::EqualSplit] {
-                let fast = Simulator::new(&inst).run(
-                    &schedule,
-                    &SimConfig {
-                        bandwidth_model: model,
-                        oracle_check: true,
-                        ..SimConfig::default()
-                    },
-                );
-                let slow = Simulator::new(&inst).run(
-                    &schedule,
-                    &SimConfig {
-                        bandwidth_model: model,
-                        engine: SimEngine::FullRecompute,
-                        ..SimConfig::default()
-                    },
-                );
-                assert!(
-                    close(fast.efficiency, slow.efficiency, 1e-6),
-                    "seed {seed} {model:?}: efficiency {} vs {}",
-                    fast.efficiency,
-                    slow.efficiency
-                );
-                assert!(
-                    close(fast.max_transfer_lateness, slow.max_transfer_lateness, 1e-6),
-                    "seed {seed} {model:?}: lateness {} vs {}",
-                    fast.max_transfer_lateness,
-                    slow.max_transfer_lateness
-                );
-                assert_eq!(fast.peak_connections, slow.peak_connections);
-                assert_eq!(fast.events, slow.events, "seed {seed} {model:?}: events");
-                for (a, b) in fast.measured.iter().zip(&slow.measured) {
-                    assert!(close(*a, *b, 1e-6), "measured {a} vs {b}");
-                }
-                for (a, b) in fast
-                    .local_link_utilization
-                    .iter()
-                    .zip(&slow.local_link_utilization)
-                {
-                    assert!(close(*a, *b, 1e-6), "utilisation {a} vs {b}");
-                }
+            let fast = Simulator::new(&inst).run(
+                &schedule,
+                &SimConfig {
+                    oracle_check: true,
+                    ..SimConfig::default()
+                },
+            );
+            let slow = Simulator::new(&inst).run(
+                &schedule,
+                &SimConfig {
+                    engine: SimEngine::FullRecompute,
+                    ..SimConfig::default()
+                },
+            );
+            assert!(
+                close(fast.efficiency, slow.efficiency, 1e-6),
+                "seed {seed}: efficiency {} vs {}",
+                fast.efficiency,
+                slow.efficiency
+            );
+            assert!(
+                close(fast.max_transfer_lateness, slow.max_transfer_lateness, 1e-6),
+                "seed {seed}: lateness {} vs {}",
+                fast.max_transfer_lateness,
+                slow.max_transfer_lateness
+            );
+            assert_eq!(fast.peak_connections, slow.peak_connections);
+            assert_eq!(fast.events, slow.events, "seed {seed}: events");
+            for (a, b) in fast.measured.iter().zip(&slow.measured) {
+                assert!(close(*a, *b, 1e-6), "measured {a} vs {b}");
+            }
+            for (a, b) in fast
+                .local_link_utilization
+                .iter()
+                .zip(&slow.local_link_utilization)
+            {
+                assert!(close(*a, *b, 1e-6), "utilisation {a} vs {b}");
             }
         }
-    }
-
-    #[test]
-    fn equal_split_ablation_never_beats_maxmin() {
-        let inst = two_cluster();
-        let alloc = Lprg::default().solve(&inst).unwrap();
-        let schedule = ScheduleBuilder::default().build(&inst, &alloc).unwrap();
-        let fair = Simulator::new(&inst).run(&schedule, &SimConfig::default());
-        let naive = Simulator::new(&inst).run(
-            &schedule,
-            &SimConfig {
-                bandwidth_model: BandwidthModel::EqualSplit,
-                ..SimConfig::default()
-            },
-        );
-        assert!(fair.efficiency >= naive.efficiency - 1e-9);
     }
 
     #[test]

@@ -33,8 +33,7 @@
 //! [`FlowCore::commit`] hands both to the allocator in a single update.
 
 use crate::bandwidth::{
-    allocate_rates, AllocStats, AllocatorState, BandwidthAllocator, BandwidthModel, FlowId,
-    FlowSpec,
+    allocate_rates, AllocStats, AllocatorState, BandwidthAllocator, FlowId, FlowSpec,
 };
 use crate::SimEngine;
 use dls_core::approx::close;
@@ -176,7 +175,6 @@ pub(crate) struct SolverState {
 /// See the module docs.
 #[derive(Debug)]
 pub(crate) struct FlowCore<P> {
-    model: BandwidthModel,
     oracle_check: bool,
     local_bw: Vec<f64>,
     /// A rate below this is "stalled": scale-relative so huge-bandwidth
@@ -202,14 +200,8 @@ impl<P> FlowCore<P> {
     /// An empty core over the given local-link capacities. `oracle_check`
     /// audits the incremental variant after every mutation (see
     /// [`FlowCore::audit`]); the reference variant ignores it.
-    pub(crate) fn new(
-        local_bw: &[f64],
-        model: BandwidthModel,
-        engine: SimEngine,
-        oracle_check: bool,
-    ) -> Self {
+    pub(crate) fn new(local_bw: &[f64], engine: SimEngine, oracle_check: bool) -> Self {
         FlowCore {
-            model,
             oracle_check,
             local_bw: local_bw.to_vec(),
             rate_eps: rate_eps(local_bw),
@@ -220,7 +212,7 @@ impl<P> FlowCore<P> {
             new_slots: Vec::new(),
             solver: match engine {
                 SimEngine::Incremental => Solver::Incremental(Incremental {
-                    alloc: BandwidthAllocator::new(local_bw, model),
+                    alloc: BandwidthAllocator::new(local_bw),
                     due: Completions::default(),
                     removals: Vec::new(),
                     additions: Vec::new(),
@@ -423,7 +415,7 @@ impl<P> FlowCore<P> {
                     // flow, in slot order.
                     let specs: Vec<FlowSpec> =
                         self.flows.iter().flatten().map(|f| f.spec).collect();
-                    let rates = allocate_rates(&self.local_bw, &specs, self.model);
+                    let rates = allocate_rates(&self.local_bw, &specs);
                     for (f, r) in self.flows.iter_mut().flatten().zip(rates) {
                         f.rate = r;
                     }
@@ -580,19 +572,19 @@ impl<P> FlowCore<P> {
                 heap: Vec::new(),
                 free: free.clone(),
                 rates_stale: *rates_stale,
-                alloc: BandwidthAllocator::new(&self.local_bw, self.model).snapshot(),
+                alloc: BandwidthAllocator::new(&self.local_bw).snapshot(),
             },
         }
     }
 
     /// Loads a slot table and an [`FlowCore::export`]ed state into a core
-    /// freshly built over the snapshot's capacities, model and engine.
+    /// freshly built over the snapshot's capacities and engine.
     pub(crate) fn import(&mut self, flows: Vec<Option<Flow<P>>>, state: SolverState) {
         self.n_live = flows.iter().flatten().count();
         self.flows = flows;
         match &mut self.solver {
             Solver::Incremental(inc) => {
-                inc.alloc = BandwidthAllocator::from_state(&state.alloc, self.model);
+                inc.alloc = BandwidthAllocator::from_state(&state.alloc);
                 inc.due.versions = state.versions;
                 inc.due.heap = state.heap.into();
             }

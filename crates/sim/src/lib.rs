@@ -21,10 +21,12 @@
 //!   usage — so a valid allocation can be certified *executable*, not just
 //!   arithmetically consistent.
 //!
-//! An intentionally naive [`BandwidthModel::EqualSplit`] allocator is
-//! included as an ablation: it grants each flow a static equal share with no
-//! redistribution, which wastes the capacity max-min fairness reclaims and
-//! shows up as lateness in the report.
+//! Reservation-aware max-min fairness is the only sharing discipline.
+//! [`allocate_rates`] solves it from scratch and is the oracle the
+//! incremental [`BandwidthAllocator`] is held to; the property tests hold
+//! both to a max-min certificate: every rate is feasible, and every flow
+//! below its cap crosses a saturated link on which no other flow got a
+//! larger share of the surplus.
 
 pub mod bandwidth;
 pub mod engine;
@@ -34,8 +36,7 @@ pub mod report;
 pub mod trace;
 
 pub use bandwidth::{
-    allocate_rates, AllocStats, AllocatorState, BandwidthAllocator, BandwidthModel, FlowId,
-    FlowSpec,
+    allocate_rates, AllocStats, AllocatorState, BandwidthAllocator, FlowId, FlowSpec,
 };
 pub use engine::{SimConfig, SimEngine, Simulator};
 pub use live::{

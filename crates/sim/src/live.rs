@@ -37,7 +37,7 @@
 //! entry's full original credit), where the periodic engine drains fluid
 //! partial credit and reports only at period granularity.
 
-use crate::bandwidth::{AllocatorState, BandwidthModel, FlowId, FlowSpec};
+use crate::bandwidth::{AllocatorState, FlowId, FlowSpec};
 use crate::flows::{Flow, FlowCore, HeapEntry, SolverState};
 use crate::trace::{EventKind, EventRecord};
 use crate::SimEngine;
@@ -48,8 +48,6 @@ use std::collections::VecDeque;
 /// Configuration for [`LiveSim`].
 #[derive(Debug, Clone)]
 pub struct LiveConfig {
-    /// Local-link sharing discipline.
-    pub bandwidth_model: BandwidthModel,
     /// Which simulation core executes the timeline.
     pub engine: SimEngine,
     /// Cross-check the incremental core against the full oracle after
@@ -69,7 +67,6 @@ pub struct LiveConfig {
 impl Default for LiveConfig {
     fn default() -> Self {
         LiveConfig {
-            bandwidth_model: BandwidthModel::MaxMinFair,
             engine: SimEngine::Incremental,
             oracle_check: false,
             record_events: false,
@@ -230,7 +227,7 @@ impl LiveSim {
             "one local link and one speed per cluster"
         );
         LiveSim {
-            core: FlowCore::new(local_bw, cfg.bandwidth_model, cfg.engine, cfg.oracle_check),
+            core: FlowCore::new(local_bw, cfg.engine, cfg.oracle_check),
             cfg,
             speeds: speeds.to_vec(),
             t: 0.0,
@@ -592,8 +589,8 @@ impl LiveSim {
     }
 
     /// Rebuilds an engine from a [`LiveSim::snapshot`]. `cfg` must use the
-    /// same engine core and bandwidth model the snapshot was taken under
-    /// (they are config, not state — a snapshot does not pin the observer
+    /// same engine core the snapshot was taken under (it is config, not
+    /// state — a snapshot does not pin the observer
     /// knobs `oracle_check`/`record_events`). A snapshot of another wire
     /// version, or whose per-cluster vectors differ in length, is an error.
     pub fn restore(cfg: LiveConfig, snap: &LiveSnapshot) -> Result<LiveSim, String> {
@@ -842,81 +839,78 @@ mod tests {
     #[test]
     fn engines_agree_on_event_times() {
         use rand::{Rng, SeedableRng};
-        for model in [BandwidthModel::MaxMinFair, BandwidthModel::EqualSplit] {
-            let mut logs: Vec<Vec<(u8, u32, f64)>> = Vec::new();
-            let mut traces: Vec<Vec<EventRecord>> = Vec::new();
-            for engine in [SimEngine::Incremental, SimEngine::FullRecompute] {
-                let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
-                let g = [20.0, 15.0, 30.0, 25.0];
-                let speeds = [4.0, 3.0, 5.0, 2.0];
-                let mut sim = LiveSim::new(
-                    &g,
-                    &speeds,
-                    LiveConfig {
-                        bandwidth_model: model,
-                        engine,
-                        oracle_check: engine == SimEngine::Incremental,
-                        record_events: true,
-                    },
-                );
-                let mut log = Vec::new();
-                for step in 0..30u32 {
-                    let t = step as f64 * 0.7;
-                    for e in sim.advance_to(t) {
-                        match *e {
-                            LiveEvent::Computed { time, job, .. } => log.push((2u8, job, time)),
-                            LiveEvent::Delivered { time, job, .. } => log.push((1u8, job, time)),
-                            LiveEvent::FlowDone { .. } => {}
-                        }
-                    }
-                    // A deterministic mutation mix.
-                    if step % 3 == 0 {
-                        let src = rng.gen_range(0..4u32);
-                        let dst = (src + rng.gen_range(1..4u32)) % 4;
-                        sim.add_flows(vec![flow(
-                            src,
-                            dst,
-                            rng.gen_range(2.0..20.0),
-                            rng.gen_range(0.0..3.0),
-                            vec![part(step, rng.gen_range(1.0..12.0))],
-                        )]);
-                    }
-                    if step % 7 == 0 {
-                        let l = rng.gen_range(0..4usize);
-                        sim.update_link_capacity(ClusterId(l as u32), rng.gen_range(5.0..40.0));
-                    }
-                    if step % 11 == 0 {
-                        let cl = rng.gen_range(0..4usize);
-                        sim.update_speed(ClusterId(cl as u32), rng.gen_range(1.0..6.0));
-                    }
-                }
-                for e in sim.advance_to(120.0) {
+        let mut logs: Vec<Vec<(u8, u32, f64)>> = Vec::new();
+        let mut traces: Vec<Vec<EventRecord>> = Vec::new();
+        for engine in [SimEngine::Incremental, SimEngine::FullRecompute] {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+            let g = [20.0, 15.0, 30.0, 25.0];
+            let speeds = [4.0, 3.0, 5.0, 2.0];
+            let mut sim = LiveSim::new(
+                &g,
+                &speeds,
+                LiveConfig {
+                    engine,
+                    oracle_check: engine == SimEngine::Incremental,
+                    record_events: true,
+                },
+            );
+            let mut log = Vec::new();
+            for step in 0..30u32 {
+                let t = step as f64 * 0.7;
+                for e in sim.advance_to(t) {
                     match *e {
                         LiveEvent::Computed { time, job, .. } => log.push((2u8, job, time)),
                         LiveEvent::Delivered { time, job, .. } => log.push((1u8, job, time)),
                         LiveEvent::FlowDone { .. } => {}
                     }
                 }
-                assert!(sim.idle(), "{engine:?} left work behind");
-                logs.push(log);
-                traces.push(sim.event_log().to_vec());
+                // A deterministic mutation mix.
+                if step % 3 == 0 {
+                    let src = rng.gen_range(0..4u32);
+                    let dst = (src + rng.gen_range(1..4u32)) % 4;
+                    sim.add_flows(vec![flow(
+                        src,
+                        dst,
+                        rng.gen_range(2.0..20.0),
+                        rng.gen_range(0.0..3.0),
+                        vec![part(step, rng.gen_range(1.0..12.0))],
+                    )]);
+                }
+                if step % 7 == 0 {
+                    let l = rng.gen_range(0..4usize);
+                    sim.update_link_capacity(ClusterId(l as u32), rng.gen_range(5.0..40.0));
+                }
+                if step % 11 == 0 {
+                    let cl = rng.gen_range(0..4usize);
+                    sim.update_speed(ClusterId(cl as u32), rng.gen_range(1.0..6.0));
+                }
             }
-            let (fast, slow) = (&logs[0], &logs[1]);
-            assert_eq!(fast.len(), slow.len(), "{model:?}: event counts differ");
-            for (a, b) in fast.iter().zip(slow) {
-                assert_eq!(a.0, b.0, "{model:?}: event kinds diverged");
-                assert_eq!(a.1, b.1, "{model:?}: event jobs diverged");
-                assert!(
-                    close(a.2, b.2, 1e-6),
-                    "{model:?}: event times diverged: {} vs {}",
-                    a.2,
-                    b.2
-                );
+            for e in sim.advance_to(120.0) {
+                match *e {
+                    LiveEvent::Computed { time, job, .. } => log.push((2u8, job, time)),
+                    LiveEvent::Delivered { time, job, .. } => log.push((1u8, job, time)),
+                    LiveEvent::FlowDone { .. } => {}
+                }
             }
-            // The structured trace must agree too — and pinpoint nothing.
-            if let Some(d) = crate::trace::first_divergence(&traces[0], &traces[1], 1e-6) {
-                panic!("{model:?}: engines diverged at {}", d.describe());
-            }
+            assert!(sim.idle(), "{engine:?} left work behind");
+            logs.push(log);
+            traces.push(sim.event_log().to_vec());
+        }
+        let (fast, slow) = (&logs[0], &logs[1]);
+        assert_eq!(fast.len(), slow.len(), "event counts differ");
+        for (a, b) in fast.iter().zip(slow) {
+            assert_eq!(a.0, b.0, "event kinds diverged");
+            assert_eq!(a.1, b.1, "event jobs diverged");
+            assert!(
+                close(a.2, b.2, 1e-6),
+                "event times diverged: {} vs {}",
+                a.2,
+                b.2
+            );
+        }
+        // The structured trace must agree too — and pinpoint nothing.
+        if let Some(d) = crate::trace::first_divergence(&traces[0], &traces[1], 1e-6) {
+            panic!("engines diverged at {}", d.describe());
         }
     }
 

@@ -2,7 +2,9 @@
 //!
 //! `tests/golden/*.txt` pin whole [`SimReport`]s and one scripted
 //! [`LiveSim`] event log, floats as `to_bits()` hex, so a refactor of the
-//! fluid cores shows up as a diff of exactly the rows it moved. A mismatch
+//! fluid cores shows up as a diff of exactly the rows it moved. Rows and
+//! file names carry the label `MaxMinFair`: the simulator shares the local
+//! links one way, and the label keeps the committed files as they were. A mismatch
 //! fails with a table of the moved fields: per hex-float field the rows it
 //! moved in and its worst relative move, and any other field (`events`,
 //! `peak`, the row labels) named with its lines. Regenerate with
@@ -15,14 +17,16 @@ use dls_core::schedule::ScheduleBuilder;
 use dls_core::{Objective, ProblemInstance};
 use dls_platform::{ClusterId, PlatformConfig, PlatformGenerator};
 use dls_sim::{
-    AllocStats, BandwidthModel, ChunkPart, LiveConfig, LiveFlowSpec, LiveSim, SimConfig, SimEngine,
-    SimReport, Simulator,
+    AllocStats, ChunkPart, LiveConfig, LiveFlowSpec, LiveSim, SimConfig, SimEngine, SimReport,
+    Simulator,
 };
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-const MODELS: [BandwidthModel; 2] = [BandwidthModel::MaxMinFair, BandwidthModel::EqualSplit];
 const ENGINES: [SimEngine; 2] = [SimEngine::Incremental, SimEngine::FullRecompute];
+
+/// The sharing discipline's label in golden rows and file names.
+const SHARING: &str = "MaxMinFair";
 
 fn bits(xs: &[f64]) -> String {
     let hex: Vec<String> = xs.iter().map(|x| format!("{:016x}", x.to_bits())).collect();
@@ -289,24 +293,21 @@ fn periodic_reports_are_pinned() {
             !schedule.transfers.is_empty(),
             "seed {seed}: no network use"
         );
-        for model in MODELS {
-            for engine in ENGINES {
-                let report = Simulator::new(&inst).run(
-                    &schedule,
-                    &SimConfig {
-                        periods: 12,
-                        bandwidth_model: model,
-                        engine,
-                        ..SimConfig::default()
-                    },
-                );
-                writeln!(
-                    out,
-                    "k={k} seed={seed} {model:?} {engine:?} {}",
-                    report_row(&report)
-                )
-                .unwrap();
-            }
+        for engine in ENGINES {
+            let report = Simulator::new(&inst).run(
+                &schedule,
+                &SimConfig {
+                    periods: 12,
+                    engine,
+                    ..SimConfig::default()
+                },
+            );
+            writeln!(
+                out,
+                "k={k} seed={seed} {SHARING} {engine:?} {}",
+                report_row(&report)
+            )
+            .unwrap();
         }
     }
     check("periodic.txt", &out);
@@ -424,13 +425,12 @@ fn flow(src: u32, dst: u32, cap: f64, demand: f64, parts: &[(u32, f64)]) -> Live
 /// reservations and caps, a retire mid-transfer, capacity and speed drift
 /// down to an outage, a stall/heal through `set_flow_constraints`, a queue
 /// purge, slot reuse, and advances that stop between events.
-fn live_script(model: BandwidthModel, engine: SimEngine) -> String {
+fn live_script(engine: SimEngine) -> String {
     let mut out = String::new();
     let mut sim = LiveSim::new(
         &[20.0, 15.0, 30.0, 25.0],
         &[4.0, 3.0, 5.0, 2.0],
         LiveConfig {
-            bandwidth_model: model,
             engine,
             oracle_check: false,
             record_events: true,
@@ -499,12 +499,10 @@ fn live_script(model: BandwidthModel, engine: SimEngine) -> String {
 
 #[test]
 fn live_event_logs_are_pinned() {
-    for model in MODELS {
-        for engine in ENGINES {
-            check(
-                &format!("live_{model:?}_{engine:?}.txt"),
-                &live_script(model, engine),
-            );
-        }
+    for engine in ENGINES {
+        check(
+            &format!("live_{SHARING}_{engine:?}.txt"),
+            &live_script(engine),
+        );
     }
 }

@@ -6,10 +6,11 @@ use dls_core::schedule::ScheduleBuilder;
 use dls_core::{Objective, ProblemInstance};
 use dls_platform::{ClusterId, PlatformConfig, PlatformGenerator};
 use dls_sim::{
-    allocate_rates, BandwidthAllocator, BandwidthModel, ChunkPart, FlowId, FlowSpec, LiveConfig,
-    LiveEvent, LiveFlowId, LiveFlowSpec, LiveSim, SimConfig, SimEngine, Simulator,
+    allocate_rates, BandwidthAllocator, ChunkPart, FlowId, FlowSpec, LiveConfig, LiveEvent,
+    LiveFlowId, LiveFlowSpec, LiveSim, SimConfig, SimEngine, Simulator,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 fn arb_flows() -> impl Strategy<Value = (Vec<f64>, Vec<FlowSpec>)> {
     (2usize..6).prop_flat_map(|n_clusters| {
@@ -29,51 +30,138 @@ fn arb_flows() -> impl Strategy<Value = (Vec<f64>, Vec<FlowSpec>)> {
     })
 }
 
+/// The max-min certificate: checks that `rates` is the reservation-aware
+/// max-min fair allocation of `flows` over local links `g`, as a property
+/// rather than against a second implementation.
+///
+/// Each flow's floor is computed as `allocate_rates`' phase 1 does: the raw
+/// floor `min(max(demand, 0), cap)`, scaled by the smaller of its two
+/// links' factors `min(1, g_l / Σ raw floors on l)`. The certificate then
+/// asserts
+/// * feasibility: `floor_i ≤ r_i ≤ cap_i`, and every link carries at most
+///   `g_l`;
+/// * fairness: every flow below its cap crosses a saturated link on which
+///   its increment `e_i = r_i − floor_i` is the largest.
+///
+/// Progressive filling raises every unfrozen increment together and
+/// freezes a link's flows when it saturates, so it meets both; and only
+/// one allocation does, because the increments are then max-min fair over
+/// the capacity the floors leave.
+fn check_max_min_certificate(
+    g: &[f64],
+    flows: &[FlowSpec],
+    rates: &[f64],
+) -> Result<(), TestCaseError> {
+    let tol = |x: f64| 1e-7 * (1.0 + x);
+    let links = |f: &FlowSpec| [f.src.index(), f.dst.index()];
+    let raw: Vec<f64> = flows.iter().map(|f| f.demand.max(0.0).min(f.cap)).collect();
+    let mut floor_load = vec![0.0f64; g.len()];
+    let mut used = vec![0.0f64; g.len()];
+    for ((f, &floor), &r) in flows.iter().zip(&raw).zip(rates) {
+        for l in links(f) {
+            floor_load[l] += floor;
+            used[l] += r;
+        }
+    }
+    let scale: Vec<f64> = floor_load
+        .iter()
+        .zip(g)
+        .map(|(&load, &cap)| if load > cap { cap / load } else { 1.0 })
+        .collect();
+    let increment: Vec<f64> = flows
+        .iter()
+        .zip(&raw)
+        .zip(rates)
+        .map(|((f, &floor), &r)| r - floor * scale[f.src.index()].min(scale[f.dst.index()]))
+        .collect();
+
+    for (i, f) in flows.iter().enumerate() {
+        let (r, e) = (rates[i], increment[i]);
+        prop_assert!(
+            e >= -tol(r),
+            "flow {} {:?}: rate {} below its floor {}",
+            i,
+            f,
+            r,
+            r - e
+        );
+        prop_assert!(
+            r <= f.cap + tol(r),
+            "flow {} {:?}: rate {} above its cap",
+            i,
+            f,
+            r
+        );
+    }
+    for (l, (&u, &cap)) in used.iter().zip(g).enumerate() {
+        prop_assert!(
+            u <= cap + tol(cap),
+            "link {} overdriven: {} > {}",
+            l,
+            u,
+            cap
+        );
+    }
+    for (i, f) in flows.iter().enumerate() {
+        if rates[i] >= f.cap - tol(rates[i]) {
+            continue;
+        }
+        let bottleneck = links(f).into_iter().any(|l| {
+            used[l] >= g[l] - tol(g[l])
+                && flows
+                    .iter()
+                    .zip(&increment)
+                    .all(|(other, &e)| !links(other).contains(&l) || e <= increment[i] + tol(g[l]))
+        });
+        prop_assert!(
+            bottleneck,
+            "flow {} {:?} at rate {} is below its cap but has no saturated link \
+             on which its increment {} is the largest",
+            i,
+            f,
+            rates[i],
+            increment[i]
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn rates_respect_links_and_caps((g, flows) in arb_flows()) {
-        for model in [BandwidthModel::MaxMinFair, BandwidthModel::EqualSplit] {
-            let rates = allocate_rates(&g, &flows, model);
-            prop_assert_eq!(rates.len(), flows.len());
-            let mut used = vec![0.0f64; g.len()];
-            for (r, f) in rates.iter().zip(&flows) {
-                prop_assert!(*r >= 0.0);
-                prop_assert!(*r <= f.cap + 1e-9);
-                used[f.src.index()] += r;
-                used[f.dst.index()] += r;
-            }
-            for (u, cap) in used.iter().zip(&g) {
-                prop_assert!(u <= &(cap + 1e-6), "link overdriven: {} > {}", u, cap);
-            }
-        }
-    }
-
-    #[test]
-    fn maxmin_is_work_conserving_per_flow((g, flows) in arb_flows()) {
-        // Max-min fairness: every flow is either at its cap or crosses a
-        // saturated link (the bottleneck argument).
-        let rates = allocate_rates(&g, &flows, BandwidthModel::MaxMinFair);
+        let rates = allocate_rates(&g, &flows);
+        prop_assert_eq!(rates.len(), flows.len());
         let mut used = vec![0.0f64; g.len()];
         for (r, f) in rates.iter().zip(&flows) {
+            prop_assert!(*r >= 0.0);
+            prop_assert!(*r <= f.cap + 1e-9);
             used[f.src.index()] += r;
             used[f.dst.index()] += r;
         }
-        for (r, f) in rates.iter().zip(&flows) {
-            let capped = *r >= f.cap - 1e-6;
-            let src_sat = used[f.src.index()] >= g[f.src.index()] - 1e-6;
-            let dst_sat = used[f.dst.index()] >= g[f.dst.index()] - 1e-6;
-            prop_assert!(capped || src_sat || dst_sat,
-                "flow {:?} rate {} is neither capped nor bottlenecked", f, r);
+        for (u, cap) in used.iter().zip(&g) {
+            prop_assert!(u <= &(cap + 1e-6), "link overdriven: {} > {}", u, cap);
         }
     }
 
     #[test]
-    fn maxmin_total_dominates_equal_split((g, flows) in arb_flows()) {
-        let fair: f64 = allocate_rates(&g, &flows, BandwidthModel::MaxMinFair).iter().sum();
-        let naive: f64 = allocate_rates(&g, &flows, BandwidthModel::EqualSplit).iter().sum();
-        prop_assert!(fair >= naive - 1e-6);
+    fn allocate_rates_meets_the_max_min_certificate(
+        (g, flows) in arb_flows(),
+        fractions in proptest::collection::vec(-0.25f64..1.25, 8),
+    ) {
+        // Reservations from none up to the cap, left unsqueezed so they
+        // oversubscribe links now and then and phase 1 has to scale them.
+        let flows: Vec<FlowSpec> = flows
+            .iter()
+            .enumerate()
+            .map(|(i, f)| FlowSpec {
+                demand: f.cap * fractions[i % fractions.len()].clamp(0.0, 1.0),
+                ..*f
+            })
+            .collect();
+        let rates = allocate_rates(&g, &flows);
+        check_max_min_certificate(&g, &flows, &rates)?;
     }
 
     #[test]
@@ -84,11 +172,7 @@ proptest! {
         // Attach reservations and scale them into per-link feasibility (the
         // situation Eq. 7b/7c certify for schedules): every flow must then
         // receive at least its reservation and links must stay within
-        // capacity. (No aggregate-dominance claim here: honoring a
-        // reservation on a doubly-congested flow can legitimately cost more
-        // total throughput than equal split would achieve — guarantees are
-        // bought with aggregate; the dominance property above is the
-        // demand-free one.)
+        // capacity.
         let mut flows: Vec<FlowSpec> = flows
             .iter()
             .enumerate()
@@ -112,7 +196,8 @@ proptest! {
             f.demand *= squeeze;
         }
 
-        let rates = allocate_rates(&g, &flows, BandwidthModel::MaxMinFair);
+        let rates = allocate_rates(&g, &flows);
+        check_max_min_certificate(&g, &flows, &rates)?;
         let mut used = vec![0.0f64; g.len()];
         for (r, f) in rates.iter().zip(&flows) {
             prop_assert!(*r >= f.demand - 1e-9,
@@ -158,43 +243,44 @@ proptest! {
 
     /// The tentpole equivalence property: after every arrival/completion in
     /// a random sequence, the incremental allocator's rates match a full
-    /// `allocate_rates` recompute within 1e-9 relative — for both sharing
-    /// models, including cap-saturated (`demand == cap`), zero-demand, and
-    /// uncapped flows.
+    /// `allocate_rates` recompute within 1e-9 relative and meet the max-min
+    /// certificate — including cap-saturated (`demand == cap`), zero-demand,
+    /// and uncapped flows.
     #[test]
     fn incremental_allocator_matches_oracle((g, events) in arb_alloc_events()) {
-        for model in [BandwidthModel::MaxMinFair, BandwidthModel::EqualSplit] {
-            let mut alloc = BandwidthAllocator::new(&g, model);
-            let mut live: Vec<FlowId> = Vec::new();
-            for (step, ev) in events.iter().enumerate() {
-                match *ev {
-                    AllocEvent::Add(src, off, cap_raw, demand_frac) => {
-                        let dst = (src + off) % g.len();
-                        // cap_raw < 0 → uncapped; demand_frac clamps into
-                        // [0, cap], hitting 0 and the cap itself with
-                        // positive probability (the saturated-reservation
-                        // corner).
-                        let cap = if cap_raw < 0.0 { f64::INFINITY } else { 0.5 + cap_raw };
-                        let demand = (cap.min(30.0) * demand_frac.clamp(0.0, 1.0)).min(cap);
-                        live.push(alloc.insert(FlowSpec {
-                            src: ClusterId(src as u32),
-                            dst: ClusterId(dst as u32),
-                            cap,
-                            demand,
-                        }));
-                    }
-                    AllocEvent::Remove(i) => {
-                        if live.is_empty() {
-                            continue;
-                        }
-                        let i = i % live.len();
-                        alloc.remove(live.swap_remove(i));
-                    }
+        let mut alloc = BandwidthAllocator::new(&g);
+        let mut live: Vec<FlowId> = Vec::new();
+        for (step, ev) in events.iter().enumerate() {
+            match *ev {
+                AllocEvent::Add(src, off, cap_raw, demand_frac) => {
+                    let dst = (src + off) % g.len();
+                    // cap_raw < 0 → uncapped; demand_frac clamps into
+                    // [0, cap], hitting 0 and the cap itself with
+                    // positive probability (the saturated-reservation
+                    // corner).
+                    let cap = if cap_raw < 0.0 { f64::INFINITY } else { 0.5 + cap_raw };
+                    let demand = (cap.min(30.0) * demand_frac.clamp(0.0, 1.0)).min(cap);
+                    live.push(alloc.insert(FlowSpec {
+                        src: ClusterId(src as u32),
+                        dst: ClusterId(dst as u32),
+                        cap,
+                        demand,
+                    }));
                 }
-                // The shared contract: panics on divergence beyond 1e-9
-                // relative (same helper the engine's oracle_check uses).
-                alloc.assert_matches_oracle(1e-9, &format!("{model:?} step {step}"));
+                AllocEvent::Remove(i) => {
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let i = i % live.len();
+                    alloc.remove(live.swap_remove(i));
+                }
             }
+            let (flows, rates): (Vec<FlowSpec>, Vec<f64>) =
+                alloc.live_flows().into_iter().map(|(_, f, r)| (f, r)).unzip();
+            check_max_min_certificate(&g, &flows, &rates)?;
+            // The shared contract: panics on divergence beyond 1e-9
+            // relative (same helper the engine's oracle_check uses).
+            alloc.assert_matches_oracle(1e-9, &format!("step {step}"));
         }
     }
 }
@@ -245,14 +331,12 @@ fn replay_live(
     g: &[f64],
     speeds: &[f64],
     ops: &[LiveOp],
-    model: BandwidthModel,
     engine: SimEngine,
 ) -> Vec<(u8, u32, f64)> {
     let mut sim = LiveSim::new(
         g,
         speeds,
         LiveConfig {
-            bandwidth_model: model,
             engine,
             // The incremental run cross-checks every mutation/completion
             // batch against a fresh full solve on the mutated platform.
@@ -328,20 +412,17 @@ proptest! {
     /// incremental engine's allocation matches a freshly built solve on the
     /// mutated platform (`oracle_check` asserts it inside `replay_live`),
     /// and the whole observed execution matches the retained
-    /// full-recompute engine replaying the same timeline — for both
-    /// bandwidth models.
+    /// full-recompute engine replaying the same timeline.
     #[test]
     fn live_mutations_match_fresh_engine((g, speeds, ops) in arb_live_ops()) {
-        for model in [BandwidthModel::MaxMinFair, BandwidthModel::EqualSplit] {
-            let fast = replay_live(&g, &speeds, &ops, model, SimEngine::Incremental);
-            let slow = replay_live(&g, &speeds, &ops, model, SimEngine::FullRecompute);
-            prop_assert_eq!(fast.len(), slow.len(), "{:?}: event counts differ", model);
-            for (a, b) in fast.iter().zip(&slow) {
-                prop_assert_eq!(a.0, b.0, "{:?}: event kinds diverged", model);
-                prop_assert_eq!(a.1, b.1, "{:?}: event jobs diverged", model);
-                prop_assert!(close(a.2, b.2, 1e-6),
-                    "{:?}: event times diverged: {} vs {}", model, a.2, b.2);
-            }
+        let fast = replay_live(&g, &speeds, &ops, SimEngine::Incremental);
+        let slow = replay_live(&g, &speeds, &ops, SimEngine::FullRecompute);
+        prop_assert_eq!(fast.len(), slow.len(), "event counts differ");
+        for (a, b) in fast.iter().zip(&slow) {
+            prop_assert_eq!(a.0, b.0, "event kinds diverged");
+            prop_assert_eq!(a.1, b.1, "event jobs diverged");
+            prop_assert!(close(a.2, b.2, 1e-6),
+                "event times diverged: {} vs {}", a.2, b.2);
         }
     }
 
@@ -360,88 +441,92 @@ proptest! {
             1..30,
         ),
     ) {
-        for model in [BandwidthModel::MaxMinFair, BandwidthModel::EqualSplit] {
-            let mut alloc = BandwidthAllocator::new(&g, model);
-            // A fixed flow population drawn from the live-op strategy: the
-            // trajectory only moves link capacities.
-            for op in &seed_ops {
-                if let LiveOp::Add(src, off, cap_raw, demand_frac, _) = *op {
-                    let dst = (src + off) % g.len();
-                    let cap = if cap_raw < 0.0 { f64::INFINITY } else { 0.5 + cap_raw };
-                    alloc.insert(FlowSpec {
-                        src: ClusterId(src as u32),
-                        dst: ClusterId(dst as u32),
-                        cap,
-                        demand: (cap.min(20.0) * demand_frac).min(cap),
-                    });
+        let mut alloc = BandwidthAllocator::new(&g);
+        // A fixed flow population drawn from the live-op strategy: the
+        // trajectory only moves link capacities.
+        for op in &seed_ops {
+            if let LiveOp::Add(src, off, cap_raw, demand_frac, _) = *op {
+                let dst = (src + off) % g.len();
+                let cap = if cap_raw < 0.0 { f64::INFINITY } else { 0.5 + cap_raw };
+                alloc.insert(FlowSpec {
+                    src: ClusterId(src as u32),
+                    dst: ClusterId(dst as u32),
+                    cap,
+                    demand: (cap.min(20.0) * demand_frac).min(cap),
+                });
+            }
+        }
+        let mut local_bw = g.clone();
+        for (step, batch) in steps.iter().enumerate() {
+            // Negative raw values map to an outage (`g = 0`), so
+            // trajectories regularly pass *through* zero and back.
+            let changes: Vec<(usize, f64)> = batch
+                .iter()
+                .map(|&(l, raw)| (l % g.len(), raw.max(0.0)))
+                .collect();
+            for &(l, cap) in &changes {
+                local_bw[l] = cap;
+            }
+            alloc.retune(&changes);
+
+            let live = alloc.live_flows();
+            let specs: Vec<FlowSpec> = live.iter().map(|(_, s, _)| *s).collect();
+            let oracle = allocate_rates(&local_bw, &specs);
+            let mut used_inc = vec![0.0f64; g.len()];
+            let mut used_ora = vec![0.0f64; g.len()];
+            for ((_, spec, rate), want) in live.iter().zip(&oracle) {
+                prop_assert!(close(*rate, *want, 1e-9),
+                    "step {}: rate {} vs oracle {}", step, rate, want);
+                for l in [spec.src.index(), spec.dst.index()] {
+                    used_inc[l] += *rate;
+                    used_ora[l] += *want;
                 }
             }
-            let mut local_bw = g.clone();
-            for (step, batch) in steps.iter().enumerate() {
-                // Negative raw values map to an outage (`g = 0`), so
-                // trajectories regularly pass *through* zero and back.
-                let changes: Vec<(usize, f64)> = batch
-                    .iter()
-                    .map(|&(l, raw)| (l % g.len(), raw.max(0.0)))
-                    .collect();
-                for &(l, cap) in &changes {
-                    local_bw[l] = cap;
-                }
-                alloc.retune(&changes);
-
-                let live = alloc.live_flows();
-                let specs: Vec<FlowSpec> = live.iter().map(|(_, s, _)| *s).collect();
-                let oracle = allocate_rates(&local_bw, &specs, model);
-                let mut used_inc = vec![0.0f64; g.len()];
-                let mut used_ora = vec![0.0f64; g.len()];
-                for ((_, spec, rate), want) in live.iter().zip(&oracle) {
-                    prop_assert!(close(*rate, *want, 1e-9),
-                        "{:?} step {}: rate {} vs oracle {}", model, step, rate, want);
-                    for l in [spec.src.index(), spec.dst.index()] {
-                        used_inc[l] += *rate;
-                        used_ora[l] += *want;
-                    }
-                }
-                for (l, &cap) in local_bw.iter().enumerate() {
-                    let sat = |used: f64| used >= cap - 1e-6 * (1.0 + cap);
-                    prop_assert_eq!(sat(used_inc[l]), sat(used_ora[l]),
-                        "{:?} step {}: saturation of link {} diverged \
-                         (incremental used {}, oracle used {}, capacity {})",
-                        model, step, l, used_inc[l], used_ora[l], cap);
-                }
+            for (l, &cap) in local_bw.iter().enumerate() {
+                let sat = |used: f64| used >= cap - 1e-6 * (1.0 + cap);
+                prop_assert_eq!(sat(used_inc[l]), sat(used_ora[l]),
+                    "step {}: saturation of link {} diverged \
+                     (incremental used {}, oracle used {}, capacity {})",
+                    step, l, used_inc[l], used_ora[l], cap);
             }
         }
     }
 
     /// Random capacity-retune sequences interleaved with arrivals and
-    /// removals keep the incremental allocator on the oracle fixpoint.
+    /// removals keep the incremental allocator on the oracle fixpoint, and
+    /// on the max-min certificate for the retuned capacities.
     #[test]
     fn retune_sequences_match_oracle(
         (g, _speeds, ops) in arb_live_ops(),
     ) {
-        for model in [BandwidthModel::MaxMinFair, BandwidthModel::EqualSplit] {
-            let mut alloc = BandwidthAllocator::new(&g, model);
-            let mut live: Vec<FlowId> = Vec::new();
-            for (step, op) in ops.iter().enumerate() {
-                match *op {
-                    LiveOp::Add(src, off, cap_raw, demand_frac, _) => {
-                        let dst = (src + off) % g.len();
-                        let cap = if cap_raw < 0.0 { f64::INFINITY } else { 0.5 + cap_raw };
-                        live.push(alloc.insert(FlowSpec {
-                            src: ClusterId(src as u32),
-                            dst: ClusterId(dst as u32),
-                            cap,
-                            demand: (cap.min(20.0) * demand_frac).min(cap),
-                        }));
-                    }
-                    LiveOp::Retire(i) if !live.is_empty() => {
-                        alloc.remove(live.swap_remove(i % live.len()));
-                    }
-                    LiveOp::Capacity(l, g_raw) => alloc.set_local_bw(l, g_raw.max(0.0)),
-                    _ => continue,
+        let mut alloc = BandwidthAllocator::new(&g);
+        let mut local_bw = g.clone();
+        let mut live: Vec<FlowId> = Vec::new();
+        for (step, op) in ops.iter().enumerate() {
+            match *op {
+                LiveOp::Add(src, off, cap_raw, demand_frac, _) => {
+                    let dst = (src + off) % g.len();
+                    let cap = if cap_raw < 0.0 { f64::INFINITY } else { 0.5 + cap_raw };
+                    live.push(alloc.insert(FlowSpec {
+                        src: ClusterId(src as u32),
+                        dst: ClusterId(dst as u32),
+                        cap,
+                        demand: (cap.min(20.0) * demand_frac).min(cap),
+                    }));
                 }
-                alloc.assert_matches_oracle(1e-9, &format!("{model:?} step {step}"));
+                LiveOp::Retire(i) if !live.is_empty() => {
+                    alloc.remove(live.swap_remove(i % live.len()));
+                }
+                LiveOp::Capacity(l, g_raw) => {
+                    local_bw[l] = g_raw.max(0.0);
+                    alloc.set_local_bw(l, local_bw[l]);
+                }
+                _ => continue,
             }
+            let (flows, rates): (Vec<FlowSpec>, Vec<f64>) =
+                alloc.live_flows().into_iter().map(|(_, f, r)| (f, r)).unzip();
+            check_max_min_certificate(&local_bw, &flows, &rates)?;
+            alloc.assert_matches_oracle(1e-9, &format!("step {step}"));
         }
     }
 }

@@ -1,10 +1,8 @@
-//! From rates to an executable schedule — §3.2 end to end, plus a
-//! bandwidth-sharing ablation in the simulator.
+//! From rates to an executable schedule — §3.2 end to end.
 //!
 //! Solves a 6-cluster instance, reconstructs the periodic schedule in both
-//! modes (common-denominator and paper-faithful lcm), executes it in the
-//! event-driven simulator under max-min fair sharing, and shows what the
-//! naive equal-split discipline would lose.
+//! modes (common-denominator and paper-faithful lcm), and executes it in the
+//! event-driven simulator under max-min fair sharing.
 //!
 //! ```text
 //! cargo run --example schedule_and_simulate
@@ -14,7 +12,7 @@ use dls::core::heuristics::{Heuristic, Lprg};
 use dls::core::schedule::{rate_to_fraction, ScheduleBuilder};
 use dls::core::{Objective, ProblemInstance};
 use dls::platform::{PlatformConfig, PlatformGenerator};
-use dls::sim::{BandwidthModel, SimConfig, Simulator};
+use dls::sim::{SimConfig, Simulator};
 
 fn main() {
     let cfg = PlatformConfig {
@@ -43,32 +41,13 @@ fn main() {
     );
 
     // Paper-faithful lcm reconstruction with small denominators.
-    match (ScheduleBuilder {
-        denominator: 32,
-        skip_validation: false,
-    })
-    .build_exact(&problem, &alloc)
-    {
+    match (ScheduleBuilder { denominator: 32 }).build_exact(&problem, &alloc) {
         Ok(exact) => println!("exact lcm schedule:          T_p = {}", exact.period),
         Err(e) => println!("exact lcm schedule overflowed ({e}) — expected for wild rates"),
     }
 
-    // Execute under both bandwidth disciplines.
-    let sim = Simulator::new(&problem);
-    let fair = sim.run(&schedule, &SimConfig::default());
-    let naive = sim.run(
-        &schedule,
-        &SimConfig {
-            bandwidth_model: BandwidthModel::EqualSplit,
-            ..SimConfig::default()
-        },
-    );
+    // Execute under max-min fair sharing of the local links.
+    let fair = Simulator::new(&problem).run(&schedule, &SimConfig::default());
     println!("\nmax-min fair sharing : {}", fair.summary());
-    println!("equal-split ablation : {}", naive.summary());
-    println!(
-        "\nfairness buys {:.1}% efficiency here",
-        100.0 * (fair.efficiency - naive.efficiency)
-    );
     assert!(fair.achieves(0.95));
-    assert!(fair.efficiency >= naive.efficiency - 1e-9);
 }

@@ -234,7 +234,6 @@ fn cmd_schedule(opts: &Flags) {
     let alloc = solve(opts, &inst);
     let builder = ScheduleBuilder {
         denominator: flag(opts, "denominator", 1000i128),
-        skip_validation: false,
     };
     match builder.build(&inst, &alloc) {
         Ok(s) => print!("{}", s.describe()),
