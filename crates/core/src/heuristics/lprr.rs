@@ -200,6 +200,15 @@ impl Heuristic for Lprr {
     }
 
     fn solve(&self, inst: &ProblemInstance) -> Result<Allocation, SolveError> {
+        self.solve_counting(inst).map(|(alloc, _)| alloc)
+    }
+}
+
+impl Lprr {
+    /// [`Heuristic::solve`], also returning how many LPs it solved: the
+    /// warm context's [`WarmStats::solves`], or the cold rebuilds. Pins
+    /// whose optimum is held (module docs, "Lazy re-solves") cost none.
+    pub fn solve_counting(&self, inst: &ProblemInstance) -> Result<(Allocation, u64), SolveError> {
         let p = &inst.platform;
         let k = p.num_clusters();
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
@@ -244,6 +253,7 @@ impl Heuristic for Lprr {
         // held while no pin since could move it (module docs, "Lazy
         // re-solves"). `None` means the LP must be solved.
         let mut held: Option<(FractionalAllocation, Vec<f64>)> = None;
+        let mut cold_solves = 0;
 
         loop {
             let (mut frac, duals) = match &mut backend {
@@ -261,6 +271,7 @@ impl Heuristic for Lprr {
                     }
                 },
                 LpBackend::Cold { engine } => {
+                    cold_solves += 1;
                     let f = LpFormulation::relaxation_with_fixed(inst, &fixed)?;
                     let sol = Self::check_optimal(solve_with(&f.model, *engine)?)?;
                     (f.extract_fractional(&sol), sol.duals)
@@ -274,7 +285,11 @@ impl Heuristic for Lprr {
                 for (b, f) in alloc.beta.iter_mut().zip(&fixed) {
                     *b = f.unwrap_or(0);
                 }
-                return Ok(alloc);
+                let solves = match &backend {
+                    LpBackend::Warm { solver, .. } => solver.stats().solves,
+                    LpBackend::Cold { .. } => cold_solves,
+                };
+                return Ok((alloc, solves));
             }
 
             // Step 2: prefer routes the current LP actually uses.

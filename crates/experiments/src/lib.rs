@@ -33,5 +33,5 @@ pub mod stats;
 
 pub use figures::{fig5, fig6, fig7, table1, Preset};
 pub use record::RunRecord;
-pub use runner::{run_sweep, HeuristicSet, RunnerConfig};
+pub use runner::{run_sweep, sweep_instance, HeuristicSet, RunnerConfig};
 pub use stats::{overall_ratio, ratios_by_k, timings_by_k, KAggregate};

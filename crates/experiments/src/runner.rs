@@ -134,15 +134,7 @@ pub fn run_sweep(configs: &[PlatformConfig], rc: &RunnerConfig) -> Vec<RunRecord
                 let platform = PlatformGenerator::new(seed).generate(&configs[i]);
                 let mut local = Vec::with_capacity(rc.objectives.len());
                 for &objective in &rc.objectives {
-                    // Payoff stream is decoupled from the topology stream so
-                    // the same platform gets the same payoffs under both
-                    // objectives.
-                    let inst = ProblemInstance::with_spread_payoffs(
-                        platform.clone(),
-                        objective,
-                        rc.payoff_spread,
-                        seed ^ 0x9e37_79b9_7f4a_7c15,
-                    );
+                    let inst = with_payoffs(platform.clone(), objective, rc.payoff_spread, seed);
                     local.push(evaluate_instance(&inst, seed, &configs[i], rc));
                 }
                 records.lock().extend(local);
@@ -153,6 +145,39 @@ pub fn run_sweep(configs: &[PlatformConfig], rc: &RunnerConfig) -> Vec<RunRecord
     let mut out = records.into_inner();
     out.sort_by_key(|r| (r.seed, matches!(r.objective, Objective::MaxMin)));
     out
+}
+
+/// The instance a sweep evaluates for the platform drawn with `seed`.
+/// The payoff stream is decoupled from the topology stream, so the same
+/// platform gets the same payoffs under both objectives.
+fn with_payoffs(
+    platform: dls_platform::Platform,
+    objective: Objective,
+    payoff_spread: f64,
+    seed: u64,
+) -> ProblemInstance {
+    ProblemInstance::with_spread_payoffs(
+        platform,
+        objective,
+        payoff_spread,
+        seed ^ 0x9e37_79b9_7f4a_7c15,
+    )
+}
+
+/// The instance behind a sweep's record of `(config, seed, objective)`,
+/// rebuilt on its own: what [`run_sweep`] evaluated under `payoff_spread`.
+pub fn sweep_instance(
+    config: &PlatformConfig,
+    seed: u64,
+    objective: Objective,
+    payoff_spread: f64,
+) -> ProblemInstance {
+    with_payoffs(
+        PlatformGenerator::new(seed).generate(config),
+        objective,
+        payoff_spread,
+        seed,
+    )
 }
 
 fn evaluate_instance(

@@ -2,7 +2,9 @@
 //!
 //! Solves a 6-cluster instance, reconstructs the periodic schedule in both
 //! modes (common-denominator and paper-faithful lcm), and executes it in the
-//! event-driven simulator under max-min fair sharing.
+//! event-driven simulator under max-min fair sharing. Payoffs are spread
+//! around 1 as in the paper's sweeps, so LPRG ships load between clusters
+//! and the simulated transfers share local links.
 //!
 //! ```text
 //! cargo run --example schedule_and_simulate
@@ -22,7 +24,7 @@ fn main() {
         ..PlatformConfig::default()
     };
     let platform = PlatformGenerator::new(5).generate(&cfg);
-    let problem = ProblemInstance::uniform(platform, Objective::MaxMin);
+    let problem = ProblemInstance::with_spread_payoffs(platform, Objective::MaxMin, 0.5, 5);
     let alloc = Lprg::default().solve(&problem).expect("solvable");
 
     // The paper's u/v fractions for a couple of rates.
@@ -38,6 +40,10 @@ fn main() {
         schedule.period,
         schedule.compute_tasks.len(),
         schedule.transfers.len()
+    );
+    assert!(
+        !schedule.transfers.is_empty(),
+        "the schedule ships load, so the simulation shares links"
     );
 
     // Paper-faithful lcm reconstruction with small denominators.
