@@ -25,8 +25,9 @@ use dls_core::heuristics::{Lprr, PinSweepReport};
 use dls_core::{LpFormulation, Objective, ProblemInstance};
 use dls_experiments::Preset;
 use dls_lp::{
-    resolve_engine, solve_with, tableau_size, BasisRepr, BranchBound, BranchBoundConfig, Engine,
-    FactorStats, RevisedSimplex, Status, WarmSimplex, WarmStats,
+    resolve_engine, solve_with, tableau_size, BasisRepr, BranchBound, BranchBoundConfig,
+    DenseSimplex, Engine, FactorStats, Model, RevisedSimplex, Solution, Status, WarmSimplex,
+    WarmStats,
 };
 use dls_platform::{ClusterId, PlatformGenerator};
 use dls_scenario::catalog::{island_instance, ISLAND};
@@ -131,10 +132,7 @@ pub fn pin_sequence(inst: &ProblemInstance, seed: u64) -> Vec<Pin> {
 /// pin prefix. Returns the per-step LP objectives.
 pub fn replay_cold(inst: &ProblemInstance, pins: &[Pin]) -> Vec<f64> {
     let k = inst.platform.num_clusters();
-    let engine = match resolve_engine(&LpFormulation::relaxation(inst).expect("relaxation").model) {
-        e @ (Engine::Dense | Engine::Revised | Engine::Sparse) => e,
-        Engine::Auto => unreachable!("resolve_engine returns a concrete engine"),
-    };
+    let engine = resolve_engine(&LpFormulation::relaxation(inst).expect("relaxation").model);
     let mut fixed: Vec<Option<u32>> = vec![None; k * k];
     let mut objectives = Vec::with_capacity(pins.len() + 1);
     for step in 0..=pins.len() {
@@ -284,7 +282,6 @@ fn sparse_entry(k: usize, seed: u64, sharded_threads: usize, run_dense: bool) ->
     // Sparse cold solve + factorisation statistics.
     let sparse_solver = RevisedSimplex {
         basis_repr: BasisRepr::SparseLu,
-        ..RevisedSimplex::default()
     };
     let mut w = WarmSimplex::new(f.model.clone(), sparse_solver).expect("warm context");
     let (sparse_sol, sparse_cold_ms) = timed(|| w.solve().expect("sparse cold solve"));
@@ -294,7 +291,10 @@ fn sparse_entry(k: usize, seed: u64, sharded_threads: usize, run_dense: bool) ->
     // Dense cold reference (the retained oracle) — K ≈ 200 only; past that
     // the m² inverse alone makes the dense engine intractable.
     let (dense_cold_ms, dense_agrees) = if run_dense {
-        let (dense_sol, ms) = timed(|| solve_with(&f.model, Engine::Revised).expect("dense cold"));
+        let dense_solver = RevisedSimplex {
+            basis_repr: BasisRepr::DenseInverse,
+        };
+        let (dense_sol, ms) = timed(|| dense_solver.solve(&f.model).expect("dense cold"));
         assert_eq!(dense_sol.status, Status::Optimal, "dense cold solve");
         let agree = (dense_sol.objective - sparse_sol.objective).abs()
             <= 1e-5 * (1.0 + dense_sol.objective.abs());
@@ -459,22 +459,24 @@ fn crossover_entry(k: usize, seed: u64) -> CrossoverEntry {
     let f = LpFormulation::relaxation(&lp_instance(k, seed)).expect("relaxation");
     let (rows, cells) = tableau_size(&f.model);
     let (min, max, budget_ms) = CROSSOVER_SAMPLES;
-    let median_ms = |engine| {
+    let median_ms = |solve: &dyn Fn(&Model) -> Result<Solution, dls_lp::LpError>| {
         let mut ms = Vec::new();
         while ms.len() < min || (ms.len() < max && ms.iter().sum::<f64>() < budget_ms) {
-            ms.push(timed(|| solve_with(&f.model, engine).expect("cold solve")).1);
+            ms.push(timed(|| solve(&f.model).expect("cold solve")).1);
         }
         ms.sort_by(f64::total_cmp);
         ms[ms.len() / 2]
     };
+    let [dense_inverse, sparse_lu] = [BasisRepr::DenseInverse, BasisRepr::SparseLu]
+        .map(|basis_repr| RevisedSimplex { basis_repr });
     CrossoverEntry {
         k,
         rows,
         cells,
         timing_ms: EngineTiming {
-            dense: median_ms(Engine::Dense),
-            revised: median_ms(Engine::Revised),
-            sparse: median_ms(Engine::Sparse),
+            dense: median_ms(&|m| DenseSimplex.solve(m)),
+            revised: median_ms(&|m| dense_inverse.solve(m)),
+            sparse: median_ms(&|m| sparse_lu.solve(m)),
         },
     }
 }
@@ -534,9 +536,7 @@ pub fn run(preset: Preset, seed: u64, threads: usize) -> LpPerfRun {
         let cold_engine =
             match resolve_engine(&LpFormulation::relaxation(&inst).expect("relaxation").model) {
                 Engine::Dense => "dense",
-                Engine::Revised => "revised",
                 Engine::Sparse => "sparse",
-                Engine::Auto => unreachable!(),
             };
 
         let (cold_objs, cold_ms) = timed(|| replay_cold(&inst, &pins));
@@ -581,11 +581,8 @@ pub fn run(preset: Preset, seed: u64, threads: usize) -> LpPerfRun {
         let inst = lp_instance(k, seed);
         let f = LpFormulation::mixed(&inst).expect("mixed formulation");
         let warm_solver = BranchBound::default();
-        let cold_solver = BranchBound::new(BranchBoundConfig {
-            warm_start: false,
-            ..BranchBoundConfig::default()
-        });
-        // These integer programs sit below `warm_start_min_dim`, so the
+        let cold_solver = BranchBound::new(BranchBoundConfig { warm_start: false });
+        // These integer programs sit below the warm-start size floor, so the
         // default solver falls back to cold node solves and the two
         // timings should be statistically identical — the entry guards
         // against warm-start overhead creeping back in on tiny models.

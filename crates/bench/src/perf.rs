@@ -122,9 +122,7 @@ pub fn run(preset: Preset, seed: u64) -> PerfRun {
         );
 
         let t0 = Instant::now();
-        let alloc = Greedy::default()
-            .solve(&inst)
-            .expect("Greedy always solves");
+        let alloc = Greedy.solve(&inst).expect("Greedy always solves");
         let heuristic_ms = t0.elapsed().as_secs_f64() * 1e3;
         let schedule = ScheduleBuilder::default()
             .build(&inst, &alloc)

@@ -158,7 +158,7 @@ mod tests {
     #[test]
     fn scale_to_fit_identity_when_already_valid() {
         let inst = instance(1);
-        let alloc = Greedy::default().solve(&inst).unwrap();
+        let alloc = Greedy.solve(&inst).unwrap();
         let (scaled, gamma) = scale_to_fit(&alloc, &inst);
         assert!((gamma - 1.0).abs() < 1e-9);
         assert_eq!(scaled, alloc);
@@ -167,7 +167,7 @@ mod tests {
     #[test]
     fn scale_to_fit_shrinks_on_slower_platform() {
         let inst = instance(2);
-        let alloc = Greedy::default().solve(&inst).unwrap();
+        let alloc = Greedy.solve(&inst).unwrap();
         // Halve every speed: allocation must shrink by ≥ 2×.
         let mut slower = inst.clone();
         for c in slower.platform.clusters.iter_mut() {
@@ -218,7 +218,7 @@ mod tests {
         // computed there or shipped through it must shrink to nothing, and
         // the scaled result must still validate.
         let inst = instance(7);
-        let alloc = Lprg::default().solve(&inst).unwrap();
+        let alloc = Lprg.solve(&inst).unwrap();
         // Pick a cluster the allocation actually uses.
         let victim = inst
             .platform
@@ -244,7 +244,7 @@ mod tests {
         // β usage, the entire allocation is dropped (keeping β would still
         // violate (7d) no matter how small γ gets).
         let inst = instance(8);
-        let alloc = Lprg::default().solve(&inst).unwrap();
+        let alloc = Lprg.solve(&inst).unwrap();
         if alloc.beta.iter().all(|&b| b == 0) {
             return; // purely local draw; nothing to test
         }

@@ -858,7 +858,7 @@ mod tests {
 
     #[test]
     fn auto_engine_crossover_sits_between_the_service_and_paper_scales() {
-        // `Engine::Auto` routes one-shot cold solves by the measured
+        // `dls_lp::solve_auto` routes one-shot cold solves by the measured
         // tableau crossover (`dls_lp::AUTO_DENSE_LIMIT`): the paper's own
         // K=50 relaxation (~2.4 M cells, where the tableau loses 3.9×) goes
         // to the sparse LU — never to the dense-inverse oracle — while the

@@ -14,14 +14,12 @@ use crate::allocation::Allocation;
 use crate::error::SolveError;
 use crate::formulation::LpFormulation;
 use crate::problem::ProblemInstance;
-use dls_lp::{BranchBound, BranchBoundConfig, Status};
+use dls_lp::{BranchBound, Status};
 
-/// Exact mixed-integer solver (exponential; intended for `K ≲ 8`).
-#[derive(Debug, Clone, Default)]
-pub struct ExactMilp {
-    /// Branch-and-bound tunables.
-    pub config: BranchBoundConfig,
-}
+/// Exact mixed-integer solver (exponential; intended for `K ≲ 8`), on the
+/// default warm-started [`BranchBound`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExactMilp;
 
 impl Heuristic for ExactMilp {
     fn name(&self) -> &'static str {
@@ -30,7 +28,7 @@ impl Heuristic for ExactMilp {
 
     fn solve(&self, inst: &ProblemInstance) -> Result<Allocation, SolveError> {
         let f = LpFormulation::mixed(inst)?;
-        let sol = BranchBound::new(self.config.clone()).solve(&f.model)?;
+        let sol = BranchBound::default().solve(&f.model)?;
         match sol.status {
             Status::Optimal => {}
             Status::Infeasible => return Err(SolveError::UnexpectedStatus("infeasible")),
@@ -72,19 +70,19 @@ mod tests {
             let p = PlatformGenerator::new(seed).generate(&cfg);
             for objective in [Objective::Sum, Objective::MaxMin] {
                 let inst = ProblemInstance::uniform(p.clone(), objective);
-                let exact = ExactMilp::default().solve(&inst).unwrap();
+                let exact = ExactMilp.solve(&inst).unwrap();
                 assert!(
                     exact.validate(&inst).is_ok(),
                     "{:?}",
                     exact.violations(&inst)
                 );
                 let opt = exact.objective_value(&inst);
-                let ub = UpperBound::default().bound(&inst).unwrap();
+                let ub = UpperBound.bound(&inst).unwrap();
                 assert!(
                     opt <= ub + 1e-5 * (1.0 + ub),
                     "MILP {opt} above LP bound {ub}"
                 );
-                let (g, lpr, lprg) = (Greedy::default(), Lpr::default(), Lprg::default());
+                let (g, lpr, lprg) = (Greedy, Lpr, Lprg);
                 let heuristics: [&dyn Heuristic; 3] = [&g, &lpr, &lprg];
                 for h in heuristics {
                     let v = h.solve(&inst).unwrap().objective_value(&inst);
@@ -108,7 +106,7 @@ mod tests {
         b.connect_clusters(c0, c1, 10.0, 1);
         let inst =
             ProblemInstance::new(b.build().unwrap(), vec![1.0, 0.0], Objective::Sum).unwrap();
-        let a = ExactMilp::default().solve(&inst).unwrap();
+        let a = ExactMilp.solve(&inst).unwrap();
         assert!((a.objective_value(&inst) - 20.0).abs() < 1e-6);
         assert_eq!(a.beta(ClusterId(0), ClusterId(1)), 1);
     }

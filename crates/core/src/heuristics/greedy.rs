@@ -16,7 +16,9 @@
 //!   (the largest amount any *other* application could place on `C^k`,
 //!   reserved to avoid starving them) can be zero when no other cluster can
 //!   reach `C^k`, stalling the loop; we then grant the full residual speed,
-//!   since reserving capacity nobody else can use is pointless.
+//!   since reserving capacity nobody else can use is pointless. (Read
+//!   literally, step 5 would retire that application with nothing: an
+//!   isolated cluster of speed 100 gets 0 instead of 100.)
 
 use super::Heuristic;
 use crate::allocation::Allocation;
@@ -25,31 +27,14 @@ use crate::problem::ProblemInstance;
 use crate::residual::ResidualPlatform;
 use dls_platform::ClusterId;
 
-/// The greedy heuristic `G`.
-#[derive(Debug, Clone)]
-pub struct Greedy {
-    /// Amounts below `epsilon · (1 + max capacity)` are treated as zero —
-    /// guards termination against float dust.
-    pub epsilon: f64,
-    /// Safety cap on loop iterations (`None` derives `10·K² + Σ maxcon`).
-    pub max_iterations: Option<usize>,
-    /// Ablation: follow §5.1 step 5 literally — when no other application
-    /// can reach `C^k`, the local allotment is zero and the application is
-    /// retired instead of being granted its residual speed. Strictly worse
-    /// (see `strict_local_allotment_loses_throughput`); kept to document the
-    /// guard's value.
-    pub strict_local_allotment: bool,
-}
+/// Amounts below `EPSILON · (1 + max capacity)` are treated as zero —
+/// guards termination against float dust.
+const EPSILON: f64 = 1e-9;
 
-impl Default for Greedy {
-    fn default() -> Self {
-        Greedy {
-            epsilon: 1e-9,
-            max_iterations: None,
-            strict_local_allotment: false,
-        }
-    }
-}
+/// The greedy heuristic `G`. Its loop is capped at `10·K² + Σ maxcon + 1000`
+/// iterations, a safety net against non-termination.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Greedy;
 
 impl Heuristic for Greedy {
     fn name(&self) -> &'static str {
@@ -87,11 +72,9 @@ impl Greedy {
             .iter()
             .chain(residual.local_bw.iter())
             .fold(0.0f64, |a, &x| a.max(x));
-        let eps = self.epsilon * (1.0 + cap_scale);
-        let max_iter = self.max_iterations.unwrap_or_else(|| {
-            let total_conn: i64 = residual.conn_left.iter().sum();
-            10 * k * k + total_conn.max(0) as usize + 1000
-        });
+        let eps = EPSILON * (1.0 + cap_scale);
+        let total_conn: i64 = residual.conn_left.iter().sum();
+        let max_iter = 10 * k * k + total_conn.max(0) as usize + 1000;
 
         // Step 1: only applications that want work compete (π_k > 0; the
         // paper's zero-payoff clusters are exactly those that "do not wish
@@ -170,12 +153,6 @@ impl Greedy {
                     contention = contention.max(could);
                 }
                 let amount = if contention <= eps {
-                    if self.strict_local_allotment {
-                        // Paper-literal step 5: allot nothing. The loop would
-                        // spin forever, so retire the application instead.
-                        active.retain(|&a| a != kk);
-                        continue;
-                    }
                     residual.speed[kk]
                 } else {
                     contention.min(residual.speed[kk])
@@ -215,7 +192,7 @@ mod tests {
         b.add_cluster(100.0, 10.0);
         b.add_cluster(60.0, 10.0);
         let inst = ProblemInstance::uniform(b.build().unwrap(), Objective::Sum);
-        let a = Greedy::default().solve(&inst).unwrap();
+        let a = Greedy.solve(&inst).unwrap();
         a.validate(&inst).unwrap();
         assert_eq!(a.alpha(c(0), c(0)), 100.0);
         assert_eq!(a.alpha(c(1), c(1)), 60.0);
@@ -232,7 +209,7 @@ mod tests {
         b.connect_clusters(c0, c1, 20.0, 3);
         let inst =
             ProblemInstance::new(b.build().unwrap(), vec![1.0, 0.0], Objective::Sum).unwrap();
-        let a = Greedy::default().solve(&inst).unwrap();
+        let a = Greedy.solve(&inst).unwrap();
         a.validate(&inst).unwrap();
         // App 0: 10 locally + shipped work over up to 3 connections
         // (20 each, capped by g=50 and s=100).
@@ -254,7 +231,7 @@ mod tests {
         b.connect_clusters(c0, c1, 10.0, 2); // only 2 connections ever
         let inst =
             ProblemInstance::new(b.build().unwrap(), vec![1.0, 0.0], Objective::Sum).unwrap();
-        let a = Greedy::default().solve(&inst).unwrap();
+        let a = Greedy.solve(&inst).unwrap();
         a.validate(&inst).unwrap();
         assert!(a.beta(c(0), c(1)) <= 2);
         assert!(a.app_throughput(c(0)) <= 1.0 + 20.0 + 1e-9);
@@ -269,7 +246,7 @@ mod tests {
         let c1 = b.add_cluster(100.0, 30.0);
         b.connect_clusters(c0, c1, 10.0, 4);
         let inst = ProblemInstance::uniform(b.build().unwrap(), Objective::MaxMin);
-        let a = Greedy::default().solve(&inst).unwrap();
+        let a = Greedy.solve(&inst).unwrap();
         a.validate(&inst).unwrap();
         let t = a.throughputs();
         assert!((t[0] - t[1]).abs() < 1e-6, "{t:?}");
@@ -288,29 +265,10 @@ mod tests {
         b.connect_clusters(c1, c2, 50.0, 1);
         let inst =
             ProblemInstance::new(b.build().unwrap(), vec![1.0, 5.0, 0.0], Objective::Sum).unwrap();
-        let a = Greedy::default().solve(&inst).unwrap();
+        let a = Greedy.solve(&inst).unwrap();
         a.validate(&inst).unwrap();
         // App 1 (payoff 5) moves first and claims C2's speed.
         assert!(a.alpha(c(1), c(2)) > a.alpha(c(0), c(2)));
-    }
-
-    #[test]
-    fn strict_local_allotment_loses_throughput() {
-        // An isolated cluster: nobody else can reach it, so the paper-
-        // literal allotment is 0 and the strict variant retires the app with
-        // nothing; the guarded default grants the full local speed.
-        let mut b = PlatformBuilder::new();
-        b.add_cluster(100.0, 10.0);
-        let inst = ProblemInstance::uniform(b.build().unwrap(), Objective::Sum);
-        let guarded = Greedy::default().solve(&inst).unwrap();
-        let strict = Greedy {
-            strict_local_allotment: true,
-            ..Greedy::default()
-        }
-        .solve(&inst)
-        .unwrap();
-        assert_eq!(guarded.objective_value(&inst), 100.0);
-        assert_eq!(strict.objective_value(&inst), 0.0);
     }
 
     #[test]
@@ -324,7 +282,7 @@ mod tests {
             let p = PlatformGenerator::new(seed).generate(&cfg);
             for objective in [Objective::Sum, Objective::MaxMin] {
                 let inst = ProblemInstance::uniform(p.clone(), objective);
-                let a = Greedy::default().solve(&inst).unwrap();
+                let a = Greedy.solve(&inst).unwrap();
                 assert!(
                     a.validate(&inst).is_ok(),
                     "seed {seed}: {:?}",

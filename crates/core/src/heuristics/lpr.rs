@@ -17,14 +17,10 @@ use super::{Heuristic, UpperBound};
 use crate::allocation::{Allocation, FractionalAllocation};
 use crate::error::SolveError;
 use crate::problem::ProblemInstance;
-use dls_lp::Engine;
 
 /// The `LPR` heuristic.
-#[derive(Debug, Clone, Default)]
-pub struct Lpr {
-    /// LP engine selection (size-based by default).
-    pub engine: Option<Engine>,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Lpr;
 
 impl Heuristic for Lpr {
     fn name(&self) -> &'static str {
@@ -32,7 +28,7 @@ impl Heuristic for Lpr {
     }
 
     fn solve(&self, inst: &ProblemInstance) -> Result<Allocation, SolveError> {
-        let relaxed = UpperBound::with_engine(self.engine).solve_fractional(inst)?;
+        let relaxed = UpperBound.solve_fractional(inst)?;
         Ok(round_down(inst, &relaxed))
     }
 }
@@ -100,7 +96,7 @@ mod tests {
             let p = PlatformGenerator::new(seed).generate(&cfg);
             for objective in [Objective::Sum, Objective::MaxMin] {
                 let inst = ProblemInstance::uniform(p.clone(), objective);
-                let a = Lpr::default().solve(&inst).unwrap();
+                let a = Lpr.solve(&inst).unwrap();
                 assert!(a.validate(&inst).is_ok(), "{:?}", a.violations(&inst));
             }
         }
@@ -116,8 +112,8 @@ mod tests {
             };
             let p = PlatformGenerator::new(seed).generate(&cfg);
             let inst = ProblemInstance::uniform(p, Objective::Sum);
-            let ub = UpperBound::default().bound(&inst).unwrap();
-            let a = Lpr::default().solve(&inst).unwrap();
+            let ub = UpperBound.bound(&inst).unwrap();
+            let a = Lpr.solve(&inst).unwrap();
             assert!(a.objective_value(&inst) <= ub + 1e-6 * (1.0 + ub));
         }
     }
@@ -132,7 +128,7 @@ mod tests {
         b.connect_clusters(c0, c1, 10.0, 3);
         let inst =
             ProblemInstance::new(b.build().unwrap(), vec![1.0, 0.0], Objective::Sum).unwrap();
-        let a = Lpr::default().solve(&inst).unwrap();
+        let a = Lpr.solve(&inst).unwrap();
         a.validate(&inst).unwrap();
         assert_eq!(a.beta(c(0), c(1)), 0);
         assert_eq!(a.alpha(c(0), c(1)), 0.0);
@@ -150,8 +146,8 @@ mod tests {
         b.connect_clusters(c0, c1, 10.0, 4);
         let inst =
             ProblemInstance::new(b.build().unwrap(), vec![1.0, 0.0], Objective::Sum).unwrap();
-        let ub = UpperBound::default().bound(&inst).unwrap();
-        let a = Lpr::default().solve(&inst).unwrap();
+        let ub = UpperBound.bound(&inst).unwrap();
+        let a = Lpr.solve(&inst).unwrap();
         assert!(
             (a.objective_value(&inst) - ub).abs() < 1e-6,
             "{} vs {ub}",

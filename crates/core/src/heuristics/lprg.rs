@@ -13,16 +13,10 @@ use crate::allocation::Allocation;
 use crate::error::SolveError;
 use crate::problem::ProblemInstance;
 use crate::residual::ResidualPlatform;
-use dls_lp::Engine;
 
 /// The `LPRG` heuristic.
-#[derive(Debug, Clone, Default)]
-pub struct Lprg {
-    /// LP engine selection (size-based by default).
-    pub engine: Option<Engine>,
-    /// Greedy refinement settings.
-    pub greedy: Greedy,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Lprg;
 
 impl Heuristic for Lprg {
     fn name(&self) -> &'static str {
@@ -30,7 +24,7 @@ impl Heuristic for Lprg {
     }
 
     fn solve(&self, inst: &ProblemInstance) -> Result<Allocation, SolveError> {
-        let relaxed = UpperBound::with_engine(self.engine).solve_fractional(inst)?;
+        let relaxed = UpperBound.solve_fractional(inst)?;
         Ok(self.from_relaxation(inst, &relaxed))
     }
 }
@@ -45,7 +39,7 @@ impl Lprg {
     ) -> Allocation {
         let mut alloc = round_down(inst, relaxed);
         let mut residual = ResidualPlatform::after(&inst.platform, &alloc);
-        self.greedy.run(inst, &mut residual, &mut alloc);
+        Greedy.run(inst, &mut residual, &mut alloc);
         alloc
     }
 }
@@ -68,8 +62,8 @@ mod tests {
             let p = PlatformGenerator::new(seed).generate(&cfg);
             for objective in [Objective::Sum, Objective::MaxMin] {
                 let inst = ProblemInstance::uniform(p.clone(), objective);
-                let lpr = Lpr::default().solve(&inst).unwrap();
-                let lprg = Lprg::default().solve(&inst).unwrap();
+                let lpr = Lpr.solve(&inst).unwrap();
+                let lprg = Lprg.solve(&inst).unwrap();
                 assert!(lprg.validate(&inst).is_ok(), "{:?}", lprg.violations(&inst));
                 assert!(
                     lprg.objective_value(&inst) >= lpr.objective_value(&inst) - 1e-6,
@@ -92,8 +86,8 @@ mod tests {
             let p = PlatformGenerator::new(100 + seed).generate(&cfg);
             for objective in [Objective::Sum, Objective::MaxMin] {
                 let inst = ProblemInstance::uniform(p.clone(), objective);
-                let ub = UpperBound::default().bound(&inst).unwrap();
-                let a = Lprg::default().solve(&inst).unwrap();
+                let ub = UpperBound.bound(&inst).unwrap();
+                let a = Lprg.solve(&inst).unwrap();
                 let v = a.objective_value(&inst);
                 assert!(v <= ub + 1e-6 * (1.0 + ub), "LPRG {v} above bound {ub}");
             }
@@ -115,8 +109,8 @@ mod tests {
             };
             let p = PlatformGenerator::new(200 + seed).generate(&cfg);
             let inst = ProblemInstance::uniform(p, Objective::Sum);
-            let ub = UpperBound::default().bound(&inst).unwrap();
-            let v = Lprg::default().solve(&inst).unwrap().objective_value(&inst);
+            let ub = UpperBound.bound(&inst).unwrap();
+            let v = Lprg.solve(&inst).unwrap().objective_value(&inst);
             if v >= 0.95 * ub {
                 close += 1;
             }
@@ -138,16 +132,13 @@ mod tests {
         b.connect_clusters(c0, c1, 10.0, 3);
         let inst =
             ProblemInstance::new(b.build().unwrap(), vec![1.0, 0.0], Objective::Sum).unwrap();
-        let lpr_v = Lpr::default().solve(&inst).unwrap().objective_value(&inst);
-        let lprg_v = Lprg::default().solve(&inst).unwrap().objective_value(&inst);
+        let lpr_v = Lpr.solve(&inst).unwrap().objective_value(&inst);
+        let lprg_v = Lprg.solve(&inst).unwrap().objective_value(&inst);
         // Greedy ships min(g0, bw, g1, s1) = 5 over one connection.
         assert!((lpr_v - 10.0).abs() < 1e-6);
         assert!((lprg_v - 15.0).abs() < 1e-6, "LPRG {lprg_v}");
         // And matches plain greedy here.
-        let g_v = Greedy::default()
-            .solve(&inst)
-            .unwrap()
-            .objective_value(&inst);
+        let g_v = Greedy.solve(&inst).unwrap().objective_value(&inst);
         assert!((lprg_v - g_v).abs() < 1e-9);
     }
 }

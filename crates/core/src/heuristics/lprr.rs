@@ -30,9 +30,9 @@
 //! The cold path is retained as the oracle: [`Lprr::oracle_check`]
 //! cross-checks every warm solve against a cold solve of the same model,
 //! and with `warm: false` the heuristic rebuilds + cold-solves after every
-//! pin, exactly as the paper costs it (with the LP engine selected once per
-//! instance, so one rounding sequence never straddles the dense/sparse
-//! crossover as pins grow the model).
+//! pin, exactly as the paper costs it (with the LP engine resolved once per
+//! instance, from the pristine relaxation, so one rounding sequence never
+//! straddles the dense/sparse crossover as pins grow the model).
 //!
 //! # Lazy re-solves
 //!
@@ -97,10 +97,6 @@ pub struct Lprr {
     pub seed: u64,
     /// Rounding rule (paper default: nearest-probability).
     pub rule: RoundingRule,
-    /// LP engine for the cold (`warm: false`) path. `None` resolves the
-    /// size-based choice **once per instance**, from the pristine
-    /// relaxation, and reuses it for the whole rounding sequence.
-    pub engine: Option<Engine>,
     /// Run the incremental warm-started pipeline (default). The cold path
     /// stays available as the reference implementation.
     pub warm: bool,
@@ -121,7 +117,6 @@ impl Lprr {
         Lprr {
             seed,
             rule: RoundingRule::NearestProbability,
-            engine: None,
             warm: true,
             oracle_check: false,
             threads: 0,
@@ -182,8 +177,8 @@ impl Lprr {
 }
 
 /// Per-instance LP backend: one warm context (the only copy of the model)
-/// reused across every pin, or the cold rebuild-per-solve reference with a
-/// fixed engine.
+/// reused across every pin, or the cold rebuild-per-solve reference on the
+/// engine resolved from the pristine relaxation.
 enum LpBackend {
     Warm {
         index: LpIndex,
@@ -242,11 +237,9 @@ impl Lprr {
             }
         } else {
             // Size the engine once, from the pristine relaxation.
-            let engine = match self.engine {
-                Some(e) => e,
-                None => resolve_engine(&LpFormulation::relaxation(inst)?.model),
-            };
-            LpBackend::Cold { engine }
+            LpBackend::Cold {
+                engine: resolve_engine(&LpFormulation::relaxation(inst)?.model),
+            }
         };
 
         // Warm backend: the optimum of the last solve (β̃ and row duals),
@@ -419,12 +412,9 @@ mod tests {
             };
             let p = PlatformGenerator::new(50 + seed).generate(&cfg);
             let inst = ProblemInstance::uniform(p, Objective::MaxMin);
-            let ub = UpperBound::default().bound(&inst).unwrap();
+            let ub = UpperBound.bound(&inst).unwrap();
             let lprr = Lprr::new(seed).solve(&inst).unwrap().objective_value(&inst);
-            let g = Greedy::default()
-                .solve(&inst)
-                .unwrap()
-                .objective_value(&inst);
+            let g = Greedy.solve(&inst).unwrap().objective_value(&inst);
             assert!(lprr <= ub + 1e-6 * (1.0 + ub));
             if lprr >= g - 1e-9 {
                 at_least_as_good += 1;

@@ -36,9 +36,9 @@ pub trait Heuristic {
 /// paper's presentation order.
 pub fn paper_heuristics(seed: u64) -> Vec<Box<dyn Heuristic + Send + Sync>> {
     vec![
-        Box::new(Greedy::default()),
-        Box::new(Lpr::default()),
-        Box::new(Lprg::default()),
+        Box::new(Greedy),
+        Box::new(Lpr),
+        Box::new(Lprg),
         Box::new(Lprr::new(seed)),
     ]
 }

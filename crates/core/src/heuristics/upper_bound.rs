@@ -10,21 +10,14 @@ use crate::allocation::FractionalAllocation;
 use crate::error::SolveError;
 use crate::formulation::LpFormulation;
 use crate::problem::ProblemInstance;
-use dls_lp::{solve_auto, solve_with, Engine, Status};
+use dls_lp::{solve_auto, Status};
 
-/// The rational-relaxation upper bound (`LP` in the paper's figures).
+/// The rational-relaxation upper bound (`LP` in the paper's figures),
+/// solved by [`solve_auto`]: the engine follows the model's size.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct UpperBound {
-    /// LP engine override (size-based selection when `None`).
-    pub engine: Option<Engine>,
-}
+pub struct UpperBound;
 
 impl UpperBound {
-    /// Upper bound with an explicit engine choice.
-    pub fn with_engine(engine: Option<Engine>) -> Self {
-        UpperBound { engine }
-    }
-
     /// The optimal objective of the rational relaxation.
     pub fn bound(&self, inst: &ProblemInstance) -> Result<f64, SolveError> {
         Ok(self.solve_fractional(inst)?.objective)
@@ -36,10 +29,7 @@ impl UpperBound {
         inst: &ProblemInstance,
     ) -> Result<FractionalAllocation, SolveError> {
         let f = LpFormulation::relaxation(inst)?;
-        let sol = match self.engine {
-            Some(e) => solve_with(&f.model, e)?,
-            None => solve_auto(&f.model)?,
-        };
+        let sol = solve_auto(&f.model)?;
         match sol.status {
             Status::Optimal => Ok(f.extract_fractional(&sol)),
             Status::Infeasible => Err(SolveError::UnexpectedStatus("infeasible")),
@@ -66,13 +56,14 @@ mod tests {
         };
         let p = PlatformGenerator::new(3).generate(&cfg);
         let inst = ProblemInstance::uniform(p, Objective::Sum);
-        let ub = UpperBound::default().bound(&inst).unwrap();
+        let ub = UpperBound.bound(&inst).unwrap();
         let total: f64 = inst.platform.clusters.iter().map(|c| c.speed).sum();
         assert!((ub - total).abs() < 1e-5, "ub {ub} vs Σs {total}");
     }
 
     #[test]
-    fn engines_agree_on_the_bound() {
+    fn solvers_agree_on_the_bound() {
+        use dls_lp::{BasisRepr, DenseSimplex, RevisedSimplex};
         let cfg = PlatformConfig {
             num_clusters: 7,
             connectivity: 0.5,
@@ -81,16 +72,20 @@ mod tests {
         let p = PlatformGenerator::new(9).generate(&cfg);
         for objective in [Objective::Sum, Objective::MaxMin] {
             let inst = ProblemInstance::uniform(p.clone(), objective);
-            let dense = UpperBound::with_engine(Some(Engine::Dense))
-                .bound(&inst)
-                .unwrap();
-            let revised = UpperBound::with_engine(Some(Engine::Revised))
-                .bound(&inst)
-                .unwrap();
-            assert!(
-                (dense - revised).abs() < 1e-5 * (1.0 + dense.abs()),
-                "dense {dense} vs revised {revised} ({objective:?})"
-            );
+            let bound = UpperBound.bound(&inst).unwrap();
+            let model = LpFormulation::relaxation(&inst).unwrap().model;
+            let revised = |basis_repr| RevisedSimplex { basis_repr }.solve(&model).unwrap();
+            for (solver, sol) in [
+                ("dense", DenseSimplex.solve(&model).unwrap()),
+                ("revised", revised(BasisRepr::DenseInverse)),
+                ("sparse", revised(BasisRepr::SparseLu)),
+            ] {
+                assert!(
+                    (sol.objective - bound).abs() < 1e-5 * (1.0 + bound.abs()),
+                    "{solver} {} vs bound {bound} ({objective:?})",
+                    sol.objective
+                );
+            }
         }
     }
 
@@ -103,7 +98,7 @@ mod tests {
         };
         let p = PlatformGenerator::new(17).generate(&cfg);
         let inst = ProblemInstance::uniform(p, Objective::MaxMin);
-        let ub = UpperBound::default().bound(&inst).unwrap();
+        let ub = UpperBound.bound(&inst).unwrap();
         // Each app can run locally at speed 100, so MAXMIN ≥ 100.
         assert!(ub >= 100.0 - 1e-6);
     }

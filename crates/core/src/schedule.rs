@@ -318,7 +318,7 @@ mod tests {
     #[test]
     fn common_denominator_mode_period_is_d() {
         let inst = small_inst();
-        let alloc = Greedy::default().solve(&inst).unwrap();
+        let alloc = Greedy.solve(&inst).unwrap();
         let s = ScheduleBuilder::default().build(&inst, &alloc).unwrap();
         assert_eq!(s.period, 1000);
         s.validate(&inst).unwrap();
@@ -360,7 +360,7 @@ mod tests {
     #[test]
     fn tasks_enumerate_nonzero_entries_only() {
         let inst = small_inst();
-        let alloc = Greedy::default().solve(&inst).unwrap();
+        let alloc = Greedy.solve(&inst).unwrap();
         let s = ScheduleBuilder::default().build(&inst, &alloc).unwrap();
         assert!(s.compute_tasks.iter().all(|t| t.amount > 0));
         assert!(s.transfers.iter().all(|t| t.amount > 0));
@@ -380,7 +380,7 @@ mod tests {
             };
             let p = PlatformGenerator::new(seed).generate(&cfg);
             let inst = ProblemInstance::uniform(p, Objective::Sum);
-            let alloc = Lprg::default().solve(&inst).unwrap();
+            let alloc = Lprg.solve(&inst).unwrap();
             let s = ScheduleBuilder::default().build(&inst, &alloc).unwrap();
             s.validate(&inst).unwrap();
             let exact = ScheduleBuilder { denominator: 64 }.build_exact(&inst, &alloc);

@@ -122,10 +122,7 @@ fn cold_and_replay(inst: &ProblemInstance, repr: BasisRepr, out: &mut String) {
     let p = &inst.platform;
     let k = p.num_clusters();
     let mut f = LpFormulation::relaxation_warm(inst).unwrap();
-    let params = RevisedSimplex {
-        basis_repr: repr,
-        ..RevisedSimplex::default()
-    };
+    let params = RevisedSimplex { basis_repr: repr };
     let mut w = WarmSimplex::new(f.model.clone(), params).unwrap();
     let mut sol = optimal(w.solve().unwrap());
     let stats = w.factor_stats().expect("factorised after a solve");

@@ -2,8 +2,8 @@
 //! sparse-vs-dense LPRR replay (ISSUE 9 satellite coverage).
 
 use dls_core::heuristics::{Heuristic, Lprr};
-use dls_core::{Objective, ProblemInstance};
-use dls_lp::Engine;
+use dls_core::{LpFormulation, Objective, ProblemInstance};
+use dls_lp::{resolve_engine, Engine};
 use dls_platform::{PlatformConfig, PlatformGenerator};
 use proptest::prelude::*;
 
@@ -73,6 +73,8 @@ proptest! {
     /// sparse-capable solver agrees with the cold dense-engine reference on
     /// both objectives — same seed, same rounding draws, same allocation
     /// objective (the LP optima agree, so the pinned sequences coincide).
+    /// The cold path resolves its engine from the relaxation's size, and at
+    /// K = 5 that is the dense tableau.
     #[test]
     fn warm_sparse_replay_matches_cold_dense(seed in 0u64..24, maxmin in proptest::bool::ANY) {
         let objective = if maxmin { Objective::MaxMin } else { Objective::Sum };
@@ -80,12 +82,9 @@ proptest! {
         let warm = Lprr { oracle_check: true, ..Lprr::new(seed) }
             .solve(&inst)
             .unwrap();
-        let cold_dense = Lprr {
-            engine: Some(Engine::Dense),
-            ..Lprr::cold(seed)
-        }
-        .solve(&inst)
-        .unwrap();
+        let relaxation = LpFormulation::relaxation(&inst).unwrap().model;
+        prop_assert_eq!(resolve_engine(&relaxation), Engine::Dense);
+        let cold_dense = Lprr::cold(seed).solve(&inst).unwrap();
         prop_assert!(warm.validate(&inst).is_ok());
         prop_assert!(cold_dense.validate(&inst).is_ok());
         let (a, b) = (warm.objective_value(&inst), cold_dense.objective_value(&inst));

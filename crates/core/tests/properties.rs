@@ -62,14 +62,14 @@ proptest! {
 
     #[test]
     fn greedy_always_valid(a in arb_instance(10)) {
-        let alloc = Greedy::default().solve(&a.inst).unwrap();
+        let alloc = Greedy.solve(&a.inst).unwrap();
         prop_assert!(alloc.validate(&a.inst).is_ok(), "{:?}", alloc.violations(&a.inst));
     }
 
     #[test]
     fn lpr_and_lprg_always_valid_and_ordered(a in arb_instance(8)) {
-        let lpr = Lpr::default().solve(&a.inst).unwrap();
-        let lprg = Lprg::default().solve(&a.inst).unwrap();
+        let lpr = Lpr.solve(&a.inst).unwrap();
+        let lprg = Lprg.solve(&a.inst).unwrap();
         prop_assert!(lpr.validate(&a.inst).is_ok(), "{:?}", lpr.violations(&a.inst));
         prop_assert!(lprg.validate(&a.inst).is_ok(), "{:?}", lprg.violations(&a.inst));
         let (v_lpr, v_lprg) = (lpr.objective_value(&a.inst), lprg.objective_value(&a.inst));
@@ -79,9 +79,9 @@ proptest! {
 
     #[test]
     fn all_heuristics_below_upper_bound(a in arb_instance(7)) {
-        let ub = UpperBound::default().bound(&a.inst).unwrap();
-        let g = Greedy::default().solve(&a.inst).unwrap().objective_value(&a.inst);
-        let lprg = Lprg::default().solve(&a.inst).unwrap().objective_value(&a.inst);
+        let ub = UpperBound.bound(&a.inst).unwrap();
+        let g = Greedy.solve(&a.inst).unwrap().objective_value(&a.inst);
+        let lprg = Lprg.solve(&a.inst).unwrap().objective_value(&a.inst);
         let slack = 1e-5 * (1.0 + ub.abs());
         prop_assert!(g <= ub + slack, "G {g} above LP bound {ub}");
         prop_assert!(lprg <= ub + slack, "LPRG {lprg} above LP bound {ub}");
@@ -91,7 +91,7 @@ proptest! {
     fn lprr_valid_and_bounded(a in arb_instance(5)) {
         let alloc = Lprr::new(a.seed).solve(&a.inst).unwrap();
         prop_assert!(alloc.validate(&a.inst).is_ok(), "{:?}", alloc.violations(&a.inst));
-        let ub = UpperBound::default().bound(&a.inst).unwrap();
+        let ub = UpperBound.bound(&a.inst).unwrap();
         let v = alloc.objective_value(&a.inst);
         prop_assert!(v <= ub + 1e-5 * (1.0 + ub.abs()), "LPRR {v} above bound {ub}");
     }
@@ -100,8 +100,8 @@ proptest! {
     fn schedules_reconstruct_for_every_heuristic(a in arb_instance(6)) {
         let builder = ScheduleBuilder::default();
         for alloc in [
-            Greedy::default().solve(&a.inst).unwrap(),
-            Lprg::default().solve(&a.inst).unwrap(),
+            Greedy.solve(&a.inst).unwrap(),
+            Lprg.solve(&a.inst).unwrap(),
         ] {
             let s = builder.build(&a.inst, &alloc).unwrap();
             prop_assert!(s.validate(&a.inst).is_ok());
@@ -116,7 +116,7 @@ proptest! {
 
     #[test]
     fn scale_to_fit_always_valid(a in arb_instance(7), factor in 0.3f64..1.0) {
-        let alloc = Greedy::default().solve(&a.inst).unwrap();
+        let alloc = Greedy.solve(&a.inst).unwrap();
         // Shrink the platform and refit.
         let mut harsher = a.inst.clone();
         for c in harsher.platform.clusters.iter_mut() {
@@ -366,7 +366,7 @@ proptest! {
         bw_f in proptest::collection::vec(0.05f64..3.0, 16),
         conn_f in proptest::collection::vec(0.0f64..2.0, 16),
     ) {
-        let alloc = Greedy::default().solve(&a.inst).unwrap();
+        let alloc = Greedy.solve(&a.inst).unwrap();
 
         // Identity: no drift → γ = 1 (up to the float noise of ratios that
         // sit exactly at capacity) and the allocation survives as-is.
@@ -413,12 +413,12 @@ proptest! {
 
     #[test]
     fn exact_dominates_heuristics(a in arb_instance(4)) {
-        let exact = ExactMilp::default().solve(&a.inst).unwrap();
+        let exact = ExactMilp.solve(&a.inst).unwrap();
         prop_assert!(exact.validate(&a.inst).is_ok());
         let opt = exact.objective_value(&a.inst);
-        let ub = UpperBound::default().bound(&a.inst).unwrap();
+        let ub = UpperBound.bound(&a.inst).unwrap();
         prop_assert!(opt <= ub + 1e-5 * (1.0 + ub.abs()));
-        for h in [&Greedy::default() as &dyn Heuristic, &Lprg::default()] {
+        for h in [&Greedy as &dyn Heuristic, &Lprg] {
             let v = h.solve(&a.inst).unwrap().objective_value(&a.inst);
             prop_assert!(v <= opt + 1e-5 * (1.0 + opt.abs()),
                 "{} {v} beats exact {opt}", h.name());

@@ -187,7 +187,7 @@ fn evaluate_instance(
     rc: &RunnerConfig,
 ) -> RunRecord {
     let t0 = Instant::now();
-    let relaxed = UpperBound::default()
+    let relaxed = UpperBound
         .solve_fractional(inst)
         .expect("relaxation solves on well-formed instances");
     let bound = relaxed.objective;
@@ -211,7 +211,7 @@ fn evaluate_instance(
 
     if hs.greedy {
         let t = Instant::now();
-        let alloc = Greedy::default().solve(inst).expect("G always solves");
+        let alloc = Greedy.solve(inst).expect("G always solves");
         record("G", &alloc, t.elapsed().as_secs_f64() * 1e3);
     }
     if rc.share_lp_solution {
@@ -223,19 +223,19 @@ fn evaluate_instance(
         }
         if hs.lprg {
             let t = Instant::now();
-            let alloc = Lprg::default().from_relaxation(inst, &relaxed);
+            let alloc = Lprg.from_relaxation(inst, &relaxed);
             record("LPRG", &alloc, bound_ms + t.elapsed().as_secs_f64() * 1e3);
             lprg_alloc = Some(alloc);
         }
     } else {
         if hs.lpr {
             let t = Instant::now();
-            let alloc = Lpr::default().solve(inst).expect("LPR always solves");
+            let alloc = Lpr.solve(inst).expect("LPR always solves");
             record("LPR", &alloc, t.elapsed().as_secs_f64() * 1e3);
         }
         if hs.lprg {
             let t = Instant::now();
-            let alloc = Lprg::default().solve(inst).expect("LPRG always solves");
+            let alloc = Lprg.solve(inst).expect("LPRG always solves");
             record("LPRG", &alloc, t.elapsed().as_secs_f64() * 1e3);
             lprg_alloc = Some(alloc);
         }

@@ -14,50 +14,48 @@
 //! node solve runs the revised simplex warm-started from its parent's
 //! optimal basis: a child differs from its parent only by one bound
 //! tightening, so the dual simplex repairs the inherited basis in a few
-//! pivots instead of re-running both cold phases per node.
+//! pivots instead of re-running both cold phases per node. Cold node
+//! solves use the engine [`crate::resolve_engine`] picks for the root
+//! model, once per tree.
 
 use crate::model::{Model, Sense, VarId};
 use crate::solution::{Solution, Status};
 use crate::warm::Basis;
-use crate::{solve_with, Engine, LpError, RevisedSimplex, INT_TOL};
+use crate::{
+    resolve_engine, solve_auto, solve_with, BasisRepr, Engine, LpError, RevisedSimplex, INT_TOL,
+};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
+/// Hard cap on explored nodes.
+const MAX_NODES: usize = 100_000;
+
+/// Relative optimality gap at which the search stops: 1e-9, i.e. prove
+/// optimality.
+const REL_GAP: f64 = 1e-9;
+
+/// Minimum root-model size (variables + constraints) at which
+/// [`BranchBoundConfig::warm_start`] actually engages. Below it every node
+/// cold-solves even with `warm_start` on: tiny relaxations finish in a
+/// handful of pivots either way, so the basis snapshot/restore bookkeeping
+/// costs more than the pivots it saves (measured ~2.5× slower on the
+/// K∈{3,4} steady-state programs).
+pub(crate) const WARM_START_MIN_DIM: usize = 64;
+
 /// Branch-and-bound configuration.
 #[derive(Debug, Clone)]
 pub struct BranchBoundConfig {
-    /// Hard cap on explored nodes (default 100 000).
-    pub max_nodes: usize,
-    /// Relative optimality gap at which the search stops (default 1e-9,
-    /// i.e. prove optimality).
-    pub rel_gap: f64,
-    /// LP engine used for node relaxations when `warm_start` is off. (An
-    /// `Auto` choice is resolved once, from the root model, so one tree
-    /// never straddles both engines as bound rows come and go.)
-    pub engine: Engine,
     /// Warm-start node relaxations from the parent's basis (default). This
     /// forces the revised simplex, since only it can restore a [`Basis`];
     /// nodes whose snapshot is unusable silently degrade to a cold solve.
+    /// `false` cold-solves every node, the reference tree.
     pub warm_start: bool,
-    /// Minimum root-model size (variables + constraints) at which
-    /// `warm_start` actually engages. Below it every node cold-solves even
-    /// with `warm_start` on: tiny relaxations finish in a handful of pivots
-    /// either way, so the basis snapshot/restore bookkeeping costs more
-    /// than the pivots it saves (measured ~2.5× slower on the K∈{3,4}
-    /// steady-state programs). Default 64.
-    pub warm_start_min_dim: usize,
 }
 
 impl Default for BranchBoundConfig {
     fn default() -> Self {
-        BranchBoundConfig {
-            max_nodes: 100_000,
-            rel_gap: 1e-9,
-            engine: Engine::Auto,
-            warm_start: true,
-            warm_start_min_dim: 64,
-        }
+        BranchBoundConfig { warm_start: true }
     }
 }
 
@@ -117,34 +115,40 @@ impl BranchBound {
     /// Solves `model` to proven optimality over its integer-marked
     /// variables.
     pub fn solve(&self, model: &Model) -> Result<Solution, LpError> {
+        self.solve_warm_from(model, WARM_START_MIN_DIM)
+    }
+
+    /// [`BranchBound::solve`] with warm starts engaging from another
+    /// root-model size (tests force basis inheritance on tiny models with
+    /// `0`).
+    pub(crate) fn solve_warm_from(
+        &self,
+        model: &Model,
+        warm_start_min_dim: usize,
+    ) -> Result<Solution, LpError> {
         let int_vars = model.integer_vars();
         if int_vars.is_empty() {
-            return solve_with(model, self.config.engine);
+            return solve_auto(model);
         }
         // `better(a, b)` ⇔ objective a improves on b for the model sense.
         let maximize = model.sense() == Sense::Maximize;
         let better = |a: f64, b: f64| if maximize { a > b } else { a < b };
 
-        // Resolve an `Auto` engine once from the root: bound tightenings
-        // flip infinite bounds finite and would otherwise flip the
-        // size-based choice mid-tree.
-        let engine = match self.config.engine {
-            Engine::Auto => crate::resolve_engine(model),
-            e => e,
-        };
-        // Warm node solves go through the revised simplex regardless of
-        // `engine`; align its basis representation with the resolved choice
+        // Resolve the engine once from the root: bound tightenings flip
+        // infinite bounds finite and would otherwise flip the size-based
+        // choice mid-tree.
+        let engine = resolve_engine(model);
+        // Warm node solves go through the revised simplex whatever the
+        // engine; align its basis representation with the resolved choice
         // so sparse-engine trees keep the sparse factor at every node.
         let warm_solver = RevisedSimplex {
             basis_repr: match engine {
-                Engine::Sparse => crate::BasisRepr::SparseLu,
-                Engine::Dense | Engine::Revised => crate::BasisRepr::DenseInverse,
-                Engine::Auto => crate::BasisRepr::Auto,
+                Engine::Sparse => BasisRepr::SparseLu,
+                Engine::Dense => BasisRepr::DenseInverse,
             },
-            ..Default::default()
         };
         let warm_start = self.config.warm_start
-            && model.num_vars() + model.num_constraints() >= self.config.warm_start_min_dim;
+            && model.num_vars() + model.num_constraints() >= warm_start_min_dim;
 
         let mut incumbent: Option<Solution> = None;
         let mut explored = 0usize;
@@ -171,7 +175,7 @@ impl BranchBound {
         let mut scratch = model.clone();
         while let Some(HeapEntry { node, .. }) = heap.pop() {
             explored += 1;
-            if explored > self.config.max_nodes {
+            if explored > MAX_NODES {
                 // Out of budget: return the incumbent if we have one.
                 return match incumbent {
                     Some(sol) => Ok(sol),
@@ -180,10 +184,7 @@ impl BranchBound {
             }
             // Prune against the incumbent using the inherited bound.
             if let Some(inc) = &incumbent {
-                if !better(
-                    node.bound,
-                    inc.objective * gap_factor(maximize, self.config.rel_gap),
-                ) {
+                if !better(node.bound, inc.objective * gap_factor(maximize)) {
                     continue;
                 }
             }
@@ -225,10 +226,7 @@ impl BranchBound {
                 Status::Optimal => {}
             }
             if let Some(inc) = &incumbent {
-                if !better(
-                    relax.objective,
-                    inc.objective * gap_factor(maximize, self.config.rel_gap),
-                ) {
+                if !better(relax.objective, inc.objective * gap_factor(maximize)) {
                     continue;
                 }
             }
@@ -298,11 +296,11 @@ impl BranchBound {
 }
 
 /// Incumbent comparison slack: a node must beat `incumbent·(1 ± gap)`.
-fn gap_factor(maximize: bool, rel_gap: f64) -> f64 {
+fn gap_factor(maximize: bool) -> f64 {
     if maximize {
-        1.0 + rel_gap
+        1.0 + REL_GAP
     } else {
-        1.0 - rel_gap
+        1.0 - REL_GAP
     }
 }
 
@@ -423,20 +421,12 @@ mod tests {
             ConstraintOp::Le,
             5.0,
         );
-        // `warm_start_min_dim: 0` forces genuine basis inheritance — this
-        // model is far below the default tiny-model fallback threshold.
-        let warm = BranchBound::new(BranchBoundConfig {
-            warm_start_min_dim: 0,
-            ..BranchBoundConfig::default()
-        })
-        .solve(&m)
-        .unwrap();
-        let cold = BranchBound::new(BranchBoundConfig {
-            warm_start: false,
-            ..BranchBoundConfig::default()
-        })
-        .solve(&m)
-        .unwrap();
+        // A warm start from size 0 forces genuine basis inheritance — this
+        // model is far below the tiny-model fallback threshold.
+        let warm = BranchBound::default().solve_warm_from(&m, 0).unwrap();
+        let cold = BranchBound::new(BranchBoundConfig { warm_start: false })
+            .solve(&m)
+            .unwrap();
         assert_eq!(warm.status, Status::Optimal);
         assert_eq!(cold.status, Status::Optimal);
         assert!(
@@ -450,7 +440,7 @@ mod tests {
 
     #[test]
     fn tiny_models_fall_back_to_cold_but_agree() {
-        // Below `warm_start_min_dim` the default config cold-solves every
+        // Below `WARM_START_MIN_DIM` the default config cold-solves every
         // node; the answer must match both a forced-warm and a forced-cold
         // tree on the same model.
         let mut m = Model::new(Sense::Maximize);
@@ -468,22 +458,12 @@ mod tests {
             ConstraintOp::Le,
             9.4,
         );
-        assert!(
-            m.num_vars() + m.num_constraints() < BranchBoundConfig::default().warm_start_min_dim
-        );
+        assert!(m.num_vars() + m.num_constraints() < WARM_START_MIN_DIM);
         let auto = BranchBound::default().solve(&m).unwrap();
-        let forced_warm = BranchBound::new(BranchBoundConfig {
-            warm_start_min_dim: 0,
-            ..BranchBoundConfig::default()
-        })
-        .solve(&m)
-        .unwrap();
-        let forced_cold = BranchBound::new(BranchBoundConfig {
-            warm_start: false,
-            ..BranchBoundConfig::default()
-        })
-        .solve(&m)
-        .unwrap();
+        let forced_warm = BranchBound::default().solve_warm_from(&m, 0).unwrap();
+        let forced_cold = BranchBound::new(BranchBoundConfig { warm_start: false })
+            .solve(&m)
+            .unwrap();
         assert_eq!(auto.status, Status::Optimal);
         for other in [&forced_warm, &forced_cold] {
             assert!(

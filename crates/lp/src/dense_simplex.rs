@@ -9,27 +9,13 @@
 use crate::model::Model;
 use crate::solution::{Solution, Status};
 use crate::standard::StandardForm;
-use crate::{LpError, COST_TOL, FEAS_TOL, PIVOT_TOL};
+use crate::{scaled_iteration_cap, LpError, COST_TOL, FEAS_TOL, PIVOT_TOL, STALL_LIMIT};
 
-/// Dense tableau simplex solver.
-#[derive(Debug, Clone)]
-pub struct DenseSimplex {
-    /// Hard cap on pivots per phase; `None` derives the size-scaled default
-    /// [`crate::scaled_iteration_cap`], so a pathological instance surfaces
-    /// [`LpError::IterationLimit`] instead of spinning forever.
-    pub max_iterations: Option<usize>,
-    /// Pivots without objective improvement before Bland's rule engages.
-    pub stall_limit: usize,
-}
-
-impl Default for DenseSimplex {
-    fn default() -> Self {
-        DenseSimplex {
-            max_iterations: None,
-            stall_limit: 256,
-        }
-    }
-}
+/// Dense tableau simplex solver. Each phase is capped at
+/// [`scaled_iteration_cap`] pivots, so a pathological instance surfaces
+/// [`LpError::IterationLimit`] instead of spinning forever.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DenseSimplex;
 
 enum PhaseEnd {
     Optimal,
@@ -118,7 +104,6 @@ impl Tableau {
         banned: impl Fn(usize) -> bool,
         evict_artificials: bool,
         max_iter: usize,
-        stall_limit: usize,
     ) -> Result<PhaseEnd, LpError> {
         let rhs = self.rhs_col();
         let mut bland = false;
@@ -199,7 +184,7 @@ impl Tableau {
                 last_obj = obj;
             } else {
                 stall += 1;
-                if stall >= stall_limit {
+                if stall >= STALL_LIMIT {
                     bland = true;
                 }
             }
@@ -248,15 +233,13 @@ impl DenseSimplex {
             is_artificial: sf.is_artificial.clone(),
             iterations: 0,
         };
-        let max_iter = self
-            .max_iterations
-            .unwrap_or_else(|| crate::scaled_iteration_cap(sf.m, sf.n_cols));
+        let max_iter = scaled_iteration_cap(sf.m, sf.n_cols);
 
         // --- Phase 1 ---
         if sf.n_artificial > 0 {
             let costs = sf.phase1_costs();
             tab.set_costs(&costs);
-            match tab.run(|_| false, false, max_iter, self.stall_limit)? {
+            match tab.run(|_| false, false, max_iter)? {
                 PhaseEnd::Optimal => {}
                 // Phase-1 objective is bounded below by 0; "unbounded" here
                 // means numerical breakdown.
@@ -272,7 +255,7 @@ impl DenseSimplex {
         // --- Phase 2 ---
         tab.set_costs(&sf.c);
         let art = sf.is_artificial.clone();
-        let end = tab.run(|j| art[j], true, max_iter, self.stall_limit)?;
+        let end = tab.run(|j| art[j], true, max_iter)?;
         if matches!(end, PhaseEnd::Unbounded) {
             return Ok(Solution::unbounded(tab.iterations));
         }
@@ -329,7 +312,7 @@ mod tests {
     use crate::model::{ConstraintOp, Model, Sense};
 
     fn solve(m: &Model) -> Solution {
-        DenseSimplex::default().solve(m).unwrap()
+        DenseSimplex.solve(m).unwrap()
     }
 
     #[test]

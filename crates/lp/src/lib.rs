@@ -20,11 +20,14 @@
 //!   solver, giving exact optima of the *mixed* program on small instances
 //!   (the paper only bounds the optimum; the exact solver lets our tests
 //!   verify the NP-completeness reduction end-to-end);
-//! * [`solve_auto`] — picks a solver by problem size.
+//! * [`solve_auto`] — the one-shot cold solve: the solver is picked by
+//!   problem size ([`resolve_engine`]), not by a setting.
 //!
 //! Both simplex implementations share the same [`standard::StandardForm`]
 //! lowering (bounded variables, slack/artificial augmentation) and are
-//! cross-checked against each other by property tests.
+//! cross-checked against each other by property tests. Their tuning (pivot
+//! caps, the Bland stall limit, the refactorisation interval) is constants,
+//! not options.
 //!
 //! ## Example
 //!
@@ -122,11 +125,15 @@ pub const COST_TOL: f64 = 1e-8;
 /// Integrality tolerance used by branch-and-bound.
 pub const INT_TOL: f64 = 1e-6;
 
-/// Default per-phase pivot cap for a standard form with `m` rows and
-/// `n_cols` columns. Both simplex engines (and the dual/warm phases) fall
-/// back to this size-scaled cap when `max_iterations` is `None`, so no solve
-/// can loop forever — a pathological instance surfaces
-/// [`LpError::IterationLimit`] instead.
+/// Pivots without objective improvement before either simplex switches to
+/// Bland's rule (anti-cycling).
+pub(crate) const STALL_LIMIT: usize = 256;
+
+/// Per-phase pivot cap for a standard form with `m` rows and `n_cols`
+/// columns. Both simplex engines (and the dual/warm phases) use this
+/// size-scaled cap on the dense representations, so no solve can loop
+/// forever — a pathological instance surfaces [`LpError::IterationLimit`]
+/// instead.
 pub fn scaled_iteration_cap(m: usize, n_cols: usize) -> usize {
     500 + 50 * (m + n_cols)
 }
@@ -172,7 +179,7 @@ pub fn sparse_iteration_cap(m: usize, n_cols: usize) -> usize {
 /// paper's own scale already run on the sparse factor, as does the large-K
 /// platform axis (K ≥ 200 island platforms, m ≳ 2 700). The *plain* K=50
 /// relaxation (m ≈ 630) sits below this switch, but its one-shot cold
-/// solves go through [`Engine::Auto`], which selects the sparse LU
+/// solves go through [`solve_auto`], which selects the sparse LU
 /// explicitly past [`AUTO_DENSE_LIMIT`]; `dls_core` pins all three facts in
 /// a test.
 ///
@@ -187,28 +194,21 @@ pub fn sparse_iteration_cap(m: usize, n_cols: usize) -> usize {
 /// cost is a larger share the smaller the rest of the tenant gets.
 pub const SPARSE_MIN_ROWS: usize = 2048;
 
-/// Solver engine selection for [`solve_with`] and the branch-and-bound layer.
+/// The cold-solve engine [`resolve_engine`] picks for a model by its size.
+/// A result, not a setting: callers that solve a sequence of related models
+/// take it once from the first and hand it to [`solve_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// Dense tableau simplex (reference implementation, and the fastest
-    /// engine on small models).
+    /// engine on small models): up to [`AUTO_DENSE_LIMIT`] tableau cells.
     Dense,
-    /// Revised simplex with dense basis inverse. Never chosen by
-    /// [`Engine::Auto`]; retained as the explicitly selectable,
-    /// cross-checked oracle for [`Engine::Sparse`], the same pattern as the
-    /// simulator's `FullRecompute` engine.
-    Revised,
     /// Revised simplex with the sparse LU basis factorisation (Markowitz
     /// pivoting + eta-file updates) — the engine for everything past the
     /// tableau's crossover.
     Sparse,
-    /// Choose by problem size for a one-shot cold solve: [`Engine::Dense`]
-    /// up to [`AUTO_DENSE_LIMIT`] tableau cells, [`Engine::Sparse`] above
-    /// (see the constant for the measurement behind the switch).
-    Auto,
 }
 
-/// Tableau size (standard-form rows × columns) above which [`Engine::Auto`]
+/// Tableau size (standard-form rows × columns) above which [`solve_auto`]
 /// leaves the dense tableau for the sparse LU: the measured crossover of a
 /// one-shot cold solve of the paper-shape relaxation, as `perf lp` records
 /// it in `BENCH_lp.json`'s `crossover` section (seed 42, median cold
@@ -230,8 +230,9 @@ pub enum Engine {
 /// The tableau wins by 9–25 % up to ~3·10⁴ cells, loses from ~2·10⁵ and by
 /// 5.5× at the paper's own K = 50; the limit sits between the two
 /// measured sizes that bracket the crossover. The dense-inverse revised
-/// engine leads only at K = 20, by 8 %,
-/// so `Auto` does not pick it. Re-measure with
+/// engine leads only at K = 20, by 8 %, so no cold solve picks it (it stays
+/// the warm contexts' [`BasisRepr::DenseInverse`] below
+/// [`SPARSE_MIN_ROWS`]). Re-measure with
 /// `cargo run --release -p dls_bench --bin perf -- lp` (the `crossover`
 /// rows carry `k`, `rows`, `cells` and `timing_ms` per engine) and move the
 /// constant if the bracket moves.
@@ -242,18 +243,17 @@ pub enum Engine {
 pub const AUTO_DENSE_LIMIT: usize = 150_000;
 
 /// Solves a pure LP (integrality marks ignored) with the engine chosen by
-/// problem size.
+/// problem size ([`resolve_engine`]).
 pub fn solve_auto(model: &Model) -> Result<Solution, LpError> {
-    solve_with(model, Engine::Auto)
+    solve_with(model, resolve_engine(model))
 }
 
-/// Resolves [`Engine::Auto`]'s size-based choice for a model: the concrete
-/// engine `solve_with` would use — [`Engine::Dense`] up to
+/// The engine [`solve_auto`] uses for a model: [`Engine::Dense`] up to
 /// [`AUTO_DENSE_LIMIT`] tableau cells (sized from the model, without
 /// lowering it), [`Engine::Sparse`] above. Callers that solve a *sequence*
 /// of related models (LPRR's cold rounding loop, branch-and-bound trees)
-/// should resolve once up front and reuse the result, so one run never
-/// straddles both engines as in-place deltas change the model's size.
+/// resolve once up front and reuse the result, so one run never straddles
+/// both engines as in-place deltas change the model's size.
 pub fn resolve_engine(model: &Model) -> Engine {
     let (_, cells) = tableau_size(model);
     if cells > AUTO_DENSE_LIMIT {
@@ -272,25 +272,15 @@ pub fn tableau_size(model: &Model) -> (usize, usize) {
     (sf_rows, sf_rows.saturating_mul(sf_cols))
 }
 
-/// Solves a pure LP (integrality marks ignored) with an explicit engine.
+/// Solves a pure LP (integrality marks ignored) on an engine
+/// [`resolve_engine`] picked earlier.
 pub fn solve_with(model: &Model, engine: Engine) -> Result<Solution, LpError> {
-    let engine = match engine {
-        Engine::Auto => resolve_engine(model),
-        e => e,
-    };
     match engine {
-        Engine::Dense => DenseSimplex::default().solve(model),
-        Engine::Revised => RevisedSimplex {
-            basis_repr: BasisRepr::DenseInverse,
-            ..Default::default()
-        }
-        .solve(model),
+        Engine::Dense => DenseSimplex.solve(model),
         Engine::Sparse => RevisedSimplex {
             basis_repr: BasisRepr::SparseLu,
-            ..Default::default()
         }
         .solve(model),
-        Engine::Auto => unreachable!(),
     }
 }
 

@@ -61,8 +61,13 @@ use crate::sparse_lu::{SolveCounts, SparseLu};
 use crate::standard::StandardForm;
 use crate::{
     scaled_iteration_cap, sparse_iteration_cap, LpError, COST_TOL, FEAS_TOL, PIVOT_TOL,
-    SPARSE_MIN_ROWS,
+    SPARSE_MIN_ROWS, STALL_LIMIT,
 };
+
+/// Basis refactorisation interval, in pivots. The sparse representation
+/// also refactorises early when the eta file outgrows the LU factors
+/// (fill-bounded refactorisation).
+pub(crate) const REFACTOR_EVERY: usize = 128;
 
 /// How [`RevisedSimplex`] represents the basis factorisation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,26 +80,18 @@ pub enum BasisRepr {
     /// standard-form rows, [`BasisRepr::DenseInverse`] below. The row count
     /// that matters is the *lowered* one: the paper-shape K=50 plain
     /// relaxation (m ≈ 630) is on the dense side of this switch (its cold
-    /// solves pick the sparse LU explicitly, through `Engine::Auto`), but
+    /// solves pick the sparse LU explicitly, through `solve_auto`), but
     /// its warm variant carries one bound row per pre-materialised α cap
     /// (m ≈ 3 080) and runs sparse.
     Auto,
 }
 
-/// Revised simplex solver.
-#[derive(Debug, Clone)]
+/// Revised simplex solver. Each phase is capped at the size-scaled
+/// [`scaled_iteration_cap`] / [`sparse_iteration_cap`] (by the resolved
+/// representation), so a pathological or cycling instance surfaces
+/// [`LpError::IterationLimit`] instead of spinning forever.
+#[derive(Debug, Clone, Copy)]
 pub struct RevisedSimplex {
-    /// Hard cap on pivots per phase; `None` derives the size-scaled default
-    /// ([`scaled_iteration_cap`] / [`sparse_iteration_cap`] depending on
-    /// the resolved representation), so a pathological or cycling instance
-    /// surfaces [`LpError::IterationLimit`] instead of spinning forever.
-    pub max_iterations: Option<usize>,
-    /// Pivots without improvement before Bland's rule engages.
-    pub stall_limit: usize,
-    /// Basis refactorisation interval (pivots). The sparse representation
-    /// additionally refactorises early when the eta file outgrows the LU
-    /// factors (fill-bounded refactorisation).
-    pub refactor_every: usize,
     /// Basis factorisation representation (see [`BasisRepr`]).
     pub basis_repr: BasisRepr,
 }
@@ -102,9 +99,6 @@ pub struct RevisedSimplex {
 impl Default for RevisedSimplex {
     fn default() -> Self {
         RevisedSimplex {
-            max_iterations: None,
-            stall_limit: 256,
-            refactor_every: 128,
             basis_repr: BasisRepr::Auto,
         }
     }
@@ -123,13 +117,11 @@ impl RevisedSimplex {
 
     /// The per-phase pivot cap used on a given standard form.
     pub(crate) fn iteration_cap(&self, sf: &StandardForm) -> usize {
-        self.max_iterations.unwrap_or_else(|| {
-            if self.sparse_for(sf.m) {
-                sparse_iteration_cap(sf.m, sf.n_cols)
-            } else {
-                scaled_iteration_cap(sf.m, sf.n_cols)
-            }
-        })
+        if self.sparse_for(sf.m) {
+            sparse_iteration_cap(sf.m, sf.n_cols)
+        } else {
+            scaled_iteration_cap(sf.m, sf.n_cols)
+        }
     }
 }
 
@@ -456,7 +448,6 @@ impl Factor {
     pub(crate) fn from_basis(
         sf: &StandardForm,
         cols: &[usize],
-        refactor_every: usize,
         sparse: bool,
     ) -> Result<Self, LpError> {
         if cols.len() != sf.m {
@@ -486,7 +477,7 @@ impl Factor {
             iterations: 0,
             refactor_count: 0,
             pivots_since_refactor: 0,
-            refactor_every,
+            refactor_every: REFACTOR_EVERY,
             scratch_y: vec![0.0; sf.m],
             scratch_w: Column::new(sf.m, sparse),
             scratch_rho: vec![0.0; sf.m],
@@ -1105,7 +1096,6 @@ impl Factor {
         banned: &[bool],
         evict_artificials: bool,
         max_iter: usize,
-        stall_limit: usize,
     ) -> Result<PhaseEnd, LpError> {
         // Borrow the BTRAN/FTRAN scratch out of `self` for the duration of
         // the phase so no pivot (or phase) allocates.
@@ -1117,7 +1107,6 @@ impl Factor {
             banned,
             evict_artificials,
             max_iter,
-            stall_limit,
             &mut y,
             &mut w,
         );
@@ -1134,7 +1123,6 @@ impl Factor {
         banned: &[bool],
         evict_artificials: bool,
         max_iter: usize,
-        stall_limit: usize,
         y: &mut [f64],
         w: &mut Column,
     ) -> Result<PhaseEnd, LpError> {
@@ -1216,7 +1204,7 @@ impl Factor {
                 last_obj = obj;
             } else {
                 stall += 1;
-                if stall >= stall_limit {
+                if stall >= STALL_LIMIT {
                     bland = true;
                 }
             }
@@ -1435,17 +1423,28 @@ impl RevisedSimplex {
         model: &Model,
         sf: &StandardForm,
     ) -> Result<(Solution, Option<Factor>), LpError> {
+        self.solve_refactoring_every(model, sf, REFACTOR_EVERY)
+    }
+
+    /// [`RevisedSimplex::solve_standard_keep`] with another refactorisation
+    /// interval (tests force refactorisations mid-solve with it).
+    pub(crate) fn solve_refactoring_every(
+        &self,
+        model: &Model,
+        sf: &StandardForm,
+        refactor_every: usize,
+    ) -> Result<(Solution, Option<Factor>), LpError> {
         if sf.m == 0 {
             return Ok((solve_unconstrained(model, sf), None));
         }
-        let mut factor = Factor::new(sf, self.refactor_every, self.sparse_for(sf.m));
+        let mut factor = Factor::new(sf, refactor_every, self.sparse_for(sf.m));
         let max_iter = self.iteration_cap(sf);
         let no_ban = vec![false; sf.n_cols];
 
         // --- Phase 1 ---
         if sf.n_artificial > 0 {
             let costs = sf.phase1_costs();
-            match factor.run_phase(sf, &costs, &no_ban, false, max_iter, self.stall_limit)? {
+            match factor.run_phase(sf, &costs, &no_ban, false, max_iter)? {
                 PhaseEnd::Optimal => {}
                 // Phase-1 objective is bounded below by 0; "unbounded" here
                 // means the factorisation broke down.
@@ -1457,14 +1456,7 @@ impl RevisedSimplex {
         }
 
         // --- Phase 2 ---
-        let end = factor.run_phase(
-            sf,
-            &sf.c,
-            &sf.is_artificial,
-            true,
-            max_iter,
-            self.stall_limit,
-        )?;
+        let end = factor.run_phase(sf, &sf.c, &sf.is_artificial, true, max_iter)?;
         if matches!(end, PhaseEnd::Unbounded) {
             return Ok((Solution::unbounded(factor.iterations), Some(factor)));
         }
@@ -1559,15 +1551,15 @@ mod tests {
             ConstraintOp::Le,
             40.0,
         );
-        let solver = RevisedSimplex {
-            refactor_every: 4,
-            ..RevisedSimplex::default()
-        };
-        let s = solver.solve(&m).unwrap();
+        let sf = StandardForm::from_model(&m).unwrap();
+        let s = RevisedSimplex::default()
+            .solve_refactoring_every(&m, &sf, 4)
+            .unwrap()
+            .0;
         assert_eq!(s.status, Status::Optimal);
         m.check_feasible(&s.values, 1e-6).unwrap();
         // Compare against the dense engine.
-        let d = crate::DenseSimplex::default().solve(&m).unwrap();
+        let d = crate::DenseSimplex.solve(&m).unwrap();
         assert!((s.objective - d.objective).abs() < 1e-5);
     }
 
@@ -1659,10 +1651,7 @@ mod tests {
         let sf = StandardForm::from_model(&m).unwrap();
         let slack_cols = crate::warm::slack_columns(&sf);
         for basis_repr in [BasisRepr::DenseInverse, BasisRepr::SparseLu] {
-            let solver = RevisedSimplex {
-                basis_repr,
-                ..RevisedSimplex::default()
-            };
+            let solver = RevisedSimplex { basis_repr };
             let (_, factor) = solver.solve_standard_keep(&m, &sf).unwrap();
             let factor = factor.unwrap();
             let mut seen = Vec::new();
@@ -1843,16 +1832,14 @@ mod sparse_dense_props {
         fn sparse_engine_matches_dense_inverse(model in random_block_lp()) {
             let dense = RevisedSimplex {
                 basis_repr: BasisRepr::DenseInverse,
-                ..RevisedSimplex::default()
             };
             let sparse = RevisedSimplex {
                 basis_repr: BasisRepr::SparseLu,
-                refactor_every: 8, // force refactorisations mid-solve
-                ..RevisedSimplex::default()
             };
             let sf = StandardForm::from_model(&model).unwrap();
             let (sol_d, factor_d) = dense.solve_standard_keep(&model, &sf).unwrap();
-            let (sol_s, _) = sparse.solve_standard_keep(&model, &sf).unwrap();
+            // Refactorise every 8 pivots: forces refactorisations mid-solve.
+            let (sol_s, _) = sparse.solve_refactoring_every(&model, &sf, 8).unwrap();
             prop_assert_eq!(sol_d.status, sol_s.status);
             if sol_d.status == Status::Optimal {
                 prop_assert!(
@@ -1866,7 +1853,7 @@ mod sparse_dense_props {
             // FTRAN/BTRAN agreement on the dense solve's final basis.
             let Some(mut factor_d) = factor_d else { return Ok(()); };
             let mut factor_s =
-                Factor::from_basis(&sf, &factor_d.basis, 128, true).unwrap();
+                Factor::from_basis(&sf, &factor_d.basis, true).unwrap();
             let m_rows = sf.m;
             let mut wd = Column::new(m_rows, false);
             let mut ws = Column::new(m_rows, true);
@@ -1914,7 +1901,7 @@ mod sparse_dense_props {
             for costs in [&sf.c, &negated] {
                 // One pivot per call: the phase reports its cap as an error.
                 loop {
-                    match f.run_phase(&sf, costs, &sf.is_artificial, true, 1, 256) {
+                    match f.run_phase(&sf, costs, &sf.is_artificial, true, 1) {
                         Err(LpError::IterationLimit { .. }) => {}
                         Ok(_) => break,
                         Err(e) => panic!("phase 2: {e:?}"),
@@ -2067,7 +2054,6 @@ mod sparse_dense_props {
         ) {
             let sparse = RevisedSimplex {
                 basis_repr: BasisRepr::SparseLu,
-                ..RevisedSimplex::default()
             };
             let (n_cons, n_vars) = (model.num_constraints(), model.num_vars());
             let mut warm = crate::warm::WarmSimplex::new(model, sparse).unwrap();

@@ -268,7 +268,7 @@ fn warm_finish(
 
     // --- 3. primal cleanup with the true costs ---
     let before = factor.iterations;
-    let end = factor.run_phase(sf, &sf.c, &sf.is_artificial, true, cap, params.stall_limit)?;
+    let end = factor.run_phase(sf, &sf.c, &sf.is_artificial, true, cap)?;
     let primal_pivots = (factor.iterations - before) as u64;
     if matches!(end, PhaseEnd::Unbounded) {
         return Ok((
@@ -321,11 +321,10 @@ impl RevisedSimplex {
             return Ok((solution, factor.map(|f| Basis::of(&f, &sf))));
         }
         let warm_result =
-            Factor::from_basis(&sf, &warm.cols, self.refactor_every, self.sparse_for(sf.m))
-                .and_then(|mut factor| {
-                    warm_finish(self, model, &sf, &mut factor, sf.b_scale())
-                        .map(|(sol, _, _)| (sol, factor))
-                });
+            Factor::from_basis(&sf, &warm.cols, self.sparse_for(sf.m)).and_then(|mut factor| {
+                warm_finish(self, model, &sf, &mut factor, sf.b_scale())
+                    .map(|(sol, _, _)| (sol, factor))
+            });
         match warm_result {
             Ok((solution, factor)) => Ok((solution, Some(Basis::of(&factor, &sf)))),
             // Unusable snapshot (singular, cycling, stuck artificial):
@@ -488,12 +487,7 @@ impl WarmSimplex {
         if !basis.compatible(&self.sf) {
             return false;
         }
-        match Factor::from_basis(
-            &self.sf,
-            &basis.cols,
-            self.params.refactor_every,
-            self.params.sparse_for(self.sf.m),
-        ) {
+        match Factor::from_basis(&self.sf, &basis.cols, self.params.sparse_for(self.sf.m)) {
             Ok(f) => {
                 self.factor = Some(f);
                 self.needs_refactor = false;
@@ -840,7 +834,7 @@ mod tests {
 
     fn assert_matches_cold(warm: &mut WarmSimplex) {
         let sol = warm.solve().unwrap();
-        let cold = DenseSimplex::default().solve(warm.model()).unwrap();
+        let cold = DenseSimplex.solve(warm.model()).unwrap();
         assert_eq!(sol.status, cold.status);
         if sol.status == Status::Optimal {
             assert!(
@@ -989,7 +983,6 @@ mod tests {
         let (m, x, y, c0, c1, _) = textbook();
         let sparse = RevisedSimplex {
             basis_repr: BasisRepr::SparseLu,
-            ..RevisedSimplex::default()
         };
         let mut warm = WarmSimplex::new(m.clone(), sparse).unwrap();
         warm.check_against_cold = true;
@@ -1035,10 +1028,7 @@ mod tests {
         // bound slack — which forces an eviction pivot on the stale x_B.
         for basis_repr in [BasisRepr::SparseLu, BasisRepr::DenseInverse] {
             let (m, _, y, c0, c1, c2) = textbook();
-            let params = RevisedSimplex {
-                basis_repr,
-                ..RevisedSimplex::default()
-            };
+            let params = RevisedSimplex { basis_repr };
             let mut warm = WarmSimplex::new(m, params).unwrap();
             warm.check_against_cold = true;
             warm.solve().unwrap();
@@ -1066,7 +1056,6 @@ mod tests {
         let (m, x, _, _, c1, _) = textbook();
         let sparse = RevisedSimplex {
             basis_repr: BasisRepr::SparseLu,
-            ..RevisedSimplex::default()
         };
         let mut warm = WarmSimplex::new(m, sparse).unwrap();
         warm.check_against_cold = true;
@@ -1114,10 +1103,7 @@ mod tests {
     /// basis representations.
     fn dirty_contexts() -> Vec<WarmSimplex> {
         use crate::BasisRepr;
-        let params = |basis_repr| RevisedSimplex {
-            basis_repr,
-            ..RevisedSimplex::default()
-        };
+        let params = |basis_repr| RevisedSimplex { basis_repr };
         let mut out = Vec::new();
         for repr in [BasisRepr::DenseInverse, BasisRepr::SparseLu] {
             let (m, x, y, c0, c1, c2) = textbook();

@@ -2,7 +2,7 @@
 //! engine agreement, and marginal-value (shadow price) verification by
 //! re-solving with a perturbed right-hand side.
 
-use dls_lp::{solve_with, ConstraintOp, DenseSimplex, Engine, Model, RevisedSimplex, Sense};
+use dls_lp::{BasisRepr, ConstraintOp, DenseSimplex, Model, RevisedSimplex, Sense};
 use proptest::prelude::*;
 
 #[test]
@@ -16,10 +16,14 @@ fn textbook_duals() {
     m.set_objective_coef(y, 2.0);
     let c1 = m.add_constraint(vec![(x, 1.0), (y, 1.0)], ConstraintOp::Le, 4.0);
     let c2 = m.add_constraint(vec![(x, 1.0), (y, 3.0)], ConstraintOp::Le, 6.0);
-    for engine in [Engine::Dense, Engine::Revised, Engine::Sparse] {
-        let sol = solve_with(&m, engine).unwrap();
-        assert!((sol.dual(c1).unwrap() - 3.0).abs() < 1e-7, "{engine:?}");
-        assert!(sol.dual(c2).unwrap().abs() < 1e-7, "{engine:?}");
+    let revised = |basis_repr| RevisedSimplex { basis_repr }.solve(&m).unwrap();
+    for (solver, sol) in [
+        ("dense", DenseSimplex.solve(&m).unwrap()),
+        ("revised", revised(BasisRepr::DenseInverse)),
+        ("sparse", revised(BasisRepr::SparseLu)),
+    ] {
+        assert!((sol.dual(c1).unwrap() - 3.0).abs() < 1e-7, "{solver}");
+        assert!(sol.dual(c2).unwrap().abs() < 1e-7, "{solver}");
     }
 }
 
@@ -34,7 +38,7 @@ fn minimisation_duals() {
     m.set_objective_coef(y, 3.0);
     let c1 = m.add_constraint(vec![(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 10.0);
     let c2 = m.add_constraint(vec![(x, 1.0)], ConstraintOp::Ge, 3.0);
-    let sol = DenseSimplex::default().solve(&m).unwrap();
+    let sol = DenseSimplex.solve(&m).unwrap();
     assert!((sol.dual(c1).unwrap() - 2.0).abs() < 1e-7);
     assert!(sol.dual(c2).unwrap().abs() < 1e-7);
 }
@@ -49,12 +53,12 @@ fn shadow_price_predicts_objective_change() {
     m.set_objective_coef(y, 4.0);
     let c1 = m.add_constraint(vec![(x, 6.0), (y, 4.0)], ConstraintOp::Le, 24.0);
     let c2 = m.add_constraint(vec![(x, 1.0), (y, 2.0)], ConstraintOp::Le, 6.0);
-    let base = DenseSimplex::default().solve(&m).unwrap();
+    let base = DenseSimplex.solve(&m).unwrap();
     let delta = 0.05; // small enough to stay within the optimal basis
     for (con, rhs) in [(c1, 24.0), (c2, 6.0)] {
         let mut bumped = m.clone();
         bumped.set_rhs(con, rhs + delta);
-        let sol = DenseSimplex::default().solve(&bumped).unwrap();
+        let sol = DenseSimplex.solve(&bumped).unwrap();
         let predicted = base.objective + base.dual(con).unwrap() * delta;
         assert!(
             (sol.objective - predicted).abs() < 1e-6,
@@ -104,7 +108,7 @@ proptest! {
 
     #[test]
     fn complementary_slackness_and_dual_signs(m in random_feasible_lp()) {
-        let sol = DenseSimplex::default().solve(&m).unwrap();
+        let sol = DenseSimplex.solve(&m).unwrap();
         prop_assume!(sol.is_optimal());
         prop_assert_eq!(sol.duals.len(), m.num_constraints());
         for (i, dual) in sol.duals.iter().enumerate() {
@@ -124,7 +128,7 @@ proptest! {
                 let con = dls_lp::ConstraintId::from_index(i);
                 let mut tight = m.clone();
                 tight.set_rhs(con, m.rhs(con) - 1e-4);
-                let sol2 = DenseSimplex::default().solve(&tight).unwrap();
+                let sol2 = DenseSimplex.solve(&tight).unwrap();
                 if sol2.is_optimal() {
                     prop_assert!(sol2.objective <= sol.objective + 1e-7,
                         "objective rose when tightening a positively-priced row");
@@ -135,7 +139,7 @@ proptest! {
 
     #[test]
     fn strong_duality_and_engine_agreement(m in random_feasible_lp()) {
-        let d = DenseSimplex::default().solve(&m).unwrap();
+        let d = DenseSimplex.solve(&m).unwrap();
         let r = RevisedSimplex::default().solve(&m).unwrap();
         prop_assume!(d.is_optimal() && r.is_optimal());
         // All rows are explicit ≤ constraints over x ≥ 0, so strong duality

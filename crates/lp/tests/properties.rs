@@ -103,7 +103,7 @@ proptest! {
 
     #[test]
     fn dense_solution_is_feasible_and_optimal(lp in random_lp(8, 8)) {
-        let sol = DenseSimplex::default().solve(&lp.model).unwrap();
+        let sol = DenseSimplex.solve(&lp.model).unwrap();
         prop_assert_eq!(sol.status, Status::Optimal);
         prop_assert!(lp.model.check_feasible(&sol.values, 1e-6).is_ok(),
             "{:?}", lp.model.check_feasible(&sol.values, 1e-6));
@@ -114,7 +114,7 @@ proptest! {
 
     #[test]
     fn engines_agree(lp in random_lp(7, 7)) {
-        let d = DenseSimplex::default().solve(&lp.model).unwrap();
+        let d = DenseSimplex.solve(&lp.model).unwrap();
         let r = RevisedSimplex::default().solve(&lp.model).unwrap();
         prop_assert_eq!(d.status, Status::Optimal);
         prop_assert_eq!(r.status, Status::Optimal);
@@ -132,7 +132,7 @@ proptest! {
         for &var in vars.iter().take(n_int) {
             milp.set_integer(var, true);
         }
-        let relax = DenseSimplex::default().solve(&lp.model).unwrap();
+        let relax = DenseSimplex.solve(&lp.model).unwrap();
         let exact = BranchBound::default().solve(&milp).unwrap();
         if exact.status == Status::Optimal {
             // Objective cannot exceed the relaxation (maximisation).
@@ -176,7 +176,6 @@ proptest! {
         // repairs and eviction pivots run on top of a stale x_B.
         let sparse = RevisedSimplex {
             basis_repr: BasisRepr::SparseLu,
-            ..RevisedSimplex::default()
         };
         let mut warm = WarmSimplex::new(lp.model.clone(), sparse).unwrap();
         warm.check_against_cold = true;
@@ -227,7 +226,7 @@ proptest! {
         let (lo, up) = child.bounds(var);
         child.set_bounds(var, lo, lo + (up - lo) * frac);
         let (warm_sol, _) = solver.solve_warm(&child, &basis).unwrap();
-        let cold = DenseSimplex::default().solve(&child).unwrap();
+        let cold = DenseSimplex.solve(&child).unwrap();
         prop_assert_eq!(warm_sol.status, cold.status);
         if cold.status == Status::Optimal {
             prop_assert!((warm_sol.objective - cold.objective).abs()
@@ -245,10 +244,7 @@ proptest! {
             milp.set_integer(var, true);
         }
         let warm = BranchBound::default().solve(&milp).unwrap();
-        let cold = BranchBound::new(BranchBoundConfig {
-            warm_start: false,
-            ..BranchBoundConfig::default()
-        }).solve(&milp).unwrap();
+        let cold = BranchBound::new(BranchBoundConfig { warm_start: false }).solve(&milp).unwrap();
         prop_assert_eq!(warm.status, cold.status);
         if warm.status == Status::Optimal {
             prop_assert!((warm.objective - cold.objective).abs()
@@ -271,7 +267,7 @@ proptest! {
             m.set_objective_coef(v, (j + 1) as f64);
         }
         m.add_constraint(vars.iter().map(|&v| (v, 1.0)).collect::<Vec<_>>(), ConstraintOp::Eq, total);
-        let d = DenseSimplex::default().solve(&m).unwrap();
+        let d = DenseSimplex.solve(&m).unwrap();
         let r = RevisedSimplex::default().solve(&m).unwrap();
         prop_assert_eq!(d.status, Status::Optimal);
         prop_assert!((d.objective - r.objective).abs() < 1e-6);

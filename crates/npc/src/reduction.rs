@@ -230,7 +230,7 @@ mod tests {
         // relaxation is tight here.
         let red = reduce(&figure3());
         let inst = red.instance();
-        let ub = UpperBound::default().bound(&inst).unwrap();
+        let ub = UpperBound.bound(&inst).unwrap();
         assert!((ub - 2.0).abs() < 1e-6, "ub {ub}");
     }
 
@@ -242,7 +242,7 @@ mod tests {
             let red = reduce(&g);
             red.verify_lemma1().unwrap();
             let inst = red.instance();
-            let exact = ExactMilp::default().solve(&inst).unwrap();
+            let exact = ExactMilp.solve(&inst).unwrap();
             assert!(exact.validate(&inst).is_ok());
             let throughput = exact.objective_value(&inst);
             let mis = max_independent_set(&g).len();

@@ -74,10 +74,11 @@ pub struct ScenarioConfig {
     /// full-recompute) can be compared event by event with
     /// [`ScenarioReport::first_event_divergence`].
     pub record_events: bool,
-    /// Periods the engine keeps draining after the last arrival before
-    /// giving up on unfinished jobs (churn can strand work forever).
-    pub drain_periods: usize,
 }
+
+/// Periods the engine keeps draining after the last arrival before giving
+/// up on unfinished jobs (churn can strand work forever).
+pub(crate) const DRAIN_PERIODS: usize = 400;
 
 impl Default for ScenarioConfig {
     fn default() -> Self {
@@ -85,7 +86,6 @@ impl Default for ScenarioConfig {
             engine: SimEngine::Incremental,
             oracle_check: false,
             record_events: false,
-            drain_periods: 400,
         }
     }
 }
@@ -524,8 +524,8 @@ fn last_join_index(scenario: &Scenario, clusters: usize) -> Vec<Option<usize>> {
 
 /// The drain cap: the epoch at which a run stops waiting on unfinished
 /// jobs.
-fn max_periods(scenario: &Scenario, cfg: &ScenarioConfig) -> usize {
-    (scenario.last_arrival() / scenario.period).ceil() as usize + cfg.drain_periods.max(1)
+fn max_periods(scenario: &Scenario) -> usize {
+    (scenario.last_arrival() / scenario.period).ceil() as usize + DRAIN_PERIODS
 }
 
 /// Runs `scenario` on `base`'s platform under `policy`: a
@@ -599,7 +599,7 @@ impl ScenarioSession {
         ScenarioSession {
             st: SessionState::new(base, &scenario),
             last_join: last_join_index(&scenario, p.clusters.len()),
-            max_periods: max_periods(&scenario, &cfg),
+            max_periods: max_periods(&scenario),
             scenario,
             cfg,
             tp,
@@ -769,7 +769,7 @@ impl ScenarioSession {
             self.st.jobs.insert(idx, JobState::admitted(&j));
         }
         if !jobs.is_empty() {
-            self.max_periods = max_periods(&self.scenario, &self.cfg);
+            self.max_periods = max_periods(&self.scenario);
             self.done = false;
         }
         Ok(())

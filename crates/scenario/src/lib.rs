@@ -288,9 +288,8 @@ mod tests {
     #[test]
     fn greedy_heuristic_policy_runs_lp_free() {
         let (inst, scenario) = build_catalog_entry("bursty", 4, 41).unwrap();
-        let mut policy = PeriodicResolve::new(Resolver::Heuristic(Box::new(
-            dls_core::heuristics::Greedy::default(),
-        )));
+        let mut policy =
+            PeriodicResolve::new(Resolver::Heuristic(Box::new(dls_core::heuristics::Greedy)));
         let report =
             run_scenario(&inst, &scenario, &mut policy, &ScenarioConfig::default()).unwrap();
         assert_eq!(report.completed_jobs, report.jobs, "{}", report.summary());
@@ -490,7 +489,7 @@ mod tests {
         // drain-cap horizon the old engine looped to.
         let last_arrival_period = (scenario.last_arrival() / scenario.period).ceil() as usize;
         assert!(
-            report.periods < last_arrival_period + cfg.drain_periods / 4,
+            report.periods < last_arrival_period + engine::DRAIN_PERIODS / 4,
             "drained to the horizon: {} periods",
             report.periods
         );

@@ -24,7 +24,7 @@ use dls_core::adaptive::scale_to_fit;
 use dls_core::formulation::{stage2_floor, LpFormulation, LpIndex};
 use dls_core::heuristics::{Heuristic, Lprg};
 use dls_core::{Allocation, ProblemInstance, SolveError};
-use dls_lp::{solve_with, Basis, ConstraintId, Engine, RevisedSimplex, Status, VarId, WarmSimplex};
+use dls_lp::{Basis, ConstraintId, RevisedSimplex, Status, VarId, WarmSimplex};
 use dls_platform::ClusterId;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -308,7 +308,7 @@ impl WarmLprg {
         }
         let canon = self.index.canonical_stage2(&mut self.warm, sol)?;
         let frac = self.index.extract_fractional(&canon);
-        Ok(Lprg::default().from_relaxation(inst, &frac))
+        Ok(Lprg.from_relaxation(inst, &frac))
     }
 
     /// Cumulative warm-solve statistics (solves, pivots, fallbacks,
@@ -440,9 +440,10 @@ impl Resolver {
                     for (v, w) in f.tiebreak_terms() {
                         stage2.set_objective_coef(v, w);
                     }
+                    // No basis only without constraints: nothing to warm.
                     let canon = match &basis {
                         Some(b) => solver.solve_warm(&stage2, b)?.0,
-                        None => solve_with(&stage2, Engine::Revised)?,
+                        None => solver.solve(&stage2)?,
                     };
                     if canon.status == Status::Optimal {
                         let objective = frac.objective;
@@ -450,7 +451,7 @@ impl Resolver {
                         frac.objective = objective;
                     }
                 }
-                Ok(Lprg::default().from_relaxation(inst, &frac))
+                Ok(Lprg.from_relaxation(inst, &frac))
             }
             Resolver::Heuristic(h) => h.solve(inst),
         }

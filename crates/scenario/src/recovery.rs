@@ -297,9 +297,7 @@ mod tests {
         assert!(ladder.drain_recovery().is_empty());
         // With one: degraded mode installs a scaled copy.
         use dls_core::heuristics::Heuristic as _;
-        let current = dls_core::heuristics::Greedy::default()
-            .solve(&inst)
-            .unwrap();
+        let current = dls_core::heuristics::Greedy.solve(&inst).unwrap();
         let mut ladder = RecoveryLadder::new(stuck());
         let out = ladder
             .decide(&ctx(&inst, Some(&current)))

@@ -164,7 +164,6 @@ proptest! {
                     engine,
                     record_events: true,
                     oracle_check: engine == SimEngine::Incremental,
-                    ..ScenarioConfig::default()
                 },
             )
             .unwrap()

@@ -207,7 +207,7 @@ fn committed_snapshot_restores_and_finishes_like_the_uninterrupted_run() {
         record_events: true,
         ..cfg()
     };
-    let greedy = || ThresholdTriggered::new(1e-9, Resolver::Heuristic(Box::new(Greedy::default())));
+    let greedy = || ThresholdTriggered::new(1e-9, Resolver::Heuristic(Box::new(Greedy)));
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures/snapshot_v1_k5_greedy.json");
 

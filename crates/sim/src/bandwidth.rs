@@ -21,7 +21,9 @@
 //! hoards bandwidth it does not need. With `demand = 0` the allocator
 //! degenerates to the classical cap-limited max-min water-filling.
 //!
-//! [`allocate_rates`] is that algorithm over all flows — the oracle.
+//! [`allocate_rates`] is that algorithm over all flows — the oracle — and
+//! [`certify_max_min`] checks an allocation against the definition, without
+//! a second implementation.
 //! [`BandwidthAllocator`] keeps an allocation current across arrivals,
 //! completions and constraint changes by re-running the same algorithm on
 //! the dirty flows only, and can remember the subproblems a periodic
@@ -164,6 +166,86 @@ pub fn allocate_rates(local_bw: &[f64], flows: &[FlowSpec]) -> Vec<f64> {
         }
     }
     rates
+}
+
+/// The max-min certificate: checks that `rates` is the reservation-aware
+/// max-min fair allocation of `flows` over local links `local_bw`, as a
+/// property rather than against a second implementation, and says which
+/// condition fails otherwise.
+///
+/// Each flow's floor is computed as [`allocate_rates`]' phase 1 does: the
+/// raw floor `min(max(demand, 0), cap)`, scaled by the smaller of its two
+/// links' factors `min(1, g_l / Σ raw floors on l)`. The certificate then
+/// asserts, within `1e-7 · (1 + x)`,
+/// * feasibility: `floor_i ≤ r_i ≤ cap_i`, and every link carries at most
+///   `g_l`;
+/// * fairness: every flow below its cap crosses a saturated link on which
+///   its increment `e_i = r_i − floor_i` is the largest.
+///
+/// Progressive filling raises every unfrozen increment together and
+/// freezes a link's flows when it saturates, so it meets both; and only
+/// one allocation does, because the increments are then max-min fair over
+/// the capacity the floors leave. `O(F²)`; for tests, not hot paths.
+pub fn certify_max_min(local_bw: &[f64], flows: &[FlowSpec], rates: &[f64]) -> Result<(), String> {
+    let tol = |x: f64| 1e-7 * (1.0 + x);
+    let links = |f: &FlowSpec| [f.src.index(), f.dst.index()];
+    let raw: Vec<f64> = flows.iter().map(raw_floor).collect();
+    let mut floor_load = vec![0.0f64; local_bw.len()];
+    let mut used = vec![0.0f64; local_bw.len()];
+    for ((f, &floor), &r) in flows.iter().zip(&raw).zip(rates) {
+        for l in links(f) {
+            floor_load[l] += floor;
+            used[l] += r;
+        }
+    }
+    let scale: Vec<f64> = floor_load
+        .iter()
+        .zip(local_bw)
+        .map(|(&load, &cap)| if load > cap { cap / load } else { 1.0 })
+        .collect();
+    let increment: Vec<f64> = flows
+        .iter()
+        .zip(&raw)
+        .zip(rates)
+        .map(|((f, &floor), &r)| r - floor * scale[f.src.index()].min(scale[f.dst.index()]))
+        .collect();
+
+    for (i, f) in flows.iter().enumerate() {
+        let (r, e) = (rates[i], increment[i]);
+        if e < -tol(r) {
+            return Err(format!(
+                "flow {i} {f:?}: rate {r} below its floor {}",
+                r - e
+            ));
+        }
+        if r > f.cap + tol(r) {
+            return Err(format!("flow {i} {f:?}: rate {r} above its cap"));
+        }
+    }
+    for (l, (&u, &cap)) in used.iter().zip(local_bw).enumerate() {
+        if u > cap + tol(cap) {
+            return Err(format!("link {l} overdriven: {u} > {cap}"));
+        }
+    }
+    for (i, f) in flows.iter().enumerate() {
+        if rates[i] >= f.cap - tol(rates[i]) {
+            continue;
+        }
+        let bottleneck = links(f).into_iter().any(|l| {
+            used[l] >= local_bw[l] - tol(local_bw[l])
+                && flows.iter().zip(&increment).all(|(other, &e)| {
+                    !links(other).contains(&l) || e <= increment[i] + tol(local_bw[l])
+                })
+        });
+        if !bottleneck {
+            return Err(format!(
+                "flow {i} {f:?} at rate {} is below its cap but has no saturated link \
+                 on which its increment {} is the largest",
+                rates[i], increment[i]
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Stable handle to a flow tracked by a [`BandwidthAllocator`].
@@ -1530,7 +1612,9 @@ mod tests {
                     }
                     _ => {}
                 }
-                alloc.assert_matches_oracle(1e-9, &format!("reshape trial {trial} step {step}"));
+                let context = format!("reshape trial {trial} step {step}");
+                alloc.assert_matches_oracle(1e-9, &context);
+                certify(&alloc, &context);
             }
         }
     }
@@ -1591,9 +1675,23 @@ mod tests {
         }
     }
 
+    /// Holds an allocator's live rates to [`certify_max_min`].
+    #[track_caller]
+    fn certify(alloc: &BandwidthAllocator, context: &str) {
+        let (specs, rates): (Vec<FlowSpec>, Vec<f64>) = alloc
+            .live_flows()
+            .into_iter()
+            .map(|(_, spec, rate)| (spec, rate))
+            .unzip();
+        if let Err(e) = certify_max_min(&alloc.local_bw, &specs, &rates) {
+            panic!("{context}: {e}");
+        }
+    }
+
     /// An armed allocator and an unarmed twin fed the same ops: after every
     /// op the two must agree on every handle, every live rate bit for bit
-    /// and the changed-rate report, and both must match the oracle.
+    /// and the changed-rate report, both must match the oracle, and the
+    /// armed side's rates must pass the max-min certificate.
     struct Twin {
         armed: BandwidthAllocator,
         plain: BandwidthAllocator,
@@ -1642,6 +1740,7 @@ mod tests {
             }
             self.armed.assert_matches_oracle(1e-9, "armed");
             self.plain.assert_matches_oracle(1e-9, "unarmed");
+            certify(&self.armed, "armed");
         }
 
         /// `(memo_hits, memo_misses)` of the armed side.

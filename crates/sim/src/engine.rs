@@ -495,7 +495,7 @@ mod tests {
         b.add_cluster(100.0, 10.0);
         b.add_cluster(60.0, 10.0);
         let inst = ProblemInstance::uniform(b.build().unwrap(), Objective::Sum);
-        let alloc = Greedy::default().solve(&inst).unwrap();
+        let alloc = Greedy.solve(&inst).unwrap();
         let schedule = ScheduleBuilder::default().build(&inst, &alloc).unwrap();
         let report = Simulator::new(&inst).run(&schedule, &checked_config());
         assert!(report.achieves(0.999), "{}", report.summary());
@@ -506,7 +506,7 @@ mod tests {
     #[test]
     fn transfer_schedule_executes_on_time() {
         let inst = two_cluster();
-        let alloc = Lprg::default().solve(&inst).unwrap();
+        let alloc = Lprg.solve(&inst).unwrap();
         let schedule = ScheduleBuilder::default().build(&inst, &alloc).unwrap();
         let report = Simulator::new(&inst).run(&schedule, &checked_config());
         // Valid allocations keep Σ flows ≤ g on every local link, so
@@ -530,7 +530,7 @@ mod tests {
             };
             let p = PlatformGenerator::new(seed).generate(&cfg);
             let inst = ProblemInstance::uniform(p, Objective::MaxMin);
-            let alloc = Lprg::default().solve(&inst).unwrap();
+            let alloc = Lprg.solve(&inst).unwrap();
             let schedule = ScheduleBuilder::default().build(&inst, &alloc).unwrap();
             let report = Simulator::new(&inst).run(&schedule, &checked_config());
             assert!(report.achieves(0.9), "seed {seed}: {}", report.summary());
@@ -548,7 +548,7 @@ mod tests {
             };
             let p = PlatformGenerator::new(seed).generate(&cfg);
             let inst = ProblemInstance::uniform(p, Objective::MaxMin);
-            let alloc = Lprg::default().solve(&inst).unwrap();
+            let alloc = Lprg.solve(&inst).unwrap();
             let schedule = ScheduleBuilder::default().build(&inst, &alloc).unwrap();
             let fast = Simulator::new(&inst).run(
                 &schedule,
@@ -594,7 +594,7 @@ mod tests {
     #[test]
     fn link_utilization_is_reported() {
         let inst = two_cluster();
-        let alloc = Lprg::default().solve(&inst).unwrap();
+        let alloc = Lprg.solve(&inst).unwrap();
         let schedule = ScheduleBuilder::default().build(&inst, &alloc).unwrap();
         let report = Simulator::new(&inst).run(&schedule, &SimConfig::default());
         assert_eq!(report.local_link_utilization.len(), 2);
@@ -619,7 +619,7 @@ mod tests {
     #[test]
     fn event_counts_are_reported_and_deterministic() {
         let inst = two_cluster();
-        let alloc = Lprg::default().solve(&inst).unwrap();
+        let alloc = Lprg.solve(&inst).unwrap();
         let schedule = ScheduleBuilder::default().build(&inst, &alloc).unwrap();
         let a = Simulator::new(&inst).run(&schedule, &SimConfig::default());
         let b = Simulator::new(&inst).run(&schedule, &SimConfig::default());

@@ -36,7 +36,8 @@ pub mod report;
 pub mod trace;
 
 pub use bandwidth::{
-    allocate_rates, AllocStats, AllocatorState, BandwidthAllocator, FlowId, FlowSpec,
+    allocate_rates, certify_max_min, AllocStats, AllocatorState, BandwidthAllocator, FlowId,
+    FlowSpec,
 };
 pub use engine::{SimConfig, SimEngine, Simulator};
 pub use live::{

@@ -287,7 +287,7 @@ fn periodic_reports_are_pinned() {
     let mut out = String::new();
     for (k, seed) in [(8usize, 1u64), (10, 2), (12, 3)] {
         let inst = paper_shape(k, seed);
-        let alloc = Lprg::default().solve(&inst).unwrap();
+        let alloc = Lprg.solve(&inst).unwrap();
         let schedule = ScheduleBuilder::default().build(&inst, &alloc).unwrap();
         assert!(
             !schedule.transfers.is_empty(),
@@ -321,7 +321,7 @@ fn periodic_reports_are_pinned() {
 fn long_periodic_reports_are_pinned() {
     const PERIODS: usize = 300;
     let run = |inst: &ProblemInstance, on: &ProblemInstance, engine| {
-        let alloc = Greedy::default().solve(inst).unwrap();
+        let alloc = Greedy.solve(inst).unwrap();
         let schedule = ScheduleBuilder::default().build(inst, &alloc).unwrap();
         assert!(!schedule.transfers.is_empty(), "no network use");
         Simulator::new(on).run(
@@ -378,7 +378,7 @@ fn long_periodic_reports_are_pinned() {
 #[test]
 fn long_periodic_boundaries_are_answered_from_the_memo() {
     let inst = paper_shape(40, 5);
-    let alloc = Greedy::default().solve(&inst).unwrap();
+    let alloc = Greedy.solve(&inst).unwrap();
     let schedule = ScheduleBuilder::default().build(&inst, &alloc).unwrap();
     let periods = 300;
     let cfg = SimConfig {

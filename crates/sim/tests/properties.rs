@@ -6,8 +6,8 @@ use dls_core::schedule::ScheduleBuilder;
 use dls_core::{Objective, ProblemInstance};
 use dls_platform::{ClusterId, PlatformConfig, PlatformGenerator};
 use dls_sim::{
-    allocate_rates, BandwidthAllocator, ChunkPart, FlowId, FlowSpec, LiveConfig, LiveEvent,
-    LiveFlowId, LiveFlowSpec, LiveSim, SimConfig, SimEngine, Simulator,
+    allocate_rates, certify_max_min, BandwidthAllocator, ChunkPart, FlowId, FlowSpec, LiveConfig,
+    LiveEvent, LiveFlowId, LiveFlowSpec, LiveSim, SimConfig, SimEngine, Simulator,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -28,102 +28,6 @@ fn arb_flows() -> impl Strategy<Value = (Vec<f64>, Vec<FlowSpec>)> {
             });
         (caps, flows)
     })
-}
-
-/// The max-min certificate: checks that `rates` is the reservation-aware
-/// max-min fair allocation of `flows` over local links `g`, as a property
-/// rather than against a second implementation.
-///
-/// Each flow's floor is computed as `allocate_rates`' phase 1 does: the raw
-/// floor `min(max(demand, 0), cap)`, scaled by the smaller of its two
-/// links' factors `min(1, g_l / Σ raw floors on l)`. The certificate then
-/// asserts
-/// * feasibility: `floor_i ≤ r_i ≤ cap_i`, and every link carries at most
-///   `g_l`;
-/// * fairness: every flow below its cap crosses a saturated link on which
-///   its increment `e_i = r_i − floor_i` is the largest.
-///
-/// Progressive filling raises every unfrozen increment together and
-/// freezes a link's flows when it saturates, so it meets both; and only
-/// one allocation does, because the increments are then max-min fair over
-/// the capacity the floors leave.
-fn check_max_min_certificate(
-    g: &[f64],
-    flows: &[FlowSpec],
-    rates: &[f64],
-) -> Result<(), TestCaseError> {
-    let tol = |x: f64| 1e-7 * (1.0 + x);
-    let links = |f: &FlowSpec| [f.src.index(), f.dst.index()];
-    let raw: Vec<f64> = flows.iter().map(|f| f.demand.max(0.0).min(f.cap)).collect();
-    let mut floor_load = vec![0.0f64; g.len()];
-    let mut used = vec![0.0f64; g.len()];
-    for ((f, &floor), &r) in flows.iter().zip(&raw).zip(rates) {
-        for l in links(f) {
-            floor_load[l] += floor;
-            used[l] += r;
-        }
-    }
-    let scale: Vec<f64> = floor_load
-        .iter()
-        .zip(g)
-        .map(|(&load, &cap)| if load > cap { cap / load } else { 1.0 })
-        .collect();
-    let increment: Vec<f64> = flows
-        .iter()
-        .zip(&raw)
-        .zip(rates)
-        .map(|((f, &floor), &r)| r - floor * scale[f.src.index()].min(scale[f.dst.index()]))
-        .collect();
-
-    for (i, f) in flows.iter().enumerate() {
-        let (r, e) = (rates[i], increment[i]);
-        prop_assert!(
-            e >= -tol(r),
-            "flow {} {:?}: rate {} below its floor {}",
-            i,
-            f,
-            r,
-            r - e
-        );
-        prop_assert!(
-            r <= f.cap + tol(r),
-            "flow {} {:?}: rate {} above its cap",
-            i,
-            f,
-            r
-        );
-    }
-    for (l, (&u, &cap)) in used.iter().zip(g).enumerate() {
-        prop_assert!(
-            u <= cap + tol(cap),
-            "link {} overdriven: {} > {}",
-            l,
-            u,
-            cap
-        );
-    }
-    for (i, f) in flows.iter().enumerate() {
-        if rates[i] >= f.cap - tol(rates[i]) {
-            continue;
-        }
-        let bottleneck = links(f).into_iter().any(|l| {
-            used[l] >= g[l] - tol(g[l])
-                && flows
-                    .iter()
-                    .zip(&increment)
-                    .all(|(other, &e)| !links(other).contains(&l) || e <= increment[i] + tol(g[l]))
-        });
-        prop_assert!(
-            bottleneck,
-            "flow {} {:?} at rate {} is below its cap but has no saturated link \
-             on which its increment {} is the largest",
-            i,
-            f,
-            rates[i],
-            increment[i]
-        );
-    }
-    Ok(())
 }
 
 proptest! {
@@ -161,7 +65,7 @@ proptest! {
             })
             .collect();
         let rates = allocate_rates(&g, &flows);
-        check_max_min_certificate(&g, &flows, &rates)?;
+        certify_max_min(&g, &flows, &rates).map_err(TestCaseError::fail)?;
     }
 
     #[test]
@@ -197,7 +101,7 @@ proptest! {
         }
 
         let rates = allocate_rates(&g, &flows);
-        check_max_min_certificate(&g, &flows, &rates)?;
+        certify_max_min(&g, &flows, &rates).map_err(TestCaseError::fail)?;
         let mut used = vec![0.0f64; g.len()];
         for (r, f) in rates.iter().zip(&flows) {
             prop_assert!(*r >= f.demand - 1e-9,
@@ -277,7 +181,7 @@ proptest! {
             }
             let (flows, rates): (Vec<FlowSpec>, Vec<f64>) =
                 alloc.live_flows().into_iter().map(|(_, f, r)| (f, r)).unzip();
-            check_max_min_certificate(&g, &flows, &rates)?;
+            certify_max_min(&g, &flows, &rates).map_err(TestCaseError::fail)?;
             // The shared contract: panics on divergence beyond 1e-9
             // relative (same helper the engine's oracle_check uses).
             alloc.assert_matches_oracle(1e-9, &format!("step {step}"));
@@ -525,7 +429,7 @@ proptest! {
             }
             let (flows, rates): (Vec<FlowSpec>, Vec<f64>) =
                 alloc.live_flows().into_iter().map(|(_, f, r)| (f, r)).unzip();
-            check_max_min_certificate(&local_bw, &flows, &rates)?;
+            certify_max_min(&local_bw, &flows, &rates).map_err(TestCaseError::fail)?;
             alloc.assert_matches_oracle(1e-9, &format!("step {step}"));
         }
     }
@@ -550,9 +454,9 @@ proptest! {
         let p = PlatformGenerator::new(seed).generate(&cfg);
         let inst = ProblemInstance::uniform(p, Objective::MaxMin);
         let alloc = if greedy {
-            Greedy::default().solve(&inst).unwrap()
+            Greedy.solve(&inst).unwrap()
         } else {
-            Lprg::default().solve(&inst).unwrap()
+            Lprg.solve(&inst).unwrap()
         };
         let schedule = ScheduleBuilder::default().build(&inst, &alloc).unwrap();
         // Every event of the incremental engine is cross-checked against

@@ -26,7 +26,7 @@ pub fn assert_valid_allocation(inst: &ProblemInstance, alloc: &Allocation, what:
 /// is a full LP solve.
 #[track_caller]
 pub fn lp_bound(inst: &ProblemInstance, what: &str) -> f64 {
-    UpperBound::default()
+    UpperBound
         .bound(inst)
         .unwrap_or_else(|e| panic!("{what}: LP bound failed to solve: {e}"))
 }
@@ -139,7 +139,7 @@ mod tests {
     #[test]
     fn valid_chain_passes() {
         let inst = fixtures::two_cluster_instance(Objective::MaxMin);
-        let alloc = Greedy::default().solve(&inst).unwrap();
+        let alloc = Greedy.solve(&inst).unwrap();
         assert_valid_allocation(&inst, &alloc, "greedy pair");
         assert_within_bound(&inst, &alloc, 1e-5, "greedy pair");
         assert_schedule_executes(&inst, &alloc, &ExecutionCheck::default(), "greedy pair");

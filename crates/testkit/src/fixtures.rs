@@ -57,16 +57,6 @@ pub fn random_platform(seed: u64, k: usize, connectivity: f64) -> Platform {
     PlatformGenerator::new(seed).generate(&cfg)
 }
 
-/// [`random_platform`] wrapped into a uniform-payoff instance.
-pub fn random_instance(
-    seed: u64,
-    k: usize,
-    connectivity: f64,
-    objective: Objective,
-) -> ProblemInstance {
-    ProblemInstance::uniform(random_platform(seed, k, connectivity), objective)
-}
-
 /// The standard cross-crate instance matrix: four platform shapes (dense
 /// small, mid, sparse large, complete) × both objectives, uniform payoffs.
 /// This is the spread `tests/pipeline.rs` sweeps.

@@ -12,7 +12,7 @@
 //! # use dls_core::heuristics::{Greedy, Heuristic};
 //!
 //! let inst = fixtures::line_instance(5);
-//! let alloc = Greedy::default().solve(&inst).unwrap();
+//! let alloc = Greedy.solve(&inst).unwrap();
 //! assert_valid_allocation(&inst, &alloc, "greedy on the line platform");
 //! ```
 

@@ -78,7 +78,7 @@ fn main() {
     b.connect_clusters(a, bb, 12.0, 3);
     let platform = b.build().unwrap();
     let problem = ProblemInstance::uniform(platform, Objective::MaxMin);
-    let alloc = Lprg::default().solve(&problem).unwrap();
+    let alloc = Lprg.solve(&problem).unwrap();
     alloc.validate(&problem).unwrap();
 
     println!("\ncollapsed platform schedule (MAXMIN):");

@@ -32,10 +32,10 @@ fn build_platform() -> dls::platform::Platform {
 }
 
 fn solve_and_report(problem: &ProblemInstance, label: &str) {
-    let alloc = Lprg::default().solve(problem).expect("solvable");
+    let alloc = Lprg.solve(problem).expect("solvable");
     alloc.validate(problem).expect("valid");
     let t = alloc.throughputs();
-    let bound = UpperBound::default().bound(problem).unwrap();
+    let bound = UpperBound.bound(problem).unwrap();
     println!("\n=== {label} ===");
     println!(
         "  throughputs: {}",
@@ -69,8 +69,8 @@ fn main() {
     solve_and_report(&prio, "MAXMIN, hub payoff ×3 (weighted fairness)");
 
     // The qualitative claims worth asserting:
-    let sum_alloc = Lprg::default().solve(&sum).unwrap();
-    let mm_alloc = Lprg::default().solve(&maxmin).unwrap();
+    let sum_alloc = Lprg.solve(&sum).unwrap();
+    let mm_alloc = Lprg.solve(&maxmin).unwrap();
     let sum_min = sum_alloc
         .throughputs()
         .into_iter()

@@ -32,7 +32,7 @@ fn analyse(name: &str, g: &Graph) {
         inst.platform.links.len()
     );
 
-    let exact = ExactMilp::default().solve(&inst).expect("small instance");
+    let exact = ExactMilp.solve(&inst).expect("small instance");
     let rho = exact.objective_value(&inst);
     println!("  exact MILP throughput  = {rho:.3}  (must equal α(G))");
     assert!((rho - mis.len() as f64).abs() < 1e-6);
@@ -40,12 +40,9 @@ fn analyse(name: &str, g: &Graph) {
     let recovered = independent_set_from_allocation(&red, &exact);
     println!("  recovered independent set: {recovered:?}");
 
-    let lp = UpperBound::default().bound(&inst).unwrap();
-    let greedy = Greedy::default()
-        .solve(&inst)
-        .unwrap()
-        .objective_value(&inst);
-    let lprg = Lprg::default().solve(&inst).unwrap().objective_value(&inst);
+    let lp = UpperBound.bound(&inst).unwrap();
+    let greedy = Greedy.solve(&inst).unwrap().objective_value(&inst);
+    let lprg = Lprg.solve(&inst).unwrap().objective_value(&inst);
     println!("  LP relaxation bound    = {lp:.3}");
     println!("  greedy G               = {greedy:.3}");
     println!("  LPRG                   = {lprg:.3}");

@@ -26,7 +26,7 @@ fn main() {
     let problem = ProblemInstance::uniform(platform, Objective::MaxMin);
 
     // --- 3. Solve with the paper's best practical heuristic (LPRG) ---
-    let allocation = Lprg::default().solve(&problem).expect("solvable");
+    let allocation = Lprg.solve(&problem).expect("solvable");
     allocation.validate(&problem).expect("valid allocation");
 
     println!("per-application throughput (load units / time unit):");
@@ -36,7 +36,7 @@ fn main() {
     println!(
         "MAXMIN objective: {:.2} (LP upper bound: {:.2})",
         allocation.objective_value(&problem),
-        UpperBound::default().bound(&problem).unwrap(),
+        UpperBound.bound(&problem).unwrap(),
     );
 
     // --- 4. Reconstruct the periodic schedule of §3.2 ---

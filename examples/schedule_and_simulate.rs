@@ -25,7 +25,7 @@ fn main() {
     };
     let platform = PlatformGenerator::new(5).generate(&cfg);
     let problem = ProblemInstance::with_spread_payoffs(platform, Objective::MaxMin, 0.5, 5);
-    let alloc = Lprg::default().solve(&problem).expect("solvable");
+    let alloc = Lprg.solve(&problem).expect("solvable");
 
     // The paper's u/v fractions for a couple of rates.
     println!("sample rate → fraction conversions (max denominator 100):");

@@ -179,9 +179,9 @@ fn build_instance(opts: &Flags) -> ProblemInstance {
 fn solve(opts: &Flags, inst: &ProblemInstance) -> dls::core::Allocation {
     let name = opts.get("heuristic").map(String::as_str).unwrap_or("lprg");
     let result = match name {
-        "g" | "G" => Greedy::default().solve(inst),
-        "lpr" => Lpr::default().solve(inst),
-        "lprg" => Lprg::default().solve(inst),
+        "g" | "G" => Greedy.solve(inst),
+        "lpr" => Lpr.solve(inst),
+        "lprg" => Lprg.solve(inst),
         "lprr" => Lprr {
             threads: flag(opts, "threads", 0usize),
             ..Lprr::new(flag(opts, "seed", 42u64))
@@ -207,7 +207,7 @@ fn cmd_dot(opts: &Flags) {
 fn cmd_solve(opts: &Flags) {
     let inst = build_instance(opts);
     if opts.get("heuristic").map(String::as_str) == Some("bound") {
-        let b = UpperBound::default().bound(&inst).unwrap_or_else(|e| {
+        let b = UpperBound.bound(&inst).unwrap_or_else(|e| {
             eprintln!("solver error: {e}");
             exit(1);
         });

@@ -55,7 +55,7 @@
 //! let problem = ProblemInstance::uniform(platform, Objective::MaxMin);
 //!
 //! // Solve with the LPRG heuristic and validate the allocation.
-//! let allocation = Lprg::default().solve(&problem).unwrap();
+//! let allocation = Lprg.solve(&problem).unwrap();
 //! assert!(allocation.validate(&problem).is_ok());
 //! assert!(allocation.objective_value(&problem) > 0.0);
 //! ```

@@ -32,9 +32,9 @@ fn all_heuristics_valid_on_line_platform() {
     let inst = fixtures::line_instance(5);
     let bound = lp_bound(&inst, "line platform");
     let heuristics: Vec<(&str, Box<dyn Heuristic>)> = vec![
-        ("G", Box::new(Greedy::default())),
-        ("LPR", Box::new(Lpr::default())),
-        ("LPRG", Box::new(Lprg::default())),
+        ("G", Box::new(Greedy)),
+        ("LPR", Box::new(Lpr)),
+        ("LPRG", Box::new(Lprg)),
         ("LPRR", Box::new(Lprr::new(3))),
     ];
     for (name, h) in heuristics {
@@ -71,8 +71,8 @@ fn sparse_random_platforms_share_links() {
             let inst = ProblemInstance::with_spread_payoffs(p.clone(), objective, 0.5, seed);
             let bound = lp_bound(&inst, &format!("seed {seed} {objective:?}"));
             for (name, alloc) in [
-                ("G", Greedy::default().solve(&inst).unwrap()),
-                ("LPRG", Lprg::default().solve(&inst).unwrap()),
+                ("G", Greedy.solve(&inst).unwrap()),
+                ("LPRG", Lprg.solve(&inst).unwrap()),
             ] {
                 let what = format!("{name} seed {seed} {objective:?}");
                 assert_valid_allocation(&inst, &alloc, &what);
@@ -100,7 +100,7 @@ fn relay_router_platforms_solve_cleanly() {
         let p = PlatformGenerator::new(seed).generate(&cfg);
         assert!(p.num_routers > 6);
         let inst = ProblemInstance::with_spread_payoffs(p, Objective::MaxMin, 0.5, seed);
-        let alloc = Lprg::default().solve(&inst).unwrap();
+        let alloc = Lprg.solve(&inst).unwrap();
         let check = ExecutionCheck {
             min_efficiency: 0.9,
             ..ExecutionCheck::default()
@@ -128,8 +128,8 @@ fn shared_link_budget_is_respected_exactly() {
     )
     .unwrap();
     for (name, alloc) in [
-        ("G", Greedy::default().solve(&inst).unwrap()),
-        ("LPRG", Lprg::default().solve(&inst).unwrap()),
+        ("G", Greedy.solve(&inst).unwrap()),
+        ("LPRG", Lprg.solve(&inst).unwrap()),
         ("LPRR", Lprr::new(1).solve(&inst).unwrap()),
     ] {
         assert_valid_allocation(&inst, &alloc, name);

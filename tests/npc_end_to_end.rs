@@ -24,7 +24,7 @@ fn reduction_theorem_on_random_graphs() {
         assert_eq!(alloc.objective_value(&inst), mis.len() as f64);
 
         // Exact optimum equals α(G) and maps back to an independent set.
-        let exact = ExactMilp::default().solve(&inst).unwrap();
+        let exact = ExactMilp.solve(&inst).unwrap();
         assert!((exact.objective_value(&inst) - mis.len() as f64).abs() < 1e-6);
         let recovered = independent_set_from_allocation(&red, &exact);
         assert!(is_independent_set(&g, &recovered));
@@ -41,7 +41,7 @@ fn heuristics_bounded_by_alpha_g() {
         let red = reduce(&g);
         let inst = red.instance();
         let alpha_g = max_independent_set(&g).len() as f64;
-        for h in [&Greedy::default() as &dyn Heuristic, &Lprg::default()] {
+        for h in [&Greedy as &dyn Heuristic, &Lprg] {
             let v = h.solve(&inst).unwrap().objective_value(&inst);
             assert!(
                 v <= alpha_g + 1e-6,
@@ -51,7 +51,7 @@ fn heuristics_bounded_by_alpha_g() {
         }
         // The LP bound sits between α(G) and n (fractional relaxation of
         // independent set).
-        let lp = UpperBound::default().bound(&inst).unwrap();
+        let lp = UpperBound.bound(&inst).unwrap();
         assert!(lp >= alpha_g - 1e-6);
         assert!(lp <= g.num_vertices() as f64 + 1e-6);
     }
@@ -67,6 +67,6 @@ fn greedy_mis_matches_reduction_greedy_quality_direction() {
     assert_eq!(greedy_independent_set(&star).len(), 5);
     let red = reduce(&star);
     let inst = red.instance();
-    let lprg = Lprg::default().solve(&inst).unwrap().objective_value(&inst);
+    let lprg = Lprg.solve(&inst).unwrap().objective_value(&inst);
     assert!(lprg >= 4.0 - 1e-6, "LPRG only reached {lprg} on the star");
 }

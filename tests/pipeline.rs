@@ -12,9 +12,9 @@ fn full_pipeline_for_every_heuristic() {
     for (i, inst) in fixtures::instance_matrix().iter().enumerate() {
         let bound = lp_bound(inst, &format!("instance {i}"));
         let heuristics: Vec<(&str, Box<dyn Heuristic>)> = vec![
-            ("G", Box::new(Greedy::default())),
-            ("LPR", Box::new(Lpr::default())),
-            ("LPRG", Box::new(Lprg::default())),
+            ("G", Box::new(Greedy)),
+            ("LPR", Box::new(Lpr)),
+            ("LPRG", Box::new(Lprg)),
             ("LPRR", Box::new(Lprr::new(i as u64))),
         ];
         for (name, h) in heuristics {
@@ -30,9 +30,9 @@ fn full_pipeline_for_every_heuristic() {
 #[test]
 fn dominance_chain_holds_across_instances() {
     for inst in &fixtures::instance_matrix() {
-        let bound = UpperBound::default().bound(inst).unwrap();
-        let lpr = Lpr::default().solve(inst).unwrap().objective_value(inst);
-        let lprg = Lprg::default().solve(inst).unwrap().objective_value(inst);
+        let bound = UpperBound.bound(inst).unwrap();
+        let lpr = Lpr.solve(inst).unwrap().objective_value(inst);
+        let lprg = Lprg.solve(inst).unwrap().objective_value(inst);
         let slack = 1e-6 * (1.0 + bound);
         assert!(lpr <= lprg + slack, "LPR {lpr} > LPRG {lprg}");
         assert!(lprg <= bound + slack, "LPRG {lprg} > LP {bound}");
@@ -48,7 +48,7 @@ fn facade_prelude_compiles_and_works() {
     b.connect_clusters(c0, c1, 10.0, 4);
     let platform = b.build().unwrap();
     let problem = ProblemInstance::uniform(platform, Objective::MaxMin);
-    let allocation = Lprg::default().solve(&problem).unwrap();
+    let allocation = Lprg.solve(&problem).unwrap();
     assert!(allocation.validate(&problem).is_ok());
     assert!(allocation.objective_value(&problem) > 0.0);
 }

@@ -54,9 +54,7 @@ fn heap_calls(sim: &Simulator, schedule: &PeriodicSchedule, periods: usize) -> u
 #[test]
 fn simulator_run_allocates_nothing_per_period() {
     let inst = paper_shape_instance(20, 42);
-    let alloc = Greedy::default()
-        .solve(&inst)
-        .expect("Greedy always solves");
+    let alloc = Greedy.solve(&inst).expect("Greedy always solves");
     let schedule = ScheduleBuilder::default()
         .build(&inst, &alloc)
         .expect("valid allocations reconstruct");
@@ -121,9 +119,7 @@ fn live_heap_calls(inst: &ProblemInstance, schedule: &PeriodicSchedule, periods:
 #[test]
 fn live_sim_advance_to_allocates_nothing_per_completion_batch() {
     let inst = paper_shape_instance(5, 42);
-    let alloc = Greedy::default()
-        .solve(&inst)
-        .expect("Greedy always solves");
+    let alloc = Greedy.solve(&inst).expect("Greedy always solves");
     let schedule = ScheduleBuilder::default()
         .build(&inst, &alloc)
         .expect("valid allocations reconstruct");
