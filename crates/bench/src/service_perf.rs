@@ -43,7 +43,8 @@ const JOBS_PER_BATCH: usize = 2;
 /// the daemon's request path, not LP scale (BENCH_lp covers that).
 const CLUSTERS: usize = 5;
 const PERIOD: f64 = 10.0;
-/// Daemon worker threads (tenants shard across these by name hash).
+/// Daemon shards (tenants shard across these by name hash; at most this
+/// many tenant ops run at once).
 const WORKERS: usize = 4;
 
 fn tenant_spec(engine: &str, seed: u64, t: usize) -> TenantSpec {

@@ -65,7 +65,7 @@ impl Default for TenantSpec {
 pub enum Op {
     /// Client hello: negotiates the protocol version.
     Hello,
-    /// Creates (and pins to a worker) a new tenant session.
+    /// Creates (and pins to a shard) a new tenant session.
     CreateTenant { tenant: String, spec: TenantSpec },
     /// Submits jobs into the tenant's open timeline. Admissions are
     /// batched per control period: they take effect together at the next

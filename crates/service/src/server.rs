@@ -1,33 +1,32 @@
-//! The daemon's shell: a TCP accept loop, per-connection reader threads,
-//! and a fixed pool of worker threads, each owning one [`Core`].
+//! The daemon's shell: a TCP accept loop and one thread per connection
+//! over a fixed set of shards, each one [`Core`] behind its own mutex.
 //!
-//! Every tenant-scoped op — create included — goes to the worker [`pin`]
-//! names, whose core executes it ([`Core::apply`]: name, duplicate and
-//! unknown-tenant checks, the op, the periodic checkpoint) and hands back
-//! the response for the worker to write. So each tenant's session (and,
-//! for warm policies, its resident simplex basis) lives on one thread for
-//! its whole life — the core's tenant map *is* that worker's warm-context
-//! pool. Connection threads only parse and route: they answer `Hello`
-//! and `Shutdown` themselves, and `ListTenants` asks every worker for its
-//! names (behind that worker's queued ops) and merges them sorted.
+//! A connection thread executes what it parses. It answers `Hello` and
+//! `Shutdown` itself; a tenant-scoped op, create included, locks the shard
+//! [`pin`] names, runs [`Core::apply`] and drops the guard before the
+//! response is written. So a connection's requests execute and are answered
+//! in the order sent, at most one op per shard runs at a time, and each
+//! tenant (with a warm policy's resident basis) lives in one core for its
+//! whole life. `ListTenants` locks the shards one at a time.
 //!
-//! Shutdown (a `Shutdown` op, SIGINT/SIGTERM via
-//! [`install_signal_handlers`], or the handle returned by
-//! [`Server::shutdown_handle`]) is graceful: the accept loop stops, each
-//! worker finishes its queued ops — in-flight epochs always complete —
-//! then checkpoints every tenant it owns and exits, and `run` returns
-//! `Ok(())`.
+//! Lock order: shard, then connection (push frames are written inside
+//! `apply`). The shell never takes a shard lock while it holds a connection
+//! lock, nor writes a response while it holds a shard guard.
+//!
+//! Shutdown (a `Shutdown` op, SIGINT/SIGTERM via [`install_signal_handlers`]
+//! or [`Server::shutdown_handle`]) is graceful: the accept loop stops, and
+//! each shard in turn finishes its in-flight op, is checkpointed and marked
+//! drained (a later op is answered `daemon is shutting down`).
 
 use crate::proto::{frame_into, Op, Request, RespBody, Response, FRAME_BUF, PROTOCOL_VERSION};
 use crate::tenant::{restore_all, ConnHandle, Core};
 use serde::Serialize;
 use std::hash::{Hash, Hasher};
 use std::io::{BufRead, BufReader, ErrorKind, Read};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -36,7 +35,8 @@ use std::time::Duration;
 pub struct ServiceConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Worker-thread count (tenants shard across these).
+    /// Shard count: at most this many tenant ops run at once (tenants
+    /// shard across these by [`pin`]).
     pub workers: usize,
     /// Where tenant checkpoints live. `None` disables persistence; with
     /// a directory set, existing checkpoints are restored on bind and
@@ -63,6 +63,9 @@ impl Default for ServiceConfig {
 /// line is refused and its connection closed.
 pub const MAX_FRAME: u64 = 16 << 20;
 
+/// How often the shutdown watcher looks at the stop flags.
+const STOP_POLL: Duration = Duration::from_millis(20);
+
 /// Set by the process signal handlers; observed by every running server.
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
 
@@ -84,12 +87,20 @@ pub fn install_signal_handlers() {
     }
 }
 
-/// The worker a tenant lives on: its name's hash, modulo the pool size.
+/// The shard a tenant lives in: its name's hash, modulo the shard count.
 /// Every op on the tenant, its create and its restore included, goes there.
 pub fn pin(tenant: &str, workers: usize) -> usize {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     tenant.hash(&mut h);
     (h.finish() % workers as u64) as usize
+}
+
+/// One shard: its core, or `None` once the drain has checkpointed it.
+type Shard = Mutex<Option<Core>>;
+
+/// Locks a shard (`Core::apply` catches panics, so none poisons it).
+fn lock(shard: &Shard) -> std::sync::MutexGuard<'_, Option<Core>> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Serialises `value` into `buf` (the calling thread's, reused), then takes
@@ -102,28 +113,8 @@ fn send_frame<T: Serialize>(conn: &ConnHandle, buf: &mut String, value: &T) {
     }
 }
 
-enum WorkerMsg {
-    Op { req: Request, conn: ConnHandle },
-    Names { reply: Sender<Vec<String>> },
-    Drain,
-}
-
-/// A worker thread: applies its queue to its core in order and writes each
-/// response; on `Drain` it checkpoints every tenant and exits.
-fn work(mut core: Core, rx: mpsc::Receiver<WorkerMsg>) {
-    let mut out = String::new();
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            WorkerMsg::Op { req, conn } => {
-                let resp = core.apply(&conn, req);
-                send_frame(&conn, &mut out, &resp);
-            }
-            WorkerMsg::Names { reply } => {
-                let _ = reply.send(core.names());
-            }
-            WorkerMsg::Drain => return core.drain(),
-        }
-    }
+fn stopping(shutdown: &AtomicBool) -> bool {
+    shutdown.load(Ordering::SeqCst) || SIGNALLED.load(Ordering::SeqCst)
 }
 
 /// A bound (but not yet running) daemon. [`Server::bind`] restores any
@@ -136,11 +127,10 @@ pub struct Server {
 
 impl Server {
     /// Binds the listen socket and restores checkpointed tenants from
-    /// `cfg.checkpoint_dir` (each pinned to its worker by name hash, so
+    /// `cfg.checkpoint_dir` (each pinned to its shard by name hash, so
     /// a restart reproduces the same sharding).
     pub fn bind(cfg: ServiceConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let workers = cfg.workers.max(1);
         let mut cores: Vec<Core> = (0..workers)
             .map(|_| Core::new(cfg.checkpoint_dir.clone(), cfg.checkpoint_every))
@@ -173,68 +163,81 @@ impl Server {
         self.shutdown.clone()
     }
 
-    fn stopping(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst) || SIGNALLED.load(Ordering::SeqCst)
-    }
-
-    /// Serves until shutdown, then drains: stops accepting, lets every
-    /// worker finish its queued ops, checkpoints all tenants, and
-    /// returns `Ok(())`.
+    /// Serves until shutdown, then drains: stops accepting, checkpoints
+    /// every shard's tenants once its in-flight op has finished, and
+    /// returns `Ok(())`. An accept error is logged and retried after a
+    /// pause; an error that stops `run` early still drains first.
     pub fn run(mut self) -> std::io::Result<()> {
-        let mut senders: Vec<Sender<WorkerMsg>> = Vec::new();
-        let mut handles = Vec::new();
-        for core in self.cores.drain(..) {
-            let (tx, rx) = mpsc::channel();
-            senders.push(tx);
-            handles.push(
-                thread::Builder::new()
-                    .name("dls-service-worker".into())
-                    .spawn(move || work(core, rx))
-                    .expect("spawn worker"),
-            );
-        }
-
-        while !self.stopping() {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    stream.set_nonblocking(false)?;
-                    // A subscribed connection gets a push frame and then
-                    // the response: without this the second small write
-                    // waits out the peer's delayed ACK (≈ 40 ms).
-                    stream.set_nodelay(true).ok();
-                    let shutdown = self.shutdown.clone();
-                    let senders = senders.clone();
-                    thread::Builder::new()
-                        .name("dls-service-conn".into())
-                        .spawn(move || serve_connection(stream, shutdown, senders))
-                        .expect("spawn connection thread");
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+        let shards: Arc<[Shard]> = self.cores.drain(..).map(|c| Mutex::new(Some(c))).collect();
+        let served = self.serve(&shards);
+        drop(self); // closes the listener
+        for shard in shards.iter() {
+            if let Some(mut core) = lock(shard).take() {
+                core.drain();
             }
         }
+        served
+    }
 
-        // Graceful drain: queued ops (FIFO ahead of the drain marker)
-        // finish first, then every worker checkpoints its tenants and
-        // exits.
-        for tx in &senders {
-            let _ = tx.send(WorkerMsg::Drain);
+    /// The accept loop: blocks in `accept` and gives each connection its own
+    /// thread. A watcher thread polls the stop flags and, once one is set,
+    /// wakes the blocked `accept` by connecting to the listener itself.
+    fn serve(&self, shards: &Arc<[Shard]>) -> std::io::Result<()> {
+        let mut wake = self.listener.local_addr()?;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
         }
-        drop(senders);
-        for h in handles {
-            let _ = h.join();
+        let (shutdown, exited) = (self.shutdown.clone(), Arc::new(AtomicBool::new(false)));
+        let watching = exited.clone();
+        let watcher = thread::Builder::new()
+            .name("dls-service-watch".into())
+            .spawn(move || {
+                while !watching.load(Ordering::SeqCst) {
+                    if stopping(&shutdown) {
+                        let _ = TcpStream::connect_timeout(&wake, STOP_POLL);
+                    }
+                    thread::sleep(STOP_POLL);
+                }
+            })?;
+
+        while !stopping(&self.shutdown) {
+            match self.listener.accept() {
+                Ok(_) if stopping(&self.shutdown) => break,
+                Ok((stream, _peer)) => {
+                    // A subscribed connection gets a push frame and then the
+                    // response: without this the second small write waits
+                    // out the peer's delayed ACK (≈ 40 ms).
+                    stream.set_nodelay(true).ok();
+                    let (shutdown, shards) = (self.shutdown.clone(), shards.clone());
+                    let spawned = thread::Builder::new()
+                        .name("dls-service-conn".into())
+                        .spawn(move || serve_connection(stream, &shutdown, &shards));
+                    // A failed spawn drops the stream: only that connection closes.
+                    if let Err(e) = spawned {
+                        eprintln!("dls-service: cannot start a connection thread: {e}");
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => {
+                    // E.g. out of file descriptors: wait for some to close.
+                    eprintln!("dls-service: accept failed: {e}; retrying");
+                    thread::sleep(Duration::from_millis(100));
+                }
+            }
         }
+        exited.store(true, Ordering::SeqCst);
+        let _ = watcher.join();
         Ok(())
     }
 }
 
-/// One connection's reader loop: parse frames, answer `Hello` and
-/// `Shutdown` in place, fan `ListTenants` out to every worker, and forward
-/// tenant ops to the worker [`pin`] names.
-fn serve_connection(stream: TcpStream, shutdown: Arc<AtomicBool>, senders: Vec<Sender<WorkerMsg>>) {
+/// One connection's loop: parse a frame, execute it, answer it, in order.
+/// `Hello` and `Shutdown` are answered in place, `ListTenants` from every
+/// shard, and a tenant op by the shard [`pin`] names.
+fn serve_connection(stream: TcpStream, shutdown: &AtomicBool, shards: &[Shard]) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -242,16 +245,13 @@ fn serve_connection(stream: TcpStream, shutdown: Arc<AtomicBool>, senders: Vec<S
     let mut reader = BufReader::with_capacity(FRAME_BUF, stream);
     let mut line = String::with_capacity(FRAME_BUF);
     let mut out = String::new();
-    let mut reply = |resp: Response| send_frame(&conn, &mut out, &resp);
     loop {
         line.clear();
         match (&mut reader).take(MAX_FRAME + 1).read_line(&mut line) {
             Ok(0) => return, // client closed
             Ok(n) if n as u64 > MAX_FRAME => {
-                reply(Response::err(
-                    0,
-                    format!("unparseable frame: longer than {MAX_FRAME} bytes"),
-                ));
+                let error = format!("unparseable frame: longer than {MAX_FRAME} bytes");
+                send_frame(&conn, &mut out, &Response::err(0, error));
                 let _ = reader.get_ref().shutdown(Shutdown::Both);
                 return;
             }
@@ -266,40 +266,39 @@ fn serve_connection(stream: TcpStream, shutdown: Arc<AtomicBool>, senders: Vec<S
         let req: Request = match serde_json::from_str(text) {
             Ok(r) => r,
             Err(e) => {
-                reply(Response::err(0, format!("unparseable frame: {e}")));
+                let error = format!("unparseable frame: {e}");
+                send_frame(&conn, &mut out, &Response::err(0, error));
                 continue;
             }
         };
         let id = req.id;
-        match &req.op {
-            Op::Hello => reply(Response::ok(
+        // Every arm returns with no shard lock held.
+        let resp = match &req.op {
+            Op::Hello => Response::ok(
                 id,
                 RespBody::Hello {
                     protocol: PROTOCOL_VERSION,
                 },
-            )),
+            ),
             Op::ListTenants => {
-                let (tx, rx) = mpsc::channel();
-                for worker in &senders {
-                    let reply = tx.clone();
-                    let _ = worker.send(WorkerMsg::Names { reply });
-                }
-                drop(tx);
-                let mut tenants: Vec<String> = rx.iter().flatten().collect();
+                // A drained shard (`None`) lists nothing.
+                let per_shard = shards.iter().map(|s| lock(s).as_ref().map(Core::names));
+                let mut tenants: Vec<String> = per_shard.flatten().flatten().collect();
                 tenants.sort();
-                reply(Response::ok(id, RespBody::Tenants { tenants }));
+                Response::ok(id, RespBody::Tenants { tenants })
             }
             Op::Shutdown => {
                 shutdown.store(true, Ordering::SeqCst);
-                reply(Response::ok(id, RespBody::ShuttingDown));
+                Response::ok(id, RespBody::ShuttingDown)
             }
+            // A tenant op (`Core::apply` refuses one that names none).
             op => {
-                let worker = pin(op.tenant().expect("tenant-scoped op"), senders.len());
-                let conn = conn.clone();
-                if senders[worker].send(WorkerMsg::Op { req, conn }).is_err() {
-                    reply(Response::err(id, "daemon is shutting down"));
+                match lock(&shards[pin(op.tenant().unwrap_or_default(), shards.len())]).as_mut() {
+                    Some(core) => core.apply(&conn, req),
+                    None => Response::err(id, "daemon is shutting down"),
                 }
             }
-        }
+        };
+        send_frame(&conn, &mut out, &resp);
     }
 }

@@ -1,14 +1,15 @@
 //! The daemon's tenant logic, with no sockets and no threads.
 //!
 //! A [`Tenant`] is a [`ScenarioSession`] plus its policy, subscribers and
-//! checkpoint bookkeeping. A [`Core`] owns one worker's tenants and
+//! checkpoint bookkeeping. A [`Core`] owns one shard's tenants and
 //! executes every tenant-scoped op against them: name and duplicate
 //! checks, the unknown-tenant answer, the op itself and the periodic
 //! checkpoint. A tenant lives in exactly one core for its whole life
-//! (the shell in [`crate::server`] routes by [`crate::server::pin`]), so
-//! nothing in here needs interior synchronisation — the `Send` bound is
-//! all the daemon asks for. Subscribers are plain writers, so tests drive
-//! cores in process with in-memory sinks.
+//! (the shell in [`crate::server`] routes by [`crate::server::pin`] and
+//! holds the shard's lock around [`Core::apply`]), so nothing in here needs
+//! interior synchronisation — the `Send` bound is all the daemon asks for.
+//! A panicking op poisons its tenant and nothing else. Subscribers are
+//! plain writers, so tests drive cores in process with in-memory sinks.
 
 use crate::proto::{frame, Op, Push, PushFrame, Request, RespBody, Response, TenantSpec};
 use dls_scenario::catalog::paper_shape_instance;
@@ -18,13 +19,15 @@ use dls_scenario::{
 };
 use dls_sim::SimEngine;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::Write;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 /// Where a connection's frames go (the daemon's is a socket's write half):
-/// responses and push frames from any worker serialise through the mutex.
+/// responses and push frames from any connection thread serialise through
+/// the mutex.
 pub type ConnHandle = Arc<Mutex<dyn Write + Send>>;
 
 /// Wire version of the tenant checkpoint file.
@@ -281,23 +284,23 @@ impl Tenant {
         let path = dir.join(format!("{}.ckpt.json", self.name));
         let tmp = dir.join(format!("{}.ckpt.json.tmp", self.name));
         std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-        std::fs::write(
-            &tmp,
-            serde_json::to_string(&file).expect("checkpoint serialises"),
-        )
-        .map_err(|e| e.to_string())?;
+        let bytes = serde_json::to_string(&file).map_err(|e| e.to_string())?;
+        std::fs::write(&tmp, bytes).map_err(|e| e.to_string())?;
         std::fs::rename(&tmp, &path).map_err(|e| e.to_string())?;
         self.epochs_since_checkpoint = 0;
         Ok(path)
     }
 }
 
-/// One worker's tenants, and everything the daemon does with a
+/// One shard's tenants, and everything the daemon does with a
 /// tenant-scoped op. Performs no socket I/O of its own: the only bytes it
 /// writes are push frames, into the subscribers' [`ConnHandle`]s, before
 /// [`Core::apply`] returns the response.
 pub struct Core {
     tenants: HashMap<String, Tenant>,
+    /// Tenants an op panicked on: refused from then on, never listed or
+    /// checkpointed again.
+    poisoned: HashSet<String>,
     checkpoint_dir: Option<PathBuf>,
     checkpoint_every: usize,
 }
@@ -309,6 +312,7 @@ impl Core {
     pub fn new(checkpoint_dir: Option<PathBuf>, checkpoint_every: usize) -> Core {
         Core {
             tenants: HashMap::new(),
+            poisoned: HashSet::new(),
             checkpoint_dir,
             checkpoint_every,
         }
@@ -326,14 +330,32 @@ impl Core {
 
     /// Executes one request for the connection `conn` (a `Subscribe`
     /// registers it for push frames) and returns the response to send.
+    /// An op that panics is answered with an error naming its tenant, and
+    /// poisons that tenant: it is dropped (its checkpoint file stays as it
+    /// was) and every later op on its name is refused.
     pub fn apply(&mut self, conn: &ConnHandle, req: Request) -> Response {
-        match self.execute(conn, req.op) {
-            Ok(body) => Response::ok(req.id, body),
-            Err(e) => Response::err(req.id, e),
+        let tenant = req.op.tenant().unwrap_or_default().to_string();
+        match catch_unwind(AssertUnwindSafe(|| self.execute(conn, req.op))) {
+            Ok(Ok(body)) => Response::ok(req.id, body),
+            Ok(Err(e)) => Response::err(req.id, e),
+            Err(panic) => {
+                let what = panic
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| panic.downcast_ref::<String>().cloned())
+                    .unwrap_or_default();
+                self.tenants.remove(&tenant);
+                let error = format!("tenant `{tenant}` panicked and is poisoned: {what}");
+                self.poisoned.insert(tenant);
+                Response::err(req.id, error)
+            }
         }
     }
 
     fn execute(&mut self, conn: &ConnHandle, op: Op) -> Result<RespBody, String> {
+        if let Some(tenant) = op.tenant().filter(|t| self.poisoned.contains(*t)) {
+            return Err(format!("tenant `{tenant}` is poisoned by an earlier panic"));
+        }
         if let Op::CreateTenant { tenant, spec } = op {
             if !valid_tenant_name(&tenant) {
                 return Err(format!(

@@ -30,8 +30,9 @@ pub struct ServiceHarness {
 }
 
 impl ServiceHarness {
-    /// Binds and runs a daemon on `127.0.0.1:0` with `workers` worker
-    /// threads and no checkpointing.
+    /// Binds and runs a daemon on `127.0.0.1:0` with `workers` tenant
+    /// shards (at most that many tenant ops run at once) and no
+    /// checkpointing.
     pub fn start(workers: usize) -> ServiceHarness {
         Self::start_with(workers, None, 0)
     }

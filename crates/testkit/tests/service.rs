@@ -66,14 +66,14 @@ fn plan(t: usize) -> TenantPlan {
     }
 }
 
-#[test]
-fn concurrent_tenants_are_isolated_bit_for_bit() {
-    const N: usize = 6;
-    // Fewer workers than tenants so pinning actually shares threads.
-    let harness = ServiceHarness::start(3);
+/// `n` tenants, each driven over its own connection by its own thread, on
+/// a daemon of `workers` shards: every report equals the tenant's
+/// single-tenant in-process run, and `ListTenants` names them all, sorted.
+fn tenants_on_their_own_connections_are_isolated(n: usize, workers: usize) {
+    let harness = ServiceHarness::start(workers);
     let addr = harness.addr();
 
-    let handles: Vec<_> = (0..N)
+    let handles: Vec<_> = (0..n)
         .map(|t| {
             std::thread::spawn(move || {
                 let p = plan(t);
@@ -137,6 +137,105 @@ fn concurrent_tenants_are_isolated_bit_for_bit() {
         assert_eq!(daemon_report.completed_jobs, jobs.len());
     }
 
+    let mut names: Vec<String> = (0..n).map(|t| plan(t).name).collect();
+    names.sort();
+    match harness.client().expect_ok(Op::ListTenants) {
+        Ok(RespBody::Tenants { tenants }) => assert_eq!(tenants, names),
+        other => panic!("ListTenants returned {other:?}"),
+    }
+    harness.stop().expect("daemon drains cleanly");
+}
+
+#[test]
+fn concurrent_tenants_are_isolated_bit_for_bit() {
+    // Fewer shards than tenants so pinning actually shares them.
+    tenants_on_their_own_connections_are_isolated(6, 3);
+}
+
+/// 64 tenants over 64 connections on two shards: each connection thread
+/// executes its own ops, so 32 of them contend for every shard lock.
+#[test]
+fn sixty_four_tenants_on_two_shards_are_isolated_bit_for_bit() {
+    tenants_on_their_own_connections_are_isolated(64, 2);
+}
+
+/// A connection's requests execute and are answered in the order sent: a
+/// `Hello` written right behind a long `Run` is answered after it. (When a
+/// worker thread executed tenant ops, the connection thread answered the
+/// `Hello` first.)
+#[test]
+fn a_connections_requests_are_answered_in_the_order_sent() {
+    use dls_service::{frame, Request, Response};
+    use std::io::{BufRead, BufReader, Write};
+
+    let harness = ServiceHarness::start(1);
+    let mut c = harness.client();
+    c.expect_ok(Op::CreateTenant {
+        tenant: "busy".into(),
+        spec: TenantSpec::default(),
+    })
+    .expect("create");
+    c.expect_ok(Op::Submit {
+        tenant: "busy".into(),
+        jobs: (0..60)
+            .map(|j| JobSpec {
+                arrival: 10.0 * j as f64 + 1.0,
+                origin: j % 5,
+                size: 80.0,
+                weight: 1.0,
+            })
+            .collect(),
+    })
+    .expect("submit");
+
+    let mut stream = std::net::TcpStream::connect(harness.addr()).expect("raw socket connects");
+    let run = Op::Run {
+        tenant: "busy".into(),
+    };
+    let both = frame(&Request { id: 1, op: run })
+        + &frame(&Request {
+            id: 2,
+            op: Op::Hello,
+        });
+    stream
+        .write_all(both.as_bytes())
+        .expect("both frames in one write");
+    let mut replies = BufReader::new(stream);
+    let answers: Vec<Response> = (0..2)
+        .map(|_| {
+            let mut line = String::new();
+            replies.read_line(&mut line).expect("a reply arrives");
+            serde_json::from_str(&line).expect("a response frame")
+        })
+        .collect();
+    assert_eq!(answers.iter().map(|r| r.id).collect::<Vec<_>>(), [1, 2]);
+    assert!(matches!(
+        answers[0].body,
+        Some(RespBody::Advanced { done: true, .. })
+    ));
+    harness.stop().expect("daemon drains cleanly");
+}
+
+/// A new connection is accepted as soon as it arrives. (The accept loop
+/// used to poll a non-blocking socket and sleep 20 ms after every empty
+/// poll, so a first `Hello` took ≈ 17 ms and the second ≈ 0.1 ms.)
+#[test]
+fn a_new_connection_is_answered_without_an_accept_wait() {
+    let harness = ServiceHarness::start(1);
+    let mut firsts: Vec<std::time::Duration> = (0..20)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            let mut c = harness.client();
+            c.expect_ok(Op::Hello).expect("hello");
+            t0.elapsed()
+        })
+        .collect();
+    firsts.sort();
+    let median = firsts[firsts.len() / 2];
+    assert!(
+        median < std::time::Duration::from_millis(5),
+        "median first Hello on a fresh connection {median:?}"
+    );
     harness.stop().expect("daemon drains cleanly");
 }
 
@@ -551,6 +650,122 @@ fn a_subscriber_whose_write_fails_is_dropped() {
     assert_eq!(epochs, [1, 2, 3, 4, 5]);
 }
 
+/// An op that panics — here inside a subscriber's `write` — is answered
+/// with an error naming its tenant and poisons that tenant only: later ops
+/// on it are refused, it is no longer listed, and a neighbour in the same
+/// core finishes with the report of its single-tenant run.
+#[test]
+fn a_panicking_op_poisons_only_its_tenant() {
+    use dls_service::{ConnHandle, Core, Request, Response};
+    use std::sync::{Arc, Mutex};
+
+    struct Exploding;
+    impl std::io::Write for Exploding {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            panic!("the sink exploded")
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    let exploding: ConnHandle = Arc::new(Mutex::new(Exploding));
+    let driver: ConnHandle = Arc::new(Mutex::new(Vec::<u8>::new()));
+    let mut core = Core::new(None, 0);
+    let mut apply =
+        |conn: &ConnHandle, op: Op| -> Response { core.apply(conn, Request { id: 1, op }) };
+    let ok = |resp: Response| -> Option<RespBody> {
+        assert!(resp.ok, "{:?}", resp.error);
+        resp.body
+    };
+
+    let p = plan(1);
+    let victim = || "victim".to_string();
+    ok(apply(
+        &driver,
+        Op::CreateTenant {
+            tenant: p.name.clone(),
+            spec: p.spec.clone(),
+        },
+    ));
+    ok(apply(
+        &driver,
+        Op::CreateTenant {
+            tenant: victim(),
+            spec: TenantSpec::default(),
+        },
+    ));
+    ok(apply(&exploding, Op::Subscribe { tenant: victim() }));
+    ok(apply(
+        &driver,
+        Op::Submit {
+            tenant: p.name.clone(),
+            jobs: p.batch1.clone(),
+        },
+    ));
+    ok(apply(
+        &driver,
+        Op::Advance {
+            tenant: p.name.clone(),
+            epochs: 2,
+        },
+    ));
+
+    let resp = apply(
+        &driver,
+        Op::Advance {
+            tenant: victim(),
+            epochs: 1,
+        },
+    );
+    assert!(!resp.ok && resp.body.is_none());
+    assert_eq!(
+        resp.error.as_deref(),
+        Some("tenant `victim` panicked and is poisoned: the sink exploded")
+    );
+    let poisoned = Some("tenant `victim` is poisoned by an earlier panic");
+    for op in [
+        Op::Query { tenant: victim() },
+        Op::CreateTenant {
+            tenant: victim(),
+            spec: TenantSpec::default(),
+        },
+    ] {
+        assert_eq!(apply(&driver, op).error.as_deref(), poisoned);
+    }
+
+    for op in [
+        Op::Submit {
+            tenant: p.name.clone(),
+            jobs: p.batch2.clone(),
+        },
+        Op::Fault {
+            tenant: p.name.clone(),
+            event: p.fault.clone(),
+        },
+        Op::Run {
+            tenant: p.name.clone(),
+        },
+    ] {
+        ok(apply(&driver, op));
+    }
+    let Some(RespBody::Report { report, .. }) = ok(apply(
+        &driver,
+        Op::Query {
+            tenant: p.name.clone(),
+        },
+    )) else {
+        panic!("a query answers a report");
+    };
+    let mut jobs = p.batch1.clone();
+    jobs.extend(p.batch2.iter().cloned());
+    let reference = expected_report(&p.name, &p.spec, &jobs, std::slice::from_ref(&p.fault));
+    assert_eq!(
+        canonical_report_json(&report),
+        canonical_report_json(&reference)
+    );
+    assert_eq!(core.names(), [p.name]);
+}
+
 /// A scripted request and the reply it must get: `Ok` or the exact error.
 type Step = (Op, Result<(), String>);
 
@@ -719,7 +934,7 @@ fn virtual_script(
 /// 2–4 [`dls_service::Core`]s routed by [`dls_service::pin`], driven by
 /// 3–5 virtual connections whose scripts a seeded RNG interleaves (a
 /// `Subscribe` waits for its tenant's create, a `Run` for every
-/// subscription to its tenant). The worker's part is played here: each
+/// subscription to its tenant). The shell's part is played here: each
 /// response is written to the connection's sink after `apply` returns.
 /// For 64 seeds:
 /// - every tenant's final report equals its single-tenant `run_scenario`

@@ -102,6 +102,7 @@ fn usage(err: &str) -> ! {
          \x20 bottleneck  --platform FILE|- [objective/payoff flags]\n\
          \x20 serve       [--addr HOST:PORT] [--workers N] [--checkpoint-dir DIR]\n\
          \x20             [--checkpoint-every EPOCHS]   (daemon; SIGTERM drains + exits 0)\n\
+         \x20             (--workers N: N tenant shards; at most N tenant ops run at once)\n\
          \x20 submit      --addr HOST:PORT --tenant NAME [--create yes [tenant-spec flags]]\n\
          \x20             [--jobs a:o:s[:w],…|@FILE] [--advance EPOCHS] [--run yes]\n\
          \x20 query       --addr HOST:PORT --tenant NAME [--format json|text]\n\
