@@ -835,12 +835,45 @@ impl ScenarioSession {
         snap
     }
 
+    /// Jobs terminal so far: [`ScenarioReport::completed_jobs`].
+    pub fn completed_jobs(&self) -> usize {
+        self.st.jobs.iter().filter(|j| j.done()).count()
+    }
+
+    /// Work completed so far: [`ScenarioReport::completed_work`].
+    pub fn completed_work(&self) -> f64 {
+        self.st.completed_work
+    }
+
+    /// Allocations installed so far: [`ScenarioReport::reschedules`].
+    pub fn reschedules(&self) -> usize {
+        self.st.reschedules
+    }
+
+    /// Events the live core has processed: [`ScenarioReport::sim_events`].
+    pub fn sim_events(&self) -> u64 {
+        self.live.events_processed()
+    }
+
+    /// Fault records so far: [`ScenarioReport::faults`].
+    pub fn faults(&self) -> &[FaultRecord] {
+        &self.st.faults
+    }
+
+    /// Recovery records so far: [`ScenarioReport::recoveries`]. Like
+    /// [`ScenarioSession::report`], first appends what `policy` has not
+    /// handed over yet.
+    pub fn recoveries(&mut self, policy: &mut dyn ReschedulePolicy) -> &[RecoveryRecord] {
+        self.st.recoveries.extend(policy.drain_recovery());
+        &self.st.recoveries
+    }
+
     /// A report of the run's current state (interim if the run is still
     /// open; the recorded vectors are cloned out). Deterministic except for
     /// the wall-clock `reschedule_ms`.
     pub fn report(&mut self, policy: &mut dyn ReschedulePolicy) -> ScenarioReport {
-        self.st.recoveries.extend(policy.drain_recovery());
-        let completed_jobs = self.st.jobs.iter().filter(|j| j.done()).count();
+        let recoveries = Some(self.recoveries(policy).to_vec());
+        let completed_jobs = self.completed_jobs();
         let responses: Vec<f64> = self
             .st
             .jobs
@@ -876,7 +909,7 @@ impl ScenarioSession {
             jobs: self.st.jobs.len(),
             completed_jobs,
             offered_work: self.scenario.offered_work(),
-            completed_work: self.st.completed_work,
+            completed_work: self.completed_work(),
             makespan: self.st.last_completion,
             mean_response,
             max_response,
@@ -890,15 +923,15 @@ impl ScenarioSession {
             } else {
                 0.0
             },
-            reschedules: self.st.reschedules,
+            reschedules: self.reschedules(),
             reschedule_ms: self.reschedule_ms,
-            sim_events: self.live.events_processed(),
+            sim_events: self.sim_events(),
             connection_caps_respected: self.st.caps_ok,
             per_job,
             events: (self.cfg.record_events || self.cfg.oracle_check)
                 .then(|| self.live.event_log().to_vec()),
-            faults: Some(self.st.faults.clone()),
-            recoveries: Some(self.st.recoveries.clone()),
+            faults: Some(self.faults().to_vec()),
+            recoveries,
             unschedulable: Some(self.st.unschedulable.clone()),
             lost_transfer: Some(self.st.lost_transfer),
             lost_compute: Some(self.st.lost_compute),

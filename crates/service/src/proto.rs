@@ -237,6 +237,20 @@ impl Deserialize for ServerFrame {
     }
 }
 
+/// A response frame's text split after its leading `{"id":N`: the id and
+/// every byte after it, or `None` for any other shape (a push frame, an id
+/// that is not a plain `u64` followed by `,`). A struct keeps the first
+/// occurrence of a key, so two frames whose bytes after the id are equal
+/// decode alike but for the id.
+pub(crate) fn split_id(frame: &str) -> Option<(u64, &str)> {
+    let rest = frame.strip_prefix("{\"id\":")?;
+    let (id, tail) = rest.split_at(rest.bytes().take_while(u8::is_ascii_digit).count());
+    if !tail.starts_with(',') {
+        return None;
+    }
+    Some((id.parse().ok()?, tail))
+}
+
 /// Bytes a reader's frame buffer starts with: room for a report frame of a
 /// recorded-events tenant (≈ 33 KB at K = 8), so reading one is a single
 /// fill and no regrowth.

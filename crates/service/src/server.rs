@@ -9,6 +9,11 @@
 //! tenant (with a warm policy's resident basis) lives in one core for its
 //! whole life. `ListTenants` locks the shards one at a time.
 //!
+//! Each connection keeps the last report frame it wrote, with the tenant's
+//! [`Core::revision`] stamp it was built at. A `Query` that finds, under the
+//! shard lock, the stamp unmoved is answered with those bytes behind its own
+//! id: no report is built and nothing is encoded.
+//!
 //! Lock order: shard, then connection (push frames are written inside
 //! `apply`). The shell never takes a shard lock while it holds a connection
 //! lock, nor writes a response while it holds a shard guard.
@@ -18,7 +23,9 @@
 //! each shard in turn finishes its in-flight op, is checkpointed and marked
 //! drained (a later op is answered `daemon is shutting down`).
 
-use crate::proto::{frame_into, Op, Request, RespBody, Response, FRAME_BUF, PROTOCOL_VERSION};
+use crate::proto::{
+    frame_into, split_id, Op, Request, RespBody, Response, FRAME_BUF, PROTOCOL_VERSION,
+};
 use crate::tenant::{restore_all, ConnHandle, Core};
 use serde::Serialize;
 use std::hash::{Hash, Hasher};
@@ -108,8 +115,50 @@ fn lock(shard: &Shard) -> std::sync::MutexGuard<'_, Option<Core>> {
 fn send_frame<T: Serialize>(conn: &ConnHandle, buf: &mut String, value: &T) {
     buf.clear();
     frame_into(value, buf);
+    send(conn, buf);
+}
+
+fn send(conn: &ConnHandle, frame: &str) {
     if let Ok(mut sink) = conn.lock() {
-        let _ = sink.write_all(buf.as_bytes());
+        let _ = sink.write_all(frame.as_bytes());
+    }
+}
+
+/// The last report frame a connection wrote, keyed by its tenant and the
+/// [`Core::revision`] stamp it was built at. The buffer is the connection's
+/// previous output buffer, swapped in, so it is reused and never regrows.
+#[derive(Default)]
+struct ReportMemo {
+    key: Option<(String, u64)>,
+    frame: String,
+    /// Where the bytes after `{"id":N` start in `frame`.
+    tail: usize,
+}
+
+impl ReportMemo {
+    fn holds(&self, tenant: &str, revision: u64) -> bool {
+        self.key
+            .as_ref()
+            .is_some_and(|(t, r)| t == tenant && *r == revision)
+    }
+
+    /// Takes `out`, a fresh report frame of `tenant` at `revision`, leaving
+    /// the previous memo buffer in its place.
+    fn keep(&mut self, tenant: String, revision: u64, out: &mut String) {
+        let Some((_, tail)) = split_id(out) else {
+            return;
+        };
+        self.tail = out.len() - tail.len();
+        self.key = Some((tenant, revision));
+        std::mem::swap(&mut self.frame, out);
+    }
+
+    /// The memoised frame with `id` in front of it, built in `out`.
+    fn frame_for(&self, id: u64, out: &mut String) {
+        out.clear();
+        out.push_str("{\"id\":");
+        id.write_json(out);
+        out.push_str(&self.frame[self.tail..]);
     }
 }
 
@@ -245,6 +294,7 @@ fn serve_connection(stream: TcpStream, shutdown: &AtomicBool, shards: &[Shard]) 
     let mut reader = BufReader::with_capacity(FRAME_BUF, stream);
     let mut line = String::with_capacity(FRAME_BUF);
     let mut out = String::new();
+    let mut memo = ReportMemo::default();
     loop {
         line.clear();
         match (&mut reader).take(MAX_FRAME + 1).read_line(&mut line) {
@@ -272,6 +322,8 @@ fn serve_connection(stream: TcpStream, shutdown: &AtomicBool, shards: &[Shard]) 
             }
         };
         let id = req.id;
+        // The tenant and revision of a fresh report, for the memo.
+        let mut fresh = None;
         // Every arm returns with no shard lock held.
         let resp = match &req.op {
             Op::Hello => Response::ok(
@@ -293,12 +345,35 @@ fn serve_connection(stream: TcpStream, shutdown: &AtomicBool, shards: &[Shard]) 
             }
             // A tenant op (`Core::apply` refuses one that names none).
             op => {
-                match lock(&shards[pin(op.tenant().unwrap_or_default(), shards.len())]).as_mut() {
-                    Some(core) => core.apply(&conn, req),
+                let tenant = op.tenant().unwrap_or_default();
+                let mut shard = lock(&shards[pin(tenant, shards.len())]);
+                match shard.as_mut() {
+                    Some(core) => {
+                        // Only a `Query` reads and fills the memo.
+                        let revision = match op {
+                            Op::Query { .. } => core.revision(tenant),
+                            _ => None,
+                        };
+                        if revision.is_some_and(|r| memo.holds(tenant, r)) {
+                            drop(shard);
+                            memo.frame_for(id, &mut out);
+                            send(&conn, &out);
+                            continue;
+                        }
+                        let key = revision.map(|r| (tenant.to_string(), r));
+                        let resp = core.apply(&conn, req);
+                        // A `Query` does not move the stamp; one that
+                        // panicked answers `ok: false`.
+                        fresh = key.filter(|_| resp.ok);
+                        resp
+                    }
                     None => Response::err(id, "daemon is shutting down"),
                 }
             }
         };
         send_frame(&conn, &mut out, &resp);
+        if let Some((tenant, revision)) = fresh {
+            memo.keep(tenant, revision, &mut out);
+        }
     }
 }

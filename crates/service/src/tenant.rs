@@ -23,6 +23,7 @@ use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Where a connection's frames go (the daemon's is a socket's write half):
@@ -85,10 +86,23 @@ pub fn valid_tenant_name(name: &str) -> bool {
             .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
 }
 
+/// Where [`Tenant::revision`] stamps come from: a stamp is never handed
+/// out twice in the process, so it names one tenant at one state.
+static NEXT_REVISION: AtomicU64 = AtomicU64::new(0);
+
+fn next_revision() -> u64 {
+    // `fetch_add` hands out distinct values under any ordering, and a stamp
+    // publishes nothing: it is read and moved under its shard's lock.
+    NEXT_REVISION.fetch_add(1, Ordering::Relaxed)
+}
+
 /// One tenant's live scheduling session.
 pub struct Tenant {
     pub name: String,
     pub spec: TenantSpec,
+    /// Moved by every op that may change what `Query` answers (see
+    /// [`Core::revision`]).
+    revision: u64,
     session: ScenarioSession,
     policy: Box<dyn ReschedulePolicy + Send>,
     subscribers: Vec<ConnHandle>,
@@ -117,6 +131,7 @@ impl Tenant {
         Ok(Tenant {
             name: name.to_string(),
             spec,
+            revision: next_revision(),
             session,
             policy,
             subscribers: Vec::new(),
@@ -153,6 +168,7 @@ impl Tenant {
         Ok(Tenant {
             name: file.tenant.clone(),
             spec: file.spec.clone(),
+            revision: next_revision(),
             session,
             policy,
             subscribers: Vec::new(),
@@ -222,44 +238,42 @@ impl Tenant {
     }
 
     /// Streams the report delta plus any new fault/recovery records to
-    /// every subscriber; a subscriber whose write fails is dropped.
+    /// every subscriber; a subscriber whose write fails is dropped. Reads
+    /// the session's counters and records, not a whole report.
     fn publish(&mut self) {
         if self.subscribers.is_empty() {
             return;
         }
-        let report = self.session.report(self.policy.as_mut());
         let mut frames: Vec<String> = Vec::new();
-        if let Some(faults) = &report.faults {
-            for f in &faults[self.published_faults.min(faults.len())..] {
-                frames.push(frame(&PushFrame {
-                    push: Push::Fault {
-                        tenant: self.name.clone(),
-                        record: serde_json::to_string(f).unwrap_or_default(),
-                    },
-                }));
-            }
-            self.published_faults = faults.len();
+        let faults = self.session.faults();
+        for f in &faults[self.published_faults.min(faults.len())..] {
+            frames.push(frame(&PushFrame {
+                push: Push::Fault {
+                    tenant: self.name.clone(),
+                    record: serde_json::to_string(f).unwrap_or_default(),
+                },
+            }));
         }
-        if let Some(recs) = &report.recoveries {
-            for r in &recs[self.published_recoveries.min(recs.len())..] {
-                frames.push(frame(&PushFrame {
-                    push: Push::Recovery {
-                        tenant: self.name.clone(),
-                        record: serde_json::to_string(r).unwrap_or_default(),
-                    },
-                }));
-            }
-            self.published_recoveries = recs.len();
+        self.published_faults = faults.len();
+        let recs = self.session.recoveries(self.policy.as_mut());
+        for r in &recs[self.published_recoveries.min(recs.len())..] {
+            frames.push(frame(&PushFrame {
+                push: Push::Recovery {
+                    tenant: self.name.clone(),
+                    record: serde_json::to_string(r).unwrap_or_default(),
+                },
+            }));
         }
+        self.published_recoveries = recs.len();
         frames.push(frame(&PushFrame {
             push: Push::Delta {
                 tenant: self.name.clone(),
                 epoch: self.session.epoch(),
                 done: self.session.is_done(),
-                completed_jobs: report.completed_jobs,
-                completed_work: report.completed_work,
-                reschedules: report.reschedules,
-                sim_events: report.sim_events,
+                completed_jobs: self.session.completed_jobs(),
+                completed_work: self.session.completed_work(),
+                reschedules: self.session.reschedules(),
+                sim_events: self.session.sim_events(),
             },
         }));
         self.subscribers.retain(|conn| {
@@ -328,6 +342,15 @@ impl Core {
         self.tenants.keys().cloned().collect()
     }
 
+    /// The tenant's revision stamp, `None` if this core has no such tenant.
+    /// Every op on a tenant except `Query` and `Subscribe` moves it, refused
+    /// ops included (a panicking op drops the tenant), and no two tenants
+    /// ever share one; so while it stands still, `Query` answers the same
+    /// report.
+    pub fn revision(&self, tenant: &str) -> Option<u64> {
+        self.tenants.get(tenant).map(|t| t.revision)
+    }
+
     /// Executes one request for the connection `conn` (a `Subscribe`
     /// registers it for push frames) and returns the response to send.
     /// An op that panics is answered with an error naming its tenant, and
@@ -355,6 +378,12 @@ impl Core {
     fn execute(&mut self, conn: &ConnHandle, op: Op) -> Result<RespBody, String> {
         if let Some(tenant) = op.tenant().filter(|t| self.poisoned.contains(*t)) {
             return Err(format!("tenant `{tenant}` is poisoned by an earlier panic"));
+        }
+        // The one place the stamp moves, before the op can fail part-way.
+        if !matches!(op, Op::Query { .. } | Op::Subscribe { .. }) {
+            if let Some(t) = op.tenant().and_then(|name| self.tenants.get_mut(name)) {
+                t.revision = next_revision();
+            }
         }
         if let Op::CreateTenant { tenant, spec } = op {
             if !valid_tenant_name(&tenant) {
@@ -499,6 +528,81 @@ mod tests {
     fn array_at(json: &str, key: &str) -> std::ops::Range<usize> {
         let open = json.find(&format!("\"{key}\":[")).unwrap() + key.len() + 4;
         open..open + json[open..].find(']').unwrap()
+    }
+
+    /// The stamp rule the connection threads' report memo rests on:
+    /// `Query` and `Subscribe` leave a tenant's stamp where it is, every
+    /// other op on it moves it, refused ones included.
+    #[test]
+    fn every_op_but_query_and_subscribe_moves_the_stamp() {
+        use dls_scenario::PlatformChange;
+        let sink: ConnHandle = Arc::new(Mutex::new(Vec::<u8>::new()));
+        let mut core = Core::new(None, 0);
+        let tenant = || "t".to_string();
+        let create = || Op::CreateTenant {
+            tenant: tenant(),
+            spec: TenantSpec::default(),
+        };
+        let submit = |arrival: f64| Op::Submit {
+            tenant: tenant(),
+            jobs: vec![JobSpec {
+                arrival,
+                origin: 0,
+                size: 50.0,
+                weight: 1.0,
+            }],
+        };
+        let fault = |time: f64| Op::Fault {
+            tenant: tenant(),
+            event: PlatformEvent {
+                time,
+                change: PlatformChange::SetSpeed {
+                    cluster: 0,
+                    speed: 40.0,
+                },
+            },
+        };
+        assert!(
+            core.apply(
+                &sink,
+                Request {
+                    id: 1,
+                    op: create()
+                }
+            )
+            .ok
+        );
+        let ops = [
+            (Op::Query { tenant: tenant() }, true, false),
+            (Op::Subscribe { tenant: tenant() }, true, false),
+            (submit(1.0), true, true),
+            (
+                Op::Advance {
+                    tenant: tenant(),
+                    epochs: 2,
+                },
+                true,
+                true,
+            ),
+            (Op::Query { tenant: tenant() }, true, false),
+            // Refused: past-dated, past-dated, no checkpoint directory, a
+            // duplicate create.
+            (submit(0.5), false, true),
+            (fault(0.5), false, true),
+            (Op::Checkpoint { tenant: tenant() }, false, true),
+            (create(), false, true),
+            (fault(35.0), true, true),
+            (Op::Run { tenant: tenant() }, true, true),
+            (Op::Query { tenant: tenant() }, true, false),
+        ];
+        for (op, ok, moves) in ops {
+            let shown = format!("{op:?}");
+            let before = core.revision("t").unwrap();
+            let resp = core.apply(&sink, Request { id: 1, op });
+            assert_eq!(resp.ok, ok, "{shown}: {:?}", resp.error);
+            assert_eq!(core.revision("t").unwrap() != before, moves, "{shown}");
+        }
+        assert_eq!(core.revision("ghost"), None);
     }
 
     /// A checkpoint directory holding one good checkpoint among a torn

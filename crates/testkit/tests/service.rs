@@ -1109,3 +1109,281 @@ fn interleaved_virtual_connections_keep_every_contract_in_process() {
         }
     }
 }
+
+/// One end of the memo soundness test: a raw socket (the daemon's frame
+/// bytes as sent) or a [`dls_service::Client`] (its decode memo on top).
+enum MemoConn {
+    Raw {
+        reader: std::io::BufReader<std::net::TcpStream>,
+        writer: std::net::TcpStream,
+        next_id: u64,
+    },
+    Client(dls_service::Client),
+}
+
+impl MemoConn {
+    /// Sends `op` and returns its response frame (push frames skipped):
+    /// the bytes the daemon sent, or the client's answer encoded again.
+    fn request(&mut self, op: Op) -> String {
+        use std::io::{BufRead, Write};
+        match self {
+            MemoConn::Raw {
+                reader,
+                writer,
+                next_id,
+            } => {
+                *next_id += 1;
+                let req = dls_service::Request { id: *next_id, op };
+                writer
+                    .write_all(dls_service::frame(&req).as_bytes())
+                    .expect("request sent");
+                loop {
+                    let mut line = String::new();
+                    reader.read_line(&mut line).expect("a frame arrives");
+                    if !line.starts_with("{\"push\":") {
+                        return line;
+                    }
+                }
+            }
+            MemoConn::Client(c) => dls_service::frame(&c.request(op).expect("request completes")),
+        }
+    }
+}
+
+/// A response frame's bytes after its leading `{"id":N`.
+fn after_id(frame: &str) -> &str {
+    let rest = frame.strip_prefix("{\"id\":").expect("a response frame");
+    &rest[rest.find(',').expect("more than an id")..]
+}
+
+/// One tenant's ops, in order, each with whether the daemon accepts it.
+fn memo_script(name: &str, spec: &TenantSpec) -> Vec<(Op, bool)> {
+    let tenant = || name.to_string();
+    let jobs = |arrivals: &[f64]| -> Vec<JobSpec> {
+        arrivals
+            .iter()
+            .enumerate()
+            .map(|(i, &arrival)| JobSpec {
+                arrival,
+                origin: (i % spec.clusters) as u32,
+                size: 70.0 + 15.0 * i as f64,
+                weight: 1.0,
+            })
+            .collect()
+    };
+    vec![
+        (
+            Op::CreateTenant {
+                tenant: tenant(),
+                spec: spec.clone(),
+            },
+            true,
+        ),
+        (
+            Op::Submit {
+                tenant: tenant(),
+                jobs: jobs(&[0.0, 3.5, 12.0]),
+            },
+            true,
+        ),
+        (Op::Subscribe { tenant: tenant() }, true),
+        (
+            Op::Advance {
+                tenant: tenant(),
+                epochs: 2,
+            },
+            true,
+        ),
+        // Past-dated: refused.
+        (
+            Op::Submit {
+                tenant: tenant(),
+                jobs: jobs(&[0.5]),
+            },
+            false,
+        ),
+        (
+            Op::Fault {
+                tenant: tenant(),
+                event: PlatformEvent {
+                    time: 33.0,
+                    change: PlatformChange::SetSpeed {
+                        cluster: 1,
+                        speed: 45.0,
+                    },
+                },
+            },
+            true,
+        ),
+        (Op::Checkpoint { tenant: tenant() }, true),
+        (
+            Op::Advance {
+                tenant: tenant(),
+                epochs: 1,
+            },
+            true,
+        ),
+        (
+            Op::Submit {
+                tenant: tenant(),
+                jobs: jobs(&[41.0, 47.5]),
+            },
+            true,
+        ),
+        (
+            Op::CreateTenant {
+                tenant: tenant(),
+                spec: spec.clone(),
+            },
+            false,
+        ),
+        (
+            Op::Advance {
+                tenant: tenant(),
+                epochs: 2,
+            },
+            true,
+        ),
+        (Op::Checkpoint { tenant: tenant() }, true),
+        (Op::Run { tenant: tenant() }, true),
+        (
+            Op::Advance {
+                tenant: tenant(),
+                epochs: 1,
+            },
+            true,
+        ),
+    ]
+}
+
+/// The daemon's frame memo and the client's decode memo never answer
+/// stale. Two connections to a daemon with a checkpoint directory, one a
+/// raw socket and one a `Client`, interleave every tenant op of two tenants
+/// (failed ones included) with bursts of repeated `Query`s, so that a
+/// connection re-reads a tenant another connection has just moved. Every
+/// `Query` frame equals, byte for byte after the id, a fresh encode of an
+/// in-process twin [`dls_service::Tenant`] that ran the same ops (its
+/// wall-clock `reschedule_ms` set to the daemon's); and until an op on the
+/// tenant, every later `Query` frame of it repeats the same bytes.
+#[test]
+fn repeated_queries_answer_what_a_fresh_encode_of_the_tenant_answers() {
+    use dls_service::{frame, Response, Tenant};
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashMap;
+    use std::sync::{Arc, Mutex};
+
+    let specs = [
+        TenantSpec {
+            clusters: 4,
+            seed: 11,
+            policy: "periodic".into(),
+            record_events: true,
+            ..TenantSpec::default()
+        },
+        TenantSpec {
+            clusters: 5,
+            seed: 12,
+            engine: "full".into(),
+            ..TenantSpec::default()
+        },
+    ];
+    for seed in 0..12u64 {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let root = std::env::temp_dir().join(format!("dls-memo-{}-{seed}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let (daemon_dir, twin_dir) = (root.join("daemon"), root.join("twin"));
+        let harness = ServiceHarness::start_with(2, Some(daemon_dir), 0);
+        let stream = std::net::TcpStream::connect(harness.addr()).expect("raw socket connects");
+        let mut conns = [
+            MemoConn::Raw {
+                reader: std::io::BufReader::new(stream.try_clone().expect("clone")),
+                writer: stream,
+                next_id: 0,
+            },
+            MemoConn::Client(harness.client()),
+        ];
+        let names = ["m0", "m1"];
+        let mut scripts: Vec<std::collections::VecDeque<(Op, bool)>> = names
+            .iter()
+            .zip(&specs)
+            .map(|(name, spec)| memo_script(name, spec).into())
+            .collect();
+        let mut twins: HashMap<&str, Tenant> = HashMap::new();
+        // The tail of the last `Query` frame of each tenant since its last op.
+        let mut last: HashMap<&str, String> = HashMap::new();
+        let sink: dls_service::ConnHandle = Arc::new(Mutex::new(Vec::<u8>::new()));
+        let mut queries = 0;
+
+        while scripts.iter().any(|s| !s.is_empty()) {
+            let t = rng.gen_range(0..names.len());
+            let Some((op, ok)) = scripts[t].pop_front() else {
+                continue;
+            };
+            let name = names[t];
+            let c = rng.gen_range(0..conns.len());
+            let shown = format!("seed {seed}: {op:?} on conn {c}");
+            let resp: Response =
+                serde_json::from_str(&conns[c].request(op.clone())).expect("a response frame");
+            assert_eq!(resp.ok, ok, "{shown}: {:?}", resp.error);
+            last.remove(name);
+            match op {
+                Op::CreateTenant { spec, .. } if ok => {
+                    twins.insert(name, Tenant::new(name, spec).expect("twin builds"));
+                }
+                Op::Submit { jobs, .. } => {
+                    assert_eq!(twins.get_mut(name).unwrap().submit(&jobs).is_ok(), ok);
+                }
+                Op::Fault { event, .. } => twins.get_mut(name).unwrap().fault(event).unwrap(),
+                Op::Advance { epochs, .. } => {
+                    twins.get_mut(name).unwrap().advance(epochs).unwrap();
+                }
+                Op::Run { .. } => {
+                    twins.get_mut(name).unwrap().run_to_end().unwrap();
+                }
+                Op::Checkpoint { .. } => {
+                    twins.get_mut(name).unwrap().checkpoint(&twin_dir).unwrap();
+                }
+                Op::Subscribe { .. } => twins.get_mut(name).unwrap().subscribe(sink.clone()),
+                _ => {}
+            }
+
+            // A burst of re-reads: 0–3 runs of 1–3 queries, each run on
+            // one connection and one created tenant.
+            for _ in 0..rng.gen_range(0..4) {
+                let c = rng.gen_range(0..conns.len());
+                let name = names[rng.gen_range(0..names.len())];
+                if !twins.contains_key(name) {
+                    continue;
+                }
+                for _ in 0..rng.gen_range(1..4) {
+                    let text = conns[c].request(Op::Query {
+                        tenant: name.to_string(),
+                    });
+                    queries += 1;
+                    let shown = format!("seed {seed}: query {queries} of {name} on conn {c}");
+                    let got: Response = serde_json::from_str(&text).expect("a response frame");
+                    let Some(RespBody::Report { report, .. }) = got.body else {
+                        panic!("{shown}: {:?}", got.error);
+                    };
+                    let mut twin = twins.get_mut(name).unwrap().query();
+                    twin.reschedule_ms = report.reschedule_ms;
+                    let fresh = frame(&Response::ok(
+                        got.id,
+                        RespBody::Report {
+                            tenant: name.to_string(),
+                            report: Box::new(twin),
+                        },
+                    ));
+                    assert_eq!(after_id(&text), after_id(&fresh), "{shown}");
+                    if let Some(prev) = last.get(name) {
+                        assert_eq!(after_id(&text), prev, "{shown}: a re-read moved");
+                    }
+                    last.insert(name, after_id(&text).to_string());
+                }
+            }
+        }
+        assert!(queries > 20, "seed {seed}: only {queries} queries");
+        harness.stop().expect("daemon drains cleanly");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
