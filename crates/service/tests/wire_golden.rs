@@ -6,8 +6,9 @@
 //! [`ScenarioReport::to_json`] — the bytes every peer, checkpoint directory
 //! and committed artifact already holds. A codec change must leave every
 //! line as it is; `PROTOCOL_VERSION` / `CHECKPOINT_VERSION` move first
-//! otherwise. The last test holds the streamed reader to the tree reader on
-//! every truncation and on 10 000 one-byte mutations of the report frame.
+//! otherwise. The last test pins the reader's verdict on every truncation
+//! and on 10 000 one-byte mutations of the report frame
+//! (`report_frame_mutants.txt`).
 //! Regenerate with
 //! `GOLDEN_BLESS=1 cargo test -p dls_service --test wire_golden` and review
 //! the diff: a line may only change when the PR says why.
@@ -283,23 +284,36 @@ fn checkpoint_file_is_pinned() {
     check("checkpoint.txt", &checkpoint);
 }
 
-/// Reads `text` streamed and through the tree: `None` when both refuse it,
-/// the value (as `Debug` text, so that `NaN` equals itself) when both read
-/// the same, a panic otherwise.
-fn read_both_ways<T: Deserialize + Debug>(text: &str) -> Option<String> {
+/// Reads `text` streamed and through the tree: the streamed refusal's text
+/// when both refuse it, the value (as `Debug` text, so that `NaN` equals
+/// itself) when both read the same, a panic otherwise.
+fn read_both_ways<T: Deserialize + Debug>(text: &str) -> Result<String, String> {
     let streamed = serde_json::from_str::<T>(text);
     let through_tree = serde_json::from_str_value(text).and_then(|tree| T::from_value(&tree));
     match (streamed, through_tree) {
         (Ok(a), Ok(b)) => {
             let value = format!("{a:?}");
             assert_eq!(value, format!("{b:?}"), "on {text}");
-            Some(value)
+            Ok(value)
         }
-        (Err(_), Err(_)) => None,
+        (Err(a), Err(_)) => Err(a.to_string()),
         (a, b) => panic!("verdicts differ on {text}: streamed {a:?}, through the tree {b:?}"),
     }
 }
 
+/// FNV-1a, 64 bits: a fingerprint of a verdict or a value's `Debug` text.
+fn fnv(text: &str) -> String {
+    let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    format!("{hash:016x}")
+}
+
+/// Every truncation and 10 000 seeded one-byte mutations of the report
+/// frame, each with the verdict the reader gave it when the golden was
+/// taken: `report_frame_mutants.txt` holds a digest of the refusals' texts
+/// and, line by line, each accepted mutant with a fingerprint of the value
+/// it read to.
 #[test]
 fn damaged_report_frames_get_one_verdict() {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/wire/report_frame.txt");
@@ -310,35 +324,51 @@ fn damaged_report_frames_get_one_verdict() {
     assert_eq!(serde_json::to_string(&response).unwrap(), frame);
 
     // Truncation: every prefix (on a char boundary: the frame is a `str`).
-    let mut read = 0;
+    let mut prefixes = String::new();
     for end in (0..frame.len()).filter(|&end| frame.is_char_boundary(end)) {
-        read += read_both_ways::<Response>(&frame[..end]).is_some() as usize;
+        match read_both_ways::<Response>(&frame[..end]) {
+            Ok(_) => panic!("the prefix of {end} bytes reads as a frame"),
+            Err(e) => prefixes.push_str(&format!("{end} {e}\n")),
+        }
     }
-    assert_eq!(read, 0, "no proper prefix of a frame is a frame");
 
     // Mutation: one byte replaced by one from the frame's own alphabet plus
     // the bytes that change structure.
     let mut alphabet: Vec<u8> = frame.bytes().filter(u8::is_ascii).collect();
     alphabet.extend_from_slice(b"{}[]\":,\\ \t\n\r\x00\x7fnulltruefalse-+.eE0123456789uU/");
     let mut rng = ChaCha8Rng::seed_from_u64(19);
+    let (mut refusals, mut accepted) = (String::new(), String::new());
     let (mut read, mut changed) = (0, 0);
-    for _ in 0..10_000 {
+    for i in 0..10_000 {
         let mut bytes = frame.as_bytes().to_vec();
         let at = rng.gen_range(0..bytes.len());
-        bytes[at] = alphabet[rng.gen_range(0..alphabet.len())];
+        let byte = alphabet[rng.gen_range(0..alphabet.len())];
+        bytes[at] = byte;
         // A replaced byte inside a multi-byte character is not a `str`; no
         // frame reaches either reader that way.
         let Ok(text) = std::str::from_utf8(&bytes) else {
             continue;
         };
-        if let Some(value) = read_both_ways::<ServerFrame>(text) {
-            read += 1;
-            changed += (value != intact) as usize;
+        match read_both_ways::<ServerFrame>(text) {
+            Ok(value) => {
+                read += 1;
+                changed += (value != intact) as usize;
+                accepted.push_str(&format!("{i} {at} {byte:02x} ok {}\n", fnv(&value)));
+            }
+            Err(e) => refusals.push_str(&format!("{i} {e}\n")),
         }
     }
     assert!(
         read > 1000 && changed > 500,
         "{read} mutants read, {changed} of them to another value: the \
-         comparison has to see accepted frames too"
+         verdicts have to cover accepted frames too"
+    );
+    check(
+        "report_frame_mutants.txt",
+        &format!(
+            "prefixes {}\nrefusals {}\n{accepted}",
+            fnv(&prefixes),
+            fnv(&refusals)
+        ),
     );
 }
