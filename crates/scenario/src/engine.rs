@@ -54,7 +54,9 @@ use dls_platform::ClusterId;
 use dls_sim::{
     ChunkPart, LiveConfig, LiveEvent, LiveFlowId, LiveFlowSpec, LiveSim, LiveSnapshot, SimEngine,
 };
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::de::Parser;
+use serde::{DeError, Deserialize, Number, Serialize};
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::time::Instant;
@@ -272,17 +274,14 @@ impl FlowTable {
 }
 
 impl Serialize for FlowTable {
-    fn to_value(&self) -> Value {
-        self.sorted().to_value()
-    }
     fn write_json(&self, out: &mut String) {
         self.sorted().write_json(out);
     }
 }
 
 impl Deserialize for FlowTable {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let pairs = Vec::<(u64, FlowMeta)>::from_value(v)?;
+    fn from_json(p: &mut Parser<'_>) -> Result<Self, DeError> {
+        let pairs = Vec::<(u64, FlowMeta)>::from_json(p)?;
         Ok(FlowTable(
             pairs
                 .into_iter()
@@ -399,24 +398,43 @@ pub struct ScenarioSnapshot {
     policy_state: PolicyState,
 }
 
+/// The keys a [`ScenarioSnapshot`] writes before the session state's, in
+/// wire order.
+const SNAPSHOT_HEAD: [&str; 8] = [
+    "version",
+    "scenario",
+    "epoch",
+    "live",
+    "cluster_speed",
+    "cluster_local",
+    "link_bw",
+    "link_max_conn",
+];
+
+/// A snapshot's top-level entries as text: the first value of every key,
+/// in text order.
+type Entries<'a> = Vec<(Cow<'a, str>, &'a str)>;
+
 impl ScenarioSnapshot {
-    /// The entries written before the session state, in wire order.
-    fn head(&self) -> [(&'static str, &dyn Serialize); 8] {
+    /// The values of [`SNAPSHOT_HEAD`]'s keys.
+    fn head(&self) -> [&dyn Serialize; 8] {
         [
-            ("version", &self.version),
-            ("scenario", &self.scenario),
-            ("epoch", &self.epoch),
-            ("live", &self.live),
-            ("cluster_speed", &self.cluster_speed),
-            ("cluster_local", &self.cluster_local),
-            ("link_bw", &self.link_bw),
-            ("link_max_conn", &self.link_max_conn),
+            &self.version,
+            &self.scenario,
+            &self.epoch,
+            &self.live,
+            &self.cluster_speed,
+            &self.cluster_local,
+            &self.link_bw,
+            &self.link_max_conn,
         ]
     }
 
     /// Serialises to JSON (all floats survive bit-exactly).
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("snapshot serialisation cannot fail")
+        let mut json = String::new();
+        self.write_json(&mut json);
+        json
     }
 
     /// Parses a snapshot serialised by [`ScenarioSnapshot::to_json`].
@@ -424,43 +442,102 @@ impl ScenarioSnapshot {
     /// A snapshot written by a different wire version is rejected with an
     /// explicit schema-version message *before* field-level deserialisation
     /// runs, so version skew surfaces as "version 2 is not supported"
-    /// rather than as an opaque missing/mistyped-field error.
+    /// rather than as an opaque missing/mistyped-field error. The whole text
+    /// is checked for syntax first.
     pub fn from_json(json: &str) -> Result<ScenarioSnapshot, ScenarioError> {
-        let value =
-            serde_json::from_str_value(json).map_err(|e| ScenarioError::Snapshot(e.to_string()))?;
-        match value.get("version") {
-            Some(serde_json::Value::Number(serde_json::Number::Int(v)))
-                if *v == SCENARIO_SNAPSHOT_VERSION as i128 => {}
-            Some(serde_json::Value::Number(serde_json::Number::Int(v))) => {
+        let error = |e: DeError| ScenarioError::Snapshot(e.to_string());
+        let mut p = Parser::new(json);
+        // A text that holds no object is checked and then has no version.
+        let entries = if json
+            .trim_start_matches([' ', '\t', '\n', '\r'])
+            .starts_with('{')
+        {
+            ScenarioSnapshot::entries(&mut p).map_err(error)?
+        } else {
+            p.skip_value().map_err(error)?;
+            Vec::new()
+        };
+        p.finish().map_err(error)?;
+        let version = entries
+            .iter()
+            .find(|(key, _)| key == "version")
+            .and_then(|(_, text)| match Parser::new(text).number_here() {
+                Ok(Some(Number::Int(v))) => Some(v),
+                _ => None,
+            });
+        match version {
+            Some(v) if v == SCENARIO_SNAPSHOT_VERSION as i128 => {}
+            Some(v) => {
                 return Err(ScenarioError::Snapshot(format!(
                     "snapshot schema version {v} is not supported by this build \
                      (it reads version {SCENARIO_SNAPSHOT_VERSION}); re-take the \
                      snapshot with a matching build"
                 )));
             }
-            _ => {
+            None => {
                 return Err(ScenarioError::Snapshot(
                     "snapshot carries no integer `version` field — not a scenario snapshot".into(),
                 ));
             }
         }
-        // The tree the probe read is the one parse of `json`.
-        ScenarioSnapshot::from_value(&value).map_err(|e| ScenarioError::Snapshot(e.to_string()))
+        ScenarioSnapshot::from_entries(&entries).map_err(error)
+    }
+
+    fn entries<'a>(p: &mut Parser<'a>) -> Result<Entries<'a>, DeError> {
+        let mut entries: Entries<'a> = Vec::new();
+        p.object("object for ScenarioSnapshot", |p, key| {
+            let text = p.skipped_text()?;
+            if !entries.iter().any(|(seen, _)| *seen == key) {
+                entries.push((key, text));
+            }
+            Ok(())
+        })?;
+        Ok(entries)
+    }
+
+    /// Head fields and `policy_state` by key, in field order; every other
+    /// key is the session state's, which reads them as one object and
+    /// ignores the ones it does not know. A key the text lacks reads as
+    /// `null`.
+    fn from_entries(entries: &Entries<'_>) -> Result<ScenarioSnapshot, DeError> {
+        fn field<T: Deserialize>(entries: &Entries<'_>, key: &str) -> Result<T, DeError> {
+            let text = entries
+                .iter()
+                .find(|(seen, _)| seen == key)
+                .map_or("null", |(_, text)| text);
+            serde_json::from_str(text).map_err(|e| e.in_field(&format!("ScenarioSnapshot.{key}")))
+        }
+        let mut state = String::from("{");
+        for (key, text) in entries {
+            if key == "policy_state" || SNAPSHOT_HEAD.contains(&&**key) {
+                continue;
+            }
+            if state.len() > 1 {
+                state.push(',');
+            }
+            serde::ser::write_str(key, &mut state);
+            state.push(':');
+            state.push_str(text);
+        }
+        state.push('}');
+        Ok(ScenarioSnapshot {
+            version: field(entries, "version")?,
+            scenario: field(entries, "scenario")?,
+            epoch: field(entries, "epoch")?,
+            live: field(entries, "live")?,
+            cluster_speed: field(entries, "cluster_speed")?,
+            cluster_local: field(entries, "cluster_local")?,
+            link_bw: field(entries, "link_bw")?,
+            link_max_conn: field(entries, "link_max_conn")?,
+            state: serde_json::from_str(&state)?,
+            policy_state: field(entries, "policy_state")?,
+        })
     }
 }
 
 impl Serialize for ScenarioSnapshot {
-    fn to_value(&self) -> Value {
-        let Value::Object(state) = self.state.to_value() else {
-            unreachable!("a struct serialises to an object")
-        };
-        let head = self.head().map(|(key, v)| (key.to_string(), v.to_value()));
-        let tail = ("policy_state".to_string(), self.policy_state.to_value());
-        Value::Object(head.into_iter().chain(state).chain([tail]).collect())
-    }
-
     fn write_json(&self, out: &mut String) {
-        for (i, (key, v)) in self.head().into_iter().enumerate() {
+        for (i, (key, v)) in SNAPSHOT_HEAD.iter().zip(self.head()).enumerate() {
             out.push(if i == 0 { '{' } else { ',' });
             serde::ser::write_str(key, out);
             out.push(':');
@@ -478,29 +555,11 @@ impl Serialize for ScenarioSnapshot {
     }
 }
 
+/// The typed read of [`ScenarioSnapshot::from_json`], without its version
+/// probe.
 impl Deserialize for ScenarioSnapshot {
-    /// Head fields and `policy_state` by key; the session state reads its
-    /// own keys out of the same object and ignores the rest.
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        if !matches!(v, Value::Object(_)) {
-            return Err(DeError::expected("object for ScenarioSnapshot", v));
-        }
-        fn field<T: Deserialize>(v: &Value, key: &str) -> Result<T, DeError> {
-            T::from_value(v.get(key).unwrap_or(&Value::Null))
-                .map_err(|e| e.in_field(&format!("ScenarioSnapshot.{key}")))
-        }
-        Ok(ScenarioSnapshot {
-            version: field(v, "version")?,
-            scenario: field(v, "scenario")?,
-            epoch: field(v, "epoch")?,
-            live: field(v, "live")?,
-            cluster_speed: field(v, "cluster_speed")?,
-            cluster_local: field(v, "cluster_local")?,
-            link_bw: field(v, "link_bw")?,
-            link_max_conn: field(v, "link_max_conn")?,
-            state: SessionState::from_value(v)?,
-            policy_state: field(v, "policy_state")?,
-        })
+    fn from_json(p: &mut Parser<'_>) -> Result<Self, DeError> {
+        ScenarioSnapshot::from_entries(&ScenarioSnapshot::entries(p)?)
     }
 }
 
@@ -1018,11 +1077,13 @@ impl ScenarioSession {
                 .collect();
             stalled.sort_by_key(|id| id.to_raw());
             for id in stalled {
-                let m = &self.st.flows[&id];
-                if !separated(&self.st.partitions, m.from.index(), m.to.index()) {
-                    let (cap, demand) = (m.cap.unwrap_or(f64::INFINITY), m.demand);
-                    self.live.set_flow_constraints(id, cap, demand);
-                    self.st.flows.get_mut(&id).expect("just looked up").stalled = false;
+                // Every id was just read out of the table.
+                if let Some(m) = self.st.flows.get_mut(&id) {
+                    if !separated(&self.st.partitions, m.from.index(), m.to.index()) {
+                        let (cap, demand) = (m.cap.unwrap_or(f64::INFINITY), m.demand);
+                        self.live.set_flow_constraints(id, cap, demand);
+                        m.stalled = false;
+                    }
                 }
             }
         }
@@ -1134,10 +1195,12 @@ impl ScenarioSession {
                     .collect();
                 ids.sort_by_key(|id| id.to_raw());
                 for id in ids {
-                    let m = &self.st.flows[&id];
-                    if separated(&self.st.partitions, m.from.index(), m.to.index()) {
-                        self.live.set_flow_constraints(id, 0.0, 0.0);
-                        self.st.flows.get_mut(&id).expect("just looked up").stalled = true;
+                    // Every id was just read out of the table.
+                    if let Some(m) = self.st.flows.get_mut(&id) {
+                        if separated(&self.st.partitions, m.from.index(), m.to.index()) {
+                            self.live.set_flow_constraints(id, 0.0, 0.0);
+                            m.stalled = true;
+                        }
                     }
                 }
                 self.st.push_fault(FaultRecord {

@@ -12,7 +12,7 @@
 
 use dls_scenario::{JobSpec, PlatformEvent, ScenarioReport};
 use serde::de::Parser;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize};
 
 /// Wire version of the request/response schema, echoed by
 /// [`RespBody::Hello`] so clients can detect skew.
@@ -221,13 +221,6 @@ pub enum ServerFrame {
 }
 
 impl Deserialize for ServerFrame {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v.as_object().and_then(<[_]>::first) {
-            Some((key, _)) if key == "push" => PushFrame::from_value(v).map(ServerFrame::Push),
-            _ => Response::from_value(v).map(ServerFrame::Response),
-        }
-    }
-
     fn from_json(p: &mut Parser<'_>) -> Result<Self, DeError> {
         if p.first_key_is("push") {
             PushFrame::from_json(p).map(ServerFrame::Push)
@@ -336,13 +329,9 @@ mod tests {
         let v = serde_json::from_str_value(push.trim()).unwrap();
         assert!(v.get("push").is_some());
         assert!(v.get("id").is_none());
-        // One pass tells them apart, streamed or through the tree.
+        // One pass tells them apart.
         let streamed: ServerFrame = serde_json::from_str(push.trim()).unwrap();
         assert!(matches!(streamed, ServerFrame::Push(_)));
-        assert!(matches!(
-            ServerFrame::from_value(&v).unwrap(),
-            ServerFrame::Push(_)
-        ));
         let resp = frame(&Response::err(3, "no"));
         let streamed: ServerFrame = serde_json::from_str(resp.trim()).unwrap();
         assert!(matches!(

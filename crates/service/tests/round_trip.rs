@@ -3,9 +3,11 @@
 //! For [`Request`], [`Response`], [`ServerFrame`], [`PushFrame`],
 //! [`CheckpointFile`] and [`ScenarioSnapshot`], over seeded generated
 //! values: printing a value, reading the text back and printing again gives
-//! the same bytes (`to_string(from_str(to_string(x))) == to_string(x)`), and
-//! every finite float comes back with its bits (a non-finite one prints as
-//! `null`, on both sides).
+//! the same bytes (`to_string(from_str(to_string(x))) == to_string(x)`).
+//! Distinct finite floats print distinct text (`serde`'s `float_printer`
+//! reads every printed float back to its bits), so the same bytes mean every
+//! finite float came back with its bits; a non-finite one prints as `null`,
+//! on both sides.
 //!
 //! The floats are drawn where a printer or a reader goes wrong: the edge
 //! floats the request goldens pin, ±0.0, subnormals, 2^53 and its
@@ -29,7 +31,7 @@ use dls_service::{
 use dls_sim::{EventKind, EventRecord};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Number, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 
 /// Generated values per type.
@@ -323,34 +325,8 @@ fn push_frame(rng: &mut ChaCha8Rng) -> PushFrame {
     PushFrame { push }
 }
 
-/// Both trees hold the same finite floats bit for bit; a non-finite float
-/// and `null` are one value (that is how either prints).
-fn same_bits(a: &Value, b: &Value) -> bool {
-    fn null(v: &Value) -> &Value {
-        match v {
-            Value::Number(Number::Float(f)) if !f.is_finite() => &Value::Null,
-            other => other,
-        }
-    }
-    match (null(a), null(b)) {
-        (Value::Number(Number::Float(x)), Value::Number(Number::Float(y))) => {
-            x.to_bits() == y.to_bits()
-        }
-        (Value::Array(x), Value::Array(y)) => {
-            x.len() == y.len() && x.iter().zip(y).all(|(a, b)| same_bits(a, b))
-        }
-        (Value::Object(x), Value::Object(y)) => {
-            x.len() == y.len()
-                && x.iter()
-                    .zip(y)
-                    .all(|((ka, a), (kb, b))| ka == kb && same_bits(a, b))
-        }
-        (a, b) => a == b,
-    }
-}
-
 /// The law for one value: its text reads back to a value that prints the
-/// same text and holds the same floats. Returns the text.
+/// same text. Returns the text.
 fn law<T: Serialize + Deserialize>(x: &T, case: &str) -> String {
     let printed = serde_json::to_string(x).unwrap();
     let back: T = serde_json::from_str(&printed)
@@ -359,10 +335,6 @@ fn law<T: Serialize + Deserialize>(x: &T, case: &str) -> String {
         serde_json::to_string(&back).unwrap(),
         printed,
         "{case}: printed differently after a round trip"
-    );
-    assert!(
-        same_bits(&x.to_value(), &back.to_value()),
-        "{case}: a float moved reading back {printed}"
     );
     printed
 }
@@ -375,7 +347,6 @@ fn law_as_frame<T: Serialize>(x: &T, case: &str, pick: fn(ServerFrame) -> Option
         .unwrap_or_else(|e| panic!("{case}: {e} reading back {printed}"));
     let back = pick(frame).unwrap_or_else(|| panic!("{case}: {printed} read as the other frame"));
     assert_eq!(serde_json::to_string(&back).unwrap(), printed, "{case}");
-    assert!(same_bits(&x.to_value(), &back.to_value()), "{case}");
 }
 
 /// Runs `check` on `CASES` values of `make`, each from its own seed.
