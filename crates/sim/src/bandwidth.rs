@@ -185,7 +185,7 @@ pub fn allocate_rates(local_bw: &[f64], flows: &[FlowSpec]) -> Vec<f64> {
 /// Progressive filling raises every unfrozen increment together and
 /// freezes a link's flows when it saturates, so it meets both; and only
 /// one allocation does, because the increments are then max-min fair over
-/// the capacity the floors leave. `O(F²)`; for tests, not hot paths.
+/// the capacity the floors leave. `O(F + links)`; for tests, not hot paths.
 pub fn certify_max_min(local_bw: &[f64], flows: &[FlowSpec], rates: &[f64]) -> Result<(), String> {
     let tol = |x: f64| 1e-7 * (1.0 + x);
     let links = |f: &FlowSpec| [f.src.index(), f.dst.index()];
@@ -209,6 +209,16 @@ pub fn certify_max_min(local_bw: &[f64], flows: &[FlowSpec], rates: &[f64]) -> R
         .zip(rates)
         .map(|((f, &floor), &r)| r - floor * scale[f.src.index()].min(scale[f.dst.index()]))
         .collect();
+    // "Every increment on `l` is at most `e_i + tol`" is "the largest is".
+    // A NaN increment is kept as the largest: it is at most no bound.
+    let mut largest = vec![f64::NEG_INFINITY; local_bw.len()];
+    for (f, &e) in flows.iter().zip(&increment) {
+        for l in links(f) {
+            if e > largest[l] || e.is_nan() {
+                largest[l] = e;
+            }
+        }
+    }
 
     for (i, f) in flows.iter().enumerate() {
         let (r, e) = (rates[i], increment[i]);
@@ -233,9 +243,7 @@ pub fn certify_max_min(local_bw: &[f64], flows: &[FlowSpec], rates: &[f64]) -> R
         }
         let bottleneck = links(f).into_iter().any(|l| {
             used[l] >= local_bw[l] - tol(local_bw[l])
-                && flows.iter().zip(&increment).all(|(other, &e)| {
-                    !links(other).contains(&l) || e <= increment[i] + tol(local_bw[l])
-                })
+                && largest[l] <= increment[i] + tol(local_bw[l])
         });
         if !bottleneck {
             return Err(format!(
