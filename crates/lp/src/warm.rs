@@ -542,8 +542,10 @@ impl WarmSimplex {
             }
             self.sf.lo_shift[j] = lo;
         }
-        if up.is_finite() {
-            let r = self.bound_rows[j].expect("finite upper bound has a bound row");
+        // A column has a bound row exactly when it was lowered with a
+        // finite upper bound, and the check above keeps that finiteness.
+        debug_assert_eq!(self.bound_rows[j].is_some(), up.is_finite());
+        if let Some(r) = self.bound_rows[j] {
             debug_assert_eq!(self.sf.row_scale_sign(r), (1.0, 1.0));
             let delta = (up - lo) - self.sf.b[r];
             if delta != 0.0 {
@@ -666,12 +668,9 @@ impl WarmSimplex {
             return Ok(());
         }
         if let Some(factor) = &mut self.factor {
-            if factor.in_basis[j] {
-                let pos = factor
-                    .basis
-                    .iter()
-                    .position(|&b| b == j)
-                    .expect("in_basis implies a basis slot");
+            // `in_basis[j]` holds exactly when `j` has a basis slot.
+            let slot = factor.in_basis[j].then(|| factor.basis.iter().position(|&b| b == j));
+            if let Some(Some(pos)) = slot {
                 let (repair, _) =
                     factor.repair_basic_column(&self.sf, &self.slack_cols, row, pos, delta_scaled);
                 match repair {
@@ -691,10 +690,9 @@ impl WarmSimplex {
     /// [`RevisedSimplex::solve`] of the current model.
     pub fn solve(&mut self) -> Result<Solution, LpError> {
         self.stats.solves += 1;
-        if matches!(self.injected.first(), Some(InjectedFault::Solve(_))) {
-            let InjectedFault::Solve(e) = self.injected.remove(0) else {
-                unreachable!()
-            };
+        if let Some(InjectedFault::Solve(e)) = self.injected.first() {
+            let e = e.clone();
+            self.injected.remove(0);
             return Err(e);
         }
         let solution = match self.try_warm() {
@@ -739,10 +737,9 @@ impl WarmSimplex {
     fn try_warm(&mut self) -> Option<Result<Solution, LpError>> {
         let mut factor = self.factor.take()?;
         let b_scale = self.sf.b_scale();
-        if matches!(self.injected.first(), Some(InjectedFault::WarmAttempt(_))) {
-            let InjectedFault::WarmAttempt(e) = self.injected.remove(0) else {
-                unreachable!()
-            };
+        if let Some(InjectedFault::WarmAttempt(e)) = self.injected.first() {
+            let e = e.clone();
+            self.injected.remove(0);
             // The taken factor is dropped, exactly as a real breakdown
             // leaves the context: the fallback cold solve rebuilds it.
             return Some(Err(e));
