@@ -411,10 +411,6 @@ const SNAPSHOT_HEAD: [&str; 8] = [
     "link_max_conn",
 ];
 
-/// A snapshot's top-level entries as text: the first value of every key,
-/// in text order.
-type Entries<'a> = Vec<(Cow<'a, str>, &'a str)>;
-
 impl ScenarioSnapshot {
     /// The values of [`SNAPSHOT_HEAD`]'s keys.
     fn head(&self) -> [&dyn Serialize; 8] {
@@ -446,69 +442,47 @@ impl ScenarioSnapshot {
     /// is checked for syntax first.
     pub fn from_json(json: &str) -> Result<ScenarioSnapshot, ScenarioError> {
         let error = |e: DeError| ScenarioError::Snapshot(e.to_string());
+        // The first value of every top-level key, as text. A text that
+        // holds no object has none; it is only checked.
+        let mut entries: Vec<(Cow<str>, &str)> = Vec::new();
         let mut p = Parser::new(json);
-        // A text that holds no object is checked and then has no version.
-        let entries = if json
+        if json
             .trim_start_matches([' ', '\t', '\n', '\r'])
             .starts_with('{')
         {
-            ScenarioSnapshot::entries(&mut p).map_err(error)?
+            p.object("object", |p, key| {
+                let text = p.skipped_text()?;
+                if !entries.iter().any(|(seen, _)| *seen == key) {
+                    entries.push((key, text));
+                }
+                Ok(())
+            })
         } else {
-            p.skip_value().map_err(error)?;
-            Vec::new()
-        };
-        p.finish().map_err(error)?;
-        let version = entries
-            .iter()
-            .find(|(key, _)| key == "version")
-            .and_then(|(_, text)| match Parser::new(text).number_here() {
-                Ok(Some(Number::Int(v))) => Some(v),
-                _ => None,
-            });
-        match version {
-            Some(v) if v == SCENARIO_SNAPSHOT_VERSION as i128 => {}
-            Some(v) => {
+            p.skip_value()
+        }
+        .and_then(|()| p.finish())
+        .map_err(error)?;
+        match Parser::new(text(&entries, "version")).number_here() {
+            Ok(Some(Number::Int(v))) if v == SCENARIO_SNAPSHOT_VERSION as i128 => {}
+            Ok(Some(Number::Int(v))) => {
                 return Err(ScenarioError::Snapshot(format!(
                     "snapshot schema version {v} is not supported by this build \
                      (it reads version {SCENARIO_SNAPSHOT_VERSION}); re-take the \
                      snapshot with a matching build"
                 )));
             }
-            None => {
+            _ => {
                 return Err(ScenarioError::Snapshot(
                     "snapshot carries no integer `version` field — not a scenario snapshot".into(),
                 ));
             }
         }
-        ScenarioSnapshot::from_entries(&entries).map_err(error)
-    }
-
-    fn entries<'a>(p: &mut Parser<'a>) -> Result<Entries<'a>, DeError> {
-        let mut entries: Entries<'a> = Vec::new();
-        p.object("object for ScenarioSnapshot", |p, key| {
-            let text = p.skipped_text()?;
-            if !entries.iter().any(|(seen, _)| *seen == key) {
-                entries.push((key, text));
-            }
-            Ok(())
-        })?;
-        Ok(entries)
-    }
-
-    /// Head fields and `policy_state` by key, in field order; every other
-    /// key is the session state's, which reads them as one object and
-    /// ignores the ones it does not know. A key the text lacks reads as
-    /// `null`.
-    fn from_entries(entries: &Entries<'_>) -> Result<ScenarioSnapshot, DeError> {
-        fn field<T: Deserialize>(entries: &Entries<'_>, key: &str) -> Result<T, DeError> {
-            let text = entries
-                .iter()
-                .find(|(seen, _)| seen == key)
-                .map_or("null", |(_, text)| text);
-            serde_json::from_str(text).map_err(|e| e.in_field(&format!("ScenarioSnapshot.{key}")))
-        }
+        // Head fields and `policy_state` by key, in field order; every other
+        // key is the session state's, which reads them as one object and
+        // ignores the ones it does not know. A key the text lacks reads as
+        // `null`.
         let mut state = String::from("{");
-        for (key, text) in entries {
+        for (key, text) in &entries {
             if key == "policy_state" || SNAPSHOT_HEAD.contains(&&**key) {
                 continue;
             }
@@ -520,19 +494,39 @@ impl ScenarioSnapshot {
             state.push_str(text);
         }
         state.push('}');
-        Ok(ScenarioSnapshot {
-            version: field(entries, "version")?,
-            scenario: field(entries, "scenario")?,
-            epoch: field(entries, "epoch")?,
-            live: field(entries, "live")?,
-            cluster_speed: field(entries, "cluster_speed")?,
-            cluster_local: field(entries, "cluster_local")?,
-            link_bw: field(entries, "link_bw")?,
-            link_max_conn: field(entries, "link_max_conn")?,
-            state: serde_json::from_str(&state)?,
-            policy_state: field(entries, "policy_state")?,
-        })
+        let snapshot = || {
+            Ok(ScenarioSnapshot {
+                version: field(&entries, "version")?,
+                scenario: field(&entries, "scenario")?,
+                epoch: field(&entries, "epoch")?,
+                live: field(&entries, "live")?,
+                cluster_speed: field(&entries, "cluster_speed")?,
+                cluster_local: field(&entries, "cluster_local")?,
+                link_bw: field(&entries, "link_bw")?,
+                link_max_conn: field(&entries, "link_max_conn")?,
+                state: serde_json::from_str(&state)?,
+                policy_state: field(&entries, "policy_state")?,
+            })
+        };
+        snapshot().map_err(error)
     }
+}
+
+/// A snapshot's top-level keys, each with the text of its first value.
+type Entries<'a> = [(Cow<'a, str>, &'a str)];
+
+/// The text `key` has in `entries`, `null` when it has none.
+fn text<'a>(entries: &Entries<'a>, key: &str) -> &'a str {
+    entries
+        .iter()
+        .find(|(seen, _)| seen == key)
+        .map_or("null", |(_, text)| text)
+}
+
+/// The snapshot field `key` from its text in `entries`.
+fn field<T: Deserialize>(entries: &Entries<'_>, key: &str) -> Result<T, DeError> {
+    serde_json::from_str(text(entries, key))
+        .map_err(|e| e.in_field(&format!("ScenarioSnapshot.{key}")))
 }
 
 impl Serialize for ScenarioSnapshot {
@@ -552,14 +546,6 @@ impl Serialize for ScenarioSnapshot {
         out.push_str(",\"policy_state\":");
         self.policy_state.write_json(out);
         out.push('}');
-    }
-}
-
-/// The typed read of [`ScenarioSnapshot::from_json`], without its version
-/// probe.
-impl Deserialize for ScenarioSnapshot {
-    fn from_json(p: &mut Parser<'_>) -> Result<Self, DeError> {
-        ScenarioSnapshot::from_entries(&ScenarioSnapshot::entries(p)?)
     }
 }
 
