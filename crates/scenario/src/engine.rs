@@ -398,31 +398,18 @@ pub struct ScenarioSnapshot {
     policy_state: PolicyState,
 }
 
-/// The keys a [`ScenarioSnapshot`] writes before the session state's, in
-/// wire order.
-const SNAPSHOT_HEAD: [&str; 8] = [
-    "version",
-    "scenario",
-    "epoch",
-    "live",
-    "cluster_speed",
-    "cluster_local",
-    "link_bw",
-    "link_max_conn",
-];
-
 impl ScenarioSnapshot {
-    /// The values of [`SNAPSHOT_HEAD`]'s keys.
-    fn head(&self) -> [&dyn Serialize; 8] {
+    /// The entries written before the session state, in wire order.
+    fn head(&self) -> [(&'static str, &dyn Serialize); 8] {
         [
-            &self.version,
-            &self.scenario,
-            &self.epoch,
-            &self.live,
-            &self.cluster_speed,
-            &self.cluster_local,
-            &self.link_bw,
-            &self.link_max_conn,
+            ("version", &self.version),
+            ("scenario", &self.scenario),
+            ("epoch", &self.epoch),
+            ("live", &self.live),
+            ("cluster_speed", &self.cluster_speed),
+            ("cluster_local", &self.cluster_local),
+            ("link_bw", &self.link_bw),
+            ("link_max_conn", &self.link_max_conn),
         ]
     }
 
@@ -477,23 +464,9 @@ impl ScenarioSnapshot {
                 ));
             }
         }
-        // Head fields and `policy_state` by key, in field order; every other
-        // key is the session state's, which reads them as one object and
-        // ignores the ones it does not know. A key the text lacks reads as
-        // `null`.
-        let mut state = String::from("{");
-        for (key, text) in &entries {
-            if key == "policy_state" || SNAPSHOT_HEAD.contains(&&**key) {
-                continue;
-            }
-            if state.len() > 1 {
-                state.push(',');
-            }
-            serde::ser::write_str(key, &mut state);
-            state.push(':');
-            state.push_str(text);
-        }
-        state.push('}');
+        // Head fields and `policy_state` by key, in field order (a key the
+        // text lacks reads as `null`); the session state reads its own keys
+        // out of the same object and skips the rest.
         let snapshot = || {
             Ok(ScenarioSnapshot {
                 version: field(&entries, "version")?,
@@ -504,7 +477,7 @@ impl ScenarioSnapshot {
                 cluster_local: field(&entries, "cluster_local")?,
                 link_bw: field(&entries, "link_bw")?,
                 link_max_conn: field(&entries, "link_max_conn")?,
-                state: serde_json::from_str(&state)?,
+                state: serde_json::from_str(json)?,
                 policy_state: field(&entries, "policy_state")?,
             })
         };
@@ -531,7 +504,7 @@ fn field<T: Deserialize>(entries: &Entries<'_>, key: &str) -> Result<T, DeError>
 
 impl Serialize for ScenarioSnapshot {
     fn write_json(&self, out: &mut String) {
-        for (i, (key, v)) in SNAPSHOT_HEAD.iter().zip(self.head()).enumerate() {
+        for (i, (key, v)) in self.head().into_iter().enumerate() {
             out.push(if i == 0 { '{' } else { ',' });
             serde::ser::write_str(key, out);
             out.push(':');
