@@ -57,5 +57,5 @@ pub use allocation::{Allocation, ConstraintViolation, FractionalAllocation};
 pub use bottleneck::BottleneckReport;
 pub use error::SolveError;
 pub use formulation::{LpFormulation, LpIndex, PinDelta};
-pub use problem::{Objective, ProblemInstance};
+pub use problem::{paper_shape_instance, Objective, ProblemInstance};
 pub use residual::ResidualPlatform;

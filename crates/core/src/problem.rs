@@ -2,7 +2,7 @@
 //! objective.
 
 use crate::error::SolveError;
-use dls_platform::{ClusterId, Platform};
+use dls_platform::{ClusterId, Platform, PlatformConfig, PlatformGenerator};
 use serde::{Deserialize, Serialize};
 
 /// The two objective functions of §3.1.
@@ -16,6 +16,31 @@ pub enum Objective {
     /// clusters that "do not wish to execute" an application, which only
     /// makes sense if they do not drag the min to zero.
     MaxMin,
+}
+
+/// The paper-shape instance: a generated platform at the centre of the
+/// paper's Table 1 parameter grid with `k` clusters, MAXMIN, and payoffs
+/// spread over `U[0.5, 1.5]` so that transfers matter (uniform payoffs on
+/// equal-speed clusters keep everything local). Deterministic in `seed`;
+/// the scenario catalog, the simulator's and LP's goldens and the benchmark
+/// all draw their paper-shape inputs from here.
+pub fn paper_shape_instance(k: usize, seed: u64) -> ProblemInstance {
+    let cfg = PlatformConfig {
+        num_clusters: k,
+        connectivity: 0.4,
+        heterogeneity: 0.4,
+        mean_local_bw: 250.0,
+        mean_backbone_bw: 30.0,
+        mean_max_connections: 15.0,
+        speed: 100.0,
+        relay_routers: 0,
+    };
+    ProblemInstance::with_spread_payoffs(
+        PlatformGenerator::new(seed).generate(&cfg),
+        Objective::MaxMin,
+        0.5,
+        seed ^ 0x9e37_79b9_7f4a_7c15,
+    )
 }
 
 /// A steady-state scheduling instance: `K` divisible-load applications, one

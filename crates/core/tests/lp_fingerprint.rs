@@ -13,9 +13,9 @@
 
 use dls_core::formulation::LpFormulation;
 use dls_core::heuristics::Lprr;
-use dls_core::{Objective, ProblemInstance};
+use dls_core::{paper_shape_instance, Objective, ProblemInstance};
 use dls_lp::{BasisRepr, RevisedSimplex, Solution, Status, WarmSimplex};
-use dls_platform::{ClusterId, PlatformBuilder, PlatformConfig, PlatformGenerator};
+use dls_platform::{ClusterId, PlatformBuilder};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::fmt::Write as _;
@@ -44,27 +44,6 @@ fn check(name: &str, actual: &str) {
         actual.lines().count(),
         "{name}: line count moved"
     );
-}
-
-/// The paper-shape platform (`dls_scenario::catalog::paper_shape_instance`,
-/// restated here because `dls_scenario` depends on this crate).
-fn paper_shape(k: usize, seed: u64) -> ProblemInstance {
-    let cfg = PlatformConfig {
-        num_clusters: k,
-        connectivity: 0.4,
-        heterogeneity: 0.4,
-        mean_local_bw: 250.0,
-        mean_backbone_bw: 30.0,
-        mean_max_connections: 15.0,
-        speed: 100.0,
-        relay_routers: 0,
-    };
-    ProblemInstance::with_spread_payoffs(
-        PlatformGenerator::new(seed).generate(&cfg),
-        Objective::MaxMin,
-        0.5,
-        seed ^ 0x9e37_79b9_7f4a_7c15,
-    )
 }
 
 /// Fully-meshed islands of 8 clusters with no inter-island links — the
@@ -241,19 +220,19 @@ fn fingerprint(name: &str, base: &ProblemInstance) {
 
 #[test]
 fn paper_k12() {
-    fingerprint("paper_k12.txt", &paper_shape(12, 3));
+    fingerprint("paper_k12.txt", &paper_shape_instance(12, 3));
 }
 
 #[test]
 fn paper_k20() {
-    fingerprint("paper_k20.txt", &paper_shape(20, 5));
+    fingerprint("paper_k20.txt", &paper_shape_instance(20, 5));
 }
 
 /// The warm model at K = 44 is past `SPARSE_MIN_ROWS`: `Auto` is the sparse
 /// LU here, as in `plan_paper` and `online_drift`.
 #[test]
 fn paper_k44() {
-    fingerprint("paper_k44.txt", &paper_shape(44, 11));
+    fingerprint("paper_k44.txt", &paper_shape_instance(44, 11));
 }
 
 #[test]

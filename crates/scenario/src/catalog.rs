@@ -17,7 +17,7 @@
 use crate::events::{ArrivalProcess, JobSpec, PlatformChange, PlatformEvent, Scenario};
 use dls_core::adaptive::DriftConfig;
 use dls_core::{Objective, ProblemInstance};
-use dls_platform::{ClusterId, PlatformBuilder, PlatformConfig, PlatformGenerator};
+use dls_platform::{ClusterId, PlatformBuilder};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -65,26 +65,10 @@ pub fn catalog() -> Vec<CatalogEntry> {
 }
 
 /// The paper-shape platform the catalog draws (Table 1 grid centre), with
-/// spread payoffs so transfers matter. Public so the bench harness measures
-/// exactly the platforms the catalog replays.
-pub fn paper_shape_instance(k: usize, seed: u64) -> ProblemInstance {
-    let cfg = PlatformConfig {
-        num_clusters: k,
-        connectivity: 0.4,
-        heterogeneity: 0.4,
-        mean_local_bw: 250.0,
-        mean_backbone_bw: 30.0,
-        mean_max_connections: 15.0,
-        speed: 100.0,
-        relay_routers: 0,
-    };
-    ProblemInstance::with_spread_payoffs(
-        PlatformGenerator::new(seed).generate(&cfg),
-        Objective::MaxMin,
-        0.5,
-        seed ^ 0x9e37_79b9_7f4a_7c15,
-    )
-}
+/// spread payoffs so transfers matter. Re-exported from `dls_core` so the
+/// benchmark and the tests measure exactly the platforms the catalog
+/// replays.
+pub use dls_core::paper_shape_instance;
 
 /// Clusters per island in [`island_instance`]. Eight fully-meshed clusters
 /// give each island 28 backbone links and 56 routed pairs — enough coupling
