@@ -11,9 +11,8 @@
 //! bench_trend --diff BASELINE FRESH [--tol REL]
 //! ```
 //!
-//! With no arguments, checks the four committed artifacts in the current
-//! directory (`BENCH_sim.json`, `BENCH_lp.json`, `BENCH_scenario.json`,
-//! `BENCH_service.json`).
+//! With no arguments, checks the two committed artifacts in the current
+//! directory (`BENCH_lp.json`, `BENCH_service.json`).
 //!
 //! `--diff` compares a freshly regenerated artifact against its committed
 //! baseline field by field, skipping wall-clock timing keys, and **warns**
@@ -31,15 +30,10 @@ fn main() {
         return;
     }
     let files: Vec<String> = if args.is_empty() {
-        [
-            "BENCH_sim.json",
-            "BENCH_lp.json",
-            "BENCH_scenario.json",
-            "BENCH_service.json",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect()
+        ["BENCH_lp.json", "BENCH_service.json"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect()
     } else {
         args
     };

@@ -4,18 +4,18 @@
 //! speedup floors outside the quick preset).
 //!
 //! ```text
-//! cargo run --release -p dls_bench --bin perf -- [sim] [lp] [scenario] [service] \
+//! cargo run --release -p dls_bench --bin perf -- [lp] [service] \
 //!     [--preset quick|paper-shape|full] [--seed N] [--threads N] [--out DIR]
 //! ```
 //!
-//! With no harness named, all four run. `--threads` sizes `lp`'s sharded
+//! With no harness named, both run. `--threads` sizes `lp`'s sharded
 //! pin sweep. Every artifact is written before it is gated; the binary
 //! exits 1 once all named harnesses ran if any gate failed. Everything in
 //! an artifact except its timings is deterministic for a fixed `--seed`.
 
-use dls_bench::{lp_perf, perf, scenario_perf, service_perf, Cli};
+use dls_bench::{lp_perf, service_perf, Cli};
 
-const HARNESSES: [&str; 4] = ["sim", "lp", "scenario", "service"];
+const HARNESSES: [&str; 2] = ["lp", "service"];
 
 fn main() {
     let (cli, mut names) = Cli::parse_with_positionals();
@@ -30,15 +30,7 @@ fn main() {
     for name in &names {
         let file = format!("BENCH_{name}.json");
         let violations = match name.as_str() {
-            "sim" => cli.publish(&file, &perf::run(cli.preset, cli.seed)),
             "lp" => cli.publish(&file, &lp_perf::run(cli.preset, cli.seed, cli.threads)),
-            "scenario" => match scenario_perf::run(cli.preset, cli.seed) {
-                Ok(run) => cli.publish(&file, &run),
-                Err(e) => {
-                    eprintln!("error: scenario harness failed: {e}");
-                    vec![e.to_string()]
-                }
-            },
             _ => cli.publish(&file, &service_perf::run(cli.preset, cli.seed)),
         };
         failed |= !violations.is_empty();

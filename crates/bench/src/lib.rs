@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 
-//! The fast-path agreement harnesses behind `perf`, and the CLI plumbing
-//! shared with the figure/table regeneration binaries.
+//! The LP and service agreement harnesses behind `perf`, and the CLI
+//! plumbing shared with the figure/table regeneration binaries.
 //!
 //! Every binary accepts:
 //!
@@ -24,8 +24,6 @@ use std::io;
 use std::path::PathBuf;
 
 pub mod lp_perf;
-pub mod perf;
-pub mod scenario_perf;
 pub mod service_perf;
 pub mod trend;
 
@@ -198,7 +196,7 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: <bin> [--preset quick|paper-shape|full] [--seed N] \
          [--threads N] [--out DIR] [--ablation]\n       \
-         perf [sim] [lp] [scenario] [service] [options]"
+         perf [lp] [service] [options]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
@@ -234,6 +232,20 @@ pub(crate) mod tests {
         assert!(drift.is_empty(), "{drift:?}");
     }
 
+    /// The smallest artifact the gate reads: the envelope and one flag.
+    #[derive(Serialize)]
+    struct Flagged {
+        schema: &'static str,
+        preset: &'static str,
+        seed: u64,
+        entries: Vec<Entry>,
+    }
+
+    #[derive(Serialize)]
+    struct Entry {
+        objectives_agree: bool,
+    }
+
     #[test]
     fn publish_writes_the_artifact_before_gating_it() {
         let out = std::env::temp_dir().join(format!("dls-bench-publish-{}", std::process::id()));
@@ -242,26 +254,33 @@ pub(crate) mod tests {
             preset: Preset::Quick,
             ..Cli::default()
         };
-        let mut doctored = perf::run(Preset::Quick, 3);
-        assert!(cli.publish("BENCH_sim.json", &doctored).is_empty());
-        doctored.entries[0].engines_agree = false;
-        let violations = cli.publish("BENCH_sim.json", &doctored);
-        let written = std::fs::read_to_string(out.join("BENCH_sim.json")).unwrap();
+        let mut doctored = Flagged {
+            schema: "dls-bench/test/v1",
+            preset: "quick",
+            seed: 3,
+            entries: vec![Entry {
+                objectives_agree: true,
+            }],
+        };
+        assert!(cli.publish("BENCH_test.json", &doctored).is_empty());
+        doctored.entries[0].objectives_agree = false;
+        let violations = cli.publish("BENCH_test.json", &doctored);
+        let written = std::fs::read_to_string(out.join("BENCH_test.json")).unwrap();
         let _ = std::fs::remove_dir_all(&out);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(
-            violations[0].contains("entries[0]/engines_agree"),
+            violations[0].contains("entries[0]/objectives_agree"),
             "{violations:?}"
         );
-        assert!(written.contains("\"engines_agree\": false"), "{written}");
-        assert_envelope("BENCH_sim.json", &written);
+        assert!(written.contains("\"objectives_agree\": false"), "{written}");
+        assert_envelope("BENCH_test.json", &written);
 
         // An output path that cannot be a directory is a violation too.
         let blocked = Cli {
             out: PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml"),
             ..cli
         };
-        let v = blocked.publish("BENCH_sim.json", &doctored);
+        let v = blocked.publish("BENCH_test.json", &doctored);
         assert!(v[0].contains("cannot write"), "{v:?}");
     }
 }

@@ -18,37 +18,28 @@
 //! ungated `crossover` section times one cold solve per engine (dense
 //! tableau, dense-inverse revised, sparse-LU revised) across K: the table
 //! `dls_lp::AUTO_DENSE_LIMIT` is read from. [`LpPerfRun`] is
-//! `BENCH_lp.json`, the LP-side companion of `BENCH_sim.json`.
+//! `BENCH_lp.json`.
+//!
+//! Every scale replays [`paper_shape_instance`]: its spread payoffs make
+//! pins bind (with uniform payoffs every cluster serves its own
+//! application locally, no transfer pays off, and the replay would time
+//! trivially-warm solves).
 
 use crate::{preset_name, ratio, timed};
 use dls_core::heuristics::{Lprr, PinSweepReport};
-use dls_core::{LpFormulation, Objective, ProblemInstance};
+use dls_core::{paper_shape_instance, LpFormulation, ProblemInstance};
 use dls_experiments::Preset;
 use dls_lp::{
     resolve_engine, solve_with, tableau_size, BasisRepr, BranchBound, BranchBoundConfig,
     DenseSimplex, Engine, FactorStats, Model, RevisedSimplex, Solution, Status, WarmSimplex,
     WarmStats,
 };
-use dls_platform::{ClusterId, PlatformGenerator};
+use dls_platform::ClusterId;
 use dls_scenario::catalog::{island_instance, ISLAND};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 use std::time::Instant;
-
-/// Deterministic MAXMIN instance with *spread* payoffs, like the simulation
-/// perf harness uses: uniform payoffs are degenerate here (every cluster
-/// serves its own application locally, no transfer pays off, and no pin
-/// ever binds — the whole replay would measure trivially-warm solves).
-pub fn lp_instance(k: usize, seed: u64) -> ProblemInstance {
-    let platform = PlatformGenerator::new(seed).generate(&crate::perf::paper_shape_config(k));
-    ProblemInstance::with_spread_payoffs(
-        platform,
-        Objective::MaxMin,
-        0.5,
-        seed ^ 0x9e37_79b9_7f4a_7c15,
-    )
-}
 
 /// Cluster counts for the LPRR replay, per preset. The paper caps LPRR at
 /// small K because of exactly this cost; K = 35 is ~1200 LP solves.
@@ -456,7 +447,7 @@ pub struct EngineTiming {
 const CROSSOVER_SAMPLES: (usize, usize, f64) = (9, 999, 100.0);
 
 fn crossover_entry(k: usize, seed: u64) -> CrossoverEntry {
-    let f = LpFormulation::relaxation(&lp_instance(k, seed)).expect("relaxation");
+    let f = LpFormulation::relaxation(&paper_shape_instance(k, seed)).expect("relaxation");
     let (rows, cells) = tableau_size(&f.model);
     let (min, max, budget_ms) = CROSSOVER_SAMPLES;
     let median_ms = |solve: &dyn Fn(&Model) -> Result<Solution, dls_lp::LpError>| {
@@ -527,7 +518,7 @@ fn timed_best<T>(runs: usize, mut f: impl FnMut() -> T) -> (T, f64) {
 pub fn run(preset: Preset, seed: u64, threads: usize) -> LpPerfRun {
     let mut entries = Vec::new();
     for &k in cluster_counts(preset) {
-        let inst = lp_instance(k, seed);
+        let inst = paper_shape_instance(k, seed);
         let pins = pin_sequence(&inst, seed ^ (k as u64).wrapping_mul(0x9e37_79b9));
         let f = LpFormulation::relaxation_warm(&inst).expect("warm formulation");
         // Label the engine the cold replay actually resolves (from the
@@ -578,7 +569,7 @@ pub fn run(preset: Preset, seed: u64, threads: usize) -> LpPerfRun {
 
     let mut branch_bound = Vec::new();
     for &k in bnb_cluster_counts(preset) {
-        let inst = lp_instance(k, seed);
+        let inst = paper_shape_instance(k, seed);
         let f = LpFormulation::mixed(&inst).expect("mixed formulation");
         let warm_solver = BranchBound::default();
         let cold_solver = BranchBound::new(BranchBoundConfig { warm_start: false });
@@ -625,7 +616,7 @@ mod tests {
 
     #[test]
     fn pin_sequence_is_deterministic_and_budget_safe() {
-        let inst = lp_instance(8, 7);
+        let inst = paper_shape_instance(8, 7);
         let a = pin_sequence(&inst, 7);
         let b = pin_sequence(&inst, 7);
         assert_eq!(a, b);
@@ -677,7 +668,7 @@ mod tests {
 
     #[test]
     fn replays_agree_on_a_small_scale() {
-        let inst = lp_instance(6, 3);
+        let inst = paper_shape_instance(6, 3);
         let pins = pin_sequence(&inst, 3);
         let cold = replay_cold(&inst, &pins);
         let (warm, stats) = replay_warm(&inst, &pins, true);

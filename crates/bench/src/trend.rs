@@ -1,8 +1,8 @@
 //! The one gate over the `BENCH_*.json` artifacts.
 //!
 //! The harnesses record two kinds of promises next to their timings:
-//! cross-pipeline **agreement** flags (`engines_agree`, `objectives_agree`,
-//! `reports_agree`, `events_agree`, …) and **speedup** ratios.
+//! cross-pipeline **agreement** flags (`objectives_agree`, `sweep_agree`,
+//! `reports_agree`, `recovery_agree`, …) and **speedup** ratios.
 //! [`check_artifact`] turns both into a gate: it walks the whole tree for
 //! any `*_agree` key that is not `true`, and applies the [`FLOORS`] table —
 //! the only place a floor is written. The `perf` binary calls it on each
@@ -13,16 +13,16 @@ use serde_json::{Number, Value};
 /// Every speedup floor: `(schema, section, key, floor)`. Each entry of the
 /// artifact's `section` array must carry `timing_ms.<key> ≥ floor`. The
 /// floors are the acceptance criteria the artifacts were introduced with:
-/// the simulator's incremental engine ≥ 3× the full recompute; the
-/// scenario's incremental + warm pipeline and the warm LPRR replay ≥ 5×
-/// their cold references; the sparse LU cold solve ≥ 10× the dense inverse
-/// at K = 200 (larger K skip dense and say so with `dense_skipped`); and the
-/// LP's warm B&B merely must not *lose* to cold now that tiny models fall
-/// back — its programs time in ~0.1 ms, so 0.8 leaves ±20 % for timer
-/// jitter while still catching the ~2.5× warm-overhead regression.
+/// the warm LPRR replay ≥ 5× its cold reference; the sparse LU cold solve
+/// ≥ 10× the dense inverse at K = 200 (larger K skip dense and say so with
+/// `dense_skipped`); and the LP's warm B&B merely must not *lose* to cold
+/// now that tiny models fall back — its programs time in ~0.1 ms, so 0.8
+/// leaves ±20 % for timer jitter while still catching the ~2.5×
+/// warm-overhead regression. The simulator and the scenario pipeline have
+/// no row: release tests hold their fast paths to the reference ones
+/// (`engines_agree_on_reports`, `pipelines_agree.rs`), and `dls-benchmark`'s
+/// `sim_periodic` and `online_drift` time them.
 pub const FLOORS: &[(&str, &str, &str, f64)] = &[
-    ("dls-bench/perf/v1", "entries", "speedup", 3.0),
-    ("dls-bench/scenario/v1", "entries", "speedup", 5.0),
     ("dls-bench/lp-perf/v2", "entries", "speedup", 5.0),
     (
         "dls-bench/lp-perf/v2",
@@ -213,17 +213,17 @@ mod tests {
     #[test]
     fn clean_artifact_passes() {
         let json = r#"{
-            "schema": "dls-bench/scenario/v1",
+            "schema": "dls-bench/lp-perf/v2",
             "preset": "paper-shape",
             "entries": [
-                {"trace": "steady", "reports_agree": true, "events_agree": true,
-                 "timing_ms": {"speedup": 30.0}},
-                {"trace": "drift", "reports_agree": true, "events_agree": true,
-                 "timing_ms": {"speedup": 7.0}}
-            ]
+                {"k": 10, "objectives_agree": true, "timing_ms": {"speedup": 30.0}},
+                {"k": 20, "objectives_agree": true, "timing_ms": {"speedup": 7.0}}
+            ],
+            "sparse": [{"objectives_agree": true, "dense_skipped": true}],
+            "branch_bound": [{"objectives_agree": true, "timing_ms": {"speedup": 1.0}}]
         }"#;
         assert_eq!(
-            check_artifact("BENCH_scenario.json", json).unwrap(),
+            check_artifact("BENCH_lp.json", json).unwrap(),
             vec![] as Vec<String>
         );
     }
@@ -303,10 +303,11 @@ mod tests {
     #[test]
     fn floors_gate_non_quick_presets_only() {
         let slow = r#"{
-            "schema": "dls-bench/scenario/v1",
+            "schema": "dls-bench/lp-perf/v2",
             "preset": "PRESET",
-            "entries": [{"reports_agree": true, "events_agree": true,
-                         "timing_ms": {"speedup": 1.5}}]
+            "entries": [{"objectives_agree": true, "timing_ms": {"speedup": 1.5}}],
+            "sparse": [],
+            "branch_bound": []
         }"#;
         let quick = check_artifact("a.json", &slow.replace("PRESET", "quick")).unwrap();
         assert!(quick.is_empty(), "{quick:?}");
@@ -316,82 +317,75 @@ mod tests {
     }
 
     #[test]
-    fn the_committed_artifacts_shape_checks() {
+    fn a_missing_timing_block_is_a_violation() {
         // Guard the walker against schema drift: a missing timing block is
         // itself a violation, not a silent pass.
         let json = r#"{
-            "schema": "dls-bench/perf/v1",
+            "schema": "dls-bench/lp-perf/v2",
             "preset": "full",
-            "entries": [{"engines_agree": true}]
+            "entries": [{"objectives_agree": true}],
+            "sparse": [],
+            "branch_bound": []
         }"#;
-        let v = check_artifact("BENCH_sim.json", json).unwrap();
+        let v = check_artifact("BENCH_lp.json", json).unwrap();
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("no timing_ms.speedup"));
     }
 
     #[test]
+    fn a_schema_without_floor_rows_gates_agreement_only() {
+        let json = r#"{
+            "schema": "dls-bench/service/v1",
+            "preset": "paper-shape",
+            "entries": [{"reports_agree": true, "timing_ms": {"speedup": 0.9}}]
+        }"#;
+        assert_eq!(
+            check_artifact("BENCH_service.json", json).unwrap(),
+            Vec::<String>::new()
+        );
+        let v = check_artifact("BENCH_service.json", &json.replace("true", "false")).unwrap();
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("entries[0]/reports_agree"), "{v:?}");
+    }
+
+    #[test]
     fn every_floor_and_flag_fires_through_the_table() {
-        // A clean paper-shape artifact of each gated schema, doctored one
+        // A clean paper-shape artifact of the gated schema, doctored one
         // field at a time: each doctoring is exactly one violation.
-        let entry = |agree: &str, speedup: f64| {
-            format!(r#"{{"{agree}": true, "timing_ms": {{"speedup": {speedup}}}}}"#)
+        let entry = |speedup: f64| {
+            format!(r#"{{"objectives_agree": true, "timing_ms": {{"speedup": {speedup}}}}}"#)
         };
         let sparse = r#"{"objectives_agree": true, "sweep_agree": true, "dense_skipped": false,
                          "timing_ms": {"dense_vs_sparse_speedup": 25.0}}"#;
-        let sim = format!(
-            r#"{{"schema": "dls-bench/perf/v1", "preset": "paper-shape", "seed": 1,
-                "entries": [{}]}}"#,
-            entry("engines_agree", 4.0)
-        );
-        let scenario = format!(
-            r#"{{"schema": "dls-bench/scenario/v1", "preset": "paper-shape", "seed": 1,
-                "entries": [{}]}}"#,
-            entry("reports_agree", 6.0)
-        );
         let lp = format!(
             r#"{{"schema": "dls-bench/lp-perf/v2", "preset": "paper-shape", "seed": 1,
                 "entries": [{}], "sparse": [{sparse}], "branch_bound": [{}]}}"#,
-            entry("objectives_agree", 6.0),
-            entry("objectives_agree", 0.9)
+            entry(6.0),
+            entry(0.9)
         );
-        for clean in [&sim, &scenario, &lp] {
-            assert_eq!(
-                check_artifact("a.json", clean).unwrap(),
-                Vec::<String>::new()
-            );
-        }
-        let cases: [(&str, &str, &str, &str); 8] = [
+        assert_eq!(check_artifact("a.json", &lp).unwrap(), Vec::<String>::new());
+        let cases: [(&str, &str, &str); 6] = [
             (
-                &sim,
-                "\"engines_agree\": true",
-                "\"engines_agree\": false",
-                "engines_agree",
+                "\"objectives_agree\": true",
+                "\"objectives_agree\": false",
+                "entries[0]/objectives_agree",
             ),
-            (&sim, "4", "2.9", "speedup 2.900 below the 3.0x floor"),
-            (&scenario, "6", "4.9", "speedup 4.900 below the 5.0x floor"),
+            ("6", "4.9", "entries[0]: speedup 4.900 below the 5.0x floor"),
             (
-                &lp,
-                "6",
-                "4.9",
-                "entries[0]: speedup 4.900 below the 5.0x floor",
-            ),
-            (
-                &lp,
                 "0.9",
                 "0.7",
                 "branch_bound[0]: speedup 0.700 below the 0.8x floor",
             ),
             (
-                &lp,
                 "25.0",
                 "9.0",
                 "dense_vs_sparse_speedup 9.000 below the 10.0x floor",
             ),
-            (&lp, "\"sparse\"", "\"gone\"", "no sparse section"),
-            (&sim, "\"speedup\"", "\"other\"", "no timing_ms.speedup"),
+            ("\"sparse\"", "\"gone\"", "no sparse section"),
+            ("\"speedup\"", "\"other\"", "no timing_ms.speedup"),
         ];
-        for (clean, from, to, expect) in cases {
-            let doctored = clean.replacen(from, to, 1);
+        for (from, to, expect) in cases {
+            let doctored = lp.replacen(from, to, 1);
             let v = check_artifact("a.json", &doctored).unwrap();
             assert_eq!(v.len(), 1, "{from} -> {to}: {v:?}");
             assert!(v[0].contains(expect), "{from} -> {to}: {v:?}");
@@ -411,7 +405,7 @@ mod tests {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let mut out = Vec::new();
         for dir in [root.clone(), root.join("baselines/quick")] {
-            for name in ["BENCH_sim", "BENCH_lp", "BENCH_scenario", "BENCH_service"] {
+            for name in ["BENCH_lp", "BENCH_service"] {
                 let path = dir.join(format!("{name}.json"));
                 let json = std::fs::read_to_string(&path)
                     .unwrap_or_else(|e| panic!("{}: {e}", path.display()));

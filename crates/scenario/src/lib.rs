@@ -38,9 +38,11 @@
 //! [`ScenarioSession`] is the same run held open — stepped, extended,
 //! snapshotted and restored — for the `dls-service` daemon. The
 //! [`mod@catalog`] module names reproducible scenario families (`steady`,
-//! `bursty`, `drift`, `churn`, `flash`, …) shared by the perf harness
-//! (`dls-bench`, emitting `BENCH_scenario.json`), the `dls-cli scenario`
-//! subcommand, and the examples; [`PolicyKind`] names the policies.
+//! `bursty`, `drift`, `churn`, `flash`, …) shared by the `dls-cli scenario`
+//! subcommand, the service and the examples (the benchmark draws on its
+//! generators); [`PolicyKind`] names the policies. `tests/pipelines_agree.rs`
+//! holds this fast pipeline (incremental core, warm LPRG) to the reference
+//! one (full-recompute core, cold LPRG) at the paper's K = 50.
 
 pub mod catalog;
 pub mod engine;

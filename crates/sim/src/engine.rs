@@ -47,8 +47,8 @@
 //! * [`SimEngine::FullRecompute`] is the reference slow path: a full
 //!   [`crate::allocate_rates`] solve plus linear next-completion and
 //!   completion sweeps at every event. It is retained as the cross-check
-//!   oracle and as the baseline the `dls-bench` perf harness times the fast
-//!   engine against.
+//!   oracle: the tests replay schedules up to the paper's K = 95 under both
+//!   cores and require the same report, event for event.
 //!
 //! Routes and per-transfer flow specs are compiled once per `run` into a
 //! flat arena, so period boundaries re-use them instead of re-walking
@@ -72,9 +72,10 @@ pub struct SimConfig {
     /// Which simulation core executes the schedule.
     pub engine: SimEngine,
     /// Cross-check the incremental core against a full
-    /// [`crate::allocate_rates`] solve after every event, panicking on
-    /// divergence beyond 1e-9 relative. Expensive (`O(F)` per event) — meant
-    /// for tests; ignored by [`SimEngine::FullRecompute`].
+    /// [`crate::allocate_rates`] solve and [`crate::certify_max_min`] after
+    /// every event, panicking on divergence beyond 1e-9 relative or on a
+    /// rejected allocation. Expensive (`O(F)` per event) — meant for tests;
+    /// ignored by [`SimEngine::FullRecompute`].
     pub oracle_check: bool,
 }
 
@@ -540,7 +541,10 @@ mod tests {
 
     #[test]
     fn engines_agree_on_reports() {
-        for seed in 0..6 {
+        // Small random platforms under LPRG, then the paper-shape Greedy
+        // schedules at K = 20, 50 and 95 over 12 periods (K = 20 alone in
+        // debug builds).
+        let small = (0..6).map(|seed| {
             let cfg = PlatformConfig {
                 num_clusters: 6,
                 connectivity: 0.5,
@@ -549,10 +553,29 @@ mod tests {
             let p = PlatformGenerator::new(seed).generate(&cfg);
             let inst = ProblemInstance::uniform(p, Objective::MaxMin);
             let alloc = Lprg.solve(&inst).unwrap();
+            (
+                format!("seed {seed}"),
+                inst,
+                alloc,
+                SimConfig::default().periods,
+            )
+        });
+        let paper_ks: &[usize] = if cfg!(debug_assertions) {
+            &[20]
+        } else {
+            &[20, 50, 95]
+        };
+        let paper = paper_ks.iter().map(|&k| {
+            let inst = dls_core::paper_shape_instance(k, 42);
+            let alloc = Greedy.solve(&inst).unwrap();
+            (format!("paper-shape K = {k}"), inst, alloc, 12)
+        });
+        for (label, inst, alloc, periods) in small.chain(paper) {
             let schedule = ScheduleBuilder::default().build(&inst, &alloc).unwrap();
-            let fast = Simulator::new(&inst).run(
+            let (fast, stats) = Simulator::new(&inst).run_counted(
                 &schedule,
                 &SimConfig {
+                    periods,
                     oracle_check: true,
                     ..SimConfig::default()
                 },
@@ -560,33 +583,44 @@ mod tests {
             let slow = Simulator::new(&inst).run(
                 &schedule,
                 &SimConfig {
+                    periods,
                     engine: SimEngine::FullRecompute,
                     ..SimConfig::default()
                 },
             );
             assert!(
                 close(fast.efficiency, slow.efficiency, 1e-6),
-                "seed {seed}: efficiency {} vs {}",
+                "{label}: efficiency {} vs {}",
                 fast.efficiency,
                 slow.efficiency
             );
             assert!(
                 close(fast.max_transfer_lateness, slow.max_transfer_lateness, 1e-6),
-                "seed {seed}: lateness {} vs {}",
+                "{label}: lateness {} vs {}",
                 fast.max_transfer_lateness,
                 slow.max_transfer_lateness
             );
-            assert_eq!(fast.peak_connections, slow.peak_connections);
-            assert_eq!(fast.events, slow.events, "seed {seed}: events");
+            assert_eq!(fast.peak_connections, slow.peak_connections, "{label}");
+            assert_eq!(fast.events, slow.events, "{label}: events");
             for (a, b) in fast.measured.iter().zip(&slow.measured) {
-                assert!(close(*a, *b, 1e-6), "measured {a} vs {b}");
+                assert!(close(*a, *b, 1e-6), "{label}: measured {a} vs {b}");
             }
             for (a, b) in fast
                 .local_link_utilization
                 .iter()
                 .zip(&slow.local_link_utilization)
             {
-                assert!(close(*a, *b, 1e-6), "utilisation {a} vs {b}");
+                assert!(close(*a, *b, 1e-6), "{label}: utilisation {a} vs {b}");
+            }
+            // Every boundary stages the whole schedule: one batch solve
+            // each, answered by the memo or solved and remembered.
+            if !schedule.transfers.is_empty() {
+                assert_eq!(
+                    stats.memo_hits + stats.memo_misses,
+                    periods as u64,
+                    "{label}: {stats:?}"
+                );
+                assert!(stats.memo_hits > 0, "{label}: {stats:?}");
             }
         }
     }
