@@ -33,7 +33,8 @@
 //! [`FlowCore::commit`] hands both to the allocator in a single update.
 
 use crate::bandwidth::{
-    allocate_rates, AllocStats, AllocatorState, BandwidthAllocator, FlowId, FlowSpec,
+    allocate_rates, certify_max_min, AllocStats, AllocatorState, BandwidthAllocator, FlowId,
+    FlowSpec,
 };
 use crate::SimEngine;
 use dls_core::approx::close;
@@ -493,19 +494,29 @@ impl<P> FlowCore<P> {
 
     /// Cross-checks the incremental variant against the full oracle,
     /// panicking on divergence beyond 1e-9 relative: every rate must match
-    /// a fresh [`allocate_rates`] solve, and the completion heap's next due
-    /// time (after lazy invalidation) must equal a full scan's projection
-    /// from each flow's materialised state — a stale-but-undetected or
-    /// dropped heap entry would silently reorder the event stream, so it is
-    /// caught at the mutation that caused it, not at the divergent
-    /// completion. A no-op on the reference variant (it has no fast-path
-    /// state to audit).
+    /// a fresh [`allocate_rates`] solve, the rates the flows progress at
+    /// must pass [`certify_max_min`] (the definition, not a second solve),
+    /// and the completion heap's next due time (after lazy invalidation)
+    /// must equal a full scan's projection from each flow's materialised
+    /// state — a stale-but-undetected or dropped heap entry would silently
+    /// reorder the event stream, so it is caught at the mutation that
+    /// caused it, not at the divergent completion. A no-op on the reference
+    /// variant (it has no fast-path state to audit).
     pub(crate) fn audit(&mut self, t: f64, context: &str) {
         let Solver::Incremental(inc) = &self.solver else {
             return;
         };
         inc.alloc
             .assert_matches_oracle(1e-9, &format!("oracle_check ({context}) at t = {t}"));
+        let (specs, rates): (Vec<FlowSpec>, Vec<f64>) = self
+            .flows
+            .iter()
+            .flatten()
+            .map(|f| (f.spec, f.rate))
+            .unzip();
+        if let Err(e) = certify_max_min(&self.local_bw, &specs, &rates) {
+            panic!("oracle_check ({context}) at t = {t}: {e}");
+        }
         let heap_next = self.next_completion(t);
         let mut scan_next = f64::INFINITY;
         for f in self.flows.iter().flatten() {

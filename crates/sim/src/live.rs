@@ -52,11 +52,12 @@ pub struct LiveConfig {
     pub engine: SimEngine,
     /// Cross-check the incremental core against the full oracle after
     /// every mutation and completion batch, panicking on divergence beyond
-    /// 1e-9 relative. Two invariants are asserted: per-flow rates match a
-    /// fresh [`crate::allocate_rates`] solve, and the completion heap's next due
-    /// time matches a full scan's projection (so lazy invalidation can
-    /// never silently drop or misplace a completion). Expensive — meant
-    /// for tests; ignored by [`SimEngine::FullRecompute`].
+    /// 1e-9 relative. Three invariants are asserted: per-flow rates match a
+    /// fresh [`crate::allocate_rates`] solve, they pass
+    /// [`crate::certify_max_min`], and the completion heap's next due time
+    /// matches a full scan's projection (so lazy invalidation can never
+    /// silently drop or misplace a completion). Expensive — meant for
+    /// tests; ignored by [`SimEngine::FullRecompute`].
     pub oracle_check: bool,
     /// Record every [`LiveEvent::Delivered`] / [`LiveEvent::Computed`] as
     /// an [`EventRecord`] in [`LiveSim::event_log`], for cross-engine
@@ -424,11 +425,11 @@ impl LiveSim {
 
     /// Forces the oracle cross-check once, regardless of
     /// [`LiveConfig::oracle_check`]: every incremental rate must match a
-    /// fresh full solve, and the completion heap's next due time must match
-    /// a full scan's projection. Panics on divergence — the hook the
-    /// fault-injection tests use to prove corruption is *caught*, and a
-    /// no-op on [`SimEngine::FullRecompute`] (it has no fast-path state to
-    /// audit).
+    /// fresh full solve and pass the max-min certificate, and the completion
+    /// heap's next due time must match a full scan's projection. Panics on
+    /// divergence — the hook the fault-injection tests use to prove
+    /// corruption is *caught*, and a no-op on [`SimEngine::FullRecompute`]
+    /// (it has no fast-path state to audit).
     pub fn audit(&mut self, context: &str) {
         self.core.audit(self.t, &format!("live, {context}"));
     }

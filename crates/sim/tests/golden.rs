@@ -11,11 +11,15 @@
 //! `GOLDEN_BLESS=1 cargo test -p dls_sim --test golden -- --nocapture`,
 //! which prints the same table, and review the diff: a row may only change
 //! when the PR says why.
+//!
+//! Every incremental run is audited (`oracle_check`): each allocation it
+//! makes must match the full solve and pass `certify_max_min`. The audit
+//! only reads, so the pinned bits are those of an unchecked run.
 
 use dls_core::heuristics::{Greedy, Heuristic, Lprg};
 use dls_core::schedule::ScheduleBuilder;
-use dls_core::{Objective, ProblemInstance};
-use dls_platform::{ClusterId, PlatformConfig, PlatformGenerator};
+use dls_core::{paper_shape_instance, ProblemInstance};
+use dls_platform::ClusterId;
 use dls_sim::{
     AllocStats, ChunkPart, LiveConfig, LiveFlowSpec, LiveSim, SimConfig, SimEngine, SimReport,
     Simulator,
@@ -247,27 +251,6 @@ fn moved_fields_names_each_field_and_its_worst_move() {
     assert!(entry(&table, "rows 2 -> 1").is_some(), "{table}");
 }
 
-/// The paper-shape platform (`dls_scenario::catalog::paper_shape_instance`,
-/// restated here because `dls_scenario` depends on this crate).
-fn paper_shape(k: usize, seed: u64) -> ProblemInstance {
-    let cfg = PlatformConfig {
-        num_clusters: k,
-        connectivity: 0.4,
-        heterogeneity: 0.4,
-        mean_local_bw: 250.0,
-        mean_backbone_bw: 30.0,
-        mean_max_connections: 15.0,
-        speed: 100.0,
-        relay_routers: 0,
-    };
-    ProblemInstance::with_spread_payoffs(
-        PlatformGenerator::new(seed).generate(&cfg),
-        Objective::MaxMin,
-        0.5,
-        seed ^ 0x9e37_79b9_7f4a_7c15,
-    )
-}
-
 fn report_row(r: &SimReport) -> String {
     format!(
         "events={} peak={:?} efficiency={:016x} lateness={:016x} backlog={:016x} \
@@ -286,7 +269,7 @@ fn report_row(r: &SimReport) -> String {
 fn periodic_reports_are_pinned() {
     let mut out = String::new();
     for (k, seed) in [(8usize, 1u64), (10, 2), (12, 3)] {
-        let inst = paper_shape(k, seed);
+        let inst = paper_shape_instance(k, seed);
         let alloc = Lprg.solve(&inst).unwrap();
         let schedule = ScheduleBuilder::default().build(&inst, &alloc).unwrap();
         assert!(
@@ -299,6 +282,7 @@ fn periodic_reports_are_pinned() {
                 &SimConfig {
                     periods: 12,
                     engine,
+                    oracle_check: true,
                     ..SimConfig::default()
                 },
             );
@@ -329,13 +313,14 @@ fn long_periodic_reports_are_pinned() {
             &SimConfig {
                 periods: PERIODS,
                 engine,
+                oracle_check: true,
                 ..SimConfig::default()
             },
         )
     };
     let mut out = String::new();
     for (k, seed, engines) in [(20usize, 4u64, &ENGINES[..]), (40, 5, &ENGINES[..1])] {
-        let inst = paper_shape(k, seed);
+        let inst = paper_shape_instance(k, seed);
         for &engine in engines {
             let report = run(&inst, &inst, engine);
             writeln!(
@@ -352,7 +337,7 @@ fn long_periodic_reports_are_pinned() {
     // transfers finish late and are still live when the next boundary
     // spawns its batch — a bounded straggler set at × 0.5, a growing one at
     // × 0.4.
-    let inst = paper_shape(20, 4);
+    let inst = paper_shape_instance(20, 4);
     for factor in [0.5, 0.4] {
         let mut slow = inst.clone();
         for c in &mut slow.platform.clusters {
@@ -377,7 +362,7 @@ fn long_periodic_reports_are_pinned() {
 /// subproblem, so all but the first are answered from the allocator's memo.
 #[test]
 fn long_periodic_boundaries_are_answered_from_the_memo() {
-    let inst = paper_shape(40, 5);
+    let inst = paper_shape_instance(40, 5);
     let alloc = Greedy.solve(&inst).unwrap();
     let schedule = ScheduleBuilder::default().build(&inst, &alloc).unwrap();
     let periods = 300;
@@ -432,7 +417,7 @@ fn live_script(engine: SimEngine) -> String {
         &[4.0, 3.0, 5.0, 2.0],
         LiveConfig {
             engine,
-            oracle_check: false,
+            oracle_check: true,
             record_events: true,
         },
     );
