@@ -1,8 +1,10 @@
 //! Metamorphic relation: a platform event that changes nothing leaves the
 //! run as it was.
 //!
-//! For every catalog entry, under both simulation cores, one event is
-//! inserted at a seeded time: a `SetSpeed`, `SetLocalBw`, `SetBackboneBw`
+//! For every catalog entry (K = 5, and K = 20 in release builds), under
+//! both simulation cores and three re-solve policies (periodic cold,
+//! periodic warm, threshold-triggered warm), one event is inserted at a
+//! seeded time: a `SetSpeed`, `SetLocalBw`, `SetBackboneBw`
 //! or `SetMaxConnections` that sets the value already in force, a
 //! `Straggler` of factor 1 on a cluster no straggler window covers, or a
 //! `BackbonePartition` whose one group holds every cluster. The report must
@@ -12,13 +14,35 @@
 use dls_core::ProblemInstance;
 use dls_scenario::{
     build_catalog_entry, catalog, run_scenario, FaultKind, PeriodicResolve, PlatformChange,
-    PlatformEvent, Resolver, Scenario, ScenarioConfig, ScenarioReport,
+    PlatformEvent, ReschedulePolicy, Resolver, Scenario, ScenarioConfig, ScenarioReport,
+    ThresholdTriggered,
 };
 use dls_sim::SimEngine;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-const K: usize = 5;
+/// Catalog sizes: the relation is cheap enough at K = 20 only in release.
+const SIZES: &[usize] = if cfg!(debug_assertions) {
+    &[5]
+} else {
+    &[5, 20]
+};
+
+/// A fresh policy for one run.
+type MakePolicy = fn(&ProblemInstance) -> Box<dyn ReschedulePolicy>;
+
+/// The policies the relation must hold under, by name.
+const POLICIES: [(&str, MakePolicy); 3] = [
+    ("periodic-cold", |_| {
+        Box::new(PeriodicResolve::new(Resolver::Cold))
+    }),
+    ("periodic-warm", |inst| {
+        Box::new(PeriodicResolve::new(Resolver::warm(inst).unwrap()))
+    }),
+    ("threshold-warm", |inst| {
+        Box::new(ThresholdTriggered::new(0.9, Resolver::warm(inst).unwrap()))
+    }),
+];
 
 /// The report without what a no-op `event` may change: its wall-clock
 /// solver time, and the fault record a straggler or a partition writes for
@@ -44,14 +68,18 @@ fn excluded(mut report: ScenarioReport, event: Option<&PlatformEvent>) -> String
     report.to_json()
 }
 
-fn run(inst: &ProblemInstance, scenario: &Scenario, engine: SimEngine) -> ScenarioReport {
-    let mut policy = PeriodicResolve::new(Resolver::Cold);
+fn run(
+    inst: &ProblemInstance,
+    scenario: &Scenario,
+    engine: SimEngine,
+    policy: MakePolicy,
+) -> ScenarioReport {
     let cfg = ScenarioConfig {
         engine,
         record_events: true,
         ..ScenarioConfig::default()
     };
-    run_scenario(inst, scenario, &mut policy, &cfg).expect("the run finishes")
+    run_scenario(inst, scenario, policy(inst).as_mut(), &cfg).expect("the run finishes")
 }
 
 /// The last value `pick` finds among the events before `t`, or `base`.
@@ -78,7 +106,8 @@ fn no_ops(
     rng: &mut ChaCha8Rng,
 ) -> Vec<PlatformEvent> {
     let platform = &inst.platform;
-    let cluster = rng.gen_range(0..K as u32);
+    let k = platform.num_clusters() as u32;
+    let cluster = rng.gen_range(0..k);
     let c = cluster as usize;
     let link = rng.gen_range(0..platform.links.len() as u32);
     let l = link as usize;
@@ -120,8 +149,8 @@ fn no_ops(
     );
     // A factor-1 window must neither cut short nor overlap another one.
     let until = t + 1.5;
-    let straggler = (0..K as u32)
-        .map(|i| (cluster + i) % K as u32)
+    let straggler = (0..k)
+        .map(|i| (cluster + i) % k)
         .find(|&x| {
             !scenario.platform_events.iter().any(|e| {
                 matches!(e.change, PlatformChange::Straggler { cluster, until: end, .. }
@@ -140,7 +169,7 @@ fn no_ops(
             until,
         },
         PlatformChange::BackbonePartition {
-            groups: vec![(0..K as u32).collect()],
+            groups: vec![(0..k).collect()],
             until,
         },
     ]
@@ -152,31 +181,36 @@ fn no_ops(
 #[test]
 fn no_op_platform_events_leave_every_catalog_run_unchanged() {
     let mut rng = ChaCha8Rng::seed_from_u64(6);
-    for entry in catalog() {
-        let (inst, scenario) = build_catalog_entry(entry.name, K, 11).expect("catalog entry");
-        // A time inside the arrivals, off every event's own time.
-        let mut t = rng.gen_range(1.0..15.0);
-        while scenario
-            .platform_events
-            .iter()
-            .any(|e| (e.time - t).abs() < 1e-6)
-        {
-            t += 0.013;
-        }
-        let events = no_ops(&inst, &scenario, t, &mut rng);
-        for engine in [SimEngine::Incremental, SimEngine::FullRecompute] {
-            let want = excluded(run(&inst, &scenario, engine), None);
-            for event in &events {
-                let mut perturbed = scenario.clone();
-                perturbed.platform_events.push(event.clone());
-                perturbed.normalise();
-                let got = excluded(run(&inst, &perturbed, engine), Some(event));
-                assert!(
-                    got == want,
-                    "{} under {engine:?}: {event:?} moved the report\n{}",
-                    entry.name,
-                    first_difference(&want, &got)
-                );
+    for &k in SIZES {
+        for entry in catalog() {
+            let (inst, scenario) = build_catalog_entry(entry.name, k, 11).expect("catalog entry");
+            // A time inside the arrivals, off every event's own time.
+            let mut t = rng.gen_range(1.0..15.0);
+            while scenario
+                .platform_events
+                .iter()
+                .any(|e| (e.time - t).abs() < 1e-6)
+            {
+                t += 0.013;
+            }
+            let events = no_ops(&inst, &scenario, t, &mut rng);
+            for (policy_name, policy) in POLICIES {
+                for engine in [SimEngine::Incremental, SimEngine::FullRecompute] {
+                    let want = excluded(run(&inst, &scenario, engine, policy), None);
+                    for event in &events {
+                        let mut perturbed = scenario.clone();
+                        perturbed.platform_events.push(event.clone());
+                        perturbed.normalise();
+                        let got = excluded(run(&inst, &perturbed, engine, policy), Some(event));
+                        assert!(
+                            got == want,
+                            "{} at K = {k}, {policy_name} under {engine:?}: {event:?} moved \
+                             the report\n{}",
+                            entry.name,
+                            first_difference(&want, &got)
+                        );
+                    }
+                }
             }
         }
     }
