@@ -333,22 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn a_schema_without_floor_rows_gates_agreement_only() {
-        let json = r#"{
-            "schema": "dls-bench/service/v1",
-            "preset": "paper-shape",
-            "entries": [{"reports_agree": true, "timing_ms": {"speedup": 0.9}}]
-        }"#;
-        assert_eq!(
-            check_artifact("BENCH_service.json", json).unwrap(),
-            Vec::<String>::new()
-        );
-        let v = check_artifact("BENCH_service.json", &json.replace("true", "false")).unwrap();
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("entries[0]/reports_agree"), "{v:?}");
-    }
-
-    #[test]
     fn every_floor_and_flag_fires_through_the_table() {
         // A clean paper-shape artifact of the gated schema, doctored one
         // field at a time: each doctoring is exactly one violation.
