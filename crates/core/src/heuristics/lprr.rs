@@ -71,7 +71,9 @@ use crate::allocation::{Allocation, FractionalAllocation};
 use crate::error::SolveError;
 use crate::formulation::{LpFormulation, LpIndex};
 use crate::problem::ProblemInstance;
-use dls_lp::{resolve_engine, solve_with, Engine, RevisedSimplex, Status, WarmSimplex, WarmStats};
+use dls_lp::{
+    resolve_engine, solve_with, Engine, FactorStats, RevisedSimplex, Status, WarmSimplex, WarmStats,
+};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -176,6 +178,18 @@ impl Lprr {
     }
 }
 
+/// What an LPRR run spent on LPs, next to its allocation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LprrWork {
+    /// LPs solved: the warm context's [`WarmStats::solves`], or the cold
+    /// rebuilds. Pins whose optimum is held (module docs, "Lazy
+    /// re-solves") cost none.
+    pub solves: u64,
+    /// The warm context's counters and its final factorisation (`None` on
+    /// the cold path).
+    pub warm: Option<(WarmStats, Option<FactorStats>)>,
+}
+
 /// Per-instance LP backend: one warm context (the only copy of the model)
 /// reused across every pin, or the cold rebuild-per-solve reference on the
 /// engine resolved from the pristine relaxation.
@@ -200,10 +214,11 @@ impl Heuristic for Lprr {
 }
 
 impl Lprr {
-    /// [`Heuristic::solve`], also returning how many LPs it solved: the
-    /// warm context's [`WarmStats::solves`], or the cold rebuilds. Pins
-    /// whose optimum is held (module docs, "Lazy re-solves") cost none.
-    pub fn solve_counting(&self, inst: &ProblemInstance) -> Result<(Allocation, u64), SolveError> {
+    /// [`Heuristic::solve`], also returning what it spent on LPs.
+    pub fn solve_counting(
+        &self,
+        inst: &ProblemInstance,
+    ) -> Result<(Allocation, LprrWork), SolveError> {
         let p = &inst.platform;
         let k = p.num_clusters();
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
@@ -278,11 +293,17 @@ impl Lprr {
                 for (b, f) in alloc.beta.iter_mut().zip(&fixed) {
                     *b = f.unwrap_or(0);
                 }
-                let solves = match &backend {
-                    LpBackend::Warm { solver, .. } => solver.stats().solves,
-                    LpBackend::Cold { .. } => cold_solves,
+                let work = match &backend {
+                    LpBackend::Warm { solver, .. } => LprrWork {
+                        solves: solver.stats().solves,
+                        warm: Some((solver.stats(), solver.factor_stats())),
+                    },
+                    LpBackend::Cold { .. } => LprrWork {
+                        solves: cold_solves,
+                        warm: None,
+                    },
                 };
-                return Ok((alloc, solves));
+                return Ok((alloc, work));
             }
 
             // Step 2: prefer routes the current LP actually uses.

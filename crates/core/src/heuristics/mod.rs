@@ -13,7 +13,7 @@ pub use exact::ExactMilp;
 pub use greedy::Greedy;
 pub use lpr::Lpr;
 pub use lprg::Lprg;
-pub use lprr::{Lprr, RoundingRule};
+pub use lprr::{Lprr, LprrWork, RoundingRule};
 pub use pin_sweep::{PinProbe, PinSweepReport};
 pub use upper_bound::UpperBound;
 

@@ -5,7 +5,9 @@
 //! objective bits and factor sizes of a cold solve, the counters after a
 //! scripted 12-pin warm replay, and a whole 24-probe pin sweep — under both
 //! objectives, on the context's own basis representation and on a forced
-//! sparse LU. A kernel change that claims "same pivots, bit for bit" must
+//! sparse LU — plus whole LPRR runs at the paper's K = 50 (`lprr_k50.txt`:
+//! final β, α bits, warm and factor counters of ≈ 500 warm re-solves each).
+//! A kernel change that claims "same pivots, bit for bit" must
 //! leave every line untouched. Regenerate with
 //! `GOLDEN_BLESS=1 cargo test --release -p dls_core --test lp_fingerprint`
 //! and review the diff: a line may only move when the PR says why. Debug and
@@ -238,4 +240,31 @@ fn paper_k44() {
 #[test]
 fn island_k64() {
     fingerprint("island_k64.txt", &island(64, 42));
+}
+
+/// Whole LPRR runs on the paper's K = 50 shape (the `plan_paper` workload's
+/// size, sparse LU): every pin and lazy re-solve of the rounding loop, pinned
+/// by the final β, the α bits and the warm context's counters.
+#[test]
+fn lprr_k50() {
+    let mut out = String::new();
+    for seed in [42, 7] {
+        let base = paper_shape_instance(50, seed);
+        for objective in OBJECTIVES {
+            let inst = base.with_objective(objective);
+            let (alloc, work) = Lprr::new(seed).solve_counting(&inst).unwrap();
+            let (stats, factor) = work.warm.expect("the default LPRR runs warm");
+            writeln!(out, "== seed {seed} {objective:?}").unwrap();
+            writeln!(out, "beta={:?}", alloc.beta).unwrap();
+            writeln!(out, "alpha={}", bits(alloc.alpha.iter().copied())).unwrap();
+            writeln!(out, "solves={} stats={stats:?}", work.solves).unwrap();
+            writeln!(
+                out,
+                "factor={:?}",
+                factor.expect("factorised after a solve")
+            )
+            .unwrap();
+        }
+    }
+    check("lprr_k50.txt", &out);
 }

@@ -60,9 +60,10 @@ fn fig7_quick_orders_heuristics_by_cost() {
     let spread = RunnerConfig::default().payoff_spread;
     for record in &out.records {
         let inst = sweep_instance(&record.config, record.seed, record.objective, spread);
-        let (alloc, lprr_solves) = Lprr::new(record.seed)
+        let (alloc, work) = Lprr::new(record.seed)
             .solve_counting(&inst)
             .expect("LPRR solves");
+        let lprr_solves = work.solves;
         assert_eq!(
             Some(alloc.objective_value(&inst)),
             record.value("LPRR"),
