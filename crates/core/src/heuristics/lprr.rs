@@ -306,20 +306,20 @@ impl Lprr {
                 return Ok((alloc, work));
             }
 
-            // Step 2: prefer routes the current LP actually uses.
-            let candidates: Vec<usize> = {
-                let nonzero: Vec<usize> = unfixed
-                    .iter()
-                    .copied()
-                    .filter(|&i| frac.beta[i] > 1e-9)
-                    .collect();
-                if nonzero.is_empty() {
-                    unfixed.clone()
-                } else {
-                    nonzero
-                }
+            // Step 2: prefer routes the current LP actually uses — the n-th
+            // of them, or of every unfixed route when it uses none.
+            let used = |i: usize| frac.beta[i] > 1e-9;
+            let n_used = unfixed.iter().filter(|&&i| used(i)).count();
+            let pos = if n_used == 0 {
+                rng.gen_range(0..unfixed.len())
+            } else {
+                let n = rng.gen_range(0..n_used);
+                (0..unfixed.len())
+                    .filter(|&p| used(unfixed[p]))
+                    .nth(n)
+                    .expect("n < the number of used routes")
             };
-            let pick = candidates[rng.gen_range(0..candidates.len())];
+            let pick = unfixed.remove(pos);
 
             // Steps 3–4.
             let beta_tilde = frac.beta[pick];
@@ -353,7 +353,6 @@ impl Lprr {
             for l in route {
                 link_budget[l.index()] -= v;
             }
-            unfixed.retain(|&i| i != pick);
 
             // Warm path: mirror the pin onto the index *and* the
             // factorised solver state; the next solve is a dual repair.
