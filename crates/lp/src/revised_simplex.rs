@@ -384,6 +384,10 @@ pub(crate) struct Factor {
     scratch_w: Column,
     /// Dual pricing-row scratch (`ρ`), reused across dual pivots.
     scratch_rho: Vec<f64>,
+    /// `c_B` in basis-position space under the costs of the running phase
+    /// ([`Factor::load_costs`]): BTRAN's input and the stall check's
+    /// weights, kept current by the pivot loops.
+    cost_b: Vec<f64>,
     /// Sparse representation only: the row-wise matrix copy pricing runs
     /// on. Boxed, so a dense-inverse factor carries one pointer for it.
     row_wise: Option<Box<RowWise>>,
@@ -403,6 +407,7 @@ clone_in_place!(Factor {
     scratch_y,
     scratch_w,
     scratch_rho,
+    cost_b,
     row_wise,
 });
 
@@ -438,6 +443,7 @@ impl Factor {
             scratch_y: vec![0.0; m],
             scratch_w: Column::new(m, sparse),
             scratch_rho: vec![0.0; m],
+            cost_b: vec![0.0; m],
             row_wise: sparse.then(|| Box::new(RowWise::new(sf))),
         }
     }
@@ -481,6 +487,7 @@ impl Factor {
             scratch_y: vec![0.0; sf.m],
             scratch_w: Column::new(sf.m, sparse),
             scratch_rho: vec![0.0; sf.m],
+            cost_b: vec![0.0; sf.m],
             row_wise: sparse.then(|| Box::new(RowWise::new(sf))),
         };
         // Repairing factorisation: a snapshot that went (near-)singular
@@ -518,14 +525,26 @@ impl Factor {
         }
     }
 
-    /// `y = c_Bᵀ B⁻¹`.
+    /// Loads `c_B` of the current basis under `costs` into position space
+    /// (`cost_b[pos] = costs[basis[pos]]`), as a phase does on entry.
+    pub(crate) fn load_costs(&mut self, costs: &[f64]) {
+        for (cb, &j) in self.cost_b.iter_mut().zip(&self.basis) {
+            *cb = costs[j];
+        }
+    }
+
+    /// `y = c_Bᵀ B⁻¹` under `costs` (loads them first).
     pub(crate) fn btran(&mut self, costs: &[f64], y: &mut [f64]) {
-        let basis = &self.basis;
+        self.load_costs(costs);
+        self.btran_loaded(y);
+    }
+
+    /// `y = c_Bᵀ B⁻¹` of the loaded `c_B`.
+    fn btran_loaded(&mut self, y: &mut [f64]) {
         match &mut self.repr {
             Repr::Dense(d) => {
                 y.iter_mut().for_each(|v| *v = 0.0);
-                for (r, &bj) in basis.iter().enumerate() {
-                    let cb = costs[bj];
+                for (r, &cb) in self.cost_b.iter().enumerate() {
                     if cb != 0.0 {
                         let row = &d.binv[r * self.m..(r + 1) * self.m];
                         for (yi, &bi) in y.iter_mut().zip(row) {
@@ -534,7 +553,7 @@ impl Factor {
                     }
                 }
             }
-            Repr::Sparse(lu) => lu.btran(|pos| costs[basis[pos]], y),
+            Repr::Sparse(lu) => lu.btran(&self.cost_b, y),
         }
     }
 
@@ -545,7 +564,7 @@ impl Factor {
     pub(crate) fn btran_unit(&mut self, pos: usize, rho: &mut [f64]) {
         match &mut self.repr {
             Repr::Dense(d) => rho.copy_from_slice(&d.binv[pos * self.m..(pos + 1) * self.m]),
-            Repr::Sparse(lu) => lu.btran(|p| if p == pos { 1.0 } else { 0.0 }, rho),
+            Repr::Sparse(lu) => lu.btran_unit(pos, rho),
         }
     }
 
@@ -581,10 +600,13 @@ impl Factor {
         }
     }
 
-    /// Prices every non-banned non-basic column given `y`: hands `(j, d_j)`
-    /// to `visit` in ascending `j` until it returns `false`. The sparse LU
-    /// prices row-wise ([`RowWise`]), the dense inverse by one dot per
-    /// column; both hand out the same bits up to the sign of zero.
+    /// Prices the columns given `y` and hands `(j, d_j)` to `visit`, in
+    /// ascending `j` until it returns `false`, for every non-banned
+    /// non-basic column with `d_j < −COST_TOL` — the only ones a pricing
+    /// rule can pick. The sparse LU prices row-wise ([`RowWise`]) and tests
+    /// the flags of the columns past the threshold only; the dense inverse
+    /// takes one dot per open column. Both hand out the same bits up to the
+    /// sign of zero.
     pub(crate) fn price(
         &mut self,
         sf: &StandardForm,
@@ -594,19 +616,19 @@ impl Factor {
         mut visit: impl FnMut(usize, f64) -> bool,
     ) {
         let in_basis = &self.in_basis;
-        let open = |j: usize| !banned[j] && !in_basis[j];
         match self.row_wise.as_deref_mut() {
             Some(rw) => {
                 let d = rw.reduced_costs(costs, y);
-                for j in (0..sf.n_cols).filter(|&j| open(j)) {
-                    if !visit(j, d[j]) {
+                for (j, &dj) in d.iter().enumerate() {
+                    if dj < -COST_TOL && !banned[j] && !in_basis[j] && !visit(j, dj) {
                         return;
                     }
                 }
             }
             None => {
-                for j in (0..sf.n_cols).filter(|&j| open(j)) {
-                    if !visit(j, reduced_cost(sf, costs, y, j)) {
+                for j in (0..sf.n_cols).filter(|&j| !banned[j] && !in_basis[j]) {
+                    let dj = reduced_cost(sf, costs, y, j);
+                    if dj < -COST_TOL && !visit(j, dj) {
                         return;
                     }
                 }
@@ -614,32 +636,37 @@ impl Factor {
         }
     }
 
-    /// Hands `(j, α_rj)` of the dual pivot row `α_r = ρᵀA` to `visit` for
-    /// every non-banned non-basic column, in ascending `j` (row-wise on the
-    /// sparse LU, as [`Factor::price`]).
+    /// Hands `(j, α_rj)` of the dual pivot row `α_r = ρᵀA` to `visit`, in
+    /// ascending `j`, for every non-banned non-basic column with
+    /// `sign·α_rj > PIVOT_TOL` — the dual ratio test's candidates (row-wise
+    /// on the sparse LU, as [`Factor::price`]).
     fn price_row(
         &mut self,
         sf: &StandardForm,
         rho: &[f64],
+        sign: f64,
         banned: &[bool],
         mut visit: impl FnMut(usize, f64),
     ) {
         let in_basis = &self.in_basis;
-        let open = |j: usize| !banned[j] && !in_basis[j];
         match self.row_wise.as_deref_mut() {
             Some(rw) => {
                 let alpha = rw.pivot_row(rho);
-                for j in (0..sf.n_cols).filter(|&j| open(j)) {
-                    visit(j, alpha[j]);
+                for (j, &a_rj) in alpha.iter().enumerate() {
+                    if a_rj * sign > PIVOT_TOL && !banned[j] && !in_basis[j] {
+                        visit(j, a_rj);
+                    }
                 }
             }
             None => {
-                for j in (0..sf.n_cols).filter(|&j| open(j)) {
+                for j in (0..sf.n_cols).filter(|&j| !banned[j] && !in_basis[j]) {
                     let mut a_rj = 0.0;
                     for &(i, a) in &sf.cols[j] {
                         a_rj += rho[i] * a;
                     }
-                    visit(j, a_rj);
+                    if a_rj * sign > PIVOT_TOL {
+                        visit(j, a_rj);
+                    }
                 }
             }
         }
@@ -661,12 +688,24 @@ impl Factor {
             .map_or((0, 0), |rw| (rw.passes, rw.scattered))
     }
 
-    pub(crate) fn objective(&self, costs: &[f64]) -> f64 {
-        self.basis
+    /// `c_Bᵀ x_B` under the loaded costs, summed over the non-zero `c_B`
+    /// entries in position order (a skipped term is a zero, which can only
+    /// change the sign of a zero sum).
+    pub(crate) fn objective(&self) -> f64 {
+        self.cost_b
             .iter()
             .zip(&self.xb)
-            .map(|(&j, &x)| costs[j] * x)
+            .filter(|(&c, _)| c != 0.0)
+            .map(|(&c, &x)| c * x)
             .sum()
+    }
+
+    /// Whether any artificial column — the trailing `n_artificial` of the
+    /// standard form — is basic.
+    fn artificial_basic(&self, sf: &StandardForm) -> bool {
+        self.in_basis[sf.n_cols - sf.n_artificial..]
+            .iter()
+            .any(|&b| b)
     }
 
     /// Accounts for a single right-hand-side delta in `x_B`. The dense
@@ -1128,11 +1167,12 @@ impl Factor {
     ) -> Result<PhaseEnd, LpError> {
         let mut bland = false;
         let mut stall = 0usize;
-        let mut last_obj = self.objective(costs);
+        self.load_costs(costs);
+        let mut last_obj = self.objective();
         let mut iters_this_phase = 0usize;
 
         loop {
-            self.btran(costs, y);
+            self.btran_loaded(y);
 
             // --- entering column: Bland's first negative reduced cost, or
             // Dantzig's most negative one ---
@@ -1192,13 +1232,14 @@ impl Factor {
             };
 
             self.update(r, e, w);
+            self.cost_b[r] = costs[e];
             iters_this_phase += 1;
 
             if self.due_refactor() {
                 self.refactor(sf)?;
             }
 
-            let obj = self.objective(costs);
+            let obj = self.objective();
             if obj < last_obj - 1e-12 {
                 stall = 0;
                 last_obj = obj;
@@ -1241,6 +1282,7 @@ impl Factor {
         let mut y_current = true;
         let mut iters_this_phase = 0usize;
         let mut retried_after_refactor = false;
+        self.load_costs(costs);
 
         let end = loop {
             // --- leaving row: the most violated basic value. A negative
@@ -1250,17 +1292,26 @@ impl Factor {
             // way, with the ratio test run on the opposite sign. ---
             let mut leaving: Option<(usize, bool)> = None;
             let mut worst = tol;
-            for i in 0..m {
-                let (viol, above) = if self.xb[i] < 0.0 {
-                    (-self.xb[i], false)
-                } else if self.xb[i] > 0.0 && sf.is_artificial[self.basis[i]] {
-                    (self.xb[i], true)
-                } else {
-                    continue;
-                };
-                if viol > worst {
-                    worst = viol;
-                    leaving = Some((i, above));
+            if self.artificial_basic(sf) {
+                for i in 0..m {
+                    let (viol, above) = if self.xb[i] < 0.0 {
+                        (-self.xb[i], false)
+                    } else if self.xb[i] > 0.0 && sf.is_artificial[self.basis[i]] {
+                        (self.xb[i], true)
+                    } else {
+                        continue;
+                    };
+                    if viol > worst {
+                        worst = viol;
+                        leaving = Some((i, above));
+                    }
+                }
+            } else {
+                for (i, &x) in self.xb.iter().enumerate() {
+                    if -x > worst {
+                        worst = -x;
+                        leaving = Some((i, false));
+                    }
                 }
             }
             let Some((r, above)) = leaving else {
@@ -1272,25 +1323,23 @@ impl Factor {
 
             // --- entering column: dual ratio test over sign·α_rj > 0 ---
             if !y_current {
-                self.btran(costs, &mut y);
+                self.btran_loaded(&mut y);
             }
             y_current = false;
             self.btran_unit(r, &mut rho);
             let mut entering: Option<(usize, f64)> = None;
             let mut best_ratio = f64::INFINITY;
-            self.price_row(sf, &rho, banned, |j, a_rj| {
-                if a_rj * want_sign > PIVOT_TOL {
-                    // Clamp drift: dual feasibility guarantees d ≥ −ε. Only
-                    // the candidates are priced, column-wise.
-                    let d = reduced_cost(sf, costs, &y, j).max(0.0);
-                    let ratio = d / (a_rj * want_sign);
-                    // Strict improvement with ascending j means ties keep
-                    // the smallest column index (Bland flavour), which
-                    // guards against cycling on degenerate (d = 0) pivots.
-                    if ratio < best_ratio - 1e-12 {
-                        best_ratio = ratio;
-                        entering = Some((j, a_rj));
-                    }
+            self.price_row(sf, &rho, want_sign, banned, |j, a_rj| {
+                // Clamp drift: dual feasibility guarantees d ≥ −ε. Only the
+                // candidates are priced, column-wise.
+                let d = reduced_cost(sf, costs, &y, j).max(0.0);
+                let ratio = d / (a_rj * want_sign);
+                // Strict improvement with ascending j means ties keep the
+                // smallest column index (Bland flavour), which guards
+                // against cycling on degenerate (d = 0) pivots.
+                if ratio < best_ratio - 1e-12 {
+                    best_ratio = ratio;
+                    entering = Some((j, a_rj));
                 }
             });
             let Some((e, a_re)) = entering else {
@@ -1314,6 +1363,7 @@ impl Factor {
             retried_after_refactor = false;
 
             self.update(r, e, &w);
+            self.cost_b[r] = costs[e];
             iters_this_phase += 1;
             if self.due_refactor() {
                 if let Err(e) = self.refactor(sf) {
@@ -1337,10 +1387,12 @@ impl Factor {
     /// (warm starts fall back to a cold solve when this happens). `b_scale`
     /// is `sf.b_scale()`.
     pub(crate) fn artificial_above_zero(&self, sf: &StandardForm, b_scale: f64) -> bool {
-        self.basis
-            .iter()
-            .zip(&self.xb)
-            .any(|(&j, &x)| sf.is_artificial[j] && x.abs() > FEAS_TOL * b_scale)
+        self.artificial_basic(sf)
+            && self
+                .basis
+                .iter()
+                .zip(&self.xb)
+                .any(|(&j, &x)| sf.is_artificial[j] && x.abs() > FEAS_TOL * b_scale)
     }
 }
 
@@ -1450,7 +1502,8 @@ impl RevisedSimplex {
                 // means the factorisation broke down.
                 PhaseEnd::Unbounded => return Err(LpError::NumericalBreakdown("phase 1")),
             }
-            if factor.objective(&costs) > FEAS_TOL * sf.b_scale() {
+            // The phase left its costs loaded.
+            if factor.objective() > FEAS_TOL * sf.b_scale() {
                 return Ok((Solution::infeasible(factor.iterations), Some(factor)));
             }
         }
@@ -1997,6 +2050,73 @@ mod sparse_dense_props {
         Ok(())
     }
 
+    /// Holds threshold pricing and `price_row` of `f` and of a dense-inverse
+    /// factor on its basis against the full visit they replaced — every
+    /// open column's column-wise `d_j` / `α_rj`, filtered by the pricing
+    /// rule's threshold afterwards: the same columns, in the same order,
+    /// with the same bits, under the solver's ban mask (artificials) and one
+    /// that bans every odd column, and under both row signs; and a
+    /// visit that stops at once sees the first of them.
+    fn check_threshold_visits(
+        f: &Factor,
+        sf: &StandardForm,
+        y: &[f64],
+        rho: &[f64],
+        at: &str,
+    ) -> Result<(), TestCaseError> {
+        let dense = Factor::from_basis(sf, &f.basis, false).unwrap();
+        let odd: Vec<bool> = (0..sf.n_cols).map(|j| j % 2 == 1).collect();
+        for mut g in [f.clone(), dense] {
+            let repr = if g.row_wise.is_some() {
+                "sparse"
+            } else {
+                "dense"
+            };
+            for banned in [&sf.is_artificial, &odd] {
+                let open: Vec<usize> = (0..sf.n_cols)
+                    .filter(|&j| !banned[j] && !g.in_basis[j])
+                    .collect();
+                let want: Vec<(usize, u64)> = open
+                    .iter()
+                    .map(|&j| (j, reduced_cost(sf, &sf.c, y, j)))
+                    .filter(|&(_, d)| d < -COST_TOL)
+                    .map(|(j, d)| (j, d.to_bits()))
+                    .collect();
+                let mut got = Vec::new();
+                g.price(sf, &sf.c, y, banned, |j, d| {
+                    got.push((j, d.to_bits()));
+                    true
+                });
+                prop_assert_eq!(&got, &want, "{} {}: pricing visits", at, repr);
+                let mut first = None;
+                g.price(sf, &sf.c, y, banned, |j, d| {
+                    first = Some((j, d.to_bits()));
+                    false
+                });
+                prop_assert_eq!(first, want.first().copied(), "{} {}: first", at, repr);
+
+                for sign in [1.0, -1.0] {
+                    let want: Vec<(usize, u64)> = open
+                        .iter()
+                        .map(|&j| {
+                            let mut a_rj = 0.0;
+                            for &(i, a) in &sf.cols[j] {
+                                a_rj += rho[i] * a;
+                            }
+                            (j, a_rj)
+                        })
+                        .filter(|&(_, a)| a * sign > PIVOT_TOL)
+                        .map(|(j, a)| (j, a.to_bits()))
+                        .collect();
+                    let mut got = Vec::new();
+                    g.price_row(sf, rho, sign, banned, |j, a| got.push((j, a.to_bits())));
+                    prop_assert_eq!(&got, &want, "{} {}: pivot row, sign {}", at, repr, sign);
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// After an optimal solve the factor's BTRAN scratch holds the pricing
     /// vector extraction reused; it must be a fresh BTRAN of the true costs
     /// on the final factor, bit for bit. So must the BTRAN of costs moved
@@ -2040,8 +2160,9 @@ mod sparse_dense_props {
         /// `α_r` equal the column-wise reduced costs and dots bit for bit
         /// (up to the sign of zero) for pricing vectors with exact `±0.0`
         /// entries, after every coefficient patch of random bursts that zero
-        /// entries, re-set them and insert new ones; and every reused `y` is
-        /// a fresh BTRAN.
+        /// entries, re-set them and insert new ones; the threshold visits of
+        /// both representations are the full visits, filtered; and every
+        /// reused `y` is a fresh BTRAN.
         #[test]
         fn row_wise_pricing_matches_the_column_dots(
             model in random_block_lp(),
@@ -2077,11 +2198,103 @@ mod sparse_dense_props {
                     let y = pricing_vector(&y_draws, sf.m);
                     let rho = pricing_vector(&rho_draws, sf.m);
                     check_pricing(f, sf, &y, &rho, &format!("patch {steps}"))?;
+                    check_threshold_visits(f, sf, &y, &rho, &format!("patch {steps}"))?;
                 }
                 let sol = warm.solve().unwrap();
                 prop_assert_eq!(sol.status, Status::Optimal, "x = 0 stays feasible");
                 let (sf, f) = warm.parts();
                 check_reused_y(f.unwrap(), sf, &format!("after burst {b}"))?;
+            }
+        }
+    }
+
+    /// Holds the loaded position-space `c_B` against `costs[basis[pos]]`
+    /// bit for bit, and its skip-zero objective against the gathered sum
+    /// up to the sign of zero.
+    fn check_cost_b(f: &Factor, costs: &[f64], at: &str) -> Result<(), TestCaseError> {
+        for (pos, (&cb, &j)) in f.cost_b.iter().zip(&f.basis).enumerate() {
+            prop_assert!(
+                cb.to_bits() == costs[j].to_bits(),
+                "{at}: c_B[{pos}] {cb:e} vs costs[{j}] {:e}",
+                costs[j]
+            );
+        }
+        let gathered: f64 = f.basis.iter().zip(&f.xb).map(|(&j, &x)| costs[j] * x).sum();
+        prop_assert!(
+            same_bits(f.objective(), gathered),
+            "{at}: objective {:e} vs gathered {gathered:e}",
+            f.objective()
+        );
+        Ok(())
+    }
+
+    /// Runs one-pivot calls of `phase` until it ends, checking `c_B` under
+    /// `costs` after each (pivot, refactorisation or end alike).
+    fn step_phase(
+        f: &mut Factor,
+        costs: &[f64],
+        at: &str,
+        mut phase: impl FnMut(&mut Factor) -> Result<(), LpError>,
+    ) -> Result<(), TestCaseError> {
+        for pivot in 0.. {
+            let end = phase(f);
+            check_cost_b(f, costs, &format!("{at} pivot {pivot}"))?;
+            if !matches!(end, Err(LpError::IterationLimit { .. })) {
+                return Ok(());
+            }
+            prop_assert!(pivot < 500, "{at}: the phase did not terminate");
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Position-space `c_B` on both representations, refactorising
+        /// every 3 pivots: after every pivot of primal phases to the
+        /// optimum, back out under the negated objective and back again;
+        /// after every pivot of a dual phase repairing a tightened right-hand
+        /// side; and on the first pivot after a repairing refactorisation
+        /// that substitutes a dependent column.
+        #[test]
+        fn position_space_costs_track_the_basis(
+            model in random_block_lp(),
+            row in 0usize..64,
+            shrink in 0.0f64..0.9,
+        ) {
+            let sf = StandardForm::from_model(&model).unwrap();
+            let negated: Vec<f64> = sf.c.iter().map(|c| -c).collect();
+            let mut tight = sf.clone();
+            tight.b[row % sf.m] *= shrink;
+            for sparse in [false, true] {
+                let mut f = Factor::new(&sf, 3, sparse);
+                for (i, costs) in [&sf.c, &negated, &sf.c].into_iter().enumerate() {
+                    step_phase(&mut f, costs, &format!("sparse {sparse} primal {i}"), |f| {
+                        f.run_phase(&sf, costs, &sf.is_artificial, true, 1).map(|_| ())
+                    })?;
+                }
+
+                f.refactor(&tight).unwrap();
+                step_phase(&mut f, &tight.c, &format!("sparse {sparse} dual"), |f| {
+                    // A one-pivot call leaves `y` stale: price the basis.
+                    let mut y = std::mem::take(&mut f.scratch_y);
+                    f.btran(&tight.c, &mut y);
+                    f.scratch_y = y;
+                    let b_scale = tight.b_scale();
+                    f.run_dual_phase(&tight, &tight.c, &tight.is_artificial, 1, b_scale)
+                        .map(|_| ())
+                })?;
+
+                let structural: Vec<usize> =
+                    (0..sf.m).filter(|&p| f.basis[p] < sf.n_structural).collect();
+                if let [p, q, ..] = structural[..] {
+                    let mut patched = tight.clone();
+                    patched.cols[f.basis[q]] = patched.cols[f.basis[p]].clone();
+                    let replaced = f.refactor_repair(&patched).unwrap();
+                    prop_assert!(replaced >= 1, "a duplicated column must be replaced");
+                    let _ = f.run_phase(&patched, &patched.c, &patched.is_artificial, true, 1);
+                    check_cost_b(&f, &patched.c, &format!("sparse {sparse} repaired"))?;
+                }
             }
         }
     }

@@ -705,12 +705,22 @@ impl SparseLu {
     /// — dividing and scattering only where `z` is non-zero (a zero entry
     /// would write `±0 / pivot`) — then `L̃ᵀ` in reverse over the steps that
     /// have multipliers.
-    pub(crate) fn btran(&mut self, z_init: impl Fn(usize) -> f64, y: &mut [f64]) {
+    pub(crate) fn btran(&mut self, z: &[f64], y: &mut [f64]) {
+        self.scr_pos.copy_from_slice(z);
+        self.btran_scratch(y);
+    }
+
+    /// [`Self::btran`] of the unit vector `e_pos`: row `pos` of `B⁻¹`.
+    pub(crate) fn btran_unit(&mut self, pos: usize, y: &mut [f64]) {
+        self.scr_pos.fill(0.0);
+        self.scr_pos[pos] = 1.0;
+        self.btran_scratch(y);
+    }
+
+    /// [`Self::btran`] of the input already in `scr_pos` (which it spends).
+    fn btran_scratch(&mut self, y: &mut [f64]) {
         let m = self.m;
         let z = &mut self.scr_pos;
-        for (pos, zi) in z.iter_mut().enumerate() {
-            *zi = z_init(pos);
-        }
         // (Eᵀ)⁻¹ for each eta, newest first: only component `r` changes,
         // to (z_r − Σ_{i≠r} wᵢ·zᵢ) / w_r.
         for e in (0..self.eta_piv.len()).rev() {
@@ -907,7 +917,7 @@ mod tests {
         // BTRAN of the cost vector: y solves Bᵀy = c_B, i.e. for every
         // basis column, yᵀa_j = c_j.
         let mut y = vec![0.0; m];
-        lu.btran(|pos| sf.c[basis[pos]], &mut y);
+        lu.btran(&basis.iter().map(|&j| sf.c[j]).collect::<Vec<_>>(), &mut y);
         for (pos, &j) in basis.iter().enumerate() {
             let dot: f64 = sf.cols[j].iter().map(|&(r, v)| y[r] * v).sum();
             assert!(
@@ -958,7 +968,7 @@ mod tests {
                 );
             }
             let mut y = vec![0.0; m];
-            lu.btran(|pos| sf.c[basis[pos]], &mut y);
+            lu.btran(&basis.iter().map(|&j| sf.c[j]).collect::<Vec<_>>(), &mut y);
             for (pos, &j) in basis.iter().enumerate() {
                 let dot: f64 = sf.cols[j].iter().map(|&(rr, v)| y[rr] * v).sum();
                 assert!(
@@ -1097,7 +1107,7 @@ mod tests {
                 })
                 .collect();
             let mut y = vec![0.0; m];
-            lu.btran(|pos| z[pos], &mut y);
+            lu.btran(&z, &mut y);
             lu.btran_sweep(|pos| z[pos], &mut want);
             for i in 0..m {
                 prop_assert!(

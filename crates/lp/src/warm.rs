@@ -51,7 +51,7 @@ use crate::revised_simplex::{
 };
 use crate::solution::{Solution, Status};
 use crate::standard::StandardForm;
-use crate::{LpError, COST_TOL};
+use crate::LpError;
 
 /// A basis snapshot: the basic column (standard-form index) of every row,
 /// plus the shape it was taken from. Restoring onto a standard form of a
@@ -214,9 +214,7 @@ fn warm_finish(
     factor.btran(&sf.c, &mut y);
     let mut shifted: Option<Vec<f64>> = None;
     factor.price(sf, &sf.c, &y, &sf.is_artificial, |j, d| {
-        if d < -COST_TOL {
-            shifted.get_or_insert_with(|| sf.c.to_vec())[j] -= d;
-        }
+        shifted.get_or_insert_with(|| sf.c.to_vec())[j] -= d;
         true
     });
 
