@@ -688,16 +688,10 @@ impl Factor {
             .map_or((0, 0), |rw| (rw.passes, rw.scattered))
     }
 
-    /// `c_Bᵀ x_B` under the loaded costs, summed over the non-zero `c_B`
-    /// entries in position order (a skipped term is a zero, which can only
-    /// change the sign of a zero sum).
+    /// `c_Bᵀ x_B` under the loaded costs, summed in position order (the
+    /// terms and order of the gathered `Σ costs[basis[pos]]·x_B[pos]`).
     pub(crate) fn objective(&self) -> f64 {
-        self.cost_b
-            .iter()
-            .zip(&self.xb)
-            .filter(|(&c, _)| c != 0.0)
-            .map(|(&c, &x)| c * x)
-            .sum()
+        self.cost_b.iter().zip(&self.xb).map(|(&c, &x)| c * x).sum()
     }
 
     /// Whether any artificial column — the trailing `n_artificial` of the
@@ -2208,9 +2202,8 @@ mod sparse_dense_props {
         }
     }
 
-    /// Holds the loaded position-space `c_B` against `costs[basis[pos]]`
-    /// bit for bit, and its skip-zero objective against the gathered sum
-    /// up to the sign of zero.
+    /// Holds the loaded position-space `c_B` against `costs[basis[pos]]`,
+    /// and its objective against the gathered sum, bit for bit.
     fn check_cost_b(f: &Factor, costs: &[f64], at: &str) -> Result<(), TestCaseError> {
         for (pos, (&cb, &j)) in f.cost_b.iter().zip(&f.basis).enumerate() {
             prop_assert!(
@@ -2221,7 +2214,7 @@ mod sparse_dense_props {
         }
         let gathered: f64 = f.basis.iter().zip(&f.xb).map(|(&j, &x)| costs[j] * x).sum();
         prop_assert!(
-            same_bits(f.objective(), gathered),
+            f.objective().to_bits() == gathered.to_bits(),
             "{at}: objective {:e} vs gathered {gathered:e}",
             f.objective()
         );
