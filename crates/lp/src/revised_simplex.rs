@@ -7,9 +7,13 @@
 //! The revised method keeps only a factorisation of the `m × m` basis and
 //! works from the sparse constraint columns:
 //!
-//! * pricing: one BTRAN (`y = c_Bᵀ B⁻¹`), then `d = c − Aᵀy` — a sparse
-//!   dot per column on the dense inverse, a scatter over a row-wise copy of
-//!   `A` restricted to the rows where `y ≠ 0` on the sparse LU (same bits);
+//! * pricing: one BTRAN (`y = c_Bᵀ B⁻¹`, from the `c_B` the running phase
+//!   keeps in basis-position space), then `d = c − Aᵀy` — a sparse dot per
+//!   column on the dense inverse, a scatter over a row-wise copy of `A`
+//!   restricted to the rows where `y ≠ 0` on the sparse LU (same bits).
+//!   Only the columns past the pivot rule's threshold reach it
+//!   (`d_j < −COST_TOL`; `sign·α_rj > PIVOT_TOL` for the dual ratio test),
+//!   and only their banned / in-basis flags are read;
 //! * column generation: one FTRAN (`w = B⁻¹ a_e`);
 //! * basis update: rank-1 repair of the factorisation;
 //! * periodic refactorisation bounds error accumulation.
@@ -694,8 +698,9 @@ impl Factor {
         self.cost_b.iter().zip(&self.xb).map(|(&c, &x)| c * x).sum()
     }
 
-    /// Whether any artificial column — the trailing `n_artificial` of the
-    /// standard form — is basic.
+    /// Whether any artificial column is basic. The lowering appends the
+    /// artificials after every other column, so they are the trailing
+    /// `n_artificial`.
     fn artificial_basic(&self, sf: &StandardForm) -> bool {
         self.in_basis[sf.n_cols - sf.n_artificial..]
             .iter()
@@ -1266,7 +1271,6 @@ impl Factor {
         max_iter: usize,
         b_scale: f64,
     ) -> Result<DualEnd, LpError> {
-        let m = self.m;
         let mut y = std::mem::take(&mut self.scratch_y);
         let mut w = std::mem::take(&mut self.scratch_w);
         let mut rho = std::mem::take(&mut self.scratch_rho);
@@ -1284,28 +1288,21 @@ impl Factor {
             // artificial violates its conceptual upper bound 0 (artificials
             // are fixed at zero outside phase 1) and is driven out the same
             // way, with the ratio test run on the opposite sign. ---
+            // Positions are looked up only while some artificial is basic.
+            let artificials = self.artificial_basic(sf);
             let mut leaving: Option<(usize, bool)> = None;
             let mut worst = tol;
-            if self.artificial_basic(sf) {
-                for i in 0..m {
-                    let (viol, above) = if self.xb[i] < 0.0 {
-                        (-self.xb[i], false)
-                    } else if self.xb[i] > 0.0 && sf.is_artificial[self.basis[i]] {
-                        (self.xb[i], true)
-                    } else {
-                        continue;
-                    };
-                    if viol > worst {
-                        worst = viol;
-                        leaving = Some((i, above));
-                    }
-                }
-            } else {
-                for (i, &x) in self.xb.iter().enumerate() {
-                    if -x > worst {
-                        worst = -x;
-                        leaving = Some((i, false));
-                    }
+            for (i, &x) in self.xb.iter().enumerate() {
+                let (viol, above) = if x < 0.0 {
+                    (-x, false)
+                } else if artificials && x > 0.0 && sf.is_artificial[self.basis[i]] {
+                    (x, true)
+                } else {
+                    continue;
+                };
+                if viol > worst {
+                    worst = viol;
+                    leaving = Some((i, above));
                 }
             }
             let Some((r, above)) = leaving else {
