@@ -20,6 +20,8 @@
 //!   the resolver's pair table drops its minbw copy
 //!   (the LP index keeps the only one)               31 217    210.1
 //!   that, checkpointed every epoch                  31 215        –
+//!   the factor keeps `c_B` in basis-position space  31 468    211.1
+//!   that, checkpointed every epoch                  31 466        –
 //! ```
 //!
 //! The budgets are the first `after` row plus ≈ 10 %. Before, a tenant
