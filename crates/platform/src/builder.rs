@@ -1,6 +1,8 @@
 //! Construction of arbitrary platform topologies with automatic routing.
 
-use crate::model::{BackboneLink, Cluster, ClusterId, LinkId, Platform, PlatformError, RouterId};
+use crate::model::{
+    BackboneLink, Cluster, ClusterId, LinkId, Platform, PlatformError, RouteTable, RouterId,
+};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -101,10 +103,22 @@ impl PlatformBuilder {
         self.clusters.len()
     }
 
-    /// Finalises and validates the platform.
+    /// Finalises and validates the platform. Routes are written into the
+    /// table in row-major pair order, straight from the shortest-path tree
+    /// (or the last [`PlatformBuilder::set_route`] of the pair).
     pub fn build(self) -> Result<Platform, PlatformError> {
         let k = self.clusters.len();
-        let mut routes: Vec<Option<Vec<LinkId>>> = vec![None; k * k];
+        // Explicit routes by pair index; the last one set for a pair wins.
+        let mut pinned = Vec::with_capacity(self.explicit_routes.len());
+        for (from, to, links) in self.explicit_routes.into_iter().rev() {
+            if from.index() >= k || to.index() >= k {
+                return Err(PlatformError::BadRoutePair);
+            }
+            pinned.push((from.index() * k + to.index(), links));
+        }
+        pinned.sort_by_key(|&(pair, _)| pair);
+        pinned.dedup_by_key(|&mut (pair, _)| pair);
+        let mut pinned = pinned.into_iter().peekable();
 
         // Adjacency: router → [(neighbour, link)].
         let mut adj: Vec<Vec<(RouterId, LinkId)>> = vec![Vec::new(); self.num_routers];
@@ -113,36 +127,32 @@ impl PlatformBuilder {
             adj[l.from.index()].push((l.to, lid));
             adj[l.to.index()].push((l.from, lid));
         }
-
-        // One Dijkstra per *source router* that hosts at least one cluster.
-        let mut src_routers: Vec<RouterId> = self.clusters.iter().map(|c| c.router).collect();
-        src_routers.sort_unstable();
-        src_routers.dedup();
-
-        for &src in &src_routers {
-            let tree = shortest_paths(src, &adj, &self.links, self.num_routers);
-            for from in 0..k {
-                if self.clusters[from].router != src {
+        let mut search = ShortestPaths::new(self.num_routers);
+        let mut path = Vec::new();
+        // The router whose shortest-path tree `search` holds: consecutive
+        // clusters on one router share it.
+        let mut searched = None;
+        let mut routes = RouteTable::with_pairs(k * k);
+        for (from, src) in self.clusters.iter().enumerate() {
+            for (to, dst) in self.clusters.iter().enumerate() {
+                let pair = from * k + to;
+                if let Some((_, links)) = pinned.next_if(|&(p, _)| p == pair) {
+                    routes.push_route(pair, links);
                     continue;
                 }
-                for to in 0..k {
-                    if from == to {
-                        continue;
-                    }
-                    let dst = self.clusters[to].router;
-                    if let Some(path) = tree.path_to(dst) {
-                        routes[from * k + to] = Some(path);
-                    }
+                if from == to {
+                    continue;
+                }
+                if searched != Some(src.router) {
+                    search.run(src.router, &adj, &self.links);
+                    searched = Some(src.router);
+                }
+                if search.path_to(dst.router, &mut path) {
+                    routes.push_route(pair, path.iter().rev().copied());
                 }
             }
         }
-
-        for (from, to, links) in self.explicit_routes {
-            if from.index() >= k || to.index() >= k {
-                return Err(PlatformError::BadRoutePair);
-            }
-            routes[from.index() * k + to.index()] = Some(links);
-        }
+        routes.shrink_to_fit();
 
         let platform = Platform {
             num_routers: self.num_routers,
@@ -198,83 +208,89 @@ impl Ord for HeapItem {
     }
 }
 
-struct PathTree {
+/// Dijkstra over the backbone graph from one source router, with buffers
+/// kept across sources.
+struct ShortestPaths {
+    best: Vec<Option<Label>>,
     /// Per router: predecessor `(router, link)` on the best path, if
     /// reached.
     pred: Vec<Option<(RouterId, LinkId)>>,
-    reached: Vec<bool>,
+    done: Vec<bool>,
+    heap: BinaryHeap<HeapItem>,
     src: RouterId,
 }
 
-impl PathTree {
-    fn path_to(&self, dst: RouterId) -> Option<Vec<LinkId>> {
-        if !self.reached[dst.index()] {
-            return None;
+impl ShortestPaths {
+    fn new(num_routers: usize) -> Self {
+        ShortestPaths {
+            best: vec![None; num_routers],
+            pred: vec![None; num_routers],
+            done: vec![false; num_routers],
+            heap: BinaryHeap::new(),
+            src: RouterId(0),
         }
-        let mut path = Vec::new();
+    }
+
+    /// Grows the tree of best paths from `src`.
+    fn run(&mut self, src: RouterId, adj: &[Vec<(RouterId, LinkId)>], links: &[BackboneLink]) {
+        self.best.fill(None);
+        self.pred.fill(None);
+        self.done.fill(false);
+        self.src = src;
+        let start = Label {
+            hops: 0,
+            bottleneck: f64::INFINITY,
+        };
+        self.best[src.index()] = Some(start);
+        self.heap.push(HeapItem {
+            label: start,
+            router: src,
+        });
+
+        while let Some(HeapItem { label, router }) = self.heap.pop() {
+            if self.done[router.index()] {
+                continue;
+            }
+            self.done[router.index()] = true;
+            for &(next, lid) in &adj[router.index()] {
+                if self.done[next.index()] {
+                    continue;
+                }
+                let link = &links[lid.index()];
+                let cand = Label {
+                    hops: label.hops + 1,
+                    bottleneck: label.bottleneck.min(link.bw_per_connection),
+                };
+                let improves = match &self.best[next.index()] {
+                    None => true,
+                    Some(cur) => cand.better_than(cur),
+                };
+                if improves {
+                    self.best[next.index()] = Some(cand);
+                    self.pred[next.index()] = Some((router, lid));
+                    self.heap.push(HeapItem {
+                        label: cand,
+                        router: next,
+                    });
+                }
+            }
+        }
+    }
+
+    /// Writes the path to `dst` into `path`, last link first; `false` (and
+    /// `path` untouched) when `dst` was not reached.
+    fn path_to(&self, dst: RouterId, path: &mut Vec<LinkId>) -> bool {
+        if self.best[dst.index()].is_none() {
+            return false;
+        }
+        path.clear();
         let mut here = dst;
         while here != self.src {
             let (prev, link) = self.pred[here.index()].expect("reached router has predecessor");
             path.push(link);
             here = prev;
         }
-        path.reverse();
-        Some(path)
-    }
-}
-
-fn shortest_paths(
-    src: RouterId,
-    adj: &[Vec<(RouterId, LinkId)>],
-    links: &[BackboneLink],
-    num_routers: usize,
-) -> PathTree {
-    let mut best: Vec<Option<Label>> = vec![None; num_routers];
-    let mut pred: Vec<Option<(RouterId, LinkId)>> = vec![None; num_routers];
-    let mut done = vec![false; num_routers];
-    let mut heap = BinaryHeap::new();
-    best[src.index()] = Some(Label {
-        hops: 0,
-        bottleneck: f64::INFINITY,
-    });
-    heap.push(HeapItem {
-        label: best[src.index()].unwrap(),
-        router: src,
-    });
-
-    while let Some(HeapItem { label, router }) = heap.pop() {
-        if done[router.index()] {
-            continue;
-        }
-        done[router.index()] = true;
-        for &(next, lid) in &adj[router.index()] {
-            if done[next.index()] {
-                continue;
-            }
-            let link = &links[lid.index()];
-            let cand = Label {
-                hops: label.hops + 1,
-                bottleneck: label.bottleneck.min(link.bw_per_connection),
-            };
-            let improves = match &best[next.index()] {
-                None => true,
-                Some(cur) => cand.better_than(cur),
-            };
-            if improves {
-                best[next.index()] = Some(cand);
-                pred[next.index()] = Some((router, lid));
-                heap.push(HeapItem {
-                    label: cand,
-                    router: next,
-                });
-            }
-        }
-    }
-
-    PathTree {
-        pred,
-        reached: best.iter().map(|b| b.is_some()).collect(),
-        src,
+        true
     }
 }
 

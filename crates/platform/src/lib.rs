@@ -47,5 +47,7 @@ pub use builder::PlatformBuilder;
 pub use dot::to_dot;
 pub use equivalent::{star_equivalent_speed, EquivalentModel, TreeNode, Worker};
 pub use generator::{ParameterGrid, PlatformConfig, PlatformGenerator};
-pub use model::{BackboneLink, Cluster, ClusterId, LinkId, Platform, PlatformError, RouterId};
+pub use model::{
+    BackboneLink, Cluster, ClusterId, LinkId, Platform, PlatformError, RouteTable, RouterId,
+};
 pub use stats::PlatformStats;

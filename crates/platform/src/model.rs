@@ -1,6 +1,7 @@
 //! The immutable, validated platform model.
 
-use serde::{Deserialize, Serialize};
+use serde::de::Parser;
+use serde::{DeError, Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a cluster (`C^k` in the paper).
@@ -138,8 +139,9 @@ impl std::error::Error for PlatformError {}
 /// routing table `L_{k,l}`.
 ///
 /// Construct through [`crate::PlatformBuilder`] or
-/// [`crate::PlatformGenerator`]; direct field construction is possible for
-/// serde round-trips, after which [`Platform::validate`] should be called.
+/// [`crate::PlatformGenerator`], or read one with [`Platform::from_json`],
+/// which validates it. The public fields may be edited in place, after
+/// which [`Platform::validate`] should be called.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Platform {
     /// Number of routers (`|R|`); routers carry no attributes beyond their
@@ -149,10 +151,124 @@ pub struct Platform {
     pub clusters: Vec<Cluster>,
     /// Backbone links, indexed by [`LinkId`].
     pub links: Vec<BackboneLink>,
-    /// Routing table: `routes[k * K + l]` is the ordered backbone-link list
-    /// `L_{k,l}`, or `None` when `C^l` is unreachable from `C^k` (the graph
-    /// is not assumed connected). Diagonal entries are `None`.
-    pub routes: Vec<Option<Vec<LinkId>>>,
+    /// Routing table `L_{k,l}`, read through [`Platform::route`].
+    pub(crate) routes: RouteTable,
+}
+
+/// Slot of a pair that has no route.
+const NO_ROUTE: u32 = u32::MAX;
+
+/// The fixed routing table `L_{k,l}`, each route stored once.
+///
+/// Three flat arrays: `slots[k * K + l]` is the ordinal `r` of the route
+/// `L_{k,l}`, or [`NO_ROUTE`] when `C^l` is unreachable from `C^k` (the
+/// graph is not assumed connected; diagonal entries have no route); route
+/// `r`'s links are `links[starts[r]..starts[r + 1]]`. A lookup is O(1), and
+/// a table costs 4 bytes per ordered pair plus 4 per routed pair plus 4 per
+/// link on a route — no heap block per route. Routes lie in the arena in
+/// row-major pair order, so two tables with the same routes are the same
+/// arrays.
+///
+/// In JSON the table is the dense row-major array of `K²` entries, `null`
+/// for no route and the link-id list otherwise (`[]` for two clusters on
+/// one router).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RouteTable {
+    slots: Vec<u32>,
+    starts: Vec<u32>,
+    links: Vec<LinkId>,
+}
+
+impl RouteTable {
+    /// A table of `pairs` entries, none routed yet.
+    pub(crate) fn with_pairs(pairs: usize) -> Self {
+        RouteTable {
+            slots: vec![NO_ROUTE; pairs],
+            starts: vec![0],
+            links: Vec::new(),
+        }
+    }
+
+    /// Stores `links` as the route of entry `pair`. Entries are routed in
+    /// increasing order, which keeps the arena row-major.
+    pub(crate) fn push_route(&mut self, pair: usize, links: impl IntoIterator<Item = LinkId>) {
+        self.links.extend(links);
+        self.seal(pair);
+    }
+
+    /// Makes the links appended since the last route the route of `pair`.
+    fn seal(&mut self, pair: usize) {
+        debug_assert!(self.slots[pair] == NO_ROUTE, "entry {pair} routed twice");
+        self.slots[pair] = u32::try_from(self.starts.len() - 1).expect("route count fits u32");
+        let end = u32::try_from(self.links.len()).expect("route arena fits u32");
+        self.starts.push(end);
+    }
+
+    /// Drops the spare capacity the arrays grew with.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.slots.shrink_to_fit();
+        self.starts.shrink_to_fit();
+        self.links.shrink_to_fit();
+    }
+
+    /// Number of stored routes.
+    pub fn num_routes(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Every stored route's links, concatenated in row-major pair order.
+    pub fn links(&self) -> &[LinkId] {
+        &self.links
+    }
+
+    /// The route of entry `pair`, or `None`.
+    #[inline]
+    fn get(&self, pair: usize) -> Option<&[LinkId]> {
+        let slot = self.slots[pair];
+        if slot == NO_ROUTE {
+            return None;
+        }
+        let r = slot as usize;
+        Some(&self.links[self.starts[r] as usize..self.starts[r + 1] as usize])
+    }
+}
+
+impl Serialize for RouteTable {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for pair in 0..self.slots.len() {
+            if pair > 0 {
+                out.push(',');
+            }
+            match self.get(pair) {
+                Some(links) => links.write_json(out),
+                None => out.push_str("null"),
+            }
+        }
+        out.push(']');
+    }
+}
+
+/// Reads what `Vec<Option<Vec<LinkId>>>` reads, with the same errors,
+/// straight into the arena.
+impl Deserialize for RouteTable {
+    fn from_json(p: &mut Parser<'_>) -> Result<Self, DeError> {
+        let mut table = RouteTable::with_pairs(0);
+        p.array("array", |p| {
+            let pair = table.slots.len();
+            table.slots.push(NO_ROUTE);
+            if !p.null()? {
+                p.array("array", |p| {
+                    table.links.push(LinkId::from_json(p)?);
+                    Ok(())
+                })?;
+                table.seal(pair);
+            }
+            Ok(())
+        })?;
+        table.shrink_to_fit();
+        Ok(table)
+    }
 }
 
 impl Platform {
@@ -185,7 +301,12 @@ impl Platform {
     /// `from == to`, which needs no network).
     pub fn route(&self, from: ClusterId, to: ClusterId) -> Option<&[LinkId]> {
         let k = self.clusters.len();
-        self.routes[from.index() * k + to.index()].as_deref()
+        self.routes.get(from.index() * k + to.index())
+    }
+
+    /// The routing table all routes are stored in.
+    pub fn route_table(&self) -> &RouteTable {
+        &self.routes
     }
 
     /// Bandwidth available to **one** connection from `from` to `to`:
@@ -215,12 +336,12 @@ impl Platform {
     /// Ordered cluster pairs `(k, l)`, `k ≠ l`, that have a route — exactly
     /// the pairs for which `α_{k,l}` / `β_{k,l}` variables exist.
     pub fn routed_pairs(&self) -> Vec<(ClusterId, ClusterId)> {
-        let mut out = Vec::new();
-        for from in self.cluster_ids() {
-            for to in self.cluster_ids() {
-                if from != to && self.route(from, to).is_some() {
-                    out.push((from, to));
-                }
+        let k = self.clusters.len();
+        let mut out = Vec::with_capacity(self.routes.num_routes());
+        for (pair, &slot) in self.routes.slots.iter().enumerate().take(k * k) {
+            let (from, to) = (pair / k, pair % k);
+            if from != to && slot != NO_ROUTE {
+                out.push((ClusterId(from as u32), ClusterId(to as u32)));
             }
         }
         out
@@ -261,12 +382,12 @@ impl Platform {
             }
         }
         let k = self.clusters.len();
-        if self.routes.len() != k * k {
+        if self.routes.slots.len() != k * k {
             return Err(PlatformError::BadRoutePair);
         }
         for from in 0..k {
             for to in 0..k {
-                if let Some(route) = &self.routes[from * k + to] {
+                if let Some(route) = self.routes.get(from * k + to) {
                     self.check_route_path(from, to, route)?;
                 }
             }
@@ -375,9 +496,9 @@ mod tests {
     fn validation_catches_broken_route() {
         let mut p = triangle();
         let k = p.num_clusters();
-        // Replace route C0→C1 with a link that doesn't touch C0's router.
-        p.routes[1] = Some(vec![LinkId(1)]);
-        let _ = k;
+        // Route C0→C1 over a link that doesn't touch C0's router.
+        p.routes = RouteTable::with_pairs(k * k);
+        p.routes.push_route(1, [LinkId(1)]);
         assert!(matches!(
             p.validate(),
             Err(PlatformError::BrokenRoute { from: 0, to: 1, .. })

@@ -133,22 +133,61 @@ fn route_table_errors_are_frozen() {
     // The line platform's own table, row-major, for reference:
     // [null,[0],[0,1],[0],null,[1],[1,0],[1],null]
     let cases: [(&str, &str); 16] = [
-        ("route count below K²", "\"routes\":[null,[0],[0,1],[0],null,[1],[1,0],[1]]}"),
-        ("route count above K²", "\"routes\":[null,[0],[0,1],[0],null,[1],[1,0],[1],null,null]}"),
-        ("a stored self-route", "\"routes\":[[],[0],[0,1],[0],null,[1],[1,0],[1],null]}"),
-        ("a broken path", "\"routes\":[null,[1],[0,1],[0],null,[1],[1,0],[1],null]}"),
-        ("an empty route between distinct routers", "\"routes\":[null,[],[0,1],[0],null,[1],[1,0],[1],null]}"),
-        ("an unknown link", "\"routes\":[null,[0],[0,7],[0],null,[1],[1,0],[1],null]}"),
-        ("a path that stops short", "\"routes\":[null,[0],[0],[0],null,[1],[1,0],[1],null]}"),
+        (
+            "route count below K²",
+            "\"routes\":[null,[0],[0,1],[0],null,[1],[1,0],[1]]}",
+        ),
+        (
+            "route count above K²",
+            "\"routes\":[null,[0],[0,1],[0],null,[1],[1,0],[1],null,null]}",
+        ),
+        (
+            "a stored self-route",
+            "\"routes\":[[],[0],[0,1],[0],null,[1],[1,0],[1],null]}",
+        ),
+        (
+            "a broken path",
+            "\"routes\":[null,[1],[0,1],[0],null,[1],[1,0],[1],null]}",
+        ),
+        (
+            "an empty route between distinct routers",
+            "\"routes\":[null,[],[0,1],[0],null,[1],[1,0],[1],null]}",
+        ),
+        (
+            "an unknown link",
+            "\"routes\":[null,[0],[0,7],[0],null,[1],[1,0],[1],null]}",
+        ),
+        (
+            "a path that stops short",
+            "\"routes\":[null,[0],[0],[0],null,[1],[1,0],[1],null]}",
+        ),
         ("no routes key", "\"other\":1}"),
         ("routes null", "\"routes\":null}"),
         ("routes an object", "\"routes\":{}}"),
-        ("a route that is a number", "\"routes\":[null,0,[0,1],[0],null,[1],[1,0],[1],null]}"),
-        ("a null link", "\"routes\":[null,[null],[0,1],[0],null,[1],[1,0],[1],null]}"),
-        ("a negative link", "\"routes\":[null,[-1],[0,1],[0],null,[1],[1,0],[1],null]}"),
-        ("a fractional link", "\"routes\":[null,[0.5],[0,1],[0],null,[1],[1,0],[1],null]}"),
-        ("a link past u32", "\"routes\":[null,[4294967296],[0,1],[0],null,[1],[1,0],[1],null]}"),
-        ("an unclosed route", "\"routes\":[null,[0,[0,1],[0],null,[1],[1,0],[1],null]}"),
+        (
+            "a route that is a number",
+            "\"routes\":[null,0,[0,1],[0],null,[1],[1,0],[1],null]}",
+        ),
+        (
+            "a null link",
+            "\"routes\":[null,[null],[0,1],[0],null,[1],[1,0],[1],null]}",
+        ),
+        (
+            "a negative link",
+            "\"routes\":[null,[-1],[0,1],[0],null,[1],[1,0],[1],null]}",
+        ),
+        (
+            "a fractional link",
+            "\"routes\":[null,[0.5],[0,1],[0],null,[1],[1,0],[1],null]}",
+        ),
+        (
+            "a link past u32",
+            "\"routes\":[null,[4294967296],[0,1],[0],null,[1],[1,0],[1],null]}",
+        ),
+        (
+            "an unclosed route",
+            "\"routes\":[null,[0,[0,1],[0],null,[1],[1,0],[1],null]}",
+        ),
     ];
     let mut out = String::new();
     for (what, tail) in cases {
@@ -157,6 +196,9 @@ fn route_table_errors_are_frozen() {
         writeln!(out, "{what}: {err}").unwrap();
     }
     let fine = format!("{head}\"routes\":[null,[0],[0,1],[0],null,[1],[1,0],[1],null]}}");
-    assert_eq!(Platform::from_json(&fine).unwrap().to_json(), line().to_json());
+    assert_eq!(
+        Platform::from_json(&fine).unwrap().to_json(),
+        line().to_json()
+    );
     check("route_errors.txt", &out);
 }

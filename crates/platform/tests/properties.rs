@@ -1,6 +1,9 @@
 //! Property tests for platform generation, routing and statistics.
 
-use dls_platform::{Platform, PlatformConfig, PlatformGenerator, PlatformStats};
+use dls_platform::{
+    ClusterId, LinkId, Platform, PlatformBuilder, PlatformConfig, PlatformGenerator, PlatformStats,
+    RouterId,
+};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -47,8 +50,134 @@ fn bfs_hops(p: &Platform, from: usize, to: usize) -> Option<usize> {
     (dist[dst.index()] != usize::MAX).then_some(dist[dst.index()])
 }
 
+/// A random builder topology: clusters on `routers` routers (several may
+/// share one), `relays` more routers with no cluster, and random links
+/// among all of them, so shared routers, relays and disconnected parts all
+/// come up. Indices are drawn wide and taken modulo the range.
+#[derive(Debug, Clone)]
+struct Topology {
+    routers: usize,
+    relays: usize,
+    cluster_routers: Vec<usize>,
+    links: Vec<(usize, usize, f64, u32)>,
+}
+
+fn arb_topology() -> impl Strategy<Value = Topology> {
+    (
+        1usize..7,
+        0usize..3,
+        collection::vec(0usize..64, 1..10),
+        collection::vec((0usize..64, 0usize..64, 1.0f64..50.0, 1u32..10), 0..14),
+    )
+        .prop_map(|(routers, relays, cluster_routers, links)| Topology {
+            routers,
+            relays,
+            cluster_routers,
+            links,
+        })
+}
+
+impl Topology {
+    fn builder(&self) -> PlatformBuilder {
+        let mut b = PlatformBuilder::new();
+        let n = self.routers + self.relays;
+        for _ in 0..n {
+            b.add_router();
+        }
+        for (i, &r) in self.cluster_routers.iter().enumerate() {
+            b.add_cluster_at(100.0, 10.0 + i as f64, RouterId((r % self.routers) as u32));
+        }
+        for &(a, c, bw, conn) in &self.links {
+            b.add_backbone(RouterId((a % n) as u32), RouterId((c % n) as u32), bw, conn);
+        }
+        b
+    }
+}
+
+/// Every ordered pair's route, row-major.
+fn all_routes(p: &Platform) -> Vec<Option<Vec<LinkId>>> {
+    let ids: Vec<ClusterId> = p.cluster_ids().collect();
+    ids.iter()
+        .flat_map(|&a| {
+            ids.iter()
+                .map(move |&b| p.route(a, b).map(<[LinkId]>::to_vec))
+        })
+        .collect()
+}
+
+/// The route table's own invariants: a JSON round trip gives an equal
+/// table, `routed_pairs` lists the routed off-diagonal pairs in row-major
+/// order, and the link arena holds exactly the routes' links, row-major.
+fn check_table(p: &Platform) -> Result<(), TestCaseError> {
+    let q = Platform::from_json(&p.to_json()).unwrap();
+    prop_assert_eq!(p.route_table(), q.route_table());
+    prop_assert_eq!(q.to_json(), p.to_json());
+
+    let k = p.num_clusters();
+    let routes = all_routes(p);
+    let routed: Vec<(ClusterId, ClusterId)> = (0..k * k)
+        .filter(|&pair| pair / k != pair % k && routes[pair].is_some())
+        .map(|pair| (ClusterId((pair / k) as u32), ClusterId((pair % k) as u32)))
+        .collect();
+    prop_assert_eq!(p.routed_pairs(), routed);
+
+    let stored: Vec<LinkId> = routes.iter().flatten().flatten().copied().collect();
+    prop_assert_eq!(p.route_table().links(), &stored[..]);
+    prop_assert_eq!(
+        p.route_table().num_routes(),
+        routes.iter().filter(|r| r.is_some()).count()
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn builder_route_tables_hold_exactly_their_routes(
+        topo in arb_topology(),
+        pins in collection::vec((0usize..64, 0usize..64, proptest::bool::ANY), 0..6),
+    ) {
+        let p = topo.builder().build().unwrap();
+        let k = p.num_clusters();
+        for a in p.cluster_ids() {
+            for b in p.cluster_ids() {
+                let route = p.route(a, b);
+                if a == b {
+                    prop_assert!(route.is_none(), "a self-route {}", a);
+                    continue;
+                }
+                let reachable = bfs_hops(&p, a.index(), b.index()).is_some();
+                prop_assert_eq!(route.is_some(), reachable, "{}→{}", a, b);
+                let same_router = p.cluster(a).router == p.cluster(b).router;
+                prop_assert_eq!(route == Some(&[][..]), same_router, "{}→{}", a, b);
+            }
+        }
+        check_table(&p)?;
+
+        // Pin valid paths over the computed ones: a reversed route, or a
+        // route that ends with a detour over its last link and back. Later
+        // pins of a pair override earlier ones.
+        let mut b = topo.builder();
+        let mut want = all_routes(&p);
+        for &(x, y, reverse) in &pins {
+            let (from, to) = (x % k, y % k);
+            let Some(route) = want[from * k + to].clone() else { continue };
+            let (pair, links) = if reverse {
+                (to * k + from, route.iter().rev().copied().collect())
+            } else {
+                let mut links = route.clone();
+                links.extend(route.last().map(|&l| [l, l]).into_iter().flatten());
+                (from * k + to, links)
+            };
+            let (a, c) = (ClusterId((pair / k) as u32), ClusterId((pair % k) as u32));
+            b.set_route(a, c, links.clone());
+            want[pair] = Some(links);
+        }
+        let q = b.build().unwrap();
+        prop_assert_eq!(all_routes(&q), want);
+        check_table(&q)?;
+    }
 
     #[test]
     fn generated_platforms_validate(cfg in arb_config(), seed in 0u64..1000) {
@@ -101,7 +230,7 @@ proptest! {
     fn json_round_trip_preserves_routes(cfg in arb_config(), seed in 0u64..1000) {
         let p = PlatformGenerator::new(seed).generate(&cfg);
         let q = Platform::from_json(&p.to_json()).unwrap();
-        prop_assert_eq!(p.routes, q.routes);
+        prop_assert_eq!(p.route_table(), q.route_table());
         prop_assert_eq!(p.links.len(), q.links.len());
     }
 

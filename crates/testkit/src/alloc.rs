@@ -2,7 +2,8 @@
 //!
 //! [`CountingAlloc`] forwards every call to [`System`] and observes it:
 //! the heap calls the *calling thread* makes (`alloc`, `alloc_zeroed`,
-//! `realloc`), and the bytes and blocks the *process* holds live. A test
+//! `realloc`), the bytes and blocks the *process* holds live, and the most
+//! bytes it held live at once since [`CountingAlloc::reset_peak`]. A test
 //! binary installs it once:
 //!
 //! ```no_run
@@ -32,6 +33,7 @@ thread_local! {
 
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
 static LIVE_BLOCKS: AtomicIsize = AtomicIsize::new(0);
+static PEAK_BYTES: AtomicIsize = AtomicIsize::new(0);
 
 impl CountingAlloc {
     /// Calls that allocated or grew a block on this thread so far.
@@ -47,12 +49,24 @@ impl CountingAlloc {
         )
     }
 
+    /// The most bytes the whole process held live at once since the last
+    /// [`CountingAlloc::reset_peak`] (or since it started).
+    pub fn peak_live() -> isize {
+        PEAK_BYTES.load(Ordering::Relaxed)
+    }
+
+    /// Starts a new peak from the bytes live now.
+    pub fn reset_peak() {
+        PEAK_BYTES.store(LIVE_BYTES.load(Ordering::Relaxed), Ordering::Relaxed);
+    }
+
     /// Counts one heap call on this thread and, if it returned a block,
     /// `bytes` more live bytes and `blocks` more live blocks.
     fn observe(p: *mut u8, bytes: isize, blocks: isize) -> *mut u8 {
         CALLS.with(|c| c.set(c.get() + 1));
         if !p.is_null() {
-            LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed);
+            let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
+            PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
             LIVE_BLOCKS.fetch_add(blocks, Ordering::Relaxed);
         }
         p
