@@ -76,6 +76,20 @@ const STOP_POLL: Duration = Duration::from_millis(20);
 /// Set by the process signal handlers; observed by every running server.
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
 
+/// The accept-queue length [`Server::bind`] asks for. `std`'s
+/// `TcpListener::bind` listens with 128, so a burst of more than 129
+/// connects had SYNs dropped, and each dropped client waited out TCP's 1 s
+/// initial retransmission timeout. The kernel clamps this to
+/// `net.core.somaxconn`.
+#[cfg(unix)]
+const BACKLOG: i32 = 4096;
+
+#[cfg(unix)]
+extern "C" {
+    fn signal(signum: i32, handler: usize) -> usize;
+    fn listen(fd: i32, backlog: i32) -> i32;
+}
+
 /// Installs SIGINT/SIGTERM handlers that ask every [`Server::run`] loop
 /// in the process to drain and exit. No-op off Unix.
 pub fn install_signal_handlers() {
@@ -83,9 +97,6 @@ pub fn install_signal_handlers() {
     {
         extern "C" fn on_signal(_sig: i32) {
             SIGNALLED.store(true, Ordering::SeqCst);
-        }
-        extern "C" {
-            fn signal(signum: i32, handler: usize) -> usize;
         }
         unsafe {
             signal(2, on_signal as *const () as usize); // SIGINT
@@ -175,11 +186,17 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listen socket and restores checkpointed tenants from
+    /// Binds the listen socket (on Unix with a `BACKLOG`-long accept
+    /// queue, not `std`'s 128) and restores checkpointed tenants from
     /// `cfg.checkpoint_dir` (each pinned to its shard by name hash, so
     /// a restart reproduces the same sharding).
     pub fn bind(cfg: ServiceConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
+        // Listening again on a listening socket only resizes its queue.
+        #[cfg(unix)]
+        if unsafe { listen(std::os::unix::io::AsRawFd::as_raw_fd(&listener), BACKLOG) } != 0 {
+            return Err(std::io::Error::last_os_error());
+        }
         let workers = cfg.workers.max(1);
         let mut cores: Vec<Core> = (0..workers)
             .map(|_| Core::new(cfg.checkpoint_dir.clone(), cfg.checkpoint_every))

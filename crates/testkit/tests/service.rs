@@ -239,6 +239,39 @@ fn a_new_connection_is_answered_without_an_accept_wait() {
     harness.stop().expect("daemon drains cleanly");
 }
 
+/// A burst of connects waits in the accept queue instead of being dropped.
+/// (`std`'s `TcpListener::bind` listens with a backlog of 128, so the queue
+/// held 129 connections: the 130th SYN was dropped and its client waited out
+/// TCP's 1 s initial retransmission timeout, and 256 tenants connecting at
+/// once stalled a session for ≈ 1.1 s.) The server is bound but never run,
+/// so nothing leaves the queue.
+#[cfg(unix)]
+#[test]
+fn a_burst_of_connects_fits_the_accept_queue() {
+    use dls_service::{Server, ServiceConfig};
+    use std::time::Duration;
+
+    let server = Server::bind(ServiceConfig::default()).expect("daemon binds");
+    let addr = server.local_addr().expect("bound address");
+    let mut queued = Vec::new();
+    for n in 0..256 {
+        match std::net::TcpStream::connect_timeout(&addr, Duration::from_secs(1)) {
+            Ok(stream) => queued.push(stream),
+            Err(e) => {
+                let somaxconn = std::fs::read_to_string("/proc/sys/net/core/somaxconn")
+                    .map_or_else(|_| "unreadable".into(), |s| s.trim().to_string());
+                panic!(
+                    "connect {} of 256 to a listener that accepts nothing failed ({e}): \
+                     the accept queue held {n} (the kernel caps the backlog at \
+                     /proc/sys/net/core/somaxconn = {somaxconn})",
+                    n + 1
+                );
+            }
+        }
+    }
+    drop(server);
+}
+
 #[test]
 fn daemon_rejects_cross_tenant_and_malformed_ops() {
     let harness = ServiceHarness::start(2);
