@@ -11,8 +11,8 @@
 //! bench_trend --diff BASELINE FRESH [--tol REL]
 //! ```
 //!
-//! With no arguments, checks the two committed artifacts in the current
-//! directory (`BENCH_lp.json`, `BENCH_service.json`).
+//! With no arguments, checks the committed artifact in the current
+//! directory (`BENCH_lp.json`).
 //!
 //! `--diff` compares a freshly regenerated artifact against its committed
 //! baseline field by field, skipping wall-clock timing keys, and **warns**
@@ -30,10 +30,7 @@ fn main() {
         return;
     }
     let files: Vec<String> = if args.is_empty() {
-        ["BENCH_lp.json", "BENCH_service.json"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect()
+        vec!["BENCH_lp.json".to_string()]
     } else {
         args
     };

@@ -1,21 +1,21 @@
 #![warn(missing_docs)]
 
-//! The LP and service agreement harnesses behind `perf`, and the CLI
-//! plumbing shared with the figure/table regeneration binaries.
+//! The LP agreement harness behind `perf`, and the CLI plumbing shared
+//! with the figure/table regeneration binaries.
 //!
 //! Every binary accepts:
 //!
 //! ```text
 //! --preset quick|paper-shape|full   (default: paper-shape)
 //! --seed <u64>                      (default: 42)
-//! --threads <n>                     (default: 0 = all cores; perf's lp sweep)
+//! --threads <n>                     (default: 0 = all cores)
 //! --out <dir>                       (default: results/)
 //! --ablation                        (fig6 only: add LPRR-EQ)
 //! ```
 //!
-//! Each harness run is a `#[derive(Serialize)]` struct whose fields open
-//! with one envelope — `schema`, `preset`, `seed`, `entries` — followed by
-//! the harness's own sections. [`Cli::publish`] renders it, writes it and
+//! A harness run is a `#[derive(Serialize)]` struct whose fields open with
+//! one envelope — `schema`, `preset`, `seed`, `entries` — followed by the
+//! harness's own sections. [`Cli::publish`] renders it, writes it and
 //! gates it with [`trend::check_artifact`].
 
 use dls_experiments::Preset;
@@ -24,7 +24,6 @@ use std::io;
 use std::path::PathBuf;
 
 pub mod lp_perf;
-pub mod service_perf;
 pub mod trend;
 
 /// The `preset` value every BENCH artifact records.
@@ -80,21 +79,9 @@ impl Default for Cli {
 }
 
 impl Cli {
-    /// Parses `std::env::args`, exiting with a usage message on errors
-    /// (positional arguments included).
+    /// Parses `std::env::args`, exiting with a usage message on errors.
     pub fn parse() -> Cli {
-        let (cli, positional) = Cli::parse_with_positionals();
-        if let Some(arg) = positional.first() {
-            usage(&format!("unknown argument {arg}"));
-        }
-        cli
-    }
-
-    /// Parses `std::env::args` like [`Cli::parse`], returning the
-    /// positional (non-flag) arguments alongside.
-    pub fn parse_with_positionals() -> (Cli, Vec<String>) {
         let mut cli = Cli::default();
-        let mut positional = Vec::new();
         let args: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
         while i < args.len() {
@@ -129,12 +116,11 @@ impl Cli {
                 }
                 "--ablation" => cli.ablation = true,
                 "--help" | "-h" => usage(""),
-                flag if flag.starts_with('-') => usage(&format!("unknown argument {flag}")),
-                name => positional.push(name.to_string()),
+                arg => usage(&format!("unknown argument {arg}")),
             }
             i += 1;
         }
-        (cli, positional)
+        cli
     }
 
     /// Writes a CSV artifact under the output directory. Failures are
@@ -195,8 +181,7 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: <bin> [--preset quick|paper-shape|full] [--seed N] \
-         [--threads N] [--out DIR] [--ablation]\n       \
-         perf [lp] [service] [options]"
+         [--threads N] [--out DIR] [--ablation]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

@@ -2,7 +2,7 @@
 //!
 //! The harnesses record two kinds of promises next to their timings:
 //! cross-pipeline **agreement** flags (`objectives_agree`, `sweep_agree`,
-//! `reports_agree`, `recovery_agree`, …) and **speedup** ratios.
+//! …) and **speedup** ratios.
 //! [`check_artifact`] turns both into a gate: it walks the whole tree for
 //! any `*_agree` key that is not `true`, and applies the [`FLOORS`] table —
 //! the only place a floor is written. The `perf` binary calls it on each
@@ -384,19 +384,18 @@ mod tests {
         );
     }
 
-    /// `BENCH_*.json` at the repository root, then `baselines/quick/`.
+    /// `BENCH_lp.json` at the repository root, then in `baselines/quick/`.
     fn committed_artifacts() -> Vec<(String, String)> {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let mut out = Vec::new();
-        for dir in [root.clone(), root.join("baselines/quick")] {
-            for name in ["BENCH_lp", "BENCH_service"] {
-                let path = dir.join(format!("{name}.json"));
+        [root.clone(), root.join("baselines/quick")]
+            .iter()
+            .map(|dir| {
+                let path = dir.join("BENCH_lp.json");
                 let json = std::fs::read_to_string(&path)
                     .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-                out.push((path.display().to_string(), json));
-            }
-        }
-        out
+                (path.display().to_string(), json)
+            })
+            .collect()
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! routed pair `(k, l)`, the objective of pinning `β_{k,l}` to its rounded
 //! fractional value. That is ~K² independent warm solves — embarrassingly
 //! parallel, and the dominant cost at large K. Its callers are the
-//! benchmarks (`perf lp`'s sparse scaling entries and the `plan_island`
+//! benchmarks (`perf`'s sparse scaling entries and the `plan_island`
 //! workload) and the tests that pin its bit identity.
 //!
 //! # Determinism under sharding

@@ -210,7 +210,7 @@ pub enum Engine {
 
 /// Tableau size (standard-form rows × columns) above which [`solve_auto`]
 /// leaves the dense tableau for the sparse LU: the measured crossover of a
-/// one-shot cold solve of the paper-shape relaxation, as `perf lp` records
+/// one-shot cold solve of the paper-shape relaxation, as `perf` records
 /// it in `BENCH_lp.json`'s `crossover` section (seed 42, median cold
 /// solve per engine over ≥ 9 solves and ≥ 100 ms, ms, 2-core x86-64
 /// sandbox):
@@ -233,7 +233,7 @@ pub enum Engine {
 /// engine leads only at K = 20, by 8 %, so no cold solve picks it (it stays
 /// the warm contexts' [`BasisRepr::DenseInverse`] below
 /// [`SPARSE_MIN_ROWS`]). Re-measure with
-/// `cargo run --release -p dls_bench --bin perf -- lp` (the `crossover`
+/// `cargo run --release -p dls_bench --bin perf` (the `crossover`
 /// rows carry `k`, `rows`, `cells` and `timing_ms` per engine) and move the
 /// constant if the bracket moves.
 ///

@@ -76,7 +76,7 @@ pub use dls_core::paper_shape_instance;
 /// block-diagonal, which is the structure the sparse LU engine exploits.
 pub const ISLAND: usize = 8;
 
-/// Deterministic large-K federation instance (`perf lp`'s sparse-scaling
+/// Deterministic large-K federation instance (`perf`'s sparse-scaling
 /// section, the pin-sweep allocation test): islands of [`ISLAND`]
 /// fully-meshed clusters with no inter-island links. The paper-shape
 /// generator's `connectivity · K²` backbone is intractable (and
