@@ -8,10 +8,11 @@
 //! tests can assert a tenant's daemon-side report is bit-identical to
 //! what it would have produced alone in-process.
 
+use dls_core::ProblemInstance;
 use dls_scenario::catalog::paper_shape_instance;
 use dls_scenario::{
-    run_scenario, JobSpec, PlatformEvent, PolicyKind, Scenario, ScenarioConfig, ScenarioReport,
-    ScenarioSession,
+    run_scenario, JobSpec, PlatformEvent, PolicyKind, ReschedulePolicy, Scenario, ScenarioConfig,
+    ScenarioReport, ScenarioSession,
 };
 use dls_service::{Client, Server, ServiceConfig, TenantSpec};
 use dls_sim::SimEngine;
@@ -102,21 +103,23 @@ impl Drop for ServiceHarness {
     }
 }
 
-/// Runs the `(spec, jobs, events)` timeline alone, in-process, exactly
-/// as the daemon builds it for tenant `name`: paper-shape platform from
-/// `(clusters, seed)`, the spec's policy, the spec's engine. The
-/// returned report is the bit-for-bit reference for what the daemon
-/// must produce for that tenant regardless of its neighbours
-/// (`reschedule_ms` excepted — wall-clock is not part of the contract).
-pub fn expected_report(
+/// What a reference run of tenant `name` starts from, built exactly as the
+/// daemon builds it: the paper-shape platform from `(clusters, seed)`, the
+/// spec's policy, the timeline sorted by time, and the spec's engine.
+fn reference_setup(
     name: &str,
     spec: &TenantSpec,
     jobs: &[JobSpec],
     events: &[PlatformEvent],
-) -> ScenarioReport {
+) -> (
+    ProblemInstance,
+    Box<dyn ReschedulePolicy + Send>,
+    Scenario,
+    ScenarioConfig,
+) {
     let inst = paper_shape_instance(spec.clusters, spec.seed);
     let kind = PolicyKind::parse(&spec.policy).expect("reference spec has a known policy");
-    let mut policy = kind.build(&inst).expect("reference policy builds");
+    let policy = kind.build(&inst).expect("reference policy builds");
     let engine = match spec.engine.as_str() {
         "incremental" => SimEngine::Incremental,
         "full" => SimEngine::FullRecompute,
@@ -137,6 +140,21 @@ pub fn expected_report(
         record_events: spec.record_events,
         ..ScenarioConfig::default()
     };
+    (inst, policy, scenario, cfg)
+}
+
+/// Runs the `(spec, jobs, events)` timeline alone, in-process, exactly
+/// as the daemon builds it for tenant `name` (see `reference_setup`). The
+/// returned report is the bit-for-bit reference for what the daemon
+/// must produce for that tenant regardless of its neighbours
+/// (`reschedule_ms` excepted — wall-clock is not part of the contract).
+pub fn expected_report(
+    name: &str,
+    spec: &TenantSpec,
+    jobs: &[JobSpec],
+    events: &[PlatformEvent],
+) -> ScenarioReport {
+    let (inst, mut policy, scenario, cfg) = reference_setup(name, spec, jobs, events);
     run_scenario(&inst, &scenario, policy.as_mut(), &cfg).expect("reference run succeeds")
 }
 
@@ -154,29 +172,7 @@ pub fn expected_report_with_checkpoint(
     events: &[PlatformEvent],
     checkpoint_epochs: usize,
 ) -> ScenarioReport {
-    let inst = paper_shape_instance(spec.clusters, spec.seed);
-    let kind = PolicyKind::parse(&spec.policy).expect("reference spec has a known policy");
-    let mut policy = kind.build(&inst).expect("reference policy builds");
-    let engine = match spec.engine.as_str() {
-        "incremental" => SimEngine::Incremental,
-        "full" => SimEngine::FullRecompute,
-        other => panic!("reference spec has unknown engine `{other}`"),
-    };
-    let mut jobs = jobs.to_vec();
-    jobs.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
-    let mut events = events.to_vec();
-    events.sort_by(|a, b| a.time.total_cmp(&b.time));
-    let scenario = Scenario {
-        name: name.to_string(),
-        period: spec.period,
-        jobs,
-        platform_events: events,
-    };
-    let cfg = ScenarioConfig {
-        engine,
-        record_events: spec.record_events,
-        ..ScenarioConfig::default()
-    };
+    let (inst, mut policy, scenario, cfg) = reference_setup(name, spec, jobs, events);
     let mut session = ScenarioSession::new(&inst, scenario, cfg);
     for _ in 0..checkpoint_epochs {
         session
