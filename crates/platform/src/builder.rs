@@ -16,7 +16,7 @@ use std::collections::BinaryHeap;
 pub struct PlatformBuilder {
     clusters: Vec<Cluster>,
     num_routers: usize,
-    links: Vec<BackboneLink>,
+    pub(crate) links: Vec<BackboneLink>,
     explicit_routes: Vec<(ClusterId, ClusterId, Vec<LinkId>)>,
 }
 

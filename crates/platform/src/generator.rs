@@ -93,7 +93,6 @@ impl PlatformGenerator {
 
         // Backbone links: each unordered cluster pair independently with
         // probability `connectivity`.
-        let mut link_count = 0usize;
         for i in 0..k {
             for j in i + 1..k {
                 if self.rng.gen_bool(config.connectivity.clamp(0.0, 1.0)) {
@@ -103,79 +102,54 @@ impl PlatformGenerator {
                         .round()
                         .max(1.0) as u32;
                     b.connect_clusters(clusters[i], clusters[j], bw, maxcon);
-                    link_count += 1;
                 }
             }
         }
 
-        let _ = link_count;
-        let mut platform = b.build().expect("generated platform is always valid");
         // Optional relay routers (Figure 2 shows intermediate routers not
-        // attached to any cluster): split random links through fresh relays
-        // and recompute routing.
+        // attached to any cluster), split into the links before routing.
         if config.relay_routers > 0 {
-            platform = insert_relays(platform, config.relay_routers, &mut self.rng);
+            split_links(&mut b, config.relay_routers, &mut self.rng);
         }
-        platform
+        b.build().expect("generated platform is always valid")
     }
 }
 
-/// Splits `n` random backbone links with relay routers (each split replaces
-/// one link by two links of identical characteristics through a new router)
-/// and recomputes all routes.
-fn insert_relays(platform: Platform, n: usize, rng: &mut ChaCha8Rng) -> Platform {
-    let mut b = PlatformBuilder::new();
-    let mut links = platform.links.clone();
+/// Splits `n` random backbone links of `b` with relay routers: each split
+/// replaces one link by two links of identical characteristics through a
+/// new router. The relays are numbered densely after `b`'s routers, in
+/// order of first appearance in the link list.
+fn split_links(b: &mut PlatformBuilder, n: usize, rng: &mut ChaCha8Rng) {
+    let (routers, before) = (b.num_routers(), b.links.len());
     for _ in 0..n {
-        if links.is_empty() {
+        if b.links.is_empty() {
             break;
         }
-        let idx = rng.gen_range(0..links.len());
-        let old = links[idx].clone();
-        // Relay ids are assigned densely after the original routers once all
-        // splits are known; until then each relay gets a unique marker id
+        let idx = rng.gen_range(0..b.links.len());
+        // Until every split is known, each relay gets a unique marker id
         // counting down from u32::MAX.
-        let relay = RouterId(u32::MAX - links.len() as u32);
-        let second = crate::model::BackboneLink {
-            from: relay,
-            to: old.to,
-            bw_per_connection: old.bw_per_connection,
-            max_connections: old.max_connections,
-        };
-        links[idx] = crate::model::BackboneLink {
-            from: old.from,
-            to: relay,
-            bw_per_connection: old.bw_per_connection,
-            max_connections: old.max_connections,
-        };
-        links.push(second);
+        let relay = RouterId(u32::MAX - b.links.len() as u32);
+        let mut second = b.links[idx].clone();
+        second.from = relay;
+        b.links[idx].to = relay;
+        b.links.push(second);
     }
-    // Renumber marker routers densely after the originals.
-    let mut next = platform.num_routers as u32;
-    let mut mapping = std::collections::HashMap::new();
-    for l in &mut links {
+    // Split `j` made the marker `u32::MAX - (before + j)`.
+    let mut ids: Vec<Option<RouterId>> = vec![None; b.links.len() - before];
+    let mut next = routers as u32;
+    for l in &mut b.links {
         for r in [&mut l.from, &mut l.to] {
-            if r.index() >= platform.num_routers {
-                let id = *mapping.entry(r.0).or_insert_with(|| {
-                    let id = next;
+            if r.index() >= routers {
+                *r = *ids[(u32::MAX - r.0) as usize - before].get_or_insert_with(|| {
                     next += 1;
-                    id
+                    RouterId(next - 1)
                 });
-                *r = RouterId(id);
             }
         }
     }
-    // Rebuild with identical clusters and the new link set.
-    for _ in 0..next {
+    for _ in routers..next as usize {
         b.add_router();
     }
-    for c in &platform.clusters {
-        b.add_cluster_at(c.speed, c.local_bw, c.router);
-    }
-    for l in &links {
-        b.add_backbone(l.from, l.to, l.bw_per_connection, l.max_connections);
-    }
-    b.build().expect("relay-split platform is always valid")
 }
 
 /// The full Table 1 parameter grid of the paper.

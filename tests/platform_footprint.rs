@@ -4,10 +4,11 @@
 //! once, so what one instance holds is what the process's resident set
 //! grows by per instance. This binary installs `dls_testkit::CountingAlloc`,
 //! builds one K = 400 federation (`island_instance`: islands of 8 fully
-//! meshed clusters, 2 800 of its 160 000 ordered pairs routed) and one
-//! K = 95 paper-shape instance (every pair routed, multi-hop), and reads
-//! the live bytes and blocks each instance holds afterwards, the heap calls
-//! its build makes, and the most bytes the build held live at once.
+//! meshed clusters, 2 800 of its 160 000 ordered pairs routed), one K = 95
+//! paper-shape instance (every pair routed, multi-hop) and one K = 95
+//! generated platform with 5 relay routers, and reads the live bytes and
+//! blocks each holds afterwards, the heap calls its build makes, and the
+//! most bytes the build held live at once.
 //!
 //! Measured on x86-64 Linux:
 //!
@@ -21,7 +22,15 @@
 //!   K = 95 paper shape
 //!     before                               412 464  8 934    10 455
 //!     after                                182 048      6       520
+//!   K = 95, connectivity 0.3, 5 relays
+//!     before: routed, rebuilt with the
+//!             split links, routed again    185 016      5       912
+//!     after:  links split, routed once     185 016      5       458
 //! ```
+//!
+//! Dropping the relay build's second routing pass also lowered its peak
+//! from 507 980 B to 259 844 B (the same platform without relays: 452
+//! calls, 259 379 B).
 //!
 //! The budgets are the `after` rows plus ≈ 10 %. The peak check pins that
 //! the K = 400 build keeps no second pair-indexed table beside the one it
@@ -34,7 +43,7 @@
 //! One `#[test]` only: the counters are process-wide, so a second test
 //! running on another thread would pollute them.
 
-use dls::core::ProblemInstance;
+use dls::platform::{PlatformConfig, PlatformGenerator};
 use dls::scenario::catalog::{island_instance, paper_shape_instance};
 use dls_testkit::CountingAlloc;
 
@@ -49,7 +58,7 @@ struct Footprint {
     peak: isize,
 }
 
-fn measure(build: impl FnOnce() -> ProblemInstance) -> Footprint {
+fn measure<T>(build: impl FnOnce() -> T) -> Footprint {
     let before = CountingAlloc::live();
     let calls = CountingAlloc::thread_calls();
     CountingAlloc::reset_peak();
@@ -110,4 +119,12 @@ fn a_planning_instance_stores_each_route_once() {
     );
     let paper = measure(|| paper_shape_instance(95, 42));
     check("K = 95 paper shape", &paper, (200_000, 7, 575));
+    let relays = PlatformConfig {
+        num_clusters: 95,
+        connectivity: 0.3,
+        relay_routers: 5,
+        ..PlatformConfig::default()
+    };
+    let relayed = measure(|| PlatformGenerator::new(42).generate(&relays));
+    check("K = 95 with 5 relays", &relayed, (205_000, 6, 505));
 }
