@@ -113,15 +113,11 @@ pub fn check_artifact(name: &str, json: &str) -> Result<Vec<String>, String> {
 }
 
 /// Keys holding wall-clock measurements, which vary run to run by
-/// design: the `timing_ms` subtree and latency/throughput leaves. They
+/// design: the `timing_ms` subtree, speedups and millisecond leaves. They
 /// are excluded from drift comparison — everything else in an artifact
 /// is a deterministic function of the committed code and the preset.
 fn is_timing_key(k: &str) -> bool {
-    k == "timing_ms"
-        || k == "speedup"
-        || k.ends_with("_speedup")
-        || k.ends_with("_ms")
-        || k.ends_with("_per_sec")
+    k == "speedup" || k.ends_with("_speedup") || k.ends_with("_ms")
 }
 
 /// Compares a freshly regenerated artifact against its committed
@@ -425,13 +421,13 @@ mod tests {
             "preset": "quick",
             "entries": [{"makespan": 62.25956646980199, "completed": 12,
                          "timing_ms": {"speedup": 30.0, "incremental_wall": 5.0},
-                         "p99_ms": 1.5, "subs_per_sec": 9000.0}]
+                         "p99_ms": 1.5, "largest_k_speedup": 9.0}]
         }"#;
         let same_modulo_timing = r#"{
             "preset": "quick",
             "entries": [{"makespan": 62.25956646980199, "completed": 12,
                          "timing_ms": {"speedup": 1.0, "incremental_wall": 900.0},
-                         "p99_ms": 88.0, "subs_per_sec": 3.0}]
+                         "p99_ms": 88.0, "largest_k_speedup": 3.0}]
         }"#;
         let clean = diff_artifacts("b.json", baseline, same_modulo_timing, 1e-9).unwrap();
         assert!(clean.is_empty(), "{clean:?}");

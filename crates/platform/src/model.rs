@@ -161,9 +161,9 @@ const NO_ROUTE: u32 = u32::MAX;
 /// The fixed routing table `L_{k,l}`, each route stored once.
 ///
 /// Three flat arrays: `slots[k * K + l]` is the ordinal `r` of the route
-/// `L_{k,l}`, or [`NO_ROUTE`] when `C^l` is unreachable from `C^k` (the
-/// graph is not assumed connected; diagonal entries have no route); route
-/// `r`'s links are `links[starts[r]..starts[r + 1]]`. A lookup is O(1), and
+/// `L_{k,l}`, or `NO_ROUTE` (`u32::MAX`) when `C^l` is unreachable from
+/// `C^k` (the graph is not assumed connected; diagonal entries have no
+/// route); route `r`'s links are `links[starts[r]..starts[r + 1]]`. A lookup is O(1), and
 /// a table costs 4 bytes per ordered pair plus 4 per routed pair plus 4 per
 /// link on a route — no heap block per route. Routes lie in the arena in
 /// row-major pair order, so two tables with the same routes are the same

@@ -77,10 +77,10 @@ const STOP_POLL: Duration = Duration::from_millis(20);
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
 
 /// The accept-queue length [`Server::bind`] asks for. `std`'s
-/// `TcpListener::bind` listens with 128, so a burst of more than 129
-/// connects had SYNs dropped, and each dropped client waited out TCP's 1 s
-/// initial retransmission timeout. The kernel clamps this to
-/// `net.core.somaxconn`.
+/// `TcpListener::bind` listens with 128: a burst of more than 129 connects
+/// overflows that queue, the kernel drops the extra SYNs, and each dropped
+/// client waits out TCP's 1 s initial retransmission timeout. The kernel
+/// clamps this to `net.core.somaxconn`.
 #[cfg(unix)]
 const BACKLOG: i32 = 4096;
 
