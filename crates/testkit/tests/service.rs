@@ -269,7 +269,6 @@ fn a_burst_of_connects_fits_the_accept_queue() {
             }
         }
     }
-    drop(server);
 }
 
 #[test]
