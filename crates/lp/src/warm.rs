@@ -475,6 +475,27 @@ impl WarmSimplex {
         self.needs_refactor
     }
 
+    /// Puts the context to rest between solves: a dense `B⁻¹` keeps only
+    /// its non-zeros resident (bit for bit, `−0.0` and subnormals
+    /// included), and none at all while a refactorisation is pending,
+    /// which rebuilds it without reading it. Every entry point that reaches
+    /// the factor unpacks it first, so packing changes no result; it costs
+    /// one `m²` scan here and one `m²` fill at the next entry. The sparse
+    /// LU packs nothing. A long-lived host calls this once a caller's op is
+    /// done; in-process loops never need to.
+    pub fn pack(&mut self) {
+        if let Some(factor) = &mut self.factor {
+            factor.pack(!self.needs_refactor);
+        }
+    }
+
+    /// Undoes [`WarmSimplex::pack`] (a no-op on an unpacked context).
+    fn unpack(&mut self) {
+        if let Some(factor) = &mut self.factor {
+            factor.unpack();
+        }
+    }
+
     /// Seeds the context with a persisted basis snapshot (failover
     /// restore): the next solve warm-starts from it instead of running
     /// cold. Returns `false` — leaving the context on the cold path — when
@@ -511,6 +532,7 @@ impl WarmSimplex {
     /// such a request fails with [`LpError::StructuralChange`] and leaves
     /// the context untouched.
     pub fn set_var_bounds(&mut self, var: VarId, lo: f64, up: f64) -> Result<(), LpError> {
+        self.unpack();
         if !lo.is_finite() || up.is_nan() {
             return Err(LpError::NotFinite("variable bounds"));
         }
@@ -587,6 +609,7 @@ impl WarmSimplex {
     /// lexicographic second stage (swap the objective, re-solve warm from
     /// the stage-1 basis, swap it back) at a handful of pivots.
     pub fn set_objective_coef(&mut self, var: VarId, coef: f64) -> Result<(), LpError> {
+        self.unpack();
         if !coef.is_finite() {
             return Err(LpError::NotFinite("objective coefficient"));
         }
@@ -605,6 +628,7 @@ impl WarmSimplex {
     /// Replaces the right-hand side of a constraint, patching the standard
     /// form in place (a pure `b` delta — the basis stays dual feasible).
     pub fn set_rhs(&mut self, con: ConstraintId, rhs: f64) -> Result<(), LpError> {
+        self.unpack();
         if !rhs.is_finite() {
             return Err(LpError::NotFinite("constraint rhs"));
         }
@@ -628,6 +652,7 @@ impl WarmSimplex {
         var: VarId,
         coef: f64,
     ) -> Result<(), LpError> {
+        self.unpack();
         if !coef.is_finite() {
             return Err(LpError::NotFinite("constraint coefficient"));
         }
@@ -687,6 +712,7 @@ impl WarmSimplex {
     /// numerical trouble. The result is always equivalent to a fresh
     /// [`RevisedSimplex::solve`] of the current model.
     pub fn solve(&mut self) -> Result<Solution, LpError> {
+        self.unpack();
         self.stats.solves += 1;
         if let Some(InjectedFault::Solve(e)) = self.injected.first() {
             let e = e.clone();

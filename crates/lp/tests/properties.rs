@@ -214,6 +214,50 @@ proptest! {
     }
 
     #[test]
+    fn a_packed_dense_context_matches_a_never_packed_twin(
+        lp in random_lp(6, 6),
+        bursts in proptest::collection::vec(
+            (random_patches(13), proptest::bool::ANY, 0usize..6, -3.0f64..3.0),
+            1..6,
+        ),
+    ) {
+        // `pack` after every solve and after every patch burst, and a
+        // refactorisation requested before some packs (so the inverse is
+        // dropped, not packed): every answer, counter and basis must be the
+        // twin's, bit for bit.
+        let dense = RevisedSimplex {
+            basis_repr: BasisRepr::DenseInverse,
+        };
+        let mut packed = WarmSimplex::new(lp.model.clone(), dense).unwrap();
+        let mut twin = WarmSimplex::new(lp.model.clone(), dense).unwrap();
+        let solve_both = |packed: &mut WarmSimplex, twin: &mut WarmSimplex| {
+            let (a, b) = (packed.solve(), twin.solve());
+            packed.pack();
+            (format!("{a:?}"), format!("{b:?}"))
+        };
+        let (a, b) = solve_both(&mut packed, &mut twin);
+        prop_assert_eq!(a, b);
+        for (burst, refactor, vi, coef) in bursts {
+            let var = VarId::from_index(vi % twin.model().num_vars());
+            for warm in [&mut packed, &mut twin] {
+                for &patch in &burst {
+                    apply_patch(warm, patch);
+                }
+                warm.set_objective_coef(var, coef).unwrap();
+                if refactor {
+                    warm.request_refactor();
+                }
+            }
+            packed.pack();
+            let (a, b) = solve_both(&mut packed, &mut twin);
+            prop_assert_eq!(a, b);
+            prop_assert_eq!(packed.stats(), twin.stats());
+            prop_assert_eq!(packed.basis(), twin.basis());
+            prop_assert_eq!(format!("{:?}", packed.model()), format!("{:?}", twin.model()));
+        }
+    }
+
+    #[test]
     fn solve_warm_matches_cold_after_tightening(lp in random_lp(6, 6), frac in 0.0f64..1.0) {
         // Basis snapshot / restore across a model rebuild: tighten one
         // bounded variable and re-solve from the old optimal basis.
