@@ -265,7 +265,7 @@ fn sweep_probe_cap(k: usize) -> usize {
 /// against a cold rebuild, and time the sequential vs sharded pin sweep
 /// with a bit-identity check.
 fn sparse_entry(k: usize, seed: u64, sharded_threads: usize, run_dense: bool) -> SparsePerfEntry {
-    let inst = island_instance(k, seed);
+    let inst = island_instance(k, seed).expect("k ≥ 1 clusters");
     let mut f = LpFormulation::relaxation_warm(&inst).expect("warm formulation");
     let model_rows = f.model.num_constraints();
     let model_cols = f.model.num_vars();

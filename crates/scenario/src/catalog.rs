@@ -17,7 +17,7 @@
 use crate::events::{ArrivalProcess, JobSpec, PlatformChange, PlatformEvent, Scenario};
 use dls_core::adaptive::DriftConfig;
 use dls_core::{Objective, ProblemInstance};
-use dls_platform::{ClusterId, PlatformBuilder};
+use dls_platform::{ClusterId, PlatformBuilder, PlatformError};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -83,8 +83,8 @@ pub const ISLAND: usize = 8;
 /// unrealistically dense) beyond a few hundred clusters; real large
 /// platforms are federations of well-connected sites, and the resulting
 /// block structure keeps basis fill-in — and therefore sparse solve time —
-/// near-linear in K.
-pub fn island_instance(k: usize, seed: u64) -> ProblemInstance {
+/// near-linear in K. Fails with [`PlatformError::Empty`] at `k = 0`.
+pub fn island_instance(k: usize, seed: u64) -> Result<ProblemInstance, PlatformError> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x51a9_d05e_c0de_0001);
     let mut b = PlatformBuilder::new();
     let clusters: Vec<ClusterId> = (0..k)
@@ -99,13 +99,12 @@ pub fn island_instance(k: usize, seed: u64) -> ProblemInstance {
             }
         }
     }
-    let platform = b.build().expect("island platform is valid");
-    ProblemInstance::with_spread_payoffs(
-        platform,
+    Ok(ProblemInstance::with_spread_payoffs(
+        b.build()?,
         Objective::MaxMin,
         0.5,
         seed ^ 0x9e37_79b9_7f4a_7c15,
-    )
+    ))
 }
 
 /// The catalog's workload: Poisson arrivals offering roughly 40% of the
@@ -277,7 +276,8 @@ mod tests {
 
     #[test]
     fn island_instance_is_block_structured() {
-        let inst = island_instance(20, 5);
+        let inst = island_instance(20, 5).unwrap();
+        assert!(island_instance(0, 5).is_err(), "no clusters, no platform");
         let p = &inst.platform;
         assert_eq!(p.num_clusters(), 20);
         // Routed pairs stay within their island: 8 + 8 + 4 clusters give

@@ -138,7 +138,11 @@ pub struct Scenario {
 impl Scenario {
     /// Serialises the scenario to pretty JSON (the trace-file format).
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("scenario serialisation cannot fail")
+        match serde_json::to_string_pretty(self) {
+            Ok(json) => json,
+            // The serialiser writes into a `String` and has no error path.
+            Err(e) => unreachable!("scenario serialisation failed: {e}"),
+        }
     }
 
     /// Parses a scenario from JSON and validates it against a platform.

@@ -130,6 +130,13 @@ pub trait ReschedulePolicy {
     /// bit-identical. Stateless policies have nothing to align; the default
     /// is a no-op.
     fn checkpoint_barrier(&mut self) {}
+
+    /// Called by a long-lived host (the daemon's tenants) once an op on
+    /// the policy is done and it rests until the next one. Policies with a
+    /// warm solver context shrink it to what the next decision needs
+    /// ([`WarmSimplex::pack`]); nothing a later call returns changes. The
+    /// default is a no-op.
+    fn pack(&mut self) {}
 }
 
 /// Cached per-pair LP bookkeeping for the warm path.
@@ -242,9 +249,14 @@ impl WarmLprg {
         }
         for i in 0..self.pairs.len() {
             let (from, to) = (self.pairs[i].from, self.pairs[i].to);
-            let minbw = p
-                .route_bottleneck_bw(from, to)
-                .expect("routes are topology, which never changes");
+            // Drift moves capacities, never routes, so every pair collected
+            // at build time still has one; a platform that lost one is a
+            // different LP layout.
+            let Some(minbw) = p.route_bottleneck_bw(from, to) else {
+                return Err(SolveError::Lp(dls_lp::LpError::StructuralChange(
+                    "a warm pair lost its route",
+                )));
+            };
             let cap = p
                 .route_max_connections(from, to)
                 .map(|b| b as f64 * minbw)
@@ -340,6 +352,12 @@ impl WarmLprg {
     /// [`WarmLprg::recover`] the recovery counter is untouched.
     pub fn checkpoint_barrier(&mut self) {
         self.warm.request_refactor();
+    }
+
+    /// Puts the warm context to rest between resolves
+    /// ([`WarmSimplex::pack`]): the next resolve answers the same bits.
+    pub fn pack(&mut self) {
+        self.warm.pack();
     }
 
     /// The current warm-basis descriptor, for failover snapshots.
@@ -510,6 +528,14 @@ impl Resolver {
             w.checkpoint_barrier();
         }
     }
+
+    /// See [`ReschedulePolicy::pack`]: warm contexts pack their factor;
+    /// cold and heuristic resolvers keep nothing between resolves.
+    pub fn pack(&mut self) {
+        if let Resolver::Warm(w) = self {
+            w.pack();
+        }
+    }
 }
 
 /// Re-solve every period.
@@ -553,6 +579,10 @@ impl ReschedulePolicy for PeriodicResolve {
 
     fn checkpoint_barrier(&mut self) {
         self.resolver.checkpoint_barrier();
+    }
+
+    fn pack(&mut self) {
+        self.resolver.pack();
     }
 }
 
@@ -605,6 +635,10 @@ impl ReschedulePolicy for ThresholdTriggered {
     fn checkpoint_barrier(&mut self) {
         self.resolver.checkpoint_barrier();
     }
+
+    fn pack(&mut self) {
+        self.resolver.pack();
+    }
 }
 
 /// The paper's stale baseline: solve once at epoch 0, then only shrink the
@@ -632,14 +666,13 @@ impl ReschedulePolicy for StaleScale {
     }
 
     fn decide(&mut self, ctx: &PolicyCtx<'_>) -> Result<Option<Allocation>, SolveError> {
-        if self.initial.is_none() {
+        let Some(initial) = &self.initial else {
             let alloc = self.resolver.resolve(ctx.inst)?;
             self.initial = Some(alloc.clone());
             return Ok(Some(alloc));
-        }
+        };
         if ctx.platform_changed {
-            let (scaled, _gamma) =
-                scale_to_fit(self.initial.as_ref().expect("set above"), ctx.inst);
+            let (scaled, _gamma) = scale_to_fit(initial, ctx.inst);
             return Ok(Some(scaled));
         }
         Ok(None)
@@ -663,6 +696,10 @@ impl ReschedulePolicy for StaleScale {
 
     fn checkpoint_barrier(&mut self) {
         self.resolver.checkpoint_barrier();
+    }
+
+    fn pack(&mut self) {
+        self.resolver.pack();
     }
 }
 

@@ -169,6 +169,10 @@ impl<P: ReschedulePolicy> ReschedulePolicy for RecoveryLadder<P> {
     fn import_state(&mut self, state: &PolicyState) {
         self.inner.import_state(state);
     }
+
+    fn pack(&mut self) {
+        self.inner.pack();
+    }
 }
 
 #[cfg(test)]

@@ -170,7 +170,11 @@ pub struct ScenarioReport {
 impl ScenarioReport {
     /// Serialises to pretty JSON.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serialisation cannot fail")
+        match serde_json::to_string_pretty(self) {
+            Ok(json) => json,
+            // The serialiser writes into a `String` and has no error path.
+            Err(e) => unreachable!("report serialisation failed: {e}"),
+        }
     }
 
     /// Parses a report back from JSON.

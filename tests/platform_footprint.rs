@@ -104,11 +104,11 @@ fn check(name: &str, got: &Footprint, budget: (isize, isize, usize)) {
 #[test]
 fn a_planning_instance_stores_each_route_once() {
     // First-use allocations (lazily built statics) are not an instance's.
-    drop(island_instance(16, 0));
+    drop(island_instance(16, 0).expect("a non-empty federation"));
     drop(paper_shape_instance(5, 0));
 
     const K: isize = 400;
-    let island = measure(|| island_instance(K as usize, 42));
+    let island = measure(|| island_instance(K as usize, 42).expect("a non-empty federation"));
     check("K = 400 islands", &island, (800_000, 7, 940));
     assert!(
         island.peak < island.bytes + 4 * K * K,

@@ -87,7 +87,11 @@ fn assert_probes_allocate_next_to_nothing(name: &str, inst: &ProblemInstance, sp
 
 #[test]
 fn island_sweep_probes_allocate_next_to_nothing() {
-    assert_probes_allocate_next_to_nothing("K = 48 island", &island_instance(48, 42), false);
+    assert_probes_allocate_next_to_nothing(
+        "K = 48 island",
+        &island_instance(48, 42).expect("a non-empty federation"),
+        false,
+    );
 }
 
 #[test]
