@@ -96,7 +96,9 @@ fn next_revision() -> u64 {
     NEXT_REVISION.fetch_add(1, Ordering::Relaxed)
 }
 
-/// One tenant's live scheduling session.
+/// One tenant's live scheduling session. Between ops its policy rests
+/// packed ([`ReschedulePolicy::pack`]): every op that steps the session
+/// (`advance`, `run_to_end`, `restore`) packs it before returning.
 pub struct Tenant {
     pub name: String,
     pub spec: TenantSpec,
@@ -165,6 +167,7 @@ impl Tenant {
             // boundary is state-idempotent.
             session.step(policy.as_mut()).map_err(|e| e.to_string())?;
         }
+        policy.pack();
         Ok(Tenant {
             name: file.tenant.clone(),
             spec: file.spec.clone(),
@@ -207,6 +210,7 @@ impl Tenant {
                 break;
             }
         }
+        self.policy.pack();
         self.publish();
         Ok((self.session.epoch(), done))
     }
@@ -219,6 +223,7 @@ impl Tenant {
                 .map_err(|e| e.to_string())?;
             self.epochs_since_checkpoint += 1;
         }
+        self.policy.pack();
         self.publish();
         Ok((self.session.epoch(), true))
     }
@@ -311,7 +316,9 @@ impl Tenant {
 /// writes are push frames, into the subscribers' [`ConnHandle`]s, before
 /// [`Core::apply`] returns the response.
 pub struct Core {
-    tenants: HashMap<String, Tenant>,
+    /// Boxed: a tenant is ≈ 2 KB inline, and a map slot holding one would
+    /// be copied on every growth and left half empty after it.
+    tenants: HashMap<String, Box<Tenant>>,
     /// Tenants an op panicked on: refused from then on, never listed or
     /// checkpointed again.
     poisoned: HashSet<String>,
@@ -334,7 +341,7 @@ impl Core {
 
     /// Takes ownership of a tenant restored from a checkpoint.
     pub fn adopt(&mut self, tenant: Tenant) {
-        self.tenants.insert(tenant.name.clone(), tenant);
+        self.tenants.insert(tenant.name.clone(), Box::new(tenant));
     }
 
     /// The names of the tenants this core owns, in no particular order.
@@ -395,7 +402,7 @@ impl Core {
                 return Err(format!("tenant `{tenant}` already exists"));
             }
             let t = Tenant::new(&tenant, spec)?;
-            self.tenants.insert(tenant.clone(), t);
+            self.tenants.insert(tenant.clone(), Box::new(t));
             return Ok(RespBody::Created { tenant });
         }
         let tenant = op.tenant().ok_or("op is not tenant-scoped")?.to_string();

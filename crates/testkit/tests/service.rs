@@ -798,6 +798,185 @@ fn a_panicking_op_poisons_only_its_tenant() {
     assert_eq!(core.names(), [p.name]);
 }
 
+/// A daemon tenant packs its warm LP context at the end of every op that
+/// steps it. Two warm tenants rest packed and are then woken: one reopened
+/// by `Submit` + `Advance` after `Run`, one drifted by capacity faults
+/// between advances. Every report either answers is byte for byte the
+/// report of an in-process `ScenarioSession` + `PeriodicResolve` twin that
+/// runs the same ops and never packs.
+#[test]
+fn packed_tenants_answer_what_never_packed_sessions_answer() {
+    use dls_scenario::catalog::paper_shape_instance;
+    use dls_scenario::{
+        PeriodicResolve, Resolver, Scenario, ScenarioConfig, ScenarioReport, ScenarioSession,
+    };
+    use dls_service::{ConnHandle, Core, Request};
+    use std::sync::{Arc, Mutex};
+
+    /// One op, as the daemon gets it and as the twin replays it.
+    enum Step {
+        Submit(Vec<JobSpec>),
+        /// Three jobs arriving after the boundary the finished run ended on.
+        Reopen,
+        Fault(PlatformEvent),
+        Advance(usize),
+        Run,
+        Query,
+    }
+    let jobs = |n: usize, from: f64, to: f64| -> Vec<JobSpec> {
+        (0..n)
+            .map(|i| JobSpec {
+                arrival: from + (to - from) * (i as f64 + 0.5) / n as f64,
+                origin: (i * 3 % 5) as u32,
+                size: 60.0 + 15.0 * (i % 4) as f64,
+                weight: 1.0,
+            })
+            .collect()
+    };
+    let event = |time: f64, change: PlatformChange| PlatformEvent { time, change };
+    let scripts: [(&str, u64, Vec<Step>); 2] = [
+        (
+            "reopened",
+            7,
+            vec![
+                Step::Submit(jobs(4, 0.5, 28.0)),
+                Step::Run,
+                Step::Query,
+                Step::Reopen,
+                Step::Advance(2),
+                Step::Query,
+                Step::Run,
+                Step::Query,
+            ],
+        ),
+        (
+            "drifted",
+            11,
+            vec![
+                Step::Submit(jobs(6, 0.5, 45.0)),
+                Step::Advance(2),
+                Step::Fault(event(
+                    24.0,
+                    PlatformChange::SetSpeed {
+                        cluster: 1,
+                        speed: 35.0,
+                    },
+                )),
+                Step::Fault(event(
+                    27.0,
+                    PlatformChange::SetBackboneBw { link: 0, bw: 4.0 },
+                )),
+                Step::Advance(1),
+                Step::Query,
+                Step::Fault(event(
+                    41.0,
+                    PlatformChange::SetMaxConnections { link: 0, max: 1 },
+                )),
+                Step::Run,
+                Step::Query,
+            ],
+        ),
+    ];
+
+    let sink: ConnHandle = Arc::new(Mutex::new(Vec::<u8>::new()));
+    let mut core = Core::new(None, 0);
+    for (name, seed, script) in scripts {
+        let spec = TenantSpec {
+            seed,
+            policy: "periodic".into(),
+            record_events: true,
+            ..TenantSpec::default()
+        };
+        let spec_period = spec.period;
+        let inst = paper_shape_instance(spec.clusters, spec.seed);
+        let mut twin = PeriodicResolve::new(Resolver::warm(&inst).unwrap());
+        let mut session = ScenarioSession::new(
+            &inst,
+            Scenario {
+                name: name.into(),
+                period: spec.period,
+                jobs: Vec::new(),
+                platform_events: Vec::new(),
+            },
+            ScenarioConfig {
+                record_events: true,
+                ..ScenarioConfig::default()
+            },
+        );
+        let mut apply = |op: Op| -> Option<RespBody> {
+            let resp = core.apply(&sink, Request { id: 1, op });
+            assert!(resp.ok, "{name}: {:?}", resp.error);
+            resp.body
+        };
+        let tenant = || name.to_string();
+        apply(Op::CreateTenant {
+            tenant: tenant(),
+            spec,
+        });
+        let mut queries = 0;
+        for step in script {
+            let step = match step {
+                Step::Reopen => {
+                    let end = session.epoch() as f64 * spec_period;
+                    Step::Submit(jobs(3, end + 1.0, end + 25.0))
+                }
+                step => step,
+            };
+            match step {
+                Step::Reopen => unreachable!("replaced above"),
+                Step::Submit(batch) => {
+                    session.push_jobs(&batch).unwrap();
+                    apply(Op::Submit {
+                        tenant: tenant(),
+                        jobs: batch,
+                    });
+                }
+                Step::Fault(event) => {
+                    session.push_platform_event(event.clone()).unwrap();
+                    apply(Op::Fault {
+                        tenant: tenant(),
+                        event,
+                    });
+                }
+                Step::Advance(epochs) => {
+                    for _ in 0..epochs {
+                        if session.step(&mut twin).unwrap() {
+                            break;
+                        }
+                    }
+                    apply(Op::Advance {
+                        tenant: tenant(),
+                        epochs,
+                    });
+                }
+                Step::Run => {
+                    session.run_to_end(&mut twin).unwrap();
+                    apply(Op::Run { tenant: tenant() });
+                }
+                Step::Query => {
+                    let Some(RespBody::Report { report, .. }) =
+                        apply(Op::Query { tenant: tenant() })
+                    else {
+                        panic!("{name}: a query answers a report");
+                    };
+                    let expected: ScenarioReport = session.report(&mut twin);
+                    assert_eq!(
+                        canonical_report_json(&report),
+                        canonical_report_json(&expected),
+                        "{name}: query {queries}"
+                    );
+                    queries += 1;
+                }
+            }
+        }
+        let stats = twin.resolver_mut().warm_mut().unwrap().stats();
+        assert!(
+            stats.warm_solves > stats.cold_solves,
+            "{name}: the twin solved warm ({stats:?})"
+        );
+    }
+}
+
 /// A scripted request and the reply it must get: `Ok` or the exact error.
 type Step = (Op, Result<(), String>);
 
