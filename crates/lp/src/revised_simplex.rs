@@ -191,9 +191,10 @@ struct PackedInv {
 clone_in_place!(PackedInv { map, vals });
 
 impl PackedInv {
-    /// Neither loop branches on the data: a daemon packs after every op,
-    /// and a per-entry `if` mispredicts on ≈ 20 % of an inverse's entries
-    /// (3× slower on the `serve_small` inverses).
+    /// The map is built without a branch per entry and the values are
+    /// gathered by walking its set bits: a daemon packs after every op, and
+    /// an `if` per entry mispredicts on ≈ 20 % of an inverse's entries
+    /// (≈ 3× slower on the `serve_small` inverses).
     fn pack(binv: &[f64]) -> PackedInv {
         let map: Vec<u64> = binv.chunks(64).map(nonzero_bits).collect();
         let nnz = map.iter().map(|w| w.count_ones() as usize).sum();
