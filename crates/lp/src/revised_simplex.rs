@@ -77,7 +77,7 @@ pub(crate) const REFACTOR_EVERY: usize = 128;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BasisRepr {
     /// Dense row-major `B⁻¹` — the retained, cross-checked oracle path.
-    /// Between ops a resting context keeps it packed
+    /// A finished daemon tenant keeps it packed
     /// ([`crate::WarmSimplex::pack`]): only the entries whose bits differ
     /// from `+0.0` stay resident, and they unpack bit for bit.
     DenseInverse,
@@ -180,9 +180,7 @@ clone_in_place!(DenseInv { binv });
 /// set where the entry's bits differ from `+0.0`, and those entries in the
 /// same order. Every other value (`−0.0` and subnormals included) is kept
 /// as it was, so [`PackedInv::unpack`] gives back the inverse bit for bit.
-/// Empty when the inverse was dropped under a pending refactorisation,
-/// which never reads it.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct PackedInv {
     map: Vec<u64>,
     vals: Vec<f64>,
@@ -191,21 +189,14 @@ struct PackedInv {
 clone_in_place!(PackedInv { map, vals });
 
 impl PackedInv {
-    /// The map is built without a branch per entry and the values are
-    /// gathered by walking its set bits: a daemon packs after every op, and
-    /// an `if` per entry mispredicts on ≈ 20 % of an inverse's entries
-    /// (≈ 3× slower on the `serve_small` inverses).
     fn pack(binv: &[f64]) -> PackedInv {
-        let map: Vec<u64> = binv.chunks(64).map(nonzero_bits).collect();
+        let mut map = vec![0u64; binv.len().div_ceil(64)];
+        for (i, &v) in binv.iter().enumerate() {
+            map[i / 64] |= u64::from(v.to_bits() != 0) << (i % 64);
+        }
         let nnz = map.iter().map(|w| w.count_ones() as usize).sum();
         let mut vals = Vec::with_capacity(nnz);
-        for (&word, chunk) in map.iter().zip(binv.chunks(64)) {
-            let mut bits = word;
-            while bits != 0 {
-                vals.push(chunk[bits.trailing_zeros() as usize]);
-                bits &= bits - 1;
-            }
-        }
+        vals.extend(binv.iter().filter(|v| v.to_bits() != 0));
         PackedInv { map, vals }
     }
 
@@ -221,23 +212,6 @@ impl PackedInv {
         }
         binv
     }
-}
-
-/// Bit `j` set where the bits of `chunk[j]` differ from `+0.0` (at most 64
-/// entries). The flags go through a byte array the compiler vectorises;
-/// one multiply then gathers each 8 flag bytes into 8 bits: flag byte `k`
-/// (0 or 1) lands on bit `56 + k`, and every other partial product falls
-/// past bit 63 or below bit 56 without carrying into it.
-fn nonzero_bits(chunk: &[f64]) -> u64 {
-    let mut flags = [0u8; 64];
-    for (f, v) in flags.iter_mut().zip(chunk) {
-        *f = u8::from(v.to_bits() != 0);
-    }
-    let (eights, _) = flags.as_chunks::<8>();
-    eights.iter().enumerate().fold(0, |word, (k, &eight)| {
-        let spread = u64::from_le_bytes(eight);
-        word | (spread.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k)
-    })
 }
 
 /// The interchangeable basis-factorisation representations. Exactly one
@@ -606,17 +580,12 @@ impl Factor {
     }
 
     /// Puts a dense `B⁻¹` to rest: only its non-zeros stay resident
-    /// ([`PackedInv`]) until [`Factor::unpack`]. With `keep` unset the
-    /// inverse is dropped outright — only sound while a refactorisation is
-    /// pending, which rebuilds it without reading it. The sparse LU packs
-    /// nothing.
-    pub(crate) fn pack(&mut self, keep: bool) {
-        let packed = match (&self.repr, keep) {
-            (Repr::Sparse(_), _) | (Repr::Packed(_), true) => return,
-            (Repr::Dense(d), true) => PackedInv::pack(&d.binv),
-            (_, false) => PackedInv::default(),
-        };
-        self.repr = Repr::Packed(packed);
+    /// ([`PackedInv`]) until [`Factor::unpack`]. The sparse LU packs
+    /// nothing, and a packed inverse stays as it is.
+    pub(crate) fn pack(&mut self) {
+        if let Repr::Dense(d) = &self.repr {
+            self.repr = Repr::Packed(PackedInv::pack(&d.binv));
+        }
     }
 
     /// Restores the dense `B⁻¹` a [`Factor::pack`] put to rest (a no-op on
@@ -1849,33 +1818,9 @@ mod tests {
         }
     }
 
-    /// The multiply that gathers flag bytes into bits, over every pattern
-    /// of 8 entries and at every offset of a short last chunk.
-    #[test]
-    fn nonzero_bits_marks_exactly_the_entries_that_are_not_plus_zero() {
-        for pattern in 0u64..256 {
-            for len in [8, 13, 64] {
-                let chunk: Vec<f64> = (0..len)
-                    .map(|j| match (pattern >> (j % 8)) & 1 {
-                        1 if j % 2 == 0 => -0.0,
-                        1 => f64::from_bits(1),
-                        _ => 0.0,
-                    })
-                    .collect();
-                let want = (0..len).fold(0u64, |w, j| w | ((pattern >> (j % 8)) & 1) << j);
-                assert_eq!(
-                    nonzero_bits(&chunk),
-                    want,
-                    "pattern {pattern:#x}, {len} entries"
-                );
-            }
-        }
-    }
-
     /// A packed `B⁻¹` comes back bit for bit, signed zeros and subnormals
     /// included; a packed factor clones (and `clone_from`s over factors of
-    /// every representation) to what `clone` gives; a dropped inverse
-    /// comes back as zeros that a refactorisation overwrites.
+    /// every representation) to what `clone` gives.
     #[test]
     fn a_packed_inverse_unpacks_bit_for_bit_and_clones_packed() {
         let mut m = Model::new(Sense::Maximize);
@@ -1920,20 +1865,20 @@ mod tests {
         d.binv.clone_from(&binv);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
 
-        f.pack(true);
+        f.pack();
         let Repr::Packed(p) = &f.repr else {
             unreachable!("packed")
         };
         assert_eq!(p.vals.len(), n - n.div_ceil(3));
         assert_eq!(p.map.len(), n.div_ceil(64));
-        f.pack(true);
+        f.pack();
         let shown = format!("{f:?}");
         let mut dirty = vec![
             Factor::new(&sf, REFACTOR_EVERY, false),
             Factor::new(&sf, REFACTOR_EVERY, true),
         ];
         let mut other = Factor::new(&sf, REFACTOR_EVERY, false);
-        other.pack(false);
+        other.pack();
         dirty.push(other);
         for mut to in dirty {
             to.clone_from(&f);
@@ -1948,19 +1893,6 @@ mod tests {
             };
             assert_eq!(bits(&d.binv), bits(&binv));
         }
-
-        // Dropped: zeros come back, and a refactorisation rebuilds the
-        // inverse a never-packed factor rebuilds.
-        let mut kept = f.clone();
-        kept.refactor(&sf).unwrap();
-        f.pack(false);
-        f.unpack();
-        let Repr::Dense(d) = &f.repr else {
-            unreachable!("unpacked")
-        };
-        assert!(d.binv.iter().all(|v| v.to_bits() == 0));
-        f.refactor(&sf).unwrap();
-        assert_eq!(format!("{f:?}"), format!("{kept:?}"));
     }
 }
 

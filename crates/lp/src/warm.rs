@@ -477,15 +477,14 @@ impl WarmSimplex {
 
     /// Puts the context to rest between solves: a dense `B⁻¹` keeps only
     /// its non-zeros resident (bit for bit, `−0.0` and subnormals
-    /// included), and none at all while a refactorisation is pending,
-    /// which rebuilds it without reading it. Every entry point that reaches
-    /// the factor unpacks it first, so packing changes no result; it costs
-    /// one `m²` scan here and one `m²` fill at the next entry. The sparse
-    /// LU packs nothing. A long-lived host calls this once a caller's op is
-    /// done; in-process loops never need to.
+    /// included). Every entry point that reaches the factor unpacks it
+    /// first, so packing changes no result; it costs one `m²` scan here and
+    /// one `m²` fill at the next entry. The sparse LU packs nothing. A
+    /// long-lived host calls this when a caller's session finishes;
+    /// in-process loops never need to.
     pub fn pack(&mut self) {
         if let Some(factor) = &mut self.factor {
-            factor.pack(!self.needs_refactor);
+            factor.pack();
         }
     }
 

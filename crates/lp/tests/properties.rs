@@ -221,10 +221,9 @@ proptest! {
             1..6,
         ),
     ) {
-        // `pack` after every solve and after every patch burst, and a
-        // refactorisation requested before some packs (so the inverse is
-        // dropped, not packed): every answer, counter and basis must be the
-        // twin's, bit for bit.
+        // `pack` after every solve and after every patch burst, some of
+        // them with a refactorisation pending: every answer, counter and
+        // basis must be the twin's, bit for bit.
         let dense = RevisedSimplex {
             basis_repr: BasisRepr::DenseInverse,
         };

@@ -131,8 +131,8 @@ pub trait ReschedulePolicy {
     /// is a no-op.
     fn checkpoint_barrier(&mut self) {}
 
-    /// Called by a long-lived host (the daemon's tenants) once an op on
-    /// the policy is done and it rests until the next one. Policies with a
+    /// Called by a long-lived host (the daemon's tenants) once the run
+    /// the policy drives is done and it may rest for long. Policies with a
     /// warm solver context shrink it to what the next decision needs
     /// ([`WarmSimplex::pack`]); nothing a later call returns changes. The
     /// default is a no-op.

@@ -96,9 +96,10 @@ fn next_revision() -> u64 {
     NEXT_REVISION.fetch_add(1, Ordering::Relaxed)
 }
 
-/// One tenant's live scheduling session. Between ops its policy rests
-/// packed ([`ReschedulePolicy::pack`]): every op that steps the session
-/// (`advance`, `run_to_end`, `restore`) packs it before returning.
+/// One tenant's live scheduling session. Once the session is done its
+/// policy rests packed ([`ReschedulePolicy::pack`]): an op that leaves it
+/// done (`advance`, `run_to_end`, `restore`) packs it before returning, and
+/// its next solve unpacks it.
 pub struct Tenant {
     pub name: String,
     pub spec: TenantSpec,
@@ -166,8 +167,8 @@ impl Tenant {
             // Re-settle the done flag: re-executing the terminating
             // boundary is state-idempotent.
             session.step(policy.as_mut()).map_err(|e| e.to_string())?;
+            policy.pack();
         }
-        policy.pack();
         Ok(Tenant {
             name: file.tenant.clone(),
             spec: file.spec.clone(),
@@ -210,7 +211,9 @@ impl Tenant {
                 break;
             }
         }
-        self.policy.pack();
+        if done {
+            self.policy.pack();
+        }
         self.publish();
         Ok((self.session.epoch(), done))
     }

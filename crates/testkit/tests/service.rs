@@ -798,12 +798,13 @@ fn a_panicking_op_poisons_only_its_tenant() {
     assert_eq!(core.names(), [p.name]);
 }
 
-/// A daemon tenant packs its warm LP context at the end of every op that
-/// steps it. Two warm tenants rest packed and are then woken: one reopened
-/// by `Submit` + `Advance` after `Run`, one drifted by capacity faults
-/// between advances. Every report either answers is byte for byte the
-/// report of an in-process `ScenarioSession` + `PeriodicResolve` twin that
-/// runs the same ops and never packs.
+/// A daemon tenant packs its warm LP context when an op leaves its session
+/// done. Two warm tenants finish, rest packed and are then woken: one
+/// reopened by `Submit` + `Advance` after `Run`, one drifted by capacity
+/// faults admitted while it rests, before it is reopened. Every report
+/// either answers is byte for byte the report of an in-process
+/// `ScenarioSession` + `PeriodicResolve` twin that runs the same ops and
+/// never packs.
 #[test]
 fn packed_tenants_answer_what_never_packed_sessions_answer() {
     use dls_scenario::catalog::paper_shape_instance;
@@ -818,6 +819,8 @@ fn packed_tenants_answer_what_never_packed_sessions_answer() {
         Submit(Vec<JobSpec>),
         /// Three jobs arriving after the boundary the finished run ended on.
         Reopen,
+        /// A capacity change 2 s after the boundary the run last executed.
+        Drift(PlatformChange),
         Fault(PlatformEvent),
         Advance(usize),
         Run,
@@ -862,16 +865,17 @@ fn packed_tenants_answer_what_never_packed_sessions_answer() {
                         speed: 35.0,
                     },
                 )),
-                Step::Fault(event(
-                    27.0,
-                    PlatformChange::SetBackboneBw { link: 0, bw: 4.0 },
-                )),
+                Step::Run,
+                Step::Query,
+                Step::Drift(PlatformChange::SetBackboneBw { link: 0, bw: 4.0 }),
+                Step::Drift(PlatformChange::SetSpeed {
+                    cluster: 2,
+                    speed: 30.0,
+                }),
+                Step::Reopen,
                 Step::Advance(1),
                 Step::Query,
-                Step::Fault(event(
-                    41.0,
-                    PlatformChange::SetMaxConnections { link: 0, max: 1 },
-                )),
+                Step::Drift(PlatformChange::SetMaxConnections { link: 0, max: 1 }),
                 Step::Run,
                 Step::Query,
             ],
@@ -915,15 +919,14 @@ fn packed_tenants_answer_what_never_packed_sessions_answer() {
         });
         let mut queries = 0;
         for step in script {
+            let end = session.epoch() as f64 * spec_period;
             let step = match step {
-                Step::Reopen => {
-                    let end = session.epoch() as f64 * spec_period;
-                    Step::Submit(jobs(3, end + 1.0, end + 25.0))
-                }
+                Step::Reopen => Step::Submit(jobs(3, end + 1.0, end + 25.0)),
+                Step::Drift(change) => Step::Fault(event(end + 2.0, change)),
                 step => step,
             };
             match step {
-                Step::Reopen => unreachable!("replaced above"),
+                Step::Reopen | Step::Drift(_) => unreachable!("replaced above"),
                 Step::Submit(batch) => {
                     session.push_jobs(&batch).unwrap();
                     apply(Op::Submit {

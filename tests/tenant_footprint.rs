@@ -24,8 +24,9 @@
 //!   that, checkpointed every epoch                  31 466        –
 //!   the platform stores its routes in one arena     31 031    198.2
 //!   that, checkpointed every epoch                  31 029        –
-//!   `B⁻¹` rests packed between ops (its non-zeros
-//!   and a bit map: ≈ 2.0 KB for the 8m² = 9.4 KB)   23 629    199.2
+//!   `B⁻¹` rests packed once the run is done (its
+//!   non-zeros and a bit map: ≈ 2.0 KB for the
+//!   8m² = 9.4 KB)                                   23 629    199.2
 //!   that, checkpointed every epoch                  23 317        –
 //! ```
 //!
@@ -45,7 +46,7 @@
 //! ```text
 //!                                                   bytes   blocks
 //!   `B⁻¹` resident in full                         150 758    370.8
-//!   `B⁻¹` rests packed between ops                  94 626    371.8
+//!   `B⁻¹` rests packed once the run is done         94 626    371.8
 //! ```
 //!
 //! Its budgets are the packed row plus ≈ 10 %.
