@@ -31,26 +31,3 @@ pub trait Heuristic {
     /// experiment harness re-validates in debug builds.
     fn solve(&self, inst: &ProblemInstance) -> Result<Allocation, SolveError>;
 }
-
-/// Convenience: all four paper heuristics with default settings, in the
-/// paper's presentation order.
-pub fn paper_heuristics(seed: u64) -> Vec<Box<dyn Heuristic + Send + Sync>> {
-    vec![
-        Box::new(Greedy),
-        Box::new(Lpr),
-        Box::new(Lprg),
-        Box::new(Lprr::new(seed)),
-    ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn paper_heuristic_names() {
-        let hs = paper_heuristics(0);
-        let names: Vec<_> = hs.iter().map(|h| h.name()).collect();
-        assert_eq!(names, vec!["G", "LPR", "LPRG", "LPRR"]);
-    }
-}

@@ -44,7 +44,6 @@
 pub mod adaptive;
 pub mod allocation;
 pub mod approx;
-pub mod baselines;
 pub mod bottleneck;
 pub mod error;
 pub mod formulation;

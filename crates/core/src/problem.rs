@@ -133,13 +133,6 @@ impl ProblemInstance {
         self.payoffs[k.index()]
     }
 
-    /// Applications that take part in the objective (`π_k > 0`).
-    pub fn active_apps(&self) -> impl Iterator<Item = ClusterId> + '_ {
-        self.platform
-            .cluster_ids()
-            .filter(move |k| self.payoffs[k.index()] > 0.0)
-    }
-
     /// Objective value of per-application throughputs `α_k` under this
     /// instance's objective and payoffs.
     pub fn objective_of_throughputs(&self, throughputs: &[f64]) -> f64 {
@@ -199,14 +192,12 @@ mod tests {
         let inst = ProblemInstance::uniform(platform3(), Objective::MaxMin);
         assert_eq!(inst.payoffs, vec![1.0; 3]);
         assert_eq!(inst.num_apps(), 3);
-        assert_eq!(inst.active_apps().count(), 3);
     }
 
     #[test]
     fn zero_payoff_apps_excluded_from_maxmin() {
         let p = platform3();
         let inst = ProblemInstance::new(p, vec![1.0, 0.0, 2.0], Objective::MaxMin).unwrap();
-        assert_eq!(inst.active_apps().count(), 2);
         // App 1 has throughput 0 but payoff 0 → objective is min(3·1, 4·2).
         assert_eq!(inst.objective_of_throughputs(&[3.0, 0.0, 4.0]), 3.0);
     }

@@ -41,13 +41,6 @@ impl RunRecord {
             .find(|(n, _)| n == name)
             .map(|(_, v)| *v)
     }
-
-    /// `value(name) / bound`, if both are available and the bound is
-    /// positive.
-    pub fn ratio_to_bound(&self, name: &str) -> Option<f64> {
-        let v = self.value(name)?;
-        (self.bound > 0.0).then(|| v / self.bound)
-    }
 }
 
 #[cfg(test)]
@@ -69,21 +62,5 @@ mod tests {
         assert_eq!(r.value("G"), Some(8.0));
         assert_eq!(r.value("LPR"), None);
         assert_eq!(r.time_ms("G"), Some(0.5));
-        assert_eq!(r.ratio_to_bound("G"), Some(0.8));
-    }
-
-    #[test]
-    fn zero_bound_gives_no_ratio() {
-        let r = RunRecord {
-            seed: 1,
-            config: PlatformConfig::default(),
-            objective: Objective::MaxMin,
-            bound: 0.0,
-            bound_ms: 0.0,
-            values: vec![("G".into(), 0.0)],
-            times_ms: vec![],
-            sim_efficiency: None,
-        };
-        assert_eq!(r.ratio_to_bound("G"), None);
     }
 }

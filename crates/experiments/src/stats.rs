@@ -24,14 +24,6 @@ impl KAggregate {
     pub fn ratio(&self, name: &str) -> Option<f64> {
         self.ratios.iter().find(|(n, _)| n == name).map(|(_, r)| *r)
     }
-
-    /// Sample standard deviation of one heuristic's ratio.
-    pub fn std_dev(&self, name: &str) -> Option<f64> {
-        self.std_devs
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, r)| *r)
-    }
 }
 
 /// Groups records of one objective by `K` and averages each heuristic's
@@ -199,9 +191,10 @@ mod tests {
         assert!((agg[0].ratio("LPRG").unwrap() - 0.95).abs() < 1e-12);
         assert_eq!(agg[1].k, 15);
         // Sample std dev of {0.8, 0.6} is √(0.02) ≈ 0.1414.
-        assert!((agg[0].std_dev("G").unwrap() - 0.02f64.sqrt()).abs() < 1e-12);
+        assert_eq!(agg[0].std_devs[0].0, "G");
+        assert!((agg[0].std_devs[0].1 - 0.02f64.sqrt()).abs() < 1e-12);
         // Single sample → 0.
-        assert_eq!(agg[1].std_dev("G").unwrap(), 0.0);
+        assert_eq!(agg[1].std_devs[0], ("G".to_string(), 0.0));
     }
 
     #[test]

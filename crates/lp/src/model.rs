@@ -232,11 +232,6 @@ impl Model {
         self.cons.shrink_to_fit();
     }
 
-    /// Name given to a variable at creation.
-    pub fn var_name(&self, var: VarId) -> &str {
-        &self.vars[var.index()].name
-    }
-
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
         self.vars.len()
@@ -361,7 +356,6 @@ mod tests {
         assert!(m.is_integer(y));
         assert!(!m.is_integer(x));
         assert_eq!(m.integer_vars(), vec![y]);
-        assert_eq!(m.var_name(x), "x");
         assert_eq!(m.rhs(c), 10.0);
         assert_eq!(m.objective_value(&[2.0, 3.0]), 6.0);
         assert!(m.validate().is_ok());

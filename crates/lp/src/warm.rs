@@ -63,11 +63,6 @@ pub struct Basis {
 }
 
 impl Basis {
-    /// Number of rows the snapshot covers.
-    pub fn num_rows(&self) -> usize {
-        self.cols.len()
-    }
-
     /// The basic column of every row (standard-form indices) — the raw
     /// descriptor a failover snapshot persists.
     pub fn cols(&self) -> &[usize] {

@@ -5,9 +5,9 @@
 //! The paper models a large-scale platform as a collection of `K` clusters
 //! scattered over the internet:
 //!
-//! * every cluster `C^k` is collapsed — by classical divisible-load-theory
-//!   equivalence results — to a single *equivalent processor* of cumulated
-//!   speed `s_k` (the collapse itself is implemented in [`equivalent`]);
+//! * every cluster `C^k` is a single *equivalent processor* of cumulated
+//!   speed `s_k`; like §2, the model takes `s_k` as given and does not
+//!   perform the classical divisible-load-theory collapse itself;
 //! * the cluster's front-end reaches its site router through a **local
 //!   link** of capacity `g_k`, shared fluidly by all flows entering and
 //!   leaving the cluster;
@@ -38,16 +38,12 @@
 
 pub mod builder;
 pub mod dot;
-pub mod equivalent;
 pub mod generator;
 pub mod model;
-pub mod stats;
 
 pub use builder::PlatformBuilder;
 pub use dot::to_dot;
-pub use equivalent::{star_equivalent_speed, EquivalentModel, TreeNode, Worker};
 pub use generator::{ParameterGrid, PlatformConfig, PlatformGenerator};
 pub use model::{
     BackboneLink, Cluster, ClusterId, LinkId, Platform, PlatformError, RouteTable, RouterId,
 };
-pub use stats::PlatformStats;

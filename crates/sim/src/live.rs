@@ -279,14 +279,6 @@ impl LiveSim {
         self.core.slots().get(s).is_some_and(Option::is_some) && self.gen[s] == id.gen
     }
 
-    /// Pending (queued, not yet processed) compute work at a cluster.
-    pub fn queued_work(&self, cluster: ClusterId) -> f64 {
-        self.queues[cluster.index()]
-            .iter()
-            .map(|e| e.remaining)
-            .sum()
-    }
-
     /// Spawns a batch of flows at the current time; returns their handles
     /// (in `specs` order). Zero-payload flows complete at the next
     /// [`LiveSim::advance_to`] step.

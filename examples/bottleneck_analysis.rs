@@ -1,25 +1,18 @@
-//! Capacity planning with LP shadow prices, plus the classical
-//! divisible-load-theory baseline the paper builds on.
-//!
-//! Part 1 — *which resource should this Grid upgrade first?* The dual
-//! values of the steady-state relaxation price every resource: compute
-//! speed (Eq. 7b), local links (7c), backbone connection budgets (7d).
-//!
-//! Part 2 — the single-load classical baseline: one divisible load on a
-//! star, optimal one-round chunks (all workers finish together), and the
-//! multi-installment improvement that motivates steady-state scheduling.
+//! Capacity planning with LP shadow prices: *which resource should this
+//! Grid upgrade first?* The dual values of the steady-state relaxation
+//! price every resource: compute speed (Eq. 7b), local links (7c),
+//! backbone connection budgets (7d).
 //!
 //! ```text
 //! cargo run --example bottleneck_analysis
 //! ```
 
-use dls::core::baselines::{multi_round_makespan, one_round_optimal, optimal_order};
 use dls::core::bottleneck;
 use dls::core::{Objective, ProblemInstance};
-use dls::platform::{PlatformBuilder, Worker};
+use dls::platform::PlatformBuilder;
 
 fn main() {
-    // --- Part 1: shadow prices on a congested platform ---
+    // Shadow prices on a congested platform.
     let mut b = PlatformBuilder::new();
     let main_site = b.add_cluster(80.0, 25.0); // starved local link
     let helper_a = b.add_cluster(300.0, 200.0);
@@ -36,44 +29,6 @@ fn main() {
         println!("  {price:>7.3}  {what}");
     }
     if let Some((what, price)) = report.top() {
-        println!("→ upgrade first: {what} (worth {price:.3} per unit)\n");
+        println!("→ upgrade first: {what} (worth {price:.3} per unit)");
     }
-
-    // --- Part 2: classical single-load DLT on a star ---
-    let workers = [
-        Worker {
-            speed: 40.0,
-            link_bw: 25.0,
-        },
-        Worker {
-            speed: 60.0,
-            link_bw: 10.0,
-        },
-        Worker {
-            speed: 20.0,
-            link_bw: 50.0,
-        },
-    ];
-    let load = 200.0;
-    println!("single divisible load W = {load} on a 3-worker star (one-port):");
-    println!(
-        "  activation order (by bandwidth): {:?}",
-        optimal_order(&workers)
-    );
-    let d = one_round_optimal(load, 0.0, &workers);
-    println!(
-        "  one-round chunks {:?}",
-        d.chunks
-            .iter()
-            .map(|c| (c * 10.0).round() / 10.0)
-            .collect::<Vec<_>>()
-    );
-    println!("  one-round makespan: {:.2}", d.makespan);
-    for rounds in [2usize, 4, 16] {
-        println!(
-            "  {rounds:>2}-round makespan:  {:.2}",
-            multi_round_makespan(load, 0.0, &workers, rounds)
-        );
-    }
-    println!("(steady-state scheduling — the paper's regime — is the many-rounds limit)");
 }

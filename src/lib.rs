@@ -11,8 +11,7 @@
 //! * [`platform`] — the Grid platform model of §2: clusters behind local
 //!   links, routers, backbone links with per-connection bandwidth and
 //!   connection caps, fixed routing, plus the random generator used by the
-//!   paper's evaluation and the classical divisible-load-theory cluster
-//!   equivalence reduction.
+//!   paper's evaluation.
 //! * [`core`] — the paper's contribution: the steady-state multi-application
 //!   scheduling problem (Eq. 7), the SUM and MAXMIN objectives, the
 //!   heuristics `G`, `LPR`, `LPRG`, `LPRR`, the LP upper bound, an exact
